@@ -24,7 +24,7 @@ fn main() {
     let points = sdr_bench::layout_sweep_points(args.ranks, args.cfg, kernel, args.tuning);
     print!(
         "{}",
-        sdr_bench::format_layout_sweep(
+        sdr_bench::format_comparison_table(
             &format!(
                 "Layout sweep: {} overhead vs coverage (ranks={}, class={})",
                 kernel.name(),
@@ -36,7 +36,7 @@ fn main() {
     );
     for p in &points {
         assert!(
-            p.row.results_match,
+            p.results_match,
             "degree {} coverage {} diverged from the native result",
             p.degree, p.coverage
         );
@@ -48,18 +48,18 @@ fn main() {
     let ladder: Vec<_> = points.iter().filter(|p| p.degree == 2).collect();
     for w in ladder.windows(2) {
         assert!(
-            w[0].row.replicated_app_msgs < w[1].row.replicated_app_msgs,
+            w[0].replicated.stats.app_msgs() < w[1].replicated.stats.app_msgs(),
             "replica traffic must grow with coverage: {:.2} -> {:.2}",
             w[0].coverage,
             w[1].coverage
         );
         assert!(
-            w[1].row.overhead_pct >= w[0].row.overhead_pct - OVERHEAD_DRIFT_TOLERANCE_PCT,
+            w[1].overhead_pct >= w[0].overhead_pct - OVERHEAD_DRIFT_TOLERANCE_PCT,
             "overhead must grow with coverage: {:.2} ({:.3}%) -> {:.2} ({:.3}%)",
             w[0].coverage,
-            w[0].row.overhead_pct,
+            w[0].overhead_pct,
             w[1].coverage,
-            w[1].row.overhead_pct
+            w[1].overhead_pct
         );
     }
     if let Some(path) = &args.json_path {

@@ -25,13 +25,7 @@
 //! map.
 fn main() {
     let args = sdr_bench::parse_harness_args(std::env::args().skip(1), 16);
-    let rows = sdr_bench::table1_rows_layout(
-        args.ranks,
-        args.cfg,
-        args.degree,
-        args.coverage,
-        args.tuning,
-    );
+    let rows = sdr_bench::table1_rows(args.ranks, args.cfg, &args.layout(), args.tuning);
     print!(
         "{}",
         sdr_bench::format_comparison_table(

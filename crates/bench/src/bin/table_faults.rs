@@ -5,9 +5,11 @@
 //! [--workers W] [--json PATH]`
 //!
 //! Each case is fully determined by `(config, seed)`: the plan sampling is
-//! pure, so any reported violation can be replayed exactly (and shrunk to a
-//! minimal failing plan with `workloads::campaign::shrink_violation`, which
-//! replays candidates under the deterministic `--workers 1` scheduler).
+//! pure, and every case runs as a `JobSpec`, so a reported violation prints
+//! (and the JSON report embeds) the one line that replays it under
+//! `sdr_serve --queue`; `workloads::campaign::shrink_violation` reduces it
+//! to a minimal failing plan, replaying candidates under the deterministic
+//! `--workers 1` scheduler.
 //! `--json PATH` writes the machine-readable report that CI uploads as the
 //! `BENCH_faults.json` artifact and gates on: 100% survivability for the
 //! single-replica-loss distributions, 100% prompt aborts for the correlated

@@ -21,12 +21,14 @@
 //! curve: fixed drop rates from 1% to 10%, each row aggregating seeded cases
 //! that rotate through the NAS kernels.
 
+use crate::parse_shared_flag;
 use sim_net::campaign::{FaultPlan, PlannedFault};
 use sim_net::NetFaultConfig;
 use workloads::campaign::{
     run_campaign, run_lossy_explicit_case, summarize, CampaignSummary, CaseOutcome,
 };
 use workloads::runner::RunTuning;
+use workloads::serve::Json;
 
 pub use sim_net::campaign::{CampaignConfig, FaultDistribution};
 
@@ -202,7 +204,7 @@ pub fn lossy_rate_sweep(
                             policy_seed: seed,
                         }],
                     };
-                    run_lossy_explicit_case(campaign_config, seed, iterations, tuning, plan)
+                    run_lossy_explicit_case(plan, iterations, tuning)
                 })
                 .collect();
             LossySweepRow {
@@ -283,12 +285,13 @@ pub fn format_faults_table(title: &str, rows: &[FaultConfigRow]) -> String {
         ));
     }
     for row in rows {
-        for (seed, detail) in &row.summary.violations {
+        for v in &row.summary.violations {
             out.push_str(&format!(
-                "VIOLATION {} seed {}: {}\n",
+                "VIOLATION {} seed {}: {}\n  replay: {}\n",
                 row.summary.config.dist.name(),
-                seed,
-                detail
+                v.seed,
+                v.detail,
+                v.spec
             ));
         }
     }
@@ -329,37 +332,53 @@ pub fn format_lossy_sweep_table(title: &str, rows: &[LossySweepRow]) -> String {
         ));
     }
     for row in rows {
-        for (seed, detail) in &row.summary.violations {
+        for v in &row.summary.violations {
             out.push_str(&format!(
-                "VIOLATION drop/64k={} seed {}: {}\n",
-                row.config.drop_per_64k, seed, detail
+                "VIOLATION drop/64k={} seed {}: {}\n  replay: {}\n",
+                row.config.drop_per_64k, v.seed, v.detail, v.spec
             ));
         }
     }
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The transport-masking columns and the violation list the campaign rows
+/// and the sweep rows share. Each violation carries its replay handle: the
+/// `"spec"` string is the one-line job that reruns it under
+/// `sdr_serve --queue`.
+fn masking_fields(s: &CampaignSummary) -> Vec<(&'static str, Json)> {
+    let mut fields = Json::counters(
+        &s.net,
+        &[
+            "msgs_dropped",
+            "msgs_duplicated",
+            "msgs_delayed",
+            "retransmits",
+            "dups_suppressed",
+        ],
+    );
+    let violations = s.violations.iter().map(|v| {
+        Json::obj([
+            ("seed", v.seed.into()),
+            ("detail", v.detail.as_str().into()),
+            ("spec", v.spec.as_str().into()),
+        ])
+    });
+    fields.extend([
+        (
+            "masked_overhead_median_pct",
+            Json::fixed(s.masked_overhead_median_pct, 4),
+        ),
+        (
+            "masked_overhead_p90_pct",
+            Json::fixed(s.masked_overhead_p90_pct, 4),
+        ),
+        ("violations", Json::Arr(violations.collect())),
+    ]);
+    fields
 }
 
-fn summary_net_json(s: &CampaignSummary) -> String {
-    format!(
-        "\"msgs_dropped\": {}, \"msgs_duplicated\": {}, \"msgs_delayed\": {}, \
-         \"retransmits\": {}, \"dups_suppressed\": {}, \
-         \"masked_overhead_median_pct\": {:.4}, \"masked_overhead_p90_pct\": {:.4}",
-        s.net.msgs_dropped,
-        s.net.msgs_duplicated,
-        s.net.msgs_delayed,
-        s.net.retransmits,
-        s.net.dups_suppressed,
-        s.masked_overhead_median_pct,
-        s.masked_overhead_p90_pct
-    )
-}
-
-/// Serialise the campaign as the machine-readable `BENCH_faults.json` report
-/// (same hand-rolled-JSON convention as [`crate::table_report_json`]).
+/// Serialise the campaign as the machine-readable `BENCH_faults.json` report.
 pub fn faults_report_json(
     benchmark: &str,
     ranks: usize,
@@ -369,96 +388,65 @@ pub fn faults_report_json(
     rows: &[FaultConfigRow],
     sweep: &[LossySweepRow],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"benchmark\": \"{benchmark}\",\n"));
-    out.push_str(&format!("  \"ranks\": {ranks},\n"));
-    out.push_str(&format!("  \"seeds_per_config\": {seeds},\n"));
-    out.push_str(&format!("  \"base_seed\": {base_seed},\n"));
-    out.push_str(&format!("  \"iterations\": {iterations},\n"));
-    out.push_str("  \"configs\": [\n");
-    for (i, row) in rows.iter().enumerate() {
+    let configs = rows.iter().map(|row| {
         let s = &row.summary;
         let lat = &s.recovery_latency;
-        let violations = s
-            .violations
-            .iter()
-            .map(|(seed, detail)| {
-                format!(
-                    "{{\"seed\": {seed}, \"detail\": \"{}\"}}",
-                    json_escape(detail)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"dist\": \"{}\", \"degree\": {}, \"coverage\": {:.4}, \
-             \"cases\": {}, \"survived\": {}, \"aborted\": {}, \
-             \"survival_rate\": {:.4}, \"abort_rate\": {:.4}, \
-             \"crashes_injected\": {}, \"sdc_injected\": {}, \"sdc_detected\": {}, \
-             \"sdc_corrected\": {}, \
-             \"sdc_detection_rate\": {:.4}, \"sdc_correction_rate\": {:.4}, \
-             \"recovery_latency\": {{\"samples\": {}, \"min_s\": {:.6}, \"median_s\": {:.6}, \
-             \"p90_s\": {:.6}, \"max_s\": {:.6}}}, \
-             {}, \
-             \"violations\": [{violations}]}}{}\n",
-            s.config.dist.name(),
-            s.config.degree,
-            config_coverage(&s.config),
-            s.cases,
-            s.survived,
-            s.aborted,
-            s.survival_rate(),
-            s.abort_rate(),
-            s.crashes_injected,
-            s.sdc_injected,
-            s.sdc_detected,
-            s.sdc_corrected,
-            s.sdc_detection_rate(),
-            s.sdc_correction_rate(),
-            lat.samples,
-            lat.min_s,
-            lat.median_s,
-            lat.p90_s,
-            lat.max_s,
-            summary_net_json(s),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"lossy_sweep\": [\n");
-    for (i, row) in sweep.iter().enumerate() {
+        let mut fields = vec![
+            ("dist", s.config.dist.name().into()),
+            ("degree", s.config.degree.into()),
+            ("coverage", Json::fixed(config_coverage(&s.config), 4)),
+            ("cases", s.cases.into()),
+            ("survived", s.survived.into()),
+            ("aborted", s.aborted.into()),
+            ("survival_rate", Json::fixed(s.survival_rate(), 4)),
+            ("abort_rate", Json::fixed(s.abort_rate(), 4)),
+            ("crashes_injected", s.crashes_injected.into()),
+            ("sdc_injected", s.sdc_injected.into()),
+            ("sdc_detected", s.sdc_detected.into()),
+            ("sdc_corrected", s.sdc_corrected.into()),
+            ("sdc_detection_rate", Json::fixed(s.sdc_detection_rate(), 4)),
+            (
+                "sdc_correction_rate",
+                Json::fixed(s.sdc_correction_rate(), 4),
+            ),
+            (
+                "recovery_latency",
+                Json::obj([
+                    ("samples", lat.samples.into()),
+                    ("min_s", Json::fixed(lat.min_s, 6)),
+                    ("median_s", Json::fixed(lat.median_s, 6)),
+                    ("p90_s", Json::fixed(lat.p90_s, 6)),
+                    ("max_s", Json::fixed(lat.max_s, 6)),
+                ]),
+            ),
+        ];
+        fields.extend(masking_fields(s));
+        Json::obj(fields)
+    });
+    let sweep = sweep.iter().map(|row| {
         let s = &row.summary;
-        let violations = s
-            .violations
-            .iter()
-            .map(|(seed, detail)| {
-                format!(
-                    "{{\"seed\": {seed}, \"detail\": \"{}\"}}",
-                    json_escape(detail)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"drop_per_64k\": {}, \"dup_per_64k\": {}, \"delay_per_64k\": {}, \
-             \"delay_ns\": {}, \"cases\": {}, \"survived\": {}, \"survival_rate\": {:.4}, \
-             {}, \
-             \"violations\": [{violations}]}}{}\n",
-            row.config.drop_per_64k,
-            row.config.dup_per_64k,
-            row.config.delay_per_64k,
-            row.config.delay_ns,
-            s.cases,
-            s.survived,
-            s.survival_rate(),
-            summary_net_json(s),
-            if i + 1 == sweep.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+        let mut fields = vec![
+            ("drop_per_64k", (row.config.drop_per_64k as u64).into()),
+            ("dup_per_64k", (row.config.dup_per_64k as u64).into()),
+            ("delay_per_64k", (row.config.delay_per_64k as u64).into()),
+            ("delay_ns", row.config.delay_ns.into()),
+            ("cases", s.cases.into()),
+            ("survived", s.survived.into()),
+            ("survival_rate", Json::fixed(s.survival_rate(), 4)),
+        ];
+        fields.extend(masking_fields(s));
+        Json::obj(fields)
+    });
+    Json::obj([
+        ("benchmark", benchmark.into()),
+        ("ranks", ranks.into()),
+        ("seeds_per_config", seeds.into()),
+        ("base_seed", base_seed.into()),
+        ("iterations", iterations.into()),
+        ("configs", Json::Arr(configs.collect())),
+        ("lossy_sweep", Json::Arr(sweep.collect())),
+    ])
+    .encode()
 }
 
 /// Parsed command line of the fault-campaign harness.
@@ -479,7 +467,8 @@ pub struct FaultsArgs {
 }
 
 /// CLI parsing for `table_faults`: `--ranks N`, `--seeds N`, `--base-seed N`,
-/// `--iters N`, `--workers N`, `--carrier-mode thread|coro`, `--json PATH`.
+/// `--iters N`, plus the [`parse_shared_flag`] trio (`--workers N`,
+/// `--carrier-mode thread|coro`, `--json PATH`).
 pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> FaultsArgs {
     let mut parsed = FaultsArgs {
         ranks: 4,
@@ -501,18 +490,13 @@ pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> FaultsArgs {
             "--seeds" => parsed.seeds = next_usize(&mut args, "--seeds"),
             "--base-seed" => parsed.base_seed = next_usize(&mut args, "--base-seed") as u64,
             "--iters" => parsed.iterations = next_usize(&mut args, "--iters") as u64,
-            "--workers" => parsed.tuning.workers = Some(next_usize(&mut args, "--workers")),
-            "--carrier-mode" => {
-                let name = args.next().expect("--carrier-mode needs a mode name");
-                parsed.tuning.carrier_mode =
-                    Some(sim_net::CarrierMode::parse(&name).unwrap_or_else(|| {
-                        panic!("unknown carrier mode {name:?} (use thread or coro)")
-                    }));
-            }
-            "--json" => {
-                let path = args.next().expect("--json needs a file path");
-                parsed.json_path = Some(std::path::PathBuf::from(path));
-            }
+            other
+                if parse_shared_flag(
+                    other,
+                    &mut args,
+                    Some(&mut parsed.tuning),
+                    &mut parsed.json_path,
+                ) => {}
             other => panic!("unrecognised argument {other:?}"),
         }
     }
@@ -587,18 +571,17 @@ mod tests {
         let sweep_text = format_lossy_sweep_table("Lossy sweep", &sweep);
         assert!(sweep_text.contains("655") && sweep_text.contains("6554"));
         let json = faults_report_json("table_faults", 2, 2, 5, 4, &rows, &sweep);
-        assert!(json.contains("\"dist\": \"correlated-pair\""));
-        assert!(json.contains("\"dist\": \"delayed-acks\""));
-        assert!(json.contains("\"dist\": \"majority-loss\""));
-        assert!(json.contains("\"dist\": \"unreplicated-bias\""));
-        assert!(json.contains("\"degree\": 3"));
-        assert!(json.contains("\"coverage\": 0.5000"));
+        assert!(json.contains("\"dist\":\"correlated-pair\""));
+        assert!(json.contains("\"dist\":\"delayed-acks\""));
+        assert!(json.contains("\"dist\":\"majority-loss\""));
+        assert!(json.contains("\"dist\":\"unreplicated-bias\""));
+        assert!(json.contains("\"degree\":3"));
+        assert!(json.contains("\"coverage\":0.5"));
         assert!(json.contains("\"sdc_corrected\""));
         assert!(json.contains("\"sdc_correction_rate\""));
         assert!(json.contains("\"lossy_sweep\""));
         assert!(json.contains("\"dups_suppressed\""));
-        assert!(json.contains("\"seeds_per_config\": 2"));
-        assert!(json.ends_with("}\n"));
+        assert!(json.contains("\"seeds_per_config\":2"));
     }
 
     #[test]

@@ -32,18 +32,16 @@ pub use faults::{
 };
 
 use repl_baselines::{CorruptionSpec, LeaderFactory, MirrorFactory, RedMpiFactory, SdcReport};
-use sdr_core::{
-    native_job, replicated_job, MappingPolicy, PartialLayout, ReplicaMap, ReplicationConfig,
-};
+use sdr_core::{native_job, replicated_job, ReplicationConfig};
 use sim_mpi::{JobBuilder, ANY_SOURCE};
 use sim_net::{CarrierMode, Cluster, LogGpModel, Placement};
+use std::path::PathBuf;
 use std::sync::Arc;
 use workloads::apps::{run_cm1, run_hpccg, AppConfig};
 use workloads::nas::{run_kernel, NasConfig, NasKernel};
 use workloads::netpipe::{self, NetpipePoint};
-use workloads::runner::{
-    compare_layout_tuned, compare_protocols_tuned, ComparisonRow, RunTuning, WorkloadSpec,
-};
+use workloads::runner::{compare, ComparisonRow, RunSide, RunTuning, WorkloadSpec};
+use workloads::serve::{Json, LayoutSpec};
 
 /// One row of the Figure 7 sweep: native and replicated measurements for a
 /// message size, plus the relative performance decrease.
@@ -96,70 +94,55 @@ pub fn fig7_default_sizes() -> Vec<usize> {
     vec![1, 8, 64, 512, 4 * 1024, 64 * 1024, 1 << 20, 4 << 20]
 }
 
-/// Table 1: the five NAS-like kernels, native vs dual replication.
-pub fn table1_rows(ranks: usize, cfg: NasConfig) -> Vec<ComparisonRow> {
-    table1_rows_tuned(ranks, cfg, RunTuning::default())
-}
-
-/// [`table1_rows`] with explicit execution-layer tuning — the entry point of
-/// the `--ranks`/`--workers` scaling axis (64/128/256-rank configurations run
-/// through the same bounded scheduler pool as the 16-rank default).
-pub fn table1_rows_tuned(ranks: usize, cfg: NasConfig, tuning: RunTuning) -> Vec<ComparisonRow> {
-    table1_rows_layout(ranks, cfg, 2, 1.0, tuning)
-}
-
-/// [`table1_rows_tuned`] generalised over the replica map: `degree >= 3`
-/// replicates every rank uniformly at that degree, `coverage < 1.0` replicates
-/// only the first `ceil(coverage * ranks)` ranks at degree 2 (the partial
-/// layout's ADJACENT numbering) and leaves the rest as singletons. The dual
-/// full layout (`degree == 2`, `coverage == 1.0`) takes exactly the historic
-/// Table 1 path, so sweep rows at that point stay comparable with
-/// `BENCH_table1.json`.
-pub fn table1_rows_layout(
+/// Table 1: the five NAS-like kernels, native vs replicated under `layout`
+/// (the paper's is dual replication, [`harness_layout`]`(2, 1.0)`). `tuning`
+/// is the `--workers`/`--carrier-mode` scaling axis: 64/128/256-rank
+/// configurations run through the same bounded scheduler pool as the 16-rank
+/// default.
+pub fn table1_rows(
     ranks: usize,
     cfg: NasConfig,
-    degree: usize,
-    coverage: f64,
+    layout: &LayoutSpec,
     tuning: RunTuning,
 ) -> Vec<ComparisonRow> {
     NasKernel::all()
         .iter()
-        .map(|&kernel| compare_nas_layout(kernel, ranks, cfg, degree, coverage, tuning))
+        .map(|&kernel| compare_nas(kernel, ranks, cfg, layout, tuning))
         .collect()
 }
 
-/// Compare one NAS kernel native vs replicated under the `(degree, coverage)`
-/// layout selection shared by [`table1_rows_layout`] and
-/// [`layout_sweep_points`].
-fn compare_nas_layout(
+fn compare_nas(
     kernel: NasKernel,
     ranks: usize,
     cfg: NasConfig,
-    degree: usize,
-    coverage: f64,
+    layout: &LayoutSpec,
     tuning: RunTuning,
 ) -> ComparisonRow {
+    let spec = WorkloadSpec::new(kernel.name(), ranks, move |p| run_kernel(kernel, p, &cfg));
+    compare(&spec, layout, tuning)
+}
+
+/// The layout the harness flags `--degree D --coverage F` select:
+/// `coverage < 1.0` replicates only the first `ceil(coverage * ranks)` ranks
+/// at degree 2 (the partial layout's ADJACENT numbering) and leaves the rest
+/// as singletons; full coverage replicates every rank uniformly at `degree`.
+/// The dual full layout (`degree == 2`, `coverage == 1.0`) is exactly the
+/// historic Table 1 configuration, so sweep rows at that point stay
+/// comparable with `BENCH_table1.json`.
+pub fn harness_layout(degree: usize, coverage: f64) -> LayoutSpec {
     assert!(degree >= 2, "replication needs a degree of at least 2");
     assert!(
         coverage > 0.0 && coverage <= 1.0,
         "coverage must be in (0, 1], got {coverage}"
     );
-    let spec = WorkloadSpec::new(kernel.name(), ranks, move |p| run_kernel(kernel, p, &cfg));
     if coverage < 1.0 {
         assert_eq!(
             degree, 2,
             "partial replication covers its replicated ranks at degree 2"
         );
-        let map = PartialLayout::with_coverage(ranks, coverage, MappingPolicy::Adjacent)
-            .expect("a coverage in (0, 1] always yields a valid partial layout");
-        compare_layout_tuned(
-            &spec,
-            Arc::new(map) as Arc<dyn ReplicaMap>,
-            ReplicationConfig::dual(),
-            tuning,
-        )
+        LayoutSpec::Coverage { coverage }
     } else {
-        compare_protocols_tuned(&spec, ReplicationConfig::with_degree(degree), tuning)
+        LayoutSpec::Replicated { degree }
     }
 }
 
@@ -167,140 +150,92 @@ fn compare_nas_layout(
 /// (`BENCH_layouts.json`).
 pub const LAYOUT_SWEEP_COVERAGES: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
-/// One point of the overhead-vs-coverage frontier: a `(degree, coverage)`
-/// layout measured on one NAS kernel.
-#[derive(Debug, Clone)]
-pub struct LayoutSweepPoint {
-    /// Replication degree of the replicated ranks.
-    pub degree: usize,
-    /// Fraction of ranks replicated.
-    pub coverage: f64,
-    /// The native-vs-replicated measurement at this layout.
-    pub row: ComparisonRow,
-}
-
 /// The overhead-vs-coverage frontier on one kernel: degree 2 at each coverage
 /// in [`LAYOUT_SWEEP_COVERAGES`] (the 1.0 point is the historic full-dual
 /// Table 1 configuration), plus full replication at degree 3. Replication
 /// cost must grow monotonically along the coverage ladder — each additional
 /// covered rank adds replica traffic and ack round-trips — which the
-/// `layout_sweep` binary asserts before writing the artifact.
+/// `layout_sweep` binary asserts before writing the artifact. Each row's
+/// `degree` and `coverage` are the layout the run actually had (the covered
+/// *fraction of ranks*, which equals the ladder value whenever it divides
+/// the rank count).
 pub fn layout_sweep_points(
     ranks: usize,
     cfg: NasConfig,
     kernel: NasKernel,
     tuning: RunTuning,
-) -> Vec<LayoutSweepPoint> {
-    let mut points: Vec<LayoutSweepPoint> = LAYOUT_SWEEP_COVERAGES
-        .iter()
-        .map(|&coverage| LayoutSweepPoint {
-            degree: 2,
-            coverage,
-            row: compare_nas_layout(kernel, ranks, cfg, 2, coverage, tuning),
+) -> Vec<ComparisonRow> {
+    let ladder = LAYOUT_SWEEP_COVERAGES.iter().map(|&coverage| (2, coverage));
+    ladder
+        .chain([(3, 1.0)])
+        .map(|(degree, coverage)| {
+            compare_nas(
+                kernel,
+                ranks,
+                cfg,
+                &harness_layout(degree, coverage),
+                tuning,
+            )
         })
-        .collect();
-    points.push(LayoutSweepPoint {
-        degree: 3,
-        coverage: 1.0,
-        row: compare_nas_layout(kernel, ranks, cfg, 3, 1.0, tuning),
-    });
-    points
+        .collect()
+}
+
+/// The measurement columns a Table 1/2 row and a layout-sweep point share.
+fn measurement_fields(row: &ComparisonRow) -> Vec<(&str, Json)> {
+    vec![
+        ("degree", row.degree.into()),
+        ("coverage", Json::fixed(row.coverage, 4)),
+        ("native_secs", Json::fixed(row.native_secs, 6)),
+        ("replicated_secs", Json::fixed(row.replicated_secs, 6)),
+        ("overhead_pct", Json::fixed(row.overhead_pct, 3)),
+        ("results_match", row.results_match.into()),
+        ("native_app_msgs", row.native.stats.app_msgs().into()),
+        (
+            "replicated_app_msgs",
+            row.replicated.stats.app_msgs().into(),
+        ),
+        (
+            "replicated_ack_msgs",
+            row.replicated.stats.ack_msgs().into(),
+        ),
+    ]
 }
 
 /// Serialise the layout sweep as the machine-readable `BENCH_layouts.json`
-/// report (same hand-rolled-JSON convention as [`table_report_json`]).
+/// report.
 pub fn layouts_report_json(
     benchmark: &str,
     ranks: usize,
     class_name: &str,
     kernel_name: &str,
-    points: &[LayoutSweepPoint],
+    points: &[ComparisonRow],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"benchmark\": \"{benchmark}\",\n"));
-    out.push_str(&format!("  \"ranks\": {ranks},\n"));
-    out.push_str(&format!("  \"class\": \"{class_name}\",\n"));
-    out.push_str(&format!("  \"kernel\": \"{kernel_name}\",\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"degree\": {}, \"coverage\": {:.4}, \
-             \"native_secs\": {:.6}, \"replicated_secs\": {:.6}, \"overhead_pct\": {:.3}, \
-             \"results_match\": {}, \"native_app_msgs\": {}, \"replicated_app_msgs\": {}, \
-             \"replicated_ack_msgs\": {}}}{}\n",
-            p.degree,
-            p.coverage,
-            p.row.native_secs,
-            p.row.replicated_secs,
-            p.row.overhead_pct,
-            p.row.results_match,
-            p.row.native_app_msgs,
-            p.row.replicated_app_msgs,
-            p.row.replicated_ack_msgs,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Format the layout sweep as a text table.
-pub fn format_layout_sweep(title: &str, points: &[LayoutSweepPoint]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{title}\n"));
-    out.push_str(&format!(
-        "{:>6} {:>8} {:>14} {:>16} {:>12} {:>12} {:>12}  {}\n",
-        "degree",
-        "coverage",
-        "Native (s)",
-        "Replicated (s)",
-        "Overhead (%)",
-        "app msgs",
-        "ack msgs",
-        "results"
-    ));
-    for p in points {
-        out.push_str(&format!(
-            "{:>6} {:>8.2} {:>14.3} {:>16.3} {:>12.2} {:>12} {:>12}  {}\n",
-            p.degree,
-            p.coverage,
-            p.row.native_secs,
-            p.row.replicated_secs,
-            p.row.overhead_pct,
-            p.row.replicated_app_msgs,
-            p.row.replicated_ack_msgs,
-            if p.row.results_match {
-                "match"
-            } else {
-                "MISMATCH"
-            }
-        ));
-    }
-    out
+    let points = points.iter().map(|p| Json::obj(measurement_fields(p)));
+    Json::obj([
+        ("benchmark", benchmark.into()),
+        ("ranks", ranks.into()),
+        ("class", class_name.into()),
+        ("kernel", kernel_name.into()),
+        ("points", Json::Arr(points.collect())),
+    ])
+    .encode()
 }
 
 /// Table 2: HPCCG and CM1 (both with anonymous receptions), native vs dual
-/// replication.
-pub fn table2_rows(ranks: usize) -> Vec<ComparisonRow> {
-    table2_rows_tuned(ranks, RunTuning::default())
-}
-
-/// [`table2_rows`] with explicit execution-layer tuning (see
-/// [`table1_rows_tuned`]).
-pub fn table2_rows_tuned(ranks: usize, tuning: RunTuning) -> Vec<ComparisonRow> {
+/// replication, under the same execution-layer tuning as [`table1_rows`].
+pub fn table2_rows(ranks: usize, tuning: RunTuning) -> Vec<ComparisonRow> {
     let hpccg_cfg = AppConfig::hpccg_paper_like();
     let cm1_cfg = AppConfig::cm1_paper_like();
+    let dual = harness_layout(2, 1.0);
     vec![
-        compare_protocols_tuned(
+        compare(
             &WorkloadSpec::new("HPCCG", ranks, move |p| run_hpccg(p, &hpccg_cfg)),
-            ReplicationConfig::dual(),
+            &dual,
             tuning,
         ),
-        compare_protocols_tuned(
+        compare(
             &WorkloadSpec::new("CM1", ranks, move |p| run_cm1(p, &cm1_cfg)),
-            ReplicationConfig::dual(),
+            &dual,
             tuning,
         ),
     ]
@@ -324,17 +259,72 @@ pub struct HarnessArgs {
     /// Execution-layer tuning.
     pub tuning: RunTuning,
     /// Where to write the machine-readable JSON report, if requested.
-    pub json_path: Option<std::path::PathBuf>,
+    pub json_path: Option<PathBuf>,
+}
+
+impl HarnessArgs {
+    /// The replica layout `--degree`/`--coverage` selected.
+    pub fn layout(&self) -> LayoutSpec {
+        harness_layout(self.degree, self.coverage)
+    }
+}
+
+/// The flags every harness binary spells the same way: `--workers N`
+/// (rejected below [`sim_net::sched::MIN_WORKERS`]), `--carrier-mode
+/// thread|coro`, `--json PATH`. Consumes `flag`'s value from `args` and
+/// returns `true` if `flag` is one of them. A binary with no execution layer
+/// of its own to tune (`sdr_serve`: every job's spec carries its own) passes
+/// `tuning: None` and so keeps rejecting the tuning flags as unrecognised.
+pub fn parse_shared_flag<I: Iterator<Item = String>>(
+    flag: &str,
+    args: &mut I,
+    tuning: Option<&mut RunTuning>,
+    json_path: &mut Option<PathBuf>,
+) -> bool {
+    match (flag, tuning) {
+        ("--workers", Some(tuning)) => {
+            let w: usize = args
+                .next()
+                .and_then(|s| s.parse().ok())
+                .expect("--workers needs a positive integer");
+            assert!(
+                w >= sim_net::sched::MIN_WORKERS,
+                "--workers needs an integer >= {}",
+                sim_net::sched::MIN_WORKERS
+            );
+            if w == 1 {
+                eprintln!(
+                    "note: --workers 1 runs the deterministic single-permit replay \
+                     mode (slowest, but two identical runs schedule identically)"
+                );
+            }
+            tuning.workers = Some(w);
+        }
+        ("--carrier-mode", Some(tuning)) => {
+            let name = args.next().expect("--carrier-mode needs a mode name");
+            tuning.carrier_mode =
+                Some(CarrierMode::parse(&name).unwrap_or_else(|| {
+                    panic!("unknown carrier mode {name:?} (use thread or coro)")
+                }));
+        }
+        ("--json", _) => {
+            let path = args.next().expect("--json needs a file path");
+            *json_path = Some(PathBuf::from(path));
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// Shared CLI parsing for the table harnesses: `--ranks N`, `--class
 /// s|test|d`, `--degree N` (replication degree, default 2), `--coverage F`
 /// (fraction of ranks replicated, default 1.0; `< 1.0` runs the degree-2
-/// partial layout), `--workers N`, `--carrier-mode thread|coro` (execution
-/// mode; defaults to coroutine stacks on supported targets, overridable via
-/// the `SDR_CARRIER_MODE` environment variable), `--json PATH`
-/// (machine-readable report, uploaded as a CI artifact), plus a bare
-/// positional rank count for backwards compatibility.
+/// partial layout), the [`parse_shared_flag`] trio — `--workers N`,
+/// `--carrier-mode thread|coro` (execution mode; defaults to coroutine
+/// stacks on supported targets, overridable via the `SDR_CARRIER_MODE`
+/// environment variable), `--json PATH` (machine-readable report, uploaded
+/// as a CI artifact) — plus a bare positional rank count for backwards
+/// compatibility.
 pub fn parse_harness_args<I: Iterator<Item = String>>(
     args: I,
     default_ranks: usize,
@@ -364,52 +354,24 @@ pub fn parse_harness_args<I: Iterator<Item = String>>(
                 parsed.class_name = name.to_ascii_lowercase();
             }
             "--degree" => {
-                let d: usize = args
+                parsed.degree = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .expect("--degree needs an integer >= 2");
-                assert!(d >= 2, "--degree needs an integer >= 2, got {d}");
-                parsed.degree = d;
             }
             "--coverage" => {
-                let c: f64 = args
+                parsed.coverage = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .expect("--coverage needs a number in (0, 1]");
-                assert!(
-                    c > 0.0 && c <= 1.0,
-                    "--coverage needs a number in (0, 1], got {c}"
-                );
-                parsed.coverage = c;
             }
-            "--workers" => {
-                let w: usize = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--workers needs a positive integer");
-                assert!(
-                    w >= sim_net::sched::MIN_WORKERS,
-                    "--workers needs an integer >= {}",
-                    sim_net::sched::MIN_WORKERS
-                );
-                if w == 1 {
-                    eprintln!(
-                        "note: --workers 1 runs the deterministic single-permit replay \
-                         mode (slowest, but two identical runs schedule identically)"
-                    );
-                }
-                parsed.tuning.workers = Some(w);
-            }
-            "--carrier-mode" => {
-                let name = args.next().expect("--carrier-mode needs a mode name");
-                parsed.tuning.carrier_mode = Some(CarrierMode::parse(&name).unwrap_or_else(|| {
-                    panic!("unknown carrier mode {name:?} (use thread or coro)")
-                }));
-            }
-            "--json" => {
-                let path = args.next().expect("--json needs a file path");
-                parsed.json_path = Some(std::path::PathBuf::from(path));
-            }
+            other
+                if parse_shared_flag(
+                    other,
+                    &mut args,
+                    Some(&mut parsed.tuning),
+                    &mut parsed.json_path,
+                ) => {}
             other => {
                 if let Ok(n) = other.parse() {
                     parsed.ranks = n;
@@ -420,10 +382,8 @@ pub fn parse_harness_args<I: Iterator<Item = String>>(
         }
     }
     assert!(parsed.ranks > 0, "rank count must be positive");
-    assert!(
-        parsed.coverage >= 1.0 || parsed.degree == 2,
-        "--coverage < 1.0 requires --degree 2 (partial layouts replicate at degree 2)"
-    );
+    // Range-checks `--degree`/`--coverage` and their combination.
+    parsed.layout();
     parsed
 }
 
@@ -621,23 +581,35 @@ pub fn redmpi_detection(ranks: usize, iterations: usize, inject: bool) -> RedMpi
     }
 }
 
-/// Format a Table-1/2-style row set in the paper's layout.
+/// Format a row set — Table 1, Table 2, or the layout sweep's points — in the
+/// paper's layout, plus the replicated run's message counts (what the
+/// sweep's coverage ladder is read off).
 pub fn format_comparison_table(title: &str, rows: &[ComparisonRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!(
-        "{:<8} {:>6} {:>8} {:>14} {:>16} {:>12}  {}\n",
-        "", "degree", "coverage", "Native (s)", "Replicated (s)", "Overhead (%)", "results"
+        "{:<8} {:>6} {:>8} {:>14} {:>16} {:>12} {:>12} {:>12}  {}\n",
+        "",
+        "degree",
+        "coverage",
+        "Native (s)",
+        "Replicated (s)",
+        "Overhead (%)",
+        "app msgs",
+        "ack msgs",
+        "results"
     ));
     for row in rows {
         out.push_str(&format!(
-            "{:<8} {:>6} {:>8.2} {:>14.3} {:>16.3} {:>12.2}  {}\n",
+            "{:<8} {:>6} {:>8.2} {:>14.3} {:>16.3} {:>12.2} {:>12} {:>12}  {}\n",
             row.name,
             row.degree,
             row.coverage,
             row.native_secs,
             row.replicated_secs,
             row.overhead_pct,
+            row.replicated.stats.app_msgs(),
+            row.replicated.stats.ack_msgs(),
             if row.results_match {
                 "match"
             } else {
@@ -648,118 +620,62 @@ pub fn format_comparison_table(title: &str, rows: &[ComparisonRow]) -> String {
     out
 }
 
-/// Aggregate delivery counters over a row set (both runs of every row).
-/// `baseline` is the exact wake count the one-wake-per-delivery PR 2 path
-/// would have paid — every recorded wake plus one per extra message in a
-/// multi-message batch (a `k`-message batch records one wake where the
-/// baseline issued `k`).
-#[derive(Debug, Default, Clone, Copy)]
-struct DeliveryTotals {
-    issued: u64,
-    suppressed: u64,
-    flushes: u64,
-    flushed_msgs: u64,
-    baseline: u64,
-    handoffs: u64,
-    steals: u64,
-    condvar_waits: u64,
-    deliveries_direct: u64,
-    heap_fallbacks: u64,
-    threads_spawned: u64,
-    threads_reused: u64,
-    stack_switches: u64,
-    stacks_allocated: u64,
-    stacks_reused: u64,
-    /// Maximum over the rows — the pool peak is a gauge, not a counter.
-    stack_bytes_peak: u64,
-    /// Maximum worker-pool size over the rows (the runs share one tuning, so
-    /// this is the configured pool for explicit `--workers` runs).
-    workers: u64,
-    /// Mode of the last run folded in; one harness invocation runs every row
-    /// in the same mode.
-    carrier_mode: Option<CarrierMode>,
-}
-
-impl DeliveryTotals {
-    /// Fraction of dispatches that were direct handoffs/steals (1.0 when
-    /// nothing was dispatched).
-    fn direct_fraction(&self) -> f64 {
-        sim_net::stats::direct_dispatch_fraction(self.handoffs, self.steals, self.condvar_waits)
-    }
-
-    /// Fraction of deliveries ingested on the ladder's in-order fast path
-    /// (1.0 when nothing was delivered).
-    fn direct_delivery_fraction(&self) -> f64 {
-        sim_net::stats::direct_delivery_fraction(self.deliveries_direct, self.heap_fallbacks)
-    }
-}
-
-fn delivery_totals(rows: &[ComparisonRow]) -> DeliveryTotals {
-    let mut t = DeliveryTotals::default();
-    for row in rows {
-        for d in [&row.native_delivery, &row.replicated_delivery] {
-            t.issued += d.wakes_issued;
-            t.suppressed += d.wakes_suppressed;
-            t.flushes += d.flushes;
-            t.flushed_msgs += d.flushed_msgs;
-            t.handoffs += d.handoffs;
-            t.steals += d.steals;
-            t.condvar_waits += d.condvar_waits;
-            t.deliveries_direct += d.deliveries_direct;
-            t.heap_fallbacks += d.heap_fallbacks;
-            t.threads_spawned += d.threads_spawned;
-            t.threads_reused += d.threads_reused;
-            t.stack_switches += d.stack_switches;
-            t.stacks_allocated += d.stacks_allocated;
-            t.stacks_reused += d.stacks_reused;
-            t.stack_bytes_peak = t.stack_bytes_peak.max(d.stack_bytes_peak);
-            t.workers = t.workers.max(d.workers);
-            t.carrier_mode = Some(d.carrier_mode);
-        }
-    }
-    t.baseline = t.issued + t.suppressed + (t.flushed_msgs - t.flushes);
-    t
+/// Fold both runs of every row into one [`RunSide`]: fabric counters merge
+/// through the counter table (sums; the stack peak, a gauge, takes the
+/// maximum), thread churn and host seconds add, `workers` is the largest
+/// pool seen and `carrier_mode` the last run's — one harness invocation runs
+/// every row with one tuning.
+fn totals(rows: &[ComparisonRow]) -> RunSide {
+    rows.iter()
+        .flat_map(|row| [row.native, row.replicated])
+        .reduce(|a, b| RunSide {
+            stats: a.stats.merged(&b.stats),
+            threads_spawned: a.threads_spawned + b.threads_spawned,
+            threads_reused: a.threads_reused + b.threads_reused,
+            carrier_mode: b.carrier_mode,
+            workers: a.workers.max(b.workers),
+            host_secs: a.host_secs + b.host_secs,
+        })
+        .expect("a report has at least one row")
 }
 
 /// Format the delivery-layer summary of a row set: scheduler wakes actually
-/// issued vs the one-wake-per-delivery PR 2 baseline, outbox batching, the
-/// direct-handoff dispatch split, and carrier-thread churn.
+/// issued vs the one-wake-per-delivery PR 2 baseline
+/// ([`sim_net::StatsSnapshot::baseline_equivalent_wakes`]), outbox batching,
+/// the direct-handoff dispatch split, and carrier-thread churn.
 pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
-    let t = delivery_totals(rows);
-    let reduction = if t.issued == 0 {
+    let side = totals(rows);
+    let t = &side.stats;
+    let reduction = if t.wakes_issued == 0 {
         f64::INFINITY
     } else {
-        t.baseline as f64 / t.issued as f64
-    };
-    let mean_batch = if t.flushes == 0 {
-        0.0
-    } else {
-        t.flushed_msgs as f64 / t.flushes as f64
+        t.baseline_equivalent_wakes() as f64 / t.wakes_issued as f64
     };
     format!(
         "delivery: {} wakes issued, {} suppressed \
          ({reduction:.2}x fewer than the {} one-per-delivery baseline); \
-         {} batches, mean batch {mean_batch:.2} msgs\n\
+         {} batches, mean batch {:.2} msgs\n\
          ingest: {} in-order ladder appends vs {} heap fallbacks \
          ({:.1}% single-pass O(1))\n\
          dispatch: {} handoffs + {} steals direct vs {} cold \
          ({:.1}% direct); threads: {} spawned, {} reused\n\
          carriers: {} mode; {} stack switches, {} stacks leased \
          ({} fresh, {} reused), pool peak {:.1} MiB\n",
-        t.issued,
-        t.suppressed,
-        t.baseline,
+        t.wakes_issued,
+        t.wakes_suppressed,
+        t.baseline_equivalent_wakes(),
         t.flushes,
+        t.mean_flush_batch(),
         t.deliveries_direct,
         t.heap_fallbacks,
         t.direct_delivery_fraction() * 100.0,
         t.handoffs,
         t.steals,
         t.condvar_waits,
-        t.direct_fraction() * 100.0,
-        t.threads_spawned,
-        t.threads_reused,
-        t.carrier_mode.map_or("none", CarrierMode::as_str),
+        t.direct_dispatch_fraction() * 100.0,
+        side.threads_spawned,
+        side.threads_reused,
+        side.carrier_mode,
         t.stack_switches,
         t.stacks_allocated + t.stacks_reused,
         t.stacks_allocated,
@@ -768,117 +684,100 @@ pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
     )
 }
 
-fn json_delivery(d: &workloads::runner::DeliveryCounters) -> String {
-    format!(
-        "{{\"wakes_issued\": {}, \"wakes_suppressed\": {}, \"flushes\": {}, \
-         \"flushed_msgs\": {}, \"mean_flush_batch\": {:.3}, \
-         \"handoffs\": {}, \"steals\": {}, \"condvar_waits\": {}, \
-         \"deliveries_direct\": {}, \"heap_fallbacks\": {}, \
-         \"threads_spawned\": {}, \"threads_reused\": {}, \
-         \"carrier_mode\": \"{}\", \"workers\": {}, \
-         \"stack_switches\": {}, \"stacks_allocated\": {}, \
-         \"stacks_reused\": {}, \"stack_bytes_peak\": {}, \
-         \"host_secs\": {:.3}}}",
-        d.wakes_issued,
-        d.wakes_suppressed,
-        d.flushes,
-        d.flushed_msgs,
-        d.mean_flush_batch,
-        d.handoffs,
-        d.steals,
-        d.condvar_waits,
-        d.deliveries_direct,
-        d.heap_fallbacks,
-        d.threads_spawned,
-        d.threads_reused,
-        d.carrier_mode.as_str(),
-        d.workers,
-        d.stack_switches,
-        d.stacks_allocated,
-        d.stacks_reused,
-        d.stack_bytes_peak,
-        d.host_secs
-    )
+/// The wake, dispatch, ingest and stack counters both the per-run delivery
+/// objects and the totals of a table report carry.
+const EXECUTION_COUNTERS: [&str; 11] = [
+    "wakes_issued",
+    "wakes_suppressed",
+    "handoffs",
+    "steals",
+    "condvar_waits",
+    "deliveries_direct",
+    "heap_fallbacks",
+    "stack_switches",
+    "stacks_allocated",
+    "stacks_reused",
+    "stack_bytes_peak",
+];
+
+fn side_fields(side: &RunSide) -> Vec<(&'static str, Json)> {
+    let mut fields = Json::counters(&side.stats, &EXECUTION_COUNTERS);
+    fields.extend([
+        ("threads_spawned", side.threads_spawned.into()),
+        ("threads_reused", side.threads_reused.into()),
+        ("carrier_mode", side.carrier_mode.as_str().into()),
+        ("workers", side.workers.into()),
+    ]);
+    fields
 }
 
 /// Serialise a Table-1/2-style row set as the machine-readable benchmark
-/// report (`BENCH_table1.json` in CI). Hand-rolled JSON: the vendored serde
-/// stand-in has no serializer, and the schema is small and flat.
+/// report (`BENCH_table1.json` in CI).
 pub fn table_report_json(
     benchmark: &str,
     ranks: usize,
     class_name: &str,
     rows: &[ComparisonRow],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"benchmark\": \"{benchmark}\",\n"));
-    out.push_str(&format!("  \"ranks\": {ranks},\n"));
-    out.push_str(&format!("  \"class\": \"{class_name}\",\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"degree\": {}, \"coverage\": {:.4}, \
-             \"native_secs\": {:.6}, \"replicated_secs\": {:.6}, \
-             \"overhead_pct\": {:.3}, \"results_match\": {}, \
-             \"native_app_msgs\": {}, \"replicated_app_msgs\": {}, \"replicated_ack_msgs\": {}, \
-             \"native_delivery\": {}, \"replicated_delivery\": {}}}{}\n",
-            row.name,
-            row.degree,
-            row.coverage,
-            row.native_secs,
-            row.replicated_secs,
-            row.overhead_pct,
-            row.results_match,
-            row.native_app_msgs,
-            row.replicated_app_msgs,
-            row.replicated_ack_msgs,
-            json_delivery(&row.native_delivery),
-            json_delivery(&row.replicated_delivery),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    let t = delivery_totals(rows);
-    // No wake ever took the slow path: the reduction is unbounded, not a
-    // number — emit null so artifact consumers don't record a bogus value.
-    let reduction = if t.issued == 0 {
-        "null".to_string()
-    } else {
-        format!("{:.3}", t.baseline as f64 / t.issued as f64)
+    let delivery = |side: &RunSide| {
+        let mut fields = side_fields(side);
+        fields.extend(Json::counters(&side.stats, &["flushes", "flushed_msgs"]));
+        fields.extend([
+            (
+                "mean_flush_batch",
+                Json::fixed(side.stats.mean_flush_batch(), 3),
+            ),
+            ("host_secs", Json::fixed(side.host_secs, 3)),
+        ]);
+        Json::obj(fields)
     };
-    out.push_str(&format!(
-        "  \"totals\": {{\"wakes_issued\": {}, \"wakes_suppressed\": {}, \
-         \"baseline_equivalent_wakes\": {}, \"wake_reduction_factor\": {reduction}, \
-         \"handoffs\": {}, \"steals\": {}, \"condvar_waits\": {}, \
-         \"direct_dispatch_fraction\": {:.4}, \
-         \"deliveries_direct\": {}, \"heap_fallbacks\": {}, \
-         \"direct_delivery_fraction\": {:.4}, \
-         \"threads_spawned\": {}, \"threads_reused\": {}, \
-         \"carrier_mode\": \"{}\", \"workers\": {}, \
-         \"stack_switches\": {}, \"stacks_allocated\": {}, \
-         \"stacks_reused\": {}, \"stack_bytes_peak\": {}}}\n",
-        t.issued,
-        t.suppressed,
-        t.baseline,
-        t.handoffs,
-        t.steals,
-        t.condvar_waits,
-        t.direct_fraction(),
-        t.deliveries_direct,
-        t.heap_fallbacks,
-        t.direct_delivery_fraction(),
-        t.threads_spawned,
-        t.threads_reused,
-        t.carrier_mode.map_or("none", CarrierMode::as_str),
-        t.workers,
-        t.stack_switches,
-        t.stacks_allocated,
-        t.stacks_reused,
-        t.stack_bytes_peak,
-    ));
-    out.push_str("}\n");
-    out
+    let rows_json = rows.iter().map(|row| {
+        let mut fields = vec![("name", row.name.as_str().into())];
+        fields.extend(measurement_fields(row));
+        fields.extend([
+            ("native_delivery", delivery(&row.native)),
+            ("replicated_delivery", delivery(&row.replicated)),
+        ]);
+        Json::obj(fields)
+    });
+    let side = totals(rows);
+    let t = &side.stats;
+    let mut total_fields = side_fields(&side);
+    total_fields.extend([
+        (
+            "baseline_equivalent_wakes",
+            t.baseline_equivalent_wakes().into(),
+        ),
+        // No wake ever took the slow path: the reduction is unbounded, not a
+        // number — emit null so artifact consumers don't record a bogus value.
+        (
+            "wake_reduction_factor",
+            if t.wakes_issued == 0 {
+                Json::Null
+            } else {
+                Json::fixed(
+                    t.baseline_equivalent_wakes() as f64 / t.wakes_issued as f64,
+                    3,
+                )
+            },
+        ),
+        (
+            "direct_dispatch_fraction",
+            Json::fixed(t.direct_dispatch_fraction(), 4),
+        ),
+        (
+            "direct_delivery_fraction",
+            Json::fixed(t.direct_delivery_fraction(), 4),
+        ),
+    ]);
+    Json::obj([
+        ("benchmark", benchmark.into()),
+        ("ranks", ranks.into()),
+        ("class", class_name.into()),
+        ("rows", Json::Arr(rows_json.collect())),
+        ("totals", Json::obj(total_fields)),
+    ])
+    .encode()
 }
 
 /// Format the Figure 7 series as a text table (one row per size).
@@ -952,7 +851,12 @@ mod tests {
 
     #[test]
     fn formatting_helpers_mention_rows() {
-        let rows = table1_rows(4, NasConfig::test_size());
+        let rows = table1_rows(
+            4,
+            NasConfig::test_size(),
+            &harness_layout(2, 1.0),
+            RunTuning::default(),
+        );
         let text = format_comparison_table("Table 1", &rows);
         for k in ["BT", "CG", "FT", "MG", "SP"] {
             assert!(text.contains(k));
@@ -960,8 +864,8 @@ mod tests {
         assert!(text.contains("Overhead"));
         assert!(text.contains("coverage"));
         let json = table_report_json("table1_nas", 4, "test", &rows);
-        assert!(json.contains("\"degree\": 2"));
-        assert!(json.contains("\"coverage\": 1.0000"));
+        assert!(json.contains("\"degree\":2"));
+        assert!(json.contains("\"coverage\":1.0"));
     }
 
     #[test]
@@ -976,6 +880,33 @@ mod tests {
         assert_eq!(args.coverage, 1.0);
         let args = parse_harness_args(["--coverage", "0.5"].iter().map(|s| s.to_string()), 16);
         assert_eq!((args.degree, args.coverage), (2, 0.5));
+        assert_eq!(args.layout(), LayoutSpec::Coverage { coverage: 0.5 });
+    }
+
+    /// Every binary's parser must refuse `--workers 0` and a carrier mode
+    /// that does not exist (for `sdr_serve`, which has no tuning flags at
+    /// all, as unrecognised arguments).
+    #[test]
+    fn every_parser_rejects_zero_workers_and_unknown_carrier_modes() {
+        type Parser = fn(Vec<String>);
+        let parsers: [(&str, Parser); 3] = [
+            ("table harnesses", |a| {
+                parse_harness_args(a.into_iter(), 16);
+            }),
+            ("table_faults", |a| {
+                parse_faults_args(a.into_iter());
+            }),
+            ("sdr_serve", |a| {
+                parse_serve_args(a.into_iter());
+            }),
+        ];
+        for (binary, parse) in parsers {
+            for bad in [["--workers", "0"], ["--carrier-mode", "fibers"]] {
+                let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+                let rejected = std::panic::catch_unwind(move || parse(args)).is_err();
+                assert!(rejected, "{binary} accepted {bad:?}");
+            }
+        }
     }
 
     #[test]
@@ -989,7 +920,7 @@ mod tests {
         assert_eq!(points.len(), LAYOUT_SWEEP_COVERAGES.len() + 1);
         for p in &points {
             assert!(
-                p.row.results_match,
+                p.results_match,
                 "degree {} coverage {}",
                 p.degree, p.coverage
             );
@@ -999,13 +930,13 @@ mod tests {
         // run-to-run scheduling drift.
         for w in points[..LAYOUT_SWEEP_COVERAGES.len()].windows(2) {
             assert!(
-                w[0].row.replicated_app_msgs < w[1].row.replicated_app_msgs,
+                w[0].replicated.stats.app_msgs() < w[1].replicated.stats.app_msgs(),
                 "coverage {} -> {} must add replica traffic",
                 w[0].coverage,
                 w[1].coverage
             );
             assert!(
-                w[1].row.overhead_pct >= w[0].row.overhead_pct - 1.0,
+                w[1].overhead_pct >= w[0].overhead_pct - 1.0,
                 "coverage {} -> {} must not get cheaper",
                 w[0].coverage,
                 w[1].coverage
@@ -1015,11 +946,11 @@ mod tests {
         let dual_full = &points[LAYOUT_SWEEP_COVERAGES.len() - 1];
         let triple = points.last().unwrap();
         assert_eq!(triple.degree, 3);
-        assert!(triple.row.replicated_app_msgs > dual_full.row.replicated_app_msgs);
+        assert!(triple.replicated.stats.app_msgs() > dual_full.replicated.stats.app_msgs());
         let json = layouts_report_json("layout_sweep", 4, "test", "CG", &points);
-        assert!(json.contains("\"coverage\": 0.2500"));
-        assert!(json.contains("\"degree\": 3"));
-        let text = format_layout_sweep("Layout sweep", &points);
+        assert!(json.contains("\"coverage\":0.25"));
+        assert!(json.contains("\"degree\":3"));
+        let text = format_comparison_table("Layout sweep", &points);
         assert!(text.contains("match"));
     }
 }

@@ -7,11 +7,15 @@
 //! concurrency 1 (B) — so host noise hits both sides alike. The report takes
 //! medians over rounds and carries min/max dispersion; per-job tail latency
 //! is the p99 order statistic of the concurrent run's per-job host
-//! latencies, again medianed over rounds. `serve_report_json` writes the
-//! machine-readable `BENCH_serve.json` artifact CI uploads.
+//! latencies, again medianed over rounds (all through the harnesses' one
+//! order-statistic helper, `LatencyStats::from_samples`).
+//! `serve_report_json` writes the machine-readable `BENCH_serve.json`
+//! artifact CI uploads.
 
+use crate::parse_shared_flag;
 use std::time::Instant;
-use workloads::serve::{mixed_queue, serve, JobStatus, ServeConfig, ServeEvent, Submission};
+use workloads::campaign::LatencyStats;
+use workloads::serve::{mixed_queue, serve, Json, ServeConfig, ServeEvent, Submission};
 
 /// Configuration of one service-mode benchmark run.
 #[derive(Debug, Clone, Copy)]
@@ -88,50 +92,22 @@ pub struct ServeBenchReport {
     pub speedup: f64,
 }
 
-/// Median of an unsorted sample (mean of the two central order statistics
-/// for even sizes). Panics on an empty sample.
-pub fn median(sample: &[f64]) -> f64 {
-    assert!(!sample.is_empty(), "median of an empty sample");
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
-/// The p99 order statistic: element at index `(n - 1) * 99 / 100` of the
-/// sorted sample (the max for n <= 100, which keeps small queues honest).
-pub fn p99(sample: &[f64]) -> f64 {
-    assert!(!sample.is_empty(), "p99 of an empty sample");
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    sorted[(sorted.len() - 1) * 99 / 100]
-}
-
 /// Serve the queue once at the given concurrency; returns (wall seconds,
-/// per-job latencies, aborted, failed).
+/// per-job latencies, aborted, failed) — the last two as the server itself
+/// counted them.
 fn one_pass(specs: &[workloads::JobSpec], max_concurrent: usize) -> (f64, Vec<f64>, usize, usize) {
     let submissions: Vec<Submission> = specs.iter().cloned().map(Submission::Spec).collect();
     let started = Instant::now();
     let mut latencies = Vec::with_capacity(specs.len());
-    let mut aborted = 0usize;
-    let mut failed = 0usize;
     let summary = serve(submissions, ServeConfig { max_concurrent }, |event| {
         if let ServeEvent::Completed(record) = event {
             latencies.push(record.host.latency_s);
-            match record.status {
-                JobStatus::Aborted => aborted += 1,
-                JobStatus::Deadlocked | JobStatus::Failed => failed += 1,
-                _ => {}
-            }
         }
     });
     assert_eq!(summary.rejected, 0, "the mixed queue is pre-validated");
     assert_eq!(summary.completed, specs.len(), "every job must complete");
-    (started.elapsed().as_secs_f64(), latencies, aborted, failed)
+    let host_secs = started.elapsed().as_secs_f64();
+    (host_secs, latencies, summary.aborted, summary.failed)
 }
 
 /// Run the paired-rounds benchmark.
@@ -145,40 +121,35 @@ pub fn serve_bench(cfg: ServeBenchConfig) -> ServeBenchReport {
             one_pass(&specs, cfg.max_concurrent.max(1));
         // B: serial baseline, interleaved so host noise hits both alike.
         let (serial_secs, _, _, _) = one_pass(&specs, 1);
-        let max_latency_s = latencies.iter().cloned().fold(0.0f64, f64::max);
+        let latency = LatencyStats::from_samples(latencies);
         rounds.push(ServeBenchRound {
             concurrent_secs,
             serial_secs,
             concurrent_jobs_per_minute: cfg.jobs as f64 / concurrent_secs * 60.0,
             serial_jobs_per_minute: cfg.jobs as f64 / serial_secs * 60.0,
-            p99_latency_s: p99(&latencies),
-            max_latency_s,
+            p99_latency_s: latency.p99_s,
+            max_latency_s: latency.max_s,
             aborted,
             failed,
         });
     }
-    let concurrent_jpms: Vec<f64> = rounds
-        .iter()
-        .map(|r| r.concurrent_jobs_per_minute)
-        .collect();
-    let serial_jpms: Vec<f64> = rounds.iter().map(|r| r.serial_jobs_per_minute).collect();
-    let p99s: Vec<f64> = rounds.iter().map(|r| r.p99_latency_s).collect();
-    let median_concurrent_jpm = median(&concurrent_jpms);
-    let median_serial_jpm = median(&serial_jpms);
+    let over_rounds = |column: fn(&ServeBenchRound) -> f64| {
+        LatencyStats::from_samples(rounds.iter().map(column).collect())
+    };
+    let concurrent_jpm = over_rounds(|r| r.concurrent_jobs_per_minute);
+    let median_serial_jpm = over_rounds(|r| r.serial_jobs_per_minute).median_s;
+    let median_p99_latency_s = over_rounds(|r| r.p99_latency_s).median_s;
     ServeBenchReport {
         jobs: cfg.jobs,
         max_concurrent: cfg.max_concurrent.max(1),
         seed: cfg.seed,
         rounds,
-        median_concurrent_jpm,
-        min_concurrent_jpm: concurrent_jpms
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min),
-        max_concurrent_jpm: concurrent_jpms.iter().cloned().fold(0.0f64, f64::max),
+        median_concurrent_jpm: concurrent_jpm.median_s,
+        min_concurrent_jpm: concurrent_jpm.min_s,
+        max_concurrent_jpm: concurrent_jpm.max_s,
         median_serial_jpm,
-        median_p99_latency_s: median(&p99s),
-        speedup: median_concurrent_jpm / median_serial_jpm,
+        median_p99_latency_s,
+        speedup: concurrent_jpm.median_s / median_serial_jpm,
     }
 }
 
@@ -224,56 +195,60 @@ pub fn format_serve_table(title: &str, report: &ServeBenchReport) -> String {
     out
 }
 
-/// Serialise the benchmark as the machine-readable `BENCH_serve.json` report
-/// (same hand-rolled-JSON convention as `table_report_json`).
+/// Serialise the benchmark as the machine-readable `BENCH_serve.json` report.
 pub fn serve_report_json(benchmark: &str, report: &ServeBenchReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"benchmark\": \"{benchmark}\",\n"));
-    out.push_str(&format!("  \"jobs\": {},\n", report.jobs));
-    out.push_str(&format!(
-        "  \"max_concurrent\": {},\n",
-        report.max_concurrent
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", report.seed));
-    out.push_str("  \"rounds\": [\n");
-    for (i, r) in report.rounds.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"concurrent_secs\": {:.6}, \"serial_secs\": {:.6}, \
-             \"concurrent_jobs_per_minute\": {:.3}, \
-             \"serial_jobs_per_minute\": {:.3}, \"p99_latency_s\": {:.6}, \
-             \"max_latency_s\": {:.6}, \"aborted\": {}, \"failed\": {}}}{}\n",
-            r.concurrent_secs,
-            r.serial_secs,
-            r.concurrent_jobs_per_minute,
-            r.serial_jobs_per_minute,
-            r.p99_latency_s,
-            r.max_latency_s,
-            r.aborted,
-            r.failed,
-            if i + 1 == report.rounds.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"totals\": {{\"median_concurrent_jobs_per_minute\": {:.3}, \
-         \"min_concurrent_jobs_per_minute\": {:.3}, \
-         \"max_concurrent_jobs_per_minute\": {:.3}, \
-         \"median_serial_jobs_per_minute\": {:.3}, \
-         \"median_p99_latency_s\": {:.6}, \"speedup\": {:.3}}}\n",
-        report.median_concurrent_jpm,
-        report.min_concurrent_jpm,
-        report.max_concurrent_jpm,
-        report.median_serial_jpm,
-        report.median_p99_latency_s,
-        report.speedup
-    ));
-    out.push_str("}\n");
-    out
+    let rounds = report.rounds.iter().map(|r| {
+        Json::obj([
+            ("concurrent_secs", Json::fixed(r.concurrent_secs, 6)),
+            ("serial_secs", Json::fixed(r.serial_secs, 6)),
+            (
+                "concurrent_jobs_per_minute",
+                Json::fixed(r.concurrent_jobs_per_minute, 3),
+            ),
+            (
+                "serial_jobs_per_minute",
+                Json::fixed(r.serial_jobs_per_minute, 3),
+            ),
+            ("p99_latency_s", Json::fixed(r.p99_latency_s, 6)),
+            ("max_latency_s", Json::fixed(r.max_latency_s, 6)),
+            ("aborted", r.aborted.into()),
+            ("failed", r.failed.into()),
+        ])
+    });
+    Json::obj([
+        ("benchmark", benchmark.into()),
+        ("jobs", report.jobs.into()),
+        ("max_concurrent", report.max_concurrent.into()),
+        ("seed", report.seed.into()),
+        ("rounds", Json::Arr(rounds.collect())),
+        (
+            "totals",
+            Json::obj([
+                (
+                    "median_concurrent_jobs_per_minute",
+                    Json::fixed(report.median_concurrent_jpm, 3),
+                ),
+                (
+                    "min_concurrent_jobs_per_minute",
+                    Json::fixed(report.min_concurrent_jpm, 3),
+                ),
+                (
+                    "max_concurrent_jobs_per_minute",
+                    Json::fixed(report.max_concurrent_jpm, 3),
+                ),
+                (
+                    "median_serial_jobs_per_minute",
+                    Json::fixed(report.median_serial_jpm, 3),
+                ),
+                (
+                    "median_p99_latency_s",
+                    Json::fixed(report.median_p99_latency_s, 6),
+                ),
+                ("speedup", Json::fixed(report.speedup, 3)),
+            ]),
+        ),
+    ])
+    .encode()
 }
 
 /// Parsed command line of the `sdr_serve` binary (see [`parse_serve_args`]).
@@ -312,8 +287,10 @@ pub enum ServeMode {
 /// input; stdin if omitted), `--max-jobs N` (concurrency, default 4),
 /// `--self-test N` (isolation gate over an N-job mixed queue), `--bench`
 /// (paired-rounds benchmark), `--jobs N` / `--rounds N` / `--seed N`
-/// (bench/self-test queue shape), `--json PATH` (bench report artifact),
-/// `--out PATH` (serve-mode report stream).
+/// (bench/self-test queue shape), `--json PATH` (bench report artifact, the
+/// one [`parse_shared_flag`] flag this binary takes — jobs carry their own
+/// execution-layer tuning in their specs), `--out PATH` (serve-mode report
+/// stream).
 pub fn parse_serve_args<I: Iterator<Item = String>>(args: I) -> ServeArgs {
     let mut parsed = ServeArgs {
         mode: ServeMode::Serve,
@@ -369,14 +346,11 @@ pub fn parse_serve_args<I: Iterator<Item = String>>(args: I) -> ServeArgs {
                     .and_then(|s| s.parse().ok())
                     .expect("--seed needs an unsigned integer");
             }
-            "--json" => {
-                let path = args.next().expect("--json needs a file path");
-                parsed.json_path = Some(std::path::PathBuf::from(path));
-            }
             "--out" => {
                 let path = args.next().expect("--out needs a file path");
                 parsed.out_path = Some(std::path::PathBuf::from(path));
             }
+            other if parse_shared_flag(other, &mut args, None, &mut parsed.json_path) => {}
             other => panic!("unrecognised argument {other:?}"),
         }
     }
@@ -386,16 +360,6 @@ pub fn parse_serve_args<I: Iterator<Item = String>>(args: I) -> ServeArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn order_statistics_behave() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-        let sample: Vec<f64> = (1..=12).map(|i| i as f64).collect();
-        // (12 - 1) * 99 / 100 = 10 -> the 11th order statistic.
-        assert_eq!(p99(&sample), 11.0);
-        assert_eq!(p99(&[5.0]), 5.0);
-    }
 
     #[test]
     fn serve_args_parse_every_mode() {

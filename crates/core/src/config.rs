@@ -1,7 +1,5 @@
 //! Configuration of the SDR-MPI replication protocol.
 
-use serde::{Deserialize, Serialize};
-
 /// When the replication layer emits the acknowledgement for a received
 /// message.
 ///
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `MPI_Send` cannot finish before receiving acks and the peer's ack would
 /// only be produced after its own `MPI_Send` finished. [`AckOn::AppWait`]
 /// exists purely to demonstrate that deadlock in tests and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckOn {
     /// Acknowledge when the message completes at the MPI-library level
     /// (the paper's design).
@@ -28,7 +26,7 @@ pub enum AckOn {
 }
 
 /// SDR-MPI configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
     /// Replication degree `r` (number of replicas per MPI rank). The paper's
     /// experiments and its recovery protocol use `r = 2`.

@@ -169,6 +169,15 @@ impl<R> JobReport<R> {
             .collect()
     }
 
+    /// Did a surviving process abort with [`MpiError::RankLost`] — every
+    /// replica of some rank is gone and the job reported it promptly?
+    pub fn rank_lost(&self) -> bool {
+        self.processes.iter().any(|p| {
+            matches!(&p.outcome,
+                ProcessOutcome::Panicked(msg) if MpiError::is_rank_lost_message(msg))
+        })
+    }
+
     /// Endpoints that deadlocked.
     pub fn deadlocked(&self) -> Vec<EndpointId> {
         self.processes
@@ -592,6 +601,24 @@ mod tests {
 
     fn fast() -> LogGpModel {
         LogGpModel::fast_test_model()
+    }
+
+    #[test]
+    fn rank_lost_unwinds_are_recognised_and_lookalike_panics_are_not() {
+        let lost = |outcome: ProcessOutcome<()>| match outcome {
+            ProcessOutcome::Panicked(msg) => MpiError::is_rank_lost_message(&msg),
+            other => panic!("expected a panic outcome, got {other:?}"),
+        };
+        assert!(lost(classify_panic(Box::new(MpiError::RankLost {
+            rank: 3,
+            degree: 2
+        }))));
+        assert!(!lost(classify_panic(Box::new(
+            "assertion failed: we lost all the replicas of the matrix"
+        ))));
+        assert!(!lost(classify_panic(Box::new(MpiError::PeerFailed {
+            endpoint: EndpointId(1)
+        }))));
     }
 
     #[test]

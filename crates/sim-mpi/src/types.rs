@@ -160,11 +160,25 @@ impl fmt::Display for MpiError {
             MpiError::RankLost { rank, degree } => {
                 write!(
                     f,
-                    "rank {rank} lost all {degree} replicas; no substitute available \
+                    "rank {rank} lost all {degree} {RANK_LOST_CLAUSE} \
                      (the job cannot continue without checkpoint/restart)"
                 )
             }
         }
+    }
+}
+
+/// The clause only the [`MpiError::RankLost`] rendering contains.
+const RANK_LOST_CLAUSE: &str = "replicas; no substitute available";
+
+impl MpiError {
+    /// Is `msg` the rendering of a [`MpiError::RankLost`]? Process outcomes
+    /// keep only the panic text of an unwound error, so harnesses that must
+    /// tell a prompt rank-loss abort from any other panic ask this — the one
+    /// place that knows the format, right next to the `Display` arm that
+    /// writes it.
+    pub fn is_rank_lost_message(msg: &str) -> bool {
+        msg.starts_with("rank ") && msg.contains(" lost all ") && msg.contains(RANK_LOST_CLAUSE)
     }
 }
 

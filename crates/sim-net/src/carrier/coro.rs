@@ -48,7 +48,6 @@
 //!   [`super::stack::install_overflow_handler`]), or heap-backed with a
 //!   canary that is verified at every suspension and retirement.
 
-use crossbeam_channel::unbounded;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -362,7 +361,7 @@ impl CoroRuntime {
             0,
             "slot {slot} spawned twice"
         );
-        let (res_tx, res_rx) = unbounded();
+        let (res_tx, res_rx) = std::sync::mpsc::channel();
         let wrapped: Box<dyn FnOnce() + Send> = Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(body));
             let _ = res_tx.send(result);
@@ -465,15 +464,34 @@ impl CoroRuntime {
             stack::canary_violation(me);
         }
         self.stats.record_stack_switch();
-        let target = PENDING.replace(NONE);
-        if target != NONE {
-            let tctx = spin_take(self, target);
-            CURRENT.set(target);
-            unsafe { arch::switch(self.slots[me].ctx.as_ptr(), tctx) };
-        } else {
-            CURRENT.set(NONE);
-            let wctx = WORKER_CTX.with(Cell::get);
-            unsafe { arch::switch(self.slots[me].ctx.as_ptr(), wctx) };
+        // A deferred handoff switches straight into its target only if the
+        // target's resume token is already there. This coroutine's own token
+        // is published by the switch itself, so it must never *wait* for
+        // another's first: two coroutines suspending on two workers, each
+        // handed the other as its target, would spin on each other's
+        // unpublished tokens forever. When the token is late, queue the
+        // target and switch to the worker loop instead — that publishes ours,
+        // and a worker takes the target from its own stack.
+        let direct = match PENDING.replace(NONE) {
+            NONE => None,
+            target => match try_take(self, target) {
+                Some(tctx) => Some((target, tctx)),
+                None => {
+                    self.enqueue_resume(target);
+                    None
+                }
+            },
+        };
+        match direct {
+            Some((target, tctx)) => {
+                CURRENT.set(target);
+                unsafe { arch::switch(self.slots[me].ctx.as_ptr(), tctx) };
+            }
+            None => {
+                CURRENT.set(NONE);
+                let wctx = WORKER_CTX.with(Cell::get);
+                unsafe { arch::switch(self.slots[me].ctx.as_ptr(), wctx) };
+            }
         }
         // Resumed — possibly on another OS thread; recycle whatever retired
         // context this thread just left.
@@ -499,24 +517,31 @@ impl CoroRuntime {
     }
 }
 
-/// Take a slot's resume token, spinning out the (rare, tiny) window where
-/// the owner has been marked runnable but has not yet finished publishing
-/// its saved context. At most one dispatcher targets a slot at a time, so
-/// this never contends with another taker.
-fn spin_take(rt: &CoroRuntime, slot: usize) -> usize {
+/// Try to take a slot's resume token, spinning briefly over the (rare,
+/// tiny) window where the owner has been marked runnable but has not yet
+/// finished publishing its saved context. At most one dispatcher targets a
+/// slot at a time, so this never contends with another taker.
+fn try_take(rt: &CoroRuntime, slot: usize) -> Option<usize> {
     let ctx = &rt.slots[slot].ctx;
-    let mut spins = 0u32;
-    loop {
+    for _ in 0..64 {
         let v = ctx.swap(0, Ordering::Acquire);
         if v != 0 {
+            return Some(v);
+        }
+        std::hint::spin_loop();
+    }
+    None
+}
+
+/// Take a slot's resume token, however long its owner takes to publish it.
+/// Only for callers nobody can be waiting on in turn: the worker loop (its
+/// own stack) and a retiring coroutine (never resumed again).
+fn spin_take(rt: &CoroRuntime, slot: usize) -> usize {
+    loop {
+        if let Some(v) = try_take(rt, slot) {
             return v;
         }
-        spins += 1;
-        if spins < 64 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
+        std::thread::yield_now();
     }
 }
 
@@ -696,6 +721,44 @@ mod tests {
         assert_eq!(h.join().unwrap(), 0x5EC4E7 + 1);
         assert_eq!(PHASE.load(Ordering::SeqCst), 2);
         rt0.shutdown();
+    }
+
+    #[test]
+    fn crossed_handoffs_between_two_workers_do_not_livelock() {
+        if !supported() {
+            return;
+        }
+        // 0 and 1 run on two workers and, once both are provably running
+        // (the barrier), each suspends with the other as its deferred
+        // handoff target. Neither token is published yet: waiting for the
+        // target's token before publishing one's own spins forever.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rt0 = rt(2);
+            let both_running = Arc::new(std::sync::Barrier::new(2));
+            let handles: Vec<_> = (0..2)
+                .map(|me| {
+                    let rt_c = Arc::clone(&rt0);
+                    let both_running = Arc::clone(&both_running);
+                    rt0.spawn(me, move || {
+                        both_running.wait();
+                        rt_c.defer_switch(1 - me);
+                        rt_c.suspend_current();
+                        me
+                    })
+                })
+                .collect();
+            rt0.enqueue_resume(0);
+            rt0.enqueue_resume(1);
+            rt0.activate(2);
+            let out: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            rt0.shutdown();
+            let _ = done_tx.send(out);
+        });
+        let out = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("crossed handoffs livelocked");
+        assert_eq!(out, vec![0, 1]);
     }
 
     #[test]

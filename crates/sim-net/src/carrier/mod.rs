@@ -24,15 +24,18 @@
 //! still "in use" — it returns to the idle list only when its process body
 //! returns or unwinds.
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, OnceLock};
 
 pub mod coro;
 pub mod stack;
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A queued process body. Running it yields the closure that hands the
+/// result to the [`CarrierHandle`], so the carrier can re-register as idle
+/// *between* finishing the body and waking the joiner.
+type Task = Box<dyn FnOnce() -> Box<dyn FnOnce()> + Send + 'static>;
 
 /// How simulated-process bodies are hosted on OS threads.
 ///
@@ -174,12 +177,12 @@ impl CarrierPool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let (res_tx, res_rx) = unbounded();
+        let (res_tx, res_rx) = channel();
         let mut task: Task = Box::new(move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
             // The job may have stopped listening (it never does today, but a
             // dropped handle must not kill the pooled thread).
-            let _ = res_tx.send(result);
+            Box::new(move || drop(res_tx.send(result)))
         });
         let handle = CarrierHandle { result: res_rx };
         let recycled = self
@@ -199,7 +202,7 @@ impl CarrierPool {
                 Err(err) => task = err.0,
             }
         }
-        let (tx, rx) = unbounded::<Task>();
+        let (tx, rx) = channel::<Task>();
         if tx.send(task).is_err() {
             unreachable!("fresh carrier channel cannot be closed");
         }
@@ -214,11 +217,15 @@ impl CarrierPool {
     }
 
     /// Body of every pooled thread: run the queued task, park on the idle
-    /// list, wait for the next. The thread keeps one sender end of its own
-    /// channel alive, so `recv` only fails if the process is tearing down.
+    /// list, hand the result back, wait for the next. Re-registering *before*
+    /// the joiner is woken is what lets a caller that joins and immediately
+    /// calls [`CarrierPool::run`] find this thread instead of spawning a
+    /// fresh one (with a fresh malloc arena) in the gap. The thread keeps one
+    /// sender end of its own channel alive, so `recv` only fails if the
+    /// process is tearing down.
     fn carrier_loop(stack_bytes: usize, tx: Sender<Task>, rx: Receiver<Task>) {
         while let Ok(task) = rx.recv() {
-            task();
+            let report = task();
             CarrierPool::global()
                 .idle
                 .lock()
@@ -226,6 +233,7 @@ impl CarrierPool {
                 .entry(stack_bytes)
                 .or_default()
                 .push(tx.clone());
+            report();
         }
     }
 
@@ -274,6 +282,26 @@ mod tests {
             reused |= source == CarrierSource::Reused;
         }
         assert!(reused, "sequential tasks must recycle a parked carrier");
+    }
+
+    #[test]
+    fn a_joined_carrier_is_already_idle_again() {
+        // Regression for the idle race: the result used to be sent before
+        // the thread re-registered, so join-then-run could outrun the pool
+        // and spawn a second thread. 200 back-to-back runs of a private
+        // stack size must be served by exactly one thread.
+        let pool = CarrierPool::global();
+        let stack = STACK + 0x5000;
+        let mut threads = std::collections::HashSet::new();
+        let mut spawned = 0;
+        for i in 0..200 {
+            let (h, source) = pool.run(stack, move || (i, std::thread::current().id()));
+            spawned += (source == CarrierSource::Spawned) as usize;
+            let (out, thread) = h.join().unwrap();
+            assert_eq!(out, i);
+            threads.insert(thread);
+        }
+        assert_eq!((spawned, threads.len()), (1, 1));
     }
 
     #[test]

@@ -40,7 +40,6 @@
 //! time.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A network cost model maps (message size, locality) to virtual-time costs.
 ///
@@ -68,7 +67,7 @@ pub trait NetworkModel: Send + Sync + 'static {
 
 /// Parameters for one locality class (intra-node or inter-node) of the
 /// LogGP-style model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Wire latency `L` in nanoseconds.
     pub latency_ns: u64,
@@ -92,7 +91,7 @@ impl LinkParams {
 }
 
 /// LogGP-style model with separate intra-node and inter-node parameter sets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogGpModel {
     /// Parameters used when sender and receiver are on different nodes.
     pub inter: LinkParams,
@@ -185,7 +184,7 @@ impl NetworkModel for LogGpModel {
 /// no distinct CPU overheads, no rendezvous surcharge. Used by tests and by
 /// ablation benches to check that experiment *shapes* are not artifacts of one
 /// particular cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HockneyModel {
     /// One-way latency, nanoseconds.
     pub alpha_ns: u64,

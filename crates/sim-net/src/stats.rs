@@ -28,69 +28,161 @@ pub mod class {
     pub const COUNT: usize = 5;
 }
 
-/// Lock-free counters shared by all endpoints of a fabric.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    msgs: [AtomicU64; class::COUNT],
-    bytes: [AtomicU64; class::COUNT],
-    delivered: [AtomicU64; class::COUNT],
+/// The scalar counter table: one line per counter declares its doc comment,
+/// its name and how windows combine it in [`StatsSnapshot::merged`] (`sum`
+/// for event counters, `max` for gauges). The macro derives everything that
+/// used to be spelled out per counter — the [`NetStats`] atomic, the
+/// [`StatsSnapshot`] field and getter, [`NetStats::snapshot`],
+/// [`StatsSnapshot::since`]/[`StatsSnapshot::merged`] and the name-indexed
+/// [`StatsSnapshot::counters`] view the report emitters iterate.
+macro_rules! counter_table {
+    (@gauge sum) => {
+        false
+    };
+    (@gauge max) => {
+        true
+    };
+    ($($(#[$doc:meta])* $name:ident: $merge:ident,)*) => {
+        /// Lock-free counters shared by all endpoints of a fabric.
+        #[derive(Debug, Default)]
+        pub struct NetStats {
+            msgs: [AtomicU64; class::COUNT],
+            bytes: [AtomicU64; class::COUNT],
+            delivered: [AtomicU64; class::COUNT],
+            $($name: AtomicU64,)*
+        }
+
+        /// Point-in-time copy of the fabric counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            /// Messages injected, per class.
+            pub msgs_sent: [u64; class::COUNT],
+            /// Payload bytes injected, per class.
+            pub bytes_sent: [u64; class::COUNT],
+            /// Messages drained by receivers, per class.
+            pub msgs_delivered: [u64; class::COUNT],
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl NetStats {
+            /// Consistent snapshot of all counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let read = |a: &[AtomicU64; class::COUNT]| {
+                    std::array::from_fn(|i| a[i].load(Ordering::Relaxed))
+                };
+                StatsSnapshot {
+                    msgs_sent: read(&self.msgs),
+                    bytes_sent: read(&self.bytes),
+                    msgs_delivered: read(&self.delivered),
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            $($(#[$doc])* pub fn $name(&self) -> u64 { self.$name })*
+
+            /// Every scalar counter as `(name, value)`, in table order — the
+            /// name-indexed view report emitters select their columns from.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name),)*].into_iter()
+            }
+
+            /// Combine two windows element by element: `counter` on the
+            /// per-class arrays and the event counters, `gauge` on the
+            /// table's `max` entries.
+            fn zip(
+                &self,
+                other: &StatsSnapshot,
+                counter: fn(u64, u64) -> u64,
+                gauge: fn(u64, u64) -> u64,
+            ) -> StatsSnapshot {
+                let arr = |a: &[u64; class::COUNT], b: &[u64; class::COUNT]| {
+                    std::array::from_fn(|i| counter(a[i], b[i]))
+                };
+                StatsSnapshot {
+                    msgs_sent: arr(&self.msgs_sent, &other.msgs_sent),
+                    bytes_sent: arr(&self.bytes_sent, &other.bytes_sent),
+                    msgs_delivered: arr(&self.msgs_delivered, &other.msgs_delivered),
+                    $($name: if counter_table!(@gauge $merge) { gauge } else { counter }(
+                        self.$name,
+                        other.$name,
+                    ),)*
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
     /// Scheduler wakes that unparked the target (moved it to the ready
     /// queues).
-    wakes_issued: AtomicU64,
+    wakes_issued: sum,
     /// Wakes served by the lock-free fast path (target running/ready or wake
     /// already pending) or ignored (unmanaged/finished target) — deliveries
-    /// that did *not* touch the ready queues.
-    wakes_suppressed: AtomicU64,
-    /// Outbox batches pushed (one per destination per flush).
-    flushes: AtomicU64,
+    /// that did *not* touch the ready queues. Under the
+    /// one-wake-per-delivery design that preceded batching every one of
+    /// these would have been a full scheduler wake; see
+    /// [`StatsSnapshot::baseline_equivalent_wakes`].
+    wakes_suppressed: sum,
+    /// Outbox batches pushed (one channel operation + one wake per
+    /// destination per flush).
+    flushes: sum,
     /// Messages carried by those batches; `flushed_msgs / flushes` is the
     /// mean batch size.
-    flushed_msgs: AtomicU64,
+    flushed_msgs: sum,
     /// Dispatches where a departing carrier handed its run permit directly to
     /// a ready process from its own ready-queue shard.
-    handoffs: AtomicU64,
+    handoffs: sum,
     /// Direct dispatches served from another shard (virtual-time-aware work
     /// stealing).
-    steals: AtomicU64,
+    steals: sum,
     /// Dispatches that went through the cold path — an idle permit was
     /// acquired and the target woken through the permit counter, the
     /// moral equivalent of the old global-run-queue condvar handshake.
-    condvar_waits: AtomicU64,
+    condvar_waits: sum,
     /// Deliveries ingested on the in-order fast path of the receiver's
     /// delivery ladder: an O(1) append because the message's (arrival, seq)
     /// key was no smaller than the ladder tail's.
-    deliveries_direct: AtomicU64,
+    deliveries_direct: sum,
     /// Deliveries whose arrival stamp ran *behind* the ladder tail and had to
-    /// be buffered in the out-of-order fallback heap (an O(log n) sift).
-    heap_fallbacks: AtomicU64,
+    /// be buffered in the out-of-order fallback heap (an O(log n) sift —
+    /// what *every* delivery cost under the pre-PR 5 pending heap).
+    heap_fallbacks: sum,
     /// Soft-error payload bit flips injected below the protocol layer (the
     /// fault-campaign engine's SDC fault class).
-    sdc_flips: AtomicU64,
+    sdc_flips_injected: sum,
     /// Messages dropped by the installed [`crate::netfault::NetFaultPolicy`].
-    msgs_dropped: AtomicU64,
+    msgs_dropped: sum,
     /// Duplicate copies injected by the fault policy (one count per extra
     /// copy, not per original message).
-    msgs_duplicated: AtomicU64,
+    msgs_duplicated: sum,
     /// Messages whose arrival the fault policy pushed to a later virtual
     /// time.
-    msgs_delayed: AtomicU64,
+    msgs_delayed: sum,
     /// Protocol-level retransmissions of unacked send-log entries (the
     /// masking half of the lossy-transport fault model).
-    retransmits: AtomicU64,
+    retransmits: sum,
     /// Policy-injected duplicate copies suppressed by the receiver-side
     /// transport dedup before they could reach the protocol layer. The
     /// fault-campaign gate demands this equals `msgs_duplicated`.
-    dups_suppressed: AtomicU64,
+    dups_suppressed: sum,
     /// User-space context switches performed by the coroutine carrier
     /// runtime (zero in thread carrier mode).
-    stack_switches: AtomicU64,
+    stack_switches: sum,
     /// Coroutine stacks freshly mapped for this job's processes.
-    stacks_allocated: AtomicU64,
+    stacks_allocated: sum,
     /// Coroutine stack leases served by recycling a pooled stack.
-    stacks_reused: AtomicU64,
-    /// High-water mark of the global stack pool's resident (virtual)
-    /// footprint in bytes, observed at lease time.
-    stack_bytes_peak: AtomicU64,
+    stacks_reused: sum,
+    /// High-water mark of the coroutine-stack bytes *this job* had leased at
+    /// once. Deliberately not the global pool's resident footprint: in
+    /// service mode many jobs share the pool, and a neighbour's allocations
+    /// must not inflate this job's reported peak (see
+    /// `crate::carrier::coro::CoroRuntime`). A gauge, not a counter:
+    /// [`StatsSnapshot::merged`] takes the maximum, and
+    /// [`StatsSnapshot::since`] deltas are only meaningful against an empty
+    /// baseline snapshot.
+    stack_bytes_peak: max,
 }
 
 impl NetStats {
@@ -160,7 +252,7 @@ impl NetStats {
 
     /// Record one injected soft-error payload bit flip.
     pub fn record_sdc_flip(&self) {
-        self.sdc_flips.fetch_add(1, Ordering::Relaxed);
+        self.sdc_flips_injected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one message dropped by the network fault policy.
@@ -209,125 +301,6 @@ impl NetStats {
         self.stack_bytes_peak
             .fetch_max(leased_bytes_now, Ordering::Relaxed);
     }
-
-    /// Consistent snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let read = |a: &[AtomicU64; class::COUNT]| {
-            let mut out = [0u64; class::COUNT];
-            for (o, v) in out.iter_mut().zip(a.iter()) {
-                *o = v.load(Ordering::Relaxed);
-            }
-            out
-        };
-        StatsSnapshot {
-            msgs_sent: read(&self.msgs),
-            bytes_sent: read(&self.bytes),
-            msgs_delivered: read(&self.delivered),
-            wakes_issued: self.wakes_issued.load(Ordering::Relaxed),
-            wakes_suppressed: self.wakes_suppressed.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            flushed_msgs: self.flushed_msgs.load(Ordering::Relaxed),
-            handoffs: self.handoffs.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            condvar_waits: self.condvar_waits.load(Ordering::Relaxed),
-            deliveries_direct: self.deliveries_direct.load(Ordering::Relaxed),
-            heap_fallbacks: self.heap_fallbacks.load(Ordering::Relaxed),
-            sdc_flips_injected: self.sdc_flips.load(Ordering::Relaxed),
-            msgs_dropped: self.msgs_dropped.load(Ordering::Relaxed),
-            msgs_duplicated: self.msgs_duplicated.load(Ordering::Relaxed),
-            msgs_delayed: self.msgs_delayed.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            dups_suppressed: self.dups_suppressed.load(Ordering::Relaxed),
-            stack_switches: self.stack_switches.load(Ordering::Relaxed),
-            stacks_allocated: self.stacks_allocated.load(Ordering::Relaxed),
-            stacks_reused: self.stacks_reused.load(Ordering::Relaxed),
-            stack_bytes_peak: self.stack_bytes_peak.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Fraction of dispatches served by direct handoff/steal rather than the
-/// cold permit-counter path; 1.0 when nothing was dispatched at all. The
-/// single definition shared by [`StatsSnapshot`] and the benchmark report
-/// aggregators, so the JSON totals can never drift from the API.
-pub fn direct_dispatch_fraction(handoffs: u64, steals: u64, condvar_waits: u64) -> f64 {
-    let direct = handoffs + steals;
-    let total = direct + condvar_waits;
-    if total == 0 {
-        1.0
-    } else {
-        direct as f64 / total as f64
-    }
-}
-
-/// Fraction of deliveries ingested on the delivery ladder's in-order O(1)
-/// fast path rather than the fallback heap; 1.0 when nothing was delivered.
-/// Like [`direct_dispatch_fraction`], the single definition shared by
-/// [`StatsSnapshot`] and the benchmark report aggregators.
-pub fn direct_delivery_fraction(deliveries_direct: u64, heap_fallbacks: u64) -> f64 {
-    let total = deliveries_direct + heap_fallbacks;
-    if total == 0 {
-        1.0
-    } else {
-        deliveries_direct as f64 / total as f64
-    }
-}
-
-/// Point-in-time copy of the fabric counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Messages injected, per class.
-    pub msgs_sent: [u64; class::COUNT],
-    /// Payload bytes injected, per class.
-    pub bytes_sent: [u64; class::COUNT],
-    /// Messages drained by receivers, per class.
-    pub msgs_delivered: [u64; class::COUNT],
-    /// Scheduler wakes that unparked the target (moved it to the ready
-    /// queues).
-    pub wakes_issued: u64,
-    /// Wakes coalesced on the lock-free fast path or ignored.
-    pub wakes_suppressed: u64,
-    /// Outbox batches pushed (one channel operation + one wake each).
-    pub flushes: u64,
-    /// Messages carried by those batches.
-    pub flushed_msgs: u64,
-    /// Direct permit handoffs (same-shard dispatches by departing carriers).
-    pub handoffs: u64,
-    /// Direct dispatches stolen from another shard.
-    pub steals: u64,
-    /// Cold-path dispatches (idle-permit grants through the permit counter —
-    /// the dispatches that would each have been a global-run-queue condvar
-    /// handshake before direct handoff).
-    pub condvar_waits: u64,
-    /// Deliveries ingested on the delivery ladder's in-order O(1) fast path.
-    pub deliveries_direct: u64,
-    /// Out-of-order deliveries buffered through the fallback heap (each one
-    /// is what *every* delivery cost under the pre-PR 5 pending heap).
-    pub heap_fallbacks: u64,
-    /// Soft-error payload bit flips injected below the protocol layer.
-    pub sdc_flips_injected: u64,
-    /// Messages dropped by the installed network fault policy.
-    pub msgs_dropped: u64,
-    /// Duplicate copies injected by the network fault policy.
-    pub msgs_duplicated: u64,
-    /// Messages delayed (re-stamped to a later arrival) by the fault policy.
-    pub msgs_delayed: u64,
-    /// Protocol-level retransmissions of unacked send-log entries.
-    pub retransmits: u64,
-    /// Policy-injected duplicates suppressed by the transport dedup.
-    pub dups_suppressed: u64,
-    /// User-space coroutine context switches (zero in thread carrier mode).
-    pub stack_switches: u64,
-    /// Coroutine stacks freshly mapped during the window.
-    pub stacks_allocated: u64,
-    /// Coroutine stack leases served from the recycling pool.
-    pub stacks_reused: u64,
-    /// High-water mark of the coroutine-stack bytes this job had leased at
-    /// once (not the shared pool's resident footprint — see
-    /// [`StatsSnapshot::stack_bytes_peak`]). This is a gauge, not a
-    /// counter: [`StatsSnapshot::since`] subtracts it like the others, so
-    /// deltas are only meaningful against an empty baseline snapshot.
-    pub stack_bytes_peak: u64,
 }
 
 impl StatsSnapshot {
@@ -361,37 +334,12 @@ impl StatsSnapshot {
         self.bytes_sent.iter().sum()
     }
 
-    /// Scheduler wakes that unparked the target (moved it to the ready
-    /// queues).
-    pub fn wakes_issued(&self) -> u64 {
-        self.wakes_issued
-    }
-
-    /// Wakes coalesced away (lock-free fast path / no-op targets). Under the
-    /// one-wake-per-delivery design that preceded batching, every one of
-    /// these would have been a full scheduler wake; see
-    /// [`StatsSnapshot::baseline_equivalent_wakes`] for the exact
-    /// reconstruction of that baseline.
-    pub fn wakes_suppressed(&self) -> u64 {
-        self.wakes_suppressed
-    }
-
     /// Wake count the one-wake-per-delivery baseline would have paid for the
     /// same traffic: one per wake actually recorded (issued or suppressed)
     /// plus one per *extra* message in each multi-message batch — a batch of
     /// `k` records a single wake where the baseline would have issued `k`.
     pub fn baseline_equivalent_wakes(&self) -> u64 {
         self.wakes_issued + self.wakes_suppressed + (self.flushed_msgs - self.flushes)
-    }
-
-    /// Outbox batches pushed.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Messages carried by outbox batches.
-    pub fn flushed_msgs(&self) -> u64 {
-        self.flushed_msgs
     }
 
     /// Mean messages per outbox batch (0 when nothing was flushed).
@@ -403,137 +351,39 @@ impl StatsSnapshot {
         }
     }
 
-    /// Direct permit handoffs.
-    pub fn handoffs(&self) -> u64 {
-        self.handoffs
-    }
-
-    /// Direct dispatches stolen from another ready shard.
-    pub fn steals(&self) -> u64 {
-        self.steals
-    }
-
-    /// Cold-path (idle-permit) dispatches.
-    pub fn condvar_waits(&self) -> u64 {
-        self.condvar_waits
-    }
-
-    /// Deliveries ingested on the ladder's in-order O(1) fast path.
-    pub fn deliveries_direct(&self) -> u64 {
-        self.deliveries_direct
-    }
-
-    /// Out-of-order deliveries buffered through the fallback heap.
-    pub fn heap_fallbacks(&self) -> u64 {
-        self.heap_fallbacks
-    }
-
-    /// Soft-error payload bit flips injected below the protocol layer.
-    pub fn sdc_flips_injected(&self) -> u64 {
-        self.sdc_flips_injected
-    }
-
-    /// Messages dropped by the installed network fault policy.
-    pub fn msgs_dropped(&self) -> u64 {
-        self.msgs_dropped
-    }
-
-    /// Duplicate copies injected by the network fault policy.
-    pub fn msgs_duplicated(&self) -> u64 {
-        self.msgs_duplicated
-    }
-
-    /// Messages delayed by the network fault policy.
-    pub fn msgs_delayed(&self) -> u64 {
-        self.msgs_delayed
-    }
-
-    /// Protocol-level retransmissions of unacked send-log entries.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Policy-injected duplicates suppressed by the transport dedup.
-    pub fn dups_suppressed(&self) -> u64 {
-        self.dups_suppressed
-    }
-
-    /// User-space coroutine context switches (zero in thread carrier mode).
-    pub fn stack_switches(&self) -> u64 {
-        self.stack_switches
-    }
-
-    /// Coroutine stacks freshly mapped.
-    pub fn stacks_allocated(&self) -> u64 {
-        self.stacks_allocated
-    }
-
-    /// Coroutine stack leases served from the recycling pool.
-    pub fn stacks_reused(&self) -> u64 {
-        self.stacks_reused
-    }
-
-    /// High-water mark of the coroutine-stack bytes *this job* had leased
-    /// at once. Deliberately not the global pool's resident footprint: in
-    /// service mode many jobs share the pool, and a neighbour's allocations
-    /// must not inflate this job's reported peak (see
-    /// `crate::carrier::coro::CoroRuntime`).
-    pub fn stack_bytes_peak(&self) -> u64 {
-        self.stack_bytes_peak
-    }
-
     /// Fraction of deliveries ingested in order (1.0 when nothing was
     /// delivered): the figure of merit for the single-pass delivery
     /// pipeline's near-monotonic-arrival assumption.
     pub fn direct_delivery_fraction(&self) -> f64 {
-        direct_delivery_fraction(self.deliveries_direct, self.heap_fallbacks)
+        let total = self.deliveries_direct + self.heap_fallbacks;
+        if total == 0 {
+            1.0
+        } else {
+            self.deliveries_direct as f64 / total as f64
+        }
     }
 
     /// Fraction of dispatches served by direct handoff/steal rather than the
     /// cold permit-counter path (1.0 when nothing was dispatched).
     pub fn direct_dispatch_fraction(&self) -> f64 {
-        direct_dispatch_fraction(self.handoffs, self.steals, self.condvar_waits)
+        let direct = self.handoffs + self.steals;
+        let total = direct + self.condvar_waits;
+        if total == 0 {
+            1.0
+        } else {
+            direct as f64 / total as f64
+        }
     }
 
     /// Difference `self - earlier`, per counter (saturating).
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let mut out = StatsSnapshot::default();
-        for i in 0..class::COUNT {
-            out.msgs_sent[i] = self.msgs_sent[i].saturating_sub(earlier.msgs_sent[i]);
-            out.bytes_sent[i] = self.bytes_sent[i].saturating_sub(earlier.bytes_sent[i]);
-            out.msgs_delivered[i] =
-                self.msgs_delivered[i].saturating_sub(earlier.msgs_delivered[i]);
-        }
-        out.wakes_issued = self.wakes_issued.saturating_sub(earlier.wakes_issued);
-        out.wakes_suppressed = self
-            .wakes_suppressed
-            .saturating_sub(earlier.wakes_suppressed);
-        out.flushes = self.flushes.saturating_sub(earlier.flushes);
-        out.flushed_msgs = self.flushed_msgs.saturating_sub(earlier.flushed_msgs);
-        out.handoffs = self.handoffs.saturating_sub(earlier.handoffs);
-        out.steals = self.steals.saturating_sub(earlier.steals);
-        out.condvar_waits = self.condvar_waits.saturating_sub(earlier.condvar_waits);
-        out.deliveries_direct = self
-            .deliveries_direct
-            .saturating_sub(earlier.deliveries_direct);
-        out.heap_fallbacks = self.heap_fallbacks.saturating_sub(earlier.heap_fallbacks);
-        out.sdc_flips_injected = self
-            .sdc_flips_injected
-            .saturating_sub(earlier.sdc_flips_injected);
-        out.msgs_dropped = self.msgs_dropped.saturating_sub(earlier.msgs_dropped);
-        out.msgs_duplicated = self.msgs_duplicated.saturating_sub(earlier.msgs_duplicated);
-        out.msgs_delayed = self.msgs_delayed.saturating_sub(earlier.msgs_delayed);
-        out.retransmits = self.retransmits.saturating_sub(earlier.retransmits);
-        out.dups_suppressed = self.dups_suppressed.saturating_sub(earlier.dups_suppressed);
-        out.stack_switches = self.stack_switches.saturating_sub(earlier.stack_switches);
-        out.stacks_allocated = self
-            .stacks_allocated
-            .saturating_sub(earlier.stacks_allocated);
-        out.stacks_reused = self.stacks_reused.saturating_sub(earlier.stacks_reused);
-        out.stack_bytes_peak = self
-            .stack_bytes_peak
-            .saturating_sub(earlier.stack_bytes_peak);
-        out
+        self.zip(earlier, u64::saturating_sub, u64::saturating_sub)
+    }
+
+    /// Union of two windows (e.g. the rows of one report): event counters
+    /// add, gauges take the maximum.
+    pub fn merged(&self, other: &StatsSnapshot) -> StatsSnapshot {
+        self.zip(other, |a, b| a + b, u64::max)
     }
 }
 
@@ -700,6 +550,29 @@ mod tests {
         let delta = s.snapshot().since(&snap);
         assert_eq!(delta.stack_switches(), 1);
         assert_eq!(delta.stacks_allocated(), 0);
+    }
+
+    #[test]
+    fn table_views_cover_every_counter_once() {
+        let s = NetStats::new();
+        s.record_flush(3);
+        s.record_retransmit();
+        s.record_stack_lease(true, 4096);
+        let a = s.snapshot();
+        let names: Vec<_> = a.counters().map(|(n, _)| n).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "counter names must be unique");
+        let by_name: std::collections::HashMap<_, _> = a.counters().collect();
+        assert_eq!(by_name["flushed_msgs"], a.flushed_msgs());
+        assert_eq!(by_name["retransmits"], 1);
+        // Merging adds counters but takes the maximum of the gauge.
+        s.record_stack_lease(false, 1024);
+        let m = a.merged(&s.snapshot());
+        assert_eq!(m.flushes(), 2);
+        assert_eq!(m.stacks_allocated() + m.stacks_reused(), 3);
+        assert_eq!(m.stack_bytes_peak(), 4096);
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //! cost model can distinguish intra-node from inter-node traffic and so that a
 //! node crash can take out the right set of processes.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a simulated cluster node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// A homogeneous cluster: `nodes` nodes with `cores_per_node` cores each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cluster {
     /// Number of nodes.
     pub nodes: usize,
@@ -48,7 +46,7 @@ impl Cluster {
 }
 
 /// How physical processes are assigned to nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Placement {
     /// Fill nodes one after the other (process `p` on node `p / cores_per_node`).
     Packed,

@@ -7,11 +7,14 @@
 //! driver:
 //!
 //! 1. samples the plan for `(config, seed)` ([`sim_net::campaign::sample_plan`]),
-//! 2. compiles it into a job — crashes become
+//! 2. turns it into a [`JobSpec`] ([`case_spec`]) — the same one-line job
+//!    description `sdr_serve` accepts, so every case doubles as its own
+//!    replay handle — and runs it through the serve engine's execution path
+//!    ([`crate::serve::run_spec`]): crashes compile to
 //!    [`sim_mpi::JobBuilder::crash`] schedules (i.e.
-//!    `FailureService::schedule` calls), soft errors become
+//!    `FailureService::schedule` calls), soft errors to
 //!    [`sim_mpi::JobBuilder::sdc_flip`] PML corruption hooks,
-//! 3. runs the workload and judges the report:
+//! 3. judges the report:
 //!    * single-replica-loss distributions (`exp-mtbf`, `mid-collective`)
 //!      must be **survived** — every non-crashed process finishes with the
 //!      closed-form checksum;
@@ -20,8 +23,8 @@
 //!    * `sdc` flips must be **detected** by the redMPI cross-replica hash
 //!      comparison, exactly once per injected flip.
 //!
-//! Lossy-transport distributions (`lossy-links`, `delayed-acks`) compile
-//! into a [`sim_mpi::JobBuilder::net_faults`] policy install instead: the
+//! Lossy-transport distributions (`lossy-links`, `delayed-acks`) carry a
+//! [`sim_mpi::JobBuilder::net_faults`] policy install in their spec: the
 //! fabric drops/duplicates/delays frames per the sampled
 //! [`sim_net::NetFaultConfig`], and the case must be **masked** — every
 //! process finishes, the results are bit-identical to a fault-free reference
@@ -35,18 +38,19 @@
 //! Any deviation is a *violation*; [`shrink_violation`] replays the case's
 //! fault list under the deterministic single-worker scheduler and reduces it
 //! to a locally minimal failing subset ([`sim_net::campaign::shrink_events`]),
-//! emitting a ready-to-paste regression-test stanza.
+//! emitting a ready-to-paste regression-test stanza and the minimal plan's
+//! spec line.
 
-use crate::nas::{run_kernel, NasConfig, NasKernel};
+use crate::nas::NasKernel;
 use crate::runner::RunTuning;
+use crate::serve::{run_spec, JobSpec, LayoutSpec, WorkloadKind};
 use bytes::Bytes;
 use repl_baselines::{RedMpiFactory, SdcReport};
-use sdr_core::{partial_replicated_job, replicated_job, ReplicationConfig};
-use sim_mpi::{JobBuilder, JobReport, Process, ProcessOutcome, ReduceOp, SdcFlip};
+use sim_mpi::{JobReport, Process, ProcessOutcome, ReduceOp};
 use sim_net::campaign::{
     sample_plan, shrink_events, CampaignConfig, FaultDistribution, FaultPlan, PlannedFault,
 };
-use sim_net::{Cluster, CrashSchedule, LogGpModel, Placement};
+use sim_net::{CrashSchedule, StatsSnapshot};
 use std::sync::Arc;
 
 /// The collective-heavy campaign workload: every iteration mixes a ring
@@ -97,43 +101,6 @@ pub fn ring_app(p: &mut Process, iterations: u64) -> f64 {
     acc
 }
 
-/// Transport-level fault and masking counters of one case, lifted from the
-/// job's [`sim_net::StatsSnapshot`]. All zero for crash and SDC
-/// distributions (no network fault policy installed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Frames the fault policy dropped at deliver time.
-    pub msgs_dropped: u64,
-    /// Frames the policy injected an extra copy of.
-    pub msgs_duplicated: u64,
-    /// Frames the policy stalled on their link.
-    pub msgs_delayed: u64,
-    /// Payload retransmissions the send-log timeout path issued.
-    pub retransmits: u64,
-    /// Duplicate copies suppressed before reaching the application.
-    pub dups_suppressed: u64,
-}
-
-impl NetCounters {
-    fn from_report<R>(report: &JobReport<R>) -> Self {
-        NetCounters {
-            msgs_dropped: report.stats.msgs_dropped(),
-            msgs_duplicated: report.stats.msgs_duplicated(),
-            msgs_delayed: report.stats.msgs_delayed(),
-            retransmits: report.stats.retransmits(),
-            dups_suppressed: report.stats.dups_suppressed(),
-        }
-    }
-
-    fn accumulate(&mut self, other: &NetCounters) {
-        self.msgs_dropped += other.msgs_dropped;
-        self.msgs_duplicated += other.msgs_duplicated;
-        self.msgs_delayed += other.msgs_delayed;
-        self.retransmits += other.retransmits;
-        self.dups_suppressed += other.dups_suppressed;
-    }
-}
-
 /// The verdict on one campaign case.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
@@ -141,6 +108,9 @@ pub struct CaseOutcome {
     pub seed: u64,
     /// The sampled plan the case ran with.
     pub plan: FaultPlan,
+    /// The job the case ran — the plan as a spec. `spec.to_json().encode()`
+    /// is the line that replays the case under `sdr_serve --queue`.
+    pub spec: JobSpec,
     /// Did the job survive (all non-crashed processes finished with the
     /// expected checksum)? Always false for abort-expected distributions.
     pub survived: bool,
@@ -161,8 +131,10 @@ pub struct CaseOutcome {
     /// attributable to the corrupt copy, so the receiver can substitute the
     /// majority payload.
     pub sdc_corrected: u64,
-    /// Transport fault/masking counters (lossy-transport cases).
-    pub net: NetCounters,
+    /// Fabric counters of the faulted run; the transport fault and masking
+    /// counters (`msgs_dropped`, `retransmits`, `dups_suppressed`, ...) are
+    /// zero unless the case installed a network fault policy.
+    pub net: StatsSnapshot,
     /// Virtual-time overhead of the masked lossy run relative to its
     /// fault-free reference of the same workload, in percent. `None` for
     /// non-lossy distributions.
@@ -174,54 +146,122 @@ pub struct CaseOutcome {
     pub violation: Option<String>,
 }
 
-fn apply_faults(mut builder: JobBuilder, faults: &[PlannedFault]) -> JobBuilder {
-    for f in faults {
-        builder = match *f {
-            PlannedFault::Crash { endpoint, schedule } => builder.crash(endpoint, schedule),
-            PlannedFault::BitFlip {
-                endpoint,
-                nth_send,
-                bit,
-            } => builder.sdc_flip(endpoint, SdcFlip { nth_send, bit }),
-            PlannedFault::LossyTransport {
-                config,
-                policy_seed,
-            } => builder.net_faults(config, policy_seed),
-        };
+impl CaseOutcome {
+    /// The verdict fields every case kind fills the same way; each kind adds
+    /// its own measurements on top.
+    fn judged(
+        plan: FaultPlan,
+        spec: JobSpec,
+        report: &JobReport<f64>,
+        survived: bool,
+        violation: Option<String>,
+    ) -> CaseOutcome {
+        CaseOutcome {
+            seed: plan.seed,
+            plan,
+            survived,
+            aborted: false,
+            crashes: 0,
+            recovery_latency_s: None,
+            sdc_injected: 0,
+            sdc_detected: 0,
+            sdc_corrected: 0,
+            net: report.stats,
+            masked_overhead_pct: None,
+            workload: match &spec.workload {
+                WorkloadKind::Nas(kernel) => kernel.name(),
+                other => other.name(),
+            },
+            violation,
+            spec,
+        }
     }
-    builder
 }
 
 /// The workload a lossy-transport case runs, rotated by case seed: the five
-/// NAS kernels (class-S sizing) plus the collective-heavy campaign app. The
-/// returned name labels the case in reports.
-pub fn lossy_workload(
-    seed: u64,
-    iterations: u64,
-) -> (&'static str, Arc<dyn Fn(&mut Process) -> f64 + Send + Sync>) {
-    let cfg = NasConfig::class_s();
-    match seed % 6 {
-        0 => ("BT", Arc::new(move |p| run_kernel(NasKernel::Bt, p, &cfg))),
-        1 => ("CG", Arc::new(move |p| run_kernel(NasKernel::Cg, p, &cfg))),
-        2 => ("FT", Arc::new(move |p| run_kernel(NasKernel::Ft, p, &cfg))),
-        3 => ("MG", Arc::new(move |p| run_kernel(NasKernel::Mg, p, &cfg))),
-        4 => ("SP", Arc::new(move |p| run_kernel(NasKernel::Sp, p, &cfg))),
-        _ => (
-            "collective",
-            Arc::new(move |p| collective_app(p, iterations)),
-        ),
+/// NAS kernels (class-S sizing) plus the collective-heavy campaign app.
+pub fn lossy_workload(seed: u64, iterations: u64) -> WorkloadKind {
+    match NasKernel::all().get((seed % 6) as usize) {
+        Some(&kernel) => WorkloadKind::Nas(kernel),
+        None => WorkloadKind::Collective { iterations },
     }
 }
 
-fn run_crash_job(
+/// The one conversion from a campaign case to the job that runs it: the
+/// configuration picks the layout (the partial layout the
+/// [`FaultDistribution::UnreplicatedBias`] mask describes, full replication
+/// at the configured degree otherwise), the plan's faults become the spec's
+/// crash / bit-flip / net-fault fields, and `tuning` its execution layer.
+/// NAS workloads run at class S. The spec round-trips through the wire
+/// format, so its JSON line replays the case under `sdr_serve --queue`.
+pub fn case_spec(plan: &FaultPlan, workload: WorkloadKind, tuning: RunTuning) -> JobSpec {
+    let config = plan.config;
+    let layout = match config.dist {
+        FaultDistribution::UnreplicatedBias {
+            replicated_mask, ..
+        } => LayoutSpec::Partial {
+            replicated: (0..config.ranks)
+                .filter(|r| replicated_mask & (1u64 << r) != 0)
+                .collect(),
+        },
+        _ => LayoutSpec::Replicated {
+            degree: config.degree,
+        },
+    };
+    JobSpec {
+        id: format!(
+            "{}-d{}-seed{}",
+            config.dist.name(),
+            config.degree,
+            plan.seed
+        ),
+        workload,
+        ranks: config.ranks,
+        class: "s".to_string(),
+        layout,
+        carrier_mode: tuning.carrier_mode,
+        workers: tuning.workers,
+        seed: plan.seed,
+        crashes: Vec::new(),
+        sdc: Vec::new(),
+        net_faults: None,
+        trace: false,
+    }
+    .with_faults(&plan.faults)
+}
+
+/// The plan [`run_case`] samples for `(config, seed)` and the spec it runs:
+/// the ring exchange for soft errors, the seed-rotated [`lossy_workload`]
+/// for the lossy-transport distributions, the collective app for every
+/// crash distribution.
+pub fn sampled_case(
     config: CampaignConfig,
+    seed: u64,
     iterations: u64,
     tuning: RunTuning,
-    faults: &[PlannedFault],
-) -> JobReport<f64> {
-    let builder = replicated_job(config.ranks, ReplicationConfig::with_degree(config.degree))
-        .network(LogGpModel::fast_test_model());
-    apply_faults(tuning.apply(builder), faults).run(move |p| collective_app(p, iterations))
+) -> (FaultPlan, JobSpec) {
+    let workload = match config.dist {
+        FaultDistribution::SoftErrors { .. } => WorkloadKind::Ring { iterations },
+        FaultDistribution::LossyLinks { .. } | FaultDistribution::DelayedAcks { .. } => {
+            lossy_workload(seed, iterations)
+        }
+        _ => WorkloadKind::Collective { iterations },
+    };
+    let plan = sample_plan(config, seed);
+    let spec = case_spec(&plan, workload, tuning);
+    (plan, spec)
+}
+
+const SINGLE_WORKER: RunTuning = RunTuning {
+    workers: Some(1),
+    carrier_mode: None,
+};
+
+fn run(spec: &JobSpec) -> JobReport<f64> {
+    match run_spec(spec) {
+        Ok((report, _host_secs)) => report,
+        Err(e) => panic!("campaign case {} does not compile: {e}", spec.id),
+    }
 }
 
 /// Does the crash report describe a fully survived run: every non-crashed
@@ -250,15 +290,6 @@ fn crash_report_survived(report: &JobReport<f64>, expected: f64) -> Option<Strin
     None
 }
 
-/// Did a survivor report the unrecoverable rank loss?
-fn rank_loss_reported(report: &JobReport<f64>) -> bool {
-    report.processes.iter().any(|proc| {
-        !proc.outcome.is_crashed()
-            && matches!(&proc.outcome,
-                ProcessOutcome::Panicked(msg) if msg.contains("lost all") && msg.contains("replicas"))
-    })
-}
-
 /// Oracle for the shrinker and the checked-in regression stanzas: does
 /// running [`collective_app`] under `faults` (deterministic single-worker
 /// replay) violate survivability — i.e. some non-crashed process fails to
@@ -268,56 +299,51 @@ pub fn crash_faults_violate_survival(
     iterations: u64,
     faults: &[PlannedFault],
 ) -> bool {
-    let tuning = RunTuning {
-        workers: Some(1),
-        ..RunTuning::default()
-    };
-    let report = run_crash_job(config, iterations, tuning, faults);
+    let report = run(&oracle_spec(config, 0, iterations, faults));
     crash_report_survived(&report, collective_checksum(config.ranks, iterations)).is_some()
+}
+
+fn oracle_spec(
+    config: CampaignConfig,
+    seed: u64,
+    iterations: u64,
+    faults: &[PlannedFault],
+) -> JobSpec {
+    let plan = FaultPlan {
+        config,
+        seed,
+        faults: faults.to_vec(),
+    };
+    case_spec(
+        &plan,
+        WorkloadKind::Collective { iterations },
+        SINGLE_WORKER,
+    )
 }
 
 /// Replay the case's faulted job twice under the deterministic single-worker
 /// scheduler with tracing on, and report whether the two `TraceEvent`
 /// streams (and per-process finish times) are bit-identical. A `false` here
-/// is a determinism violation — exactly what the shrink path minimizes.
-pub fn replay_is_deterministic(config: CampaignConfig, seed: u64, iterations: u64) -> bool {
-    replay_is_deterministic_tuned(config, seed, iterations, RunTuning::default())
-}
-
-/// Like [`replay_is_deterministic`], with an explicit carrier mode (the
-/// `workers` field of the tuning is ignored — replay always pins a single
-/// run permit). Lossy distributions replay the case's actual rotated
+/// is a determinism violation — exactly what the shrink path minimizes. Only
+/// the carrier mode of `tuning` is honoured — replay always pins a single
+/// run permit. Lossy distributions replay the case's actual rotated
 /// workload, so the injected drop/duplicate/delay decisions — pure functions
 /// of the per-link frame counters — recur at the exact same frames.
-pub fn replay_is_deterministic_tuned(
+pub fn replay_is_deterministic(
     config: CampaignConfig,
     seed: u64,
     iterations: u64,
     tuning: RunTuning,
 ) -> bool {
-    let plan = sample_plan(config, seed);
-    let lossy = matches!(
-        config.dist,
-        FaultDistribution::LossyLinks { .. } | FaultDistribution::DelayedAcks { .. }
-    );
-    let run = || {
-        let app: Arc<dyn Fn(&mut Process) -> f64 + Send + Sync> = if lossy {
-            lossy_workload(seed, iterations).1
-        } else {
-            Arc::new(move |p: &mut Process| collective_app(p, iterations))
-        };
-        let mut builder =
-            replicated_job(config.ranks, ReplicationConfig::with_degree(config.degree))
-                .network(LogGpModel::fast_test_model())
-                .workers(1)
-                .trace(true);
-        if let Some(mode) = tuning.carrier_mode {
-            builder = builder.carrier_mode(mode);
-        }
-        apply_faults(builder, &plan.faults).run(move |p| (app)(p))
+    let tuning = RunTuning {
+        carrier_mode: tuning.carrier_mode,
+        ..SINGLE_WORKER
     };
-    let a = run();
-    let b = run();
+    let spec = JobSpec {
+        trace: true,
+        ..sampled_case(config, seed, iterations, tuning).1
+    };
+    let (a, b) = (run(&spec), run(&spec));
     a.trace.events() == b.trace.events()
         && a.processes.len() == b.processes.len()
         && a.processes
@@ -326,185 +352,92 @@ pub fn replay_is_deterministic_tuned(
             .all(|(pa, pb)| pa.finish_time == pb.finish_time)
 }
 
+/// Run one crash case. The verdict depends on what the sampled plan killed:
+/// correlated loss of both replicas of a rank, or — on the partial layout of
+/// [`FaultDistribution::UnreplicatedBias`] — the loss of an unreplicated
+/// rank, must abort promptly with a typed `RankLost` (never a hang or a
+/// wrong answer); every other loss leaves one replica per rank (majority
+/// loss at degree ≥ 3 included: fork-election recovery masks it) and must be
+/// survived.
 fn run_crash_case(
     config: CampaignConfig,
     seed: u64,
     iterations: u64,
     tuning: RunTuning,
-    expect_abort: bool,
 ) -> CaseOutcome {
-    let plan = sample_plan(config, seed);
-    let report = run_crash_job(config, iterations, tuning, &plan.faults);
+    let (plan, spec) = sampled_case(config, seed, iterations, tuning);
+    let unrecoverable = match config.dist {
+        FaultDistribution::CorrelatedPairLoss { .. } => {
+            Some("correlated loss of both replicas".to_string())
+        }
+        // The sampler's single crash always hits endpoint `r` = the rank id;
+        // coverage of that rank decides the expectation.
+        FaultDistribution::UnreplicatedBias {
+            replicated_mask, ..
+        } => plan
+            .crashes()
+            .next()
+            .filter(|(ep, _)| replicated_mask & (1u64 << ep.0) == 0)
+            .map(|(ep, _)| format!("crash of unreplicated rank {}", ep.0)),
+        _ => None,
+    };
+    let report = run(&spec);
     let crashes = report.crashed().len();
     let not_survived =
         crash_report_survived(&report, collective_checksum(config.ranks, iterations));
     let survived = not_survived.is_none();
-    let aborted = rank_loss_reported(&report);
-    let violation = if expect_abort {
-        if aborted {
-            None
-        } else {
-            Some(format!(
-                "correlated loss of both replicas was not reported as RankLost \
-                 (survived={survived}, crashes={crashes})"
-            ))
-        }
-    } else {
-        not_survived
+    let aborted = report.rank_lost();
+    let violation = match unrecoverable {
+        Some(_) if aborted => None,
+        Some(loss) => Some(format!(
+            "{loss} was not reported as RankLost (survived={survived}, crashes={crashes})"
+        )),
+        None => not_survived,
     };
-    let recovery_latency_s = if survived && crashes > 0 {
-        let first_crash = report
-            .processes
-            .iter()
-            .filter_map(|p| match p.outcome {
-                ProcessOutcome::Crashed { at } => Some(at),
-                _ => None,
-            })
-            .min()
-            .expect("crashes > 0");
-        Some((report.elapsed - first_crash).as_secs_f64())
-    } else {
-        None
-    };
-    CaseOutcome {
-        seed,
-        plan,
-        survived,
-        aborted,
-        crashes,
-        recovery_latency_s,
-        sdc_injected: 0,
-        sdc_detected: 0,
-        sdc_corrected: 0,
-        net: NetCounters::default(),
-        masked_overhead_pct: None,
-        workload: "collective",
-        violation,
-    }
-}
-
-/// Run one case of the [`FaultDistribution::UnreplicatedBias`] distribution:
-/// the job is built on the *partial* layout the distribution's mask
-/// describes, and the verdict splits on where the sampled crash landed — a
-/// replicated rank's loss must be masked, an unreplicated rank's loss must
-/// abort promptly with a typed `RankLost` (never a hang or a wrong answer).
-fn run_partial_bias_case(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    tuning: RunTuning,
-) -> CaseOutcome {
-    let FaultDistribution::UnreplicatedBias {
-        replicated_mask, ..
-    } = config.dist
-    else {
-        unreachable!("dispatched on UnreplicatedBias")
-    };
-    let plan = sample_plan(config, seed);
-    let replicated: Vec<usize> = (0..config.ranks)
-        .filter(|r| replicated_mask & (1u64 << r) != 0)
-        .collect();
-    let builder = partial_replicated_job(config.ranks, &replicated, ReplicationConfig::dual())
-        .expect("campaign masks are valid layouts")
-        .network(LogGpModel::fast_test_model());
-    let report = apply_faults(tuning.apply(builder), &plan.faults)
-        .run(move |p| collective_app(p, iterations));
-    let crashes = report.crashed().len();
-    // The sampler's single crash always hits endpoint `r` = the rank id;
-    // coverage of that rank decides the expectation.
-    let crashed_rank = plan.crashes().next().map(|(ep, _)| ep.0);
-    let expect_abort = matches!(crashed_rank, Some(r) if replicated_mask & (1u64 << r) == 0);
-    let not_survived =
-        crash_report_survived(&report, collective_checksum(config.ranks, iterations));
-    let survived = not_survived.is_none();
-    let aborted = rank_loss_reported(&report);
-    let violation = if expect_abort {
-        if aborted {
-            None
-        } else {
-            Some(format!(
-                "unreplicated rank {crashed_rank:?} crashed but no survivor reported RankLost \
-                 (survived={survived}, crashes={crashes})"
-            ))
-        }
-    } else {
-        not_survived
-    };
-    let recovery_latency_s = if survived && crashes > 0 {
-        report
-            .processes
-            .iter()
-            .filter_map(|p| match p.outcome {
-                ProcessOutcome::Crashed { at } => Some(at),
-                _ => None,
-            })
-            .min()
-            .map(|first| (report.elapsed - first).as_secs_f64())
-    } else {
-        None
-    };
-    CaseOutcome {
-        seed,
-        plan,
-        survived,
-        aborted,
-        crashes,
-        recovery_latency_s,
-        sdc_injected: 0,
-        sdc_detected: 0,
-        sdc_corrected: 0,
-        net: NetCounters::default(),
-        masked_overhead_pct: None,
-        workload: "collective",
-        violation,
-    }
-}
-
-fn run_lossy_job(
-    config: CampaignConfig,
-    app: Arc<dyn Fn(&mut Process) -> f64 + Send + Sync>,
-    tuning: RunTuning,
-    faults: &[PlannedFault],
-) -> JobReport<f64> {
-    let builder = replicated_job(config.ranks, ReplicationConfig::with_degree(config.degree))
-        .network(LogGpModel::fast_test_model());
-    apply_faults(tuning.apply(builder), faults).run(move |p| (app)(p))
-}
-
-/// Per-process results as exact bit patterns (`None` for a process that did
-/// not finish). "Bit-correct" in the masking judgement means these vectors —
-/// every replica of every rank — are identical between the faulted run and
-/// its fault-free reference.
-fn result_bits(report: &JobReport<f64>) -> Vec<Option<u64>> {
-    report
+    let first_crash = report
         .processes
         .iter()
-        .map(|p| match &p.outcome {
-            ProcessOutcome::Finished(v) => Some(v.to_bits()),
+        .filter_map(|p| match p.outcome {
+            ProcessOutcome::Crashed { at } => Some(at),
             _ => None,
         })
-        .collect()
+        .min();
+    CaseOutcome {
+        aborted,
+        crashes,
+        recovery_latency_s: first_crash
+            .filter(|_| survived)
+            .map(|at| (report.elapsed - at).as_secs_f64()),
+        ..CaseOutcome::judged(plan, spec, &report, survived, violation)
+    }
 }
 
 /// Run a lossy-transport case over an explicit (possibly hand-built) plan:
 /// one fault-free reference run of the seed's workload, one faulted run, and
-/// the masking judgement. Used by [`run_case`] for sampled plans and by the
-/// bench harness's fixed-rate sweep.
-pub fn run_lossy_explicit_case(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    tuning: RunTuning,
-    plan: FaultPlan,
-) -> CaseOutcome {
-    let (workload, app) = lossy_workload(seed, iterations);
-    let reference = run_lossy_job(config, Arc::clone(&app), tuning, &[]);
+/// the masking judgement — every process finishes, every replica of every
+/// rank returns the exact bit pattern the reference did, every injected
+/// duplicate is suppressed, and drops force retransmissions. Used by
+/// [`run_case`] for sampled plans and by the bench harness's fixed-rate
+/// sweep.
+pub fn run_lossy_explicit_case(plan: FaultPlan, iterations: u64, tuning: RunTuning) -> CaseOutcome {
+    let spec = case_spec(&plan, lossy_workload(plan.seed, iterations), tuning);
+    let workload = spec.workload.name();
+    let reference = run(&JobSpec {
+        crashes: Vec::new(),
+        sdc: Vec::new(),
+        net_faults: None,
+        ..spec.clone()
+    });
     assert!(
         reference.all_finished(),
         "{workload}: the fault-free reference run must finish"
     );
-    let report = run_lossy_job(config, app, tuning, &plan.faults);
-    let net = NetCounters::from_report(&report);
+    let report = run(&spec);
+    let net = report.stats;
+    let bits = |r: &JobReport<f64>| -> Vec<Option<u64>> {
+        let results = r.processes.iter().map(|p| p.outcome.result());
+        results.map(|v| v.map(|v| v.to_bits())).collect()
+    };
     let violation = if !report.all_finished() {
         Some(format!(
             "{workload}: lossy run did not finish cleanly: {:?}",
@@ -514,12 +447,12 @@ pub fn run_lossy_explicit_case(
                 .map(|p| (p.endpoint, &p.outcome))
                 .collect::<Vec<_>>()
         ))
-    } else if result_bits(&report) != result_bits(&reference) {
+    } else if bits(&report) != bits(&reference) {
         Some(format!(
             "{workload}: masked run diverged from the fault-free reference \
              ({:?} vs {:?})",
-            result_bits(&report),
-            result_bits(&reference)
+            bits(&report),
+            bits(&reference)
         ))
     } else if net.dups_suppressed != net.msgs_duplicated {
         Some(format!(
@@ -538,31 +471,16 @@ pub fn run_lossy_explicit_case(
     let masked_overhead_pct =
         (ref_secs > 0.0).then(|| (report.elapsed.as_secs_f64() - ref_secs) / ref_secs * 100.0);
     CaseOutcome {
-        seed,
-        survived: violation.is_none(),
-        aborted: false,
-        crashes: 0,
-        recovery_latency_s: None,
-        sdc_injected: 0,
-        sdc_detected: 0,
-        sdc_corrected: 0,
-        net,
         masked_overhead_pct,
-        workload,
-        violation,
-        plan,
+        ..CaseOutcome::judged(plan, spec, &report, violation.is_none(), violation)
     }
 }
 
-fn run_lossy_case(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    tuning: RunTuning,
-) -> CaseOutcome {
-    run_lossy_explicit_case(config, seed, iterations, tuning, sample_plan(config, seed))
-}
-
+/// Run one soft-error case. The spec compiles the plan's bit flips like any
+/// other job; only the protocol is swapped for the redMPI baseline, whose
+/// cross-replica hash comparison is what detects them (the spec line of an
+/// SDC case therefore replays the *injection* under SDR-MPI, not the
+/// detection).
 fn run_sdc_case(
     config: CampaignConfig,
     seed: u64,
@@ -573,21 +491,17 @@ fn run_sdc_case(
         config.degree >= 2,
         "the redMPI comparison needs at least two replicas"
     );
-    let plan = sample_plan(config, seed);
+    let (plan, spec) = sampled_case(config, seed, iterations, tuning);
     let report_handle = SdcReport::new();
-    let builder = JobBuilder::new(config.ranks)
-        .network(LogGpModel::fast_test_model())
+    let app = spec.app();
+    let report = spec
+        .compile()
+        .unwrap_or_else(|e| panic!("campaign case {} does not compile: {e}", spec.id))
         .protocol(Arc::new(RedMpiFactory::with_degree(
             config.degree,
             Arc::clone(&report_handle),
         )))
-        .cluster(Cluster::new(config.ranks * config.degree, 1))
-        .placement(Placement::ReplicaSets {
-            ranks: config.ranks,
-            degree: config.degree,
-        });
-    let report =
-        apply_faults(tuning.apply(builder), &plan.faults).run(move |p| ring_app(p, iterations));
+        .run(move |p| (app)(p));
     let survived = report.all_finished();
     let injected = report.stats.sdc_flips_injected();
     let detected = report_handle.mismatches();
@@ -610,24 +524,15 @@ fn run_sdc_case(
         None
     };
     CaseOutcome {
-        seed,
-        plan,
-        survived,
-        aborted: false,
-        crashes: 0,
-        recovery_latency_s: None,
         sdc_injected: injected,
         sdc_detected: detected,
         sdc_corrected: corrected,
-        net: NetCounters::default(),
-        masked_overhead_pct: None,
-        workload: "ring",
-        violation,
+        ..CaseOutcome::judged(plan, spec, &report, survived, violation)
     }
 }
 
-/// Run one campaign case: sample the plan for `(config, seed)`, compile it
-/// into a job, run it, and judge the outcome against the distribution's
+/// Run one campaign case: sample the plan for `(config, seed)`, turn it into
+/// a spec, run it, and judge the outcome against the distribution's
 /// expectation (see the module docs).
 pub fn run_case(
     config: CampaignConfig,
@@ -637,23 +542,10 @@ pub fn run_case(
 ) -> CaseOutcome {
     match config.dist {
         FaultDistribution::SoftErrors { .. } => run_sdc_case(config, seed, iterations, tuning),
-        FaultDistribution::CorrelatedPairLoss { .. } => {
-            run_crash_case(config, seed, iterations, tuning, true)
-        }
-        FaultDistribution::ExponentialMtbf { .. } | FaultDistribution::MidCollective { .. } => {
-            run_crash_case(config, seed, iterations, tuning, false)
-        }
-        // Majority loss at degree ≥ 3 still leaves one replica per rank:
-        // fork-election recovery must mask it like any single-replica loss.
-        FaultDistribution::MajorityLoss { .. } => {
-            run_crash_case(config, seed, iterations, tuning, false)
-        }
-        FaultDistribution::UnreplicatedBias { .. } => {
-            run_partial_bias_case(config, seed, iterations, tuning)
-        }
         FaultDistribution::LossyLinks { .. } | FaultDistribution::DelayedAcks { .. } => {
-            run_lossy_case(config, seed, iterations, tuning)
+            run_lossy_explicit_case(sample_plan(config, seed), iterations, tuning)
         }
+        _ => run_crash_case(config, seed, iterations, tuning),
     }
 }
 
@@ -671,38 +563,58 @@ pub fn run_campaign(
         .collect()
 }
 
-/// Order statistics of a latency sample, in seconds.
+/// Order statistics of a sample — the one place the harnesses compute
+/// them. Named for its first use, recovery latencies in seconds; the
+/// masked-overhead percentages and the serve bench's throughput and
+/// job-latency summaries reuse it with their own units. Medians over means,
+/// per the *MPI Benchmarking Revisited* guidance for skewed distributions.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples.
     pub samples: usize,
     /// Minimum.
     pub min_s: f64,
-    /// Median (the campaign's central tendency, per the *MPI Benchmarking
-    /// Revisited* guidance: medians over means for skewed distributions).
+    /// Median (the lower central element for even sample counts).
     pub median_s: f64,
     /// 90th percentile.
     pub p90_s: f64,
+    /// 99th percentile (the maximum for up to 100 samples, which keeps
+    /// small samples honest).
+    pub p99_s: f64,
     /// Maximum.
     pub max_s: f64,
 }
 
 impl LatencyStats {
-    /// Summarize a sample (empty samples give all-zero stats).
+    /// Summarize a sample (empty samples give all-zero stats): the `q`
+    /// quantile is element `(n - 1)·q` of the sorted sample, rounded down.
     pub fn from_samples(mut secs: Vec<f64>) -> LatencyStats {
         if secs.is_empty() {
             return LatencyStats::default();
         }
-        secs.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        secs.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
         let pick = |q_num: usize, q_den: usize| secs[(secs.len() - 1) * q_num / q_den];
         LatencyStats {
             samples: secs.len(),
             min_s: secs[0],
             median_s: pick(1, 2),
             p90_s: pick(9, 10),
+            p99_s: pick(99, 100),
             max_s: *secs.last().expect("non-empty"),
         }
     }
+}
+
+/// One expectation violation, with its replay handles: the case seed (which
+/// resamples the plan) and the spec line that reruns the job standalone.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Violation {
+    /// The case seed.
+    pub seed: u64,
+    /// What went wrong.
+    pub detail: String,
+    /// The violating job as one `sdr_serve --queue` line.
+    pub spec: String,
 }
 
 /// Aggregates of one configuration's campaign.
@@ -726,16 +638,15 @@ pub struct CampaignSummary {
     pub sdc_corrected: u64,
     /// Recovery-latency distribution over the survived-with-crash cases.
     pub recovery_latency: LatencyStats,
-    /// Aggregated transport fault/masking counters (lossy configurations;
-    /// all zero otherwise).
-    pub net: NetCounters,
+    /// The cases' fabric counters merged (see [`CaseOutcome::net`]).
+    pub net: StatsSnapshot,
     /// Median masked-delivery overhead over the lossy cases, percent of the
     /// fault-free virtual run time.
     pub masked_overhead_median_pct: f64,
     /// 90th-percentile masked-delivery overhead, percent.
     pub masked_overhead_p90_pct: f64,
-    /// `(seed, description)` of every expectation violation.
-    pub violations: Vec<(u64, String)>,
+    /// Every expectation violation.
+    pub violations: Vec<Violation>,
 }
 
 impl CampaignSummary {
@@ -776,10 +687,6 @@ impl CampaignSummary {
 
 /// Aggregate a configuration's case outcomes.
 pub fn summarize(config: CampaignConfig, outcomes: &[CaseOutcome]) -> CampaignSummary {
-    let mut net = NetCounters::default();
-    for o in outcomes {
-        net.accumulate(&o.net);
-    }
     let overhead = LatencyStats::from_samples(
         outcomes
             .iter()
@@ -801,12 +708,20 @@ pub fn summarize(config: CampaignConfig, outcomes: &[CaseOutcome]) -> CampaignSu
                 .filter_map(|o| o.recovery_latency_s)
                 .collect(),
         ),
-        net,
+        net: outcomes
+            .iter()
+            .fold(StatsSnapshot::default(), |sum, o| sum.merged(&o.net)),
         masked_overhead_median_pct: overhead.median_s,
         masked_overhead_p90_pct: overhead.p90_s,
         violations: outcomes
             .iter()
-            .filter_map(|o| o.violation.clone().map(|v| (o.seed, v)))
+            .filter_map(|o| {
+                o.violation.clone().map(|detail| Violation {
+                    seed: o.seed,
+                    detail,
+                    spec: o.spec.to_json().encode(),
+                })
+            })
             .collect(),
     }
 }
@@ -823,6 +738,9 @@ pub struct ShrinkOutcome {
     /// Ready-to-paste regression test stanza reproducing the violation from
     /// the minimal plan.
     pub stanza: String,
+    /// The minimal plan as one `sdr_serve --queue` line — the exact job the
+    /// oracle's last failing probe ran.
+    pub spec: String,
 }
 
 fn fault_to_source(f: &PlannedFault) -> String {
@@ -879,22 +797,13 @@ pub fn shrink_violation(
     seed: u64,
     iterations: u64,
 ) -> Option<ShrinkOutcome> {
-    let plan = sample_plan(config, seed);
-    shrink_fault_list(config, seed, iterations, &plan.faults).map(|(minimal, probes)| {
-        let stanza = regression_stanza(config, seed, iterations, &plan, &minimal, probes);
-        ShrinkOutcome {
-            plan,
-            minimal,
-            probes,
-            stanza,
-        }
-    })
+    shrink_explicit_violation(config, seed, iterations, &sample_plan(config, seed).faults)
 }
 
 /// Like [`shrink_violation`], but over an explicit fault list instead of a
 /// sampled plan (for violations composed synthetically, e.g. a campaign-found
 /// fatal pair buried in survivable noise). `seed_label` only names the
-/// emitted stanza. Returns `None` when the list does not violate
+/// emitted stanza and spec. Returns `None` when the list does not violate
 /// survivability.
 pub fn shrink_explicit_violation(
     config: CampaignConfig,
@@ -909,11 +818,15 @@ pub fn shrink_explicit_violation(
     };
     shrink_fault_list(config, seed_label, iterations, faults).map(|(minimal, probes)| {
         let stanza = regression_stanza(config, seed_label, iterations, &plan, &minimal, probes);
+        let spec = oracle_spec(config, seed_label, iterations, &minimal)
+            .to_json()
+            .encode();
         ShrinkOutcome {
             plan,
             minimal,
             probes,
             stanza,
+            spec,
         }
     })
 }
@@ -1252,5 +1165,9 @@ mod tests {
         assert_eq!(s.median_s, 2.0);
         assert_eq!(s.max_s, 10.0);
         assert_eq!(LatencyStats::from_samples(vec![]), LatencyStats::default());
+        // (12 - 1) * 99 / 100 = 10 -> the 11th order statistic.
+        let twelve = LatencyStats::from_samples((1..=12).map(f64::from).collect());
+        assert_eq!((twelve.median_s, twelve.p99_s), (6.0, 11.0));
+        assert_eq!(LatencyStats::from_samples(vec![5.0]).p99_s, 5.0);
     }
 }

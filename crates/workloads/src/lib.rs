@@ -20,7 +20,8 @@
 //! [`determinism`] provides the operational send-determinism check of
 //! Definition 1: run a workload under perturbed message timing and compare the
 //! per-rank send sequences. [`runner`] packages the native-vs-replicated
-//! comparison used by the Table 1/2 harnesses.
+//! comparison used by the Table 1/2 harnesses, and [`serve`] holds the job
+//! spec every harness above the simulator launches through.
 
 pub mod apps;
 pub mod campaign;
@@ -31,10 +32,10 @@ pub mod runner;
 pub mod serve;
 
 pub use campaign::{
-    run_campaign, run_case, shrink_violation, CampaignSummary, CaseOutcome, LatencyStats,
-    ShrinkOutcome,
+    case_spec, run_campaign, run_case, shrink_violation, CampaignSummary, CaseOutcome,
+    LatencyStats, ShrinkOutcome, Violation,
 };
 pub use determinism::{check_send_determinism, DeterminismReport, JitterModel};
 pub use netpipe::{netpipe_sweep, NetpipePoint};
-pub use runner::{compare_protocols, ComparisonRow, WorkloadSpec};
+pub use runner::{compare, ComparisonRow, WorkloadSpec};
 pub use serve::{JobRecord, JobSpec, ServeConfig, ServeEvent, SpecError};

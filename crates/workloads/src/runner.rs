@@ -2,13 +2,13 @@
 //!
 //! The rows of the paper's Table 1 and Table 2 all have the same shape:
 //! *application, native wall-clock time, replicated wall-clock time, overhead
-//! in percent*. [`compare_protocols`] runs one workload under both
-//! configurations on the calibrated InfiniBand-20G model and produces such a
-//! row; the `sdr-bench` harness binaries print them.
+//! in percent*. [`compare`] runs one workload under both configurations on
+//! the calibrated InfiniBand-20G model and produces such a row; the
+//! `sdr-bench` harness binaries print them.
 
-use sdr_core::{mapped_job, native_job, replicated_job, ReplicaMap, ReplicationConfig};
-use sim_mpi::{JobBuilder, Process};
-use sim_net::{CarrierMode, LogGpModel};
+use crate::serve::LayoutSpec;
+use sim_mpi::{JobBuilder, JobReport, Process};
+use sim_net::{CarrierMode, LogGpModel, StatsSnapshot};
 use std::sync::Arc;
 
 /// A workload packaged for comparison runs.
@@ -36,46 +36,14 @@ impl WorkloadSpec {
     }
 }
 
-/// Execution-layer counters of one job run, lifted from the fabric's
-/// [`sim_net::StatsSnapshot`] and the job report for machine-readable
-/// benchmark reports. The PR 2 delivery path took the scheduler's run-queue
-/// lock once per message; `wakes_issued` is what the batched/coalesced path
-/// actually paid, and
-/// [`sim_net::StatsSnapshot::baseline_equivalent_wakes`] (issued +
-/// suppressed + extra messages in multi-message batches) reconstructs the
-/// baseline exactly. `handoffs`/`steals` vs `condvar_waits` split dispatches
-/// into the direct-handoff fast path and the cold idle-permit path, and the
-/// `threads_*` counters account for carrier churn against the process-global
-/// [`sim_net::CarrierPool`]. In coroutine mode (`carrier_mode`), the
-/// `stack_*` counters account for the user-space execution layer instead:
-/// context switches performed, stacks leased fresh vs recycled from the
-/// [`sim_net::StackPool`], and the job's peak leased stack bytes.
+/// One side (native or replicated) of a comparison: the run's fabric
+/// counters — message counts per class, wakes, flushes, dispatch and ingest
+/// splits, coroutine stacks; see [`StatsSnapshot`] — plus the host-side
+/// facts only the job report knows.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeliveryCounters {
-    /// Scheduler wakes that unparked the target (moved it to the ready
-    /// queues).
-    pub wakes_issued: u64,
-    /// Wakes coalesced on the lock-free fast path (or no-ops).
-    pub wakes_suppressed: u64,
-    /// Outbox batches pushed (one channel operation + one wake each).
-    pub flushes: u64,
-    /// Messages carried by those batches.
-    pub flushed_msgs: u64,
-    /// Mean messages per batch (0 when nothing was flushed).
-    pub mean_flush_batch: f64,
-    /// Dispatches where a departing carrier handed its run permit directly to
-    /// a ready process from its own shard.
-    pub handoffs: u64,
-    /// Direct dispatches stolen from another ready shard.
-    pub steals: u64,
-    /// Cold-path dispatches (idle-permit grants — the old condvar handshake).
-    pub condvar_waits: u64,
-    /// Deliveries ingested on the delivery ladder's in-order O(1) fast path
-    /// (see `sim_net::fabric`: the single-pass pipeline's common case).
-    pub deliveries_direct: u64,
-    /// Out-of-order deliveries buffered through the fallback heap — each one
-    /// is what *every* delivery cost under the channel + pending-heap path.
-    pub heap_fallbacks: u64,
+pub struct RunSide {
+    /// The fabric's counter table at the end of the run.
+    pub stats: StatsSnapshot,
     /// Carrier threads freshly spawned for the run.
     pub threads_spawned: u64,
     /// Carrier threads recycled from the process-global pool.
@@ -84,40 +52,18 @@ pub struct DeliveryCounters {
     pub carrier_mode: CarrierMode,
     /// Scheduler worker-pool size the run executed with.
     pub workers: u64,
-    /// User-space context switches performed (coroutine mode; 0 otherwise).
-    pub stack_switches: u64,
-    /// Coroutine stacks freshly mapped for the run.
-    pub stacks_allocated: u64,
-    /// Coroutine stacks recycled from the process-global stack pool.
-    pub stacks_reused: u64,
-    /// Peak coroutine-stack bytes the run had leased at once (per-job, not
-    /// the shared pool's resident footprint).
-    pub stack_bytes_peak: u64,
     /// Host (real) seconds the run took, as opposed to simulated seconds.
     pub host_secs: f64,
 }
 
-impl DeliveryCounters {
-    fn from_report<R>(report: &sim_mpi::JobReport<R>, host_secs: f64) -> Self {
-        DeliveryCounters {
-            wakes_issued: report.stats.wakes_issued(),
-            wakes_suppressed: report.stats.wakes_suppressed(),
-            flushes: report.stats.flushes(),
-            flushed_msgs: report.stats.flushed_msgs(),
-            mean_flush_batch: report.stats.mean_flush_batch(),
-            handoffs: report.stats.handoffs(),
-            steals: report.stats.steals(),
-            condvar_waits: report.stats.condvar_waits(),
-            deliveries_direct: report.stats.deliveries_direct(),
-            heap_fallbacks: report.stats.heap_fallbacks(),
+impl RunSide {
+    fn from_report<R>(report: &JobReport<R>, host_secs: f64) -> Self {
+        RunSide {
+            stats: report.stats,
             threads_spawned: report.threads_spawned as u64,
             threads_reused: report.threads_reused as u64,
             carrier_mode: report.carrier_mode,
             workers: report.workers as u64,
-            stack_switches: report.stats.stack_switches(),
-            stacks_allocated: report.stats.stacks_allocated(),
-            stacks_reused: report.stats.stacks_reused(),
-            stack_bytes_peak: report.stats.stack_bytes_peak(),
             host_secs,
         }
     }
@@ -130,11 +76,11 @@ pub struct ComparisonRow {
     pub name: String,
     /// Number of application ranks.
     pub ranks: usize,
-    /// Replication degree used for the replicated run (the maximum per-rank
-    /// degree for partial layouts).
+    /// Replication degree of the replicated run (the maximum per-rank degree
+    /// for partial layouts).
     pub degree: usize,
     /// Fraction of ranks with at least two replicas (1.0 for the full
-    /// layouts, the configured fraction for partial replication).
+    /// layouts, the covered fraction for partial replication).
     pub coverage: f64,
     /// Native simulated wall-clock time, seconds.
     pub native_secs: f64,
@@ -144,24 +90,18 @@ pub struct ComparisonRow {
     pub overhead_pct: f64,
     /// Whether the native and replicated checksums agreed.
     pub results_match: bool,
-    /// Application messages sent natively.
-    pub native_app_msgs: u64,
-    /// Application messages sent with replication.
-    pub replicated_app_msgs: u64,
-    /// Acknowledgement messages sent with replication.
-    pub replicated_ack_msgs: u64,
-    /// Wake/flush counters of the native run.
-    pub native_delivery: DeliveryCounters,
-    /// Wake/flush counters of the replicated run.
-    pub replicated_delivery: DeliveryCounters,
+    /// Counters of the native run.
+    pub native: RunSide,
+    /// Counters of the replicated run.
+    pub replicated: RunSide,
 }
 
-fn checksums(report: &sim_mpi::JobReport<f64>) -> Vec<f64> {
+fn checksums(report: &JobReport<f64>) -> Vec<f64> {
     report.primary_results().into_iter().copied().collect()
 }
 
-/// Execution-layer tuning for comparison runs, threaded down to the
-/// scheduler: `None` fields keep the [`sim_mpi::JobBuilder`] defaults.
+/// Execution-layer tuning for harness runs, threaded down to the scheduler:
+/// `None` fields keep the [`sim_mpi::JobBuilder`] defaults.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunTuning {
     /// Scheduler worker-pool size (how many simulated processes execute
@@ -186,124 +126,50 @@ impl RunTuning {
     }
 }
 
-/// Run `spec` natively and replicated (degree from `cfg`) and build the row.
-pub fn compare_protocols(spec: &WorkloadSpec, cfg: ReplicationConfig) -> ComparisonRow {
-    compare_protocols_tuned(spec, cfg, RunTuning::default())
-}
-
-/// Like [`compare_protocols`], with explicit execution-layer tuning. This is
-/// what the ≥64-rank harness configurations go through: the scheduler
-/// multiplexes the job's processes over the bounded worker pool regardless of
-/// rank count.
-pub fn compare_protocols_tuned(
-    spec: &WorkloadSpec,
-    cfg: ReplicationConfig,
-    tuning: RunTuning,
-) -> ComparisonRow {
-    let app_native = Arc::clone(&spec.app);
-    let app_repl = Arc::clone(&spec.app);
-    let native_builder = tuning.apply(native_job(spec.ranks).network(LogGpModel::infiniband_20g()));
-    let repl_builder =
-        tuning.apply(replicated_job(spec.ranks, cfg).network(LogGpModel::infiniband_20g()));
-    let started = std::time::Instant::now();
-    let native = native_builder.run(move |p| (app_native)(p));
-    let native_host_secs = started.elapsed().as_secs_f64();
-    let started = std::time::Instant::now();
-    let replicated = repl_builder.run(move |p| (app_repl)(p));
-    let replicated_host_secs = started.elapsed().as_secs_f64();
-    assert!(
-        native.all_finished(),
-        "{}: native run did not finish",
-        spec.name
-    );
-    assert!(
-        replicated.all_finished(),
-        "{}: replicated run did not finish",
-        spec.name
-    );
+/// Run `spec` natively and replicated under `layout` — full replication at
+/// any degree, or a partial layout — on the InfiniBand-20G model and build
+/// the row. Both builders come from [`LayoutSpec::builder`], the same switch
+/// job specs compile through, so a table row and a served job of the same
+/// layout launch the same protocol factory, cluster and placement. The row's
+/// `degree` and `coverage` are read back from the replicated run's process
+/// table. The scheduler multiplexes the job's processes over the bounded
+/// worker pool regardless of rank count, which is what carries the ≥ 64-rank
+/// harness configurations.
+pub fn compare(spec: &WorkloadSpec, layout: &LayoutSpec, tuning: RunTuning) -> ComparisonRow {
+    let run = |layout: &LayoutSpec, side: &str| {
+        let builder = layout
+            .builder(spec.ranks)
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+            .network(LogGpModel::infiniband_20g());
+        let app = Arc::clone(&spec.app);
+        let started = std::time::Instant::now();
+        let report = tuning.apply(builder).run(move |p| (app)(p));
+        let host_secs = started.elapsed().as_secs_f64();
+        assert!(
+            report.all_finished(),
+            "{}: {side} run did not finish",
+            spec.name
+        );
+        (report, host_secs)
+    };
+    let (native, native_host_secs) = run(&LayoutSpec::Native, "native");
+    let (replicated, replicated_host_secs) = run(layout, "replicated");
+    let replicas = &replicated.processes;
+    let covered = replicas.iter().filter(|p| p.replica == 1).count();
     let native_secs = native.elapsed.as_secs_f64();
     let replicated_secs = replicated.elapsed.as_secs_f64();
     ComparisonRow {
         name: spec.name.clone(),
         ranks: spec.ranks,
-        degree: cfg.degree,
-        coverage: 1.0,
+        degree: replicas.iter().map(|p| p.replica + 1).max().unwrap_or(0),
+        coverage: covered as f64 / spec.ranks as f64,
         native_secs,
         replicated_secs,
         overhead_pct: (replicated_secs - native_secs) / native_secs * 100.0,
         results_match: checksums(&native) == checksums(&replicated),
-        native_app_msgs: native.stats.app_msgs(),
-        replicated_app_msgs: replicated.stats.app_msgs(),
-        replicated_ack_msgs: replicated.stats.ack_msgs(),
-        native_delivery: DeliveryCounters::from_report(&native, native_host_secs),
-        replicated_delivery: DeliveryCounters::from_report(&replicated, replicated_host_secs),
+        native: RunSide::from_report(&native, native_host_secs),
+        replicated: RunSide::from_report(&replicated, replicated_host_secs),
     }
-}
-
-/// Like [`compare_protocols_tuned`], but replicating under an arbitrary
-/// [`ReplicaMap`] — partial coverage, uniform degree ≥ 3, CYCLIC numbering.
-/// The row's `degree` is the map's maximum per-rank degree and `coverage`
-/// its replicated-rank fraction; the native baseline is identical to the
-/// full-layout comparison, so rows from both entry points chart on one axis.
-pub fn compare_layout_tuned(
-    spec: &WorkloadSpec,
-    map: Arc<dyn ReplicaMap>,
-    cfg: ReplicationConfig,
-    tuning: RunTuning,
-) -> ComparisonRow {
-    assert_eq!(
-        map.ranks(),
-        spec.ranks,
-        "{}: the replica map must cover the workload's ranks",
-        spec.name
-    );
-    let app_native = Arc::clone(&spec.app);
-    let app_repl = Arc::clone(&spec.app);
-    let degree = map.max_degree();
-    let coverage = map.coverage();
-    let native_builder = tuning.apply(native_job(spec.ranks).network(LogGpModel::infiniband_20g()));
-    let repl_builder =
-        tuning.apply(mapped_job(Arc::clone(&map), cfg).network(LogGpModel::infiniband_20g()));
-    let started = std::time::Instant::now();
-    let native = native_builder.run(move |p| (app_native)(p));
-    let native_host_secs = started.elapsed().as_secs_f64();
-    let started = std::time::Instant::now();
-    let replicated = repl_builder.run(move |p| (app_repl)(p));
-    let replicated_host_secs = started.elapsed().as_secs_f64();
-    assert!(
-        native.all_finished(),
-        "{}: native run did not finish",
-        spec.name
-    );
-    assert!(
-        replicated.all_finished(),
-        "{}: mapped run did not finish",
-        spec.name
-    );
-    let native_secs = native.elapsed.as_secs_f64();
-    let replicated_secs = replicated.elapsed.as_secs_f64();
-    ComparisonRow {
-        name: spec.name.clone(),
-        ranks: spec.ranks,
-        degree,
-        coverage,
-        native_secs,
-        replicated_secs,
-        overhead_pct: (replicated_secs - native_secs) / native_secs * 100.0,
-        results_match: checksums(&native) == checksums(&replicated),
-        native_app_msgs: native.stats.app_msgs(),
-        replicated_app_msgs: replicated.stats.app_msgs(),
-        replicated_ack_msgs: replicated.stats.ack_msgs(),
-        native_delivery: DeliveryCounters::from_report(&native, native_host_secs),
-        replicated_delivery: DeliveryCounters::from_report(&replicated, replicated_host_secs),
-    }
-}
-
-/// Run a workload under an arbitrary protocol factory (used by the ablation
-/// harnesses to compare SDR-MPI with the mirror and leader-based baselines).
-pub fn run_with_builder(spec: &WorkloadSpec, builder: JobBuilder) -> sim_mpi::JobReport<f64> {
-    let app = Arc::clone(&spec.app);
-    builder.run(move |p| (app)(p))
 }
 
 #[cfg(test)]
@@ -311,22 +177,26 @@ mod tests {
     use super::*;
     use crate::nas::{run_kernel, NasConfig, NasKernel};
 
+    const DUAL: LayoutSpec = LayoutSpec::Replicated { degree: 2 };
+
     #[test]
     fn comparison_row_for_cg_is_sane() {
         let cfg = NasConfig::test_size();
         let spec = WorkloadSpec::new("CG", 4, move |p| run_kernel(NasKernel::Cg, p, &cfg));
-        let row = compare_protocols(&spec, ReplicationConfig::dual());
+        let row = compare(&spec, &DUAL, RunTuning::default());
         assert!(
             row.results_match,
             "native and replicated checksums must agree"
         );
+        assert_eq!((row.degree, row.coverage), (2, 1.0));
         assert!(row.native_secs > 0.0);
         assert!(row.replicated_secs > 0.0);
-        assert_eq!(row.replicated_app_msgs, row.native_app_msgs * 2);
-        assert!(row.replicated_ack_msgs > 0);
-        let d = &row.replicated_delivery;
+        let side = &row.replicated;
+        let d = &side.stats;
+        assert_eq!(d.app_msgs(), row.native.stats.app_msgs() * 2);
+        assert!(d.ack_msgs() > 0);
         assert!(d.flushes > 0, "managed runs must push outbox batches");
-        assert!(d.mean_flush_batch >= 1.0);
+        assert!(d.mean_flush_batch() >= 1.0);
         assert!(
             d.wakes_issued + d.wakes_suppressed >= d.flushes,
             "every batch issues exactly one wake"
@@ -345,9 +215,9 @@ mod tests {
             d.deliveries_direct,
             d.heap_fallbacks
         );
-        match d.carrier_mode {
+        match side.carrier_mode {
             CarrierMode::Thread => assert_eq!(
-                d.threads_spawned + d.threads_reused,
+                side.threads_spawned + side.threads_reused,
                 8,
                 "4 ranks at dual replication need exactly 8 carrier threads"
             ),
@@ -359,13 +229,13 @@ mod tests {
                 );
                 assert!(d.stack_switches > 0, "the run must have stack-switched");
                 assert_eq!(
-                    d.threads_spawned + d.threads_reused,
-                    d.workers,
+                    side.threads_spawned + side.threads_reused,
+                    side.workers,
                     "coroutine mode hosts the whole job on the worker pool"
                 );
             }
         }
-        assert!(d.host_secs > 0.0);
+        assert!(side.host_secs > 0.0);
         assert!(
             row.overhead_pct > -2.0 && row.overhead_pct < 50.0,
             "unexpected overhead {}% for a small test problem",
@@ -375,13 +245,10 @@ mod tests {
 
     #[test]
     fn partial_layout_row_scales_message_overhead_with_coverage() {
-        use sdr_core::{MappingPolicy, PartialLayout};
         let cfg = NasConfig::test_size();
         let spec = WorkloadSpec::new("CG", 4, move |p| run_kernel(NasKernel::Cg, p, &cfg));
-        let map = Arc::new(
-            PartialLayout::with_coverage(4, 0.5, MappingPolicy::Adjacent).expect("valid layout"),
-        );
-        let row = compare_layout_tuned(&spec, map, ReplicationConfig::dual(), RunTuning::default());
+        let layout = LayoutSpec::Coverage { coverage: 0.5 };
+        let row = compare(&spec, &layout, RunTuning::default());
         assert!(
             row.results_match,
             "mapped run must match the native results"
@@ -391,8 +258,9 @@ mod tests {
         // Each logical message is physically copied once per destination
         // replica: at half coverage the traffic sits strictly between the
         // native and full-dual volumes.
-        assert!(row.replicated_app_msgs > row.native_app_msgs);
-        assert!(row.replicated_app_msgs < row.native_app_msgs * 2);
+        let (native, replicated) = (row.native.stats.app_msgs(), row.replicated.stats.app_msgs());
+        assert!(replicated > native);
+        assert!(replicated < native * 2);
     }
 
     #[test]
@@ -401,7 +269,7 @@ mod tests {
         // density the SDR-MPI overhead stays below 5%.
         let cfg = NasConfig::class_d_like();
         let spec = WorkloadSpec::new("CG", 8, move |p| run_kernel(NasKernel::Cg, p, &cfg));
-        let row = compare_protocols(&spec, ReplicationConfig::dual());
+        let row = compare(&spec, &DUAL, RunTuning::default());
         assert!(row.results_match);
         assert!(
             row.overhead_pct < 5.0,

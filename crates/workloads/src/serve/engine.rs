@@ -22,7 +22,7 @@ use super::json::Json;
 use super::spec::{CrashFault, JobSpec, LayoutSpec, SpecError, WorkloadKind};
 use crate::nas::NasKernel;
 use sim_mpi::{JobReport, ProcessOutcome};
-use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution, PlannedFault};
+use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
 use sim_net::{CarrierMode, NetFaultConfig, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -195,141 +195,71 @@ pub fn trace_digest(events: &[TraceEvent]) -> u64 {
 impl JobRecord {
     /// The full report as JSON, host observations included.
     pub fn to_json(&self) -> Json {
+        let processes = self.processes.iter().map(|p| {
+            let mut fields = vec![
+                ("endpoint", p.endpoint.into()),
+                ("app_rank", p.app_rank.into()),
+                ("replica", p.replica.into()),
+                ("primary", p.primary.into()),
+                ("outcome", p.outcome.into()),
+                ("finish_ns", p.finish_ns.into()),
+            ];
+            fields.extend(p.result_bits.map(|bits| ("result_bits", hex(bits))));
+            Json::obj(fields)
+        });
         let mut fields = vec![
-            ("id".to_string(), Json::Str(self.id.clone())),
-            (
-                "status".to_string(),
-                Json::Str(self.status.name().to_string()),
-            ),
-            ("spec".to_string(), self.spec.to_json()),
-            ("elapsed_ns".to_string(), Json::Int(self.elapsed_ns as i64)),
-            ("app_msgs".to_string(), Json::Int(self.app_msgs as i64)),
-            ("ack_msgs".to_string(), Json::Int(self.ack_msgs as i64)),
-            ("total_msgs".to_string(), Json::Int(self.total_msgs as i64)),
-            (
-                "total_bytes".to_string(),
-                Json::Int(self.total_bytes as i64),
-            ),
-            (
-                "msgs_dropped".to_string(),
-                Json::Int(self.msgs_dropped as i64),
-            ),
-            (
-                "msgs_duplicated".to_string(),
-                Json::Int(self.msgs_duplicated as i64),
-            ),
-            (
-                "msgs_delayed".to_string(),
-                Json::Int(self.msgs_delayed as i64),
-            ),
-            (
-                "retransmits".to_string(),
-                Json::Int(self.retransmits as i64),
-            ),
-            (
-                "dups_suppressed".to_string(),
-                Json::Int(self.dups_suppressed as i64),
-            ),
-            (
-                "sdc_flips_injected".to_string(),
-                Json::Int(self.sdc_flips_injected as i64),
-            ),
-            ("crashes".to_string(), Json::Int(self.crashes as i64)),
-            (
-                "stack_leases".to_string(),
-                Json::Int(self.stack_leases as i64),
-            ),
-            (
-                "stack_bytes_peak".to_string(),
-                Json::Int(self.stack_bytes_peak as i64),
-            ),
-            ("workers".to_string(), Json::Int(self.workers as i64)),
-            (
-                "carrier".to_string(),
-                Json::Str(
-                    match self.carrier_mode {
-                        CarrierMode::Coroutine => "coroutine",
-                        CarrierMode::Thread => "thread",
-                    }
-                    .to_string(),
-                ),
-            ),
-            (
-                "processes".to_string(),
-                Json::Arr(
-                    self.processes
-                        .iter()
-                        .map(|p| {
-                            let mut f = vec![
-                                ("endpoint".to_string(), Json::Int(p.endpoint as i64)),
-                                ("app_rank".to_string(), Json::Int(p.app_rank as i64)),
-                                ("replica".to_string(), Json::Int(p.replica as i64)),
-                                ("primary".to_string(), Json::Bool(p.primary)),
-                                ("outcome".to_string(), Json::Str(p.outcome.to_string())),
-                                ("finish_ns".to_string(), Json::Int(p.finish_ns as i64)),
-                            ];
-                            if let Some(bits) = p.result_bits {
-                                f.push(("result_bits".to_string(), hex(bits)));
-                            }
-                            Json::Obj(f)
-                        })
-                        .collect(),
-                ),
-            ),
-            ("trace_len".to_string(), Json::Int(self.trace_len as i64)),
-            ("trace_digest".to_string(), hex(self.trace_digest)),
+            ("id", self.id.as_str().into()),
+            ("status", self.status.name().into()),
+            ("spec", self.spec.to_json()),
+            ("elapsed_ns", self.elapsed_ns.into()),
+            ("app_msgs", self.app_msgs.into()),
+            ("ack_msgs", self.ack_msgs.into()),
+            ("total_msgs", self.total_msgs.into()),
+            ("total_bytes", self.total_bytes.into()),
+            ("msgs_dropped", self.msgs_dropped.into()),
+            ("msgs_duplicated", self.msgs_duplicated.into()),
+            ("msgs_delayed", self.msgs_delayed.into()),
+            ("retransmits", self.retransmits.into()),
+            ("dups_suppressed", self.dups_suppressed.into()),
+            ("sdc_flips_injected", self.sdc_flips_injected.into()),
+            ("crashes", self.crashes.into()),
+            ("stack_leases", self.stack_leases.into()),
+            ("stack_bytes_peak", self.stack_bytes_peak.into()),
+            ("workers", self.workers.into()),
+            ("carrier", self.carrier_mode.as_str().into()),
+            ("processes", Json::Arr(processes.collect())),
+            ("trace_len", self.trace_len.into()),
+            ("trace_digest", hex(self.trace_digest)),
         ];
         if let Some(events) = &self.trace {
-            fields.push((
-                "trace".to_string(),
-                Json::Arr(
-                    events
-                        .iter()
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("process".to_string(), Json::Int(e.process.0 as i64)),
-                                ("kind".to_string(), Json::Str(kind_name(e.kind).to_string())),
-                                (
-                                    "peer".to_string(),
-                                    e.peer.map(|p| Json::Int(p as i64)).unwrap_or(Json::Null),
-                                ),
-                                (
-                                    "tag".to_string(),
-                                    e.tag.map(Json::Int).unwrap_or(Json::Null),
-                                ),
-                                ("digest".to_string(), hex(e.payload_digest)),
-                                ("len".to_string(), Json::Int(e.payload_len as i64)),
-                                ("at_ns".to_string(), Json::Int(e.at.as_nanos() as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+            let events = events.iter().map(|e| {
+                Json::obj([
+                    ("process", e.process.0.into()),
+                    ("kind", kind_name(e.kind).into()),
+                    (
+                        "peer",
+                        e.peer.map(|p| Json::Int(p as i64)).unwrap_or(Json::Null),
+                    ),
+                    ("tag", e.tag.map(Json::Int).unwrap_or(Json::Null)),
+                    ("digest", hex(e.payload_digest)),
+                    ("len", e.payload_len.into()),
+                    ("at_ns", e.at.as_nanos().into()),
+                ])
+            });
+            fields.push(("trace", Json::Arr(events.collect())));
         }
         fields.push((
-            "host".to_string(),
-            Json::Obj(vec![
-                ("seq".to_string(), Json::Int(self.host.seq as i64)),
-                ("latency_s".to_string(), Json::Num(self.host.latency_s)),
-                (
-                    "threads_spawned".to_string(),
-                    Json::Int(self.host.threads_spawned as i64),
-                ),
-                (
-                    "threads_reused".to_string(),
-                    Json::Int(self.host.threads_reused as i64),
-                ),
-                (
-                    "stacks_allocated".to_string(),
-                    Json::Int(self.host.stacks_allocated as i64),
-                ),
-                (
-                    "stacks_reused".to_string(),
-                    Json::Int(self.host.stacks_reused as i64),
-                ),
+            "host",
+            Json::obj([
+                ("seq", self.host.seq.into()),
+                ("latency_s", Json::Num(self.host.latency_s)),
+                ("threads_spawned", self.host.threads_spawned.into()),
+                ("threads_reused", self.host.threads_reused.into()),
+                ("stacks_allocated", self.host.stacks_allocated.into()),
+                ("stacks_reused", self.host.stacks_reused.into()),
             ]),
         ));
-        Json::Obj(fields)
+        Json::obj(fields)
     }
 
     /// The deterministic image of the report: the full JSON with the
@@ -346,25 +276,23 @@ impl JobRecord {
     }
 }
 
-fn rank_lost_reported(report: &JobReport<f64>) -> bool {
-    report.processes.iter().any(|p| {
-        !p.outcome.is_crashed()
-            && matches!(&p.outcome,
-                ProcessOutcome::Panicked(msg) if msg.contains("lost all") && msg.contains("replicas"))
-    })
-}
-
-/// Run one job to completion on the calling thread and build its record.
-/// This is the single execution path shared by the concurrent server, the
-/// standalone reference runs in the isolation tests, and the bench driver —
-/// sharing it is what makes "bit-identical to the same job run alone" a
-/// meaningful comparison.
-pub fn run_job(spec: &JobSpec, seq: usize) -> Result<JobRecord, SpecError> {
+/// Compile `spec` and run it to completion on the calling thread; returns
+/// the raw job report and the host seconds the run took. This is the single
+/// execution path: [`run_job`] (and through it the concurrent server, the
+/// isolation tests' solo references and the bench driver) and every fault
+/// campaign case go through it — sharing it is what makes "bit-identical to
+/// the same job run alone" a meaningful comparison.
+pub fn run_spec(spec: &JobSpec) -> Result<(JobReport<f64>, f64), SpecError> {
     let builder = spec.compile()?;
     let app = spec.app();
     let started = Instant::now();
     let report = builder.run(move |p| (app)(p));
-    let latency_s = started.elapsed().as_secs_f64();
+    Ok((report, started.elapsed().as_secs_f64()))
+}
+
+/// [`run_spec`], condensed into the job's service record.
+pub fn run_job(spec: &JobSpec, seq: usize) -> Result<JobRecord, SpecError> {
+    let (report, latency_s) = run_spec(spec)?;
     let crashes = report.crashed().len();
     let mut deadlocked = false;
     let mut failed = false;
@@ -395,7 +323,7 @@ pub fn run_job(spec: &JobSpec, seq: usize) -> Result<JobRecord, SpecError> {
             }
         })
         .collect();
-    let status = if rank_lost_reported(&report) {
+    let status = if report.rank_lost() {
         JobStatus::Aborted
     } else if deadlocked {
         JobStatus::Deadlocked
@@ -493,10 +421,10 @@ impl ServeEvent {
     pub fn to_json(&self) -> Json {
         match self {
             ServeEvent::Completed(record) => record.to_json(),
-            ServeEvent::Rejected { line, error } => Json::Obj(vec![
-                ("status".to_string(), Json::Str("rejected".to_string())),
-                ("line".to_string(), Json::Int(*line as i64)),
-                ("error".to_string(), Json::Str(error.to_string())),
+            ServeEvent::Rejected { line, error } => Json::obj([
+                ("status", "rejected".into()),
+                ("line", (*line).into()),
+                ("error", Json::Str(error.to_string())),
             ]),
         }
     }
@@ -670,22 +598,8 @@ pub fn mixed_queue(jobs: usize, seed: u64) -> Vec<JobSpec> {
                             horizon_sends: 3,
                         },
                     };
-                    let crashes = sample_plan(cfg, 7 + jseed % 4)
-                        .faults
-                        .iter()
-                        .filter_map(|f| match *f {
-                            PlannedFault::Crash { endpoint, schedule } => Some(CrashFault {
-                                endpoint: endpoint.0,
-                                schedule,
-                            }),
-                            _ => None,
-                        })
-                        .collect();
-                    JobSpec {
-                        ranks: 2,
-                        crashes,
-                        ..base
-                    }
+                    JobSpec { ranks: 2, ..base }
+                        .with_faults(&sample_plan(cfg, 7 + jseed % 4).faults)
                 }
                 // Lossy links over a ring exchange.
                 3 => JobSpec {

@@ -1,12 +1,13 @@
-//! Minimal hand-rolled JSON value, parser, and encoder.
+//! The workspace's one JSON layer: value, parser, and encoder.
 //!
-//! The workspace's `serde` is a no-op vendored stand-in (`vendor/README.md`),
-//! so — like the report writers in `sdr-bench` — the serve protocol carries
-//! its own JSON layer. It is deliberately small: a [`Json`] tree, a
-//! recursive-descent parser with byte-offset error positions, and an encoder
-//! whose output the parser round-trips exactly (integers stay integers,
-//! floats use Rust's shortest round-trip `Display`).
+//! The build is offline and vendors no serializer, so the serve protocol and
+//! every `BENCH_*.json` report writer in `sdr-bench` share this module. It is
+//! deliberately small: a [`Json`] tree, a recursive-descent parser with
+//! byte-offset error positions, and an encoder whose output the parser
+//! round-trips exactly (integers stay integers, floats use Rust's shortest
+//! round-trip `Display`).
 
+use sim_net::StatsSnapshot;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -51,7 +52,67 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Int(v as i64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as i64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
 impl Json {
+    /// An object from `(key, value)` pairs, in the given order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// A float cut to `decimals` places — the fixed-precision columns of the
+    /// benchmark reports (non-finite values encode as `null`).
+    pub fn fixed(value: f64, decimals: usize) -> Json {
+        Json::Num(
+            format!("{value:.decimals$}")
+                .parse()
+                .expect("a formatted float parses back"),
+        )
+    }
+
+    /// The named scalar counters of `stats` as object fields, in the order
+    /// asked for — how reports pick their columns from the one counter table
+    /// ([`StatsSnapshot::counters`]). Panics on a name the table lacks.
+    pub fn counters<'a>(stats: &StatsSnapshot, names: &[&'a str]) -> Vec<(&'a str, Json)> {
+        names
+            .iter()
+            .map(|&name| {
+                let (_, value) = stats
+                    .counters()
+                    .find(|(n, _)| *n == name)
+                    .unwrap_or_else(|| panic!("no counter named {name:?}"));
+                (name, value.into())
+            })
+            .collect()
+    }
+
     /// Object field lookup (last occurrence wins); `None` on non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

@@ -5,11 +5,12 @@
 //! carrier/stack pools, and streams one [`JobRecord`] per job as it
 //! completes. The module splits into:
 //!
-//! * [`json`] — the hand-rolled JSON value/parser/encoder the wire format
-//!   uses (the vendored `serde` is a no-op stand-in);
+//! * [`json`] — the JSON value/parser/encoder the wire format and every
+//!   benchmark report writer use (the offline build vendors no serializer);
 //! * [`spec`] — [`JobSpec`] validation with typed [`SpecError`]s, and the
 //!   spec → [`sim_mpi::JobBuilder`] compiler;
-//! * [`engine`] — [`run_job`], the concurrent [`serve`] loop, the standard
+//! * [`engine`] — [`run_spec`]/[`run_job`] (the one execution path, shared
+//!   with the fault campaigns), the concurrent [`serve`] loop, the standard
 //!   [`mixed_queue`], and the [`check_isolation`] gate.
 //!
 //! The per-job isolation contract and its verification strategy are
@@ -20,7 +21,7 @@ pub mod json;
 pub mod spec;
 
 pub use engine::{
-    check_isolation, mixed_queue, parse_queue, run_job, serve, trace_digest, HostRecord,
+    check_isolation, mixed_queue, parse_queue, run_job, run_spec, serve, trace_digest, HostRecord,
     IsolationViolation, JobRecord, JobStatus, ProcessRecord, ServeConfig, ServeEvent, ServeSummary,
     Submission,
 };

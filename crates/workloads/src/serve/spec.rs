@@ -12,16 +12,18 @@
 use super::json::{self, Json, JsonError};
 use crate::campaign::{collective_app, ring_app};
 use crate::nas::{run_kernel, NasConfig, NasKernel};
+use crate::runner::RunTuning;
 use sdr_core::{
     coverage_job, native_job, partial_replicated_job, replicated_job, ReplicationConfig,
 };
 use sim_mpi::{JobBuilder, Process, SdcFlip};
+use sim_net::campaign::PlannedFault;
 use sim_net::{CarrierMode, CrashSchedule, EndpointId, LogGpModel, NetFaultConfig, SimTime};
 use std::fmt;
 use std::sync::Arc;
 
-/// Upper bound on `ranks` accepted by the service (the harness is proven to
-/// 4096 ranks; see ROADMAP item 2).
+/// Upper bound on `ranks` accepted by the service (the coroutine carriers
+/// are proven to 4096 ranks = 8192 processes; see `table1_nas --ranks`).
 pub const MAX_RANKS: usize = 4096;
 /// Upper bound on the replication degree.
 pub const MAX_DEGREE: usize = 8;
@@ -95,6 +97,30 @@ impl LayoutSpec {
             LayoutSpec::Replicated { .. } => "replicated",
             LayoutSpec::Partial { .. } => "partial",
             LayoutSpec::Coverage { .. } => "coverage",
+        }
+    }
+
+    /// The [`JobBuilder`] for `ranks` application ranks under this layout:
+    /// the one place a (degree, coverage) choice becomes a protocol factory,
+    /// cluster and placement. Specs compile through it and so do the
+    /// Table 1/2 and layout-sweep rows ([`crate::runner::compare`]), which
+    /// then install their own network model. Structurally invalid subsets
+    /// surface as [`SpecError::InvalidLayout`].
+    pub fn builder(&self, ranks: usize) -> Result<JobBuilder, SpecError> {
+        let invalid = |e| SpecError::InvalidLayout(format!("{e:?}"));
+        match self {
+            LayoutSpec::Native => Ok(native_job(ranks)),
+            LayoutSpec::Replicated { degree } => Ok(replicated_job(
+                ranks,
+                ReplicationConfig::with_degree(*degree),
+            )),
+            LayoutSpec::Partial { replicated } => {
+                partial_replicated_job(ranks, replicated, ReplicationConfig::dual())
+                    .map_err(invalid)
+            }
+            LayoutSpec::Coverage { coverage } => {
+                coverage_job(ranks, *coverage, ReplicationConfig::dual()).map_err(invalid)
+            }
         }
     }
 }
@@ -304,6 +330,21 @@ fn get_u64(obj: &Json, field: &'static str) -> Result<Option<u64>, SpecError> {
     }
 }
 
+/// Seeds are 64-bit patterns (the campaign planner draws policy seeds from
+/// the whole `u64` range), but a JSON integer here is an `i64`: the encoder
+/// writes `seed as i64`, so seeds ≥ 2⁶³ appear negative on the wire and are
+/// read back bit for bit.
+fn get_seed(obj: &Json, field: &'static str) -> Result<Option<u64>, SpecError> {
+    match obj.get(field) {
+        None | Some(Json::Null) => Ok(None),
+        Some(Json::Int(bits)) => Ok(Some(*bits as u64)),
+        Some(_) => Err(SpecError::WrongType {
+            field,
+            expected: "an integer",
+        }),
+    }
+}
+
 fn get_usize(obj: &Json, field: &'static str) -> Result<Option<usize>, SpecError> {
     Ok(get_u64(obj, field)?.map(|v| v as usize))
 }
@@ -325,6 +366,22 @@ fn get_bool(obj: &Json, field: &'static str) -> Result<Option<bool>, SpecError> 
             field,
             expected: "a boolean",
         }),
+    }
+}
+
+/// The objects of an optional array-of-objects field (absent = empty).
+fn get_objects<'a>(
+    obj: &'a Json,
+    field: &'static str,
+    expected: &'static str,
+) -> Result<&'a [Json], SpecError> {
+    let wrong = SpecError::WrongType { field, expected };
+    match obj.get(field) {
+        None => Ok(&[]),
+        Some(list) => match list.as_arr() {
+            Some(items) if items.iter().all(Json::is_obj) => Ok(items),
+            _ => Err(wrong),
+        },
     }
 }
 
@@ -423,67 +480,43 @@ impl JobSpec {
                 return Err(SpecError::InvalidWorkers(w));
             }
         }
-        let seed = get_u64(doc, "seed")?.unwrap_or(0);
+        let seed = get_seed(doc, "seed")?.unwrap_or(0);
         let mut crashes = Vec::new();
-        if let Some(list) = doc.get("crashes") {
-            let arr = list.as_arr().ok_or(SpecError::WrongType {
-                field: "crashes",
-                expected: "an array of crash objects",
-            })?;
-            for item in arr {
-                if !item.is_obj() {
-                    return Err(SpecError::WrongType {
-                        field: "crashes",
-                        expected: "an array of crash objects",
-                    });
+        for item in get_objects(doc, "crashes", "an array of crash objects")? {
+            let endpoint = require(get_usize(item, "endpoint")?, "endpoint")?;
+            let schedule = match require(get_str(item, "kind")?, "kind")? {
+                "before-send" => {
+                    let nth = require(get_u64(item, "nth")?, "nth")?;
+                    if nth == 0 {
+                        return Err(SpecError::ZeroSendIndex);
+                    }
+                    CrashSchedule::BeforeSend { nth }
                 }
-                let endpoint = require(get_usize(item, "endpoint")?, "endpoint")?;
-                let schedule = match require(get_str(item, "kind")?, "kind")? {
-                    "before-send" => {
-                        let nth = require(get_u64(item, "nth")?, "nth")?;
-                        if nth == 0 {
-                            return Err(SpecError::ZeroSendIndex);
-                        }
-                        CrashSchedule::BeforeSend { nth }
+                "after-send" => {
+                    let nth = require(get_u64(item, "nth")?, "nth")?;
+                    if nth == 0 {
+                        return Err(SpecError::ZeroSendIndex);
                     }
-                    "after-send" => {
-                        let nth = require(get_u64(item, "nth")?, "nth")?;
-                        if nth == 0 {
-                            return Err(SpecError::ZeroSendIndex);
-                        }
-                        CrashSchedule::AfterSend { nth }
-                    }
-                    "at-time" => CrashSchedule::AtTime {
-                        at: SimTime::from_nanos(require(get_u64(item, "at_ns")?, "at_ns")?),
-                    },
-                    other => return Err(SpecError::UnknownCrashKind(other.to_string())),
-                };
-                crashes.push(CrashFault { endpoint, schedule });
-            }
+                    CrashSchedule::AfterSend { nth }
+                }
+                "at-time" => CrashSchedule::AtTime {
+                    at: SimTime::from_nanos(require(get_u64(item, "at_ns")?, "at_ns")?),
+                },
+                other => return Err(SpecError::UnknownCrashKind(other.to_string())),
+            };
+            crashes.push(CrashFault { endpoint, schedule });
         }
         let mut sdc = Vec::new();
-        if let Some(list) = doc.get("sdc") {
-            let arr = list.as_arr().ok_or(SpecError::WrongType {
-                field: "sdc",
-                expected: "an array of flip objects",
-            })?;
-            for item in arr {
-                if !item.is_obj() {
-                    return Err(SpecError::WrongType {
-                        field: "sdc",
-                        expected: "an array of flip objects",
-                    });
-                }
-                let nth_send = require(get_u64(item, "nth_send")?, "nth_send")?;
-                if nth_send == 0 {
-                    return Err(SpecError::ZeroSendIndex);
-                }
-                sdc.push(SdcFault {
-                    endpoint: require(get_usize(item, "endpoint")?, "endpoint")?,
-                    nth_send,
-                    bit: require(get_u64(item, "bit")?, "bit")? as u32,
-                });
+        for item in get_objects(doc, "sdc", "an array of flip objects")? {
+            let nth_send = require(get_u64(item, "nth_send")?, "nth_send")?;
+            if nth_send == 0 {
+                return Err(SpecError::ZeroSendIndex);
             }
+            sdc.push(SdcFault {
+                endpoint: require(get_usize(item, "endpoint")?, "endpoint")?,
+                nth_send,
+                bit: require(get_u64(item, "bit")?, "bit")? as u32,
+            });
         }
         let net_faults = match doc.get("net") {
             None | Some(Json::Null) => None,
@@ -494,7 +527,7 @@ impl JobSpec {
                         expected: "an object",
                     });
                 }
-                let net_seed = get_u64(net, "seed")?.unwrap_or(seed);
+                let net_seed = get_seed(net, "seed")?.unwrap_or(seed);
                 let config = match get_str(net, "profile")? {
                     Some("lossy-links") => NetFaultConfig::lossy_links(),
                     Some("delayed-acks") => NetFaultConfig::delayed_acks(),
@@ -547,122 +580,111 @@ impl JobSpec {
     /// `tests/serve_spec.rs`).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("id".to_string(), Json::Str(self.id.clone())),
-            (
-                "workload".to_string(),
-                Json::Str(self.workload.name().to_string()),
-            ),
-            ("ranks".to_string(), Json::Int(self.ranks as i64)),
-            ("class".to_string(), Json::Str(self.class.clone())),
-            (
-                "layout".to_string(),
-                Json::Str(self.layout.name().to_string()),
-            ),
+            ("id", self.id.as_str().into()),
+            ("workload", self.workload.name().into()),
+            ("ranks", self.ranks.into()),
+            ("class", self.class.as_str().into()),
+            ("layout", self.layout.name().into()),
         ];
         match &self.workload {
             WorkloadKind::Collective { iterations } | WorkloadKind::Ring { iterations } => {
-                fields.push(("iterations".to_string(), Json::Int(*iterations as i64)));
+                fields.push(("iterations", (*iterations).into()));
             }
             WorkloadKind::Nas(_) => {}
         }
         match &self.layout {
             LayoutSpec::Native => {}
-            LayoutSpec::Replicated { degree } => {
-                fields.push(("degree".to_string(), Json::Int(*degree as i64)));
-            }
-            LayoutSpec::Partial { replicated } => {
-                fields.push((
-                    "replicated_ranks".to_string(),
-                    Json::Arr(replicated.iter().map(|&r| Json::Int(r as i64)).collect()),
-                ));
-            }
-            LayoutSpec::Coverage { coverage } => {
-                fields.push(("coverage".to_string(), Json::Num(*coverage)));
-            }
+            LayoutSpec::Replicated { degree } => fields.push(("degree", (*degree).into())),
+            LayoutSpec::Partial { replicated } => fields.push((
+                "replicated_ranks",
+                Json::Arr(replicated.iter().map(|&r| r.into()).collect()),
+            )),
+            LayoutSpec::Coverage { coverage } => fields.push(("coverage", Json::Num(*coverage))),
         }
         if let Some(mode) = self.carrier_mode {
-            let name = match mode {
-                CarrierMode::Coroutine => "coroutine",
-                CarrierMode::Thread => "thread",
-            };
-            fields.push(("carrier".to_string(), Json::Str(name.to_string())));
+            fields.push(("carrier", mode.as_str().into()));
         }
         if let Some(w) = self.workers {
-            fields.push(("workers".to_string(), Json::Int(w as i64)));
+            fields.push(("workers", w.into()));
         }
-        fields.push(("seed".to_string(), Json::Int(self.seed as i64)));
+        fields.push(("seed", self.seed.into()));
         if !self.crashes.is_empty() {
-            let items = self
-                .crashes
-                .iter()
-                .map(|c| {
-                    let mut f = vec![("endpoint".to_string(), Json::Int(c.endpoint as i64))];
-                    match c.schedule {
-                        CrashSchedule::Never => {
-                            f.push(("kind".to_string(), Json::Str("at-time".to_string())));
-                            f.push(("at_ns".to_string(), Json::Int(i64::MAX)));
-                        }
-                        CrashSchedule::AtTime { at } => {
-                            f.push(("kind".to_string(), Json::Str("at-time".to_string())));
-                            f.push(("at_ns".to_string(), Json::Int(at.as_nanos() as i64)));
-                        }
-                        CrashSchedule::BeforeSend { nth } => {
-                            f.push(("kind".to_string(), Json::Str("before-send".to_string())));
-                            f.push(("nth".to_string(), Json::Int(nth as i64)));
-                        }
-                        CrashSchedule::AfterSend { nth } => {
-                            f.push(("kind".to_string(), Json::Str("after-send".to_string())));
-                            f.push(("nth".to_string(), Json::Int(nth as i64)));
-                        }
-                    }
-                    Json::Obj(f)
-                })
-                .collect();
-            fields.push(("crashes".to_string(), Json::Arr(items)));
+            let crashes = self.crashes.iter().map(|c| {
+                let (kind, when, value) = match c.schedule {
+                    CrashSchedule::Never => ("at-time", "at_ns", i64::MAX as u64),
+                    CrashSchedule::AtTime { at } => ("at-time", "at_ns", at.as_nanos()),
+                    CrashSchedule::BeforeSend { nth } => ("before-send", "nth", nth),
+                    CrashSchedule::AfterSend { nth } => ("after-send", "nth", nth),
+                };
+                Json::obj([
+                    ("endpoint", c.endpoint.into()),
+                    ("kind", kind.into()),
+                    (when, value.into()),
+                ])
+            });
+            fields.push(("crashes", Json::Arr(crashes.collect())));
         }
         if !self.sdc.is_empty() {
-            let items = self
-                .sdc
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("endpoint".to_string(), Json::Int(s.endpoint as i64)),
-                        ("nth_send".to_string(), Json::Int(s.nth_send as i64)),
-                        ("bit".to_string(), Json::Int(s.bit as i64)),
-                    ])
-                })
-                .collect();
-            fields.push(("sdc".to_string(), Json::Arr(items)));
+            let flips = self.sdc.iter().map(|s| {
+                Json::obj([
+                    ("endpoint", s.endpoint.into()),
+                    ("nth_send", s.nth_send.into()),
+                    ("bit", (s.bit as u64).into()),
+                ])
+            });
+            fields.push(("sdc", Json::Arr(flips.collect())));
         }
         if let Some(net) = &self.net_faults {
             fields.push((
-                "net".to_string(),
-                Json::Obj(vec![
-                    (
-                        "drop_per_64k".to_string(),
-                        Json::Int(net.config.drop_per_64k as i64),
-                    ),
-                    (
-                        "dup_per_64k".to_string(),
-                        Json::Int(net.config.dup_per_64k as i64),
-                    ),
-                    (
-                        "delay_per_64k".to_string(),
-                        Json::Int(net.config.delay_per_64k as i64),
-                    ),
-                    (
-                        "delay_ns".to_string(),
-                        Json::Int(net.config.delay_ns as i64),
-                    ),
-                    ("ack_only".to_string(), Json::Bool(net.config.ack_only)),
-                    ("seed".to_string(), Json::Int(net.seed as i64)),
+                "net",
+                Json::obj([
+                    ("drop_per_64k", (net.config.drop_per_64k as u64).into()),
+                    ("dup_per_64k", (net.config.dup_per_64k as u64).into()),
+                    ("delay_per_64k", (net.config.delay_per_64k as u64).into()),
+                    ("delay_ns", net.config.delay_ns.into()),
+                    ("ack_only", net.config.ack_only.into()),
+                    ("seed", net.seed.into()),
                 ]),
             ));
         }
         if self.trace {
-            fields.push(("trace".to_string(), Json::Bool(true)));
+            fields.push(("trace", true.into()));
         }
-        Json::Obj(fields)
+        Json::obj(fields)
+    }
+
+    /// Add a fault plan's events to the spec: crashes, PML bit flips and the
+    /// transport policy each land in their field. This is how campaign
+    /// cases ([`crate::campaign::case_spec`]) and the planted aborts of the
+    /// mixed queue turn sampled [`PlannedFault`]s into a runnable job.
+    pub fn with_faults(mut self, faults: &[PlannedFault]) -> JobSpec {
+        for fault in faults {
+            match *fault {
+                PlannedFault::Crash { endpoint, schedule } => self.crashes.push(CrashFault {
+                    endpoint: endpoint.0,
+                    schedule,
+                }),
+                PlannedFault::BitFlip {
+                    endpoint,
+                    nth_send,
+                    bit,
+                } => self.sdc.push(SdcFault {
+                    endpoint: endpoint.0,
+                    nth_send,
+                    bit,
+                }),
+                PlannedFault::LossyTransport {
+                    config,
+                    policy_seed,
+                } => {
+                    self.net_faults = Some(NetFaultSpec {
+                        config,
+                        seed: policy_seed,
+                    })
+                }
+            }
+        }
+        self
     }
 
     /// The application closure the spec's workload names.
@@ -686,21 +708,10 @@ impl JobSpec {
     /// fault endpoints surface here as typed errors (and therefore already
     /// at [`JobSpec::from_json`] time, which calls this).
     pub fn compile(&self) -> Result<JobBuilder, SpecError> {
-        let mut builder = match &self.layout {
-            LayoutSpec::Native => native_job(self.ranks),
-            LayoutSpec::Replicated { degree } => {
-                replicated_job(self.ranks, ReplicationConfig::with_degree(*degree))
-            }
-            LayoutSpec::Partial { replicated } => {
-                partial_replicated_job(self.ranks, replicated, ReplicationConfig::dual())
-                    .map_err(|e| SpecError::InvalidLayout(format!("{e:?}")))?
-            }
-            LayoutSpec::Coverage { coverage } => {
-                coverage_job(self.ranks, *coverage, ReplicationConfig::dual())
-                    .map_err(|e| SpecError::InvalidLayout(format!("{e:?}")))?
-            }
-        };
-        builder = builder.network(LogGpModel::fast_test_model());
+        let mut builder = self
+            .layout
+            .builder(self.ranks)?
+            .network(LogGpModel::fast_test_model());
         let physical = builder.physical_processes();
         for c in &self.crashes {
             if c.endpoint >= physical {
@@ -729,14 +740,11 @@ impl JobSpec {
         if let Some(net) = &self.net_faults {
             builder = builder.net_faults(net.config, net.seed);
         }
-        if let Some(w) = self.workers {
-            builder = builder.workers(w);
-        }
-        if let Some(mode) = self.carrier_mode {
-            builder = builder.carrier_mode(mode);
-        }
-        builder = builder.trace(self.trace);
-        Ok(builder)
+        let tuning = RunTuning {
+            workers: self.workers,
+            carrier_mode: self.carrier_mode,
+        };
+        Ok(tuning.apply(builder).trace(self.trace))
     }
 }
 

@@ -1,11 +1,60 @@
 //! Shared fixtures for the integration tests: the fast network model, the
 //! Figure 3 communication pattern, the survivor assertions of the fault
-//! scenarios, and the PML/protocol pump of the scripted recovery tests.
+//! scenarios, the PML/protocol pump of the scripted recovery tests, and the
+//! wall-clock deadline that turns a hung job into a failed test.
 #![allow(dead_code)]
 
 use sim_mpi::pml::Pml;
 use sim_mpi::{JobReport, Process, Protocol, Rank};
 use sim_net::{EndpointId, LogGpModel};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
+
+/// How long a deadline-guarded test body may run.
+pub const TEST_DEADLINE: Duration = Duration::from_secs(120);
+
+/// What a deadline-guarded test body is running right now (a job-spec line),
+/// so a hang can name its offender.
+#[derive(Clone, Default)]
+pub struct Running(Arc<Mutex<String>>);
+
+impl Running {
+    /// Record the spec line about to run.
+    pub fn note(&self, spec_line: String) {
+        *self.0.lock().unwrap() = spec_line;
+    }
+}
+
+/// Run `body` on its own thread and wait at most [`TEST_DEADLINE`] for it. A
+/// simulated job that livelocks (a carrier spinning without ever parking is
+/// invisible to the scheduler's quiescence check) would otherwise hang the
+/// whole test binary forever; here it fails the test, naming it and the last
+/// spec line the body [`Running::note`]d. A panic inside `body` is re-raised
+/// unchanged, so assertion messages read as if the body had run inline. The
+/// hung thread is abandoned — the process exits once the harness is done.
+pub fn with_deadline<T: Send + 'static>(
+    test: &str,
+    body: impl FnOnce(&Running) -> T + Send + 'static,
+) -> T {
+    let running = Running::default();
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::Builder::new().name(test.to_string()).spawn({
+        let running = running.clone();
+        move || drop(tx.send(body(&running)))
+    });
+    let worker = worker.expect("spawn the test body");
+    match rx.recv_timeout(TEST_DEADLINE) {
+        Ok(value) => value,
+        Err(mpsc::RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the body returned without sending its result"),
+        },
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!(
+            "{test}: no result within {TEST_DEADLINE:?} — the job hung. Last spec started:\n{}",
+            running.0.lock().unwrap()
+        ),
+    }
+}
 
 /// The fast test network (low latency/gap so runs finish quickly).
 pub fn fast() -> LogGpModel {

@@ -93,7 +93,7 @@ fn lossy_campaign_case_replays_identical_trace_streams_in_both_carrier_modes() {
     // the retransmission-timeout path interacts with carrier scheduling.
     use sdr_mpi::sim_net::campaign::{CampaignConfig, FaultDistribution};
     use sdr_mpi::sim_net::CarrierMode;
-    use sdr_mpi::workloads::campaign::replay_is_deterministic_tuned;
+    use sdr_mpi::workloads::campaign::replay_is_deterministic;
     use sdr_mpi::workloads::runner::RunTuning;
     let config = CampaignConfig {
         ranks: 4,
@@ -111,7 +111,7 @@ fn lossy_campaign_case_replays_identical_trace_streams_in_both_carrier_modes() {
                 carrier_mode: Some(mode),
             };
             assert!(
-                replay_is_deterministic_tuned(config, seed, 6, tuning),
+                replay_is_deterministic(config, seed, 6, tuning),
                 "lossy replay diverged (mode {mode:?}, seed {seed})"
             );
         }
@@ -127,7 +127,7 @@ fn faulted_degree_three_case_replays_identically_in_both_carrier_modes() {
     // nondeterminism on either carrier.
     use sdr_mpi::sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
     use sdr_mpi::sim_net::CarrierMode;
-    use sdr_mpi::workloads::campaign::replay_is_deterministic_tuned;
+    use sdr_mpi::workloads::campaign::replay_is_deterministic;
     use sdr_mpi::workloads::runner::RunTuning;
     let config = CampaignConfig {
         ranks: 2,
@@ -149,7 +149,7 @@ fn faulted_degree_three_case_replays_identically_in_both_carrier_modes() {
             carrier_mode: Some(mode),
         };
         assert!(
-            replay_is_deterministic_tuned(config, seed, 6, tuning),
+            replay_is_deterministic(config, seed, 6, tuning),
             "degree-3 faulted replay diverged (mode {mode:?}, seed {seed})"
         );
     }

@@ -3,14 +3,38 @@
 //! runs, and the shrink-to-seed path that reduces a violating case to a
 //! minimal fault plan with a ready-to-paste regression stanza.
 
+mod common;
+
+use common::{with_deadline, Running};
 use proptest::prelude::*;
 use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution, FaultPlan, PlannedFault};
 use sim_net::{CrashSchedule, EndpointId, NetFaultConfig};
 use workloads::campaign::{
-    crash_faults_violate_survival, run_campaign, shrink_explicit_violation, shrink_fault_list,
-    shrink_violation, summarize,
+    crash_faults_violate_survival, run_case, sampled_case, shrink_explicit_violation,
+    shrink_fault_list, shrink_violation, summarize, CaseOutcome,
 };
 use workloads::runner::RunTuning;
+use workloads::serve::JobSpec;
+
+/// `workloads::campaign::run_campaign` at the default tuning, one case at a
+/// time, telling the deadline guard which spec line is about to run — so a
+/// hung case fails its test with the line that replays it.
+fn run_campaign(
+    running: &Running,
+    config: CampaignConfig,
+    base_seed: u64,
+    cases: u64,
+    iterations: u64,
+) -> Vec<CaseOutcome> {
+    let tuning = RunTuning::default();
+    (base_seed..base_seed + cases)
+        .map(|seed| {
+            let (_, spec) = sampled_case(config, seed, iterations, tuning);
+            running.note(spec.to_json().encode());
+            run_case(config, seed, iterations, tuning)
+        })
+        .collect()
+}
 
 fn soft_cfg(ranks: usize, flips: usize) -> CampaignConfig {
     CampaignConfig {
@@ -98,64 +122,73 @@ proptest! {
 
 #[test]
 fn exponential_mtbf_campaign_is_fully_survived() {
-    // Single-replica losses drawn from the exponential MTBF model: the
-    // substitution protocol must carry every sampled case.
-    let config = CampaignConfig {
-        ranks: 4,
-        degree: 2,
-        dist: FaultDistribution::ExponentialMtbf {
-            mean_sends: 8,
-            horizon_sends: 6,
-            max_crashes: 2,
-        },
-    };
-    let outcomes = run_campaign(config, 1, 10, 6, RunTuning::default());
-    let summary = summarize(config, &outcomes);
-    assert!(
-        summary.violations.is_empty(),
-        "violations: {:?}",
-        summary.violations
-    );
-    assert_eq!(summary.survival_rate(), 1.0);
-    assert!(
-        summary.crashes_injected >= 1,
-        "the seed range must include at least one case whose crash fires"
-    );
+    with_deadline("exponential_mtbf_campaign_is_fully_survived", |running| {
+        // Single-replica losses drawn from the exponential MTBF model: the
+        // substitution protocol must carry every sampled case.
+        let config = CampaignConfig {
+            ranks: 4,
+            degree: 2,
+            dist: FaultDistribution::ExponentialMtbf {
+                mean_sends: 8,
+                horizon_sends: 6,
+                max_crashes: 2,
+            },
+        };
+        let outcomes = run_campaign(running, config, 1, 10, 6);
+        let summary = summarize(config, &outcomes);
+        assert!(
+            summary.violations.is_empty(),
+            "violations: {:?}",
+            summary.violations
+        );
+        assert_eq!(summary.survival_rate(), 1.0);
+        assert!(
+            summary.crashes_injected >= 1,
+            "the seed range must include at least one case whose crash fires"
+        );
+    })
 }
 
 #[test]
 fn correlated_pair_campaign_always_aborts_with_rank_lost() {
-    let config = CampaignConfig {
-        ranks: 2,
-        degree: 2,
-        dist: FaultDistribution::CorrelatedPairLoss {
-            mean_sends: 3,
-            horizon_sends: 4,
+    with_deadline(
+        "correlated_pair_campaign_always_aborts_with_rank_lost",
+        |running| {
+            let config = CampaignConfig {
+                ranks: 2,
+                degree: 2,
+                dist: FaultDistribution::CorrelatedPairLoss {
+                    mean_sends: 3,
+                    horizon_sends: 4,
+                },
+            };
+            let outcomes = run_campaign(running, config, 20, 6, 6);
+            let summary = summarize(config, &outcomes);
+            assert!(
+                summary.violations.is_empty(),
+                "violations: {:?}",
+                summary.violations
+            );
+            assert_eq!(summary.abort_rate(), 1.0);
+            assert_eq!(summary.survival_rate(), 0.0);
         },
-    };
-    let outcomes = run_campaign(config, 20, 6, 6, RunTuning::default());
-    let summary = summarize(config, &outcomes);
-    assert!(
-        summary.violations.is_empty(),
-        "violations: {:?}",
-        summary.violations
-    );
-    assert_eq!(summary.abort_rate(), 1.0);
-    assert_eq!(summary.survival_rate(), 0.0);
+    )
 }
 
 #[test]
 fn sdc_campaign_detects_every_injected_flip() {
-    let config = soft_cfg(4, 2);
-    let outcomes = run_campaign(config, 31, 6, 8, RunTuning::default());
-    let summary = summarize(config, &outcomes);
-    assert!(
-        summary.violations.is_empty(),
-        "violations: {:?}",
-        summary.violations
-    );
-    assert_eq!(summary.sdc_injected, 12, "2 flips per case, all landing");
-    assert_eq!(summary.sdc_detection_rate(), 1.0);
+    with_deadline("sdc_campaign_detects_every_injected_flip", |running| {
+        let config = soft_cfg(4, 2);
+        let outcomes = run_campaign(running, config, 31, 6, 8);
+        let summary = summarize(config, &outcomes);
+        assert!(
+            summary.violations.is_empty(),
+            "violations: {:?}",
+            summary.violations
+        );
+        assert_eq!(summary.sdc_injected, 12, "2 flips per case, all landing");
+        assert_eq!(summary.sdc_detection_rate(), 1.0);
+    })
 }
 
 #[test]
@@ -222,6 +255,13 @@ fn shrink_violation_emits_a_regression_stanza_for_a_seeded_case() {
     assert!(shrunk.stanza.contains(&format!("seed_{seed}")));
     assert!(shrunk.stanza.contains("crash_faults_violate_survival"));
     assert!(shrunk.stanza.contains("PlannedFault::Crash"));
+    // The shrink result also names the minimal plan as a spec line: the job
+    // the oracle's last failing probe ran, replayable under `sdr_serve`.
+    let minimal_spec = JobSpec::parse_line(&shrunk.spec).expect("a valid spec line");
+    assert_eq!(minimal_spec.crashes.len(), 2);
+    assert_eq!(minimal_spec.workers, Some(1));
+    let replayed = workloads::serve::run_job(&minimal_spec, 0).expect("validated spec");
+    assert_eq!(replayed.status, workloads::serve::JobStatus::Aborted);
     // Sanity: the minimal plan is a subsequence of the sampled plan.
     let full: Vec<PlannedFault> = shrunk.plan.faults.clone();
     let mut cursor = full.iter();
@@ -235,64 +275,72 @@ fn shrink_violation_emits_a_regression_stanza_for_a_seeded_case() {
 
 #[test]
 fn lossy_links_campaign_is_fully_masked_over_the_nas_kernels() {
-    // The tentpole gate: drop/duplicate/delay rates up to ~5% per class,
-    // rotated over the five NAS kernels plus the collective-heavy app. Every
-    // case must be *masked* — bit-correct results, every duplicate
-    // suppressed, every drop answered by a retransmission — with zero
-    // protocol violations.
-    let config = CampaignConfig {
-        ranks: 4,
-        degree: 2,
-        dist: FaultDistribution::LossyLinks {
-            max_drop_per_64k: 3277,
-            max_dup_per_64k: 3277,
-            max_delay_per_64k: 3277,
+    with_deadline(
+        "lossy_links_campaign_is_fully_masked_over_the_nas_kernels",
+        |running| {
+            // The tentpole gate: drop/duplicate/delay rates up to ~5% per class,
+            // rotated over the five NAS kernels plus the collective-heavy app. Every
+            // case must be *masked* — bit-correct results, every duplicate
+            // suppressed, every drop answered by a retransmission — with zero
+            // protocol violations.
+            let config = CampaignConfig {
+                ranks: 4,
+                degree: 2,
+                dist: FaultDistribution::LossyLinks {
+                    max_drop_per_64k: 3277,
+                    max_dup_per_64k: 3277,
+                    max_delay_per_64k: 3277,
+                },
+            };
+            let outcomes = run_campaign(running, config, 1, 12, 6);
+            let summary = summarize(config, &outcomes);
+            assert!(
+                summary.violations.is_empty(),
+                "violations: {:?}",
+                summary.violations
+            );
+            assert_eq!(summary.survival_rate(), 1.0);
+            assert!(summary.net.msgs_dropped > 0, "{:?}", summary.net);
+            assert!(summary.net.retransmits > 0, "{:?}", summary.net);
+            assert_eq!(summary.net.dups_suppressed, summary.net.msgs_duplicated);
+            let kernels: std::collections::BTreeSet<_> =
+                outcomes.iter().map(|o| o.workload).collect();
+            assert!(
+                ["BT", "CG", "FT", "MG", "SP"]
+                    .iter()
+                    .all(|k| kernels.contains(k)),
+                "the seed range must cover all five NAS kernels: {kernels:?}"
+            );
         },
-    };
-    let outcomes = run_campaign(config, 1, 12, 6, RunTuning::default());
-    let summary = summarize(config, &outcomes);
-    assert!(
-        summary.violations.is_empty(),
-        "violations: {:?}",
-        summary.violations
-    );
-    assert_eq!(summary.survival_rate(), 1.0);
-    assert!(summary.net.msgs_dropped > 0, "{:?}", summary.net);
-    assert!(summary.net.retransmits > 0, "{:?}", summary.net);
-    assert_eq!(summary.net.dups_suppressed, summary.net.msgs_duplicated);
-    let kernels: std::collections::BTreeSet<_> = outcomes.iter().map(|o| o.workload).collect();
-    assert!(
-        ["BT", "CG", "FT", "MG", "SP"]
-            .iter()
-            .all(|k| kernels.contains(k)),
-        "the seed range must cover all five NAS kernels: {kernels:?}"
-    );
+    )
 }
 
 #[test]
 fn delayed_acks_campaign_is_fully_masked() {
-    // Ack-only delays always outlast the retransmission base timeout, so
-    // every case exercises spurious retransmissions whose duplicates the
-    // receivers must suppress — without ever corrupting results.
-    let config = CampaignConfig {
-        ranks: 4,
-        degree: 2,
-        dist: FaultDistribution::DelayedAcks {
-            max_delay_per_64k: 32_768,
-            max_delay_ns: 400_000,
-        },
-    };
-    let outcomes = run_campaign(config, 60, 8, 6, RunTuning::default());
-    let summary = summarize(config, &outcomes);
-    assert!(
-        summary.violations.is_empty(),
-        "violations: {:?}",
-        summary.violations
-    );
-    assert_eq!(summary.survival_rate(), 1.0);
-    assert!(summary.net.msgs_delayed > 0, "{:?}", summary.net);
-    assert_eq!(summary.net.msgs_dropped, 0, "delayed-acks never drops");
-    assert_eq!(summary.net.dups_suppressed, summary.net.msgs_duplicated);
+    with_deadline("delayed_acks_campaign_is_fully_masked", |running| {
+        // Ack-only delays always outlast the retransmission base timeout, so
+        // every case exercises spurious retransmissions whose duplicates the
+        // receivers must suppress — without ever corrupting results.
+        let config = CampaignConfig {
+            ranks: 4,
+            degree: 2,
+            dist: FaultDistribution::DelayedAcks {
+                max_delay_per_64k: 32_768,
+                max_delay_ns: 400_000,
+            },
+        };
+        let outcomes = run_campaign(running, config, 60, 8, 6);
+        let summary = summarize(config, &outcomes);
+        assert!(
+            summary.violations.is_empty(),
+            "violations: {:?}",
+            summary.violations
+        );
+        assert_eq!(summary.survival_rate(), 1.0);
+        assert!(summary.net.msgs_delayed > 0, "{:?}", summary.net);
+        assert_eq!(summary.net.msgs_dropped, 0, "delayed-acks never drops");
+        assert_eq!(summary.net.dups_suppressed, summary.net.msgs_duplicated);
+    })
 }
 
 #[test]
@@ -344,26 +392,127 @@ fn shrink_reduces_a_lossy_violation_to_the_transport_fault() {
 
 #[test]
 fn violating_cases_are_recorded_with_their_seed_for_replay() {
-    // The `(config, seed)` pair in every outcome is the replay handle: a
-    // violation report must let a developer re-run the exact case.
-    let config = CampaignConfig {
-        ranks: 2,
-        degree: 2,
-        dist: FaultDistribution::CorrelatedPairLoss {
-            mean_sends: 3,
-            horizon_sends: 4,
+    with_deadline(
+        "violating_cases_are_recorded_with_their_seed_for_replay",
+        |running| {
+            // The `(config, seed)` pair in every outcome is the replay handle: a
+            // violation report must let a developer re-run the exact case.
+            let config = CampaignConfig {
+                ranks: 2,
+                degree: 2,
+                dist: FaultDistribution::CorrelatedPairLoss {
+                    mean_sends: 3,
+                    horizon_sends: 4,
+                },
+            };
+            let outcomes = run_campaign(running, config, 50, 3, 6);
+            for (i, outcome) in outcomes.iter().enumerate() {
+                assert_eq!(outcome.seed, 50 + i as u64);
+                assert_eq!(outcome.plan.config, config);
+                assert_eq!(outcome.plan.seed, outcome.seed);
+                let replayed: FaultPlan = sample_plan(config, outcome.seed);
+                assert_eq!(
+                    replayed.encode(),
+                    outcome.plan.encode(),
+                    "the recorded (config, seed) must resample the identical plan"
+                );
+                // The second handle: the case *is* a job spec, and its one-line
+                // JSON survives the `sdr_serve --queue` wire format unchanged.
+                let line = outcome.spec.to_json().encode();
+                assert!(!line.contains('\n'));
+                assert_eq!(JobSpec::parse_line(&line).as_ref(), Ok(&outcome.spec));
+                assert_eq!(outcome.spec.crashes.len(), outcome.plan.crashes().count());
+            }
+            // A violation report carries that line, so a failing CI artifact can be
+            // pasted straight into a queue file.
+            let mut flagged = outcomes[0].clone();
+            flagged.violation = Some("planted for the test".to_string());
+            let summary = summarize(config, &[flagged.clone()]);
+            assert_eq!(summary.violations.len(), 1);
+            let violation = &summary.violations[0];
+            assert_eq!(
+                (violation.seed, violation.detail.as_str()),
+                (50, "planted for the test")
+            );
+            assert_eq!(JobSpec::parse_line(&violation.spec), Ok(flagged.spec));
         },
-    };
-    let outcomes = run_campaign(config, 50, 3, 6, RunTuning::default());
-    for (i, outcome) in outcomes.iter().enumerate() {
-        assert_eq!(outcome.seed, 50 + i as u64);
-        assert_eq!(outcome.plan.config, config);
-        assert_eq!(outcome.plan.seed, outcome.seed);
-        let replayed: FaultPlan = sample_plan(config, outcome.seed);
-        assert_eq!(
-            replayed.encode(),
-            outcome.plan.encode(),
-            "the recorded (config, seed) must resample the identical plan"
-        );
+    )
+}
+
+#[test]
+fn every_sampled_case_is_a_replayable_spec_line() {
+    // Whatever the planner samples — crashes, bit flips, transport policies
+    // with seeds from the whole u64 range, partial layouts — the case's spec
+    // must survive the `sdr_serve --queue` wire format unchanged, or the
+    // replay handle in a violation report would not reproduce the case.
+    let dists = [
+        FaultDistribution::ExponentialMtbf {
+            mean_sends: 8,
+            horizon_sends: 6,
+            max_crashes: 2,
+        },
+        FaultDistribution::CorrelatedPairLoss {
+            mean_sends: 3,
+            horizon_sends: 6,
+        },
+        FaultDistribution::MajorityLoss {
+            mean_sends: 3,
+            horizon_sends: 6,
+        },
+        FaultDistribution::UnreplicatedBias {
+            replicated_mask: 0b0101,
+            horizon_sends: 6,
+        },
+        FaultDistribution::SoftErrors {
+            flips: 2,
+            max_send: 6,
+            payload_bits: 8192,
+        },
+        FaultDistribution::LossyLinks {
+            max_drop_per_64k: 3277,
+            max_dup_per_64k: 3277,
+            max_delay_per_64k: 3277,
+        },
+        FaultDistribution::DelayedAcks {
+            max_delay_per_64k: 32_768,
+            max_delay_ns: 400_000,
+        },
+    ];
+    let mut wide_seeds = 0;
+    for dist in dists {
+        let degree = match dist {
+            FaultDistribution::MajorityLoss { .. } => 3,
+            _ => 2,
+        };
+        let config = CampaignConfig {
+            ranks: 4,
+            degree,
+            dist,
+        };
+        for seed in 0..12 {
+            let (plan, spec) = sampled_case(config, seed, 6, RunTuning::default());
+            let line = spec.to_json().encode();
+            assert_eq!(
+                JobSpec::parse_line(&line).as_ref(),
+                Ok(&spec),
+                "{} seed {seed}: {line}",
+                dist.name()
+            );
+            assert_eq!(
+                spec.crashes.len() + spec.sdc.len() + spec.net_faults.iter().count(),
+                plan.faults.len(),
+                "{} seed {seed}: every planned fault lands in the spec",
+                dist.name()
+            );
+            wide_seeds += spec
+                .net_faults
+                .iter()
+                .filter(|n| n.seed > i64::MAX as u64)
+                .count();
+        }
     }
+    assert!(
+        wide_seeds > 0,
+        "the sample must include policy seeds above i64::MAX"
+    );
 }
