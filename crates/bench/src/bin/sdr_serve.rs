@@ -10,22 +10,15 @@
 //! Usage:
 //!   `sdr_serve [--queue PATH] [--max-jobs N] [--out PATH]`
 //!   `sdr_serve --self-test N [--max-jobs N] [--seed N]`
-//!   `sdr_serve --bench [--jobs N] [--rounds N] [--max-jobs N] [--seed N]
-//!    [--json PATH]`
 //!
 //! `--self-test N` is the CI isolation gate: it builds the standard N-job
 //! mixed queue (clean NAS kernels, survivable crashes, guaranteed `RankLost`
 //! aborts, lossy links, delayed acks, native baselines, partial layouts —
 //! both carrier modes), runs every job solo and then the whole queue
 //! concurrently, and exits nonzero if any job's deterministic report
-//! diverged from its solo reference (see DESIGN.md §6). `--bench` runs the
-//! paired-rounds throughput/latency benchmark and writes the
-//! `BENCH_serve.json` artifact via `--json`.
+//! diverged from its solo reference (see DESIGN.md §6).
 
-use sdr_bench::serve::{
-    format_serve_table, parse_serve_args, serve_bench, serve_report_json, ServeBenchConfig,
-    ServeMode,
-};
+use sdr_bench::serve::{parse_serve_args, ServeMode};
 use std::io::{Read, Write};
 use workloads::serve::{check_isolation, mixed_queue, parse_queue, serve, ServeConfig};
 
@@ -93,34 +86,6 @@ fn main() {
             );
             if !violations.is_empty() || summary.failed > 0 || summary.completed != specs.len() {
                 std::process::exit(1);
-            }
-        }
-        ServeMode::Bench => {
-            let report = serve_bench(ServeBenchConfig {
-                jobs: args.jobs,
-                rounds: args.rounds,
-                max_concurrent: args.max_jobs,
-                seed: args.seed,
-            });
-            print!(
-                "{}",
-                format_serve_table(
-                    &format!(
-                        "Service mode: {} paired rounds over a {}-job mixed queue \
-                         (concurrency {} vs 1, seed {})",
-                        args.rounds, args.jobs, report.max_concurrent, args.seed
-                    ),
-                    &report
-                )
-            );
-            assert!(
-                report.rounds.iter().all(|r| r.failed == 0),
-                "no job may deadlock or fail in the bench queue"
-            );
-            if let Some(path) = &args.json_path {
-                std::fs::write(path, serve_report_json("serve_bench", &report))
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                eprintln!("wrote {}", path.display());
             }
         }
     }

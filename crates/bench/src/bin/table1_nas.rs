@@ -17,7 +17,7 @@
 //! fallback, whose carriers come from the process-global pool so the ten
 //! back-to-back jobs of one invocation reuse one thread set.
 //! `--json PATH` writes the machine-readable report (wall times plus
-//! scheduler wake / outbox flush / dispatch / thread-churn counters) that CI
+//! scheduler wake / dispatch / ingest / thread-churn counters) that CI
 //! uploads as the `BENCH_table1.json` artifact. `--degree D` replicates every
 //! rank at degree D instead of the paper's dual; `--coverage F` (with degree
 //! 2) replicates only the first `ceil(F * ranks)` ranks and leaves the rest

@@ -494,7 +494,7 @@ pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> FaultsArgs {
                 if parse_shared_flag(
                     other,
                     &mut args,
-                    Some(&mut parsed.tuning),
+                    &mut parsed.tuning,
                     &mut parsed.json_path,
                 ) => {}
             other => panic!("unrecognised argument {other:?}"),

@@ -15,15 +15,11 @@
 //! | [`mirror_vs_parallel`] | Section 2.4: `O(q·r²)` vs `O(q·r)` message complexity |
 //! | [`redmpi_detection`] | Section 2.4 / redMPI: SDC detection traffic and coverage |
 //! | [`faults::fault_campaign_rows`] | Monte Carlo fault campaign (`BENCH_faults.json`) |
-//! | [`serve::serve_bench`] | Service-mode sustained throughput (`BENCH_serve.json`) |
 
 pub mod faults;
 pub mod serve;
 
-pub use serve::{
-    format_serve_table, parse_serve_args, serve_bench, serve_report_json, ServeArgs,
-    ServeBenchConfig, ServeBenchReport, ServeBenchRound, ServeMode,
-};
+pub use serve::{parse_serve_args, ServeArgs, ServeMode};
 
 pub use faults::{
     config_coverage, fault_campaign_rows, faults_report_json, format_faults_table,
@@ -272,17 +268,15 @@ impl HarnessArgs {
 /// The flags every harness binary spells the same way: `--workers N`
 /// (rejected below [`sim_net::sched::MIN_WORKERS`]), `--carrier-mode
 /// thread|coro`, `--json PATH`. Consumes `flag`'s value from `args` and
-/// returns `true` if `flag` is one of them. A binary with no execution layer
-/// of its own to tune (`sdr_serve`: every job's spec carries its own) passes
-/// `tuning: None` and so keeps rejecting the tuning flags as unrecognised.
+/// returns `true` if `flag` is one of them.
 pub fn parse_shared_flag<I: Iterator<Item = String>>(
     flag: &str,
     args: &mut I,
-    tuning: Option<&mut RunTuning>,
+    tuning: &mut RunTuning,
     json_path: &mut Option<PathBuf>,
 ) -> bool {
-    match (flag, tuning) {
-        ("--workers", Some(tuning)) => {
+    match flag {
+        "--workers" => {
             let w: usize = args
                 .next()
                 .and_then(|s| s.parse().ok())
@@ -300,14 +294,14 @@ pub fn parse_shared_flag<I: Iterator<Item = String>>(
             }
             tuning.workers = Some(w);
         }
-        ("--carrier-mode", Some(tuning)) => {
+        "--carrier-mode" => {
             let name = args.next().expect("--carrier-mode needs a mode name");
             tuning.carrier_mode =
                 Some(CarrierMode::parse(&name).unwrap_or_else(|| {
                     panic!("unknown carrier mode {name:?} (use thread or coro)")
                 }));
         }
-        ("--json", _) => {
+        "--json" => {
             let path = args.next().expect("--json needs a file path");
             *json_path = Some(PathBuf::from(path));
         }
@@ -369,7 +363,7 @@ pub fn parse_harness_args<I: Iterator<Item = String>>(
                 if parse_shared_flag(
                     other,
                     &mut args,
-                    Some(&mut parsed.tuning),
+                    &mut parsed.tuning,
                     &mut parsed.json_path,
                 ) => {}
             other => {
@@ -639,22 +633,23 @@ fn totals(rows: &[ComparisonRow]) -> RunSide {
         .expect("a report has at least one row")
 }
 
+/// Wakes the scheduler would have issued at one per delivery, per wake that
+/// actually unparked a process (`None` when no wake ever took the slow path:
+/// the reduction is unbounded, not a number).
+fn wake_reduction(t: &sim_net::StatsSnapshot) -> Option<f64> {
+    (t.wakes_issued != 0)
+        .then(|| (t.wakes_issued + t.wakes_suppressed) as f64 / t.wakes_issued as f64)
+}
+
 /// Format the delivery-layer summary of a row set: scheduler wakes actually
-/// issued vs the one-wake-per-delivery PR 2 baseline
-/// ([`sim_net::StatsSnapshot::baseline_equivalent_wakes`]), outbox batching,
-/// the direct-handoff dispatch split, and carrier-thread churn.
+/// issued vs one per delivery, the ladder/heap ingest split, the
+/// direct-handoff dispatch split, and carrier-thread churn.
 pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
     let side = totals(rows);
     let t = &side.stats;
-    let reduction = if t.wakes_issued == 0 {
-        f64::INFINITY
-    } else {
-        t.baseline_equivalent_wakes() as f64 / t.wakes_issued as f64
-    };
     format!(
         "delivery: {} wakes issued, {} suppressed \
-         ({reduction:.2}x fewer than the {} one-per-delivery baseline); \
-         {} batches, mean batch {:.2} msgs\n\
+         ({:.2}x fewer than one per delivery)\n\
          ingest: {} in-order ladder appends vs {} heap fallbacks \
          ({:.1}% single-pass O(1))\n\
          dispatch: {} handoffs + {} steals direct vs {} cold \
@@ -663,9 +658,7 @@ pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
          ({} fresh, {} reused), pool peak {:.1} MiB\n",
         t.wakes_issued,
         t.wakes_suppressed,
-        t.baseline_equivalent_wakes(),
-        t.flushes,
-        t.mean_flush_batch(),
+        wake_reduction(t).unwrap_or(f64::INFINITY),
         t.deliveries_direct,
         t.heap_fallbacks,
         t.direct_delivery_fraction() * 100.0,
@@ -721,14 +714,7 @@ pub fn table_report_json(
 ) -> String {
     let delivery = |side: &RunSide| {
         let mut fields = side_fields(side);
-        fields.extend(Json::counters(&side.stats, &["flushes", "flushed_msgs"]));
-        fields.extend([
-            (
-                "mean_flush_batch",
-                Json::fixed(side.stats.mean_flush_batch(), 3),
-            ),
-            ("host_secs", Json::fixed(side.host_secs, 3)),
-        ]);
+        fields.push(("host_secs", Json::fixed(side.host_secs, 3)));
         Json::obj(fields)
     };
     let rows_json = rows.iter().map(|row| {
@@ -744,22 +730,11 @@ pub fn table_report_json(
     let t = &side.stats;
     let mut total_fields = side_fields(&side);
     total_fields.extend([
-        (
-            "baseline_equivalent_wakes",
-            t.baseline_equivalent_wakes().into(),
-        ),
-        // No wake ever took the slow path: the reduction is unbounded, not a
-        // number — emit null so artifact consumers don't record a bogus value.
+        // Null when unbounded, so artifact consumers don't record a bogus
+        // value.
         (
             "wake_reduction_factor",
-            if t.wakes_issued == 0 {
-                Json::Null
-            } else {
-                Json::fixed(
-                    t.baseline_equivalent_wakes() as f64 / t.wakes_issued as f64,
-                    3,
-                )
-            },
+            wake_reduction(t).map_or(Json::Null, |r| Json::fixed(r, 3)),
         ),
         (
             "direct_dispatch_fraction",

@@ -55,7 +55,7 @@ pub mod ctl {
     /// re-requested reliably.
     pub const ACK_PROBE: i64 = 4;
     /// Cumulative "everything below `upto` from your rank is received and
-    /// acknowledged" notice (class `CONTROL`), flushed at `MPI_Finalize` so
+    /// acknowledged" notice (class `CONTROL`), emitted at `MPI_Finalize` so
     /// a process can exit without stranding senders whose per-message acks
     /// were dropped after the receiver's last chance to re-emit them.
     pub const FIN_ACK: i64 = 5;
@@ -556,9 +556,6 @@ impl SdrProtocol {
                 pml.free(req);
                 self.counters.resends += 1;
             }
-            // Replays happen outside the normal send→wait flow: push the
-            // staged batch now so the recovered process sees it promptly.
-            pml.flush();
         }
         // Processes that receive from the substitute (my_replica != rrep) only
         // need the liveness update: the ack rule "ack every alive replica of
@@ -679,10 +676,6 @@ impl SdrProtocol {
                 pml.redirect_recv(pml_req, Some(new_src));
             }
         }
-        // Substitute re-sends (above) bypass the send→wait flow; flush them
-        // so the affected peers are woken without waiting for this process's
-        // next blocking boundary.
-        pml.flush();
         self.collect_send_log_garbage();
     }
 
@@ -697,8 +690,8 @@ impl SdrProtocol {
 
     /// Arm (or re-arm) the retransmission timer for send-log entry `id`: a
     /// self-addressed CONTROL message whose virtual arrival is the timeout
-    /// deadline. Self-sends bypass the outbox, so the timer is queued in this
-    /// process's own inbox immediately — a process with an unacked send can
+    /// deadline. A send ingests before it returns, so the timer is queued in
+    /// this process's own inbox immediately — a process with an unacked send can
     /// therefore never be judged quiescent, which is what keeps deadlock
     /// detection exact under message loss (DESIGN.md §5.5).
     fn arm_retx_timer(&mut self, pml: &mut Pml, id: u64, deadline: SimTime) {
@@ -788,9 +781,6 @@ impl SdrProtocol {
         }
         let backoff = SimTime::from_nanos(RETX_BASE_NS << (attempts - 1).min(16));
         self.arm_retx_timer(pml, id, now.saturating_add(backoff));
-        // The timer fires outside the normal send→wait flow; push the staged
-        // retransmits now so the receivers are woken promptly.
-        pml.flush();
     }
 
     /// A peer probes whether application sequence `seq` from `sender_rank`
@@ -892,10 +882,8 @@ impl Protocol for SdrProtocol {
         };
         // Algorithm 1, MPI_Isend (lines 4-9): send directly to every replica in
         // physicalDests, expect an ack from every other alive replica. The
-        // payload clones share one allocation (`Bytes` is refcounted) and the
-        // whole fan-out lands in the endpoint's staged outbox, so the
-        // replication degree multiplies neither copies nor channel/wake
-        // operations beyond one per distinct destination.
+        // payload clones share one allocation (`Bytes` is refcounted), so the
+        // replication degree does not multiply copies.
         //
         // Under a lossy transport the ack set widens to *every* alive replica
         // of the destination rank, direct targets included: the direct sender
@@ -1109,7 +1097,7 @@ impl Protocol for SdrProtocol {
         }
         // Termination under loss, two steps (DESIGN.md §5.5):
         //
-        // 1. Flush cumulative acknowledgements on the reliable CONTROL class.
+        // 1. Emit cumulative acknowledgements on the reliable CONTROL class.
         //    At finalize this process has received *everything* any peer will
         //    ever send it (the app completed all its receives, and the wire
         //    window admits no gaps), so one `upto` per sender rank covers
@@ -1134,7 +1122,6 @@ impl Protocol for SdrProtocol {
                 }
             }
         }
-        pml.flush();
         // 2. Drain the send log: keep progressing (retransmission timers,
         //    probe responses, peers' FIN_ACKs) until every entry is fully
         //    acknowledged — exiting earlier would strand a receiver whose

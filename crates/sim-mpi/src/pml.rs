@@ -263,15 +263,6 @@ impl Pml {
         &self.engine
     }
 
-    /// Push any staged outbox batches to their destinations now (see
-    /// [`sim_net::Endpoint::flush`]). The endpoint flushes automatically at
-    /// every blocking boundary; protocols call this after emitting traffic
-    /// outside the normal send→wait flow (e.g. post-failure re-sends) so
-    /// peers see it promptly.
-    pub fn flush(&mut self) {
-        self.ep.flush();
-    }
-
     /// Synchronise the clock to a virtual deadline the process waited out
     /// (e.g. a protocol retransmission timeout) and yield the run permit to
     /// any ready process that is earlier in virtual time — see
@@ -681,14 +672,11 @@ impl Pml {
     /// the bounded worker pool.
     pub fn progress(&mut self) -> Vec<PmlEvent> {
         self.poll_failures();
-        // Under lossy transport, push staged sends out *now* instead of
-        // waiting for a parking boundary. A process whose inbox is kept warm
-        // by its own retransmission timer (and by inbound retransmits) never
-        // parks, so the boundary-only flush would strand the very
-        // acknowledgements — and the timer-guarded payloads themselves — that
-        // its peers need to stop retransmitting: a livelock that ends at the
-        // retransmission-attempt cap. Reliable mode keeps the batched
-        // boundary-only flush (and its traces) untouched.
+        // Under lossy transport every progress call is its own wake window
+        // (`Endpoint::flush`): a process whose inbox is kept warm by its own
+        // retransmission timer and by inbound retransmits may go a long time
+        // without a scheduler call, and the peers it keeps sending to get a
+        // fresh wake per call rather than one for the whole stretch.
         if self.lossy_transport() {
             self.ep.flush();
         }
@@ -1064,7 +1052,6 @@ mod tests {
             1,
             Bytes::from_static(b"second"),
         );
-        p0.flush();
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert!(p1.progress().is_empty(), "ahead-of-order message held back");
         assert!(!p1.is_complete(r1));
@@ -1078,7 +1065,6 @@ mod tests {
             0,
             Bytes::from_static(b"first"),
         );
-        p0.flush();
         while !(p1.is_complete(r1) && p1.is_complete(r2)) {
             p1.progress_blocking("gap fill").unwrap();
         }
@@ -1094,7 +1080,6 @@ mod tests {
             0,
             Bytes::from_static(b"first"),
         );
-        p0.flush();
         let events = p1.progress_blocking("dup").unwrap();
         assert!(matches!(
             events[0],

@@ -460,13 +460,10 @@ impl Process {
         (status, datatype::bytes_to_u64s(&bytes))
     }
 
-    /// Finalize: let the protocol flush its state (e.g. outstanding acks),
-    /// then push any staged outbox batches so nothing is left for the
-    /// endpoint's drop-time flush.
+    /// Finalize: let the protocol settle its state (e.g. outstanding acks).
     pub fn finalize(&mut self) {
         self.drain_events();
         self.protocol.finalize(&mut self.pml);
-        self.pml.flush();
     }
 
     /// Split the process back into its parts (used by the runtime to collect

@@ -38,8 +38,7 @@
 //! * **Unwinding.** Panics (including the simulated-crash unwind from
 //!   `FailureService::maybe_crash`) never cross a switch: the process body
 //!   runs under `catch_unwind` *on the coroutine's own stack*, and drop
-//!   handlers along the unwind only flush outboxes and publish wakes — they
-//!   never park. The coroutine retires normally afterwards, so crash
+//!   handlers along the unwind never park. The coroutine retires normally afterwards, so crash
 //!   cleanup ("switch-out + drop-on-owner") is just the ordinary retirement
 //!   path: the stack is recycled by the next context that runs on the host
 //!   thread, after the dying coroutine has fully switched away.

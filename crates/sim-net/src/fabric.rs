@@ -11,72 +11,42 @@
 //!
 //! # The single-pass delivery pipeline
 //!
-//! A delivery crosses exactly one buffer on its way from sender to receiver
-//! (DESIGN.md §5.3). The channel-era design (PRs 1–4) paid two hops per
-//! message — a push through a per-destination crossbeam channel, then a
-//! re-buffering into a receiver-side `BinaryHeap` with an O(log n) sift — and
-//! at 256-rank class D that double buffering ran ~5.1 million times per job.
-//! The pipeline now is:
+//! A delivery crosses exactly one buffer and one lock on its way from sender
+//! to receiver (DESIGN.md §5.3): [`Endpoint::send`] ingests the message into
+//! its destination's mailbox before it returns.
 //!
-//! * **Inbox, lock-striped by source.** The fabric owns one inbox per
-//!   endpoint: a small array of mutex-guarded vectors, a sender's stripe
-//!   chosen by its endpoint id. A flush appends a whole per-destination batch
-//!   under one stripe lock — senders from different stripes never contend
-//!   with each other, and the receiver only ever takes a stripe lock to swap
-//!   the vector out. Each message is stamped with a per-inbox atomic ingest
-//!   sequence number at push time; this reproduces the exact global FIFO
-//!   tie-break the channel used to provide (equal virtual arrivals pop in
-//!   physical ingest order).
+//! * **One mailbox per endpoint, one lock.** The fabric owns one inbox per
+//!   endpoint: a mutex-guarded vector plus the next *ingest sequence number*.
+//!   A send appends under that lock and stamps the message with the sequence
+//!   number, which is the FIFO tie-break for equal virtual arrivals (they pop
+//!   in physical ingest order). The receiver only ever takes the lock to swap
+//!   the vector out.
 //! * **Delivery ladder with a heap fallback.** The receiver sweeps its
-//!   stripes into an *in-order ladder* (a `VecDeque` sorted by
+//!   mailbox into an *in-order ladder* (a `VecDeque` sorted by
 //!   `(arrival, ingest seq)`): because virtual arrival stamps are
 //!   near-monotonic in ingest order (see [`crate::model`] for the contract),
 //!   the overwhelmingly common case is an O(1) `push_back`
 //!   (`deliveries_direct` in [`NetStats`]), and popping the earliest arrival
 //!   is an O(1) `pop_front`. A message whose arrival runs behind the ladder
-//!   tail — reordered wire times, a late-flushing sender — goes to a small
+//!   tail — reordered wire times, a sender whose clock lags — goes to a small
 //!   fallback `BinaryHeap` instead (`heap_fallbacks`); a pop takes the
 //!   smaller of the two structure heads, so pop order is *identical* to a
 //!   single heap keyed by `(arrival, seq)`, only cheaper.
 //!
 //! Reliability and FIFO ordering per ordered process pair follow from the
-//! stripe vectors (append order per stripe) plus the ingest stamp (global
-//! order across stripes). Messages to a crashed process are silently kept in
-//! its fabric-owned inbox — messages a process handed to the fabric *before*
-//! crashing are still delivered, the paper's "channels are reliable"
-//! assumption, and recovery can take a fresh [`Endpoint`] handle for the same
-//! identity that reads the same inbox.
-//!
-//! # Batched delivery (the outbox)
-//!
-//! Scheduler-managed endpoints do not ingest every message into its
-//! destination inbox the moment it is sent. Sends are *staged* in a
-//! per-destination outbox and ingested — one stripe-lock acquisition and
-//! **one scheduler wake per destination** — when the endpoint reaches a
-//! blocking boundary: before it parks in [`Endpoint::recv_blocking`], before
-//! a cooperative yield in [`Endpoint::idle_poll`], before a scheduled crash
-//! unwinds the process, and when the endpoint is dropped at job exit. Because
-//! progress in this simulator only ever happens inside MPI calls, deferring
-//! physical delivery to the sender's next blocking boundary is invisible in
-//! virtual time (the arrival stamp is computed at send time) and collapses
-//! the per-message buffer and wake costs that dominated ≥256-rank runs.
-//!
-//! The flush points are chosen so that **no wake can be lost**: an endpoint
-//! always drains its outbox before it can park (and hence before the
-//! scheduler's quiescence check may count it as blocked), before it yields its
-//! run permit, and before its carrier exits for any reason. A staged message
-//! therefore only ever exists while its sender is running — exactly the
-//! condition under which the quiescence check refuses to declare a deadlock.
-//! Self-sends and unmanaged endpoints (driven outside the scheduler, e.g. in
-//! unit tests) bypass the outbox and ingest immediately.
+//! append order under the mailbox lock. Messages to a crashed process are
+//! silently kept in its fabric-owned inbox — messages a process handed to the
+//! fabric *before* crashing are still delivered, the paper's "channels are
+//! reliable" assumption, and recovery can take a fresh [`Endpoint`] handle
+//! for the same identity that reads the same inbox.
 //!
 //! # Why direct inbox ingest loses no wake
 //!
 //! The store-load (Dekker) wake protocol of [`crate::sched`] is what makes
 //! the mailbox safe without a channel's internal blocking: an ingest makes
 //! the message visible **before** it issues the wake — `queued` is
-//! incremented, then the stripe vector is appended under its lock, and only
-//! then does [`Scheduler::wake`] set the destination's wake token. A receiver
+//! incremented, then the vector is appended under the lock, and only then
+//! does [`Scheduler::wake`] set the destination's wake token. A receiver
 //! that is about to park re-checks that token *after* publishing its `Parked`
 //! phase, so in every interleaving either the receiver's pre-park sweep sees
 //! `queued != 0`, or its token re-check fires and it re-polls. For unmanaged
@@ -85,6 +55,8 @@
 //! SeqCst), while the ingest increments `queued` before reading
 //! `timed_waiters` — one side always sees the other. The full argument is
 //! spelled out in DESIGN.md §5.3.
+//! A managed sender's repeat sends inside one *wake window* skip the wake
+//! under the condition given at [`Endpoint::flush`].
 
 use crate::clock::VirtualClock;
 use crate::failure::{CrashSignal, FailureService};
@@ -110,11 +82,6 @@ pub struct EndpointId(pub usize);
 /// (sim-mpi, replication protocols) encode tags, communicator ids, sequence
 /// numbers, etc. into these words; the fabric never interprets them.
 pub const HEADER_WORDS: usize = 8;
-
-/// Upper bound on the number of lock stripes per endpoint inbox. A sender's
-/// stripe is `src % stripes`, so concurrent senders from different stripes
-/// append without contending; the actual count is `min(INBOX_STRIPES, n)`.
-const INBOX_STRIPES: usize = 8;
 
 /// A message in flight on the fabric.
 #[derive(Debug, Clone)]
@@ -155,16 +122,6 @@ impl RawMessage {
     }
 }
 
-/// One destination's staged messages in an [`Endpoint`]'s outbox.
-struct OutSlot {
-    dst: EndpointId,
-    /// First staged message, inline: the overwhelmingly common one-message
-    /// batch never touches the heap beyond the slot itself.
-    first: RawMessage,
-    /// Second and later messages staged before the flush.
-    rest: Vec<RawMessage>,
-}
-
 /// Why a blocking receive returned without a message. Distinguishing these
 /// matters: a timeout *may* be a deadlock (the legacy real-time heuristic)
 /// and quiescence is the scheduler's exact deadlock verdict.
@@ -173,11 +130,6 @@ pub enum RecvError {
     /// No traffic arrived within the fabric's real-time timeout (only
     /// possible for endpoints driven outside the scheduler).
     Timeout,
-    /// The incoming transport was torn down. Kept for API compatibility with
-    /// the channel-era fabric; the in-process inbox of the single-pass
-    /// pipeline lives as long as the fabric itself and can no longer
-    /// disconnect, so this variant is never produced today.
-    Disconnected,
     /// The scheduler's quiescence check fired: every unfinished process is
     /// parked and no message is in flight — the job is deadlocked.
     Quiescent,
@@ -187,7 +139,6 @@ impl std::fmt::Display for RecvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecvError::Timeout => write!(f, "no traffic within the real-time timeout"),
-            RecvError::Disconnected => write!(f, "incoming transport disconnected"),
             RecvError::Quiescent => write!(
                 f,
                 "scheduler quiescence: every unfinished process is blocked with no messages in flight"
@@ -228,25 +179,30 @@ struct LadderEntry {
     msg: RawMessage,
 }
 
+/// The lock-guarded half of an [`Inbox`].
+#[derive(Default)]
+struct Mailbox {
+    /// Next physical-ingest stamp, the FIFO tie-break for equal virtual
+    /// arrivals. It lives in the fabric-owned inbox, not the endpoint, so it
+    /// survives endpoint incarnations (recovery takes a fresh handle over the
+    /// same inbox).
+    next_seq: u64,
+    /// Ingested messages with their stamps, in ingest order.
+    msgs: Vec<(u64, RawMessage)>,
+}
+
 /// The fabric-owned mailbox of one endpoint: the single buffer a delivery
 /// crosses between sender and receiver.
 ///
-/// Senders append under a per-source-stripe lock; the receiver swaps whole
-/// stripe vectors out. `queued` is an advisory over-approximation maintained
-/// like the scheduler's ready-entry count — incremented *before* a push
-/// inserts, decremented *after* a sweep removes — so a zero read proves every
-/// stripe is empty and the hot empty-poll path never touches a lock.
+/// Senders append under the one lock; the receiver swaps the whole vector
+/// out. `queued` is an advisory over-approximation maintained like the
+/// scheduler's ready-entry count — incremented *before* a push inserts,
+/// decremented *after* a sweep removes — so a zero read proves the mailbox is
+/// empty and the hot empty-poll path never touches the lock.
 struct Inbox {
-    /// Lock stripes; a sender's stripe is `src % stripes.len()`. Order within
-    /// a stripe is append order; order across stripes is restored by the
-    /// ingest stamp.
-    stripes: Vec<Mutex<Vec<(u64, RawMessage)>>>,
+    mailbox: Mutex<Mailbox>,
     /// Advisory message count (over-approximation; zero proves empty).
     queued: AtomicU64,
-    /// Monotonic physical-ingest stamp, the FIFO tie-break for equal virtual
-    /// arrivals. Allocated at push time so it survives endpoint incarnations
-    /// (recovery takes a fresh handle over the same inbox).
-    ingest_seq: AtomicU64,
     /// Number of unmanaged carriers blocked in a timed wait on this inbox.
     /// Ingest only touches the seat below when this is non-zero, so the
     /// scheduler-managed hot path never pays for the legacy wait mode.
@@ -258,44 +214,30 @@ struct Inbox {
 }
 
 impl Inbox {
-    fn new(stripes: usize) -> Self {
+    fn new() -> Self {
         Inbox {
-            stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
+            mailbox: Mutex::new(Mailbox::default()),
             queued: AtomicU64::new(0),
-            ingest_seq: AtomicU64::new(0),
             timed_waiters: AtomicU32::new(0),
             timed_seat: std::sync::Mutex::new(()),
             timed_cv: std::sync::Condvar::new(),
         }
     }
 
-    fn stripe_of(&self, src: EndpointId) -> usize {
-        src.0 % self.stripes.len()
-    }
-
-    /// Append `first` (+ `rest`) from one source under a single stripe-lock
-    /// acquisition, stamping each message with its global ingest sequence.
-    /// The count is raised before the insert (see the struct docs); the
-    /// caller issues the scheduler wake *after* this returns, which is what
-    /// the no-lost-wake argument in the module docs relies on.
-    ///
-    /// The sequence base is allocated *while holding the stripe lock*: two
-    /// sources mapped to the same stripe then can never interleave their
-    /// stamp allocation and their append, so every stripe vector is
-    /// monotonic in seq — which is exactly what lets a single-stripe sweep
-    /// skip its restore-order sort.
-    fn ingest(&self, first: RawMessage, rest: Vec<RawMessage>) {
-        let n = 1 + rest.len() as u64;
-        self.queued.fetch_add(n, Ordering::SeqCst);
+    /// Append `msg` — and after it the policy-injected duplicate copy, when
+    /// there is one — stamping each frame with the next ingest sequence. The
+    /// count is raised before the insert (see the struct docs); the caller
+    /// issues the scheduler wake *after* this returns, which is what the
+    /// no-lost-wake argument in the module docs relies on.
+    fn ingest(&self, msg: RawMessage, dup: Option<RawMessage>) {
+        self.queued
+            .fetch_add(1 + dup.is_some() as u64, Ordering::SeqCst);
         {
-            let mut stripe = self.stripes[self.stripe_of(first.src)].lock();
-            let base = self.ingest_seq.fetch_add(n, Ordering::SeqCst);
-            stripe.reserve(n as usize);
-            stripe.push((base, first));
-            for (i, msg) in rest.into_iter().enumerate() {
-                stripe.push((base + 1 + i as u64, msg));
+            let mut mailbox = self.mailbox.lock();
+            for frame in std::iter::once(msg).chain(dup) {
+                let seq = mailbox.next_seq;
+                mailbox.next_seq += 1;
+                mailbox.msgs.push((seq, frame));
             }
         }
         if self.timed_waiters.load(Ordering::SeqCst) > 0 {
@@ -359,11 +301,10 @@ impl Fabric {
     ) -> Arc<Fabric> {
         assert!(n > 0, "fabric needs at least one endpoint");
         let node_of: Vec<NodeId> = (0..n).map(|p| placement.node_of(p, n, &cluster)).collect();
-        let stripes = INBOX_STRIPES.min(n);
-        let inboxes = (0..n).map(|_| Inbox::new(stripes)).collect();
+        let inboxes = (0..n).map(|_| Inbox::new()).collect();
         // The scheduler shares the fabric's stats so its dispatch counters
         // (handoffs, steals, cold dispatches) land in the same snapshot as
-        // the wake/flush counters.
+        // the wake counters.
         let stats = Arc::new(NetStats::new());
         let sched = Scheduler::with_stats(n, Arc::clone(&stats));
         Arc::new(Fabric {
@@ -410,10 +351,10 @@ impl Fabric {
     }
 
     /// Install a lossy-transport fault policy for this job (see
-    /// [`crate::netfault`]): every subsequent `Fabric::deliver` /
-    /// `Fabric::deliver_batch` routes application and ack traffic through
-    /// it. Must be installed at most once, before any process starts, so
-    /// that the per-link message indices are identical across replays.
+    /// [`crate::netfault`]): every subsequent ingest routes
+    /// application and ack traffic through it. Must be installed at most
+    /// once, before any process starts, so that the per-link message indices
+    /// are identical across replays.
     pub fn install_net_faults(&self, config: NetFaultConfig, seed: u64) {
         let policy = NetFaultPolicy::new(config, seed, self.n);
         assert!(
@@ -427,83 +368,42 @@ impl Fabric {
         self.net_faults.get()
     }
 
-    /// Run one message through the installed policy, appending the surviving
-    /// frame(s) to `out`: the message itself (arrival clamped to the link
-    /// floor, pushed on a delay), plus a marked duplicate copy on a
-    /// [`FaultVerdict::Duplicate`]; nothing on a drop. The duplicate is
-    /// appended *after* the original so it takes a later ingest sequence —
-    /// the pop order then always hands the real frame to the receiver first.
-    fn route_faulted(
-        &self,
-        policy: &NetFaultPolicy,
-        mut msg: RawMessage,
-        out: &mut Vec<RawMessage>,
-    ) {
-        let (verdict, arrival) = policy.route(msg.src.0, msg.dst.0, msg.class, msg.arrival);
-        msg.arrival = arrival;
-        match verdict {
-            FaultVerdict::Deliver => out.push(msg),
-            FaultVerdict::Delay => {
-                self.stats.record_msg_delayed();
-                out.push(msg);
-            }
-            FaultVerdict::Drop => self.stats.record_msg_dropped(),
-            FaultVerdict::Duplicate => {
-                self.stats.record_msg_duplicated();
-                let mut copy = msg.clone();
-                copy.dup = true;
-                out.push(msg);
-                out.push(copy);
-            }
-        }
-    }
-
-    /// Ingest a single message into its destination inbox and wake the
-    /// destination's scheduler slot. Every delivery — application traffic,
-    /// protocol control messages and crash wake-ups — must go through here or
-    /// through [`Fabric::deliver_batch`] so that no parked process can miss a
-    /// message.
+    /// Ingest a message into its destination inbox. The caller owes the
+    /// destination a wake afterwards ([`Fabric::wake`]), dropped message or
+    /// not: a spurious wake is a harmless re-poll, while skipping it would
+    /// make the no-lost-wake argument depend on the fault plan.
     ///
-    /// With a fault policy installed the message may be dropped, duplicated
-    /// or delayed first; the destination is *always* woken, even for a full
-    /// drop — a spurious wake is a harmless re-poll, while skipping the wake
-    /// would make the no-lost-wake argument depend on the fault plan.
-    fn deliver(&self, msg: RawMessage) {
+    /// With a fault policy installed the message may first be dropped,
+    /// delayed (arrival pushed, clamped to the link floor) or duplicated. A
+    /// duplicate's marked copy is ingested *after* the original so it takes
+    /// the later ingest sequence — the pop order then always hands the real
+    /// frame to the receiver first.
+    fn ingest(&self, mut msg: RawMessage) {
         let dst = msg.dst;
+        let mut dup = None;
         if let Some(policy) = self.net_faults.get() {
-            let mut routed = Vec::with_capacity(2);
-            self.route_faulted(policy, msg, &mut routed);
-            let mut frames = routed.into_iter();
-            if let Some(first) = frames.next() {
-                self.inboxes[dst.0].ingest(first, frames.collect());
+            let (verdict, arrival) = policy.route(msg.src.0, dst.0, msg.class, msg.arrival);
+            msg.arrival = arrival;
+            match verdict {
+                FaultVerdict::Deliver => {}
+                FaultVerdict::Delay => self.stats.record_msg_delayed(),
+                FaultVerdict::Drop => {
+                    self.stats.record_msg_dropped();
+                    return;
+                }
+                FaultVerdict::Duplicate => {
+                    self.stats.record_msg_duplicated();
+                    let mut copy = msg.clone();
+                    copy.dup = true;
+                    dup = Some(copy);
+                }
             }
-        } else {
-            self.inboxes[dst.0].ingest(msg, Vec::new());
         }
-        self.stats.record_wake(self.sched.wake(dst));
+        self.inboxes[dst.0].ingest(msg, dup);
     }
 
-    /// Ingest one endpoint's staged batch for `dst`: a single stripe-lock
-    /// acquisition and a single wake, however many messages the batch
-    /// carries. Like [`Fabric::deliver`], routes each message through the
-    /// fault policy when one is installed, and wakes the destination even if
-    /// the whole batch was dropped.
-    fn deliver_batch(&self, first: RawMessage, rest: Vec<RawMessage>) {
-        let dst = first.dst;
-        self.stats.record_flush(1 + rest.len() as u64);
-        if let Some(policy) = self.net_faults.get() {
-            let mut routed = Vec::with_capacity(2 + rest.len());
-            self.route_faulted(policy, first, &mut routed);
-            for msg in rest {
-                self.route_faulted(policy, msg, &mut routed);
-            }
-            let mut frames = routed.into_iter();
-            if let Some(first) = frames.next() {
-                self.inboxes[dst.0].ingest(first, frames.collect());
-            }
-        } else {
-            self.inboxes[dst.0].ingest(first, rest);
-        }
+    /// Wake `dst`'s scheduler slot after an ingest, and count the outcome.
+    fn wake(&self, dst: EndpointId) {
         self.stats.record_wake(self.sched.wake(dst));
     }
 
@@ -519,17 +419,13 @@ impl Fabric {
             return;
         }
         for inbox in &self.inboxes {
-            for stripe in &inbox.stripes {
-                let mut msgs = stripe.lock();
-                let before = msgs.len();
-                msgs.retain(|(_, m)| !m.dup);
-                let removed = (before - msgs.len()) as u64;
-                if removed > 0 {
-                    inbox.queued.fetch_sub(removed, Ordering::SeqCst);
-                    for _ in 0..removed {
-                        self.stats.record_dup_suppressed();
-                    }
-                }
+            let mut mailbox = inbox.mailbox.lock();
+            let before = mailbox.msgs.len();
+            mailbox.msgs.retain(|(_, m)| !m.dup);
+            let removed = (before - mailbox.msgs.len()) as u64;
+            inbox.queued.fetch_sub(removed, Ordering::SeqCst);
+            for _ in 0..removed {
+                self.stats.record_dup_suppressed();
             }
         }
     }
@@ -579,8 +475,8 @@ impl Fabric {
             ladder: VecDeque::new(),
             overflow: BinaryHeap::new(),
             sweep: Vec::new(),
-            outbox: Vec::new(),
-            outbox_index: vec![Endpoint::NOT_STAGED; self.n],
+            window: 1,
+            woken: vec![0; self.n],
             app_sends: 0,
             idle_polls: 0,
         }
@@ -601,14 +497,12 @@ impl Fabric {
 }
 
 /// A physical process's handle onto the fabric. Owns the process's virtual
-/// clock, its private view of the incoming inbox (the delivery ladder and its
-/// fallback heap), and its per-destination outbox of staged (not yet
-/// physically ingested) messages.
+/// clock and its private view of the incoming inbox (the delivery ladder and
+/// its fallback heap).
 pub struct Endpoint {
     id: EndpointId,
     /// Was this endpoint registered with the fabric's scheduler when taken?
-    /// Managed endpoints park on the scheduler instead of doing timed waits,
-    /// and batch their sends through the outbox.
+    /// Managed endpoints park on the scheduler instead of doing timed waits.
     managed: bool,
     fabric: Arc<Fabric>,
     clock: VirtualClock,
@@ -619,19 +513,14 @@ pub struct Endpoint {
     /// the smaller of this heap's top and the ladder's front, so overall pop
     /// order equals a single `(arrival, seq)` heap.
     overflow: BinaryHeap<PendingMsg>,
-    /// Scratch vector the stripe sweep swaps stripe contents into; reused
-    /// across sweeps so the steady state allocates nothing.
+    /// Scratch vector the sweep swaps the mailbox contents into; the drained
+    /// vector goes back on the next swap, so the steady state allocates
+    /// nothing.
     sweep: Vec<(u64, RawMessage)>,
-    /// Per-destination staging area, in first-use order. Each entry is
-    /// ingested as one stripe append (one wake) by [`Endpoint::flush`]. Only
-    /// managed endpoints stage; order within an entry preserves the FIFO send
-    /// order for that (src, dst) pair. The first message per destination is
-    /// held inline so the dominant single-message flush allocates nothing.
-    outbox: Vec<OutSlot>,
-    /// `dst -> position in outbox` (or [`Endpoint::NOT_STAGED`]), so staging
-    /// stays O(1) even for full fan-out patterns (a scatter root staging to
-    /// every other endpoint before its wait).
-    outbox_index: Vec<u32>,
+    /// Current wake window (see [`Endpoint::flush`]); starts at 1.
+    window: u64,
+    /// Per destination, the last window in which this endpoint woke it.
+    woken: Vec<u64>,
     app_sends: u64,
     /// Consecutive empty progress polls; drives the cooperative yield.
     idle_polls: u32,
@@ -643,7 +532,6 @@ impl std::fmt::Debug for Endpoint {
             .field("id", &self.id)
             .field("now", &self.clock.now())
             .field("app_sends", &self.app_sends)
-            .field("staged", &self.outbox.len())
             .finish()
     }
 }
@@ -681,9 +569,7 @@ impl Endpoint {
     /// For scheduler-managed endpoints this is also a scheduling boundary
     /// ([`crate::sched::Scheduler::advance`]): if the computation moved this
     /// process's clock past a ready peer, the permit is handed to that peer
-    /// so physical dispatch order keeps tracking virtual time. The outbox is
-    /// flushed first — anything staged before the computation must be visible
-    /// to a peer that runs while we wait our turn.
+    /// so physical dispatch order keeps tracking virtual time.
     pub fn compute(&mut self, d: SimTime) {
         self.maybe_crash(false);
         self.clock.compute(d);
@@ -736,19 +622,18 @@ impl Endpoint {
     /// failure and unwind with a [`CrashSignal`] panic. `pre_send` selects the
     /// before/after-send semantics of the schedule.
     ///
-    /// Before unwinding, the outbox is flushed — the paper assumes channels
-    /// are reliable, so everything the process handed to the fabric before
-    /// crashing must still be delivered — and a system-class wake-up message
-    /// is pushed to every other endpoint so that processes blocked on their
-    /// incoming queue poll the failure detector promptly (the paper's "the
-    /// underlying system notifies every process").
+    /// Everything the process sent before this point is already in its
+    /// destination's mailbox (the paper assumes channels are reliable, so it
+    /// must still be delivered). Before unwinding, a system-class wake-up
+    /// message is pushed to every other endpoint so that processes blocked
+    /// on their incoming queue poll the failure detector promptly (the
+    /// paper's "the underlying system notifies every process").
     pub fn maybe_crash(&mut self, pre_send: bool) {
         if self
             .fabric
             .failure()
             .should_crash(self.id, self.clock.now(), self.app_sends, pre_send)
         {
-            self.flush();
             let ev = self
                 .fabric
                 .failure()
@@ -767,7 +652,8 @@ impl Endpoint {
                     arrival: ev.at,
                     dup: false,
                 };
-                self.fabric.deliver(wakeup);
+                self.fabric.ingest(wakeup);
+                self.fabric.wake(EndpointId(i));
             }
             std::panic::panic_any(CrashSignal {
                 endpoint: self.id,
@@ -777,14 +663,9 @@ impl Endpoint {
     }
 
     /// Inject a message. Charges the sender's clock with the model's send
-    /// overhead, stamps the arrival time and hands the message to the
-    /// destination inbox. Application-class sends also drive the crash
-    /// schedule (`BeforeSend`/`AfterSend`).
-    ///
-    /// For scheduler-managed endpoints the message is *staged* in the
-    /// per-destination outbox and physically ingested at the next blocking
-    /// boundary (see the module docs); its virtual injection/arrival stamps
-    /// are fixed here regardless.
+    /// overhead, stamps the arrival time and ingests the message into the
+    /// destination inbox before returning. Application-class sends also drive
+    /// the crash schedule (`BeforeSend`/`AfterSend`).
     pub fn send(&mut self, dst: EndpointId, cls: u8, header: [i64; HEADER_WORDS], payload: Bytes) {
         self.send_with_floor(dst, cls, header, payload, SimTime::ZERO);
     }
@@ -825,13 +706,13 @@ impl Endpoint {
             dup: false,
         };
         self.fabric.stats.record_send(cls, msg.len());
-        if self.managed && dst != self.id {
-            self.stage(msg);
-        } else {
-            // Unmanaged endpoints (no scheduler, often no further fabric
-            // calls) and self-sends (which must be visible to this process's
-            // own next poll) ingest immediately.
-            self.fabric.deliver(msg);
+        self.fabric.ingest(msg);
+        // One wake per destination per wake window (see `flush`); a repeat
+        // is skipped only while the scheduler vouches for the destination.
+        let repeat =
+            self.managed && std::mem::replace(&mut self.woken[dst.0], self.window) == self.window;
+        if !(repeat && self.fabric.sched.wake_is_redundant(dst)) {
+            self.fabric.wake(dst);
         }
         if is_app {
             self.app_sends += 1;
@@ -846,49 +727,22 @@ impl Endpoint {
         self.send(self.id, cls, header, payload);
     }
 
-    const NOT_STAGED: u32 = u32::MAX;
-
-    fn stage(&mut self, msg: RawMessage) {
-        let dst = msg.dst;
-        let idx = self.outbox_index[dst.0];
-        if idx != Self::NOT_STAGED {
-            self.outbox[idx as usize].rest.push(msg);
-        } else {
-            self.outbox_index[dst.0] = self.outbox.len() as u32;
-            self.outbox.push(OutSlot {
-                dst,
-                first: msg,
-                rest: Vec::new(),
-            });
-        }
-    }
-
-    /// Ingest every staged batch into its destination inbox: one stripe-lock
-    /// acquisition and one wake per destination, regardless of how many
-    /// messages were staged.
+    /// Close this endpoint's *wake window*: the next send to each destination
+    /// wakes it again.
     ///
-    /// Called automatically at every blocking boundary (before parking in
-    /// [`Endpoint::recv_blocking`], before yielding in
-    /// [`Endpoint::idle_poll`], before a crash unwinds, and on drop); upper
-    /// layers may also call it explicitly for promptness. A no-op when
-    /// nothing is staged.
+    /// A scheduler-managed endpoint wakes a destination on its first send to
+    /// it in a window and skips the wake on later ones while the destination
+    /// is still queued to run ([`Scheduler::wake_is_redundant`]): it sweeps
+    /// everything ingested so far when it is dispatched, so the extra wake
+    /// could only leave a token that turns its next park into a re-poll.
+    /// Messages are never held back; the window only decides how many wake
+    /// tokens a burst leaves, which dispatch order — and through it virtual
+    /// time — depends on (DESIGN.md §5.1). It closes before every scheduler
+    /// call this endpoint makes, and once per PML progress call under lossy
+    /// transport; left open too long it costs the destination a token, never
+    /// a message or a wake-up.
     pub fn flush(&mut self) {
-        if self.outbox.is_empty() {
-            return;
-        }
-        // Move the outbox out so its entries can be consumed while borrowing
-        // `self.fabric`; the (empty) vector moves back to keep its capacity.
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for slot in outbox.drain(..) {
-            self.outbox_index[slot.dst.0] = Self::NOT_STAGED;
-            self.fabric.deliver_batch(slot.first, slot.rest);
-        }
-        self.outbox = outbox;
-    }
-
-    /// Number of messages currently staged in the outbox (diagnostics).
-    pub fn staged_len(&self) -> usize {
-        self.outbox.iter().map(|s| 1 + s.rest.len()).sum()
+        self.window += 1;
     }
 
     /// Place one swept message into the ladder (in-order fast path) or the
@@ -922,50 +776,26 @@ impl Endpoint {
     /// has physically arrived is ingested in one pass, so a wakeup processes
     /// all available traffic rather than one message. Returns whether
     /// anything was swept. The empty case — every poll of an idle endpoint —
-    /// is answered from the inbox's advisory count without touching a lock.
+    /// is answered from the inbox's advisory count without touching the lock.
     ///
-    /// The sweep restores *global ingest order* before feeding the ladder:
-    /// stripes are visited in index order, so a multi-stripe batch is sorted
-    /// by its ingest stamps (cheap — batches are small, and each stripe is
-    /// already nearly sorted). Ingest-order processing means a heap fallback
-    /// occurs only on a true arrival inversion, not as an artifact of stripe
-    /// layout, exactly matching the channel-era enqueue order.
+    /// The mailbox vector is in ingest order, so feeding the ladder in that
+    /// order means a heap fallback occurs only on a true arrival inversion.
     fn sweep_inbox(&mut self) -> bool {
-        if self.fabric.inboxes[self.id.0].queued.load(Ordering::SeqCst) == 0 {
+        let inbox = &self.fabric.inboxes[self.id.0];
+        if inbox.queued.load(Ordering::SeqCst) == 0 {
             return false;
         }
-        let stripes = self.fabric.inboxes[self.id.0].stripes.len();
         let mut sweep = std::mem::take(&mut self.sweep);
-        let mut sorted_so_far = true;
-        for si in 0..stripes {
-            let inbox = &self.fabric.inboxes[self.id.0];
-            let before = sweep.len();
-            {
-                let mut stripe = inbox.stripes[si].lock();
-                if stripe.is_empty() {
-                    continue;
-                }
-                sorted_so_far = sorted_so_far && before == 0;
-                sweep.append(&mut stripe);
-            }
-            // Decrement *after* the removal so the advisory count never
-            // under-reports (see the Inbox docs).
-            inbox
-                .queued
-                .fetch_sub((sweep.len() - before) as u64, Ordering::SeqCst);
-        }
-        if sweep.is_empty() {
-            self.sweep = sweep;
-            return false;
-        }
-        if !sorted_so_far {
-            sweep.sort_unstable_by_key(|&(seq, _)| seq);
-        }
+        std::mem::swap(&mut sweep, &mut inbox.mailbox.lock().msgs);
+        // Decrement *after* the removal so the advisory count never
+        // under-reports (see the Inbox docs).
+        inbox.queued.fetch_sub(sweep.len() as u64, Ordering::SeqCst);
+        let swept_any = !sweep.is_empty();
         for (seq, msg) in sweep.drain(..) {
             self.enqueue_pending(seq, msg);
         }
         self.sweep = sweep;
-        true
+        swept_any
     }
 
     /// Pop the pending message with the smallest `(arrival, ingest seq)` key,
@@ -1047,11 +877,9 @@ impl Endpoint {
     /// returns the one with the earliest virtual arrival.
     ///
     /// Scheduler-managed endpoints *park* instead of blocking the OS thread on
-    /// the inbox: the outbox is flushed (a process must never sleep on
-    /// staged messages — see the module docs), the carrier releases its run
-    /// permit, and it is woken on the next delivery. A
-    /// [`RecvError::Quiescent`] verdict means the scheduler proved the job
-    /// deadlocked. Unmanaged endpoints (driven manually, outside a job
+    /// the inbox: the carrier releases its run permit, and it is woken on the
+    /// next delivery. A [`RecvError::Quiescent`] verdict means the scheduler
+    /// proved the job deadlocked. Unmanaged endpoints (driven manually, outside a job
     /// launcher) keep the legacy real-time timeout, waiting on the inbox's
     /// timed seat and returning early when a new failure is recorded so
     /// teardown of a crashed peer does not burn the full timeout.
@@ -1084,9 +912,6 @@ impl Endpoint {
                 return Ok(msg);
             }
             if self.managed {
-                // Blocking boundary: everything staged must be out before we
-                // block, or a peer (and the quiescence check) could wait on a
-                // message that only exists in our outbox.
                 self.flush();
                 let verdict = if tried_yield {
                     self.fabric.sched.park(self.id, self.clock.now())
@@ -1152,10 +977,9 @@ impl Endpoint {
     }
 
     /// Hint from the progress engine that a poll produced nothing. After
-    /// enough consecutive empty polls a managed endpoint flushes its outbox
-    /// and cooperatively yields its run permit, so busy-poll loops
-    /// (`MPI_Test` spinning) can never monopolise the scheduler's worker pool
-    /// — or sit on staged messages a peer is waiting for.
+    /// enough consecutive empty polls a managed endpoint cooperatively yields
+    /// its run permit, so busy-poll loops (`MPI_Test` spinning) can never
+    /// monopolise the scheduler's worker pool.
     ///
     /// Returns `Err(RecvError::Quiescent)` when the scheduler's no-progress
     /// guard parked this process during the yield and the quiescence check
@@ -1180,15 +1004,6 @@ impl Endpoint {
     /// idle counter that drives [`Endpoint::idle_poll`]'s cooperative yield.
     pub fn busy_poll(&mut self) {
         self.idle_polls = 0;
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        // Job-exit flush: a process's staged messages must survive it (the
-        // paper's reliable channels), and the drop runs before the carrier
-        // marks the slot finished, so the quiescence check never races it.
-        self.flush();
     }
 }
 
@@ -1294,10 +1109,10 @@ mod tests {
 
     #[test]
     fn out_of_order_ingest_falls_back_to_heap_but_pops_in_arrival_order() {
-        // The sweep visits stripes in source order, so a late-clock sender in
-        // an *early* stripe puts its big-arrival message at the ladder tail
-        // before the small-arrival message from a later stripe is seen: that
-        // one must take the heap fallback — and still pop first.
+        // The sweep feeds the ladder in ingest order, so a late-clock sender
+        // that ingests first puts its big-arrival message at the ladder tail
+        // before the small-arrival message behind it is seen: that one must
+        // take the heap fallback — and still pop first.
         let fabric = Fabric::with_defaults(3, LogGpModel::fast_test_model());
         let mut a = fabric.endpoint(EndpointId(0));
         let mut c = fabric.endpoint(EndpointId(2));
@@ -1536,62 +1351,12 @@ mod tests {
             let mut b = f3.endpoint(EndpointId(1));
             std::thread::sleep(Duration::from_millis(10));
             b.send(EndpointId(0), class::APP, hdr(42), Bytes::new());
-            // Managed sends are staged: dropping the endpoint is the job-exit
-            // flush, and must precede finish() so no wake can be lost.
             drop(b);
             f3.scheduler().finish(EndpointId(1));
         });
         let msg = receiver.join().unwrap().expect("delivered via park/unpark");
         assert_eq!(msg.header[0], 42);
         sender.join().unwrap();
-    }
-
-    #[test]
-    fn managed_send_is_staged_until_a_blocking_boundary() {
-        let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
-        fabric.scheduler().register(EndpointId(0));
-        fabric.scheduler().register(EndpointId(1));
-        fabric.scheduler().start(EndpointId(0));
-        let mut a = fabric.endpoint(EndpointId(0));
-        for i in 0..3 {
-            a.send(EndpointId(1), class::APP, hdr(i), Bytes::new());
-        }
-        assert_eq!(a.staged_len(), 3, "managed sends stage in the outbox");
-        assert_eq!(
-            fabric.stats().snapshot().app_msgs(),
-            3,
-            "send stats recorded at send time"
-        );
-        a.flush();
-        assert_eq!(a.staged_len(), 0);
-        let snap = fabric.stats().snapshot();
-        assert_eq!(snap.flushes(), 1, "one batch for the single destination");
-        assert_eq!(snap.flushed_msgs(), 3);
-        assert!((snap.mean_flush_batch() - 3.0).abs() < f64::EPSILON);
-        drop(a);
-        fabric.scheduler().finish(EndpointId(0));
-        // The peer (never started: its slot is Ready) can still be drained
-        // manually after taking its endpoint.
-        fabric.scheduler().finish(EndpointId(1));
-        let mut b = fabric.endpoint(EndpointId(1));
-        assert!(b.has_pending());
-    }
-
-    #[test]
-    fn dropped_endpoint_flushes_staged_messages() {
-        let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
-        fabric.scheduler().register(EndpointId(0));
-        fabric.scheduler().start(EndpointId(0));
-        {
-            let mut a = fabric.endpoint(EndpointId(0));
-            a.send(EndpointId(1), class::APP, hdr(9), Bytes::new());
-            assert_eq!(a.staged_len(), 1);
-            // a dropped here: job-exit flush.
-        }
-        fabric.scheduler().finish(EndpointId(0));
-        let mut b = fabric.endpoint(EndpointId(1));
-        let msg = b.recv_blocking().expect("drop must flush the outbox");
-        assert_eq!(msg.header[0], 9);
     }
 
     #[test]

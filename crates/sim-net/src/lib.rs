@@ -21,17 +21,15 @@
 //!   (park/unpark wake-token protocol) and deadlocks are detected exactly,
 //!   by quiescence, instead of by real-time timeouts.
 //! * Transport is a single-pass delivery pipeline: one fabric-owned mailbox
-//!   per destination endpoint, lock-striped by source and ingested *in
-//!   place*, feeding a receiver-side arrival-ordered ladder (O(1) append +
-//!   O(1) pop for the near-monotonic common case, a small heap fallback for
-//!   inversions). Messages from one sender to one receiver are delivered in
-//!   order (the paper's FIFO reliable channel assumption; ties between equal
-//!   virtual arrivals are broken by physical ingest order).
-//!   Scheduler-managed endpoints *stage* sends in a per-destination outbox
-//!   and ingest each destination's batch — one stripe-lock acquisition, one
-//!   wake — at their next blocking boundary ([`fabric::Endpoint::flush`]);
-//!   wakes to already-runnable targets take a lock-free fast path
-//!   ([`sched::Scheduler::wake`]).
+//!   per destination endpoint behind one lock, which a send ingests into
+//!   *in place* before it returns, feeding a receiver-side arrival-ordered
+//!   ladder (O(1) append + O(1) pop for the near-monotonic common case, a
+//!   small heap fallback for inversions). Messages from one sender to one
+//!   receiver are delivered in order (the paper's FIFO reliable channel
+//!   assumption; ties between equal virtual arrivals are broken by physical
+//!   ingest order). A sender wakes each destination once per wake window
+//!   ([`Endpoint::flush`]); wakes to already-runnable targets take a
+//!   lock-free fast path ([`sched::Scheduler::wake`]).
 //! * Crash failures are injected by the [`failure::FailureService`], which also
 //!   acts as the "external service" the paper assumes for failure detection:
 //!   every alive endpoint learns about a crash.
@@ -53,13 +51,12 @@
 //!
 //! # Concurrency protocols at a glance
 //!
-//! Three modules own lock-free or lock-striped protocols; each states its
+//! Three modules own lock-free protocols; each states its
 //! full argument in its own docs (and DESIGN.md §5.1–§5.3 gives the
 //! narrative version, `ARCHITECTURE.md` the end-to-end tour):
 //!
-//! * [`fabric`] — mailbox ingest order (count, then stripe append, then
-//!   wake) and the outbox flush-point invariant ("a staged message implies a
-//!   running sender").
+//! * [`fabric`] — mailbox ingest order (count, then append under the
+//!   mailbox lock, then wake).
 //! * [`sched`] — per-slot atomic phase words, wake tokens with the
 //!   Dekker-style store-load re-check, direct permit handoff, and the
 //!   verdict mutex that serialises quiescence.

@@ -69,7 +69,7 @@
 //!    cannot misclassify it. The verdict itself marks slots
 //!    `Parked → Deadlocked` by CAS; in a scheduler-managed job every wake
 //!    originates from a carrier whose own permit keeps the counter non-zero
-//!    until after its flush completes, so by the time the verdict reads a zero
+//!    until after the wake completes, so by the time the verdict reads a zero
 //!    counter all such wakes are fully visible and the CASes cannot fail. (An
 //!    *external* thread waking a slot in the verdict's window would lose the
 //!    CAS race; the verdict then rolls its marks back, and the idle loop
@@ -96,11 +96,12 @@
 //! above is what makes that safe, and it must be read together with the
 //! fabric's ingest order:
 //!
-//! * **Ingest happens-before wake.** `Fabric::deliver`/`deliver_batch` raise
-//!   the inbox's advisory count and append to the source's stripe (all SeqCst
-//!   / under the stripe mutex) *before* calling [`Scheduler::wake`]. So by
-//!   the time a wake token is set, the message it announces is visible to
-//!   any subsequent inbox sweep.
+//! * **Ingest happens-before wake.** A send raises the inbox's advisory
+//!   count (SeqCst) and appends under the mailbox mutex *before* calling
+//!   [`Scheduler::wake`] — or, for a repeat send inside the sender's wake
+//!   window, before reading the phase in [`Scheduler::wake_is_redundant`].
+//!   So by the time a wake token is set, the message it announces is
+//!   visible to any subsequent inbox sweep.
 //! * **Parker re-checks after publishing.** [`Scheduler::park`] consumes the
 //!   token after storing the `Parked` phase. A receiver whose pre-park sweep
 //!   ran *before* the ingest therefore either sees the token on the re-check
@@ -109,16 +110,15 @@
 //!   caller re-polls and its next sweep finds the message: no delivery can
 //!   sleep in a mailbox while its destination parks forever.
 //! * **Quiescence still counts mailbox residents as in-flight work.** A
-//!   message sitting in a mailbox was put there by a carrier that had not yet
-//!   reached its next blocking boundary — its run permit still counts, so
-//!   the verdict cannot fire; once it parks, the wake it issued at ingest
-//!   time has fully completed (wakes precede the permit release), so either
-//!   the destination is `Ready`/token-carrying (verdict aborts) or it
-//!   already swept the message.
+//!   message sitting in a mailbox was put there by a carrier that was running
+//!   — its run permit still counts, so the verdict cannot fire; once it
+//!   parks, the wake it issued at ingest time (or the `Ready` phase it saw
+//!   instead) precedes the permit release, so either the destination is
+//!   `Ready`/token-carrying (verdict aborts) or it already swept the message.
 //!
-//! The scheduler itself needed no code change for this: the token protocol
-//! never assumed anything about *where* the message lives, only that wakes
-//! follow visibility — which the fabric's ingest order (re)establishes.
+//! The token protocol never assumed anything about *where* the message
+//! lives, only that wakes follow visibility — which the fabric's ingest
+//! order establishes.
 
 use crate::carrier::coro::CoroRuntime;
 use crate::fabric::EndpointId;
@@ -937,6 +937,25 @@ impl Scheduler {
                 }
             }
         }
+    }
+
+    /// Would a wake for a message that is *already ingested* into `e`'s inbox
+    /// be redundant? True when `e` is `Ready` — it is dispatched only after
+    /// this call, and every path from a dispatch to a park or a parking yield
+    /// sweeps the inbox first, so it finds the message on its own — and when
+    /// it is unmanaged or finished, where wakes are ignored anyway. False
+    /// while `e` runs (it may be between its last sweep and `park`, and needs
+    /// the token) or is parked.
+    ///
+    /// [`crate::Endpoint::send`] asks this before skipping a repeat wake
+    /// inside one wake window. With a single run permit the answer is always
+    /// true there: the destination cannot have run since the sender's first
+    /// wake made it `Ready`.
+    pub fn wake_is_redundant(&self, e: EndpointId) -> bool {
+        matches!(
+            self.load_phase(e.0),
+            Phase::Ready | Phase::Finished | Phase::Unmanaged
+        )
     }
 
     /// Cooperatively yield: requeue at priority `now` and hand the permit to

@@ -120,16 +120,14 @@ counter_table! {
     wakes_issued: sum,
     /// Wakes served by the lock-free fast path (target running/ready or wake
     /// already pending) or ignored (unmanaged/finished target) — deliveries
-    /// that did *not* touch the ready queues. Under the
-    /// one-wake-per-delivery design that preceded batching every one of
-    /// these would have been a full scheduler wake; see
-    /// [`StatsSnapshot::baseline_equivalent_wakes`].
+    /// that did *not* touch the ready queues.
     wakes_suppressed: sum,
-    /// Outbox batches pushed (one channel operation + one wake per
-    /// destination per flush).
+    // Shims for the frozen benchmark surface (`benchmark/src/workload.rs`
+    // reads both getters): never recorded, always 0. Awaiting a
+    // benchmark-only PR that drops the reads; delete them then.
+    #[doc(hidden)]
     flushes: sum,
-    /// Messages carried by those batches; `flushed_msgs / flushes` is the
-    /// mean batch size.
+    #[doc(hidden)]
     flushed_msgs: sum,
     /// Dispatches where a departing carrier handed its run permit directly to
     /// a ready process from its own ready-queue shard.
@@ -205,9 +203,7 @@ impl NetStats {
     }
 
     /// Record how a delivery's scheduler wake was served (one call per
-    /// immediate delivery or per flushed batch; see
-    /// [`StatsSnapshot::baseline_equivalent_wakes`] for the
-    /// one-wake-per-delivery baseline reconstruction).
+    /// delivery).
     pub fn record_wake(&self, outcome: WakeOutcome) {
         match outcome {
             WakeOutcome::Unparked => self.wakes_issued.fetch_add(1, Ordering::Relaxed),
@@ -215,13 +211,6 @@ impl NetStats {
                 self.wakes_suppressed.fetch_add(1, Ordering::Relaxed)
             }
         };
-    }
-
-    /// Record one outbox batch of `batch_len` messages pushed to a
-    /// destination channel in a single operation.
-    pub fn record_flush(&self, batch_len: u64) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.flushed_msgs.fetch_add(batch_len, Ordering::Relaxed);
     }
 
     /// Record a direct permit handoff (departing carrier dispatched a ready
@@ -334,23 +323,6 @@ impl StatsSnapshot {
         self.bytes_sent.iter().sum()
     }
 
-    /// Wake count the one-wake-per-delivery baseline would have paid for the
-    /// same traffic: one per wake actually recorded (issued or suppressed)
-    /// plus one per *extra* message in each multi-message batch — a batch of
-    /// `k` records a single wake where the baseline would have issued `k`.
-    pub fn baseline_equivalent_wakes(&self) -> u64 {
-        self.wakes_issued + self.wakes_suppressed + (self.flushed_msgs - self.flushes)
-    }
-
-    /// Mean messages per outbox batch (0 when nothing was flushed).
-    pub fn mean_flush_batch(&self) -> f64 {
-        if self.flushes == 0 {
-            0.0
-        } else {
-            self.flushed_msgs as f64 / self.flushes as f64
-        }
-    }
-
     /// Fraction of deliveries ingested in order (1.0 when nothing was
     /// delivered): the figure of merit for the single-pass delivery
     /// pipeline's near-monotonic-arrival assumption.
@@ -429,31 +401,19 @@ mod tests {
     }
 
     #[test]
-    fn wake_and_flush_counters_roundtrip() {
+    fn wake_counters_roundtrip() {
         let s = NetStats::new();
         s.record_wake(WakeOutcome::Unparked);
         s.record_wake(WakeOutcome::Coalesced);
         s.record_wake(WakeOutcome::Coalesced);
         s.record_wake(WakeOutcome::Ignored);
-        s.record_flush(3);
-        s.record_flush(5);
         let before = s.snapshot();
         assert_eq!(before.wakes_issued(), 1);
         assert_eq!(before.wakes_suppressed(), 3);
-        assert_eq!(before.flushes(), 2);
-        assert_eq!(before.flushed_msgs(), 8);
-        assert!((before.mean_flush_batch() - 4.0).abs() < f64::EPSILON);
-        // One-wake-per-delivery baseline: the 4 recorded wakes plus the 6
-        // extra messages the two batches carried beyond their first.
-        assert_eq!(before.baseline_equivalent_wakes(), 10);
         s.record_wake(WakeOutcome::Unparked);
-        s.record_flush(2);
         let delta = s.snapshot().since(&before);
         assert_eq!(delta.wakes_issued(), 1);
         assert_eq!(delta.wakes_suppressed(), 0);
-        assert_eq!(delta.flushes(), 1);
-        assert_eq!(delta.flushed_msgs(), 2);
-        assert!((StatsSnapshot::default().mean_flush_batch() - 0.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -555,7 +515,7 @@ mod tests {
     #[test]
     fn table_views_cover_every_counter_once() {
         let s = NetStats::new();
-        s.record_flush(3);
+        s.record_heap_fallback();
         s.record_retransmit();
         s.record_stack_lease(true, 4096);
         let a = s.snapshot();
@@ -565,12 +525,12 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), names.len(), "counter names must be unique");
         let by_name: std::collections::HashMap<_, _> = a.counters().collect();
-        assert_eq!(by_name["flushed_msgs"], a.flushed_msgs());
+        assert_eq!(by_name["heap_fallbacks"], a.heap_fallbacks());
         assert_eq!(by_name["retransmits"], 1);
         // Merging adds counters but takes the maximum of the gauge.
         s.record_stack_lease(false, 1024);
         let m = a.merged(&s.snapshot());
-        assert_eq!(m.flushes(), 2);
+        assert_eq!(m.heap_fallbacks(), 2);
         assert_eq!(m.stacks_allocated() + m.stacks_reused(), 3);
         assert_eq!(m.stack_bytes_peak(), 4096);
     }

@@ -565,9 +565,9 @@ pub fn run_campaign(
 
 /// Order statistics of a sample — the one place the harnesses compute
 /// them. Named for its first use, recovery latencies in seconds; the
-/// masked-overhead percentages and the serve bench's throughput and
-/// job-latency summaries reuse it with their own units. Medians over means,
-/// per the *MPI Benchmarking Revisited* guidance for skewed distributions.
+/// masked-overhead percentages reuse it with their own unit. Medians over
+/// means, per the *MPI Benchmarking Revisited* guidance for skewed
+/// distributions.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples.

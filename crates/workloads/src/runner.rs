@@ -37,7 +37,7 @@ impl WorkloadSpec {
 }
 
 /// One side (native or replicated) of a comparison: the run's fabric
-/// counters — message counts per class, wakes, flushes, dispatch and ingest
+/// counters — message counts per class, wakes, dispatch and ingest
 /// splits, coroutine stacks; see [`StatsSnapshot`] — plus the host-side
 /// facts only the job report knows.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,12 +195,6 @@ mod tests {
         let d = &side.stats;
         assert_eq!(d.app_msgs(), row.native.stats.app_msgs() * 2);
         assert!(d.ack_msgs() > 0);
-        assert!(d.flushes > 0, "managed runs must push outbox batches");
-        assert!(d.mean_flush_batch() >= 1.0);
-        assert!(
-            d.wakes_issued + d.wakes_suppressed >= d.flushes,
-            "every batch issues exactly one wake"
-        );
         assert!(
             d.handoffs + d.steals + d.condvar_waits > 0,
             "the run must have dispatched through the scheduler"

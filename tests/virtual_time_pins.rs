@@ -1,0 +1,104 @@
+//! Virtual-time pins: literal `(elapsed_ns, total_msgs, FNV-1a of the
+//! finished processes' checksum bits)` for six `workers: 1` spec lines, in
+//! both carrier modes.
+//!
+//! With one run permit a job's virtual times, message counts and checksums
+//! are a pure function of its spec, so they are pinned as constants: a
+//! change to the delivery or dispatch path that moves any of them has changed
+//! simulated results, not only host time. (The benchmark's `sim.digest_match`
+//! checks the same thing at 64–256 ranks; this is the `cargo test` form.)
+//! The last line is the one most sensitive to wake tokens: the sole survivor
+//! of a rank acks and sends to the same endpoint back to back.
+
+mod common;
+
+use sim_net::CarrierMode;
+use workloads::serve::{run_job, JobSpec, JobStatus};
+
+/// `(spec line, expected status, elapsed_ns, total_msgs, result hash)`.
+const PINS: &[(&str, JobStatus, u64, u64, u64)] = &[
+    (
+        r#"{"id":"cg-dual","workload":"cg","ranks":8,"class":"s","layout":"replicated","degree":2,"workers":1,"seed":11}"#,
+        JobStatus::Finished,
+        201_108,
+        840,
+        0xc881fb04fa1d1965,
+    ),
+    (
+        r#"{"id":"ft-dual","workload":"ft","ranks":8,"class":"s","layout":"replicated","degree":2,"workers":1,"seed":12}"#,
+        JobStatus::Finished,
+        1_123_566,
+        960,
+        0x2542c46db6cb4ca5,
+    ),
+    (
+        r#"{"id":"sp-deg3-crash","workload":"sp","ranks":4,"class":"s","layout":"replicated","degree":3,"workers":1,"seed":13,"crashes":[{"endpoint":6,"kind":"after-send","nth":4}]}"#,
+        JobStatus::Survived,
+        105_740,
+        469,
+        0x9438517f54f72d79,
+    ),
+    (
+        r#"{"id":"bt-lossy","workload":"bt","ranks":4,"class":"test","layout":"replicated","degree":2,"workers":1,"seed":14,"net":{"drop_per_64k":1638,"dup_per_64k":1638,"delay_per_64k":1638,"delay_ns":20000,"ack_only":false,"seed":4181}}"#,
+        JobStatus::Finished,
+        14_258_620,
+        2_185,
+        0x81a61b87236529f5,
+    ),
+    (
+        r#"{"id":"sp-lossy-crash","workload":"sp","ranks":4,"class":"test","layout":"replicated","degree":2,"workers":1,"seed":15,"crashes":[{"endpoint":5,"kind":"after-send","nth":4}],"net":{"drop_per_64k":1638,"dup_per_64k":1638,"delay_per_64k":1638,"delay_ns":20000,"ack_only":false,"seed":8278}}"#,
+        JobStatus::Survived,
+        4_412_700,
+        1_544,
+        0x59826b8d528dfb91,
+    ),
+    (
+        r#"{"id":"cg-deg3-sole-survivor","workload":"cg","ranks":8,"class":"s","layout":"replicated","degree":3,"workers":1,"seed":21,"crashes":[{"endpoint":12,"kind":"after-send","nth":2},{"endpoint":20,"kind":"after-send","nth":4}]}"#,
+        JobStatus::Survived,
+        201_346,
+        1_595,
+        0xec4a2fa9b6ed22fd,
+    ),
+];
+
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash: u64 = 0xcbf29ce484222325;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x100000001b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn single_permit_virtual_times_counts_and_checksums_match_their_pins() {
+    common::with_deadline("virtual_time_pins", |running| {
+        for &(line, status, elapsed_ns, total_msgs, result_hash) in PINS {
+            for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
+                let mut spec = JobSpec::parse_line(line).expect("pinned spec line parses");
+                spec.carrier_mode = Some(mode);
+                running.note(spec.to_json().encode());
+                let record = run_job(&spec, 0).expect("pinned spec compiles");
+                let hash = fnv1a(record.processes.iter().filter_map(|p| p.result_bits));
+                assert_eq!(
+                    (
+                        record.status,
+                        record.elapsed_ns,
+                        record.total_msgs,
+                        format!("{hash:#018x}")
+                    ),
+                    (
+                        status,
+                        elapsed_ns,
+                        total_msgs,
+                        format!("{result_hash:#018x}")
+                    ),
+                    "simulated results moved for '{}' under {mode:?} carriers",
+                    spec.id
+                );
+            }
+        }
+    });
+}
