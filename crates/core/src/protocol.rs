@@ -127,6 +127,9 @@ impl SeqTracker {
     }
 }
 
+/// A set of replicas of one rank, one bit per replica index.
+pub(crate) type ReplicaMask = u64;
+
 #[derive(Debug)]
 pub(crate) struct SendEntry {
     pub(crate) dst_rank: Rank,
@@ -135,7 +138,6 @@ pub(crate) struct SendEntry {
     pub(crate) seq: u64,
     /// Retained until all acks are in, so the substitute logic can re-send it.
     pub(crate) payload: Bytes,
-    pub(crate) pml_reqs: Vec<PmlReqId>,
     /// Wire (stream) sequence of each direct send, per target, so the lossy
     /// retransmission path can replay the payload under the *same* sequence
     /// and the receiver's window dedups/reorders it correctly. Empty on
@@ -143,8 +145,11 @@ pub(crate) struct SendEntry {
     pub(crate) wire_sends: Vec<(EndpointId, u64)>,
     /// Retransmission-timer firings for this entry so far (lossy mode).
     pub(crate) retx_attempts: u32,
-    pub(crate) acks_expected: BTreeSet<EndpointId>,
-    pub(crate) acks_received: BTreeSet<EndpointId>,
+    /// Replicas of `dst_rank` whose acknowledgement this send waits for.
+    pub(crate) acks_expected: ReplicaMask,
+    /// Replicas of `dst_rank` known to hold the message (acked, or re-sent to
+    /// over our own channel).
+    pub(crate) acks_received: ReplicaMask,
     /// Latest arrival time among the acknowledgements collected so far; the
     /// application-level send completion (return from `MPI_Wait`) is
     /// time-stamped no earlier than this.
@@ -157,18 +162,19 @@ pub(crate) struct SendEntry {
 
 impl SendEntry {
     pub(crate) fn fully_acked(&self) -> bool {
-        self.acks_expected.is_subset(&self.acks_received)
+        self.acks_expected & !self.acks_received == 0
     }
 }
 
+/// Protocol-side state of one posted receive, keyed by its PML request id.
 #[derive(Debug)]
 pub(crate) struct RecvEntry {
+    /// The posted filter, kept to re-arm the receive after a duplicate.
     pub(crate) src_rank: Option<Rank>,
     pub(crate) comm: CommId,
     pub(crate) tag: TagSel,
-    pub(crate) pml_req: PmlReqId,
-    /// Filled in once a non-duplicate message completes at the library level.
-    pub(crate) meta: Option<MsgMeta>,
+    /// A non-duplicate message has completed at the library level.
+    pub(crate) delivered: bool,
     /// Deferred-ack bookkeeping for the [`AckOn::AppWait`] ablation:
     /// (sender rank, sender replica, app-level seq, message arrival).
     pub(crate) deferred_ack: Option<(Rank, usize, u64, SimTime)>,
@@ -205,7 +211,7 @@ pub struct SdrProtocol {
     // --- Algorithm 1 state -------------------------------------------------
     /// `physicalDests[rank]`: replicas of `rank` this process sends application
     /// messages to directly.
-    pub(crate) physical_dests: Vec<BTreeSet<EndpointId>>,
+    pub(crate) physical_dests: Vec<ReplicaMask>,
     /// `physicalSrc[rank]`: the replica of `rank` this process receives from.
     pub(crate) physical_src: Vec<EndpointId>,
     /// `substitute[rep]`: which replica id of *this* process's rank is in
@@ -217,11 +223,15 @@ pub struct SdrProtocol {
     // --- sequencing and request bookkeeping --------------------------------
     pub(crate) send_seq: Vec<u64>,
     pub(crate) recv_seen: Vec<SeqTracker>,
+    /// The send log, keyed by send-request id — i.e. in posting order, which
+    /// is wire order: the failure and recovery handlers re-send by iterating
+    /// it.
     pub(crate) sends: BTreeMap<u64, SendEntry>,
-    pub(crate) recvs: BTreeMap<u64, RecvEntry>,
-    next_req: u64,
-    pml_to_recv: HashMap<PmlReqId, u64>,
-    early_acks: HashMap<(Rank, u64), Vec<(EndpointId, SimTime)>>,
+    next_send: u64,
+    pub(crate) recvs: BTreeMap<PmlReqId, RecvEntry>,
+    /// Acks that raced ahead of the local send: `(dst_rank, seq)` → who acked
+    /// and the latest arrival among them.
+    early_acks: HashMap<(Rank, u64), (ReplicaMask, SimTime)>,
     /// Cumulative pre-acknowledgements from peers' `FIN_ACK` notices:
     /// `(dst_rank, acker) → upto` means `acker` has received every
     /// application sequence `< upto` addressed to `dst_rank`. Folded into new
@@ -265,13 +275,19 @@ impl SdrProtocol {
         map: Arc<dyn ReplicaMap>,
         cfg: ReplicationConfig,
     ) -> Self {
+        assert!(
+            map.max_degree() <= ReplicaMask::BITS as usize,
+            "replica sets are {}-bit masks: degree {} is not supported",
+            ReplicaMask::BITS,
+            map.max_degree()
+        );
         let (my_rank, my_replica) = map.locate(endpoint);
         let app_ranks = map.ranks();
         let physical_dests = (0..app_ranks)
             .map(|rank| {
                 map.direct_dests(my_rank, my_replica, rank)
                     .into_iter()
-                    .collect::<BTreeSet<_>>()
+                    .fold(0, |mask, e| mask | 1 << map.replica_of(e))
             })
             .collect();
         let physical_src = (0..app_ranks)
@@ -291,9 +307,8 @@ impl SdrProtocol {
             send_seq: vec![0; app_ranks],
             recv_seen: vec![SeqTracker::default(); app_ranks],
             sends: BTreeMap::new(),
+            next_send: 1,
             recvs: BTreeMap::new(),
-            next_req: 1,
-            pml_to_recv: HashMap::default(),
             early_acks: HashMap::default(),
             fin_acked: HashMap::default(),
             lossy: false,
@@ -338,17 +353,10 @@ impl SdrProtocol {
         (0..self.map.degree_of(rank)).find(|&rep| self.is_alive(self.map.endpoint(rank, rep)))
     }
 
-    fn ack_header(sender_rank: Rank, acker_rank: Rank, seq: u64) -> [i64; 8] {
-        [
-            ctl::ACK,
-            sender_rank as i64,
-            acker_rank as i64,
-            seq as i64,
-            0,
-            0,
-            0,
-            0,
-        ]
+    /// The sender and acker are the wire source and destination; the header
+    /// only has to name the message.
+    fn ack_header(seq: u64) -> [i64; 8] {
+        [ctl::ACK, seq as i64, 0, 0, 0, 0, 0, 0]
     }
 
     fn send_acks_for(
@@ -376,7 +384,7 @@ impl SdrProtocol {
                 pml.send_control_at(
                     target,
                     class::ACK,
-                    Self::ack_header(src_rank, self.my_rank, seq),
+                    Self::ack_header(seq),
                     Bytes::new(),
                     not_before,
                 );
@@ -385,20 +393,21 @@ impl SdrProtocol {
         }
     }
 
-    fn register_ack(&mut self, from: EndpointId, dst_rank: Rank, seq: u64, arrival: SimTime) {
+    fn register_ack(&mut self, from: EndpointId, seq: u64, arrival: SimTime) {
         self.counters.acks_received += 1;
+        let (dst_rank, replica) = self.map.locate(from);
+        let bit = 1 << replica;
         // Find the matching send entry (messages to `dst_rank` with `seq`).
+        // A scan, not a second index: the log holds the sends still in flight,
+        // one entry in every measured workload.
         let matching = self
             .sends
             .iter_mut()
-            .find(|(_, e)| e.dst_rank == dst_rank && e.seq == seq)
-            .map(|(id, entry)| {
-                entry.acks_received.insert(from);
-                entry.completion_floor = entry.completion_floor.max(arrival);
-                (*id, entry.app_freed && entry.fully_acked())
-            });
-        if let Some((id, garbage)) = matching {
-            if garbage {
+            .find(|(_, e)| e.dst_rank == dst_rank && e.seq == seq);
+        if let Some((&id, entry)) = matching {
+            entry.acks_received |= bit;
+            entry.completion_floor = entry.completion_floor.max(arrival);
+            if entry.app_freed && entry.fully_acked() {
                 // Ack-driven GC: the application already released the request
                 // and this was the last missing acknowledgement — the payload
                 // can never be needed for a re-send again.
@@ -407,45 +416,35 @@ impl SdrProtocol {
         } else if seq >= self.send_seq[dst_rank] {
             // The ack raced ahead of the local send (replicas may skew):
             // remember it until the send is posted.
-            self.early_acks
-                .entry((dst_rank, seq))
-                .or_default()
-                .push((from, arrival));
+            let early = self.early_acks.entry((dst_rank, seq)).or_default();
+            early.0 |= bit;
+            early.1 = early.1.max(arrival);
         }
         // Otherwise the send has already completed and been freed; stale ack.
     }
 
-    fn handle_recv_complete(&mut self, pml: &mut Pml, pml_req: PmlReqId, meta: MsgMeta) {
-        let Some(&proto_id) = self.pml_to_recv.get(&pml_req) else {
+    fn handle_recv_complete(&mut self, pml: &mut Pml, req: PmlReqId, meta: MsgMeta) {
+        let Some(entry) = self.recvs.get(&req) else {
             // Not one of ours (should not happen: every application receive is
             // registered). Ignore defensively.
             return;
         };
         let (src_rank, src_replica) = self.map.locate(meta.src);
         let seq = meta.aux as u64;
-        let fresh = self.recv_seen[src_rank].record(seq);
-        if !fresh {
+        if !self.recv_seen[src_rank].record(seq) {
             // Duplicate delivery caused by a post-failure re-send: drop the
             // payload and re-arm the receive with the same filter.
+            let src = entry.src_rank.map(|r| self.physical_src[r]);
+            let (comm, tag) = (entry.comm, entry.tag);
             self.counters.duplicates_dropped += 1;
             if self.lossy {
                 // The sender evidently lost our acknowledgement: re-emit it.
                 self.send_acks_for(pml, src_rank, src_replica, seq, meta.arrival);
             }
-            let _ = pml.take_recv(pml_req);
-            self.pml_to_recv.remove(&pml_req);
-            let (new_pml_req, _) = {
-                let entry = self.recvs.get(&proto_id).expect("recv entry exists");
-                let src = entry.src_rank.map(|r| self.physical_src[r]);
-                (pml.irecv(src, entry.comm, entry.tag), ())
-            };
-            let entry = self.recvs.get_mut(&proto_id).expect("recv entry exists");
-            entry.pml_req = new_pml_req;
-            self.pml_to_recv.insert(new_pml_req, proto_id);
+            pml.repost_recv(req, src, comm, tag);
             return;
         }
-        // Record completion metadata for status translation. A lossy
-        // transport forces ack-at-receipt: the deferred (AppWait) and
+        // A lossy transport forces ack-at-receipt: the deferred (AppWait) and
         // disabled (Never) ablations would let the sender's retransmission
         // timer fire on messages that were in fact delivered.
         let ack_on = if self.lossy {
@@ -453,32 +452,27 @@ impl SdrProtocol {
         } else {
             self.cfg.ack_on
         };
-        if let Some(entry) = self.recvs.get_mut(&proto_id) {
-            entry.meta = Some(meta.clone());
-            match ack_on {
-                AckOn::RecvComplete | AckOn::Never => {}
-                AckOn::AppWait => {
-                    entry.deferred_ack = Some((src_rank, src_replica, seq, meta.arrival));
-                }
-            }
-        }
+        let mut post_arrival_cost = SimTime::ZERO;
         if ack_on == AckOn::RecvComplete {
             // The paper's design: acknowledge on the library-level
             // irecvComplete event (Algorithm 1, lines 15-17).
             let before = pml.now();
             self.send_acks_for(pml, src_rank, src_replica, seq, meta.arrival);
-            let cost = pml.now() - before;
             // If the ack was emitted while this process was still (virtually)
             // idle before the message's arrival, the charge above is absorbed
             // when the clock later synchronises to the arrival; remember it so
             // the receive completion re-applies it on the critical path.
             if before < meta.arrival {
-                if let Some(entry) = self.recvs.get_mut(&proto_id) {
-                    entry.post_arrival_cost = cost;
-                }
+                post_arrival_cost = pml.now() - before;
             }
         }
         // AckOn::Never: no acknowledgement at all (baseline configurations).
+        let entry = self.recvs.get_mut(&req).expect("looked up above");
+        entry.delivered = true;
+        entry.post_arrival_cost = post_arrival_cost;
+        if ack_on == AckOn::AppWait {
+            entry.deferred_ack = Some((src_rank, src_replica, seq, meta.arrival));
+        }
     }
 
     /// Section 3.4: a recovery notification announces that `recovered` has
@@ -509,11 +503,8 @@ impl SdrProtocol {
                 // I was the substitute: stop sending on behalf of the
                 // recovered replica (drop its counterpart destinations, which
                 // are all distinct from my own because rrep != my_replica).
-                for rank in 0..self.map.ranks() {
-                    if rrep < self.map.degree_of(rank) {
-                        let proxy_dest = self.map.endpoint(rank, rrep);
-                        self.physical_dests[rank].remove(&proxy_dest);
-                    }
+                for dests in &mut self.physical_dests {
+                    *dests &= !(1 << rrep);
                 }
             }
             return;
@@ -523,38 +514,19 @@ impl SdrProtocol {
             // `rrank`: resume sending directly to it, and replay every
             // message it cannot have inherited from the fork source's state
             // (those not yet acknowledged by that survivor).
-            self.physical_dests[rrank].insert(recovered);
-            let mut replays = Vec::new();
-            for entry in self.sends.values_mut() {
-                if entry.dst_rank != rrank {
-                    continue;
+            self.physical_dests[rrank] |= 1 << rrep;
+            // The fork source is the lowest alive replica of rrank other than
+            // the recovered process itself (no bit if there is none: then
+            // nothing counts as inherited).
+            let fork_source: ReplicaMask = (0..self.map.degree_of(rrank))
+                .find(|&rep| rep != rrep && self.is_alive(self.map.endpoint(rrank, rep)))
+                .map_or(0, |rep| 1 << rep);
+            for entry in self.sends.values() {
+                if entry.dst_rank == rrank && entry.acks_received & fork_source == 0 {
+                    let (comm, tag, aux) = (entry.comm, entry.tag, entry.seq as i64);
+                    pml.isend(recovered, comm, tag, aux, entry.payload.clone());
+                    self.counters.resends += 1;
                 }
-                let sub_ep = {
-                    // The fork source is the lowest alive replica of rrank
-                    // other than the recovered process itself.
-                    let mut sub = None;
-                    for rep in 0..self.map.degree_of(rrank) {
-                        let e = self.map.endpoint(rrank, rep);
-                        if e != recovered && self.alive[e.0] {
-                            sub = Some(e);
-                            break;
-                        }
-                    }
-                    sub
-                };
-                let acked_by_sub = sub_ep
-                    .map(|s| entry.acks_received.contains(&s))
-                    .unwrap_or(false);
-                if !acked_by_sub {
-                    replays.push((entry.comm, entry.tag, entry.seq, entry.payload.clone()));
-                }
-            }
-            for (comm, tag, seq, payload) in replays {
-                let req = pml.isend(recovered, comm, tag, seq as i64, payload);
-                // PML sends complete immediately; free the handle right away
-                // so replays do not leak request-table entries.
-                pml.free(req);
-                self.counters.resends += 1;
             }
         }
         // Processes that receive from the substitute (my_replica != rrep) only
@@ -596,18 +568,15 @@ impl SdrProtocol {
                 for &l in &delegated {
                     // Add the failed replica set's destinations to mine
                     // (only ranks that actually have a replica slot `l`).
+                    let bit = 1 << l;
                     for rank in 0..self.map.ranks() {
-                        if l >= self.map.degree_of(rank) {
-                            continue;
-                        }
-                        let target = self.map.endpoint(rank, l);
-                        if self.is_alive(target) {
-                            self.physical_dests[rank].insert(target);
+                        if l < self.map.degree_of(rank) && self.is_alive(self.map.endpoint(rank, l))
+                        {
+                            self.physical_dests[rank] |= bit;
                         }
                     }
-                    // Re-send every message whose ack from replica `l` of the
-                    // destination rank is missing.
-                    let mut resends = Vec::new();
+                    // Re-send, in log order, every message whose ack from
+                    // replica `l` of the destination rank is missing.
                     for entry in self.sends.values_mut() {
                         if l >= self.map.degree_of(entry.dst_rank) {
                             continue;
@@ -616,32 +585,15 @@ impl SdrProtocol {
                         if !self.alive[target.0] {
                             continue;
                         }
-                        if !entry.acks_received.contains(&target) {
-                            resends.push((
-                                target,
-                                entry.comm,
-                                entry.tag,
-                                entry.seq,
-                                entry.payload.clone(),
-                            ));
+                        if entry.acks_received & bit == 0 {
+                            let (comm, tag, aux) = (entry.comm, entry.tag, entry.seq as i64);
+                            pml.isend(target, comm, tag, aux, entry.payload.clone());
+                            self.counters.resends += 1;
                         }
                         // Delivery is now guaranteed over our own reliable
                         // channel; stop waiting for that ack.
-                        entry.acks_expected.remove(&target);
-                        entry.acks_received.insert(target);
-                    }
-                    for (target, comm, tag, seq, payload) in resends {
-                        let req = pml.isend(target, comm, tag, seq as i64, payload);
-                        self.counters.resends += 1;
-                        // Attach the resend to its entry so completion still
-                        // covers it.
-                        if let Some(entry) = self
-                            .sends
-                            .values_mut()
-                            .find(|e| e.seq == seq && self.map.rank_of(target) == e.dst_rank)
-                        {
-                            entry.pml_reqs.push(req);
-                        }
+                        entry.acks_expected &= !bit;
+                        entry.acks_received |= bit;
                     }
                 }
             }
@@ -665,9 +617,7 @@ impl SdrProtocol {
             // (it was a destination-rank replica for my sends to failed_rank).
             for entry in self.sends.values_mut() {
                 if entry.dst_rank == failed_rank {
-                    entry.acks_expected.remove(&ev.endpoint);
-                    // The direct send to the dead process (if any) is moot; the
-                    // PML send already completed, nothing to cancel there.
+                    entry.acks_expected &= !(1 << failed_rep);
                 }
             }
             // Redirect pending receives that were expecting the dead process.
@@ -747,14 +697,11 @@ impl SdrProtocol {
             entry.seq,
             RETX_MAX_ATTEMPTS,
         );
-        let missing: Vec<EndpointId> = entry
-            .acks_expected
-            .difference(&entry.acks_received)
-            .copied()
-            .collect();
-        let (comm, tag, seq, payload) = (entry.comm, entry.tag, entry.seq, entry.payload.clone());
-        let wire_sends = entry.wire_sends.clone();
-        for target in missing {
+        let missing = entry.acks_expected & !entry.acks_received;
+        let (dst_rank, comm, tag, seq) = (entry.dst_rank, entry.comm, entry.tag, entry.seq);
+        let (payload, wire_sends) = (entry.payload.clone(), entry.wire_sends.clone());
+        for rep in (0..self.map.degree_of(dst_rank)).filter(|rep| missing & (1 << rep) != 0) {
+            let target = self.map.endpoint(dst_rank, rep);
             if !self.is_alive(target) {
                 continue;
             }
@@ -799,7 +746,7 @@ impl SdrProtocol {
             pml.send_control_at(
                 prober,
                 class::CONTROL,
-                Self::ack_header(sender_rank, self.my_rank, seq),
+                Self::ack_header(seq),
                 Bytes::new(),
                 arrival,
             );
@@ -814,14 +761,14 @@ impl SdrProtocol {
     /// it below `upto`. Acks every matching live entry and is remembered for
     /// sends this (possibly slower) replica has not posted yet.
     fn handle_fin_ack(&mut self, acker: EndpointId, upto: u64, arrival: SimTime) {
-        let acker_rank = self.map.rank_of(acker);
+        let (dst_rank, replica) = self.map.locate(acker);
         for entry in self.sends.values_mut() {
-            if entry.dst_rank == acker_rank && entry.seq < upto {
-                entry.acks_received.insert(acker);
+            if entry.dst_rank == dst_rank && entry.seq < upto {
+                entry.acks_received |= 1 << replica;
                 entry.completion_floor = entry.completion_floor.max(arrival);
             }
         }
-        let slot = self.fin_acked.entry((acker_rank, acker)).or_insert(0);
+        let slot = self.fin_acked.entry((dst_rank, acker)).or_insert(0);
         *slot = (*slot).max(upto);
         self.collect_send_log_garbage();
     }
@@ -872,11 +819,10 @@ impl Protocol for SdrProtocol {
             tag,
             seq,
             payload: payload.clone(),
-            pml_reqs: Vec::new(),
             wire_sends: Vec::new(),
             retx_attempts: 0,
-            acks_expected: BTreeSet::new(),
-            acks_received: BTreeSet::new(),
+            acks_expected: 0,
+            acks_received: 0,
             completion_floor: SimTime::ZERO,
             app_freed: false,
         };
@@ -891,46 +837,37 @@ impl Protocol for SdrProtocol {
         // must learn of delivery (or the lack of it) itself.
         for rep in 0..self.map.degree_of(dst) {
             let target = self.map.endpoint(dst, rep);
-            if self.physical_dests[dst].contains(&target) {
-                if self.is_alive(target) {
-                    if self.lossy {
-                        let (req, wire_seq) =
-                            pml.isend_tracked(target, comm, tag, seq as i64, payload.clone());
-                        entry.pml_reqs.push(req);
-                        entry.wire_sends.push((target, wire_seq));
-                        entry.acks_expected.insert(target);
-                    } else {
-                        let req = pml.isend(target, comm, tag, seq as i64, payload.clone());
-                        entry.pml_reqs.push(req);
-                    }
+            if !self.is_alive(target) {
+                continue;
+            }
+            let bit = 1 << rep;
+            let direct = self.physical_dests[dst] & bit != 0;
+            if direct {
+                let wire_seq = pml.isend(target, comm, tag, seq as i64, payload.clone());
+                if self.lossy {
+                    entry.wire_sends.push((target, wire_seq));
                 }
-            } else if self.is_alive(target) && (self.lossy || self.cfg.ack_on != AckOn::Never) {
-                entry.acks_expected.insert(target);
+            }
+            if self.lossy {
+                entry.acks_expected |= bit;
+                // Fold in a cumulative finalize-time ack from a peer that
+                // already exited (replica skew: its counterpart sent — and it
+                // received — this sequence before we posted it).
+                let fin_acked = self.fin_acked.get(&(dst, target));
+                if fin_acked.is_some_and(|&upto| seq < upto) {
+                    entry.acks_received |= bit;
+                }
+            } else if !direct && self.cfg.ack_on != AckOn::Never {
+                entry.acks_expected |= bit;
             }
         }
         // Fold in acks that arrived before this send was posted.
-        if let Some(early) = self.early_acks.remove(&(dst, seq)) {
-            for (e, arrival) in early {
-                entry.acks_received.insert(e);
-                entry.completion_floor = entry.completion_floor.max(arrival);
-            }
+        if let Some((ackers, floor)) = self.early_acks.remove(&(dst, seq)) {
+            entry.acks_received |= ackers;
+            entry.completion_floor = floor;
         }
-        // Fold in cumulative finalize-time acks from peers that already
-        // exited (replica skew: their counterpart sent — and they received —
-        // this sequence before we posted it).
-        if self.lossy {
-            for target in entry.acks_expected.clone() {
-                if self
-                    .fin_acked
-                    .get(&(dst, target))
-                    .is_some_and(|&upto| seq < upto)
-                {
-                    entry.acks_received.insert(target);
-                }
-            }
-        }
-        let id = self.next_req;
-        self.next_req += 1;
+        let id = self.next_send;
+        self.next_send += 1;
         let armed = self.lossy && !entry.fully_acked();
         self.sends.insert(id, entry);
         if armed {
@@ -954,53 +891,39 @@ impl Protocol for SdrProtocol {
             assert!(r < self.map.ranks(), "source rank {r} out of range");
             self.physical_src[r]
         });
+        // The protocol-level handle *is* the PML request id.
         let pml_req = pml.irecv(phys_src, comm, tag);
-        let id = self.next_req;
-        self.next_req += 1;
         self.recvs.insert(
-            id,
+            pml_req,
             RecvEntry {
                 src_rank: src,
                 comm,
                 tag,
-                pml_req,
-                meta: None,
+                delivered: false,
                 deferred_ack: None,
                 post_arrival_cost: SimTime::ZERO,
             },
         );
-        self.pml_to_recv.insert(pml_req, id);
-        ProtoRecvReq(id)
+        ProtoRecvReq(pml_req.0)
     }
 
-    fn send_complete(&mut self, pml: &mut Pml, req: ProtoSendReq) -> bool {
-        match self.sends.get(&req.0) {
-            None => true,
-            Some(entry) => {
-                entry.pml_reqs.iter().all(|r| pml.is_complete(*r)) && entry.fully_acked()
-            }
-        }
+    fn send_complete(&mut self, _pml: &mut Pml, req: ProtoSendReq) -> bool {
+        // The direct sends were complete when `isend` returned; what can be
+        // outstanding is the acknowledgements (Algorithm 1, `MPI_Wait`).
+        self.sends.get(&req.0).is_none_or(SendEntry::fully_acked)
     }
 
-    fn recv_complete(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> bool {
-        match self.recvs.get(&req.0) {
-            None => true,
-            Some(entry) => entry.meta.is_some() && pml.is_complete(entry.pml_req),
-        }
+    fn recv_complete(&mut self, _pml: &mut Pml, req: ProtoRecvReq) -> bool {
+        self.recvs.get(&PmlReqId(req.0)).is_none_or(|e| e.delivered)
     }
 
     fn take_recv(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> Option<(Status, Bytes)> {
-        let ready = self
-            .recvs
-            .get(&req.0)
-            .map(|e| e.meta.is_some())
-            .unwrap_or(false);
-        if !ready {
+        let pml_req = PmlReqId(req.0);
+        if !self.recvs.get(&pml_req)?.delivered {
             return None;
         }
-        let entry = self.recvs.remove(&req.0).expect("checked above");
-        self.pml_to_recv.remove(&entry.pml_req);
-        let (meta, payload) = pml.take_recv(entry.pml_req)?;
+        let entry = self.recvs.remove(&pml_req).expect("checked above");
+        let (meta, payload) = pml.take_recv(pml_req)?;
         if !entry.post_arrival_cost.is_zero() {
             pml.endpoint_mut()
                 .clock_mut()
@@ -1023,22 +946,16 @@ impl Protocol for SdrProtocol {
     }
 
     fn free_send(&mut self, pml: &mut Pml, req: ProtoSendReq) {
-        let fully_acked = {
-            let Some(entry) = self.sends.get_mut(&req.0) else {
-                return;
-            };
-            // The application-level send completion (return from MPI_Wait)
-            // happens no earlier than the last acknowledgement it waited for.
-            pml.endpoint_mut()
-                .clock_mut()
-                .sync_to(entry.completion_floor);
-            for r in std::mem::take(&mut entry.pml_reqs) {
-                pml.free(r);
-            }
-            entry.app_freed = true;
-            entry.fully_acked()
+        let Some(entry) = self.sends.get_mut(&req.0) else {
+            return;
         };
-        if fully_acked {
+        // The application-level send completion (return from MPI_Wait)
+        // happens no earlier than the last acknowledgement it waited for.
+        pml.endpoint_mut()
+            .clock_mut()
+            .sync_to(entry.completion_floor);
+        entry.app_freed = true;
+        if entry.fully_acked() {
             self.sends.remove(&req.0);
         }
         // Not fully acked: the entry stays in the send log so a substitute
@@ -1060,12 +977,7 @@ impl Protocol for SdrProtocol {
                 // responses re-emit them on the reliable CONTROL class, so the
                 // ack branch accepts both.
                 if (cls == class::ACK || cls == class::CONTROL) && header[0] == ctl::ACK {
-                    let sender_rank = header[1] as usize;
-                    debug_assert_eq!(sender_rank, self.my_rank, "ack routed to the wrong rank");
-                    let acker_rank = header[2] as usize;
-                    let seq = header[3] as u64;
-                    let _ = acker_rank;
-                    self.register_ack(src, self.map.rank_of(src), seq, arrival);
+                    self.register_ack(src, header[1] as u64, arrival);
                 } else if cls == class::CONTROL && header[0] == ctl::RECOVERY_NOTIFY {
                     let recovered = EndpointId(header[1] as usize);
                     self.handle_recovery_notification(pml, recovered);
@@ -1127,7 +1039,7 @@ impl Protocol for SdrProtocol {
         //    acknowledged — exiting earlier would strand a receiver whose
         //    copy of a payload was dropped.
         while self.sends.values().any(|e| !e.fully_acked()) {
-            match pml.progress_blocking("SDR-MPI finalize: draining unacked send log") {
+            match pml.progress_blocking("SDR-MPI finalize: draining unacked send log", false) {
                 Ok(events) => {
                     for ev in events {
                         self.handle_event(pml, ev);
@@ -1204,8 +1116,10 @@ mod tests {
                 EndpointId(4 + rank),
                 "replica 1 receives from replica 1 of every rank"
             );
-            assert!(proto.physical_dests[rank].contains(&EndpointId(4 + rank)));
-            assert_eq!(proto.physical_dests[rank].len(), 1);
+            assert_eq!(
+                proto.physical_dests[rank], 0b10,
+                "and sends to replica 1 of every rank, only"
+            );
         }
     }
 
@@ -1219,16 +1133,16 @@ mod tests {
         let singleton =
             SdrProtocol::new_with_map(EndpointId(1), Arc::clone(&map), ReplicationConfig::dual());
         assert_eq!(singleton.app_rank(), 1);
-        assert_eq!(singleton.physical_dests[0].len(), 2);
+        assert_eq!(singleton.physical_dests[0], 0b11);
         // Replica 1 of rank 0 (endpoint 2) sends nothing to the singleton
         // directly; replica 0 (endpoint 0) owns the direct copy.
         let rep1 =
             SdrProtocol::new_with_map(EndpointId(2), Arc::clone(&map), ReplicationConfig::dual());
-        assert!(rep1.physical_dests[1].is_empty());
+        assert_eq!(rep1.physical_dests[1], 0);
         let rep0 =
             SdrProtocol::new_with_map(EndpointId(0), Arc::clone(&map), ReplicationConfig::dual());
-        assert_eq!(rep0.physical_dests[1].len(), 1);
-        assert!(rep0.physical_dests[1].contains(&EndpointId(1)));
+        assert_eq!(rep0.physical_dests[1], 0b1);
+        assert_eq!(map.endpoint(1, 0), EndpointId(1));
         // Both replicas of rank 0 receive rank 1's messages from the
         // singleton itself.
         assert_eq!(rep0.physical_src[1], EndpointId(1));
@@ -1276,11 +1190,15 @@ mod tests {
 
     #[test]
     fn ack_header_roundtrip() {
-        let h = SdrProtocol::ack_header(3, 7, 42);
+        let h = SdrProtocol::ack_header(42);
         assert_eq!(h[0], ctl::ACK);
-        assert_eq!(h[1], 3);
-        assert_eq!(h[2], 7);
-        assert_eq!(h[3], 42);
+        assert_eq!(h[1], 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "degree 65 is not supported")]
+    fn degrees_beyond_the_mask_width_are_rejected() {
+        SdrProtocol::new(EndpointId(0), 1, ReplicationConfig::with_degree(65));
     }
 
     #[test]
@@ -1322,7 +1240,7 @@ mod tests {
             sim_mpi::PmlEvent::Control {
                 src: EndpointId(3),
                 class: class::ACK,
-                header: SdrProtocol::ack_header(0, 1, 0),
+                header: SdrProtocol::ack_header(0),
                 payload: Bytes::new(),
                 arrival: SimTime::from_nanos(50),
             },
@@ -1336,6 +1254,40 @@ mod tests {
     }
 
     #[test]
+    fn acks_that_outrun_the_send_fold_into_it_as_one_mask_and_floor() {
+        // Degree 3, 2 ranks: endpoint 0 sends rank 1's copy to endpoint 1 and
+        // owes acks from endpoints 3 and 5 (replicas 1 and 2 of rank 1). Both
+        // arrive before the send is posted.
+        let mut pml = pml_for(0, 6);
+        let mut proto = SdrProtocol::new(EndpointId(0), 2, ReplicationConfig::with_degree(3));
+        for (acker, at) in [(3, 80), (5, 50)] {
+            proto.handle_event(
+                &mut pml,
+                sim_mpi::PmlEvent::Control {
+                    src: EndpointId(acker),
+                    class: class::ACK,
+                    header: SdrProtocol::ack_header(0),
+                    payload: Bytes::new(),
+                    arrival: SimTime::from_nanos(at),
+                },
+            );
+        }
+        assert_eq!(proto.early_acks[&(1, 0)], (0b110, SimTime::from_nanos(80)));
+        let req = proto.isend(&mut pml, 1, CommId::WORLD, 7, Bytes::from_static(b"x"));
+        assert!(proto.early_acks.is_empty());
+        assert!(
+            proto.send_complete(&mut pml, req),
+            "nothing left to wait for"
+        );
+        proto.free_send(&mut pml, req);
+        assert_eq!(proto.send_log_len(), 0);
+        assert!(
+            pml.now() >= SimTime::from_nanos(80),
+            "completes no earlier than the last ack it needed"
+        );
+    }
+
+    #[test]
     fn fully_acked_entry_freed_immediately_on_app_free() {
         let mut pml = pml_for(0, 4);
         let mut proto = SdrProtocol::new(EndpointId(0), 2, ReplicationConfig::dual());
@@ -1345,7 +1297,7 @@ mod tests {
             sim_mpi::PmlEvent::Control {
                 src: EndpointId(3),
                 class: class::ACK,
-                header: SdrProtocol::ack_header(0, 1, 0),
+                header: SdrProtocol::ack_header(0),
                 payload: Bytes::new(),
                 arrival: SimTime::from_nanos(50),
             },

@@ -275,7 +275,7 @@ impl Protocol for RedMpiProtocol {
         // stragglers before tearing the process down.
         let mut spins = 0;
         while !self.local_digest.is_empty() && spins < 10_000 {
-            match pml.progress_blocking("redMPI hash flush at finalize") {
+            match pml.progress_blocking("redMPI hash flush at finalize", false) {
                 Ok(events) => {
                     for ev in events {
                         self.handle_event(pml, ev);

@@ -70,7 +70,7 @@ type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHashe
 /// FIFO of (arrival seq, message).
 type UnexpectedBuckets = HashMap<(EndpointId, Tag), VecDeque<(u64, IncomingMsg)>>;
 
-/// Identifier of a PML-level request (send or receive).
+/// Identifier of a PML-level receive request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PmlReqId(pub u64);
 
@@ -158,10 +158,9 @@ impl PostKey {
 #[derive(Debug, Default)]
 pub struct MatchingEngine {
     /// Posted receives, bucketed by filter triple. Entries carry the global
-    /// posting sequence; each bucket is sorted by it. Cancelled/redirected
-    /// entries are tombstoned via `posted_where` and skipped lazily.
+    /// posting sequence; each bucket is sorted by it and never left empty.
     posted: HashMap<PostKey, VecDeque<(u64, PostedRecv)>>,
-    /// Live postings: request id → bucket it currently lives in.
+    /// Request id → bucket it currently lives in (a redirect moves it).
     posted_where: HashMap<PmlReqId, PostKey>,
     /// Live posting count per filter kind (specific/specific, any-source,
     /// any-tag, any/any). Lets [`MatchingEngine::incoming`] probe only bucket
@@ -184,16 +183,6 @@ impl MatchingEngine {
     /// New empty engine.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Is the posting at the head of `bucket` still live (not cancelled, not
-    /// redirected into another bucket)?
-    fn head_is_live(
-        posted_where: &HashMap<PmlReqId, PostKey>,
-        key: &PostKey,
-        req: PmlReqId,
-    ) -> bool {
-        posted_where.get(&req) == Some(key)
     }
 
     /// The bucket of `comm_map` holding the earliest-arriving message that
@@ -302,23 +291,9 @@ impl MatchingEngine {
             if self.posted_kinds[key.kind()] == 0 {
                 continue; // no live posting of this filter kind exists at all
             }
-            if let Some(q) = self.posted.get_mut(&key) {
-                // Drop tombstoned heads (cancelled or redirected elsewhere).
-                while let Some(&(_, ref p)) = q.front() {
-                    if Self::head_is_live(&self.posted_where, &key, p.req) {
-                        break;
-                    }
-                    q.pop_front();
-                }
-                match q.front() {
-                    Some(&(seq, _)) => {
-                        if best.map(|(s, _)| seq < s).unwrap_or(true) {
-                            best = Some((seq, key));
-                        }
-                    }
-                    None => {
-                        self.posted.remove(&key);
-                    }
+            if let Some(&(seq, _)) = self.posted.get(&key).and_then(|q| q.front()) {
+                if best.map(|(s, _)| seq < s).unwrap_or(true) {
+                    best = Some((seq, key));
                 }
             }
         }
@@ -345,18 +320,6 @@ impl MatchingEngine {
             self.total_unexpected += 1;
             self.peak_unexpected = self.peak_unexpected.max(self.unexpected_live);
             None
-        }
-    }
-
-    /// Remove a posted receive. Returns true if it was still posted. The
-    /// bucket entry is tombstoned and reclaimed lazily.
-    pub fn cancel(&mut self, req: PmlReqId) -> bool {
-        match self.posted_where.remove(&req) {
-            Some(key) => {
-                self.posted_kinds[key.kind()] -= 1;
-                true
-            }
-            None => false,
         }
     }
 
@@ -442,15 +405,7 @@ impl MatchingEngine {
     /// immediately, so the iteration order decides which posting matches
     /// first and must follow MPI's posting-order rule).
     pub fn posted_requests(&self) -> impl Iterator<Item = &PostedRecv> {
-        let posted_where = &self.posted_where;
-        let mut live: Vec<&(u64, PostedRecv)> = self
-            .posted
-            .iter()
-            .flat_map(move |(key, q)| {
-                q.iter()
-                    .filter(move |(_, p)| posted_where.get(&p.req) == Some(key))
-            })
-            .collect();
+        let mut live: Vec<&(u64, PostedRecv)> = self.posted.values().flatten().collect();
         live.sort_unstable_by_key(|(seq, _)| *seq);
         live.into_iter().map(|(_, p)| p)
     }
@@ -596,18 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_posting() {
-        let mut eng = MatchingEngine::new();
-        eng.post_recv(posting(1, Some(0), 1, TagSel::Tag(5)));
-        assert!(eng.cancel(PmlReqId(1)));
-        assert!(!eng.cancel(PmlReqId(1)), "cancel is not idempotent-true");
-        assert!(
-            eng.incoming(msg(0, 1, 5, 0)).is_none(),
-            "cancelled posting no longer matches"
-        );
-    }
-
-    #[test]
     fn redirect_changes_source_and_may_deliver_unexpected() {
         let mut eng = MatchingEngine::new();
         // Message from endpoint 9 arrives; posted recv expects endpoint 3.
@@ -682,16 +625,25 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_posting_tombstone_does_not_block_bucket() {
+    fn postings_redirected_away_do_not_block_their_old_bucket() {
         let mut eng = MatchingEngine::new();
         eng.post_recv(posting(1, Some(0), 1, TagSel::Tag(5)));
         eng.post_recv(posting(2, Some(0), 1, TagSel::Tag(5)));
         eng.post_recv(posting(3, Some(0), 1, TagSel::Tag(5)));
-        assert!(eng.cancel(PmlReqId(1)));
-        assert!(eng.cancel(PmlReqId(2)));
-        assert_eq!(eng.posted_len(), 1);
+        assert!(eng.redirect(PmlReqId(1), Some(EndpointId(9))).is_none());
+        assert!(eng.redirect(PmlReqId(2), Some(EndpointId(9))).is_none());
+        assert_eq!(eng.posted_len(), 3);
         let (req, _) = eng.incoming(msg(0, 1, 5, 0)).unwrap();
-        assert_eq!(req, PmlReqId(3), "tombstones skipped to the live posting");
+        assert_eq!(req, PmlReqId(3), "the old bucket holds only what stayed");
+        assert_eq!(
+            eng.posted_requests().count(),
+            2,
+            "and nothing is listed twice"
+        );
+        assert!(
+            eng.incoming(msg(0, 1, 5, 1)).is_none(),
+            "emptied bucket matches nothing"
+        );
     }
 
     #[test]

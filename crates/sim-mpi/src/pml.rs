@@ -1,8 +1,9 @@
 //! The point-to-point management layer (PML), modelled on Open MPI's `ob1`.
 //!
 //! The PML owns the process's fabric [`Endpoint`], the matching engine, and
-//! the table of outstanding requests. It exposes exactly the interception
-//! surface that SDR-MPI patches into Open MPI (Section 4.1):
+//! the table of outstanding receive requests (a send is complete the moment
+//! it is handed to the fabric, so it has no request). It exposes exactly the
+//! interception surface that SDR-MPI patches into Open MPI (Section 4.1):
 //!
 //! * `isend` / `irecv` — the `pml_send`/`pml_recv` entry points a protocol can
 //!   wrap with pre/post-treatment;
@@ -32,7 +33,7 @@ type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHashe
 
 /// Metadata describing a completed receive (or an incoming message), handed
 /// to protocols together with [`PmlEvent::RecvCompleted`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct MsgMeta {
     /// Sending physical process.
     pub src: EndpointId,
@@ -132,16 +133,13 @@ pub struct SdcFlip {
     pub bit: u32,
 }
 
+/// State of one receive request.
 #[derive(Debug)]
 enum ReqState {
-    /// Send request: complete as soon as the payload is handed to the fabric.
-    SendDone,
-    /// Receive request waiting for a matching message.
+    /// Waiting for a matching message.
     RecvPending,
-    /// Receive request completed; payload retained until taken.
+    /// Completed; payload retained until taken.
     RecvDone { meta: MsgMeta, payload: Bytes },
-    /// Request cancelled by the protocol layer (failure handling).
-    Cancelled,
 }
 
 /// The PML: per-process point-to-point engine.
@@ -271,21 +269,18 @@ impl Pml {
         self.ep.wait_until(deadline);
     }
 
-    fn alloc_req(&mut self, state: ReqState) -> PmlReqId {
-        let id = PmlReqId(self.next_req);
-        self.next_req += 1;
-        self.requests.insert(id, state);
-        id
-    }
-
     /// Post a send of `payload` to physical process `dst` on communicator
     /// `comm` with `tag`. `aux` is an opaque protocol word carried in the wire
     /// header (SDR-MPI stores its application-level sequence number there).
     ///
-    /// The returned request is complete immediately: at the PML level a send
-    /// finishes once the payload has been handed to the fabric (the payload
-    /// buffer can be reused). Protocols that need stronger completion (e.g.
-    /// SDR-MPI waiting for acks) layer it on top.
+    /// There is no send request: at the PML level a send is complete once the
+    /// payload has been handed to the fabric, which is before this returns.
+    /// Protocols that need stronger completion (e.g. SDR-MPI waiting for acks)
+    /// layer it on top. Returns the wire (stream) sequence number the send
+    /// was stamped with, so a protocol retransmitting from its send log can
+    /// replay the message under the *same* sequence ([`Pml::resend_app`]) —
+    /// the receiver's lossy-transport window then dedups and reorders it
+    /// correctly.
     pub fn isend(
         &mut self,
         dst: EndpointId,
@@ -293,22 +288,7 @@ impl Pml {
         tag: Tag,
         aux: i64,
         payload: Bytes,
-    ) -> PmlReqId {
-        self.isend_tracked(dst, comm, tag, aux, payload).0
-    }
-
-    /// [`Pml::isend`] that also returns the wire (stream) sequence number the
-    /// send was stamped with, so a protocol retransmitting from its send log
-    /// can replay the message under the *same* sequence — the receiver's
-    /// lossy-transport window then dedups and reorders it correctly.
-    pub fn isend_tracked(
-        &mut self,
-        dst: EndpointId,
-        comm: CommId,
-        tag: Tag,
-        aux: i64,
-        payload: Bytes,
-    ) -> (PmlReqId, u64) {
+    ) -> u64 {
         self.app_sends += 1;
         let payload = self.corrupt_if_scheduled(payload);
         let seq_key = (dst, comm);
@@ -326,11 +306,11 @@ impl Pml {
             0,
         ];
         self.ep.send(dst, class::APP, header, payload);
-        (self.alloc_req(ReqState::SendDone), this_seq)
+        this_seq
     }
 
     /// Retransmit a logged application payload under its original wire
-    /// sequence (`wire_seq` from [`Pml::isend_tracked`]). Unlike a fresh
+    /// sequence (`wire_seq` from [`Pml::isend`]). Unlike a fresh
     /// send this does not advance the stream sequence, does not count as a
     /// new application send for SDC/crash schedules, and does not re-apply
     /// scheduled corruptions — the wire carries exactly what the send log
@@ -409,7 +389,30 @@ impl Pml {
     /// Post a receive for a message on `comm` with tag filter `tag`, from
     /// physical process `src` (`None` = `MPI_ANY_SOURCE`).
     pub fn irecv(&mut self, src: Option<EndpointId>, comm: CommId, tag: TagSel) -> PmlReqId {
-        let req = self.alloc_req(ReqState::RecvPending);
+        let req = PmlReqId(self.next_req);
+        self.next_req += 1;
+        self.post_recv(req, src, comm, tag);
+        req
+    }
+
+    /// Discard the message a completed receive was matched with and post the
+    /// receive again under the same id (SDR-MPI drops a duplicate created by
+    /// a post-failure re-send this way). The discarded message still counts
+    /// as received: the clock is synchronised to its arrival and charged the
+    /// receive overhead, exactly as by [`Pml::take_recv`].
+    pub fn repost_recv(
+        &mut self,
+        req: PmlReqId,
+        src: Option<EndpointId>,
+        comm: CommId,
+        tag: TagSel,
+    ) {
+        let _ = self.take_recv(req);
+        self.post_recv(req, src, comm, tag);
+    }
+
+    fn post_recv(&mut self, req: PmlReqId, src: Option<EndpointId>, comm: CommId, tag: TagSel) {
+        self.requests.insert(req, ReqState::RecvPending);
         let posting = PostedRecv {
             req,
             src,
@@ -420,7 +423,6 @@ impl Pml {
             self.charge_unexpected_copy(delivery.msg.payload.len());
             self.complete_recv(req, delivery.msg);
         }
-        req
     }
 
     fn charge_unexpected_copy(&mut self, len: usize) {
@@ -444,24 +446,12 @@ impl Pml {
         self.requests.insert(
             req,
             ReqState::RecvDone {
-                meta: meta.clone(),
+                meta,
                 payload: msg.payload,
             },
         );
         self.pending_events
             .push(PmlEvent::RecvCompleted { req, meta });
-    }
-
-    /// Cancel a request (Algorithm 1 lines 32–33). Pending receives are
-    /// removed from the matching engine; completed or send requests are simply
-    /// marked cancelled.
-    pub fn cancel(&mut self, req: PmlReqId) {
-        if let Some(state) = self.requests.get(&req) {
-            if matches!(state, ReqState::RecvPending) {
-                self.engine.cancel(req);
-            }
-            self.requests.insert(req, ReqState::Cancelled);
-        }
     }
 
     /// Redirect a pending receive to a new source (Algorithm 1 line 35). If a
@@ -477,21 +467,9 @@ impl Pml {
         }
     }
 
-    /// Is the request complete (send handed to fabric, receive matched, or
-    /// cancelled)?
+    /// Has the receive been matched (or already been taken)?
     pub fn is_complete(&self, req: PmlReqId) -> bool {
-        match self.requests.get(&req) {
-            Some(ReqState::SendDone)
-            | Some(ReqState::RecvDone { .. })
-            | Some(ReqState::Cancelled) => true,
-            Some(ReqState::RecvPending) => false,
-            None => true, // already freed
-        }
-    }
-
-    /// Was the request cancelled?
-    pub fn is_cancelled(&self, req: PmlReqId) -> bool {
-        matches!(self.requests.get(&req), Some(ReqState::Cancelled))
+        !matches!(self.requests.get(&req), Some(ReqState::RecvPending))
     }
 
     /// Take the result of a completed receive, freeing the request. Returns
@@ -521,11 +499,6 @@ impl Pml {
         }
     }
 
-    /// Free a request handle (send requests, cancelled requests).
-    pub fn free(&mut self, req: PmlReqId) {
-        self.requests.remove(&req);
-    }
-
     /// Pending (not yet matched) receive requests whose source filter is
     /// exactly `src`. Used by failure handling to find the requests that must
     /// be redirected to a substitute.
@@ -537,7 +510,8 @@ impl Pml {
             .collect()
     }
 
-    /// Number of live request handles (diagnostic).
+    /// Number of live receive requests — posted or completed, not yet taken
+    /// (diagnostic; a finished application leaves none).
     pub fn outstanding_requests(&self) -> usize {
         self.requests.len()
     }
@@ -714,20 +688,16 @@ impl Pml {
     /// quiescence check proves the job stuck, when the real-time timeout
     /// elapses, or when the transport is torn down.
     ///
-    /// `waiting_for` describes what the caller is blocked on, for diagnostics.
-    pub fn progress_blocking(&mut self, waiting_for: &str) -> MpiResult<Vec<PmlEvent>> {
-        self.progress_blocking_hinted(waiting_for, false)
-    }
-
-    /// [`Pml::progress_blocking`] with a racy-wait hint (see
-    /// [`sim_net::Endpoint::recv_blocking_hinted`]): pass `racy = true` when
-    /// the caller waits for traffic that is very likely already in flight —
-    /// e.g. protocol acknowledgements for a send whose payload has been
-    /// delivered — so the endpoint yields once (coalescing in-flight wakes
-    /// lock-free) before committing to a park.
-    pub fn progress_blocking_hinted(
+    /// `waiting_for` describes what the caller is blocked on; it is formatted
+    /// only if the wait fails. `racy` is the racy-wait hint (see
+    /// [`sim_net::Endpoint::recv_blocking_hinted`]): pass `true` when the
+    /// caller waits for traffic that is very likely already in flight — e.g.
+    /// protocol acknowledgements for a send whose payload has been delivered —
+    /// so the endpoint yields once (coalescing in-flight wakes lock-free)
+    /// before committing to a park.
+    pub fn progress_blocking(
         &mut self,
-        waiting_for: &str,
+        waiting_for: impl std::fmt::Display,
         racy: bool,
     ) -> MpiResult<Vec<PmlEvent>> {
         let events = self.progress();
@@ -779,17 +749,19 @@ mod tests {
     }
 
     #[test]
-    fn send_request_completes_immediately() {
+    fn a_send_leaves_no_request_behind() {
         let f = fabric(2);
         let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
-        let req = p0.isend(
+        let wire_seq = p0.isend(
             EndpointId(1),
             CommId::WORLD,
             7,
             0,
             Bytes::from_static(b"hi"),
         );
-        assert!(p0.is_complete(req));
+        assert_eq!(wire_seq, 0);
+        assert_eq!(p0.outstanding_requests(), 0);
+        assert_eq!(f.stats().snapshot().app_msgs(), 1, "already on the wire");
     }
 
     #[test]
@@ -806,7 +778,7 @@ mod tests {
         );
         let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
         assert!(!p1.is_complete(req));
-        let events = p1.progress_blocking("test recv").unwrap();
+        let events = p1.progress_blocking("test recv", false).unwrap();
         assert!(p1.is_complete(req));
         match &events[0] {
             PmlEvent::RecvCompleted { req: r, meta } => {
@@ -874,7 +846,7 @@ mod tests {
         for _ in 0..3 {
             let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
             while !p1.is_complete(req) {
-                p1.progress_blocking("sdc recv").unwrap();
+                p1.progress_blocking("sdc recv", false).unwrap();
             }
             payloads.push(p1.take_recv(req).unwrap().1);
         }
@@ -904,7 +876,7 @@ mod tests {
         let mut hdr = [0i64; 8];
         hdr[0] = 99;
         p0.send_control(EndpointId(1), class::ACK, hdr, Bytes::new());
-        let events = p1.progress_blocking("ack").unwrap();
+        let events = p1.progress_blocking("ack", false).unwrap();
         match &events[0] {
             PmlEvent::Control {
                 src,
@@ -963,21 +935,35 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_recv_is_complete_and_never_matches() {
+    fn repost_discards_the_message_and_rearms_under_the_same_id() {
         let f = fabric(2);
         let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
         let mut p1 = Pml::new(f.endpoint(EndpointId(1)));
-        let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(1));
-        p1.cancel(req);
-        assert!(p1.is_complete(req));
-        assert!(p1.is_cancelled(req));
-        p0.isend(EndpointId(1), CommId::WORLD, 1, 0, Bytes::from_static(b"x"));
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        p1.compute(SimTime::from_secs(1));
-        p1.progress();
-        // The message ended up unexpected instead of completing the cancelled request.
-        assert_eq!(p1.matching().unexpected_len(), 1);
-        assert!(p1.take_recv(req).is_none());
+        for body in [&b"dup"[..], &b"fresh"[..]] {
+            p0.isend(
+                EndpointId(1),
+                CommId::WORLD,
+                1,
+                0,
+                Bytes::copy_from_slice(body),
+            );
+        }
+        let src = Some(EndpointId(0));
+        let req = p1.irecv(src, CommId::WORLD, TagSel::Tag(1));
+        while !p1.is_complete(req) {
+            p1.progress_blocking("first copy", false).unwrap();
+        }
+        // Dropping the first message still counts as receiving it: the clock
+        // moves to its arrival plus the receive overhead.
+        let before = p1.now();
+        p1.repost_recv(req, src, CommId::WORLD, TagSel::Tag(1));
+        assert!(p1.now() > before);
+        assert_eq!(p1.outstanding_requests(), 1, "same request, armed again");
+        while !p1.is_complete(req) {
+            p1.progress_blocking("second copy", false).unwrap();
+        }
+        assert_eq!(&p1.take_recv(req).unwrap().1[..], b"fresh");
+        assert_eq!(p1.outstanding_requests(), 0);
     }
 
     #[test]
@@ -995,7 +981,7 @@ mod tests {
             0,
             Bytes::from_static(b"sub"),
         );
-        p1.progress_blocking("redirected recv").unwrap();
+        p1.progress_blocking("redirected recv", false).unwrap();
         assert!(p1.is_complete(req));
         let (meta, payload) = p1.take_recv(req).unwrap();
         assert_eq!(meta.src, EndpointId(2));
@@ -1015,7 +1001,7 @@ mod tests {
         for _ in 0..3 {
             let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(0));
             while !p1.is_complete(req) {
-                p1.progress_blocking("seq recv").unwrap();
+                p1.progress_blocking("seq recv", false).unwrap();
             }
             seqs.push(p1.take_recv(req).unwrap().0.seq);
         }
@@ -1066,7 +1052,7 @@ mod tests {
             Bytes::from_static(b"first"),
         );
         while !(p1.is_complete(r1) && p1.is_complete(r2)) {
-            p1.progress_blocking("gap fill").unwrap();
+            p1.progress_blocking("gap fill", false).unwrap();
         }
         assert_eq!(&p1.take_recv(r1).unwrap().1[..], b"first");
         assert_eq!(&p1.take_recv(r2).unwrap().1[..], b"second");
@@ -1080,7 +1066,7 @@ mod tests {
             0,
             Bytes::from_static(b"first"),
         );
-        let events = p1.progress_blocking("dup").unwrap();
+        let events = p1.progress_blocking("dup", false).unwrap();
         assert!(matches!(
             events[0],
             PmlEvent::DuplicateSuppressed { src, aux, .. }
@@ -1129,7 +1115,7 @@ mod tests {
         );
         let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(1));
         while !p1.is_complete(req) {
-            p1.progress_blocking("cross-comm").unwrap();
+            p1.progress_blocking("cross-comm", false).unwrap();
         }
         assert_eq!(&p1.take_recv(req).unwrap().1[..], b"ok");
     }
@@ -1141,7 +1127,7 @@ mod tests {
         let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
         let _req = p0.irecv(Some(EndpointId(1)), CommId::WORLD, TagSel::Tag(0));
         let err = p0
-            .progress_blocking("message that never comes")
+            .progress_blocking("message that never comes", false)
             .unwrap_err();
         assert!(matches!(err, MpiError::Deadlock { .. }));
     }
@@ -1161,7 +1147,7 @@ mod tests {
         // First blocking call times out on the channel but picks up the
         // failure event instead of reporting a deadlock.
         let events = loop {
-            match p0.progress_blocking("peer message or failure") {
+            match p0.progress_blocking("peer message or failure", false) {
                 Ok(evs) if !evs.is_empty() => break evs,
                 Ok(_) => continue,
                 Err(e) => panic!("unexpected deadlock: {e}"),

@@ -291,17 +291,17 @@ impl Process {
         }
     }
 
-    fn block_for_events(&mut self, what: &str) {
-        self.block_for_events_hinted(what, false)
-    }
-
     /// `racy = true` marks waits whose traffic is very likely already in
     /// flight (completion acks for a send whose payload is out): the endpoint
     /// then yields once before parking so those deliveries coalesce into its
     /// lock-free wake token (see [`sim_net::Endpoint::recv_blocking_hinted`]).
-    fn block_for_events_hinted(&mut self, what: &str, racy: bool) {
-        let desc = format!("{what}; protocol: {}", self.protocol.describe_pending());
-        match self.pml.progress_blocking_hinted(&desc, racy) {
+    fn block_for_events(&mut self, what: &str, racy: bool) {
+        // Formatted only if the wait fails; the protocol cannot change state
+        // in between (blocking progress only queues events).
+        let desc = std::fmt::from_fn(|f| {
+            write!(f, "{what}; protocol: {}", self.protocol.describe_pending())
+        });
+        match self.pml.progress_blocking(desc, racy) {
             Ok(events) => {
                 for ev in events {
                     self.protocol.handle_event(&mut self.pml, ev);
@@ -340,7 +340,7 @@ impl Process {
             if self.request_complete(req) {
                 break;
             }
-            self.block_for_events_hinted("request completion in MPI_Wait", racy);
+            self.block_for_events("request completion in MPI_Wait", racy);
         }
         match req {
             Request::Send(s) => {
@@ -401,7 +401,7 @@ impl Process {
                 let (status, payload) = self.wait(comm, reqs[idx]);
                 return (idx, status, payload);
             }
-            self.block_for_events("any request completion in MPI_Waitany");
+            self.block_for_events("any request completion in MPI_Waitany", false);
         }
     }
 

@@ -164,8 +164,9 @@ impl Protocol for NativeProtocol {
         payload: Bytes,
     ) -> ProtoSendReq {
         assert!(dst < self.size, "destination rank {dst} out of range");
-        let req = pml.isend(EndpointId(dst), comm, tag, 0, payload);
-        ProtoSendReq(req.0)
+        pml.isend(EndpointId(dst), comm, tag, 0, payload);
+        // Handed to the fabric means complete: there is nothing to track.
+        ProtoSendReq(0)
     }
 
     fn irecv(
@@ -182,8 +183,8 @@ impl Protocol for NativeProtocol {
         ProtoRecvReq(req.0)
     }
 
-    fn send_complete(&mut self, pml: &mut Pml, req: ProtoSendReq) -> bool {
-        pml.is_complete(crate::matching::PmlReqId(req.0))
+    fn send_complete(&mut self, _pml: &mut Pml, _req: ProtoSendReq) -> bool {
+        true
     }
 
     fn recv_complete(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> bool {
@@ -202,9 +203,7 @@ impl Protocol for NativeProtocol {
         ))
     }
 
-    fn free_send(&mut self, pml: &mut Pml, req: ProtoSendReq) {
-        pml.free(crate::matching::PmlReqId(req.0));
-    }
+    fn free_send(&mut self, _pml: &mut Pml, _req: ProtoSendReq) {}
 
     fn handle_event(&mut self, _pml: &mut Pml, _ev: PmlEvent) {
         // Native executions have no protocol traffic and no fault tolerance:
@@ -266,7 +265,7 @@ mod tests {
 
         let rreq = proto1.irecv(&mut pml1, Some(0), CommId::WORLD, TagSel::Tag(5));
         while !proto1.recv_complete(&mut pml1, rreq) {
-            for ev in pml1.progress_blocking("native recv").unwrap() {
+            for ev in pml1.progress_blocking("native recv", false).unwrap() {
                 proto1.handle_event(&mut pml1, ev);
             }
         }
@@ -284,7 +283,7 @@ mod tests {
         proto0.isend(&mut pml0, 1, CommId::WORLD, 9, Bytes::from_static(b"anon"));
         let rreq = proto1.irecv(&mut pml1, None, CommId::WORLD, TagSel::Any);
         while !proto1.recv_complete(&mut pml1, rreq) {
-            for ev in pml1.progress_blocking("any-source recv").unwrap() {
+            for ev in pml1.progress_blocking("any-source recv", false).unwrap() {
                 proto1.handle_event(&mut pml1, ev);
             }
         }

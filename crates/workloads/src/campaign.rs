@@ -578,9 +578,6 @@ pub struct LatencyStats {
     pub median_s: f64,
     /// 90th percentile.
     pub p90_s: f64,
-    /// 99th percentile (the maximum for up to 100 samples, which keeps
-    /// small samples honest).
-    pub p99_s: f64,
     /// Maximum.
     pub max_s: f64,
 }
@@ -599,7 +596,6 @@ impl LatencyStats {
             min_s: secs[0],
             median_s: pick(1, 2),
             p90_s: pick(9, 10),
-            p99_s: pick(99, 100),
             max_s: *secs.last().expect("non-empty"),
         }
     }
@@ -1165,9 +1161,8 @@ mod tests {
         assert_eq!(s.median_s, 2.0);
         assert_eq!(s.max_s, 10.0);
         assert_eq!(LatencyStats::from_samples(vec![]), LatencyStats::default());
-        // (12 - 1) * 99 / 100 = 10 -> the 11th order statistic.
+        // (12 - 1) * 9 / 10 = 9 -> the 10th order statistic.
         let twelve = LatencyStats::from_samples((1..=12).map(f64::from).collect());
-        assert_eq!((twelve.median_s, twelve.p99_s), (6.0, 11.0));
-        assert_eq!(LatencyStats::from_samples(vec![5.0]).p99_s, 5.0);
+        assert_eq!((twelve.median_s, twelve.p90_s), (6.0, 10.0));
     }
 }

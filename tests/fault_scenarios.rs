@@ -155,9 +155,17 @@ fn ack_on_app_wait_deadlocks_the_exchange_and_quiescence_reports_it() {
     // application bug.
     for proc in &report.processes {
         match &proc.outcome {
-            ProcessOutcome::Deadlocked { waiting_for } => assert!(
-                waiting_for.contains("MPI_Wait"),
-                "unexpected wait description: {waiting_for}"
+            // The description is built only once the wait has failed; it
+            // must still carry the protocol's view of what is outstanding.
+            ProcessOutcome::Deadlocked { waiting_for } => assert_eq!(
+                *waiting_for,
+                format!(
+                    "request completion in MPI_Wait; protocol: SDR-MPI rank {} replica {}: \
+                     1 sends awaiting acks, 1 receives outstanding [{}]",
+                    proc.app_rank,
+                    proc.replica,
+                    sim_net::RecvError::Quiescent
+                )
             ),
             other => panic!("{:?} should be deadlocked, got {other:?}", proc.endpoint),
         }
