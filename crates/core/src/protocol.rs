@@ -61,9 +61,15 @@ pub mod ctl {
     pub const FIN_ACK: i64 = 5;
 }
 
-/// Virtual-time base of the lossy-transport retransmission timer (50 µs —
-/// comfortably above any one-message round trip of the bundled network
-/// models, so a timer firing almost always means real loss).
+/// Virtual-time base of the lossy-transport retransmission timer: 50 µs,
+/// about 30× the modelled one-message round trip of the bundled network
+/// models. A firing timer nevertheless seldom means a lost frame: measured
+/// on the benchmark's `fault_recovery_64` workload, `proto.retx_per_drop` is
+/// 9.5 — nine timer-driven retransmissions for every frame the fault policy
+/// dropped — because the timer is armed in the *sender's* virtual time and
+/// nothing keeps it from firing before the peer that owes the ack has been
+/// dispatched that far (the peer's wire-sequence window dedups the copies).
+/// Only a virtual-time lookahead can remove those; ROADMAP items 4(b)/5.
 pub const RETX_BASE_NS: u64 = 50_000;
 
 /// A send-log entry still unacknowledged after this many doubled timeouts
@@ -73,11 +79,13 @@ pub const RETX_BASE_NS: u64 = 50_000;
 pub const RETX_MAX_ATTEMPTS: u32 = 32;
 
 /// Attempt count from which each retransmission timeout additionally sleeps
-/// a short *real-time* interval. Virtual timer pops are instantaneous in
-/// real time, so repeated timeouts usually mean the peer's carrier thread is
-/// starved of physical CPU (single-core or loaded hosts), not that the
-/// network lost every copy; sleeping lets already-emitted acknowledgements
-/// physically arrive long before [`RETX_MAX_ATTEMPTS`] can be reached.
+/// a short *real-time* interval — when another run permit is in circulation
+/// (`Endpoint::runs_alone` is false). Virtual timer pops are instantaneous in
+/// real time, so repeated timeouts there usually mean a peer executing under
+/// the other permit is starved of physical CPU, not that the network lost
+/// every copy; sleeping lets already-emitted acknowledgements physically
+/// arrive long before [`RETX_MAX_ATTEMPTS`] can be reached. A process holding
+/// the only permit never sleeps: nobody could run meanwhile.
 pub const RETX_REAL_BACKOFF_ATTEMPTS: u32 = 8;
 
 /// Tracks which application-level sequence numbers have already been delivered
@@ -678,17 +686,21 @@ impl SdrProtocol {
         // the very peers whose acknowledgements would cancel the timer while
         // the attempt counter races to its cap (DESIGN.md §5.5).
         pml.wait_until(now);
-        // The boundary above yields only within the scheduler's permit pool;
-        // on a loaded (or single-core) host the peer's *carrier thread* may
-        // still be waiting for physical CPU while this process — whose timer
-        // pops cost nanoseconds of real time each — races through backoff
-        // rounds. A timeout is a slow path: give the OS a scheduling point
-        // every attempt, and once attempts pile up, a short real sleep, so
-        // acknowledgements already emitted get physical time to arrive
-        // before the attempt cap can possibly be reached.
-        std::thread::yield_now();
-        if attempts >= RETX_REAL_BACKOFF_ATTEMPTS {
-            std::thread::sleep(std::time::Duration::from_micros(200));
+        // The boundary above yields only within the scheduler's permit pool.
+        // A peer executing concurrently under *another* permit may still be
+        // waiting for physical CPU while this process — whose timer pops
+        // cost nanoseconds of real time each — races through backoff rounds:
+        // give the OS a scheduling point every attempt, and once attempts
+        // pile up, a short real sleep, so acknowledgements already emitted
+        // get physical time to arrive before the attempt cap can be reached.
+        // When ours is the only permit in circulation nobody can run while
+        // we wait, so there is nothing to wait for (DESIGN.md §5.5).
+        if !pml.endpoint().runs_alone() {
+            pml.endpoint().fabric().stats().record_retx_real_wait();
+            std::thread::yield_now();
+            if attempts >= RETX_REAL_BACKOFF_ATTEMPTS {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
         }
         assert!(
             attempts <= RETX_MAX_ATTEMPTS,

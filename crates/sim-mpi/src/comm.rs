@@ -50,6 +50,13 @@ impl Group {
 
     /// The group rank of `world_rank`, if it is a member.
     pub fn rank_of(&self, world_rank: Rank) -> Option<Rank> {
+        // Members are unique, so a member sitting at its own index — every
+        // member of a world or prefix group — is the scan's answer; only
+        // permuted and sparse groups pay the scan. `Process::wait` asks this
+        // for every completed receive.
+        if self.members.get(world_rank) == Some(&world_rank) {
+            return Some(world_rank);
+        }
         self.members.iter().position(|&m| m == world_rank)
     }
 

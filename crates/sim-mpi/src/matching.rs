@@ -66,6 +66,22 @@ impl Hasher for KeyHasher {
 
 type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
+/// How many emptied buckets of each kind (posted, unexpected) the engine
+/// keeps for reuse. Under an all-to-all every bucket holds one entry, so
+/// without the free list each message allocates a deque when its bucket
+/// appears and frees it when the bucket empties; a handful of spares absorbs
+/// that, and the bound keeps the retained memory negligible (a few hundred
+/// bytes per spare).
+pub const SPARE_BUCKETS: usize = 8;
+
+/// Keep the just-emptied `bucket` for reuse unless `spare` is full.
+fn retire_bucket<T>(spare: &mut Vec<VecDeque<T>>, bucket: VecDeque<T>) {
+    debug_assert!(bucket.is_empty());
+    if spare.len() < SPARE_BUCKETS {
+        spare.push(bucket);
+    }
+}
+
 /// One communicator's unexpected-message buckets: concrete (src, tag) →
 /// FIFO of (arrival seq, message).
 type UnexpectedBuckets = HashMap<(EndpointId, Tag), VecDeque<(u64, IncomingMsg)>>;
@@ -169,7 +185,9 @@ pub struct MatchingEngine {
     posted_kinds: [usize; 4],
     posted_seq: u64,
     /// Unexpected messages, bucketed per communicator by concrete (src, tag).
-    /// Entries carry the global arrival sequence; buckets are FIFO in it.
+    /// Entries carry the global arrival sequence; buckets are FIFO in it and
+    /// never left empty (a communicator's map, once created, is — it stays
+    /// for the next message).
     unexpected: HashMap<CommId, UnexpectedBuckets>,
     unexpected_live: usize,
     arrival_seq: u64,
@@ -177,6 +195,10 @@ pub struct MatchingEngine {
     /// experiment statistic: leader-based protocols grow this).
     peak_unexpected: usize,
     total_unexpected: u64,
+    /// Emptied posted buckets awaiting reuse, at most [`SPARE_BUCKETS`].
+    spare_posted: Vec<VecDeque<(u64, PostedRecv)>>,
+    /// Emptied unexpected buckets awaiting reuse, at most [`SPARE_BUCKETS`].
+    spare_unexpected: Vec<VecDeque<(u64, IncomingMsg)>>,
 }
 
 impl MatchingEngine {
@@ -227,10 +249,8 @@ impl MatchingEngine {
         let q = comm_map.get_mut(&bucket).expect("bucket exists");
         let (_, msg) = q.pop_front().expect("bucket non-empty");
         if q.is_empty() {
-            comm_map.remove(&bucket);
-        }
-        if comm_map.is_empty() {
-            self.unexpected.remove(&posting.comm);
+            let q = comm_map.remove(&bucket).expect("bucket exists");
+            retire_bucket(&mut self.spare_unexpected, q);
         }
         self.unexpected_live -= 1;
         Some(msg)
@@ -253,7 +273,7 @@ impl MatchingEngine {
         self.posted_kinds[key.kind()] += 1;
         self.posted
             .entry(key)
-            .or_default()
+            .or_insert_with(|| self.spare_posted.pop().unwrap_or_default())
             .push_back((seq, posting));
         None
     }
@@ -301,7 +321,8 @@ impl MatchingEngine {
             let q = self.posted.get_mut(&key).expect("bucket exists");
             let (_, posting) = q.pop_front().expect("bucket non-empty");
             if q.is_empty() {
-                self.posted.remove(&key);
+                let q = self.posted.remove(&key).expect("bucket exists");
+                retire_bucket(&mut self.spare_posted, q);
             }
             self.posted_where.remove(&posting.req);
             self.posted_kinds[key.kind()] -= 1;
@@ -314,7 +335,7 @@ impl MatchingEngine {
                 .entry(msg.comm)
                 .or_default()
                 .entry((msg.src, msg.tag))
-                .or_default()
+                .or_insert_with(|| self.spare_unexpected.pop().unwrap_or_default())
                 .push_back((seq, msg));
             self.unexpected_live += 1;
             self.total_unexpected += 1;
@@ -389,6 +410,12 @@ impl MatchingEngine {
         self.unexpected_live
     }
 
+    /// Emptied `(posted, unexpected)` buckets currently kept for reuse, each
+    /// at most [`SPARE_BUCKETS`] (diagnostics).
+    pub fn spare_buckets(&self) -> (usize, usize) {
+        (self.spare_posted.len(), self.spare_unexpected.len())
+    }
+
     /// Peak length of the unexpected queue over the lifetime of the engine.
     pub fn peak_unexpected(&self) -> usize {
         self.peak_unexpected
@@ -416,15 +443,14 @@ impl MatchingEngine {
     /// unexpected queue bounded.
     pub fn purge_unexpected<F: FnMut(&IncomingMsg) -> bool>(&mut self, mut discard: F) -> usize {
         let mut dropped = 0;
-        self.unexpected.retain(|_, comm_map| {
+        for comm_map in self.unexpected.values_mut() {
             comm_map.retain(|_, q| {
                 let before = q.len();
                 q.retain(|(_, m)| !discard(m));
                 dropped += before - q.len();
                 !q.is_empty()
             });
-            !comm_map.is_empty()
-        });
+        }
         self.unexpected_live -= dropped;
         dropped
     }

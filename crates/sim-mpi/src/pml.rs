@@ -151,6 +151,10 @@ pub struct Pml {
     send_seq: HashMap<(EndpointId, CommId), u64>,
     failures_seen: u64,
     pending_events: Vec<PmlEvent>,
+    /// A drained event vector the caller handed back
+    /// ([`Pml::recycle_events`]); it becomes `pending_events` the next time
+    /// that one is given away, so steady-state progress allocates nothing.
+    spare_events: Vec<PmlEvent>,
     config: PmlConfig,
     /// Application sends posted so far (all destinations), the index the
     /// fault-campaign's [`SdcFlip::nth_send`] counts against. Matches the
@@ -200,6 +204,7 @@ impl Pml {
             send_seq: HashMap::default(),
             failures_seen: 0,
             pending_events: Vec::new(),
+            spare_events: Vec::new(),
             config,
             app_sends: 0,
             sdc_flips: Vec::new(),
@@ -637,6 +642,30 @@ impl Pml {
         }
     }
 
+    /// Give the queued events to the caller, leaving the spare vector (or an
+    /// empty one) in their place.
+    fn take_events(&mut self) -> Vec<PmlEvent> {
+        if self.pending_events.is_empty() {
+            return Vec::new(); // keep whatever capacity is queued up
+        }
+        std::mem::replace(
+            &mut self.pending_events,
+            std::mem::take(&mut self.spare_events),
+        )
+    }
+
+    /// Hand back an event vector obtained from [`Pml::progress`] or
+    /// [`Pml::progress_blocking`] once its events are handled, so the next
+    /// progress call that produces events reuses the allocation instead of
+    /// making a new one. Optional: a caller that just drops the vector only
+    /// pays the allocation.
+    pub fn recycle_events(&mut self, mut events: Vec<PmlEvent>) {
+        if self.spare_events.capacity() == 0 {
+            events.clear();
+            self.spare_events = events;
+        }
+    }
+
     /// Non-blocking progress: drain virtually-arrived messages, poll the
     /// failure detector, and return all events generated since the last call.
     ///
@@ -664,7 +693,7 @@ impl Pml {
             drained_any = true;
             self.process_raw(raw);
         }
-        let events = std::mem::take(&mut self.pending_events);
+        let events = self.take_events();
         if drained_any || !events.is_empty() {
             self.ep.busy_poll();
         } else if self.ep.idle_poll().is_err() {
@@ -714,13 +743,13 @@ impl Pml {
                     self.process_raw(raw);
                 }
                 self.poll_failures();
-                Ok(std::mem::take(&mut self.pending_events))
+                Ok(self.take_events())
             }
             Err(err) => {
                 // Check failures one more time (a failure notification may be
                 // what unblocks us) before declaring the deadlock.
                 self.poll_failures();
-                let events = std::mem::take(&mut self.pending_events);
+                let events = self.take_events();
                 if events.is_empty() {
                     Err(MpiError::Deadlock {
                         endpoint: self.ep.id(),

@@ -10,7 +10,7 @@
 
 use crate::comm::{derive_comm_id, CommInfo, Group};
 use crate::datatype;
-use crate::pml::Pml;
+use crate::pml::{Pml, PmlEvent};
 use crate::protocol::{ProtoRecvReq, ProtoSendReq, Protocol};
 use crate::types::{MpiError, Rank, Status, Tag, TagSel, ANY_SOURCE, ANY_TAG};
 use bytes::Bytes;
@@ -286,9 +286,17 @@ impl Process {
     }
 
     fn drain_events(&mut self) {
-        for ev in self.pml.progress() {
+        let events = self.pml.progress();
+        self.handle_events(events);
+    }
+
+    /// Feed `events` to the protocol in order, then return the emptied
+    /// vector to the PML for its next progress call.
+    fn handle_events(&mut self, mut events: Vec<PmlEvent>) {
+        for ev in events.drain(..) {
             self.protocol.handle_event(&mut self.pml, ev);
         }
+        self.pml.recycle_events(events);
     }
 
     /// `racy = true` marks waits whose traffic is very likely already in
@@ -302,11 +310,7 @@ impl Process {
             write!(f, "{what}; protocol: {}", self.protocol.describe_pending())
         });
         match self.pml.progress_blocking(desc, racy) {
-            Ok(events) => {
-                for ev in events {
-                    self.protocol.handle_event(&mut self.pml, ev);
-                }
-            }
+            Ok(events) => self.handle_events(events),
             Err(err) => std::panic::panic_any(err),
         }
     }

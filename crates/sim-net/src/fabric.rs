@@ -230,14 +230,15 @@ impl Inbox {
     /// issues the scheduler wake *after* this returns, which is what the
     /// no-lost-wake argument in the module docs relies on.
     fn ingest(&self, msg: RawMessage, dup: Option<RawMessage>) {
-        self.queued
-            .fetch_add(1 + dup.is_some() as u64, Ordering::SeqCst);
+        let frames = 1 + dup.is_some() as u64;
+        self.queued.fetch_add(frames, Ordering::SeqCst);
         {
             let mut mailbox = self.mailbox.lock();
-            for frame in std::iter::once(msg).chain(dup) {
-                let seq = mailbox.next_seq;
-                mailbox.next_seq += 1;
-                mailbox.msgs.push((seq, frame));
+            let seq = mailbox.next_seq;
+            mailbox.next_seq = seq + frames;
+            mailbox.msgs.push((seq, msg));
+            if let Some(copy) = dup {
+                mailbox.msgs.push((seq + 1, copy));
             }
         }
         if self.timed_waiters.load(Ordering::SeqCst) > 0 {
@@ -611,6 +612,22 @@ impl Endpoint {
             // dispatchable, so it cannot contribute to a quiescence verdict.
             let _ = self.fabric.sched.wait_boundary(self.id, self.clock.now());
         }
+    }
+
+    /// Is this process the only one of its job that can execute right now?
+    ///
+    /// A simulated process executes only while it holds a run permit, and
+    /// [`crate::sched::Scheduler::running`] counts the permits in circulation
+    /// (a handoff in flight counts as one). Called by a running managed
+    /// process, a count of one therefore means the only permit is the
+    /// caller's: no peer makes progress while the caller waits in *real*
+    /// time, in either carrier mode and at any worker count — with idle
+    /// permits, a parked peer that became ready would already have been
+    /// granted one (`Scheduler::wake` dispatches onto idle permits). False
+    /// for unmanaged endpoints, whose peers run on threads the scheduler
+    /// cannot see.
+    pub fn runs_alone(&self) -> bool {
+        self.managed && self.fabric.sched.running() <= 1
     }
 
     /// Number of application-class messages sent so far.
@@ -1379,6 +1396,32 @@ mod tests {
         });
         assert_eq!(h.join().unwrap().unwrap_err(), RecvError::Quiescent);
         assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn runs_alone_means_managed_and_holding_the_only_permit() {
+        let bare = Fabric::with_defaults(1, LogGpModel::fast_test_model());
+        assert!(
+            !bare.endpoint(EndpointId(0)).runs_alone(),
+            "an unmanaged endpoint's peers run where the scheduler cannot see"
+        );
+
+        let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
+        let sched = fabric.scheduler();
+        sched.set_workers(2);
+        // Each registration is granted an idle permit on the spot, so the
+        // `start` calls return at once and one thread can play both.
+        sched.register(EndpointId(0));
+        sched.start(EndpointId(0));
+        let a = fabric.endpoint(EndpointId(0));
+        assert!(a.runs_alone(), "sole permit, pool of two");
+        sched.register(EndpointId(1));
+        sched.start(EndpointId(1));
+        assert_eq!(sched.running(), 2);
+        assert!(!a.runs_alone(), "a second process holds a permit");
+        sched.finish(EndpointId(1));
+        assert!(a.runs_alone(), "the second permit was released");
+        sched.finish(EndpointId(0));
     }
 
     #[test]

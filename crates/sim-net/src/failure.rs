@@ -19,13 +19,20 @@
 //!
 //! The service sits on two of the simulator's hottest paths: the crash check
 //! runs at every send/compute boundary and the failure poll on every
-//! progress call — tens of millions of times per benchmark row. The common
-//! state (nothing scheduled, nothing failed) is therefore answered entirely
-//! from two atomics, with the inner `RwLock` consulted only once something
-//! is actually armed or failed:
+//! progress call — tens of millions of times per benchmark row. Both are
+//! therefore answered from atomics, with the inner `RwLock` consulted only by
+//! the endpoints something actually happened to:
 //!
-//! * `armed` is set (and never reset) when any non-`Never` schedule is
-//!   installed; `should_crash` returns immediately while it is clear.
+//! * `may_crash[e]` is set (and never reset) when endpoint `e` is given a
+//!   non-`Never` schedule or is recorded as failed; `should_crash(e, ..)`
+//!   returns `false` without locking while it is clear. The gate is per
+//!   endpoint, not per job: one armed replica of a 128-process fault job
+//!   used to send every endpoint's check — about five per message — through
+//!   two reader locks and a set lookup. A clear flag is exact, not a hint:
+//!   an endpoint that never had a schedule and never failed has nothing the
+//!   locked rule could fire on. The flags are sized at construction;
+//!   endpoints beyond them (only ever created by hand, in tests) always take
+//!   the locked path.
 //! * `failed_seq` is a **monotonic sequence allocator**, written under the
 //!   inner write lock and read lock-free: `failures_since(from)` returns
 //!   empty without locking when `from >= failed_seq`. Recovery
@@ -33,9 +40,11 @@
 //!   lock-free early-out can never hide a failure a poller has not yet
 //!   observed, even across recoveries that reuse endpoint ids.
 //!
-//! Both atomics are SeqCst: a recorder publishes the event list (under the
+//! All of them are SeqCst: a recorder publishes the event list (under the
 //! lock) before bumping `failed_seq`, so any poller that sees the new
-//! sequence value also sees the event behind it.
+//! sequence value also sees the event behind it; `may_crash[e]` is raised
+//! under the same write lock as the state it announces, so a check that
+//! reads it clear is ordered before that `schedule`/`record_failure`.
 
 use crate::fabric::EndpointId;
 use crate::time::SimTime;
@@ -104,18 +113,20 @@ struct Inner {
 
 /// Shared failure-injection + perfect-failure-detection service.
 ///
-/// The overwhelmingly common state — nothing scheduled, nothing failed — is
-/// answered entirely from two atomics (`armed`, `failed_seq`): the crash
-/// check runs on every send/compute boundary and the failure poll on every
-/// progress call, tens of millions of times per benchmark row, so the
-/// lock-guarded state is only consulted once something is actually armed or
-/// failed.
+/// The overwhelmingly common questions — "must I crash?" from an endpoint
+/// nothing was ever scheduled for, "anything new?" from a poller that has
+/// seen every failure — are answered from atomics (`may_crash`,
+/// `failed_seq`): the crash check runs on every send/compute boundary and
+/// the failure poll on every progress call, tens of millions of times per
+/// benchmark row, so the lock-guarded state is only consulted by the
+/// endpoints something actually happened to (module docs).
 #[derive(Debug, Clone, Default)]
 pub struct FailureService {
     inner: Arc<RwLock<Inner>>,
-    /// True once any crash schedule other than `Never` has been installed.
-    /// Never reset (schedules are rare and per-job); purely a fast-path gate.
-    armed: Arc<AtomicBool>,
+    /// Per endpoint: true once it was given a schedule other than `Never` or
+    /// was recorded as failed. Never reset (a recovered endpoint just keeps
+    /// taking the locked path); purely a fast-path gate for `should_crash`.
+    may_crash: Arc<[AtomicBool]>,
     /// Monotonic next failure sequence number — one past the highest `seq`
     /// ever assigned. Written under the inner write lock, read lock-free by
     /// the per-progress poll. Never decremented: `mark_recovered` removes
@@ -134,7 +145,7 @@ impl FailureService {
                 failed: Vec::new(),
                 failed_set: BTreeSet::new(),
             })),
-            armed: Arc::new(AtomicBool::new(false)),
+            may_crash: (0..n).map(|_| AtomicBool::new(false)).collect(),
             failed_seq: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -147,7 +158,15 @@ impl FailureService {
         }
         g.schedules[endpoint.0] = schedule;
         if !matches!(schedule, CrashSchedule::Never) {
-            self.armed.store(true, Ordering::SeqCst);
+            self.mark_may_crash(endpoint);
+        }
+    }
+
+    /// Send `endpoint`'s crash checks to the locked path from now on. Called
+    /// with the inner write lock held.
+    fn mark_may_crash(&self, endpoint: EndpointId) {
+        if let Some(flag) = self.may_crash.get(endpoint.0) {
+            flag.store(true, Ordering::SeqCst);
         }
     }
 
@@ -171,8 +190,12 @@ impl FailureService {
         app_sends: u64,
         pre_send: bool,
     ) -> bool {
-        // Fast path: nothing armed, nothing failed — no lock.
-        if !self.armed.load(Ordering::SeqCst) && self.failed_seq.load(Ordering::SeqCst) == 0 {
+        // Fast path: never scheduled, never failed — no lock.
+        if self
+            .may_crash
+            .get(endpoint.0)
+            .is_some_and(|flag| !flag.load(Ordering::SeqCst))
+        {
             return false;
         }
         if self.is_failed(endpoint) {
@@ -205,6 +228,7 @@ impl FailureService {
         let ev = FailureEvent { endpoint, at, seq };
         g.failed.push(ev);
         g.failed_set.insert(endpoint.0);
+        self.mark_may_crash(endpoint);
         self.failed_seq.store(seq + 1, Ordering::SeqCst);
         ev
     }

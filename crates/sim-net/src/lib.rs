@@ -60,9 +60,9 @@
 //! * [`sched`] — per-slot atomic phase words, wake tokens with the
 //!   Dekker-style store-load re-check, direct permit handoff, and the
 //!   verdict mutex that serialises quiescence.
-//! * [`failure`] — two-atomic fast path (`armed`, `failed_seq`) answering
-//!   the per-send crash checks and per-progress failure polls without
-//!   touching the service's inner lock.
+//! * [`failure`] — atomic fast paths (a per-endpoint `may_crash` flag, the
+//!   `failed_seq` allocator) answering the per-send crash checks and
+//!   per-progress failure polls without touching the service's inner lock.
 
 #![deny(missing_docs)]
 

@@ -161,6 +161,11 @@ counter_table! {
     /// Protocol-level retransmissions of unacked send-log entries (the
     /// masking half of the lossy-transport fault model).
     retransmits: sum,
+    /// Retransmission timeouts that waited in *real* time (an OS yield, and
+    /// a short sleep once attempts pile up) because another run permit was in
+    /// circulation or the endpoint was unmanaged — counted at the one wait
+    /// site, `sdr_core::protocol`. Zero in every `workers: 1` job.
+    retx_real_waits: sum,
     /// Policy-injected duplicate copies suppressed by the receiver-side
     /// transport dedup before they could reach the protocol layer. The
     /// fault-campaign gate demands this equals `msgs_duplicated`.
@@ -262,6 +267,11 @@ impl NetStats {
     /// Record one protocol-level retransmission of an unacked send-log entry.
     pub fn record_retransmit(&self) {
         self.retransmits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one retransmission timeout that waited in real time.
+    pub fn record_retx_real_wait(&self) {
+        self.retx_real_waits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one policy-injected duplicate suppressed by the receiver-side

@@ -6,7 +6,7 @@ use sdr_core::SeqTracker;
 use sim_mpi::comm::derive_comm_id;
 use sim_mpi::matching::{IncomingMsg, MatchingEngine, PmlReqId, PostedRecv};
 use sim_mpi::{CommId, Group, TagSel};
-use sim_net::{EndpointId, SimTime};
+use sim_net::{CrashSchedule, EndpointId, FailureService, SimTime};
 
 proptest! {
     /// A SeqTracker accepts every sequence number exactly once, in any order.
@@ -53,6 +53,82 @@ proptest! {
         prop_assert_eq!(union.size(), n);
         for r in 0..n {
             prop_assert!(union.contains(r));
+        }
+    }
+
+    /// `Group::rank_of` answers an identity hit without scanning; it must
+    /// stay the linear scan's answer on world, prefix, permuted and sparse
+    /// groups, for members and non-members alike.
+    #[test]
+    fn group_rank_of_equals_the_linear_scan(
+        n in 1usize..40,
+        prefix in 0usize..40,
+        swaps in proptest::collection::vec(0usize..40, 0..24),
+        sparse in proptest::collection::btree_set(0usize..64, 0..24),
+    ) {
+        let world = Group::world(n);
+        let prefix = world.incl(&(0..prefix.min(n)).collect::<Vec<_>>());
+        // Permuted: transpositions leave some members at their own index
+        // (the identity shortcut) and move others (the scan).
+        let mut members: Vec<usize> = (0..n).collect();
+        for pair in swaps.chunks_exact(2) {
+            members.swap(pair[0] % n, pair[1] % n);
+        }
+        let permuted = Group::from_members(members);
+        let sparse = Group::from_members(sparse.into_iter().collect());
+        for group in [&world, &prefix, &permuted, &sparse] {
+            for w in 0..72 {
+                let scan = group.members().iter().position(|&m| m == w);
+                prop_assert_eq!(group.rank_of(w), scan, "{:?} rank_of({})", group.members(), w);
+            }
+        }
+    }
+
+    /// `FailureService::should_crash` answers from a per-endpoint flag while
+    /// nothing ever happened to the endpoint. Reference: the locked rule it
+    /// short-circuits (failed, else the schedule's own condition), evaluated
+    /// through the service's locked accessors after every operation of a
+    /// random history — schedules set and cleared, failures recorded for a
+    /// running endpoint by itself or by another party (the call is the
+    /// same), recoveries, and endpoints beyond the service's initial size.
+    #[test]
+    fn failure_service_crash_check_matches_the_locked_rule(
+        n in 1usize..6,
+        ops in proptest::collection::vec(any::<u64>(), 1..60),
+    ) {
+        let svc = FailureService::new(n);
+        for op in ops {
+            let e = EndpointId((op >> 8) as usize % (n + 2)); // two beyond `n`
+            let k = (op >> 16) % 4;
+            match op % 8 {
+                0 => svc.schedule(e, CrashSchedule::Never),
+                1 => svc.schedule(e, CrashSchedule::AtTime { at: SimTime::from_nanos(k) }),
+                2 => svc.schedule(e, CrashSchedule::BeforeSend { nth: k }),
+                3 => svc.schedule(e, CrashSchedule::AfterSend { nth: k }),
+                4 | 5 => {
+                    svc.record_failure(e, SimTime::from_nanos(k));
+                }
+                _ => svc.mark_recovered(e),
+            }
+            for e in (0..n + 2).map(EndpointId) {
+                for probe in 0..16u64 {
+                    let (now, sends) = (SimTime::from_nanos(probe % 4), probe / 4);
+                    for pre_send in [false, true] {
+                        let locked = svc.is_failed(e)
+                            || match svc.schedule_of(e) {
+                                CrashSchedule::Never => false,
+                                CrashSchedule::AtTime { at } => now >= at,
+                                CrashSchedule::BeforeSend { nth } => pre_send && sends + 1 >= nth,
+                                CrashSchedule::AfterSend { nth } => !pre_send && sends >= nth,
+                            };
+                        prop_assert_eq!(
+                            svc.should_crash(e, now, sends, pre_send),
+                            locked,
+                            "{:?} now {:?} sends {} pre_send {}", e, now, sends, pre_send
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -203,6 +279,55 @@ proptest! {
                 prop_assert_eq!(coord.elect_fork_source(rank, &fewer), Ok(rep));
             }
         }
+    }
+}
+
+/// The matching engine recycles emptied buckets through two small free lists
+/// (`SPARE_BUCKETS` each). Cycles in which every bucket holds one entry — an
+/// all-to-all's shape — must leave nothing behind, and the lists must stop
+/// at their bound however many buckets empty at once.
+#[test]
+fn matching_engine_cycles_leave_no_entry_and_bounded_spares() {
+    use sim_mpi::matching::SPARE_BUCKETS;
+    let width = 2 * SPARE_BUCKETS as u64;
+    let msg = |tag: u64| IncomingMsg {
+        src: EndpointId((tag % 3) as usize),
+        comm: CommId::WORLD,
+        tag: tag as i64,
+        seq: tag,
+        aux: 0,
+        payload: bytes::Bytes::new(),
+        arrival: SimTime::from_nanos(tag),
+    };
+    let post = |tag: u64| PostedRecv {
+        req: PmlReqId(tag),
+        src: Some(EndpointId((tag % 3) as usize)),
+        comm: CommId::WORLD,
+        tag: TagSel::Tag(tag as i64),
+    };
+    let mut engine = MatchingEngine::new();
+    for cycle in 0..10_000u64 {
+        let tags = cycle * width..(cycle + 1) * width;
+        // Post, then match: `width` posted buckets appear and empty.
+        for tag in tags.clone() {
+            assert!(engine.post_recv(post(tag)).is_none());
+        }
+        for tag in tags.clone() {
+            let (req, _) = engine.incoming(msg(tag)).expect("posted receive matches");
+            assert_eq!(req, PmlReqId(tag));
+        }
+        // Unexpected, then post: `width` unexpected buckets appear and empty.
+        for tag in tags.clone() {
+            assert!(engine.incoming(msg(tag)).is_none());
+        }
+        for tag in tags {
+            let delivery = engine
+                .post_recv(post(tag))
+                .expect("unexpected message matches");
+            assert_eq!(delivery.msg.seq, tag);
+        }
+        assert_eq!((engine.posted_len(), engine.unexpected_len()), (0, 0));
+        assert_eq!(engine.spare_buckets(), (SPARE_BUCKETS, SPARE_BUCKETS));
     }
 }
 

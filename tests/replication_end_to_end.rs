@@ -6,7 +6,7 @@ mod common;
 use common::fast;
 use sdr_core::{native_job, replicated_job, ReplicationConfig};
 use sim_mpi::{Process, ReduceOp, ANY_SOURCE};
-use sim_net::{CrashSchedule, EndpointId, LogGpModel, SimTime};
+use sim_net::{CarrierMode, CrashSchedule, EndpointId, LogGpModel, NetFaultConfig, SimTime};
 use workloads::apps::{run_hpccg, AppConfig};
 use workloads::nas::{run_kernel, NasConfig, NasKernel};
 
@@ -26,6 +26,42 @@ fn all_nas_kernels_match_native_under_replication() {
             "{kernel:?} diverged under replication"
         );
     }
+}
+
+/// With a second run permit in circulation a retransmission timeout still
+/// waits in real time for the peer that may be executing concurrently
+/// (`Endpoint::runs_alone` is false there; DESIGN.md §5.5). The `workers: 1`
+/// pins cannot reach that branch, so this job does.
+#[test]
+fn lossy_dual_sp_at_two_workers_matches_its_fault_free_reference() {
+    common::with_deadline("lossy_dual_sp_at_two_workers", |_| {
+        let cfg = NasConfig::class_s();
+        let app = move |p: &mut Process| run_kernel(NasKernel::Sp, p, &cfg);
+        let reference = native_job(16).network(fast()).run(app);
+        assert!(reference.all_finished());
+        for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
+            let lossy = replicated_job(16, ReplicationConfig::dual())
+                .network(fast())
+                .workers(2)
+                .carrier_mode(mode)
+                .net_faults(NetFaultConfig::lossy_links(), 19)
+                .run(app);
+            assert!(
+                lossy.all_finished(),
+                "{mode:?}: deadlocked {:?}",
+                lossy.deadlocked()
+            );
+            assert!(lossy.stats.retransmits() > 0, "{mode:?}: no frame was lost");
+            for proc in &lossy.processes {
+                assert_eq!(
+                    proc.outcome.result(),
+                    Some(reference.primary_results()[proc.app_rank]),
+                    "{mode:?}: {:?} diverged from the fault-free run",
+                    proc.endpoint
+                );
+            }
+        }
+    });
 }
 
 #[test]

@@ -9,11 +9,15 @@
 //! checks the same thing at 64–256 ranks; this is the `cargo test` form.)
 //! The last line is the one most sensitive to wake tokens: the sole survivor
 //! of a rank acks and sends to the same endpoint back to back.
+//!
+//! The two lossy lines also guard the host side of a retransmission timeout:
+//! with one permit nobody can run while the timed-out process waits, so it
+//! must never yield or sleep in real time (`retx_real_waits`, DESIGN.md §5.5).
 
 mod common;
 
 use sim_net::CarrierMode;
-use workloads::serve::{run_job, JobSpec, JobStatus};
+use workloads::serve::{run_job, run_spec, JobSpec, JobStatus};
 
 /// `(spec line, expected status, elapsed_ns, total_msgs, result hash)`.
 const PINS: &[(&str, JobStatus, u64, u64, u64)] = &[
@@ -96,6 +100,36 @@ fn single_permit_virtual_times_counts_and_checksums_match_their_pins() {
                         format!("{result_hash:#018x}")
                     ),
                     "simulated results moved for '{}' under {mode:?} carriers",
+                    spec.id
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn lossy_single_permit_jobs_retransmit_without_waiting_in_real_time() {
+    common::with_deadline("virtual_time_pins_real_waits", |running| {
+        let lossy: Vec<JobSpec> = PINS
+            .iter()
+            .map(|pin| JobSpec::parse_line(pin.0).expect("pinned spec line parses"))
+            .filter(|spec| spec.net_faults.is_some())
+            .collect();
+        assert_eq!(lossy.len(), 2, "bt-lossy and sp-lossy-crash");
+        for mut spec in lossy {
+            for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
+                spec.carrier_mode = Some(mode);
+                running.note(spec.to_json().encode());
+                let (report, _) = run_spec(&spec).expect("pinned spec compiles");
+                assert!(
+                    report.stats.retransmits() > 0,
+                    "'{}' under {mode:?} carriers never hit a retransmission timeout",
+                    spec.id
+                );
+                assert_eq!(
+                    report.stats.retx_real_waits(),
+                    0,
+                    "'{}' under {mode:?} carriers waited in real time while holding the only permit",
                     spec.id
                 );
             }
