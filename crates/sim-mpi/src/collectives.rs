@@ -52,14 +52,22 @@ impl ReduceOp {
         }
     }
 
-    fn combine_f64s(&self, acc: &mut [f64], other: &[f64]) {
+    /// `acc[i] = acc[i] op other[i]`. `other` is any exact-length sequence,
+    /// so a received payload is combined straight from its bytes
+    /// ([`datatype::iter_f64s`]) without a `Vec` in between.
+    fn combine_f64s(
+        &self,
+        acc: &mut [f64],
+        other: impl IntoIterator<Item = f64, IntoIter: ExactSizeIterator>,
+    ) {
+        let other = other.into_iter();
         assert_eq!(
             acc.len(),
             other.len(),
             "reduction operands must have equal length"
         );
-        for (a, b) in acc.iter_mut().zip(other.iter()) {
-            *a = self.apply_f64(*a, *b);
+        for (a, b) in acc.iter_mut().zip(other) {
+            *a = self.apply_f64(*a, b);
         }
     }
 
@@ -158,48 +166,61 @@ impl Process {
         op: ReduceOp,
         contribution: &[f64],
     ) -> Option<Vec<f64>> {
+        let mut acc = contribution.to_vec();
+        self.reduce_in_place(comm, root, op, &mut acc);
+        (self.comm_rank(comm) == root).then_some(acc)
+    }
+
+    /// Binomial-tree reduce over `acc`: on return the root's `acc` holds the
+    /// result (elsewhere a partial one). Received payloads are combined
+    /// straight from their bytes, so a round allocates only what it sends.
+    fn reduce_in_place(&mut self, comm: Comm, root: Rank, op: ReduceOp, acc: &mut [f64]) {
         let size = self.comm_size(comm);
         let rank = self.comm_rank(comm);
         let tag = self.next_coll_tag(comm, op_code::REDUCE);
-        let mut acc = contribution.to_vec();
-        if size > 1 {
-            let rel = (rank + size - root) % size;
-            let mut mask = 1usize;
-            while mask < size {
-                if rel & mask == 0 {
-                    let src_rel = rel | mask;
-                    if src_rel < size {
-                        let src = (src_rel + root) % size;
-                        let (_, other) = self.recv_f64s(comm, src as i64, tag);
-                        op.combine_f64s(&mut acc, &other);
-                    }
-                } else {
-                    let dst_rel = rel & !mask;
-                    let dst = (dst_rel + root) % size;
-                    self.send_f64s(comm, dst, tag, &acc);
-                    break;
-                }
-                mask <<= 1;
-            }
+        if size <= 1 {
+            return;
         }
-        if rank == root {
-            Some(acc)
-        } else {
-            None
+        let rel = (rank + size - root) % size;
+        let mut mask = 1usize;
+        while mask < size {
+            if rel & mask == 0 {
+                let src_rel = rel | mask;
+                if src_rel < size {
+                    let src = (src_rel + root) % size;
+                    let (_, other) = self.recv_bytes(comm, src as i64, tag);
+                    op.combine_f64s(acc, datatype::iter_f64s(&other));
+                }
+            } else {
+                let dst_rel = rel & !mask;
+                let dst = (dst_rel + root) % size;
+                self.send_bytes(comm, dst, tag, datatype::f64s_to_bytes(acc));
+                break;
+            }
+            mask <<= 1;
         }
     }
 
     /// `MPI_Allreduce` of an `f64` vector: recursive doubling when the
     /// communicator size is a power of two, reduce-then-broadcast otherwise.
     pub fn allreduce_f64s(&mut self, comm: Comm, op: ReduceOp, contribution: &[f64]) -> Vec<f64> {
+        let mut acc = contribution.to_vec();
+        self.allreduce_in_place(comm, op, &mut acc);
+        acc
+    }
+
+    /// The allreduce behind [`Process::allreduce_f64s`] and
+    /// [`Process::allreduce_f64`], over a caller-owned accumulator: no `Vec`
+    /// per round, and for up to four words (an inline payload) no allocation
+    /// at all.
+    fn allreduce_in_place(&mut self, comm: Comm, op: ReduceOp, acc: &mut [f64]) {
         let size = self.comm_size(comm);
         let rank = self.comm_rank(comm);
         if size <= 1 {
-            return contribution.to_vec();
+            return;
         }
         if size.is_power_of_two() {
             let tag = self.next_coll_tag(comm, op_code::ALLREDUCE);
-            let mut acc = contribution.to_vec();
             let mut mask = 1usize;
             while mask < size {
                 let partner = rank ^ mask;
@@ -207,24 +228,28 @@ impl Process {
                     comm,
                     partner,
                     tag,
-                    datatype::f64s_to_bytes(&acc),
+                    datatype::f64s_to_bytes(acc),
                     partner as i64,
                     tag,
                 );
-                op.combine_f64s(&mut acc, &datatype::bytes_to_f64s(&other));
+                op.combine_f64s(acc, datatype::iter_f64s(&other));
                 mask <<= 1;
             }
-            acc
         } else {
-            let reduced = self.reduce_f64s(comm, 0, op, contribution);
-            let bytes = self.bcast_bytes(comm, 0, reduced.map(|v| datatype::f64s_to_bytes(&v)));
-            datatype::bytes_to_f64s(&bytes)
+            self.reduce_in_place(comm, 0, op, acc);
+            let reduced = (rank == 0).then(|| datatype::f64s_to_bytes(acc));
+            let bytes = self.bcast_bytes(comm, 0, reduced);
+            for (a, v) in acc.iter_mut().zip(datatype::iter_f64s(&bytes)) {
+                *a = v;
+            }
         }
     }
 
     /// Scalar `MPI_Allreduce` over `f64`.
     pub fn allreduce_f64(&mut self, comm: Comm, op: ReduceOp, value: f64) -> f64 {
-        self.allreduce_f64s(comm, op, &[value])[0]
+        let mut acc = [value];
+        self.allreduce_in_place(comm, op, &mut acc);
+        acc[0]
     }
 
     /// Scalar `MPI_Allreduce` over `u64`.
@@ -241,22 +266,14 @@ impl Process {
         let mut acc = value;
         if rank == 0 {
             for src in 1..size {
-                let (_, vals) = self.recv_u64s(comm, src as i64, tag);
-                acc = op.apply_u64(acc, vals[0]);
+                let (_, other) = self.recv_bytes(comm, src as i64, tag);
+                acc = op.apply_u64(acc, datatype::bytes_to_u64(&other));
             }
         } else {
-            self.send_u64s(comm, 0, tag, &[value]);
+            self.send_bytes(comm, 0, tag, datatype::u64_to_bytes(value));
         }
-        let bytes = self.bcast_bytes(
-            comm,
-            0,
-            if rank == 0 {
-                Some(datatype::u64s_to_bytes(&[acc]))
-            } else {
-                None
-            },
-        );
-        datatype::bytes_to_u64s(&bytes)[0]
+        let reduced = (rank == 0).then(|| datatype::u64_to_bytes(acc));
+        datatype::bytes_to_u64(&self.bcast_bytes(comm, 0, reduced))
     }
 
     /// `MPI_Gather` of raw byte blocks to `root`. Returns `Some(blocks)` in
@@ -381,7 +398,7 @@ impl Process {
         if rank > 0 {
             let (_, prefix) = self.recv_f64s(comm, (rank - 1) as i64, tag);
             let mut combined = prefix;
-            op.combine_f64s(&mut combined, &acc);
+            op.combine_f64s(&mut combined, acc.iter().copied());
             acc = combined;
         }
         if rank + 1 < size {
@@ -442,7 +459,7 @@ mod tests {
     #[test]
     fn combine_vectors_elementwise() {
         let mut acc = vec![1.0, 5.0, 2.0];
-        ReduceOp::Max.combine_f64s(&mut acc, &[0.0, 9.0, 2.5]);
+        ReduceOp::Max.combine_f64s(&mut acc, [0.0, 9.0, 2.5]);
         assert_eq!(acc, vec![1.0, 9.0, 2.5]);
     }
 
@@ -450,6 +467,6 @@ mod tests {
     #[should_panic(expected = "equal length")]
     fn combine_length_mismatch_panics() {
         let mut acc = vec![1.0];
-        ReduceOp::Sum.combine_f64s(&mut acc, &[1.0, 2.0]);
+        ReduceOp::Sum.combine_f64s(&mut acc, [1.0, 2.0]);
     }
 }

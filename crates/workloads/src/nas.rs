@@ -17,9 +17,27 @@
 //!
 //! Every kernel returns a checksum so that tests can assert that native and
 //! replicated executions compute identical results.
+//!
+//! # Steady-state allocation rule
+//!
+//! A 256-rank dual run is 512 of these ranks on one host, so what a rank
+//! allocates per iteration is paid 512 times. Every kernel therefore owns
+//! its grids, hierarchies, scratch lines and twiddle tables from before its
+//! first iteration, and an iteration allocates only the payloads it sends
+//! (encoded in place, see [`sim_mpi::datatype`]; 8-byte halo and allreduce
+//! words travel inline and allocate nothing): no `clone()` of a grid, no
+//! `Vec<f64>` between a field and its payload or between a payload and the
+//! sum taken over it. `tests/kernel_steady_state.rs` holds each kernel to
+//! its payload bytes plus 4 KiB per rank and iteration.
+//!
+//! The rule never touches the arithmetic: every expression keeps its
+//! association and every reduction its order, and the loops this module used
+//! before (grid clones, per-block twiddle recurrence) survive as the
+//! `#[cfg(test)]` references the current ones are compared against bit for
+//! bit.
 
 use bytes::Bytes;
-use sim_mpi::datatype::{bytes_to_f64s, f64s_to_bytes};
+use sim_mpi::datatype::{bytes_to_f64, f64_to_bytes, f64s_to_bytes, f64s_to_bytes_iter, iter_f64s};
 use sim_mpi::{Process, ReduceOp};
 use sim_net::SimTime;
 
@@ -141,48 +159,61 @@ pub fn run_kernel(kernel: NasKernel, p: &mut Process, cfg: &NasConfig) -> f64 {
 // CG: conjugate gradient on a 1-D Laplacian, row-block decomposition
 // ---------------------------------------------------------------------------
 
-/// Distributed sparse mat-vec for the 1-D Laplacian: needs one halo value from
-/// each neighbour.
-fn laplacian_matvec(p: &mut Process, x: &[f64], cfg: &NasConfig) -> Vec<f64> {
+/// Exchange the boundary values of a 1-D block with both neighbours (receives
+/// posted first): returns the `(left, right)` halo, `0.0` at a domain edge.
+/// One inline 8-byte payload each way — no allocation.
+fn halo_exchange_1d(p: &mut Process, field: &[f64], tag_base: i64) -> (f64, f64) {
     let world = p.world();
     let rank = p.rank();
     let size = p.size();
-    let n = x.len();
-    // Exchange boundary values with neighbours (post receives first).
-    let mut left_halo = 0.0;
-    let mut right_halo = 0.0;
-    let mut reqs = Vec::new();
+    let n = field.len();
+    let reqs = [
+        (rank > 0).then(|| p.irecv_bytes(world, (rank - 1) as i64, tag_base + 1)),
+        (rank + 1 < size).then(|| p.irecv_bytes(world, (rank + 1) as i64, tag_base)),
+    ];
     if rank > 0 {
-        reqs.push((0usize, p.irecv_bytes(world, (rank - 1) as i64, 11)));
-    }
-    if rank + 1 < size {
-        reqs.push((1usize, p.irecv_bytes(world, (rank + 1) as i64, 10)));
-    }
-    if rank > 0 {
-        let req = p.isend_bytes(world, rank - 1, 10, f64s_to_bytes(&[x[0]]));
+        let req = p.isend_bytes(world, rank - 1, tag_base, f64_to_bytes(field[0]));
         p.wait(world, req);
     }
     if rank + 1 < size {
-        let req = p.isend_bytes(world, rank + 1, 11, f64s_to_bytes(&[x[n - 1]]));
+        let req = p.isend_bytes(world, rank + 1, tag_base + 1, f64_to_bytes(field[n - 1]));
         p.wait(world, req);
     }
-    for (side, req) in reqs {
-        let (_, payload) = p.wait(world, req);
-        let v = bytes_to_f64s(&payload.expect("halo payload"))[0];
-        if side == 0 {
-            left_halo = v;
-        } else {
-            right_halo = v;
+    let mut halo = [0.0; 2];
+    for (side, req) in reqs.into_iter().enumerate() {
+        if let Some(req) = req {
+            let (_, payload) = p.wait(world, req);
+            halo[side] = bytes_to_f64(&payload.expect("halo payload"));
         }
     }
-    cfg.charge_compute(p, n, 3.0);
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let left = if i == 0 { left_halo } else { x[i - 1] };
-        let right = if i + 1 == n { right_halo } else { x[i + 1] };
-        y[i] = 2.0 * x[i] - left - right;
+    (halo[0], halo[1])
+}
+
+/// `y = A x` for the 1-D Laplacian stencil `(-1, 2, -1)`, the halo values
+/// standing in for `x[-1]` and `x[n]`. The two boundary rows are peeled, so
+/// the interior loop has no branch and no bounds check.
+fn laplacian_stencil(x: &[f64], left_halo: f64, right_halo: f64, y: &mut [f64]) {
+    let n = x.len();
+    assert_eq!(y.len(), n, "mat-vec output must match its input");
+    match n {
+        0 => {}
+        1 => y[0] = 2.0 * x[0] - left_halo - right_halo,
+        _ => {
+            y[0] = 2.0 * x[0] - left_halo - x[1];
+            for (out, w) in y[1..n - 1].iter_mut().zip(x.windows(3)) {
+                *out = 2.0 * w[1] - w[0] - w[2];
+            }
+            y[n - 1] = 2.0 * x[n - 1] - x[n - 2] - right_halo;
+        }
     }
-    y
+}
+
+/// Distributed sparse mat-vec for the 1-D Laplacian, into the caller's `y`:
+/// needs one halo value from each neighbour.
+fn laplacian_matvec(p: &mut Process, x: &[f64], y: &mut [f64], cfg: &NasConfig) {
+    let (left_halo, right_halo) = halo_exchange_1d(p, x, 10);
+    cfg.charge_compute(p, x.len(), 3.0);
+    laplacian_stencil(x, left_halo, right_halo, y);
 }
 
 fn dot(p: &mut Process, a: &[f64], b: &[f64], cfg: &NasConfig) -> f64 {
@@ -195,29 +226,32 @@ fn dot(p: &mut Process, a: &[f64], b: &[f64], cfg: &NasConfig) -> f64 {
 pub fn run_cg(p: &mut Process, cfg: &NasConfig) -> f64 {
     let n = cfg.local_size;
     let rank = p.rank();
-    // Right-hand side: a deterministic function of the global index.
-    let b: Vec<f64> = (0..n)
+    let mut x = vec![0.0; n];
+    // The residual starts as the right-hand side, a deterministic function
+    // of the global index (x0 = 0).
+    let mut r: Vec<f64> = (0..n)
         .map(|i| ((rank * n + i) as f64 * 0.37).sin())
         .collect();
-    let mut x = vec![0.0; n];
-    let mut r = b.clone();
     let mut d = r.clone();
+    let mut ad = vec![0.0; n];
     let mut rr = dot(p, &r, &r, cfg);
     for _ in 0..cfg.iterations {
-        let ad = laplacian_matvec(p, &d, cfg);
+        laplacian_matvec(p, &d, &mut ad, cfg);
         let dad = dot(p, &d, &ad, cfg);
         let alpha = if dad.abs() > 1e-300 { rr / dad } else { 0.0 };
         cfg.charge_compute(p, n, 2.0);
-        for i in 0..n {
-            x[i] += alpha * d[i];
-            r[i] -= alpha * ad[i];
+        for (x, d) in x.iter_mut().zip(&d) {
+            *x += alpha * d;
+        }
+        for (r, ad) in r.iter_mut().zip(&ad) {
+            *r -= alpha * ad;
         }
         let rr_new = dot(p, &r, &r, cfg);
         let beta = if rr.abs() > 1e-300 { rr_new / rr } else { 0.0 };
         rr = rr_new;
         cfg.charge_compute(p, n, 1.0);
-        for i in 0..n {
-            d[i] = r[i] + beta * d[i];
+        for (d, r) in d.iter_mut().zip(&r) {
+            *d = r + beta * *d;
         }
     }
     rr.sqrt()
@@ -227,57 +261,34 @@ pub fn run_cg(p: &mut Process, cfg: &NasConfig) -> f64 {
 // MG: 1-D multigrid V-cycles
 // ---------------------------------------------------------------------------
 
-fn halo_exchange_1d(p: &mut Process, field: &[f64], tag_base: i64) -> (f64, f64) {
-    let world = p.world();
-    let rank = p.rank();
-    let size = p.size();
-    let n = field.len();
-    let mut left = 0.0;
-    let mut right = 0.0;
-    let mut reqs = Vec::new();
-    if rank > 0 {
-        reqs.push((
-            0usize,
-            p.irecv_bytes(world, (rank - 1) as i64, tag_base + 1),
-        ));
+/// One Jacobi sweep `u[i] = ½((u[i-1] + u[i+1]) + f[i])` over the *old*
+/// values, in place: the old left neighbour is carried in a register and
+/// `u[i+1]` is still old when `u[i]` is written, so no copy of `u` is needed.
+fn jacobi_update(u: &mut [f64], f: &[f64], left: f64, right: f64) {
+    let n = u.len();
+    assert_eq!(f.len(), n, "right-hand side must match the grid");
+    if n == 0 {
+        return;
     }
-    if rank + 1 < size {
-        reqs.push((1usize, p.irecv_bytes(world, (rank + 1) as i64, tag_base)));
+    let mut prev = left;
+    for i in 0..n - 1 {
+        let old = u[i];
+        u[i] = 0.5 * (prev + u[i + 1] + f[i]);
+        prev = old;
     }
-    if rank > 0 {
-        let req = p.isend_bytes(world, rank - 1, tag_base, f64s_to_bytes(&[field[0]]));
-        p.wait(world, req);
-    }
-    if rank + 1 < size {
-        let req = p.isend_bytes(
-            world,
-            rank + 1,
-            tag_base + 1,
-            f64s_to_bytes(&[field[n - 1]]),
-        );
-        p.wait(world, req);
-    }
-    for (side, req) in reqs {
-        let (_, payload) = p.wait(world, req);
-        let v = bytes_to_f64s(&payload.expect("halo payload"))[0];
-        if side == 0 {
-            left = v;
-        } else {
-            right = v;
-        }
-    }
-    (left, right)
+    u[n - 1] = 0.5 * (prev + right + f[n - 1]);
 }
 
-fn jacobi_smooth(p: &mut Process, u: &mut Vec<f64>, f: &[f64], cfg: &NasConfig, tag: i64) {
+fn jacobi_smooth(p: &mut Process, u: &mut [f64], f: &[f64], cfg: &NasConfig, tag: i64) {
     let (left, right) = halo_exchange_1d(p, u, tag);
     cfg.charge_compute(p, u.len(), 2.0);
-    let n = u.len();
-    let old = u.clone();
-    for i in 0..n {
-        let l = if i == 0 { left } else { old[i - 1] };
-        let r = if i + 1 == n { right } else { old[i + 1] };
-        u[i] = 0.5 * (l + r + f[i]);
+    jacobi_update(u, f, left, right);
+}
+
+/// Restriction: average pairs of the fine grid into the coarse one.
+fn restrict(fine: &[f64], coarse: &mut [f64]) {
+    for (c, pair) in coarse.iter_mut().zip(fine.chunks_exact(2)) {
+        *c = 0.5 * (pair[0] + pair[1]);
     }
 }
 
@@ -286,43 +297,42 @@ pub fn run_mg(p: &mut Process, cfg: &NasConfig) -> f64 {
     let levels = 4usize;
     let n = cfg.local_size.next_power_of_two().max(1 << levels);
     let rank = p.rank();
-    let f: Vec<f64> = (0..n)
-        .map(|i| ((rank * n + i) as f64 * 0.11).cos())
-        .collect();
-    let mut u = vec![0.0; n];
+    // The two grid hierarchies, allocated once: `u[l]` and `f[l]` hold
+    // `n >> l` points. The right-hand side never changes, so neither does
+    // its restriction to the coarser levels.
+    let mut u: Vec<Vec<f64>> = (0..=levels).map(|l| vec![0.0; n >> l]).collect();
+    let mut f: Vec<Vec<f64>> = Vec::with_capacity(levels);
+    f.push(
+        (0..n)
+            .map(|i| ((rank * n + i) as f64 * 0.11).cos())
+            .collect(),
+    );
+    for level in 1..levels {
+        let mut coarse = vec![0.0; n >> level];
+        restrict(&f[level - 1], &mut coarse);
+        f.push(coarse);
+    }
     for _cycle in 0..cfg.iterations {
         // Descend: smooth and restrict.
-        let mut fine_f = f.clone();
-        let mut grids: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-        let mut level_u = u.clone();
         for level in 0..levels {
-            jacobi_smooth(p, &mut level_u, &fine_f, cfg, 20 + 2 * level as i64);
-            // Restriction: average pairs.
-            let coarse_n = level_u.len() / 2;
-            let coarse_f: Vec<f64> = (0..coarse_n)
-                .map(|i| 0.5 * (fine_f[2 * i] + fine_f[2 * i + 1]))
-                .collect();
-            grids.push((level_u.clone(), fine_f.clone()));
-            level_u = (0..coarse_n)
-                .map(|i| 0.5 * (level_u[2 * i] + level_u[2 * i + 1]))
-                .collect();
-            fine_f = coarse_f;
+            let (fine, coarse) = u.split_at_mut(level + 1);
+            jacobi_smooth(p, &mut fine[level], &f[level], cfg, 20 + 2 * level as i64);
+            restrict(&fine[level], &mut coarse[0]);
         }
         // Ascend: prolongate and smooth.
         for level in (0..levels).rev() {
-            let (mut fine_u, fine_f) = grids[level].clone();
-            for i in 0..fine_u.len() {
-                fine_u[i] += level_u[i / 2];
+            let (fine, coarse) = u.split_at_mut(level + 1);
+            for (pair, c) in fine[level].chunks_exact_mut(2).zip(&coarse[0]) {
+                pair[0] += c;
+                pair[1] += c;
             }
-            jacobi_smooth(p, &mut fine_u, &fine_f, cfg, 40 + 2 * level as i64);
-            level_u = fine_u;
+            jacobi_smooth(p, &mut fine[level], &f[level], cfg, 40 + 2 * level as i64);
         }
-        u = level_u;
         // Residual norm once per cycle (the paper's MG also reduces norms).
-        let local: f64 = u.iter().map(|v| v * v).sum();
+        let local: f64 = u[0].iter().map(|v| v * v).sum();
         let _norm = p.allreduce_f64(p.world(), ReduceOp::Sum, local);
     }
-    let local: f64 = u.iter().map(|v| v * v).sum();
+    let local: f64 = u[0].iter().map(|v| v * v).sum();
     p.allreduce_f64(p.world(), ReduceOp::Sum, local).sqrt()
 }
 
@@ -330,10 +340,54 @@ pub fn run_mg(p: &mut Process, cfg: &NasConfig) -> f64 {
 // FT: distributed 2-D FFT (row FFTs, all-to-all transpose, column FFTs)
 // ---------------------------------------------------------------------------
 
-/// In-place iterative radix-2 FFT over (re, im) pairs.
-fn fft_inplace(re: &mut [f64], im: &mut [f64]) {
+/// The twiddle factors of every stage of an `n`-point radix-2 FFT, computed
+/// once per run. A stage of butterfly span `len` uses `w^k`, `k < len / 2`,
+/// built by the recurrence `w^(k+1) = w^k · w` from `(1, 0)`; that sequence
+/// is the same in every block of the stage and in every transform of the
+/// same length, so it is tabulated instead of re-derived per block. The
+/// stage with half-span `h` occupies `[h - 1, 2h - 1)` of each table.
+struct Twiddles {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Twiddles {
+    fn new(n: usize) -> Self {
+        assert!(n.is_power_of_two());
+        let mut re = Vec::with_capacity(n - 1);
+        let mut im = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
+            let (wr, wi) = (ang.cos(), ang.sin());
+            let (mut cr, mut ci) = (1.0f64, 0.0f64);
+            for _ in 0..len / 2 {
+                re.push(cr);
+                im.push(ci);
+                let ncr = cr * wr - ci * wi;
+                ci = cr * wi + ci * wr;
+                cr = ncr;
+            }
+            len <<= 1;
+        }
+        Twiddles { re, im }
+    }
+
+    /// The `(re, im)` factors of the stage with half-span `half`.
+    fn stage(&self, half: usize) -> (&[f64], &[f64]) {
+        (
+            &self.re[half - 1..2 * half - 1],
+            &self.im[half - 1..2 * half - 1],
+        )
+    }
+}
+
+/// In-place iterative radix-2 FFT over (re, im) pairs of length `n`, with
+/// the twiddles of `Twiddles::new(n)`.
+fn fft_inplace(re: &mut [f64], im: &mut [f64], twiddles: &Twiddles) {
     let n = re.len();
     assert!(n.is_power_of_two());
+    assert_eq!(twiddles.re.len(), n - 1, "twiddle table of another length");
     // Bit-reversal permutation.
     let mut j = 0usize;
     for i in 1..n {
@@ -350,26 +404,27 @@ fn fft_inplace(re: &mut [f64], im: &mut [f64]) {
     }
     let mut len = 2;
     while len <= n {
-        let ang = -2.0 * std::f64::consts::PI / len as f64;
-        let (wr, wi) = (ang.cos(), ang.sin());
-        let mut i = 0;
-        while i < n {
-            let (mut cr, mut ci) = (1.0f64, 0.0f64);
-            for k in 0..len / 2 {
-                let (ur, ui) = (re[i + k], im[i + k]);
+        let half = len / 2;
+        let (wr, wi) = twiddles.stage(half);
+        for (re, im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+            let (lo_re, hi_re) = re.split_at_mut(half);
+            let (lo_im, hi_im) = im.split_at_mut(half);
+            // Six slices of visibly `half` elements each: the butterfly loop
+            // below has no bounds check left.
+            let (lo_re, hi_re) = (&mut lo_re[..half], &mut hi_re[..half]);
+            let (lo_im, hi_im) = (&mut lo_im[..half], &mut hi_im[..half]);
+            let (wr, wi) = (&wr[..half], &wi[..half]);
+            for k in 0..half {
+                let (ur, ui) = (lo_re[k], lo_im[k]);
                 let (vr, vi) = (
-                    re[i + k + len / 2] * cr - im[i + k + len / 2] * ci,
-                    re[i + k + len / 2] * ci + im[i + k + len / 2] * cr,
+                    hi_re[k] * wr[k] - hi_im[k] * wi[k],
+                    hi_re[k] * wi[k] + hi_im[k] * wr[k],
                 );
-                re[i + k] = ur + vr;
-                im[i + k] = ui + vi;
-                re[i + k + len / 2] = ur - vr;
-                im[i + k + len / 2] = ui - vi;
-                let ncr = cr * wr - ci * wi;
-                ci = cr * wi + ci * wr;
-                cr = ncr;
+                lo_re[k] = ur + vr;
+                lo_im[k] = ui + vi;
+                hi_re[k] = ur - vr;
+                hi_im[k] = ui - vi;
             }
-            i += len;
         }
         len <<= 1;
     }
@@ -392,30 +447,35 @@ pub fn run_ft(p: &mut Process, cfg: &NasConfig) -> f64 {
         })
         .collect();
     let mut im: Vec<Vec<f64>> = vec![vec![0.0; cols]; rows];
+    let twiddles = Twiddles::new(cols);
+    // When `size` does not divide `cols` the remainder columns stay local:
+    // the slab holds `size` blocks of `block_cols` columns, not `cols`.
+    let block_cols = cols / size;
+    let block_words = rows * block_cols * 2;
+    let block_bytes = block_words * std::mem::size_of::<f64>();
     let mut checksum = 0.0;
     for _step in 0..cfg.iterations {
         // Local row FFTs.
         cfg.charge_compute(p, rows * cols, 2.5);
-        for r in 0..rows {
-            fft_inplace(&mut re[r], &mut im[r]);
+        for (re, im) in re.iter_mut().zip(&mut im) {
+            fft_inplace(re, im, &twiddles);
         }
         // All-to-all transpose: block (this rank, dest) of columns. The
-        // whole send slab is marshalled once, destination-major; the
+        // whole send slab is marshalled once, destination-major and
+        // (re, im)-interleaved, straight into the payload buffer; the
         // per-destination blocks are then O(1) `Bytes::slice` views sharing
         // that single allocation instead of one marshalling + allocation per
         // destination (256 of them at paper scale).
-        let block_cols = cols / size;
-        let mut flat = Vec::with_capacity(rows * cols * 2);
-        for dst in 0..size {
-            for r in 0..rows {
-                for c in 0..block_cols {
-                    flat.push(re[r][dst * block_cols + c]);
-                    flat.push(im[r][dst * block_cols + c]);
-                }
-            }
-        }
-        let slab = f64s_to_bytes(&flat);
-        let block_bytes = rows * block_cols * 2 * std::mem::size_of::<f64>();
+        let slab = f64s_to_bytes_iter(
+            size * block_words,
+            (0..size).flat_map(|dst| {
+                let block = dst * block_cols..(dst + 1) * block_cols;
+                re.iter().zip(&im).flat_map(move |(re, im)| {
+                    let pairs = re[block.clone()].iter().zip(&im[block.clone()]);
+                    pairs.flat_map(|(re, im)| [*re, *im])
+                })
+            }),
+        );
         let blocks: Vec<Bytes> = (0..size)
             .map(|dst| slab.slice(dst * block_bytes..(dst + 1) * block_bytes))
             .collect();
@@ -425,17 +485,18 @@ pub fn run_ft(p: &mut Process, cfg: &NasConfig) -> f64 {
         // to keep the kernel simple).
         cfg.charge_compute(p, rows * cols, 1.0);
         for (src, block) in received.iter().enumerate() {
-            let vals = bytes_to_f64s(block);
-            for (k, chunk) in vals.chunks_exact(2).enumerate() {
-                let r = k / (cols / size);
-                let c = k % (cols / size);
-                re[r % rows][src * (cols / size) + c] = chunk[0];
-                im[r % rows][src * (cols / size) + c] = chunk[1];
+            let mut words = iter_f64s(block);
+            let block = src * block_cols..(src + 1) * block_cols;
+            for (re, im) in re.iter_mut().zip(&mut im) {
+                for (re, im) in re[block.clone()].iter_mut().zip(&mut im[block.clone()]) {
+                    *re = words.next().expect("block holds rows x block_cols pairs");
+                    *im = words.next().expect("block holds rows x block_cols pairs");
+                }
             }
         }
         cfg.charge_compute(p, rows * cols, 2.5);
-        for r in 0..rows {
-            fft_inplace(&mut re[r], &mut im[r]);
+        for (re, im) in re.iter_mut().zip(&mut im) {
+            fft_inplace(re, im, &twiddles);
         }
         // Checksum reduce, as NPB FT does after each evolution step.
         let local: f64 = re.iter().flatten().map(|v| v.abs()).sum::<f64>()
@@ -488,29 +549,30 @@ fn run_adi(p: &mut Process, cfg: &NasConfig, flavor: AdiFlavor) -> f64 {
             Some(ny as usize * px + nx as usize)
         }
     };
+    let face = edge * vars;
+    // The boundary line a sweep passes downstream, reused by every sweep.
+    let mut line = vec![0.0; face];
     let mut checksum = 0.0;
     for step in 0..cfg.iterations {
         // Face halo exchange with up to 4 neighbours (post receives first).
-        let face = edge * vars;
-        let mut reqs = Vec::new();
+        let mut reqs = [None; 4];
         for (tag, (dx, dy)) in [(-1i64, 0i64), (1, 0), (0, -1), (0, 1)].iter().enumerate() {
             if let Some(nb) = neighbour(*dx, *dy) {
-                reqs.push(p.irecv_bytes(world, nb as i64, 60 + tag as i64));
+                reqs[tag] = Some(p.irecv_bytes(world, nb as i64, 60 + tag as i64));
             }
         }
+        // Every neighbour gets the same boundary face: encoded once, shared.
+        let boundary = f64s_to_bytes(&field[..face]);
         for (tag, (dx, dy)) in [(1i64, 0i64), (-1, 0), (0, 1), (0, -1)].iter().enumerate() {
             if let Some(nb) = neighbour(*dx, *dy) {
-                let boundary: Vec<f64> = field.iter().take(face).copied().collect();
-                let req = p.isend_bytes(world, nb, 60 + tag as i64, f64s_to_bytes(&boundary));
+                let req = p.isend_bytes(world, nb, 60 + tag as i64, boundary.clone());
                 p.wait(world, req);
             }
         }
         let mut halo_sum = 0.0;
-        for req in reqs {
+        for req in reqs.into_iter().flatten() {
             let (_, payload) = p.wait(world, req);
-            halo_sum += bytes_to_f64s(&payload.expect("face halo"))
-                .iter()
-                .sum::<f64>();
+            halo_sum += iter_f64s(&payload.expect("face halo")).sum::<f64>();
         }
         // Local relaxation sweep.
         cfg.charge_compute(p, edge * edge * vars, weight);
@@ -524,11 +586,10 @@ fn run_adi(p: &mut Process, cfg: &NasConfig, flavor: AdiFlavor) -> f64 {
             let upstream = neighbour(-dx, -dy);
             let downstream = neighbour(dx, dy);
             let tag = 70 + 2 * step as i64 % 8 + axis as i64;
-            let mut line: Vec<f64> = field.iter().take(face).copied().collect();
+            line.copy_from_slice(&field[..face]);
             if let Some(up) = upstream {
                 let (_, payload) = p.recv_bytes(world, up as i64, tag);
-                let incoming = bytes_to_f64s(&payload);
-                for (l, i) in line.iter_mut().zip(incoming) {
+                for (l, i) in line.iter_mut().zip(iter_f64s(&payload)) {
                     *l += 0.5 * i;
                 }
             }
@@ -617,7 +678,7 @@ mod tests {
         let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin()).collect();
         let mut re = input.clone();
         let mut im = vec![0.0; n];
-        fft_inplace(&mut re, &mut im);
+        fft_inplace(&mut re, &mut im, &Twiddles::new(n));
         for k in 0..n {
             let mut dr = 0.0;
             let mut di = 0.0;
@@ -628,6 +689,141 @@ mod tests {
             }
             assert!((re[k] - dr).abs() < 1e-9, "re[{k}]");
             assert!((im[k] - di).abs() < 1e-9, "im[{k}]");
+        }
+    }
+
+    // -- Bit-for-bit references: the loops as they stood before the kernels
+    // -- stopped cloning their grids. The rewritten loops must reproduce
+    // -- them to the last bit, boundary cases included.
+
+    /// The parent's `fft_inplace`: twiddle recurrence re-run in every block.
+    fn reference_fft(re: &mut [f64], im: &mut [f64]) {
+        let n = re.len();
+        assert!(n.is_power_of_two());
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                re.swap(i, j);
+                im.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
+            let (wr, wi) = (ang.cos(), ang.sin());
+            let mut i = 0;
+            while i < n {
+                let (mut cr, mut ci) = (1.0f64, 0.0f64);
+                for k in 0..len / 2 {
+                    let (ur, ui) = (re[i + k], im[i + k]);
+                    let (vr, vi) = (
+                        re[i + k + len / 2] * cr - im[i + k + len / 2] * ci,
+                        re[i + k + len / 2] * ci + im[i + k + len / 2] * cr,
+                    );
+                    re[i + k] = ur + vr;
+                    im[i + k] = ui + vi;
+                    re[i + k + len / 2] = ur - vr;
+                    im[i + k + len / 2] = ui - vi;
+                    let ncr = cr * wr - ci * wi;
+                    ci = cr * wi + ci * wr;
+                    cr = ncr;
+                }
+                i += len;
+            }
+            len <<= 1;
+        }
+    }
+
+    /// The parent's `jacobi_smooth` update: a clone of `u` as the old values.
+    fn reference_jacobi(u: &mut Vec<f64>, f: &[f64], left: f64, right: f64) {
+        let n = u.len();
+        let old = u.clone();
+        for i in 0..n {
+            let l = if i == 0 { left } else { old[i - 1] };
+            let r = if i + 1 == n { right } else { old[i + 1] };
+            u[i] = 0.5 * (l + r + f[i]);
+        }
+    }
+
+    /// The parent's `laplacian_matvec` loop.
+    fn reference_laplacian(x: &[f64], left_halo: f64, right_halo: f64) -> Vec<f64> {
+        let n = x.len();
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let left = if i == 0 { left_halo } else { x[i - 1] };
+            let right = if i + 1 == n { right_halo } else { x[i + 1] };
+            y[i] = 2.0 * x[i] - left - right;
+        }
+        y
+    }
+
+    /// Seeded, non-trivial values spanning many binades, both signs.
+    fn seeded(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                unit * 2f64.powi((state % 41) as i32 - 20)
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    const STENCIL_SIZES: [usize; 6] = [1, 2, 3, 8, 64, 4096];
+
+    #[test]
+    fn jacobi_update_is_bit_identical_to_the_cloning_loop() {
+        for n in STENCIL_SIZES {
+            let f = seeded(n, 3);
+            let mut want = seeded(n, 5);
+            let mut got = want.clone();
+            // Several sweeps, so the in-place carry is exercised on its own
+            // output as well.
+            for sweep in 0..3 {
+                let (left, right) = (0.375 + sweep as f64, -1.0e-3);
+                reference_jacobi(&mut want, &f, left, right);
+                jacobi_update(&mut got, &f, left, right);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, sweep {sweep}");
+            }
+        }
+    }
+
+    #[test]
+    fn laplacian_stencil_is_bit_identical_to_the_branching_loop() {
+        for n in STENCIL_SIZES {
+            let x = seeded(n, 7);
+            let mut y = vec![f64::NAN; n];
+            laplacian_stencil(&x, 1.5e-7, -2.25, &mut y);
+            assert_eq!(
+                bits(&y),
+                bits(&reference_laplacian(&x, 1.5e-7, -2.25)),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn tabulated_fft_is_bit_identical_to_the_per_block_recurrence() {
+        for log_n in 1..=12 {
+            let n = 1usize << log_n;
+            let (mut want_re, mut want_im) = (seeded(n, 11), seeded(n, 13));
+            let (mut re, mut im) = (want_re.clone(), want_im.clone());
+            reference_fft(&mut want_re, &mut want_im);
+            fft_inplace(&mut re, &mut im, &Twiddles::new(n));
+            assert_eq!(bits(&re), bits(&want_re), "re, n = {n}");
+            assert_eq!(bits(&im), bits(&want_im), "im, n = {n}");
         }
     }
 

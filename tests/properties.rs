@@ -444,3 +444,78 @@ fn duplicate_frames_are_never_delivered_twice() {
         );
     }
 }
+
+proptest! {
+    /// A `Bytes` written in place (`Bytes::from_fill`) is indistinguishable
+    /// from one copied from the same bytes, for every length on both sides of
+    /// `INLINE_CAP`: equality, length, representation, sub-slices and clones.
+    /// `Bytes::from(Vec<u8>)` is the third way to the same buffer.
+    #[test]
+    fn bytes_written_in_place_equal_the_copied_bytes(
+        content in proptest::collection::vec(any::<u8>(), 80..81),
+        cut_a in 0usize..81,
+        cut_b in 0usize..81,
+    ) {
+        use bytes::{Bytes, INLINE_CAP};
+        for len in 0..=80usize {
+            let want = Bytes::copy_from_slice(&content[..len]);
+            let built = Bytes::from_fill(len, |buf| buf.copy_from_slice(&content[..len]));
+            prop_assert_eq!(&built, &want);
+            prop_assert_eq!(built.len(), len);
+            prop_assert_eq!(built.is_inline(), len <= INLINE_CAP);
+            prop_assert_eq!(built.is_inline(), want.is_inline());
+            prop_assert_eq!(&Bytes::from(content[..len].to_vec()), &want);
+            prop_assert_eq!(&built.clone(), &want);
+            let (lo, hi) = (cut_a.min(cut_b).min(len), cut_a.max(cut_b).min(len));
+            prop_assert_eq!(&built.slice(lo..hi)[..], &content[lo..hi]);
+            prop_assert_eq!(built.slice(lo..hi), want.slice(lo..hi));
+        }
+    }
+
+    /// Every encoder writes exactly the little-endian bytes of its words, and
+    /// every decoder returns the bit patterns that went in — NaN payloads,
+    /// signalling NaNs, infinities and `-0.0` included — for 0 to 10 words
+    /// (0 to 80 bytes, inline and shared).
+    #[test]
+    fn word_codecs_round_trip_every_bit_pattern(
+        random in proptest::collection::vec(any::<u64>(), 0..7),
+        specials in 0usize..5,
+    ) {
+        use bytes::{Bytes, INLINE_CAP};
+        use sim_mpi::datatype::*;
+        const SPECIALS: [u64; 4] = [
+            0x7ff8_dead_beef_0001, // quiet NaN with a payload
+            0xfff0_0000_0000_0001, // negative signalling NaN
+            0x8000_0000_0000_0000, // -0.0
+            0x7ff0_0000_0000_0000, // +inf
+        ];
+        let words: Vec<u64> = SPECIALS[..specials].iter().copied().chain(random).collect();
+        let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let want = Bytes::copy_from_slice(&le);
+        let floats: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+        let ints: Vec<i64> = words.iter().map(|&w| w as i64).collect();
+
+        for encoded in [
+            f64s_to_bytes(&floats),
+            f64s_to_bytes_iter(floats.len(), floats.iter().copied()),
+            i64s_to_bytes(&ints),
+            u64s_to_bytes(&words),
+        ] {
+            prop_assert_eq!(&encoded, &want);
+            prop_assert_eq!(encoded.is_inline(), le.len() <= INLINE_CAP);
+        }
+        let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+        prop_assert_eq!(&bits(bytes_to_f64s(&want)), &words);
+        prop_assert_eq!(&bits(iter_f64s(&want).collect()), &words);
+        prop_assert_eq!(iter_f64s(&want).len(), words.len());
+        prop_assert_eq!(&bytes_to_u64s(&want), &words);
+        prop_assert_eq!(&bytes_to_i64s(&want), &ints);
+        for &w in &words {
+            let one = f64_to_bytes(f64::from_bits(w));
+            prop_assert_eq!(&one, &u64_to_bytes(w));
+            prop_assert_eq!(&one[..], &w.to_le_bytes()[..]);
+            prop_assert_eq!(bytes_to_f64(&one).to_bits(), w);
+            prop_assert_eq!(bytes_to_u64(&one), w);
+        }
+    }
+}

@@ -1,5 +1,5 @@
 //! Virtual-time pins: literal `(elapsed_ns, total_msgs, FNV-1a of the
-//! finished processes' checksum bits)` for six `workers: 1` spec lines, in
+//! finished processes' checksum bits)` for eighteen `workers: 1` spec lines, in
 //! both carrier modes.
 //!
 //! With one run permit a job's virtual times, message counts and checksums
@@ -7,7 +7,7 @@
 //! change to the delivery or dispatch path that moves any of them has changed
 //! simulated results, not only host time. (The benchmark's `sim.digest_match`
 //! checks the same thing at 64–256 ranks; this is the `cargo test` form.)
-//! The last line is the one most sensitive to wake tokens: the sole survivor
+//! The sixth line is the one most sensitive to wake tokens: the sole survivor
 //! of a rank acks and sends to the same endpoint back to back.
 //!
 //! The two lossy lines also guard the host side of a retransmission timeout:
@@ -62,6 +62,98 @@ const PINS: &[(&str, JobStatus, u64, u64, u64)] = &[
         201_346,
         1_595,
         0xec4a2fa9b6ed22fd,
+    ),
+    // Kernel-side pins (class D moves real grids, MG had no pin at all): a
+    // change to `workloads::nas`, `sim_mpi::datatype` or the vendored `Bytes`
+    // that alters one floating-point operation, one message or one payload
+    // byte moves these.
+    (
+        r#"{"id":"mg-s-dual","workload":"mg","ranks":4,"class":"s","layout":"replicated","degree":2,"workers":1,"seed":31}"#,
+        JobStatus::Finished,
+        192_868,
+        704,
+        0x0daeee5ff396d425,
+    ),
+    (
+        r#"{"id":"mg-d-native","workload":"mg","ranks":4,"class":"d","layout":"native","workers":1,"seed":32}"#,
+        JobStatus::Finished,
+        81_138_450,
+        680,
+        0x50abbd6486079655,
+    ),
+    (
+        r#"{"id":"mg-d-dual","workload":"mg","ranks":4,"class":"d","layout":"replicated","degree":2,"workers":1,"seed":33}"#,
+        JobStatus::Finished,
+        81_178_480,
+        2_720,
+        0x8e72d8077a4076c5,
+    ),
+    (
+        r#"{"id":"cg-d-dual","workload":"cg","ranks":4,"class":"d","layout":"replicated","degree":2,"workers":1,"seed":34}"#,
+        JobStatus::Finished,
+        87_433_656,
+        1_088,
+        0xc0c72efc21d1d0c5,
+    ),
+    (
+        r#"{"id":"bt-d-dual","workload":"bt","ranks":4,"class":"d","layout":"replicated","degree":2,"workers":1,"seed":35}"#,
+        JobStatus::Finished,
+        304_959_394,
+        960,
+        0x98edbfd913c954b5,
+    ),
+    (
+        r#"{"id":"ft-d-dual","workload":"ft","ranks":8,"class":"d","layout":"replicated","degree":2,"workers":1,"seed":36}"#,
+        JobStatus::Finished,
+        521_016_228,
+        3_840,
+        0x97474c1194068ca5,
+    ),
+    // Rank counts that are not a power of two: the allreduce takes its
+    // reduce-then-broadcast branch, FT's `cols` is not a multiple of the
+    // rank count (the remainder columns never travel), and BT/SP grids have
+    // ranks with a neighbour missing.
+    (
+        r#"{"id":"ft-6-dual","workload":"ft","ranks":6,"class":"test","layout":"replicated","degree":2,"workers":1,"seed":41}"#,
+        JobStatus::Finished,
+        32_078_774,
+        640,
+        0xa88286282823b61d,
+    ),
+    (
+        r#"{"id":"ft-3-native","workload":"ft","ranks":3,"class":"s","layout":"native","workers":1,"seed":42}"#,
+        JobStatus::Finished,
+        8_895_522,
+        30,
+        0xe0f67519c7c31751,
+    ),
+    (
+        r#"{"id":"bt-5-dual","workload":"bt","ranks":5,"class":"test","layout":"replicated","degree":2,"workers":1,"seed":43}"#,
+        JobStatus::Finished,
+        1_737_734,
+        320,
+        0x30d0383bbc84b791,
+    ),
+    (
+        r#"{"id":"sp-6-native","workload":"sp","ranks":6,"class":"d","layout":"native","workers":1,"seed":44}"#,
+        JobStatus::Finished,
+        24_758_058,
+        372,
+        0x39d72b5bd2f24169,
+    ),
+    (
+        r#"{"id":"mg-5-dual","workload":"mg","ranks":5,"class":"d","layout":"replicated","degree":2,"workers":1,"seed":45}"#,
+        JobStatus::Finished,
+        81_184_954,
+        3_488,
+        0xa169787af4318d3d,
+    ),
+    (
+        r#"{"id":"cg-6-dual","workload":"cg","ranks":6,"class":"test","layout":"replicated","degree":2,"workers":1,"seed":46}"#,
+        JobStatus::Finished,
+        350_808,
+        520,
+        0x36a78949ccb77725,
     ),
 ];
 

@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Fold a sigprof.so sample file by symbol and by crate::module.
+
+Usage: symbolize.py SAMPLES [TOP_N]
+
+A PC inside the main binary is named with `nm -C`. A PC inside a shared
+library (libc `memmove`/`malloc`, libm `sin`) is named with `nm -D` when it
+falls inside an exported symbol, else `?`, and is charged to the module of
+the caller the sampler found on the stack — `libc.so.6:?  <- workloads::nas`
+is a copy or an allocation made by a kernel. No external dependencies.
+"""
+
+import bisect
+import collections
+import os
+import re
+import subprocess
+import sys
+
+
+def symbols(path, dynamic):
+    out = subprocess.run(["nm", "-C", "-S", "-n", "--defined-only"] + (["-D"] if dynamic else []) + [path],
+                         capture_output=True, text=True).stdout
+    table = []
+    for line in out.splitlines():
+        m = re.match(r"([0-9a-f]+) (?:([0-9a-f]+) )?[tTwWiu] (.+)", line)
+        if m:
+            table.append((int(m[1], 16), int(m[2] or "0", 16), m[3]))
+    return [s[0] for s in table], table
+
+
+def module(symbol):
+    """`<a::b::T as c::Tr>::f` -> `a::b`, `a::b::f` -> `a::b` (hash suffix dropped)."""
+    path = re.sub(r"::h[0-9a-f]{16}$", "", symbol).lstrip("<&*mut ").split(" as ")[0].split("<")[0]
+    parts = path.split("::")
+    return "::".join(parts[:2]) if len(parts) > 2 else parts[0]
+
+
+def main():
+    bases, pcs = {}, []
+    for line in open(sys.argv[1]):
+        f = line.split()
+        if f[0] == "map":
+            lo, hi = (int(x, 16) for x in f[1].split("-"))
+            bases.setdefault(f[6], lo)  # first mapping of a file = its load base
+            if "x" in f[2]:
+                pcs.append((lo, hi, f[6]))
+        else:
+            pcs.append((int(f[0], 16), int(f[1], 16)))
+    maps = sorted(m for m in pcs if len(m) == 3)
+    exe, tables = maps[0][2], {}
+
+    def name(pc):
+        i = bisect.bisect(maps, (pc, float("inf"), "")) - 1
+        if i < 0 or pc >= maps[i][1]:
+            return None, "?"
+        path = maps[i][2]
+        if path not in tables:
+            tables[path] = symbols(path, path != exe)
+        starts, table = tables[path]
+        j = bisect.bisect(starts, pc - bases[path]) - 1
+        inside = j >= 0 and (path == exe or pc - bases[path] < table[j][0] + max(table[j][1], 1))
+        return path, table[j][2] if inside else "?"
+
+    by_symbol, by_module, leaf = collections.Counter(), collections.Counter(), collections.Counter()
+    samples = [s for s in pcs if len(s) == 2]
+    for pc, caller in samples:
+        path, sym = name(pc)
+        if path == exe:
+            by_symbol[sym] += 1
+            by_module[module(sym)] += 1
+        else:
+            owner = module(name(caller)[1]) if caller else "?"
+            by_symbol[f"{os.path.basename(path or '?')}:{sym}  <- {owner}"] += 1
+            by_module[owner] += 1
+            leaf[owner] += 1
+    top, total = int(sys.argv[2]) if len(sys.argv) > 2 else 25, len(samples)
+    print(f"{total} samples\n\nby crate::module (library leaves charged to their caller; of which leaf)")
+    for key, n in by_module.most_common(top):
+        print(f"{100 * n / total:6.2f}%  {n:7d}  {key}  ({leaf[key]} leaf)")
+    print("\nby symbol")
+    for key, n in by_symbol.most_common(top):
+        print(f"{100 * n / total:6.2f}%  {n:7d}  {key}")
+
+
+main()
