@@ -642,28 +642,22 @@ fn wake_reduction(t: &sim_net::StatsSnapshot) -> Option<f64> {
 }
 
 /// Format the delivery-layer summary of a row set: scheduler wakes actually
-/// issued vs one per delivery, the ladder/heap ingest split, the
-/// direct-handoff dispatch split, and carrier-thread churn.
+/// issued vs one per delivery, the direct-handoff dispatch split, and
+/// carrier-thread churn.
 pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
     let side = totals(rows);
     let t = &side.stats;
     format!(
         "delivery: {} wakes issued, {} suppressed \
          ({:.2}x fewer than one per delivery)\n\
-         ingest: {} in-order ladder appends vs {} heap fallbacks \
-         ({:.1}% single-pass O(1))\n\
-         dispatch: {} handoffs + {} steals direct vs {} cold \
+         dispatch: {} handoffs direct vs {} cold \
          ({:.1}% direct); threads: {} spawned, {} reused\n\
          carriers: {} mode; {} stack switches, {} stacks leased \
          ({} fresh, {} reused), pool peak {:.1} MiB\n",
         t.wakes_issued,
         t.wakes_suppressed,
         wake_reduction(t).unwrap_or(f64::INFINITY),
-        t.deliveries_direct,
-        t.heap_fallbacks,
-        t.direct_delivery_fraction() * 100.0,
         t.handoffs,
-        t.steals,
         t.condvar_waits,
         t.direct_dispatch_fraction() * 100.0,
         side.threads_spawned,
@@ -677,16 +671,13 @@ pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
     )
 }
 
-/// The wake, dispatch, ingest and stack counters both the per-run delivery
-/// objects and the totals of a table report carry.
-const EXECUTION_COUNTERS: [&str; 11] = [
+/// The wake, dispatch and stack counters both the per-run delivery objects
+/// and the totals of a table report carry.
+const EXECUTION_COUNTERS: [&str; 8] = [
     "wakes_issued",
     "wakes_suppressed",
     "handoffs",
-    "steals",
     "condvar_waits",
-    "deliveries_direct",
-    "heap_fallbacks",
     "stack_switches",
     "stacks_allocated",
     "stacks_reused",
@@ -739,10 +730,6 @@ pub fn table_report_json(
         (
             "direct_dispatch_fraction",
             Json::fixed(t.direct_dispatch_fraction(), 4),
-        ),
-        (
-            "direct_delivery_fraction",
-            Json::fixed(t.direct_delivery_fraction(), 4),
         ),
     ]);
     Json::obj([

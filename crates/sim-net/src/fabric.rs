@@ -21,17 +21,10 @@
 //!   number, which is the FIFO tie-break for equal virtual arrivals (they pop
 //!   in physical ingest order). The receiver only ever takes the lock to swap
 //!   the vector out.
-//! * **Delivery ladder with a heap fallback.** The receiver sweeps its
-//!   mailbox into an *in-order ladder* (a `VecDeque` sorted by
-//!   `(arrival, ingest seq)`): because virtual arrival stamps are
-//!   near-monotonic in ingest order (see [`crate::model`] for the contract),
-//!   the overwhelmingly common case is an O(1) `push_back`
-//!   (`deliveries_direct` in [`NetStats`]), and popping the earliest arrival
-//!   is an O(1) `pop_front`. A message whose arrival runs behind the ladder
-//!   tail — reordered wire times, a sender whose clock lags — goes to a small
-//!   fallback `BinaryHeap` instead (`heap_fallbacks`); a pop takes the
-//!   smaller of the two structure heads, so pop order is *identical* to a
-//!   single heap keyed by `(arrival, seq)`, only cheaper.
+//! * **One pending heap.** The receiver sweeps its mailbox into a private
+//!   `BinaryHeap` keyed by `(arrival, ingest seq)` and pops its minimum: the
+//!   earliest virtual arrival first, equal arrivals in ingest order, however
+//!   the stamps were ordered on the way in (see [`crate::model`]).
 //!
 //! Reliability and FIFO ordering per ordered process pair follow from the
 //! append order under the mailbox lock. Messages to a crashed process are
@@ -69,7 +62,7 @@ use crate::topology::{Cluster, NodeId, Placement};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -147,13 +140,11 @@ impl std::fmt::Display for RecvError {
     }
 }
 
-/// Pop key of a physically delivered message: virtual arrival time, with ties
-/// broken by the inbox's physical ingest order (the exact tie-break the
-/// channel-era fabric provided through its FIFO push order).
-type PendingKey = (SimTime, u64);
-
-/// Out-of-order entry in the fallback heap (min-heap via `Reverse`).
-struct PendingMsg(Reverse<PendingKey>, RawMessage);
+/// A swept message in the receiver's pending heap (a min-heap via `Reverse`)
+/// under its pop key: virtual arrival time, with ties broken by the inbox's
+/// physical ingest order (the exact tie-break the channel-era fabric
+/// provided through its FIFO push order).
+struct PendingMsg(Reverse<(SimTime, u64)>, RawMessage);
 
 impl PartialEq for PendingMsg {
     fn eq(&self, other: &Self) -> bool {
@@ -170,13 +161,6 @@ impl Ord for PendingMsg {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.cmp(&other.0)
     }
-}
-
-/// In-order entry of the delivery ladder (kept sorted by construction: a
-/// message is only appended when its key is larger than the tail's).
-struct LadderEntry {
-    key: PendingKey,
-    msg: RawMessage,
 }
 
 /// The lock-guarded half of an [`Inbox`].
@@ -304,7 +288,7 @@ impl Fabric {
         let node_of: Vec<NodeId> = (0..n).map(|p| placement.node_of(p, n, &cluster)).collect();
         let inboxes = (0..n).map(|_| Inbox::new()).collect();
         // The scheduler shares the fabric's stats so its dispatch counters
-        // (handoffs, steals, cold dispatches) land in the same snapshot as
+        // (handoffs, cold dispatches) land in the same snapshot as
         // the wake counters.
         let stats = Arc::new(NetStats::new());
         let sched = Scheduler::with_stats(n, Arc::clone(&stats));
@@ -473,8 +457,7 @@ impl Fabric {
             managed: self.sched.is_managed(id),
             fabric: Arc::clone(self),
             clock: VirtualClock::new(),
-            ladder: VecDeque::new(),
-            overflow: BinaryHeap::new(),
+            pending: BinaryHeap::new(),
             sweep: Vec::new(),
             window: 1,
             woken: vec![0; self.n],
@@ -488,9 +471,8 @@ impl Fabric {
     /// (Section 3.4 of the paper). Messages ingested into the fabric-owned
     /// inbox while the previous incarnation was dead remain there; the
     /// recovery protocol decides by epoch which of them the new incarnation
-    /// must honour. (Messages the dead incarnation had already moved into its
-    /// private ladder die with it, exactly as the channel-era pending heap
-    /// did.)
+    /// must honour. (Messages the dead incarnation had already swept into
+    /// its private pending heap die with it.)
     pub fn reset_endpoint(self: &Arc<Self>, id: EndpointId) {
         assert!(id.0 < self.n, "endpoint id out of range");
         self.taken.lock()[id.0] = false;
@@ -498,8 +480,7 @@ impl Fabric {
 }
 
 /// A physical process's handle onto the fabric. Owns the process's virtual
-/// clock and its private view of the incoming inbox (the delivery ladder and
-/// its fallback heap).
+/// clock and its private view of the incoming inbox (the pending heap).
 pub struct Endpoint {
     id: EndpointId,
     /// Was this endpoint registered with the fabric's scheduler when taken?
@@ -507,13 +488,8 @@ pub struct Endpoint {
     managed: bool,
     fabric: Arc<Fabric>,
     clock: VirtualClock,
-    /// In-order deliveries, sorted by `(arrival, ingest seq)` by
-    /// construction: the near-monotonic common case appends and pops in O(1).
-    ladder: VecDeque<LadderEntry>,
-    /// Out-of-order deliveries (arrival behind the ladder tail). Pops take
-    /// the smaller of this heap's top and the ladder's front, so overall pop
-    /// order equals a single `(arrival, seq)` heap.
-    overflow: BinaryHeap<PendingMsg>,
+    /// Swept deliveries, popped in `(arrival, ingest seq)` order.
+    pending: BinaryHeap<PendingMsg>,
     /// Scratch vector the sweep swaps the mailbox contents into; the drained
     /// vector goes back on the next swap, so the steady state allocates
     /// nothing.
@@ -762,11 +738,10 @@ impl Endpoint {
         self.window += 1;
     }
 
-    /// Place one swept message into the ladder (in-order fast path) or the
-    /// fallback heap (arrival behind the ladder tail).
+    /// Push one swept message onto the pending heap.
     ///
     /// Policy-injected duplicate copies are discarded right here, before
-    /// they can enter the ladder: the protocol layer above therefore never
+    /// they can enter the heap: the protocol layer above therefore never
     /// observes a transport-level duplicate, and `has_pending` / pop order
     /// are computed over real frames only. Each discard counts toward
     /// `dups_suppressed` (the campaign gate pairs it with `msgs_duplicated`).
@@ -776,27 +751,16 @@ impl Endpoint {
             return;
         }
         self.fabric.stats.record_delivery(msg.class);
-        let key = (msg.arrival, seq);
-        match self.ladder.back() {
-            Some(tail) if key < tail.key => {
-                self.fabric.stats.record_heap_fallback();
-                self.overflow.push(PendingMsg(Reverse(key), msg));
-            }
-            _ => {
-                self.fabric.stats.record_direct_delivery();
-                self.ladder.push_back(LadderEntry { key, msg });
-            }
-        }
+        self.pending
+            .push(PendingMsg(Reverse((msg.arrival, seq)), msg));
     }
 
-    /// Sweep the fabric-owned inbox into the ladder/heap: every message that
-    /// has physically arrived is ingested in one pass, so a wakeup processes
-    /// all available traffic rather than one message. Returns whether
-    /// anything was swept. The empty case — every poll of an idle endpoint —
-    /// is answered from the inbox's advisory count without touching the lock.
-    ///
-    /// The mailbox vector is in ingest order, so feeding the ladder in that
-    /// order means a heap fallback occurs only on a true arrival inversion.
+    /// Sweep the fabric-owned inbox into the pending heap: every message
+    /// that has physically arrived is ingested in one pass, so a wakeup
+    /// processes all available traffic rather than one message. Returns
+    /// whether anything was swept. The empty case — every poll of an idle
+    /// endpoint — is answered from the inbox's advisory count without
+    /// touching the lock.
     fn sweep_inbox(&mut self) -> bool {
         let inbox = &self.fabric.inboxes[self.id.0];
         if inbox.queued.load(Ordering::SeqCst) == 0 {
@@ -813,22 +777,6 @@ impl Endpoint {
         }
         self.sweep = sweep;
         swept_any
-    }
-
-    /// Pop the pending message with the smallest `(arrival, ingest seq)` key,
-    /// whichever structure holds it.
-    fn pop_pending(&mut self) -> Option<RawMessage> {
-        let from_heap = match (self.ladder.front(), self.overflow.peek()) {
-            (Some(front), Some(top)) => top.0 .0 < front.key,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => return None,
-        };
-        if from_heap {
-            self.overflow.pop().map(|p| p.1)
-        } else {
-            self.ladder.pop_front().map(|e| e.msg)
-        }
     }
 
     /// Non-blocking receive: returns the earliest-arriving (in virtual time)
@@ -859,16 +807,12 @@ impl Endpoint {
 
     /// The pop half of [`Endpoint::try_recv`]: return the earliest-arriving
     /// already-swept message (charging the receive overhead) without probing
-    /// the inbox again. `None` when the ladder and fallback heap are empty —
-    /// call [`Endpoint::poll_ready`] to sweep first.
+    /// the inbox again. `None` when the pending heap is empty — call
+    /// [`Endpoint::poll_ready`] to sweep first.
     pub fn next_ready(&mut self) -> Option<RawMessage> {
-        match self.pop_pending() {
-            Some(msg) => {
-                self.charge_recv_overhead(&msg);
-                Some(msg)
-            }
-            None => None,
-        }
+        let PendingMsg(_, msg) = self.pending.pop()?;
+        self.charge_recv_overhead(&msg);
+        Some(msg)
     }
 
     // Application payload receive overhead is charged by the MPI layer when
@@ -887,7 +831,7 @@ impl Endpoint {
     /// Is there any message queued (whether or not it has virtually arrived)?
     pub fn has_pending(&mut self) -> bool {
         self.sweep_inbox();
-        !self.ladder.is_empty() || !self.overflow.is_empty()
+        !self.pending.is_empty()
     }
 
     /// Blocking receive: waits until at least one message is queued, then
@@ -923,8 +867,7 @@ impl Endpoint {
         let mut tried_yield = !racy;
         loop {
             self.sweep_inbox();
-            if let Some(msg) = self.pop_pending() {
-                self.charge_recv_overhead(&msg);
+            if let Some(msg) = self.next_ready() {
                 self.maybe_crash(false);
                 return Ok(msg);
             }
@@ -1125,11 +1068,10 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_ingest_falls_back_to_heap_but_pops_in_arrival_order() {
-        // The sweep feeds the ladder in ingest order, so a late-clock sender
-        // that ingests first puts its big-arrival message at the ladder tail
-        // before the small-arrival message behind it is seen: that one must
-        // take the heap fallback — and still pop first.
+    fn one_sweep_of_an_inversion_pops_in_arrival_order() {
+        // A late-clock sender ingests first, so one sweep sees the
+        // big-arrival message before the small-arrival one behind it: the
+        // small one must still pop first.
         let fabric = Fabric::with_defaults(3, LogGpModel::fast_test_model());
         let mut a = fabric.endpoint(EndpointId(0));
         let mut c = fabric.endpoint(EndpointId(2));
@@ -1139,9 +1081,6 @@ mod tests {
         c.send(EndpointId(1), class::APP, hdr(1), Bytes::new());
         // One sweep ingests both.
         assert!(b.has_pending());
-        let snap = fabric.stats().snapshot();
-        assert_eq!(snap.deliveries_direct(), 1);
-        assert_eq!(snap.heap_fallbacks(), 1, "reordered arrival takes the heap");
         let first = b.recv_blocking().unwrap();
         let second = b.recv_blocking().unwrap();
         assert_eq!(first.header[0], 1, "pop order is virtual-arrival order");
@@ -1149,22 +1088,17 @@ mod tests {
     }
 
     #[test]
-    fn monotonic_arrivals_never_touch_the_fallback_heap() {
-        let (mut a, mut b, fabric) = two_endpoint_fabric();
+    fn monotonic_arrivals_pop_in_ingest_order() {
+        let (mut a, mut b, _f) = two_endpoint_fabric();
         for i in 0..20 {
             a.send(EndpointId(1), class::APP, hdr(i), Bytes::new());
         }
-        for _ in 0..20 {
-            b.recv_blocking().unwrap();
-        }
-        let snap = fabric.stats().snapshot();
-        assert_eq!(
-            snap.deliveries_direct(),
-            20,
-            "monotonic arrivals are all O(1) ladder appends"
-        );
-        assert_eq!(snap.heap_fallbacks(), 0);
-        assert!((snap.direct_delivery_fraction() - 1.0).abs() < f64::EPSILON);
+        // One sweep ingests all twenty.
+        assert!(b.has_pending());
+        let got: Vec<_> = (0..20)
+            .map(|_| b.recv_blocking().unwrap().header[0])
+            .collect();
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
     }
 
     #[test]

@@ -16,15 +16,14 @@
 //!   [`carrier::CarrierPool`], which reuses parked threads across processes
 //!   and jobs), but only a bounded pool of run permits executes at a time,
 //!   dispatched lowest-virtual-time-first. A departing carrier hands its
-//!   permit *directly* to the next ready process (sharded ready queues,
-//!   virtual-time-aware stealing); blocking waits park on the scheduler
+//!   permit *directly* to the next ready process (one ready heap keyed by
+//!   virtual time); blocking waits park on the scheduler
 //!   (park/unpark wake-token protocol) and deadlocks are detected exactly,
 //!   by quiescence, instead of by real-time timeouts.
 //! * Transport is a single-pass delivery pipeline: one fabric-owned mailbox
 //!   per destination endpoint behind one lock, which a send ingests into
-//!   *in place* before it returns, feeding a receiver-side arrival-ordered
-//!   ladder (O(1) append + O(1) pop for the near-monotonic common case, a
-//!   small heap fallback for inversions). Messages from one sender to one
+//!   *in place* before it returns, feeding a receiver-side heap keyed by
+//!   `(arrival, ingest sequence)`. Messages from one sender to one
 //!   receiver are delivered in order (the paper's FIFO reliable channel
 //!   assumption; ties between equal virtual arrivals are broken by physical
 //!   ingest order). A sender wakes each destination once per wake window

@@ -19,19 +19,12 @@
 //! # The arrival-ordering contract
 //!
 //! The fabric's single-pass delivery pipeline (`sim_net::fabric`, DESIGN.md
-//! §5.3) leans on a property of these models rather than on any sortedness
-//! guarantee: arrival stamps are **near-monotonic in physical ingest order**.
-//! Per sender, injection times are non-decreasing (each send charges the
-//! sender's clock before stamping), and [`NetworkModel::wire_time`] is
-//! required to be a pure, monotone non-decreasing function of the payload
-//! size for a given locality — so a sender's arrivals only run backwards
-//! when a large message is followed closely by a small one (the small one's
-//! shorter wire time outruns the big one's). Across senders, ingest order
-//! roughly tracks virtual time because progress happens inside MPI calls.
-//! The delivery ladder exploits exactly this shape: in-order arrivals append
-//! in O(1), the (measured-rare) inversions fall back to a heap, and
-//! correctness never depends on the contract — only the fast-path hit rate
-//! does (`deliveries_direct` vs `heap_fallbacks` in `NetStats`).
+//! §5.3) pops each receiver's messages from one heap keyed by `(arrival,
+//! ingest sequence)`, so it assumes nothing about the order in which arrival
+//! stamps are ingested: a sender's arrivals run backwards whenever a large
+//! message is followed closely by a small one (the small one's shorter wire
+//! time outruns the big one's), and across senders ingest order only roughly
+//! tracks virtual time.
 //!
 //! What *is* load-bearing for determinism: implementations must be pure
 //! functions of `(payload size, locality)` as stated on [`NetworkModel`], so

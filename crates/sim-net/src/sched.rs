@@ -24,13 +24,11 @@
 //!   one signal on the target's private seat. No global mutex, no global
 //!   condvar, and the permit counter does not move — which is also the
 //!   linchpin of the quiescence argument below.
-//! * **Sharded ready queues with virtual-time-aware stealing.** Ready
-//!   processes queue in small per-shard heaps (a slot's home shard is
-//!   `slot % shards`). A departing carrier scans the shard tops and takes the
-//!   global lowest-virtual-time entry, so dispatch order is identical to the
-//!   old single-queue design; a pop from the departing slot's own shard counts
-//!   as a *handoff*, a pop from another shard as a *steal* (both are direct
-//!   dispatches — the distinction only measures locality).
+//! * **One ready heap.** Ready processes queue in one `(virtual time, FIFO
+//!   sequence, slot)` min-heap behind one mutex. A departing carrier pops its
+//!   top, so the permit always goes to the lowest-virtual-time ready process,
+//!   ties in queueing order; each such direct dispatch counts as a
+//!   *handoff*.
 //! * **Cold path.** Only when a wake finds an idle permit (or the last permit
 //!   is released with ready work racing in) does dispatch go through the
 //!   permit counter; those grants are counted as `condvar_waits` in
@@ -56,10 +54,10 @@
 //!    check requires the counter to be zero, so it can never fire while any
 //!    handoff is in flight. A carrier only decrements the counter when it
 //!    found *nothing* to hand off to, and the carrier that decrements it to
-//!    zero re-checks the queues (rescue) and then runs the verdict — in SeqCst
-//!    order its decrement precedes those reads, and any waker's
+//!    zero re-checks the ready heap (rescue) and then runs the verdict — in
+//!    SeqCst order its decrement precedes those reads, and any waker's
 //!    `push-then-read-counter` either saw the pre-decrement value (so the
-//!    decrementer's later scan sees the push) or acquires an idle permit
+//!    decrementer's later pop sees the push) or acquires an idle permit
 //!    itself. Either way ready work cannot be stranded.
 //! 2. **Unpark vs. quiescence.** An unparking waker orders its writes as
 //!    *token set → phase `Parked → Ready` (CAS) → token clear → queue push*.
@@ -135,7 +133,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// into a real park that hands the permit to the peer that can satisfy it.
 /// `workers == 1` is the *deterministic replay* configuration: with one
 /// permit, dispatch is a pure function of the virtual-time-ordered ready
-/// queues, so two identical runs schedule identically.
+/// heap, so two identical runs schedule identically.
 pub const MIN_WORKERS: usize = 1;
 
 /// Number of consecutive no-progress cooperative yields after which
@@ -148,14 +146,6 @@ pub const MIN_WORKERS: usize = 1;
 /// the process again, so a spinner whose condition *can* still be satisfied
 /// only trades a few empty polls for a park/unpark round-trip.
 pub const YIELD_STREAK_PARK: u32 = 64;
-
-/// Upper bound on the number of ready-queue shards. Ready pushes lock only
-/// the slot's home shard (`slot % shards`); dispatchers peek every shard to
-/// honour global lowest-virtual-time order. Shards exist to keep cross-core
-/// pushes and pops from contending, so the actual count is
-/// `min(available cores, capacity, MAX_READY_SHARDS)` — a single-core host
-/// gets exactly one shard and single-lock pops.
-const MAX_READY_SHARDS: usize = 8;
 
 /// Verdict returned by [`Scheduler::park`] and [`Scheduler::yield_now`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +162,7 @@ pub enum Park {
 /// [`crate::stats::NetStats`] so experiments can quantify wake coalescing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeOutcome {
-    /// The target was parked: it was moved to the ready queues (and granted an
+    /// The target was parked: it was moved to the ready heap (and granted an
     /// idle permit if one was free).
     Unparked,
     /// Fast path: the target was already running, ready, or had a wake token
@@ -188,7 +178,7 @@ enum Phase {
     /// Not registered with the scheduler (endpoints driven manually keep the
     /// legacy timed-wait path).
     Unmanaged = 0,
-    /// Registered and runnable, waiting in a ready shard for a permit.
+    /// Registered and runnable, waiting in the ready heap for a permit.
     Ready = 1,
     /// Holding a run permit; its carrier thread is executing.
     Running = 2,
@@ -240,15 +230,14 @@ pub struct Scheduler {
     /// Written by the slot's own carrier and reset by unparking wakers.
     streak: Vec<AtomicU32>,
     seats: Vec<Seat>,
-    /// Sharded ready queues; a slot's home shard is `slot % shards.len()`.
-    /// Entries are (virtual time, FIFO tiebreak, slot) min-heaps, validated
+    /// The ready heap: (virtual time, FIFO tiebreak, slot) entries, validated
     /// against the slot phase (CAS `Ready → Running`) when popped.
-    shards: Vec<Mutex<BinaryHeap<ReadyEntry>>>,
-    /// Advisory count of entries across all ready shards, maintained as an
-    /// over-approximation (incremented before a push inserts, decremented
-    /// after a pop removes), so a zero read proves every shard is empty.
-    /// Lets the hot peek paths skip the shard-lock sweep when nothing is
-    /// ready — the common case for a spinner's requeue check.
+    ready: Mutex<BinaryHeap<ReadyEntry>>,
+    /// Advisory count of ready entries, maintained as an over-approximation
+    /// (incremented before a push inserts, decremented after a pop removes),
+    /// so a zero read proves the heap is empty. Lets the hot peek paths skip
+    /// the lock when nothing is ready — the common case for a spinner's
+    /// requeue check.
     ready_entries: AtomicUsize,
     ready_seq: AtomicU64,
     /// Run permits currently in circulation. Direct handoffs transfer a
@@ -300,19 +289,8 @@ impl Scheduler {
     }
 
     /// A scheduler for `n` simulated processes recording its dispatch
-    /// counters (handoffs, steals, cold dispatches) into `stats`.
+    /// counters (handoffs, cold dispatches) into `stats`.
     pub fn with_stats(n: usize, stats: Arc<NetStats>) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(4);
-        Scheduler::with_shards(n, stats, MAX_READY_SHARDS.min(n.max(1)).min(cores))
-    }
-
-    /// [`Scheduler::with_stats`] with an explicit ready-shard count. Exposed
-    /// so tests (and hosts that want to override the core-count heuristic)
-    /// can exercise the multi-shard scan and steal paths deterministically.
-    pub fn with_shards(n: usize, stats: Arc<NetStats>, shards: usize) -> Self {
-        let shards = shards.clamp(1, n.max(1));
         Scheduler {
             phase: (0..n)
                 .map(|_| AtomicU8::new(Phase::Unmanaged as u8))
@@ -321,7 +299,7 @@ impl Scheduler {
             vtime: (0..n).map(|_| AtomicU64::new(0)).collect(),
             streak: (0..n).map(|_| AtomicU32::new(0)).collect(),
             seats: (0..n).map(|_| Seat::default()).collect(),
-            shards: (0..shards).map(|_| Mutex::new(BinaryHeap::new())).collect(),
+            ready: Mutex::new(BinaryHeap::new()),
             ready_entries: AtomicUsize::new(0),
             ready_seq: AtomicU64::new(0),
             running: AtomicUsize::new(0),
@@ -366,12 +344,8 @@ impl Scheduler {
             .is_ok()
     }
 
-    fn shard_of(&self, idx: usize) -> usize {
-        idx % self.shards.len()
-    }
-
-    fn lock_shard(&self, s: usize) -> MutexGuard<'_, BinaryHeap<ReadyEntry>> {
-        self.shards[s].lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_ready(&self) -> MutexGuard<'_, BinaryHeap<ReadyEntry>> {
+        self.ready.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Number of process slots.
@@ -458,76 +432,36 @@ impl Scheduler {
     fn push_ready(&self, idx: usize, vt: SimTime) {
         let seq = self.ready_seq.fetch_add(1, Ordering::SeqCst);
         // Count up *before* inserting so the advisory count never
-        // under-reports (a zero read must prove the shards are empty).
+        // under-reports (a zero read must prove the heap is empty).
         self.ready_entries.fetch_add(1, Ordering::SeqCst);
-        self.lock_shard(self.shard_of(idx))
-            .push(Reverse((vt, seq, idx)));
+        self.lock_ready().push(Reverse((vt, seq, idx)));
     }
 
-    /// Lowest (virtual time, sequence, slot) key over all ready shards and
-    /// the shard holding it, or `None` when nothing is ready. Advisory: the
-    /// answer may be stale by the time the caller acts on it. The empty case
-    /// — every yield of a spinner with idle queues — is answered from the
-    /// advisory count without sweeping the shard locks.
-    fn best_ready_entry(&self) -> Option<((SimTime, u64, usize), usize)> {
+    /// Virtual time of the best ready entry, or `None` when nothing is
+    /// ready. Advisory: the answer may be stale by the time the caller acts
+    /// on it. The empty case — every yield of a spinner with an idle heap —
+    /// is answered from the advisory count without taking the lock.
+    fn best_ready_vtime(&self) -> Option<SimTime> {
         if self.ready_entries.load(Ordering::SeqCst) == 0 {
             return None;
         }
-        let mut best: Option<((SimTime, u64, usize), usize)> = None;
-        for si in 0..self.shards.len() {
-            let g = self.lock_shard(si);
-            if let Some(&Reverse(top)) = g.peek() {
-                if best.map_or(true, |(b, _)| top < b) {
-                    best = Some((top, si));
-                }
-            }
-        }
-        best
+        self.lock_ready().peek().map(|&Reverse((vt, _, _))| vt)
     }
 
-    /// Pop the globally lowest-virtual-time ready slot and transition it to
-    /// `Running` (the caller is delivering a permit with this call). Returns
-    /// the slot and the shard it came from. Stale entries (slots that were
-    /// finished, or re-claimed their own entry) are discarded.
-    fn pop_best(&self) -> Option<(usize, usize)> {
-        if self.shards.len() == 1 {
-            // Single-shard fast path (low-parallelism hosts): peek-and-pop
-            // under one lock acquisition per candidate.
-            loop {
-                if self.ready_entries.load(Ordering::SeqCst) == 0 {
-                    return None;
-                }
-                let popped = self.lock_shard(0).pop();
-                let Some(Reverse((_, _, idx))) = popped else {
-                    return None;
-                };
-                self.ready_entries.fetch_sub(1, Ordering::SeqCst);
-                if self.cas_phase(idx, Phase::Ready, Phase::Running) {
-                    return Some((idx, 0));
-                }
+    /// Pop the lowest-virtual-time ready slot and transition it to `Running`
+    /// (the caller is delivering a permit with this call). Stale entries
+    /// (slots that were finished, or re-claimed their own entry) are
+    /// discarded.
+    fn pop_best(&self) -> Option<usize> {
+        loop {
+            if self.ready_entries.load(Ordering::SeqCst) == 0 {
+                return None;
             }
-        }
-        'scan: loop {
-            let (key, si) = self.best_ready_entry()?;
-            let popped = {
-                let mut g = self.lock_shard(si);
-                match g.peek() {
-                    // The top moved (another dispatcher got there first) and
-                    // what remains is worse than what the scan promised:
-                    // rescan so dispatch order stays lowest-virtual-time.
-                    Some(&Reverse(top)) if top > key => continue 'scan,
-                    Some(_) => g.pop(),
-                    None => continue 'scan,
-                }
-            };
-            let Some(Reverse((_, _, idx))) = popped else {
-                continue 'scan;
-            };
+            let Reverse((_, _, idx)) = self.lock_ready().pop()?;
             self.ready_entries.fetch_sub(1, Ordering::SeqCst);
             if self.cas_phase(idx, Phase::Ready, Phase::Running) {
-                return Some((idx, si));
+                return Some(idx);
             }
-            // Stale entry (slot finished, or re-claimed by its own carrier).
         }
     }
 
@@ -568,19 +502,15 @@ impl Scheduler {
     /// (it has already published its new phase): hand the permit directly to
     /// the best ready slot, or release it — and if it was the last permit,
     /// run the rescue/quiescence cold path.
-    fn depart(&self, from: usize) {
+    fn depart(&self) {
         // Honour a shrunken pool: handoff keeps permits in circulation
         // forever under continuous ready work, so an over-budget permit must
         // retire here instead of being passed on (ready work then waits for
         // one of the remaining permits, exactly as `set_workers` promises).
         let over_budget = self.running.load(Ordering::SeqCst) > self.workers.load(Ordering::SeqCst);
         if !over_budget {
-            if let Some((target, shard)) = self.pop_best() {
-                if shard == self.shard_of(from) {
-                    self.stats.record_handoff();
-                } else {
-                    self.stats.record_steal();
-                }
+            if let Some(target) = self.pop_best() {
+                self.stats.record_handoff();
                 self.dispatch_direct(target);
                 return;
             }
@@ -608,7 +538,7 @@ impl Scheduler {
                 continue;
             }
             match self.pop_best() {
-                Some((target, _)) => {
+                Some(target) => {
                     // Recorded only once the grant actually backs a running
                     // process — a speculative grant that found nothing is
                     // rolled back below and must not inflate the peak.
@@ -659,7 +589,7 @@ impl Scheduler {
             {
                 continue;
             }
-            if let Some((target, _)) = self.pop_best() {
+            if let Some(target) = self.pop_best() {
                 self.peak_running.fetch_max(1, Ordering::SeqCst);
                 self.stats.record_cold_dispatch();
                 self.dispatch_cold(target);
@@ -861,19 +791,18 @@ impl Scheduler {
         // waker's token store is not visible to the swap below, then our
         // Parked store is visible to its phase load — it takes the unpark
         // path and re-queues us properly. Either way no wake is lost.
-        if self.token[e.0].swap(false, Ordering::SeqCst) {
-            if self.cas_phase(e.0, Phase::Parked, Phase::Running) {
-                return Park::Woken;
-            }
-            // A waker unparked us in the window: we are back in a ready
-            // queue (or a dispatcher has already granted us a fresh permit).
-            // Our current permit is surplus — pass it on (possibly straight
-            // back to ourselves via the queue) and wait to be re-dispatched;
-            // the consumed token guarantees the caller re-polls on return.
-            self.depart(e.0);
-            return self.block_current(e.0);
+        if self.token[e.0].swap(false, Ordering::SeqCst)
+            && self.cas_phase(e.0, Phase::Parked, Phase::Running)
+        {
+            return Park::Woken;
         }
-        self.depart(e.0);
+        // Either no token (a real park), or a waker unparked us in the
+        // window: we are back in the ready heap (or a dispatcher has already
+        // granted us a fresh permit). Our current permit is surplus — pass it
+        // on (possibly straight back to ourselves via the heap) and wait to
+        // be re-dispatched; a consumed token guarantees the caller re-polls
+        // on return.
+        self.depart();
         self.block_current(e.0)
     }
 
@@ -883,7 +812,7 @@ impl Scheduler {
     /// the phase says the process is running or ready — or a token was already
     /// pending — the token alone is sufficient, because the process must pass
     /// through `park`/`yield_now` (which consume it) before it can ever block.
-    /// Only a genuinely parked target is moved to the ready queues, and only
+    /// Only a genuinely parked target is moved to the ready heap, and only
     /// when an idle permit exists does that touch the permit counter.
     /// Unmanaged and finished slots ignore wakes.
     pub fn wake(&self, e: EndpointId) -> WakeOutcome {
@@ -983,18 +912,16 @@ impl Scheduler {
         let streak = self.streak[e.0].load(Ordering::Relaxed) + 1;
         self.streak[e.0].store(streak, Ordering::Relaxed);
         if streak >= YIELD_STREAK_PARK {
-            // No-progress streak: treat the spinner as parked (see above).
+            // No-progress streak: treat the spinner as parked (see above),
+            // with the same Dekker re-check as in `park`.
             self.phase[e.0].store(Phase::Parked as u8, Ordering::SeqCst);
-            if self.token[e.0].swap(false, Ordering::SeqCst) {
-                // Same Dekker re-check as in `park`.
-                if self.cas_phase(e.0, Phase::Parked, Phase::Running) {
-                    self.streak[e.0].store(0, Ordering::Relaxed);
-                    return Park::Woken;
-                }
-                self.depart(e.0);
-                return self.block_current(e.0);
+            if self.token[e.0].swap(false, Ordering::SeqCst)
+                && self.cas_phase(e.0, Phase::Parked, Phase::Running)
+            {
+                self.streak[e.0].store(0, Ordering::Relaxed);
+                return Park::Woken;
             }
-            self.depart(e.0);
+            self.depart();
             return self.block_current(e.0);
         }
         // Requeue-skip fast path: if no ready slot would outrank us — our
@@ -1005,32 +932,32 @@ impl Scheduler {
         // next boundary, exactly as if it had arrived a moment later. The
         // streak deliberately survives, so a spinner still converges on a
         // park.)
-        match self.best_ready_entry() {
-            Some(((vt, _, _), _)) if vt <= now => {}
-            _ => return Park::Woken,
+        match self.best_ready_vtime() {
+            Some(vt) if vt <= now => self.requeue_and_hand_off(e.0, now),
+            _ => Park::Woken,
         }
-        self.phase[e.0].store(Phase::Ready as u8, Ordering::SeqCst);
-        self.push_ready(e.0, now);
+    }
+
+    /// Shared tail of [`Scheduler::yield_now`] and [`Scheduler::advance`],
+    /// once a ready entry has been seen to outrank the running caller `e`:
+    /// requeue it at `now` and hand its permit to the best ready slot.
+    fn requeue_and_hand_off(&self, e: usize, now: SimTime) -> Park {
+        self.phase[e].store(Phase::Ready as u8, Ordering::SeqCst);
+        self.push_ready(e, now);
         match self.pop_best() {
-            Some((target, _)) if target == e.0 => {
-                // Raced: the outranking entry was claimed by someone else
-                // first and we popped our own entry back — keep the permit.
-                Park::Woken
-            }
-            Some((target, shard)) => {
-                if shard == self.shard_of(e.0) {
-                    self.stats.record_handoff();
-                } else {
-                    self.stats.record_steal();
-                }
+            // Raced: the outranking entry was claimed by another dispatcher
+            // first and we popped our own entry back — keep the permit.
+            Some(target) if target == e => Park::Woken,
+            Some(target) => {
+                self.stats.record_handoff();
                 self.dispatch_direct(target);
-                self.block_current(e.0)
+                self.block_current(e)
             }
             None => {
                 // Our own entry is gone: a concurrent dispatcher claimed it
                 // and is delivering us a fresh permit. Ours is surplus.
-                self.depart(e.0);
-                self.block_current(e.0)
+                self.depart();
+                self.block_current(e)
             }
         }
     }
@@ -1070,33 +997,9 @@ impl Scheduler {
             // blocking boundary consume the token and re-poll the inbox.
             return Park::Woken;
         }
-        match self.best_ready_entry() {
-            Some(((vt, _, _), _)) if vt < now => {}
-            _ => return Park::Woken,
-        }
-        self.phase[e.0].store(Phase::Ready as u8, Ordering::SeqCst);
-        self.push_ready(e.0, now);
-        match self.pop_best() {
-            Some((target, _)) if target == e.0 => {
-                // Raced: the outranking entry was claimed by another
-                // dispatcher and we popped our own entry back.
-                Park::Woken
-            }
-            Some((target, shard)) => {
-                if shard == self.shard_of(e.0) {
-                    self.stats.record_handoff();
-                } else {
-                    self.stats.record_steal();
-                }
-                self.dispatch_direct(target);
-                self.block_current(e.0)
-            }
-            None => {
-                // Our entry was claimed by a concurrent dispatcher delivering
-                // us a fresh permit; ours is surplus.
-                self.depart(e.0);
-                self.block_current(e.0)
-            }
+        match self.best_ready_vtime() {
+            Some(vt) if vt < now => self.requeue_and_hand_off(e.0, now),
+            _ => Park::Woken,
         }
     }
 
@@ -1132,7 +1035,7 @@ impl Scheduler {
                 Phase::Running => {
                     if self.cas_phase(e.0, Phase::Running, Phase::Finished) {
                         self.token[e.0].store(false, Ordering::SeqCst);
-                        self.depart(e.0);
+                        self.depart();
                         break;
                     }
                 }
@@ -1548,19 +1451,15 @@ mod tests {
     }
 
     #[test]
-    fn multi_shard_pop_respects_global_virtual_time_order() {
-        // Force 4 shards regardless of host cores: slots 1..=4 land in
-        // different home shards, and dispatch must still pick the globally
-        // lowest virtual time across all of them (the steal path).
-        let stats = Arc::new(NetStats::new());
-        let s = Arc::new(Scheduler::with_shards(5, Arc::clone(&stats), 4));
+    fn equal_virtual_times_dispatch_in_fifo_order() {
+        let s = Arc::new(Scheduler::new(5));
         s.set_workers(1);
         for i in 0..5 {
             s.register(ep(i));
         }
         // Slot 0 got the single permit at registration; 1..=4 are queued at
-        // time zero in shards 1, 2, 3, 0 and must run in slot order (FIFO
-        // tiebreak at equal virtual time), wherever they live.
+        // time zero and must run in slot order (FIFO tiebreak at equal
+        // virtual time).
         let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for i in 1..5usize {
@@ -1577,11 +1476,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*order.lock().unwrap(), vec![1, 2, 3, 4]);
-        let snap = stats.snapshot();
-        assert!(
-            snap.steals() > 0,
-            "cross-shard dispatches must be classified as steals"
-        );
     }
 
     #[test]
@@ -1616,10 +1510,9 @@ mod tests {
         b.join().unwrap();
         let snap = stats.snapshot();
         assert!(
-            snap.handoffs() + snap.steals() >= 2 * rounds - 2,
-            "ping-pong dispatches must be direct: {} handoffs + {} steals",
-            snap.handoffs(),
-            snap.steals()
+            snap.handoffs() >= 2 * rounds - 2,
+            "ping-pong dispatches must be direct: {} handoffs",
+            snap.handoffs()
         );
         assert!(
             snap.condvar_waits() <= 4,
@@ -1669,10 +1562,9 @@ mod tests {
         assert_eq!(s.peak_running(), 1, "one permit must never become two");
         let snap = stats.snapshot();
         assert!(
-            snap.handoffs() + snap.steals() >= 2 * rounds - 2,
-            "ping-pong dispatches must be direct: {} handoffs + {} steals",
-            snap.handoffs(),
-            snap.steals()
+            snap.handoffs() >= 2 * rounds - 2,
+            "ping-pong dispatches must be direct: {} handoffs",
+            snap.handoffs()
         );
         assert!(
             snap.stack_switches() >= 2 * rounds,

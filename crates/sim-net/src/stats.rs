@@ -116,37 +116,34 @@ macro_rules! counter_table {
 
 counter_table! {
     /// Scheduler wakes that unparked the target (moved it to the ready
-    /// queues).
+    /// heap).
     wakes_issued: sum,
     /// Wakes served by the lock-free fast path (target running/ready or wake
     /// already pending) or ignored (unmanaged/finished target) — deliveries
-    /// that did *not* touch the ready queues.
+    /// that did *not* touch the ready heap.
     wakes_suppressed: sum,
     // Shims for the frozen benchmark surface (`benchmark/src/workload.rs`
-    // reads both getters): never recorded, always 0. Awaiting a
-    // benchmark-only PR that drops the reads; delete them then.
+    // reads these getters): never recorded, always 0. The first two counted
+    // a staging outbox, the other three the dispatch and delivery splits of
+    // structures now replaced by one heap each. Awaiting a benchmark-only
+    // change that drops the reads; delete them then.
     #[doc(hidden)]
     flushes: sum,
     #[doc(hidden)]
     flushed_msgs: sum,
-    /// Dispatches where a departing carrier handed its run permit directly to
-    /// a ready process from its own ready-queue shard.
-    handoffs: sum,
-    /// Direct dispatches served from another shard (virtual-time-aware work
-    /// stealing).
+    #[doc(hidden)]
     steals: sum,
+    #[doc(hidden)]
+    deliveries_direct: sum,
+    #[doc(hidden)]
+    heap_fallbacks: sum,
+    /// Dispatches where a departing carrier handed its run permit directly to
+    /// the best ready process.
+    handoffs: sum,
     /// Dispatches that went through the cold path — an idle permit was
     /// acquired and the target woken through the permit counter, the
     /// moral equivalent of the old global-run-queue condvar handshake.
     condvar_waits: sum,
-    /// Deliveries ingested on the in-order fast path of the receiver's
-    /// delivery ladder: an O(1) append because the message's (arrival, seq)
-    /// key was no smaller than the ladder tail's.
-    deliveries_direct: sum,
-    /// Deliveries whose arrival stamp ran *behind* the ladder tail and had to
-    /// be buffered in the out-of-order fallback heap (an O(log n) sift —
-    /// what *every* delivery cost under the pre-PR 5 pending heap).
-    heap_fallbacks: sum,
     /// Soft-error payload bit flips injected below the protocol layer (the
     /// fault-campaign engine's SDC fault class).
     sdc_flips_injected: sum,
@@ -218,30 +215,15 @@ impl NetStats {
         };
     }
 
-    /// Record a direct permit handoff (departing carrier dispatched a ready
-    /// process from its own shard).
+    /// Record a direct permit handoff (a departing carrier dispatched a ready
+    /// process).
     pub fn record_handoff(&self) {
         self.handoffs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a direct dispatch stolen from another shard.
-    pub fn record_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a cold-path dispatch (idle-permit grant).
     pub fn record_cold_dispatch(&self) {
         self.condvar_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one delivery ingested on the ladder's in-order O(1) fast path.
-    pub fn record_direct_delivery(&self) {
-        self.deliveries_direct.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one out-of-order delivery buffered through the fallback heap.
-    pub fn record_heap_fallback(&self) {
-        self.heap_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one injected soft-error payload bit flip.
@@ -333,27 +315,14 @@ impl StatsSnapshot {
         self.bytes_sent.iter().sum()
     }
 
-    /// Fraction of deliveries ingested in order (1.0 when nothing was
-    /// delivered): the figure of merit for the single-pass delivery
-    /// pipeline's near-monotonic-arrival assumption.
-    pub fn direct_delivery_fraction(&self) -> f64 {
-        let total = self.deliveries_direct + self.heap_fallbacks;
-        if total == 0 {
-            1.0
-        } else {
-            self.deliveries_direct as f64 / total as f64
-        }
-    }
-
-    /// Fraction of dispatches served by direct handoff/steal rather than the
-    /// cold permit-counter path (1.0 when nothing was dispatched).
+    /// Fraction of dispatches served by direct handoff rather than the cold
+    /// permit-counter path (1.0 when nothing was dispatched).
     pub fn direct_dispatch_fraction(&self) -> f64 {
-        let direct = self.handoffs + self.steals;
-        let total = direct + self.condvar_waits;
+        let total = self.handoffs + self.condvar_waits;
         if total == 0 {
             1.0
         } else {
-            direct as f64 / total as f64
+            self.handoffs as f64 / total as f64
         }
     }
 
@@ -431,11 +400,10 @@ mod tests {
         let s = NetStats::new();
         s.record_handoff();
         s.record_handoff();
-        s.record_steal();
+        s.record_handoff();
         s.record_cold_dispatch();
         let snap = s.snapshot();
-        assert_eq!(snap.handoffs(), 2);
-        assert_eq!(snap.steals(), 1);
+        assert_eq!(snap.handoffs(), 3);
         assert_eq!(snap.condvar_waits(), 1);
         assert!((snap.direct_dispatch_fraction() - 0.75).abs() < f64::EPSILON);
         s.record_cold_dispatch();
@@ -444,25 +412,6 @@ mod tests {
         assert_eq!(delta.condvar_waits(), 1);
         // An idle snapshot reports a full direct fraction, not a NaN.
         assert!((StatsSnapshot::default().direct_dispatch_fraction() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn delivery_split_counters_roundtrip_and_fraction() {
-        let s = NetStats::new();
-        s.record_direct_delivery();
-        s.record_direct_delivery();
-        s.record_direct_delivery();
-        s.record_heap_fallback();
-        let snap = s.snapshot();
-        assert_eq!(snap.deliveries_direct(), 3);
-        assert_eq!(snap.heap_fallbacks(), 1);
-        assert!((snap.direct_delivery_fraction() - 0.75).abs() < f64::EPSILON);
-        s.record_heap_fallback();
-        let delta = s.snapshot().since(&snap);
-        assert_eq!(delta.deliveries_direct(), 0);
-        assert_eq!(delta.heap_fallbacks(), 1);
-        // An idle snapshot reports a full in-order fraction, not a NaN.
-        assert!((StatsSnapshot::default().direct_delivery_fraction() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -525,7 +474,7 @@ mod tests {
     #[test]
     fn table_views_cover_every_counter_once() {
         let s = NetStats::new();
-        s.record_heap_fallback();
+        s.record_handoff();
         s.record_retransmit();
         s.record_stack_lease(true, 4096);
         let a = s.snapshot();
@@ -535,12 +484,12 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), names.len(), "counter names must be unique");
         let by_name: std::collections::HashMap<_, _> = a.counters().collect();
-        assert_eq!(by_name["heap_fallbacks"], a.heap_fallbacks());
+        assert_eq!(by_name["handoffs"], a.handoffs());
         assert_eq!(by_name["retransmits"], 1);
         // Merging adds counters but takes the maximum of the gauge.
         s.record_stack_lease(false, 1024);
         let m = a.merged(&s.snapshot());
-        assert_eq!(m.heap_fallbacks(), 2);
+        assert_eq!(m.handoffs(), 2);
         assert_eq!(m.stacks_allocated() + m.stacks_reused(), 3);
         assert_eq!(m.stack_bytes_peak(), 4096);
     }

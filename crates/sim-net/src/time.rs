@@ -7,7 +7,7 @@
 //! saturating arithmetic (virtual time never goes negative and never wraps).
 //!
 //! `SimTime`'s `Ord` is plain numeric order on the nanosecond value; the
-//! fabric's delivery pipeline and the scheduler's ready queues both key on it
+//! fabric's pending heaps and the scheduler's ready heap both key on it
 //! directly (as `(SimTime, sequence)` pairs), so the total order of
 //! timestamps — and therefore pop order everywhere — is exactly the total
 //! order of `u64`. See `sim_net::model` for the arrival-ordering contract

@@ -196,18 +196,8 @@ mod tests {
         assert_eq!(d.app_msgs(), row.native.stats.app_msgs() * 2);
         assert!(d.ack_msgs() > 0);
         assert!(
-            d.handoffs + d.steals + d.condvar_waits > 0,
+            d.handoffs + d.condvar_waits > 0,
             "the run must have dispatched through the scheduler"
-        );
-        assert!(
-            d.deliveries_direct > 0,
-            "deliveries must flow through the single-pass pipeline"
-        );
-        assert!(
-            d.deliveries_direct >= d.heap_fallbacks,
-            "in-order ingest must dominate: {} direct vs {} heap fallbacks",
-            d.deliveries_direct,
-            d.heap_fallbacks
         );
         match side.carrier_mode {
             CarrierMode::Thread => assert_eq!(

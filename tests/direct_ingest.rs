@@ -196,7 +196,8 @@ fn a_repeat_send_still_unparks_a_destination_that_ran_and_parked_again() {
     // wake window. The second send must not count on the first one's wake.
     let (fabric, mut a, receiver) = parked_receiver(2, 2);
     a.send(EndpointId(1), class::APP, hdr(0, 0), Bytes::new());
-    while fabric.stats().snapshot().deliveries_direct() == 0 {
+    // The receiver has swept the first message once it counts as delivered.
+    while fabric.stats().snapshot().msgs_delivered[class::APP as usize] == 0 {
         std::thread::yield_now();
     }
     wait_until_parked(&fabric);

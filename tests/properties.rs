@@ -198,6 +198,45 @@ proptest! {
         prop_assert_eq!(delivered.len() as u64, next_msg, "each message delivered exactly once");
     }
 
+    /// A receiver pops in `(virtual arrival, ingest sequence)` order (DESIGN
+    /// §5.3). Random sends from several endpoints to one receiver, with
+    /// random compute strides and payload sizes so that arrival ties and
+    /// inversions both occur, and sweeps at random points between them:
+    /// `try_recv` returns the ingest sequence stably sorted by arrival.
+    #[test]
+    fn try_recv_pops_the_ingest_sequence_stably_sorted_by_arrival(
+        senders in 1usize..5,
+        ops in proptest::collection::vec(any::<u64>(), 1..120),
+    ) {
+        use sim_net::fabric::HEADER_WORDS;
+        use sim_net::stats::class;
+        use sim_net::{Fabric, LogGpModel};
+        let fabric = Fabric::with_defaults(senders + 1, LogGpModel::fast_test_model());
+        let dst = EndpointId(senders);
+        let mut tx: Vec<_> = (0..senders).map(|s| fabric.endpoint(EndpointId(s))).collect();
+        let mut rx = fabric.endpoint(dst);
+        // Sends run on this one thread, so call order is ingest order.
+        for (i, &op) in ops.iter().enumerate() {
+            let sender = &mut tx[(op % senders as u64) as usize];
+            sender.compute(SimTime::from_nanos([0, 1, 700][(op >> 8) as usize % 3]));
+            let size = [0, 8, 4096][(op >> 16) as usize % 3];
+            let mut header = [0; HEADER_WORDS];
+            header[0] = i as i64;
+            sender.send(dst, class::APP, header, bytes::Bytes::from(vec![0u8; size]));
+            if (op >> 24) % 4 == 0 {
+                rx.has_pending();
+            }
+        }
+        let popped: Vec<(i64, SimTime)> = std::iter::from_fn(|| rx.try_recv())
+            .map(|m| (m.header[0], m.arrival))
+            .collect();
+        let mut expected = popped.clone();
+        expected.sort_by_key(|&(i, _)| i);
+        expected.sort_by_key(|&(_, arrival)| arrival);
+        prop_assert_eq!(popped.len(), ops.len(), "every send is popped once");
+        prop_assert_eq!(popped, expected);
+    }
+
     /// Replica layout: endpoint/locate round-trip for arbitrary shapes.
     #[test]
     fn replica_layout_roundtrip(ranks in 1usize..64, degree in 1usize..5) {
