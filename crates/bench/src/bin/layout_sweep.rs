@@ -1,4 +1,4 @@
-//! The overhead-vs-coverage frontier of the pluggable replica maps: one NAS
+//! The overhead-vs-coverage frontier of partial replica maps: one NAS
 //! kernel measured native vs replicated at degree 2 for every coverage in
 //! `{0.25, 0.5, 0.75, 1.0}`, plus full replication at degree 3.
 //!

@@ -21,7 +21,7 @@
 //! uploads as the `BENCH_table1.json` artifact. `--degree D` replicates every
 //! rank at degree D instead of the paper's dual; `--coverage F` (with degree
 //! 2) replicates only the first `ceil(F * ranks)` ranks and leaves the rest
-//! as crash-fatal singletons — the partial layouts of the pluggable replica
+//! as crash-fatal singletons — the partial layouts of the replica
 //! map.
 fn main() {
     let args = sdr_bench::parse_harness_args(std::env::args().skip(1), 16);

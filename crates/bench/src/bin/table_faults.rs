@@ -15,7 +15,7 @@
 //! single-replica-loss distributions, 100% prompt aborts for the correlated
 //! pair loss, 100% SDC detection, and 100% masked survival with exact
 //! duplicate accounting for the lossy-transport distributions. The
-//! pluggable-replica-map rows additionally gate on degree-3 majority-loss
+//! replica-map rows additionally gate on degree-3 majority-loss
 //! survival, degree-3 SDC *correction* (`sdc_corrected == sdc_injected`),
 //! and the partial-coverage split (covered ranks survive, unreplicated ranks
 //! abort promptly). The report also carries the fixed-rate lossy sweep

@@ -120,7 +120,7 @@ fn compare_nas(
 
 /// The layout the harness flags `--degree D --coverage F` select:
 /// `coverage < 1.0` replicates only the first `ceil(coverage * ranks)` ranks
-/// at degree 2 (the partial layout's ADJACENT numbering) and leaves the rest
+/// at degree 2 (`sdr_core::ReplicaMap::with_coverage`) and leaves the rest
 /// as singletons; full coverage replicates every rank uniformly at `degree`.
 /// The dual full layout (`degree == 2`, `coverage == 1.0`) is exactly the
 /// historic Table 1 configuration, so sweep rows at that point stay

@@ -33,8 +33,6 @@ pub struct ReplicationConfig {
     pub degree: usize,
     /// When to emit acknowledgements.
     pub ack_on: AckOn,
-    /// Which replica set's application output is reported as the job result.
-    pub primary_replica: usize,
 }
 
 impl ReplicationConfig {
@@ -43,7 +41,6 @@ impl ReplicationConfig {
         ReplicationConfig {
             degree: 2,
             ack_on: AckOn::RecvComplete,
-            primary_replica: 0,
         }
     }
 
@@ -53,7 +50,6 @@ impl ReplicationConfig {
         ReplicationConfig {
             degree,
             ack_on: AckOn::RecvComplete,
-            primary_replica: 0,
         }
     }
 
@@ -79,7 +75,6 @@ mod tests {
         let c = ReplicationConfig::dual();
         assert_eq!(c.degree, 2);
         assert_eq!(c.ack_on, AckOn::RecvComplete);
-        assert_eq!(c.primary_replica, 0);
         assert_eq!(ReplicationConfig::default(), c);
     }
 

@@ -1,74 +1,42 @@
 //! Launch-time integration: the [`SdrFactory`] plugs the SDR-MPI protocol into
-//! the `sim-mpi` job launcher, and [`replicated_job`] builds a ready-to-run
-//! [`JobBuilder`] with the paper's placement policy (different replicas of a
-//! rank on different nodes).
+//! the `sim-mpi` job launcher, and [`mapped_job`] builds a ready-to-run
+//! [`JobBuilder`] on one [`ReplicaMap`]: one node per physical process, so
+//! different replicas of a rank never share a node whatever the numbering.
 
 use crate::config::ReplicationConfig;
-use crate::layout::{LayoutError, MappingPolicy, PartialLayout, ReplicaMap};
+use crate::layout::{LayoutError, ReplicaMap};
 use crate::protocol::SdrProtocol;
 use sim_mpi::{JobBuilder, Protocol, ProtocolFactory, Rank};
 use sim_net::{Cluster, EndpointId, Placement};
 use std::sync::Arc;
 
-/// Protocol factory for SDR-MPI.
+/// Protocol factory for SDR-MPI: every process of the job shares one map.
 #[derive(Debug, Clone)]
 pub struct SdrFactory {
     cfg: ReplicationConfig,
-    /// Explicit replica map; `None` means the classic uniform product layout
-    /// derived from `cfg.degree`.
-    map: Option<Arc<dyn ReplicaMap>>,
+    map: Arc<ReplicaMap>,
 }
 
 impl SdrFactory {
-    /// Factory with an explicit configuration on the classic uniform layout.
-    pub fn new(cfg: ReplicationConfig) -> Self {
-        SdrFactory { cfg, map: None }
-    }
-
-    /// Dual replication (the paper's configuration).
-    pub fn dual() -> Self {
-        SdrFactory::new(ReplicationConfig::dual())
-    }
-
-    /// Factory on an arbitrary replica map (partial replication, CYCLIC
-    /// numbering, mixed degrees). The job's rank count must match the map's.
-    pub fn with_map(cfg: ReplicationConfig, map: Arc<dyn ReplicaMap>) -> Self {
-        SdrFactory {
-            cfg,
-            map: Some(map),
-        }
-    }
-
-    /// The configuration this factory installs.
-    pub fn config(&self) -> ReplicationConfig {
-        self.cfg
+    /// Factory for the job `map` lays out. The job's rank count must match
+    /// the map's.
+    pub fn new(map: Arc<ReplicaMap>, cfg: ReplicationConfig) -> Self {
+        SdrFactory { cfg, map }
     }
 }
 
 impl ProtocolFactory for SdrFactory {
     fn physical_processes(&self, app_ranks: usize) -> usize {
-        match &self.map {
-            Some(map) => {
-                assert_eq!(
-                    map.ranks(),
-                    app_ranks,
-                    "replica map rank count must match the job"
-                );
-                map.physical_processes()
-            }
-            None => app_ranks * self.cfg.degree,
-        }
+        assert_eq!(
+            self.map.ranks(),
+            app_ranks,
+            "replica map rank count must match the job"
+        );
+        self.map.physical_processes()
     }
 
-    fn build(&self, endpoint: EndpointId, app_ranks: usize) -> Box<dyn Protocol> {
-        match &self.map {
-            Some(map) => Box::new(SdrProtocol::new_with_map(
-                endpoint,
-                Arc::clone(map),
-                self.cfg,
-            )),
-            None => Box::new(SdrProtocol::new(endpoint, app_ranks, self.cfg)),
-        }
+    fn build(&self, endpoint: EndpointId, _app_ranks: usize) -> Box<dyn Protocol> {
+        Box::new(SdrProtocol::new(endpoint, Arc::clone(&self.map), self.cfg))
     }
 
     fn name(&self) -> &str {
@@ -76,42 +44,35 @@ impl ProtocolFactory for SdrFactory {
     }
 }
 
-/// A [`JobBuilder`] for `app_ranks` logical ranks replicated according to
-/// `cfg`, with the paper's placement: one core per physical process and the
-/// replica sets on disjoint node slices.
-pub fn replicated_job(app_ranks: usize, cfg: ReplicationConfig) -> JobBuilder {
-    let physical = app_ranks * cfg.degree;
-    JobBuilder::new(app_ranks)
-        .protocol(Arc::new(SdrFactory::new(cfg)))
-        .cluster(Cluster::new(physical, 1))
-        .placement(Placement::ReplicaSets {
-            ranks: app_ranks,
-            degree: cfg.degree,
-        })
-}
-
-/// A [`JobBuilder`] on an arbitrary replica map. One core per physical
-/// process; with one process per node the packed placement is equivalent to
-/// any replica-spreading policy, so non-product maps (partial, CYCLIC) need
-/// no dedicated placement variant.
-pub fn mapped_job(map: Arc<dyn ReplicaMap>, cfg: ReplicationConfig) -> JobBuilder {
+/// A [`JobBuilder`] on one replica map, one node per physical process.
+/// Endpoint `e` runs on node `e`, so the replicas of a rank are always on
+/// different nodes.
+pub fn mapped_job(map: Arc<ReplicaMap>, cfg: ReplicationConfig) -> JobBuilder {
     let physical = map.physical_processes();
     JobBuilder::new(map.ranks())
-        .protocol(Arc::new(SdrFactory::with_map(cfg, map)))
+        .protocol(Arc::new(SdrFactory::new(map, cfg)))
         .cluster(Cluster::new(physical, 1))
         .placement(Placement::Packed)
 }
 
+/// A [`JobBuilder`] for `app_ranks` logical ranks, every one replicated
+/// `cfg.degree` times (the paper's configuration at degree 2).
+pub fn replicated_job(app_ranks: usize, cfg: ReplicationConfig) -> JobBuilder {
+    mapped_job(Arc::new(ReplicaMap::uniform(app_ranks, cfg.degree)), cfg)
+}
+
 /// A partially replicated [`JobBuilder`]: the ranks in `replicated` run at
-/// degree 2 (ADJACENT numbering), every other rank is a singleton. Invalid
-/// subsets surface as typed [`LayoutError`]s.
+/// degree 2, every other rank is a singleton. Invalid subsets surface as
+/// typed [`LayoutError`]s.
 pub fn partial_replicated_job(
     app_ranks: usize,
     replicated: &[Rank],
     cfg: ReplicationConfig,
 ) -> Result<JobBuilder, LayoutError> {
-    let map = PartialLayout::new(app_ranks, replicated, MappingPolicy::Adjacent)?;
-    Ok(mapped_job(Arc::new(map), cfg))
+    Ok(mapped_job(
+        Arc::new(ReplicaMap::partial(app_ranks, replicated)?),
+        cfg,
+    ))
 }
 
 /// A partially replicated [`JobBuilder`] covering the first
@@ -122,8 +83,10 @@ pub fn coverage_job(
     coverage: f64,
     cfg: ReplicationConfig,
 ) -> Result<JobBuilder, LayoutError> {
-    let map = PartialLayout::with_coverage(app_ranks, coverage, MappingPolicy::Adjacent)?;
-    Ok(mapped_job(Arc::new(map), cfg))
+    Ok(mapped_job(
+        Arc::new(ReplicaMap::with_coverage(app_ranks, coverage)?),
+        cfg,
+    ))
 }
 
 /// A native (non-replicated) [`JobBuilder`] with the same cluster conventions,
@@ -149,7 +112,10 @@ mod tests {
 
     #[test]
     fn factory_sizes_and_identity() {
-        let f = SdrFactory::dual();
+        let f = SdrFactory::new(
+            Arc::new(ReplicaMap::uniform(8, 2)),
+            ReplicationConfig::dual(),
+        );
         assert_eq!(f.physical_processes(8), 16);
         assert_eq!(f.name(), "sdr-mpi");
         let p = f.build(EndpointId(11), 8);
@@ -158,6 +124,25 @@ mod tests {
         assert!(!p.is_primary());
         let p0 = f.build(EndpointId(3), 8);
         assert!(p0.is_primary());
+    }
+
+    #[test]
+    fn one_process_per_node_puts_every_endpoint_on_its_own_node() {
+        // With one process per node the paper's replica-set placement and
+        // the packed placement `mapped_job` installs agree: endpoint `e` is
+        // on node `e`, so replicas of a rank never share a node.
+        for (ranks, degree) in [(1, 1), (4, 2), (5, 3), (256, 2)] {
+            let total = ranks * degree;
+            let cluster = Cluster::new(total, 1);
+            let sets = Placement::ReplicaSets { ranks, degree };
+            for e in 0..total {
+                assert_eq!(sets.node_of(e, total, &cluster), sim_net::NodeId(e));
+                assert_eq!(
+                    Placement::Packed.node_of(e, total, &cluster),
+                    sim_net::NodeId(e)
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,25 +1,22 @@
 //! Mapping between logical MPI ranks, replica ids and physical processes.
 //!
-//! The original layout of the paper (Figure 6) launches `r · n` physical
-//! processes: physical process `P` plays logical rank `P mod n` in replica
-//! set `P div n`, so replica set 0 occupies endpoints `0..n`, replica set 1
-//! occupies `n..2n`, and so on. Combined with
-//! [`sim_net::Placement::ReplicaSets`], replica set `k` lands on the `k`-th
-//! slice of the cluster's nodes, reproducing the paper's placement ("the
-//! first set of 256 replicas run on the first half of the nodes").
+//! The paper's layout (Figure 6) is one line of arithmetic: with `n` ranks,
+//! physical process `P` plays rank `P mod n` in replica set `P div n`.
+//! [`ReplicaMap`] is that line, widened to PartRePer-MPI-style partial
+//! replication: the ranks of a sorted `replicated` subset run `degree` times,
+//! every other rank once. All first copies come first, then the further
+//! copies in subset order:
 //!
-//! That fixed product is now one implementation of the pluggable
-//! [`ReplicaMap`] trait. Two more are provided:
+//! ```text
+//! endpoint(r, 0) = r
+//! endpoint(r, k) = n + (k − 1)·|replicated| + slot[r]     (slot[r]: r's index in `replicated`)
+//! ```
 //!
-//! * [`UniformLayout`] — every rank replicated `degree` times (any degree
-//!   ≥ 1), with a selectable physical numbering ([`MappingPolicy`]):
-//!   ADJACENT keeps replica sets contiguous (the paper's placement), CYCLIC
-//!   interleaves replicas rank-major (TeaMPI's `R_FACTOR` numbering).
-//! * [`PartialLayout`] — PartRePer-MPI-style partial replication: a chosen
-//!   subset of ranks runs at degree 2, the rest are singletons. Most of the
-//!   resilience at a fraction of the overhead.
+//! With every rank replicated `slot[r] = r`, and this is the paper's
+//! `k·n + r`. Numbering is the only thing a map decides; placement is the
+//! job's (one process per node, see [`crate::mapped_job`]).
 //!
-//! The trait also fixes the *routing rule* for mixed per-rank degrees: the
+//! The map also fixes the *routing rule* for mixed per-rank degrees: the
 //! replica `k` of rank `i` receives rank `j`'s messages directly from replica
 //! `k mod degree(j)` of `j` ([`ReplicaMap::direct_src`]), and sends its own
 //! messages directly to every replica `m` of the destination with
@@ -34,49 +31,17 @@
 use sim_mpi::Rank;
 use sim_net::EndpointId;
 
-/// How (rank, replica) pairs are numbered onto physical endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MappingPolicy {
-    /// Replica sets are contiguous: all of replica set 0, then replica set 1,
-    /// … (the paper's Figure 6 placement). For [`PartialLayout`] this means
-    /// all first copies `0..n`, then the second copies of the replicated
-    /// ranks.
-    Adjacent,
-    /// Replicas are interleaved rank-major: rank 0's replicas first, then
-    /// rank 1's, … (TeaMPI's numbering).
-    Cyclic,
-}
+/// A set of replicas of one rank, one bit per replica index.
+pub(crate) type ReplicaMask = u64;
 
-impl MappingPolicy {
-    /// Canonical lower-case name (for CLI flags and reports).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MappingPolicy::Adjacent => "adjacent",
-            MappingPolicy::Cyclic => "cyclic",
-        }
-    }
+/// `slot` value of a rank that runs once.
+const UNREPLICATED: u32 = u32::MAX;
 
-    /// Parse a policy name as accepted by the harness CLIs.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "adjacent" => Some(MappingPolicy::Adjacent),
-            "cyclic" => Some(MappingPolicy::Cyclic),
-            _ => None,
-        }
-    }
-}
-
-/// Why a replica map could not be constructed. These are genuine validation
-/// errors — a map that *can* be represented is never rejected (any degree
-/// ≥ 1 and any non-empty replicated subset are valid).
+/// Why a partial replica map could not be constructed from a rank subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayoutError {
-    /// The map would contain no logical ranks.
-    ZeroRanks,
-    /// The replication degree is zero (a rank with no process at all).
-    ZeroDegree,
-    /// A partial map's replicated-rank set is empty — use a plain singleton
-    /// (native) job instead of a degenerate partial one.
+    /// The replicated-rank set is empty — use a plain singleton (native) job
+    /// instead of a degenerate partial one.
     EmptyReplicatedSet,
     /// A replicated rank does not exist in the job.
     RankOutOfRange {
@@ -95,8 +60,6 @@ pub enum LayoutError {
 impl std::fmt::Display for LayoutError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LayoutError::ZeroRanks => write!(f, "replica map needs at least one rank"),
-            LayoutError::ZeroDegree => write!(f, "replica map needs degree >= 1"),
             LayoutError::EmptyReplicatedSet => {
                 write!(
                     f,
@@ -118,140 +81,129 @@ impl std::fmt::Display for LayoutError {
 
 impl std::error::Error for LayoutError {}
 
-/// The pluggable rank/replica ↔ endpoint mapping of a replicated job.
-///
-/// Implementations must be bijections between the pairs
-/// `{(rank, replica) : replica < degree_of(rank)}` and the endpoint range
-/// `0..physical_processes()`; [`ReplicaMap::endpoint`] and
-/// [`ReplicaMap::locate`] are inverses. All provided methods are derived
-/// from `ranks`/`degree_of`/`endpoint`/`locate`.
-pub trait ReplicaMap: std::fmt::Debug + Send + Sync {
+/// The rank/replica ↔ endpoint mapping of a replicated job: a bijection
+/// between the pairs `{(rank, replica) : replica < degree_of(rank)}` and the
+/// endpoint range `0..physical_processes()`, numbered as the module docs say.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplicaMap {
+    ranks: usize,
+    /// Degree of every replicated rank; the others run once.
+    degree: usize,
+    /// The replicated ranks, sorted.
+    replicated: Vec<Rank>,
+    /// Each rank's index in `replicated`, or `UNREPLICATED`.
+    slot: Vec<u32>,
+}
+
+impl ReplicaMap {
+    /// Every one of `ranks` logical ranks replicated `degree` times (the
+    /// paper's `r · n` product).
+    pub fn uniform(ranks: usize, degree: usize) -> Self {
+        assert!(ranks > 0, "replica map needs at least one rank");
+        assert!(degree >= 1, "replica map needs degree >= 1");
+        ReplicaMap::from_sorted(ranks, degree, (0..ranks).collect())
+    }
+
+    /// Partial replication: the ranks in `replicated` run at degree 2, every
+    /// other rank is a singleton. Crashing a singleton is not survivable —
+    /// the protocol surfaces a prompt typed [`sim_mpi::MpiError::RankLost`] —
+    /// but crashes of replicated ranks are masked exactly as under full dual
+    /// replication.
+    pub fn partial(ranks: usize, replicated: &[Rank]) -> Result<Self, LayoutError> {
+        if replicated.is_empty() {
+            return Err(LayoutError::EmptyReplicatedSet);
+        }
+        let mut sorted = replicated.to_vec();
+        sorted.sort_unstable();
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(LayoutError::DuplicateRank { rank: pair[0] });
+        }
+        if let Some(&rank) = sorted.iter().find(|&&r| r >= ranks) {
+            return Err(LayoutError::RankOutOfRange { rank, ranks });
+        }
+        Ok(ReplicaMap::from_sorted(ranks, 2, sorted))
+    }
+
+    /// Partial replication of the first `ceil(coverage · ranks)` ranks — the
+    /// deterministic subset the overhead-vs-coverage sweep uses. A coverage
+    /// of 1.0 is endpoint-identical to `uniform(ranks, 2)`.
+    pub fn with_coverage(ranks: usize, coverage: f64) -> Result<Self, LayoutError> {
+        assert!(
+            (0.0..=1.0).contains(&coverage),
+            "coverage {coverage} must be within [0, 1]"
+        );
+        let count = ((coverage * ranks as f64).ceil() as usize).min(ranks);
+        ReplicaMap::partial(ranks, &(0..count).collect::<Vec<_>>())
+    }
+
+    fn from_sorted(ranks: usize, degree: usize, replicated: Vec<Rank>) -> Self {
+        let mut slot = vec![UNREPLICATED; ranks];
+        for (i, &rank) in replicated.iter().enumerate() {
+            slot[rank] = i as u32;
+        }
+        ReplicaMap {
+            ranks,
+            degree,
+            replicated,
+            slot,
+        }
+    }
+
     /// Number of logical MPI ranks.
-    fn ranks(&self) -> usize;
+    pub fn ranks(&self) -> usize {
+        self.ranks
+    }
 
     /// Replication degree of one logical rank (≥ 1).
-    fn degree_of(&self, rank: Rank) -> usize;
-
-    /// The physical numbering policy of this map.
-    fn policy(&self) -> MappingPolicy;
-
-    /// The physical process playing `rank` in replica slot `replica`.
-    fn endpoint(&self, rank: Rank, replica: usize) -> EndpointId;
-
-    /// The (rank, replica) identity of a physical process.
-    fn locate(&self, endpoint: EndpointId) -> (Rank, usize);
-
-    /// Total number of physical processes (`Σ degree_of`).
-    fn physical_processes(&self) -> usize {
-        (0..self.ranks()).map(|r| self.degree_of(r)).sum()
+    pub fn degree_of(&self, rank: Rank) -> usize {
+        if self.slot[rank] == UNREPLICATED {
+            1
+        } else {
+            self.degree
+        }
     }
 
     /// Largest per-rank degree in the map.
-    fn max_degree(&self) -> usize {
-        (0..self.ranks())
-            .map(|r| self.degree_of(r))
-            .max()
-            .unwrap_or(0)
+    pub fn max_degree(&self) -> usize {
+        self.degree
     }
 
     /// Does `rank` have a second copy to fall back on?
-    fn is_replicated(&self, rank: Rank) -> bool {
+    pub fn is_replicated(&self, rank: Rank) -> bool {
         self.degree_of(rank) >= 2
     }
 
-    /// Fraction of ranks with degree ≥ 2 (1.0 for full replication).
-    fn coverage(&self) -> f64 {
-        let replicated = (0..self.ranks()).filter(|&r| self.is_replicated(r)).count();
-        replicated as f64 / self.ranks() as f64
-    }
-
-    /// The logical rank of a physical process.
-    fn rank_of(&self, endpoint: EndpointId) -> Rank {
-        self.locate(endpoint).0
-    }
-
-    /// The replica id of a physical process.
-    fn replica_of(&self, endpoint: EndpointId) -> usize {
-        self.locate(endpoint).1
-    }
-
-    /// All physical processes playing `rank`, in replica-id order.
-    fn replicas_of_rank(&self, rank: Rank) -> Vec<EndpointId> {
-        (0..self.degree_of(rank))
-            .map(|rep| self.endpoint(rank, rep))
-            .collect()
-    }
-
-    /// The replica of `src_rank` that replica `my_replica` (of any rank)
-    /// receives application messages from directly.
-    fn direct_src(&self, my_replica: usize, src_rank: Rank) -> EndpointId {
-        self.endpoint(src_rank, my_replica % self.degree_of(src_rank))
-    }
-
-    /// The replicas of `dst_rank` that replica `my_replica` of `my_rank`
-    /// sends application messages to directly. Exactly the inverse of
-    /// [`ReplicaMap::direct_src`]: destination replica `m` is served by
-    /// source replica `m mod degree_of(my_rank)`.
-    fn direct_dests(&self, my_rank: Rank, my_replica: usize, dst_rank: Rank) -> Vec<EndpointId> {
-        let my_degree = self.degree_of(my_rank);
-        (0..self.degree_of(dst_rank))
-            .filter(|m| m % my_degree == my_replica)
-            .map(|m| self.endpoint(dst_rank, m))
-            .collect()
-    }
-}
-
-/// The paper's fixed `r · n` product layout (ADJACENT numbering). Kept as a
-/// plain `Copy` struct because the dual-replication fast path builds one per
-/// protocol instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaLayout {
-    /// Number of logical MPI ranks `n`.
-    pub ranks: usize,
-    /// Replication degree `r`.
-    pub degree: usize,
-}
-
-impl ReplicaLayout {
-    /// Layout for `ranks` logical ranks replicated `degree` times.
-    pub fn new(ranks: usize, degree: usize) -> Self {
-        assert!(ranks > 0, "layout needs at least one rank");
-        assert!(degree >= 1, "layout needs degree >= 1");
-        ReplicaLayout { ranks, degree }
-    }
-
-    /// Validating constructor: the same layout, but invalid shapes are typed
-    /// errors instead of panics.
-    pub fn checked(ranks: usize, degree: usize) -> Result<Self, LayoutError> {
-        if ranks == 0 {
-            return Err(LayoutError::ZeroRanks);
-        }
-        if degree == 0 {
-            return Err(LayoutError::ZeroDegree);
-        }
-        Ok(ReplicaLayout { ranks, degree })
-    }
-
-    /// Total number of physical processes.
+    /// Total number of physical processes (`Σ degree_of`).
     pub fn physical_processes(&self) -> usize {
-        self.ranks * self.degree
+        self.ranks + (self.degree - 1) * self.replicated.len()
     }
 
-    /// The physical process playing `rank` in replica set `replica`.
+    /// The physical process playing `rank` in replica slot `replica`.
     pub fn endpoint(&self, rank: Rank, replica: usize) -> EndpointId {
-        assert!(rank < self.ranks, "rank {rank} out of range");
-        assert!(replica < self.degree, "replica {replica} out of range");
-        EndpointId(replica * self.ranks + rank)
+        assert!(
+            rank < self.ranks && replica < self.degree_of(rank),
+            "rank {rank} replica {replica} out of range"
+        );
+        if replica == 0 {
+            EndpointId(rank)
+        } else {
+            EndpointId(
+                self.ranks + (replica - 1) * self.replicated.len() + self.slot[rank] as usize,
+            )
+        }
     }
 
     /// The (rank, replica) identity of a physical process.
     pub fn locate(&self, endpoint: EndpointId) -> (Rank, usize) {
-        assert!(
-            endpoint.0 < self.physical_processes(),
-            "endpoint {} out of range",
-            endpoint.0
-        );
-        (endpoint.0 % self.ranks, endpoint.0 / self.ranks)
+        let e = endpoint.0;
+        assert!(e < self.physical_processes(), "endpoint {e} out of range");
+        if e < self.ranks {
+            (e, 0)
+        } else {
+            let copies = self.replicated.len();
+            let j = e - self.ranks;
+            (self.replicated[j % copies], 1 + j / copies)
+        }
     }
 
     /// The logical rank of a physical process.
@@ -259,261 +211,21 @@ impl ReplicaLayout {
         self.locate(endpoint).0
     }
 
-    /// The replica id of a physical process.
-    pub fn replica_of(&self, endpoint: EndpointId) -> usize {
-        self.locate(endpoint).1
+    /// The replica of `src_rank` that replica `my_replica` (of any rank)
+    /// receives application messages from directly.
+    pub fn direct_src(&self, my_replica: usize, src_rank: Rank) -> EndpointId {
+        self.endpoint(src_rank, my_replica % self.degree_of(src_rank))
     }
 
-    /// All physical processes playing `rank`, in replica-id order.
-    pub fn replicas_of_rank(&self, rank: Rank) -> Vec<EndpointId> {
-        (0..self.degree)
-            .map(|rep| self.endpoint(rank, rep))
-            .collect()
-    }
-
-    /// All physical processes in replica set `replica`, in rank order.
-    pub fn replica_set(&self, replica: usize) -> Vec<EndpointId> {
-        (0..self.ranks).map(|r| self.endpoint(r, replica)).collect()
-    }
-}
-
-impl ReplicaMap for ReplicaLayout {
-    fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    fn degree_of(&self, rank: Rank) -> usize {
-        assert!(rank < self.ranks, "rank {rank} out of range");
-        self.degree
-    }
-
-    fn policy(&self) -> MappingPolicy {
-        MappingPolicy::Adjacent
-    }
-
-    fn endpoint(&self, rank: Rank, replica: usize) -> EndpointId {
-        ReplicaLayout::endpoint(self, rank, replica)
-    }
-
-    fn locate(&self, endpoint: EndpointId) -> (Rank, usize) {
-        ReplicaLayout::locate(self, endpoint)
-    }
-}
-
-/// Every rank replicated `degree` times, under either numbering policy.
-/// ADJACENT with this layout is endpoint-identical to [`ReplicaLayout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformLayout {
-    ranks: usize,
-    degree: usize,
-    policy: MappingPolicy,
-}
-
-impl UniformLayout {
-    /// Uniform map for `ranks` logical ranks at `degree`, numbered by
-    /// `policy`.
-    pub fn new(ranks: usize, degree: usize, policy: MappingPolicy) -> Result<Self, LayoutError> {
-        if ranks == 0 {
-            return Err(LayoutError::ZeroRanks);
-        }
-        if degree == 0 {
-            return Err(LayoutError::ZeroDegree);
-        }
-        Ok(UniformLayout {
-            ranks,
-            degree,
-            policy,
-        })
-    }
-
-    /// The uniform degree of the map.
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-}
-
-impl ReplicaMap for UniformLayout {
-    fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    fn degree_of(&self, rank: Rank) -> usize {
-        assert!(rank < self.ranks, "rank {rank} out of range");
-        self.degree
-    }
-
-    fn policy(&self) -> MappingPolicy {
-        self.policy
-    }
-
-    fn endpoint(&self, rank: Rank, replica: usize) -> EndpointId {
-        assert!(rank < self.ranks, "rank {rank} out of range");
-        assert!(replica < self.degree, "replica {replica} out of range");
-        match self.policy {
-            MappingPolicy::Adjacent => EndpointId(replica * self.ranks + rank),
-            MappingPolicy::Cyclic => EndpointId(rank * self.degree + replica),
-        }
-    }
-
-    fn locate(&self, endpoint: EndpointId) -> (Rank, usize) {
-        assert!(
-            endpoint.0 < self.ranks * self.degree,
-            "endpoint {} out of range",
-            endpoint.0
-        );
-        match self.policy {
-            MappingPolicy::Adjacent => (endpoint.0 % self.ranks, endpoint.0 / self.ranks),
-            MappingPolicy::Cyclic => (endpoint.0 / self.degree, endpoint.0 % self.degree),
-        }
-    }
-}
-
-/// Partial replication: the ranks in the replicated set run at degree 2,
-/// every other rank is a singleton (degree 1). Crashing a singleton rank is
-/// not survivable — the protocol surfaces a prompt typed
-/// [`sim_mpi::MpiError::RankLost`] — but crashes of replicated ranks are
-/// masked exactly as under full dual replication.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartialLayout {
-    ranks: usize,
-    /// Sorted, duplicate-free replicated ranks.
-    replicated: Vec<Rank>,
-    policy: MappingPolicy,
-    /// CYCLIC numbering: first endpoint of each rank (cumulative degrees).
-    offsets: Vec<usize>,
-    /// ADJACENT numbering: position of each replicated rank in `replicated`.
-    second_index: Vec<Option<usize>>,
-}
-
-impl PartialLayout {
-    /// Partial map for `ranks` logical ranks with the given subset replicated
-    /// at degree 2.
-    pub fn new(
-        ranks: usize,
-        replicated: &[Rank],
-        policy: MappingPolicy,
-    ) -> Result<Self, LayoutError> {
-        if ranks == 0 {
-            return Err(LayoutError::ZeroRanks);
-        }
-        if replicated.is_empty() {
-            return Err(LayoutError::EmptyReplicatedSet);
-        }
-        let mut sorted = replicated.to_vec();
-        sorted.sort_unstable();
-        for pair in sorted.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(LayoutError::DuplicateRank { rank: pair[0] });
-            }
-        }
-        if let Some(&rank) = sorted.iter().find(|&&r| r >= ranks) {
-            return Err(LayoutError::RankOutOfRange { rank, ranks });
-        }
-        let mut second_index = vec![None; ranks];
-        for (i, &r) in sorted.iter().enumerate() {
-            second_index[r] = Some(i);
-        }
-        let mut offsets = Vec::with_capacity(ranks);
-        let mut next = 0usize;
-        for r in 0..ranks {
-            offsets.push(next);
-            next += if second_index[r].is_some() { 2 } else { 1 };
-        }
-        Ok(PartialLayout {
-            ranks,
-            replicated: sorted,
-            policy,
-            offsets,
-            second_index,
-        })
-    }
-
-    /// Partial map replicating the first `ceil(coverage · ranks)` ranks —
-    /// the deterministic subset the overhead-vs-coverage sweep uses. A
-    /// coverage of 1.0 replicates every rank (endpoint-identical to dual
-    /// [`UniformLayout`] under the same policy).
-    pub fn with_coverage(
-        ranks: usize,
-        coverage: f64,
-        policy: MappingPolicy,
-    ) -> Result<Self, LayoutError> {
-        if ranks == 0 {
-            return Err(LayoutError::ZeroRanks);
-        }
-        assert!(
-            (0.0..=1.0).contains(&coverage),
-            "coverage {coverage} must be within [0, 1]"
-        );
-        let count = ((coverage * ranks as f64).ceil() as usize).min(ranks);
-        let subset: Vec<Rank> = (0..count).collect();
-        PartialLayout::new(ranks, &subset, policy)
-    }
-
-    /// The sorted replicated-rank subset.
-    pub fn replicated_ranks(&self) -> &[Rank] {
-        &self.replicated
-    }
-}
-
-impl ReplicaMap for PartialLayout {
-    fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    fn degree_of(&self, rank: Rank) -> usize {
-        assert!(rank < self.ranks, "rank {rank} out of range");
-        if self.second_index[rank].is_some() {
-            2
-        } else {
-            1
-        }
-    }
-
-    fn policy(&self) -> MappingPolicy {
-        self.policy
-    }
-
-    fn physical_processes(&self) -> usize {
-        self.ranks + self.replicated.len()
-    }
-
-    fn endpoint(&self, rank: Rank, replica: usize) -> EndpointId {
-        assert!(rank < self.ranks, "rank {rank} out of range");
-        assert!(
-            replica < self.degree_of(rank),
-            "replica {replica} out of range"
-        );
-        match self.policy {
-            MappingPolicy::Adjacent => {
-                if replica == 0 {
-                    EndpointId(rank)
-                } else {
-                    EndpointId(self.ranks + self.second_index[rank].expect("replicated rank"))
-                }
-            }
-            MappingPolicy::Cyclic => EndpointId(self.offsets[rank] + replica),
-        }
-    }
-
-    fn locate(&self, endpoint: EndpointId) -> (Rank, usize) {
-        assert!(
-            endpoint.0 < self.physical_processes(),
-            "endpoint {} out of range",
-            endpoint.0
-        );
-        match self.policy {
-            MappingPolicy::Adjacent => {
-                if endpoint.0 < self.ranks {
-                    (endpoint.0, 0)
-                } else {
-                    (self.replicated[endpoint.0 - self.ranks], 1)
-                }
-            }
-            MappingPolicy::Cyclic => {
-                let rank = self.offsets.partition_point(|&o| o <= endpoint.0) - 1;
-                (rank, endpoint.0 - self.offsets[rank])
-            }
-        }
+    /// The replicas of `dst_rank` that replica `my_replica` of `my_rank`
+    /// sends application messages to directly. Exactly the inverse of
+    /// [`ReplicaMap::direct_src`]: destination replica `m` is served by
+    /// source replica `m mod degree_of(my_rank)`.
+    pub fn direct_dests(&self, my_rank: Rank, my_replica: usize, dst_rank: Rank) -> ReplicaMask {
+        let my_degree = self.degree_of(my_rank);
+        (0..self.degree_of(dst_rank))
+            .filter(|m| m % my_degree == my_replica)
+            .fold(0, |mask, m| mask | 1 << m)
     }
 }
 
@@ -523,140 +235,84 @@ mod tests {
 
     #[test]
     fn endpoint_locate_roundtrip() {
-        let l = ReplicaLayout::new(4, 3);
+        let l = ReplicaMap::uniform(4, 3);
         assert_eq!(l.physical_processes(), 12);
         for rank in 0..4 {
             for rep in 0..3 {
                 let e = l.endpoint(rank, rep);
                 assert_eq!(l.locate(e), (rank, rep));
                 assert_eq!(l.rank_of(e), rank);
-                assert_eq!(l.replica_of(e), rep);
             }
         }
     }
 
     #[test]
     fn replica_sets_are_contiguous() {
-        let l = ReplicaLayout::new(3, 2);
-        assert_eq!(
-            l.replica_set(0),
-            vec![EndpointId(0), EndpointId(1), EndpointId(2)]
-        );
-        assert_eq!(
-            l.replica_set(1),
-            vec![EndpointId(3), EndpointId(4), EndpointId(5)]
-        );
-        assert_eq!(l.replicas_of_rank(1), vec![EndpointId(1), EndpointId(4)]);
+        let l = ReplicaMap::uniform(3, 2);
+        let set = |rep| (0..3).map(|r| l.endpoint(r, rep)).collect::<Vec<_>>();
+        assert_eq!(set(0), vec![EndpointId(0), EndpointId(1), EndpointId(2)]);
+        assert_eq!(set(1), vec![EndpointId(3), EndpointId(4), EndpointId(5)]);
     }
 
     #[test]
     fn degree_one_is_identity() {
-        let l = ReplicaLayout::new(5, 1);
+        let l = ReplicaMap::uniform(5, 1);
         for r in 0..5 {
             assert_eq!(l.endpoint(r, 0), EndpointId(r));
+            assert!(!l.is_replicated(r));
         }
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_rank_panics() {
-        ReplicaLayout::new(2, 2).endpoint(2, 0);
+        ReplicaMap::uniform(2, 2).endpoint(2, 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_endpoint_panics() {
-        ReplicaLayout::new(2, 2).locate(EndpointId(4));
+        ReplicaMap::uniform(2, 2).locate(EndpointId(4));
     }
 
     #[test]
-    fn uniform_cyclic_interleaves_rank_major() {
-        let l = UniformLayout::new(3, 2, MappingPolicy::Cyclic).unwrap();
-        assert_eq!(ReplicaMap::endpoint(&l, 0, 0), EndpointId(0));
-        assert_eq!(ReplicaMap::endpoint(&l, 0, 1), EndpointId(1));
-        assert_eq!(ReplicaMap::endpoint(&l, 1, 0), EndpointId(2));
-        assert_eq!(ReplicaMap::endpoint(&l, 2, 1), EndpointId(5));
-        for e in 0..6 {
-            let (rank, rep) = ReplicaMap::locate(&l, EndpointId(e));
-            assert_eq!(ReplicaMap::endpoint(&l, rank, rep), EndpointId(e));
-        }
-    }
-
-    #[test]
-    fn uniform_adjacent_matches_replica_layout() {
-        let fixed = ReplicaLayout::new(5, 3);
-        let uniform = UniformLayout::new(5, 3, MappingPolicy::Adjacent).unwrap();
-        for rank in 0..5 {
-            for rep in 0..3 {
-                assert_eq!(
-                    fixed.endpoint(rank, rep),
-                    ReplicaMap::endpoint(&uniform, rank, rep)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn partial_adjacent_numbers_first_copies_then_seconds() {
+    fn partial_numbers_first_copies_then_seconds() {
         // 4 ranks, ranks 1 and 3 replicated: endpoints 0..4 are the first
         // copies, 4 and 5 the second copies of ranks 1 and 3.
-        let l = PartialLayout::new(4, &[3, 1], MappingPolicy::Adjacent).unwrap();
+        let l = ReplicaMap::partial(4, &[3, 1]).unwrap();
         assert_eq!(l.physical_processes(), 6);
-        assert_eq!(l.replicated_ranks(), &[1, 3]);
         assert_eq!(l.endpoint(2, 0), EndpointId(2));
         assert_eq!(l.endpoint(1, 1), EndpointId(4));
         assert_eq!(l.endpoint(3, 1), EndpointId(5));
         assert_eq!(l.locate(EndpointId(4)), (1, 1));
+        assert_eq!(l.locate(EndpointId(5)), (3, 1));
         assert_eq!(l.degree_of(0), 1);
         assert_eq!(l.degree_of(1), 2);
-        assert!((l.coverage() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn partial_cyclic_uses_cumulative_offsets() {
-        let l = PartialLayout::new(3, &[0, 2], MappingPolicy::Cyclic).unwrap();
-        // rank 0 → endpoints 0,1; rank 1 → endpoint 2; rank 2 → endpoints 3,4.
-        assert_eq!(l.endpoint(0, 1), EndpointId(1));
-        assert_eq!(l.endpoint(1, 0), EndpointId(2));
-        assert_eq!(l.endpoint(2, 0), EndpointId(3));
-        assert_eq!(l.locate(EndpointId(4)), (2, 1));
-        for e in 0..5 {
-            let (rank, rep) = l.locate(EndpointId(e));
-            assert_eq!(l.endpoint(rank, rep), EndpointId(e));
-        }
     }
 
     #[test]
     fn partial_validation_is_typed() {
         assert_eq!(
-            PartialLayout::new(0, &[0], MappingPolicy::Adjacent).unwrap_err(),
-            LayoutError::ZeroRanks
-        );
-        assert_eq!(
-            PartialLayout::new(4, &[], MappingPolicy::Adjacent).unwrap_err(),
+            ReplicaMap::partial(4, &[]).unwrap_err(),
             LayoutError::EmptyReplicatedSet
         );
         assert_eq!(
-            PartialLayout::new(4, &[4], MappingPolicy::Adjacent).unwrap_err(),
+            ReplicaMap::partial(4, &[4]).unwrap_err(),
             LayoutError::RankOutOfRange { rank: 4, ranks: 4 }
         );
         assert_eq!(
-            PartialLayout::new(4, &[1, 1], MappingPolicy::Adjacent).unwrap_err(),
+            ReplicaMap::partial(4, &[1, 1]).unwrap_err(),
             LayoutError::DuplicateRank { rank: 1 }
-        );
-        assert_eq!(
-            UniformLayout::new(4, 0, MappingPolicy::Adjacent).unwrap_err(),
-            LayoutError::ZeroDegree
         );
     }
 
     #[test]
     fn with_coverage_replicates_rank_prefix() {
-        let l = PartialLayout::with_coverage(8, 0.25, MappingPolicy::Adjacent).unwrap();
-        assert_eq!(l.replicated_ranks(), &[0, 1]);
-        let full = PartialLayout::with_coverage(8, 1.0, MappingPolicy::Adjacent).unwrap();
-        assert_eq!(full.physical_processes(), 16);
-        assert!((full.coverage() - 1.0).abs() < 1e-12);
+        let l = ReplicaMap::with_coverage(8, 0.25).unwrap();
+        assert_eq!((0..8).filter(|&r| l.is_replicated(r)).count(), 2);
+        assert!(l.is_replicated(0) && l.is_replicated(1));
+        let full = ReplicaMap::with_coverage(8, 1.0).unwrap();
+        assert_eq!(full, ReplicaMap::uniform(8, 2));
     }
 
     #[test]
@@ -664,13 +320,10 @@ mod tests {
         // Rank 0 replicated, rank 1 a singleton: the singleton sender feeds
         // both replicas of rank 0 directly; a replicated sender to the
         // singleton sends one direct copy from replica 0.
-        let l = PartialLayout::new(2, &[0], MappingPolicy::Adjacent).unwrap();
-        assert_eq!(
-            l.direct_dests(1, 0, 0),
-            vec![l.endpoint(0, 0), l.endpoint(0, 1)]
-        );
-        assert_eq!(l.direct_dests(0, 0, 1), vec![l.endpoint(1, 0)]);
-        assert_eq!(l.direct_dests(0, 1, 1), Vec::<EndpointId>::new());
+        let l = ReplicaMap::partial(2, &[0]).unwrap();
+        assert_eq!(l.direct_dests(1, 0, 0), 0b11);
+        assert_eq!(l.direct_dests(0, 0, 1), 0b1);
+        assert_eq!(l.direct_dests(0, 1, 1), 0);
         // Receiver side agrees: each replica of rank 0 receives rank 1's
         // messages from the singleton, and the singleton receives rank 0's
         // from replica 0.

@@ -14,13 +14,14 @@
 //!   rank, and the `upon failure` substitution handler.
 //! * [`config::ReplicationConfig`] — replication degree and the ack-timing
 //!   ablation ([`config::AckOn`]).
-//! * [`layout::ReplicaMap`] — pluggable rank → replica-set mapping: the
-//!   transparent `MPI_COMM_WORLD` splitting of Figure 6 ([`layout::ReplicaLayout`]),
-//!   uniform degree ≥ 3 ([`layout::UniformLayout`]) and partial replication of a
-//!   configured rank subset ([`layout::PartialLayout`]).
+//! * [`layout::ReplicaMap`] — the rank → replica-set mapping: the
+//!   transparent `MPI_COMM_WORLD` splitting of Figure 6 at any degree
+//!   ([`ReplicaMap::uniform`]) and partial replication of a configured rank
+//!   subset ([`ReplicaMap::partial`]).
 //! * [`recovery`] — Section 3.4 generalized: fork-election among surviving
 //!   replicas plus ack-frontier merge.
-//! * [`factory::replicated_job`] — one-call launcher for replicated jobs.
+//! * [`factory::mapped_job`] — one-call launcher for a job on one map;
+//!   [`factory::replicated_job`] is its uniform case.
 //!
 //! ## Quick example
 //!
@@ -47,8 +48,6 @@ pub use config::{AckOn, ReplicationConfig};
 pub use factory::{
     coverage_job, mapped_job, native_job, partial_replicated_job, replicated_job, SdrFactory,
 };
-pub use layout::{
-    LayoutError, MappingPolicy, PartialLayout, ReplicaLayout, ReplicaMap, UniformLayout,
-};
+pub use layout::{LayoutError, ReplicaMap};
 pub use protocol::{SdrCounters, SdrProtocol, SeqTracker};
-pub use recovery::{RecoveryCoordinator, RecoveryError, RecoveryEvent, RecoveryOutcome};
+pub use recovery::{RecoveryCoordinator, RecoveryError, RecoveryOutcome};

@@ -19,7 +19,7 @@
 //! (Section 3.1 of the paper).
 
 use crate::config::{AckOn, ReplicationConfig};
-use crate::layout::{ReplicaLayout, ReplicaMap};
+use crate::layout::{ReplicaMap, ReplicaMask};
 use bytes::Bytes;
 use sim_mpi::matching::KeyHasher;
 use sim_mpi::pml::{MsgMeta, Pml, PmlEvent};
@@ -135,9 +135,6 @@ impl SeqTracker {
     }
 }
 
-/// A set of replicas of one rank, one bit per replica index.
-pub(crate) type ReplicaMask = u64;
-
 #[derive(Debug)]
 pub(crate) struct SendEntry {
     pub(crate) dst_rank: Rank,
@@ -211,7 +208,7 @@ pub struct SdrCounters {
 
 /// The per-physical-process SDR-MPI protocol instance.
 pub struct SdrProtocol {
-    pub(crate) map: Arc<dyn ReplicaMap>,
+    pub(crate) map: Arc<ReplicaMap>,
     pub(crate) cfg: ReplicationConfig,
     pub(crate) my_rank: Rank,
     pub(crate) my_replica: usize,
@@ -266,23 +263,11 @@ impl std::fmt::Debug for SdrProtocol {
 }
 
 impl SdrProtocol {
-    /// Protocol instance for physical process `endpoint` in a job of
-    /// `app_ranks` logical ranks under `cfg`, on the classic uniform layout.
-    pub fn new(endpoint: EndpointId, app_ranks: usize, cfg: ReplicationConfig) -> Self {
-        let map: Arc<dyn ReplicaMap> = Arc::new(ReplicaLayout::new(app_ranks, cfg.degree));
-        SdrProtocol::new_with_map(endpoint, map, cfg)
-    }
-
-    /// Protocol instance for physical process `endpoint` on an arbitrary
-    /// replica map. The per-rank routing tables come straight from the map's
-    /// mixed-degree routing rule ([`ReplicaMap::direct_src`] /
-    /// [`ReplicaMap::direct_dests`]); on uniform maps this is the paper's
-    /// "replica `k` talks to replica `k`".
-    pub fn new_with_map(
-        endpoint: EndpointId,
-        map: Arc<dyn ReplicaMap>,
-        cfg: ReplicationConfig,
-    ) -> Self {
+    /// Protocol instance for physical process `endpoint` of the job `map`
+    /// lays out. The per-rank routing tables come straight from the map's
+    /// routing rule ([`ReplicaMap::direct_src`] / [`ReplicaMap::direct_dests`]);
+    /// on uniform maps this is the paper's "replica `k` talks to replica `k`".
+    pub fn new(endpoint: EndpointId, map: Arc<ReplicaMap>, cfg: ReplicationConfig) -> Self {
         assert!(
             map.max_degree() <= ReplicaMask::BITS as usize,
             "replica sets are {}-bit masks: degree {} is not supported",
@@ -292,11 +277,7 @@ impl SdrProtocol {
         let (my_rank, my_replica) = map.locate(endpoint);
         let app_ranks = map.ranks();
         let physical_dests = (0..app_ranks)
-            .map(|rank| {
-                map.direct_dests(my_rank, my_replica, rank)
-                    .into_iter()
-                    .fold(0, |mask, e| mask | 1 << map.replica_of(e))
-            })
+            .map(|rank| map.direct_dests(my_rank, my_replica, rank))
             .collect();
         let physical_src = (0..app_ranks)
             .map(|rank| map.direct_src(my_replica, rank))
@@ -342,11 +323,6 @@ impl SdrProtocol {
             .get(src_rank)
             .map(|t| t.seen(seq))
             .unwrap_or(false)
-    }
-
-    /// The replica map in use.
-    pub fn map(&self) -> Arc<dyn ReplicaMap> {
-        Arc::clone(&self.map)
     }
 
     fn is_alive(&self, e: EndpointId) -> bool {
@@ -800,7 +776,7 @@ impl Protocol for SdrProtocol {
     }
 
     fn is_primary(&self) -> bool {
-        self.my_replica == self.cfg.primary_replica
+        self.my_replica == 0
     }
 
     fn init(&mut self, pml: &mut Pml) {
@@ -1082,6 +1058,13 @@ impl Protocol for SdrProtocol {
 mod tests {
     use super::*;
 
+    /// The protocol of endpoint `endpoint` on the uniform map of `ranks`
+    /// ranks at `cfg.degree`.
+    fn uniform(endpoint: usize, ranks: usize, cfg: ReplicationConfig) -> SdrProtocol {
+        let map = Arc::new(ReplicaMap::uniform(ranks, cfg.degree));
+        SdrProtocol::new(EndpointId(endpoint), map, cfg)
+    }
+
     #[test]
     fn seq_tracker_in_order() {
         let mut t = SeqTracker::default();
@@ -1117,7 +1100,7 @@ mod tests {
 
     #[test]
     fn initial_routing_is_own_replica_set() {
-        let proto = SdrProtocol::new(EndpointId(5), 4, ReplicationConfig::dual());
+        let proto = uniform(5, 4, ReplicationConfig::dual());
         // Endpoint 5 with 4 ranks → rank 1, replica 1.
         assert_eq!(proto.app_rank(), 1);
         assert_eq!(proto.replica_id(), 1);
@@ -1137,22 +1120,18 @@ mod tests {
 
     #[test]
     fn partial_map_singleton_routing_is_symmetric() {
-        use crate::layout::{MappingPolicy, PartialLayout};
-        let map: Arc<dyn ReplicaMap> =
-            Arc::new(PartialLayout::new(2, &[0], MappingPolicy::Adjacent).unwrap());
+        let map = Arc::new(ReplicaMap::partial(2, &[0]).unwrap());
         // The singleton (rank 1, endpoint 1) feeds both replicas of rank 0
         // directly and therefore expects no acknowledgements from them.
         let singleton =
-            SdrProtocol::new_with_map(EndpointId(1), Arc::clone(&map), ReplicationConfig::dual());
+            SdrProtocol::new(EndpointId(1), Arc::clone(&map), ReplicationConfig::dual());
         assert_eq!(singleton.app_rank(), 1);
         assert_eq!(singleton.physical_dests[0], 0b11);
         // Replica 1 of rank 0 (endpoint 2) sends nothing to the singleton
         // directly; replica 0 (endpoint 0) owns the direct copy.
-        let rep1 =
-            SdrProtocol::new_with_map(EndpointId(2), Arc::clone(&map), ReplicationConfig::dual());
+        let rep1 = SdrProtocol::new(EndpointId(2), Arc::clone(&map), ReplicationConfig::dual());
         assert_eq!(rep1.physical_dests[1], 0);
-        let rep0 =
-            SdrProtocol::new_with_map(EndpointId(0), Arc::clone(&map), ReplicationConfig::dual());
+        let rep0 = SdrProtocol::new(EndpointId(0), Arc::clone(&map), ReplicationConfig::dual());
         assert_eq!(rep0.physical_dests[1], 0b1);
         assert_eq!(map.endpoint(1, 0), EndpointId(1));
         // Both replicas of rank 0 receive rank 1's messages from the
@@ -1163,11 +1142,9 @@ mod tests {
 
     #[test]
     fn losing_a_singleton_rank_aborts_promptly_with_degree_one() {
-        use crate::layout::{MappingPolicy, PartialLayout};
-        let map: Arc<dyn ReplicaMap> =
-            Arc::new(PartialLayout::new(2, &[0], MappingPolicy::Adjacent).unwrap());
+        let map = Arc::new(ReplicaMap::partial(2, &[0]).unwrap());
         let mut pml = pml_for(2, 3);
-        let mut proto = SdrProtocol::new_with_map(EndpointId(2), map, ReplicationConfig::dual());
+        let mut proto = SdrProtocol::new(EndpointId(2), map, ReplicationConfig::dual());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             proto.handle_event(
                 &mut pml,
@@ -1187,7 +1164,7 @@ mod tests {
 
     #[test]
     fn substitute_election_is_lowest_alive_replica() {
-        let mut proto = SdrProtocol::new(EndpointId(0), 2, ReplicationConfig::with_degree(3));
+        let mut proto = uniform(0, 2, ReplicationConfig::with_degree(3));
         assert_eq!(proto.elect_substitute(1), Some(0));
         // Kill replica 0 of rank 1 (endpoint 1).
         proto.alive[1] = false;
@@ -1210,12 +1187,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "degree 65 is not supported")]
     fn degrees_beyond_the_mask_width_are_rejected() {
-        SdrProtocol::new(EndpointId(0), 1, ReplicationConfig::with_degree(65));
+        uniform(0, 1, ReplicationConfig::with_degree(65));
     }
 
     #[test]
     fn counters_start_at_zero() {
-        let proto = SdrProtocol::new(EndpointId(0), 2, ReplicationConfig::dual());
+        let proto = uniform(0, 2, ReplicationConfig::dual());
         assert_eq!(proto.counters(), SdrCounters::default());
     }
 
@@ -1238,7 +1215,7 @@ mod tests {
         // log (a substitute may still need the payload) and be reclaimed the
         // moment the ack lands.
         let mut pml = pml_for(0, 4);
-        let mut proto = SdrProtocol::new(EndpointId(0), 2, ReplicationConfig::dual());
+        let mut proto = uniform(0, 2, ReplicationConfig::dual());
         let req = proto.isend(&mut pml, 1, CommId::WORLD, 7, Bytes::from_static(b"log me"));
         assert_eq!(proto.send_log_len(), 1);
         proto.free_send(&mut pml, req);
@@ -1271,7 +1248,7 @@ mod tests {
         // owes acks from endpoints 3 and 5 (replicas 1 and 2 of rank 1). Both
         // arrive before the send is posted.
         let mut pml = pml_for(0, 6);
-        let mut proto = SdrProtocol::new(EndpointId(0), 2, ReplicationConfig::with_degree(3));
+        let mut proto = uniform(0, 2, ReplicationConfig::with_degree(3));
         for (acker, at) in [(3, 80), (5, 50)] {
             proto.handle_event(
                 &mut pml,
@@ -1302,7 +1279,7 @@ mod tests {
     #[test]
     fn fully_acked_entry_freed_immediately_on_app_free() {
         let mut pml = pml_for(0, 4);
-        let mut proto = SdrProtocol::new(EndpointId(0), 2, ReplicationConfig::dual());
+        let mut proto = uniform(0, 2, ReplicationConfig::dual());
         let req = proto.isend(&mut pml, 1, CommId::WORLD, 7, Bytes::from_static(b"x"));
         proto.handle_event(
             &mut pml,
@@ -1323,7 +1300,7 @@ mod tests {
     #[test]
     fn losing_every_replica_of_a_rank_aborts_with_clear_error() {
         let mut pml = pml_for(0, 4);
-        let mut proto = SdrProtocol::new(EndpointId(0), 2, ReplicationConfig::dual());
+        let mut proto = uniform(0, 2, ReplicationConfig::dual());
         // First failure of rank 1 elects the other replica as substitute.
         proto.handle_event(
             &mut pml,

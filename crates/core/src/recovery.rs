@@ -14,8 +14,8 @@
 //!    are re-sent directly to the new replica, and acknowledgements toward the
 //!    recovered replica resume for messages received after the notification.
 //!
-//! With a pluggable [`ReplicaMap`] the procedure generalizes past degree 2 in
-//! two steps:
+//! On a [`ReplicaMap`] the procedure generalizes past degree 2 and to
+//! partial replication in two steps:
 //!
 //! * **Fork-election** — when more than one replica of the lost rank
 //!   survives, the survivors deterministically elect the fork source: the
@@ -36,11 +36,12 @@
 //! 3 is implemented inside `SdrProtocol::handle_event` so that notification
 //! handling uses the regular event path.
 //!
-//! A rank that is not replicated at all (a [`crate::PartialLayout`]
-//! singleton) has nothing to fork from: its crash is *not* recoverable, and
-//! the protocol surfaces a prompt typed [`sim_mpi::MpiError::RankLost`]
-//! instead of hanging — [`RecoveryError::UnreplicatedRank`] is the
-//! coordinator-side twin of that condition.
+//! A rank that is not replicated at all (a singleton of a
+//! [`ReplicaMap::partial`] map) has nothing to fork from: its crash is *not*
+//! recoverable, and the protocol surfaces a prompt typed
+//! [`sim_mpi::MpiError::RankLost`] instead of hanging —
+//! [`RecoveryError::UnreplicatedRank`] is the coordinator-side twin of that
+//! condition.
 
 use crate::layout::ReplicaMap;
 use crate::protocol::{ctl, SdrProtocol, SeqTracker};
@@ -117,36 +118,19 @@ pub struct RecoveryOutcome {
     pub notified: usize,
 }
 
-/// Recovery-related events, for logging/inspection by harnesses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveryEvent {
-    /// A snapshot was taken from the elected survivor.
-    SnapshotTaken {
-        /// Rank of the fork source (and of the recovered process).
-        rank: usize,
-    },
-    /// The notification broadcast was sent.
-    NotificationBroadcast {
-        /// The recovered physical process.
-        recovered: EndpointId,
-        /// How many alive processes were notified.
-        notified: usize,
-    },
-}
-
 /// Orchestrates the recovery of one failed replica. The coordinator runs on
 /// the elected fork source (the lowest surviving replica of the failed rank).
 #[derive(Debug, Clone)]
 pub struct RecoveryCoordinator {
-    map: Arc<dyn ReplicaMap>,
+    map: Arc<ReplicaMap>,
 }
 
 impl RecoveryCoordinator {
     /// A coordinator for the given replica map. A map without a single
     /// replicated rank is rejected with a typed error — recovery can never
     /// apply to it; genuinely malformed maps are already rejected by the
-    /// layout constructors ([`crate::LayoutError`]).
-    pub fn new(map: Arc<dyn ReplicaMap>) -> Result<Self, RecoveryError> {
+    /// map constructors ([`crate::LayoutError`]).
+    pub fn new(map: Arc<ReplicaMap>) -> Result<Self, RecoveryError> {
         if (0..map.ranks()).all(|r| !map.is_replicated(r)) {
             return Err(RecoveryError::NoReplicatedRanks);
         }
@@ -228,7 +212,7 @@ impl RecoveryCoordinator {
         snapshot: &ReplicaStateSnapshot,
         cfg: crate::config::ReplicationConfig,
     ) -> SdrProtocol {
-        let mut proto = SdrProtocol::new_with_map(recovered, Arc::clone(&self.map), cfg);
+        let mut proto = SdrProtocol::new(recovered, Arc::clone(&self.map), cfg);
         assert_eq!(
             proto.my_rank, snapshot.rank,
             "snapshot rank must match the recovered process's rank"
@@ -272,29 +256,31 @@ impl RecoveryCoordinator {
             notified,
         }
     }
-
-    /// The replica map.
-    pub fn map(&self) -> Arc<dyn ReplicaMap> {
-        Arc::clone(&self.map)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ReplicationConfig;
-    use crate::layout::{MappingPolicy, PartialLayout, ReplicaLayout};
     use crate::protocol::SdrProtocol;
     use sim_mpi::Protocol as _;
 
-    fn dual_map(ranks: usize) -> Arc<dyn ReplicaMap> {
-        Arc::new(ReplicaLayout::new(ranks, 2))
+    fn dual_map(ranks: usize) -> Arc<ReplicaMap> {
+        Arc::new(ReplicaMap::uniform(ranks, 2))
+    }
+
+    fn dual_protocol(endpoint: usize, ranks: usize) -> SdrProtocol {
+        SdrProtocol::new(
+            EndpointId(endpoint),
+            dual_map(ranks),
+            ReplicationConfig::dual(),
+        )
     }
 
     #[test]
     fn snapshot_restores_sequence_state() {
         let coord = RecoveryCoordinator::new(dual_map(2)).unwrap();
-        let mut substitute = SdrProtocol::new(EndpointId(1), 2, ReplicationConfig::dual());
+        let mut substitute = dual_protocol(1, 2);
         // Simulate some protocol history on the substitute.
         substitute.send_seq = vec![5, 9];
         substitute.recv_seen[0].record(0);
@@ -313,7 +299,7 @@ mod tests {
 
     #[test]
     fn unreplicated_maps_cannot_recover() {
-        let singleton: Arc<dyn ReplicaMap> = Arc::new(ReplicaLayout::new(3, 1));
+        let singleton = Arc::new(ReplicaMap::uniform(3, 1));
         let err = RecoveryCoordinator::new(singleton).unwrap_err();
         assert_eq!(err, RecoveryError::NoReplicatedRanks);
         assert!(err.to_string().contains("no rank"));
@@ -322,7 +308,7 @@ mod tests {
     #[test]
     fn degree_three_coordinator_is_supported() {
         for degree in [2usize, 3, 4, 8] {
-            let map: Arc<dyn ReplicaMap> = Arc::new(ReplicaLayout::new(2, degree));
+            let map = Arc::new(ReplicaMap::uniform(2, degree));
             assert!(
                 RecoveryCoordinator::new(map).is_ok(),
                 "degree {degree} must be recoverable"
@@ -332,7 +318,7 @@ mod tests {
 
     #[test]
     fn fork_election_picks_lowest_survivor() {
-        let map: Arc<dyn ReplicaMap> = Arc::new(ReplicaLayout::new(2, 3));
+        let map = Arc::new(ReplicaMap::uniform(2, 3));
         let coord = RecoveryCoordinator::new(Arc::clone(&map)).unwrap();
         let mut alive = vec![true; map.physical_processes()];
         assert_eq!(coord.elect_fork_source(1, &alive), Ok(0));
@@ -349,8 +335,7 @@ mod tests {
 
     #[test]
     fn electing_for_a_singleton_rank_is_a_typed_error() {
-        let map: Arc<dyn ReplicaMap> =
-            Arc::new(PartialLayout::new(4, &[0, 2], MappingPolicy::Adjacent).unwrap());
+        let map = Arc::new(ReplicaMap::partial(4, &[0, 2]).unwrap());
         let coord = RecoveryCoordinator::new(Arc::clone(&map)).unwrap();
         let alive = vec![true; map.physical_processes()];
         assert_eq!(
@@ -391,7 +376,7 @@ mod tests {
     #[should_panic(expected = "must match")]
     fn restore_rejects_wrong_rank() {
         let coord = RecoveryCoordinator::new(dual_map(2)).unwrap();
-        let substitute = SdrProtocol::new(EndpointId(1), 2, ReplicationConfig::dual());
+        let substitute = dual_protocol(1, 2);
         let snap = coord.fork_snapshot(&substitute);
         // Endpoint 2 is rank 0, but the snapshot is for rank 1.
         coord.restore(EndpointId(2), &snap, ReplicationConfig::dual());
@@ -404,11 +389,10 @@ mod tests {
 
     #[test]
     fn snapshot_rank_matches_protocol_rank() {
-        let layout = ReplicaLayout::new(4, 2);
-        let coord = RecoveryCoordinator::new(Arc::new(layout)).unwrap();
+        let map = dual_map(4);
+        let coord = RecoveryCoordinator::new(Arc::clone(&map)).unwrap();
         for rank in 0..4 {
-            let substitute =
-                SdrProtocol::new(layout.endpoint(rank, 0), 4, ReplicationConfig::dual());
+            let substitute = dual_protocol(map.endpoint(rank, 0).0, 4);
             let snap = coord.fork_snapshot(&substitute);
             assert_eq!(snap.rank, app_rank_of(&substitute));
         }

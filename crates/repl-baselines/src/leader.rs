@@ -22,7 +22,7 @@
 //!   messages (Section 3.1 of the paper).
 
 use bytes::Bytes;
-use sdr_core::{ReplicationConfig, SdrProtocol};
+use sdr_core::{ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::{Pml, PmlEvent};
 use sim_mpi::{
     CommId, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory, Rank, Status, Tag, TagSel,
@@ -30,6 +30,7 @@ use sim_mpi::{
 use sim_net::stats::class;
 use sim_net::{EndpointId, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Control-message kind for leader decisions (disjoint from the SDR kinds).
 pub const DECISION_KIND: i64 = 100;
@@ -50,7 +51,7 @@ enum AnonState {
 /// The leader-based parallel replication protocol.
 pub struct LeaderParallelProtocol {
     inner: SdrProtocol,
-    degree: usize,
+    map: Arc<ReplicaMap>,
     /// Sequence number of anonymous receptions (identical across replicas of
     /// a rank because they issue the same sequence of MPI calls).
     anon_seq: u64,
@@ -69,11 +70,11 @@ pub struct LeaderParallelProtocol {
 }
 
 impl LeaderParallelProtocol {
-    /// Build the protocol for physical process `endpoint`.
-    pub fn new(endpoint: EndpointId, app_ranks: usize, cfg: ReplicationConfig) -> Self {
+    /// Build the protocol for physical process `endpoint` of `map`.
+    pub fn new(endpoint: EndpointId, map: Arc<ReplicaMap>, cfg: ReplicationConfig) -> Self {
         LeaderParallelProtocol {
-            inner: SdrProtocol::new(endpoint, app_ranks, cfg),
-            degree: cfg.degree,
+            inner: SdrProtocol::new(endpoint, Arc::clone(&map), cfg),
+            map,
             anon_seq: 0,
             anon: BTreeMap::new(),
             anon_of_req: HashMap::new(),
@@ -95,13 +96,13 @@ impl LeaderParallelProtocol {
     }
 
     fn announce(&mut self, pml: &mut Pml, anon_seq: u64, src_rank: Rank) {
-        let layout = self.inner.map();
+        let my_rank = self.inner.app_rank();
         let mut header = [0i64; 8];
         header[0] = DECISION_KIND;
         header[1] = anon_seq as i64;
         header[2] = src_rank as i64;
-        for rep in 1..self.degree {
-            let target = layout.endpoint(self.inner.app_rank(), rep);
+        for rep in 1..self.map.degree_of(my_rank) {
+            let target = self.map.endpoint(my_rank, rep);
             pml.send_control(target, class::CONTROL, header, Bytes::new());
             self.decisions_sent += 1;
         }
@@ -299,7 +300,8 @@ impl ProtocolFactory for LeaderFactory {
     }
 
     fn build(&self, endpoint: EndpointId, app_ranks: usize) -> Box<dyn Protocol> {
-        Box::new(LeaderParallelProtocol::new(endpoint, app_ranks, self.cfg))
+        let map = Arc::new(ReplicaMap::uniform(app_ranks, self.cfg.degree));
+        Box::new(LeaderParallelProtocol::new(endpoint, map, self.cfg))
     }
 
     fn name(&self) -> &str {
@@ -312,7 +314,6 @@ mod tests {
     use super::*;
     use sim_mpi::{JobBuilder, ANY_SOURCE};
     use sim_net::{Cluster, LogGpModel, Placement};
-    use std::sync::Arc;
 
     fn leader_job(ranks: usize) -> JobBuilder {
         let cfg = ReplicationConfig::dual();

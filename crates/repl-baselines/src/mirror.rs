@@ -16,17 +16,18 @@
 //! are periodically purged from the unexpected queue.
 
 use bytes::Bytes;
-use sdr_core::{AckOn, ReplicationConfig, SdrProtocol};
+use sdr_core::{AckOn, ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::{Pml, PmlEvent};
 use sim_mpi::{
     CommId, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory, Rank, Status, Tag, TagSel,
 };
 use sim_net::EndpointId;
+use std::sync::Arc;
 
 /// The mirror replication protocol.
 pub struct MirrorProtocol {
     inner: SdrProtocol,
-    degree: usize,
+    map: Arc<ReplicaMap>,
     /// Application-level sequence counter per destination rank (mirrors the
     /// inner protocol's counter so redundant copies carry the right id).
     send_seq: Vec<u64>,
@@ -38,12 +39,13 @@ pub struct MirrorProtocol {
 }
 
 impl MirrorProtocol {
-    /// Build the mirror protocol for physical process `endpoint`.
-    pub fn new(endpoint: EndpointId, app_ranks: usize, degree: usize) -> Self {
-        let cfg = ReplicationConfig::with_degree(degree).ack_on(AckOn::Never);
+    /// Build the mirror protocol for physical process `endpoint` of `map`.
+    pub fn new(endpoint: EndpointId, map: Arc<ReplicaMap>) -> Self {
+        let app_ranks = map.ranks();
+        let cfg = ReplicationConfig::with_degree(map.max_degree()).ack_on(AckOn::Never);
         MirrorProtocol {
-            inner: SdrProtocol::new(endpoint, app_ranks, cfg),
-            degree,
+            inner: SdrProtocol::new(endpoint, Arc::clone(&map), cfg),
+            map,
             send_seq: vec![0; app_ranks],
             delivered: vec![0; app_ranks],
             events_since_purge: 0,
@@ -57,10 +59,9 @@ impl MirrorProtocol {
     }
 
     fn purge_redundant(&mut self, pml: &mut Pml) {
-        let layout = self.inner.map();
-        let delivered = self.delivered.clone();
+        let (map, delivered) = (&self.map, &self.delivered);
         pml.purge_unexpected(|msg| {
-            let src_rank = layout.rank_of(msg.src);
+            let src_rank = map.rank_of(msg.src);
             (msg.aux as u64) < delivered[src_rank]
         });
     }
@@ -93,15 +94,14 @@ impl Protocol for MirrorProtocol {
     ) -> ProtoSendReq {
         let seq = self.send_seq[dst];
         self.send_seq[dst] += 1;
-        let layout = self.inner.map();
         let my_replica = self.inner.replica_id();
         // Redundant copies to every replica of the destination other than the
         // primary one handled by the inner protocol.
-        for rep in 0..self.degree {
+        for rep in 0..self.map.degree_of(dst) {
             if rep == my_replica {
                 continue;
             }
-            let target = layout.endpoint(dst, rep);
+            let target = self.map.endpoint(dst, rep);
             pml.isend(target, comm, tag, seq as i64, payload.clone());
             self.redundant_copies_sent += 1;
         }
@@ -181,7 +181,8 @@ impl ProtocolFactory for MirrorFactory {
     }
 
     fn build(&self, endpoint: EndpointId, app_ranks: usize) -> Box<dyn Protocol> {
-        Box::new(MirrorProtocol::new(endpoint, app_ranks, self.degree))
+        let map = Arc::new(ReplicaMap::uniform(app_ranks, self.degree));
+        Box::new(MirrorProtocol::new(endpoint, map))
     }
 
     fn name(&self) -> &str {
@@ -194,7 +195,6 @@ mod tests {
     use super::*;
     use sim_mpi::{JobBuilder, ReduceOp};
     use sim_net::{Cluster, LogGpModel, Placement};
-    use std::sync::Arc;
 
     fn mirror_job(ranks: usize, degree: usize) -> JobBuilder {
         JobBuilder::new(ranks)

@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sdr_core::{AckOn, ReplicationConfig, SdrProtocol};
+use sdr_core::{AckOn, ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::{Pml, PmlEvent};
 use sim_mpi::{
     CommId, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory, Rank, Status, Tag, TagSel,
@@ -105,6 +105,7 @@ impl SdcReport {
 /// The redMPI-style protocol.
 pub struct RedMpiProtocol {
     inner: SdrProtocol,
+    map: Arc<ReplicaMap>,
     degree: usize,
     corruption: Option<CorruptionSpec>,
     report: Arc<SdcReport>,
@@ -123,17 +124,18 @@ pub struct RedMpiProtocol {
 }
 
 impl RedMpiProtocol {
-    /// Build the protocol for physical process `endpoint`.
+    /// Build the protocol for physical process `endpoint` of `map`.
     pub fn new(
         endpoint: EndpointId,
-        app_ranks: usize,
-        degree: usize,
+        map: Arc<ReplicaMap>,
         corruption: Option<CorruptionSpec>,
         report: Arc<SdcReport>,
     ) -> Self {
+        let (app_ranks, degree) = (map.ranks(), map.max_degree());
         let cfg = ReplicationConfig::with_degree(degree).ack_on(AckOn::Never);
         RedMpiProtocol {
-            inner: SdrProtocol::new(endpoint, app_ranks, cfg),
+            inner: SdrProtocol::new(endpoint, Arc::clone(&map), cfg),
+            map,
             degree,
             corruption,
             report,
@@ -219,7 +221,6 @@ impl Protocol for RedMpiProtocol {
         // of the destination rank so they can cross-check the copy they got
         // from their own sender replica.
         let h = digest(&effective);
-        let map = self.inner.map();
         let my_replica = self.inner.replica_id();
         let mut header = [0i64; 8];
         header[0] = HASH_KIND;
@@ -230,7 +231,7 @@ impl Protocol for RedMpiProtocol {
             if rep == my_replica {
                 continue;
             }
-            let target = map.endpoint(dst, rep);
+            let target = self.map.endpoint(dst, rep);
             pml.send_control(target, class::HASH, header, Bytes::new());
         }
         self.inner.isend(pml, dst, comm, tag, effective)
@@ -362,8 +363,7 @@ impl ProtocolFactory for RedMpiFactory {
     fn build(&self, endpoint: EndpointId, app_ranks: usize) -> Box<dyn Protocol> {
         Box::new(RedMpiProtocol::new(
             endpoint,
-            app_ranks,
-            self.degree,
+            Arc::new(ReplicaMap::uniform(app_ranks, self.degree)),
             self.corruption,
             Arc::clone(&self.report),
         ))

@@ -199,7 +199,7 @@ pub enum FaultDistribution {
     },
     /// One crash under a *partial* replication layout, biased 3:1 toward
     /// unreplicated ranks. `replicated_mask` bit `r` set means rank `r` has a
-    /// second copy (the layout's ADJACENT numbering puts first copies and
+    /// second copy (the replica map numbers first copies and
     /// singletons at endpoint `r` and second copies after them). The sampled
     /// crash always hits endpoint `r` — the singleton itself, or the first
     /// copy of a replicated rank (the copy guaranteed to perform physical

@@ -11,14 +11,14 @@
 //! ```
 
 use sdr_core::recovery::ReplicaStateSnapshot;
-use sdr_core::{RecoveryCoordinator, ReplicaLayout, ReplicaMap, ReplicationConfig, SeqTracker};
+use sdr_core::{RecoveryCoordinator, ReplicaMap, ReplicationConfig, SeqTracker};
 use sim_net::EndpointId;
 use std::sync::Arc;
 
 fn main() {
     let ranks = 2;
-    let layout: Arc<dyn ReplicaMap> = Arc::new(ReplicaLayout::new(ranks, 2));
-    let coordinator = RecoveryCoordinator::new(layout).expect("dual replication supports recovery");
+    let map = Arc::new(ReplicaMap::uniform(ranks, 2));
+    let coordinator = RecoveryCoordinator::new(map).expect("dual replication supports recovery");
 
     // Fork-election: with replica 0 of rank 1 (physical process 1) dead, the
     // lowest surviving replica index (here replica 1, physical process 3) is

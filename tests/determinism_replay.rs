@@ -120,7 +120,7 @@ fn lossy_campaign_case_replays_identical_trace_streams_in_both_carrier_modes() {
 
 #[test]
 fn faulted_degree_three_case_replays_identically_in_both_carrier_modes() {
-    // Pluggable-map acceptance: a degree-3 campaign case with a majority-loss
+    // Replica-map acceptance: a degree-3 campaign case with a majority-loss
     // crash plan (two of three replicas of one rank die) must replay a
     // bit-identical `TraceEvent` stream under `--workers 1` in *both*
     // execution layers — the fork-election path adds no scheduling

@@ -3,7 +3,7 @@
 //! The protocol substitutes p⁰₁ for the failed replica and every surviving
 //! process finishes with the correct data.
 //!
-//! The pluggable-replica-map scenarios extend this beyond the paper's dual
+//! The replica-map scenarios extend this beyond the paper's dual
 //! setup: degree-3 jobs surviving sequential double crashes of one rank,
 //! partial layouts aborting promptly when a singleton dies, and degree-3
 //! hash majorities *correcting* (not just detecting) injected bit flips.
@@ -268,9 +268,9 @@ fn double_crash_in_different_ranks_is_survived() {
 
 #[test]
 fn degree_three_survives_two_sequential_crashes_of_the_same_rank() {
-    // Pluggable-map scenario: at degree 3 a rank tolerates losing *two* of
+    // Replica-map scenario: at degree 3 a rank tolerates losing *two* of
     // its replicas, one after the other, as long as one copy survives.
-    // Physical layout (ADJACENT, ranks=2, degree=3): endpoints 0,1 are
+    // Physical layout (ranks=2, degree=3): endpoints 0,1 are
     // replica 0 of ranks 0,1; endpoints 2,3 replica 1; endpoints 4,5
     // replica 2. Replica 1 of rank 1 (endpoint 3) dies first, replica 2
     // (endpoint 5) dies later — fork-election must elect a substitute twice
@@ -331,11 +331,11 @@ fn degree_three_survives_two_sequential_crashes_of_the_same_rank() {
 
 #[test]
 fn partial_layout_unreplicated_crash_aborts_promptly_with_rank_lost() {
-    // Pluggable-map scenario: under partial replication a crash of a
+    // Replica-map scenario: under partial replication a crash of a
     // *singleton* rank is unrecoverable by construction. It must surface as
     // a prompt typed `RankLost` abort naming the rank — never as partial
-    // results and never as a burnt receive timeout. Layout (ADJACENT,
-    // ranks=2, replicated={0}): endpoints 0,1 are the first copies of ranks
+    // results and never as a burnt receive timeout. Layout (ranks=2,
+    // replicated={0}): endpoints 0,1 are the first copies of ranks
     // 0,1; endpoint 2 is rank 0's second copy; rank 1 is a singleton.
     let started = std::time::Instant::now();
     let report = partial_replicated_job(2, &[0], ReplicationConfig::dual())
@@ -373,7 +373,7 @@ fn partial_layout_unreplicated_crash_aborts_promptly_with_rank_lost() {
 
 #[test]
 fn degree_three_sdc_flip_is_outvoted_and_counted_as_corrected() {
-    // Pluggable-map scenario: at degree 3 the redMPI-style hash comparison
+    // Replica-map scenario: at degree 3 the redMPI-style hash comparison
     // holds three votes per message, so a single flipped copy is not just
     // *detected* (a two-replica tie) but *outvoted* — the campaign counts it
     // in `sdc_corrected`, one correction per injected flip.

@@ -237,47 +237,56 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
-    /// Replica layout: endpoint/locate round-trip for arbitrary shapes.
-    #[test]
-    fn replica_layout_roundtrip(ranks in 1usize..64, degree in 1usize..5) {
-        let layout = sdr_core::ReplicaLayout::new(ranks, degree);
-        for rank in 0..ranks {
-            for rep in 0..degree {
-                let e = layout.endpoint(rank, rep);
-                prop_assert_eq!(layout.locate(e), (rank, rep));
-            }
-        }
-        prop_assert_eq!(layout.physical_processes(), ranks * degree);
-    }
-
-    /// Every pluggable replica map is a bijection between the logical pairs
+    /// The replica map is a bijection between the logical pairs
     /// `{(rank, rep) : rep < degree_of(rank)}` and the dense endpoint range
-    /// `0..Σdegree`, under both numbering policies; the routing rule
-    /// (`direct_src`/`direct_dests`) stays a consistent inverse pair.
+    /// `0..Σdegree` for every kind of map its constructors build — uniform at
+    /// degrees 1–4, partial over an arbitrary (non-prefix) subset, coverage
+    /// prefixes — and the routing rule (`direct_src`/`direct_dests`) stays a
+    /// consistent inverse pair.
     #[test]
     fn replica_maps_are_bijections(
         ranks in 1usize..32,
         degree in 1usize..5,
+        subset_bits in any::<u64>(),
         cov_numer in 1usize..9,
     ) {
-        use sdr_core::{MappingPolicy, PartialLayout, ReplicaMap, UniformLayout};
+        use sdr_core::ReplicaMap;
+        check_map_bijection(&ReplicaMap::uniform(ranks, degree));
+        let replicated = rank_subset(ranks, subset_bits);
+        check_map_bijection(&ReplicaMap::partial(ranks, &replicated).expect("valid subset"));
         let coverage = cov_numer as f64 / 8.0;
-        for policy in [MappingPolicy::Adjacent, MappingPolicy::Cyclic] {
-            let uniform = UniformLayout::new(ranks, degree, policy).expect("valid shape");
-            check_map_bijection(&uniform);
-            let partial =
-                PartialLayout::with_coverage(ranks, coverage, policy).expect("valid coverage");
-            check_map_bijection(&partial);
+        check_map_bijection(&ReplicaMap::with_coverage(ranks, coverage).expect("valid coverage"));
+    }
+
+    /// Endpoint numbering is pinned to its closed forms: `k·n + r` on a
+    /// uniform map; on a partial map the first copies at `0..n`, then the
+    /// second copies from `n` upward in sorted subset order, whatever order
+    /// the subset was given in. Every virtual time depends on which endpoint
+    /// plays which replica, so a renumbering must fail here first.
+    #[test]
+    fn replica_map_numbering_matches_its_closed_forms(
+        ranks in 1usize..32,
+        degree in 1usize..5,
+        subset_bits in any::<u64>(),
+    ) {
+        use sdr_core::ReplicaMap;
+        let uniform = ReplicaMap::uniform(ranks, degree);
+        for rank in 0..ranks {
+            for k in 0..degree {
+                prop_assert_eq!(uniform.endpoint(rank, k), EndpointId(k * ranks + rank));
+            }
         }
-        // The two numbering policies renumber the *same* logical replica
-        // sets: identical per-rank degrees, coverage and endpoint totals.
-        let adj = UniformLayout::new(ranks, degree, MappingPolicy::Adjacent).unwrap();
-        let cyc = UniformLayout::new(ranks, degree, MappingPolicy::Cyclic).unwrap();
-        prop_assert_eq!(logical_pairs(&adj), logical_pairs(&cyc));
-        let adj = PartialLayout::with_coverage(ranks, coverage, MappingPolicy::Adjacent).unwrap();
-        let cyc = PartialLayout::with_coverage(ranks, coverage, MappingPolicy::Cyclic).unwrap();
-        prop_assert_eq!(logical_pairs(&adj), logical_pairs(&cyc));
-        prop_assert_eq!(adj.coverage(), cyc.coverage());
+        let replicated = rank_subset(ranks, subset_bits);
+        let partial = ReplicaMap::partial(ranks, &replicated).expect("valid subset");
+        let reversed: Vec<usize> = replicated.iter().rev().copied().collect();
+        prop_assert_eq!(&ReplicaMap::partial(ranks, &reversed).expect("valid subset"), &partial);
+        prop_assert_eq!(partial.physical_processes(), ranks + replicated.len());
+        for rank in 0..ranks {
+            prop_assert_eq!(partial.endpoint(rank, 0), EndpointId(rank));
+        }
+        for (i, &rank) in replicated.iter().enumerate() {
+            prop_assert_eq!(partial.endpoint(rank, 1), EndpointId(ranks + i));
+        }
     }
 
     /// Fork-election is a pure function of the survivor set: the lowest
@@ -289,12 +298,11 @@ proptest! {
         degree in 2usize..5,
         dead_mask in any::<u64>(),
     ) {
-        use sdr_core::{RecoveryCoordinator, RecoveryError, ReplicaLayout, ReplicaMap};
+        use sdr_core::{RecoveryCoordinator, RecoveryError, ReplicaMap};
         use std::sync::Arc;
-        let layout = ReplicaLayout::new(ranks, degree);
-        let coord = RecoveryCoordinator::new(Arc::new(layout) as Arc<dyn ReplicaMap>)
+        let coord = RecoveryCoordinator::new(Arc::new(ReplicaMap::uniform(ranks, degree)))
             .expect("degree >= 2 always recovers");
-        // ReplicaLayout is ADJACENT: endpoint(rank, rep) = rep * ranks + rank.
+        // A uniform map numbers endpoint(rank, rep) = rep * ranks + rank.
         let alive: Vec<bool> = (0..ranks * degree)
             .map(|e| dead_mask & (1u64 << (e % 64)) == 0)
             .collect();
@@ -372,7 +380,7 @@ fn matching_engine_cycles_leave_no_entry_and_bounded_spares() {
 
 /// Assert the [`sdr_core::ReplicaMap`] bijection and routing invariants for
 /// one concrete map (plain panics — proptest catches them as failures).
-fn check_map_bijection(map: &dyn sdr_core::ReplicaMap) {
+fn check_map_bijection(map: &sdr_core::ReplicaMap) {
     use std::collections::BTreeSet;
     let total: usize = (0..map.ranks()).map(|r| map.degree_of(r)).sum();
     assert_eq!(map.physical_processes(), total);
@@ -400,9 +408,12 @@ fn check_map_bijection(map: &dyn sdr_core::ReplicaMap) {
         for i in 0..map.ranks() {
             let mut covered = BTreeSet::new();
             for l in 0..map.degree_of(j) {
-                for e in map.direct_dests(j, l, i) {
-                    let (rank, m) = map.locate(e);
-                    assert_eq!(rank, i);
+                let dests = map.direct_dests(j, l, i);
+                for m in (0..u64::BITS as usize).filter(|m| dests >> m & 1 == 1) {
+                    assert!(
+                        m < map.degree_of(i),
+                        "replica {m} of rank {i} does not exist"
+                    );
                     assert_eq!(map.direct_src(m, j), map.endpoint(j, l));
                     assert!(covered.insert(m), "replica {m} of rank {i} fed twice");
                 }
@@ -412,11 +423,15 @@ fn check_map_bijection(map: &dyn sdr_core::ReplicaMap) {
     }
 }
 
-/// The logical (rank, replica) pairs a map numbers, as a canonical set.
-fn logical_pairs(map: &dyn sdr_core::ReplicaMap) -> std::collections::BTreeSet<(usize, usize)> {
-    (0..map.physical_processes())
-        .map(|e| map.locate(sim_net::EndpointId(e)))
-        .collect()
+/// The ranks below `ranks` whose bit is set in `bits`, in ascending order;
+/// one rank picked from `bits` when no bit below `ranks` is set.
+fn rank_subset(ranks: usize, bits: u64) -> Vec<usize> {
+    let subset: Vec<usize> = (0..ranks).filter(|&r| bits >> r & 1 == 1).collect();
+    if subset.is_empty() {
+        vec![bits as usize % ranks]
+    } else {
+        subset
+    }
 }
 
 /// The duplicate-suppression window never lets a payload reach the

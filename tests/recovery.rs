@@ -20,7 +20,7 @@ mod common;
 
 use bytes::Bytes;
 use common::{fast, pump};
-use sdr_core::{RecoveryCoordinator, ReplicaLayout, ReplicaMap, ReplicationConfig, SdrProtocol};
+use sdr_core::{RecoveryCoordinator, ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::Pml;
 use sim_mpi::{CommId, Protocol, TagSel};
 use sim_net::{Cluster, EndpointId, Fabric, Placement, SimTime};
@@ -30,7 +30,7 @@ use std::sync::Arc;
 fn figure4_recovery_of_p11() {
     let ranks = 2;
     let cfg = ReplicationConfig::dual();
-    let layout = ReplicaLayout::new(ranks, cfg.degree);
+    let map = Arc::new(ReplicaMap::uniform(ranks, cfg.degree));
     let fabric = Fabric::new(
         4,
         fast(),
@@ -41,9 +41,9 @@ fn figure4_recovery_of_p11() {
     let mut pml0 = Pml::new(fabric.endpoint(EndpointId(0)));
     let mut pml1 = Pml::new(fabric.endpoint(EndpointId(1)));
     let mut pml2 = Pml::new(fabric.endpoint(EndpointId(2)));
-    let mut p00 = SdrProtocol::new(EndpointId(0), ranks, cfg);
-    let mut p01 = SdrProtocol::new(EndpointId(1), ranks, cfg);
-    let mut p10 = SdrProtocol::new(EndpointId(2), ranks, cfg);
+    let mut p00 = SdrProtocol::new(EndpointId(0), Arc::clone(&map), cfg);
+    let mut p01 = SdrProtocol::new(EndpointId(1), Arc::clone(&map), cfg);
+    let mut p10 = SdrProtocol::new(EndpointId(2), Arc::clone(&map), cfg);
 
     // --- step 1: p¹₁ fails, everyone learns about it -----------------------
     fabric
@@ -75,8 +75,7 @@ fn figure4_recovery_of_p11() {
     );
 
     // --- step 4: the substitute forks the new replica and notifies ---------
-    let coordinator = RecoveryCoordinator::new(Arc::new(layout) as Arc<dyn ReplicaMap>)
-        .expect("dual replication recovers");
+    let coordinator = RecoveryCoordinator::new(map).expect("dual replication recovers");
     let snapshot = coordinator.fork_snapshot(&p01);
     assert_eq!(snapshot.rank, 1);
     let outcome = coordinator.broadcast_notification(&mut pml1, &p01, EndpointId(3));
@@ -142,15 +141,14 @@ fn recovery_for_unreplicated_maps_is_a_typed_error() {
     // from; an all-singleton map must surface as a typed, matchable error —
     // not a panic and not a silent misbehaviour (DESIGN.md §4.1).
     use sdr_core::RecoveryError;
-    let err = RecoveryCoordinator::new(Arc::new(ReplicaLayout::new(4, 1)) as Arc<dyn ReplicaMap>)
-        .unwrap_err();
+    let err = RecoveryCoordinator::new(Arc::new(ReplicaMap::uniform(4, 1))).unwrap_err();
     assert_eq!(err, RecoveryError::NoReplicatedRanks);
     let msg = err.to_string();
     assert!(msg.contains("replicated"), "{msg}");
 
     // Degree ≥ 3 is now supported: the lowest surviving replica index wins
     // the fork election deterministically.
-    let coord = RecoveryCoordinator::new(Arc::new(ReplicaLayout::new(4, 3)) as Arc<dyn ReplicaMap>)
+    let coord = RecoveryCoordinator::new(Arc::new(ReplicaMap::uniform(4, 3)))
         .expect("degree 3 recovers via fork-election");
     let alive = [
         true, true, true, true, // replica 0

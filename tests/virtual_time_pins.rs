@@ -1,5 +1,5 @@
 //! Virtual-time pins: literal `(elapsed_ns, total_msgs, FNV-1a of the
-//! finished processes' checksum bits)` for eighteen `workers: 1` spec lines, in
+//! finished processes' checksum bits)` for twenty `workers: 1` spec lines, in
 //! both carrier modes.
 //!
 //! With one run permit a job's virtual times, message counts and checksums
@@ -154,6 +154,24 @@ const PINS: &[(&str, JobStatus, u64, u64, u64)] = &[
         350_808,
         520,
         0x36a78949ccb77725,
+    ),
+    // Partial layouts: a non-prefix subset (the second copies of ranks 1 and
+    // 3 are endpoints 4 and 5) and a coverage prefix with a crash of
+    // endpoint 9, rank 1's second copy. Both numberings come from the
+    // replica map, so a renumbering moves these.
+    (
+        r#"{"id":"cg-partial-1-3","workload":"cg","ranks":4,"class":"s","layout":"partial","replicated_ranks":[1,3],"workers":1,"seed":51}"#,
+        JobStatus::Finished,
+        197_454,
+        162,
+        0x85868a228d38c5a9,
+    ),
+    (
+        r#"{"id":"mg-coverage-half-crash","workload":"mg","ranks":8,"class":"s","layout":"coverage","coverage":0.5,"workers":1,"seed":52,"crashes":[{"endpoint":9,"kind":"after-send","nth":3}]}"#,
+        JobStatus::Survived,
+        194_090,
+        823,
+        0x07f9c430cc60d588,
     ),
 ];
 
