@@ -3,7 +3,7 @@
 //! `{0.25, 0.5, 0.75, 1.0}`, plus full replication at degree 3.
 //!
 //! Usage: `layout_sweep [--ranks N] [--class s|test|d] [--workers W]
-//! [--carrier-mode thread|coro] [--json PATH]`
+//! [--json PATH]`
 //!
 //! The sweep quantifies what partial replication buys: a coverage-F run
 //! replicates only the first `ceil(F * ranks)` ranks, pays replica traffic

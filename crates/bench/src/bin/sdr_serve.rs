@@ -2,7 +2,7 @@
 //!
 //! Reads a queue of job specs (one JSON object per line; blank lines and
 //! `#`-comments skipped) from `--queue PATH` or stdin, runs up to
-//! `--max-jobs` of them concurrently over the shared carrier/stack pools,
+//! `--max-jobs` of them concurrently over the shared thread/stack pools,
 //! and streams one JSON report line per job as it completes (stdout, or
 //! `--out PATH`). Malformed lines are rejected with a typed error report
 //! line — the server loop never panics on input.
@@ -13,8 +13,8 @@
 //!
 //! `--self-test N` is the CI isolation gate: it builds the standard N-job
 //! mixed queue (clean NAS kernels, survivable crashes, guaranteed `RankLost`
-//! aborts, lossy links, delayed acks, native baselines, partial layouts —
-//! both carrier modes), runs every job solo and then the whole queue
+//! aborts, lossy links, delayed acks, native baselines, partial layouts),
+//! runs every job solo and then the whole queue
 //! concurrently, and exits nonzero if any job's deterministic report
 //! diverged from its solo reference (see DESIGN.md §6).
 

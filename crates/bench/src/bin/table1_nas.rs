@@ -1,7 +1,7 @@
 //! Regenerates Table 1: NAS-like kernels (BT, CG, FT, MG, SP), native vs SDR-MPI.
 //!
 //! Usage: `table1_nas [--ranks N] [--class s|test|d] [--degree D]
-//! [--coverage F] [--workers W] [--carrier-mode thread|coro] [--json PATH]`
+//! [--coverage F] [--workers W] [--json PATH]`
 //!
 //! The paper evaluates at 256 ranks; `--ranks 64|128|256` reproduces that
 //! scaling axis (pair large rank counts with `--class s` for a fast run, or
@@ -10,12 +10,11 @@
 //! multiplexes all simulated processes — 512 of them at `--ranks 256` under
 //! dual replication — over a worker pool bounded by the host core count
 //! (override with `--workers`; `--workers 1` is the deterministic
-//! single-permit replay mode). In the default coroutine mode every process
-//! lives on a pooled user-space stack and the whole job runs on the worker
-//! threads, which is what carries the harness to `--ranks 4096` (8192
-//! processes); `--carrier-mode thread` selects the one-OS-thread-per-process
-//! fallback, whose carriers come from the process-global pool so the ten
-//! back-to-back jobs of one invocation reuse one thread set.
+//! single-permit replay mode). Every process lives on a pooled user-space
+//! stack and the whole job runs on the worker threads, which is what carries
+//! the harness to `--ranks 4096` (8192 processes); the worker threads come
+//! from the process-global pool, so the ten back-to-back jobs of one
+//! invocation reuse one thread set.
 //! `--json PATH` writes the machine-readable report (wall times plus
 //! scheduler wake / dispatch / ingest / thread-churn counters) that CI
 //! uploads as the `BENCH_table1.json` artifact. `--degree D` replicates every

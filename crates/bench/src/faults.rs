@@ -467,8 +467,8 @@ pub struct FaultsArgs {
 }
 
 /// CLI parsing for `table_faults`: `--ranks N`, `--seeds N`, `--base-seed N`,
-/// `--iters N`, plus the [`parse_shared_flag`] trio (`--workers N`,
-/// `--carrier-mode thread|coro`, `--json PATH`).
+/// `--iters N`, plus the [`parse_shared_flag`] pair (`--workers N`,
+/// `--json PATH`).
 pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> FaultsArgs {
     let mut parsed = FaultsArgs {
         ranks: 4,

@@ -30,7 +30,7 @@ pub use faults::{
 use repl_baselines::{CorruptionSpec, LeaderFactory, MirrorFactory, RedMpiFactory, SdcReport};
 use sdr_core::{native_job, replicated_job, ReplicationConfig};
 use sim_mpi::{JobBuilder, ANY_SOURCE};
-use sim_net::{CarrierMode, Cluster, LogGpModel, Placement};
+use sim_net::{Cluster, LogGpModel, Placement};
 use std::path::PathBuf;
 use std::sync::Arc;
 use workloads::apps::{run_cm1, run_hpccg, AppConfig};
@@ -92,7 +92,7 @@ pub fn fig7_default_sizes() -> Vec<usize> {
 
 /// Table 1: the five NAS-like kernels, native vs replicated under `layout`
 /// (the paper's is dual replication, [`harness_layout`]`(2, 1.0)`). `tuning`
-/// is the `--workers`/`--carrier-mode` scaling axis: 64/128/256-rank
+/// is the `--workers` scaling axis: 64/128/256-rank
 /// configurations run through the same bounded scheduler pool as the 16-rank
 /// default.
 pub fn table1_rows(
@@ -266,9 +266,9 @@ impl HarnessArgs {
 }
 
 /// The flags every harness binary spells the same way: `--workers N`
-/// (rejected below [`sim_net::sched::MIN_WORKERS`]), `--carrier-mode
-/// thread|coro`, `--json PATH`. Consumes `flag`'s value from `args` and
-/// returns `true` if `flag` is one of them.
+/// (rejected below [`sim_net::sched::MIN_WORKERS`]) and `--json PATH`.
+/// Consumes `flag`'s value from `args` and returns `true` if `flag` is one
+/// of them.
 pub fn parse_shared_flag<I: Iterator<Item = String>>(
     flag: &str,
     args: &mut I,
@@ -294,13 +294,6 @@ pub fn parse_shared_flag<I: Iterator<Item = String>>(
             }
             tuning.workers = Some(w);
         }
-        "--carrier-mode" => {
-            let name = args.next().expect("--carrier-mode needs a mode name");
-            tuning.carrier_mode =
-                Some(CarrierMode::parse(&name).unwrap_or_else(|| {
-                    panic!("unknown carrier mode {name:?} (use thread or coro)")
-                }));
-        }
         "--json" => {
             let path = args.next().expect("--json needs a file path");
             *json_path = Some(PathBuf::from(path));
@@ -313,12 +306,9 @@ pub fn parse_shared_flag<I: Iterator<Item = String>>(
 /// Shared CLI parsing for the table harnesses: `--ranks N`, `--class
 /// s|test|d`, `--degree N` (replication degree, default 2), `--coverage F`
 /// (fraction of ranks replicated, default 1.0; `< 1.0` runs the degree-2
-/// partial layout), the [`parse_shared_flag`] trio — `--workers N`,
-/// `--carrier-mode thread|coro` (execution mode; defaults to coroutine
-/// stacks on supported targets, overridable via the `SDR_CARRIER_MODE`
-/// environment variable), `--json PATH` (machine-readable report, uploaded
-/// as a CI artifact) — plus a bare positional rank count for backwards
-/// compatibility.
+/// partial layout), the [`parse_shared_flag`] pair — `--workers N` and
+/// `--json PATH` (machine-readable report, uploaded as a CI artifact) —
+/// plus a bare positional rank count for backwards compatibility.
 pub fn parse_harness_args<I: Iterator<Item = String>>(
     args: I,
     default_ranks: usize,
@@ -616,9 +606,8 @@ pub fn format_comparison_table(title: &str, rows: &[ComparisonRow]) -> String {
 
 /// Fold both runs of every row into one [`RunSide`]: fabric counters merge
 /// through the counter table (sums; the stack peak, a gauge, takes the
-/// maximum), thread churn and host seconds add, `workers` is the largest
-/// pool seen and `carrier_mode` the last run's — one harness invocation runs
-/// every row with one tuning.
+/// maximum), thread churn and host seconds add, and `workers` is the largest
+/// pool seen.
 fn totals(rows: &[ComparisonRow]) -> RunSide {
     rows.iter()
         .flat_map(|row| [row.native, row.replicated])
@@ -626,7 +615,6 @@ fn totals(rows: &[ComparisonRow]) -> RunSide {
             stats: a.stats.merged(&b.stats),
             threads_spawned: a.threads_spawned + b.threads_spawned,
             threads_reused: a.threads_reused + b.threads_reused,
-            carrier_mode: b.carrier_mode,
             workers: a.workers.max(b.workers),
             host_secs: a.host_secs + b.host_secs,
         })
@@ -643,7 +631,7 @@ fn wake_reduction(t: &sim_net::StatsSnapshot) -> Option<f64> {
 
 /// Format the delivery-layer summary of a row set: scheduler wakes actually
 /// issued vs one per delivery, the direct-handoff dispatch split, and
-/// carrier-thread churn.
+/// worker-thread and stack churn.
 pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
     let side = totals(rows);
     let t = &side.stats;
@@ -652,7 +640,7 @@ pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
          ({:.2}x fewer than one per delivery)\n\
          dispatch: {} handoffs direct vs {} cold \
          ({:.1}% direct); threads: {} spawned, {} reused\n\
-         carriers: {} mode; {} stack switches, {} stacks leased \
+         carriers: {} stack switches, {} stacks leased \
          ({} fresh, {} reused), pool peak {:.1} MiB\n",
         t.wakes_issued,
         t.wakes_suppressed,
@@ -662,7 +650,6 @@ pub fn format_delivery_summary(rows: &[ComparisonRow]) -> String {
         t.direct_dispatch_fraction() * 100.0,
         side.threads_spawned,
         side.threads_reused,
-        side.carrier_mode,
         t.stack_switches,
         t.stacks_allocated + t.stacks_reused,
         t.stacks_allocated,
@@ -689,7 +676,6 @@ fn side_fields(side: &RunSide) -> Vec<(&'static str, Json)> {
     fields.extend([
         ("threads_spawned", side.threads_spawned.into()),
         ("threads_reused", side.threads_reused.into()),
-        ("carrier_mode", side.carrier_mode.as_str().into()),
         ("workers", side.workers.into()),
     ]);
     fields
@@ -845,11 +831,11 @@ mod tests {
         assert_eq!(args.layout(), LayoutSpec::Coverage { coverage: 0.5 });
     }
 
-    /// Every binary's parser must refuse `--workers 0` and a carrier mode
-    /// that does not exist (for `sdr_serve`, which has no tuning flags at
-    /// all, as unrecognised arguments).
+    /// Every binary's parser must refuse `--workers 0` and a flag it does
+    /// not know (for `sdr_serve`, which has no tuning flags at all, both as
+    /// unrecognised arguments).
     #[test]
-    fn every_parser_rejects_zero_workers_and_unknown_carrier_modes() {
+    fn every_parser_rejects_zero_workers_and_unknown_flags() {
         type Parser = fn(Vec<String>);
         let parsers: [(&str, Parser); 3] = [
             ("table harnesses", |a| {
@@ -863,7 +849,7 @@ mod tests {
             }),
         ];
         for (binary, parse) in parsers {
-            for bad in [["--workers", "0"], ["--carrier-mode", "fibers"]] {
+            for bad in [["--workers", "0"], ["--fibers", "on"]] {
                 let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
                 let rejected = std::panic::catch_unwind(move || parse(args)).is_err();
                 assert!(rejected, "{binary} accepted {bad:?}");

@@ -4,15 +4,13 @@
 //! [`JobReport`].
 //!
 //! Each simulated process owns a *carrier* — the stack its application
-//! closure lives on. In the default coroutine mode
-//! ([`sim_net::CarrierMode::Coroutine`]) that is a heap-allocated stack from
-//! the process-global [`sim_net::StackPool`], hosted together with every
-//! other process on `workers` OS threads; a scheduler handoff is then a
+//! closure lives on: a guarded stack from the process-global
+//! [`sim_net::StackPool`], hosted together with every other process of the
+//! job by a [`CoroRuntime`] on `workers` OS threads leased from the
+//! process-global [`sim_net::CarrierPool`]. A scheduler handoff is a
 //! user-space stack switch, and a 4096-rank (8192-process) job costs a few
-//! threads plus 8192 lazily-committed stacks. In thread mode
-//! ([`sim_net::CarrierMode::Thread`]) each process keeps a dedicated OS
-//! thread leased from the process-global [`sim_net::CarrierPool`]. Both pools
-//! recycle across back-to-back jobs (a benchmark harness's rows) —
+//! threads plus 8192 lazily-committed stacks. Both pools recycle across
+//! back-to-back jobs (a benchmark harness's rows, a server's queue) —
 //! [`JobReport::threads_spawned`]/[`JobReport::threads_reused`] and the
 //! stack counters on [`StatsSnapshot`] account for the churn. Carriers only
 //! execute while holding one of the scheduler's bounded run permits —
@@ -130,16 +128,12 @@ pub struct JobReport<R> {
     /// Highest number of simultaneously executing simulated processes the
     /// scheduler observed — always `<= workers` outside deadlock teardown.
     pub peak_concurrency: usize,
-    /// Carrier threads freshly spawned for this job (the rest of its
-    /// processes ran on recycled pool threads). In coroutine mode this
-    /// counts the *worker* threads hosting the coroutine stacks — at most
-    /// `workers`, not one per process.
+    /// Worker threads freshly spawned to host this job's coroutine stacks.
+    /// With [`JobReport::threads_reused`] this sums to `workers`, never to
+    /// one thread per process.
     pub threads_spawned: usize,
-    /// Carrier threads reused from the process-global pool.
+    /// Worker threads reused from the process-global pool.
     pub threads_reused: usize,
-    /// Execution mode the job actually ran with (after clamping to what the
-    /// build target supports).
-    pub carrier_mode: CarrierMode,
 }
 
 impl<R> JobReport<R> {
@@ -203,10 +197,9 @@ pub struct JobBuilder {
     recv_timeout: Duration,
     workers: Option<usize>,
     proc_stack_bytes: usize,
-    carrier_mode: Option<CarrierMode>,
 }
 
-/// Default carrier-thread stack size. Simulated processes keep their data on
+/// Default coroutine stack size. Simulated processes keep their data on
 /// the heap (payloads are `Bytes`, workloads use `Vec`s), so a modest stack
 /// keeps a 512-process job cheap.
 const DEFAULT_PROC_STACK: usize = 1 << 20;
@@ -230,7 +223,6 @@ impl JobBuilder {
             recv_timeout: Duration::from_secs(20),
             workers: None,
             proc_stack_bytes: DEFAULT_PROC_STACK,
-            carrier_mode: None,
         }
     }
 
@@ -328,24 +320,17 @@ impl JobBuilder {
         self
     }
 
-    /// Stack size for each simulated process's carrier — the thread stack in
-    /// thread mode, the coroutine stack in coroutine mode (default 1 MiB;
-    /// raise it for applications with deep recursion).
+    /// Usable size of each simulated process's coroutine stack (default
+    /// 1 MiB; raise it for applications with deep recursion).
     pub fn proc_stack_size(mut self, bytes: usize) -> Self {
         self.proc_stack_bytes = bytes;
         self
     }
 
-    /// Select the execution mode: [`CarrierMode::Coroutine`] (the default on
-    /// supported targets) hosts every simulated process on its own
-    /// heap-allocated stack and performs scheduler handoffs as user-space
-    /// stack switches over `workers` OS threads;
-    /// [`CarrierMode::Thread`] gives each process a pooled OS thread and
-    /// dispatches through futex wakes. When unset, the `SDR_CARRIER_MODE`
-    /// environment variable (`thread` / `coro`) picks the mode. Either way
-    /// the choice is clamped to what the build target supports.
-    pub fn carrier_mode(mut self, mode: CarrierMode) -> Self {
-        self.carrier_mode = Some(mode);
+    /// Accepted and ignored: every simulated process runs on a coroutine
+    /// stack, whichever [`CarrierMode`] is named. Kept for callers that
+    /// still name one.
+    pub fn carrier_mode(self, _mode: CarrierMode) -> Self {
         self
     }
 
@@ -386,18 +371,13 @@ impl JobBuilder {
             .workers
             .unwrap_or_else(|| sim_net::sched::default_workers(physical));
         fabric.scheduler().set_workers(workers);
-        let mode = self
-            .carrier_mode
-            .unwrap_or_else(CarrierMode::default_mode)
-            .effective();
         let app = Arc::new(app);
         let factory = Arc::clone(&self.factory);
         let pml_config = self.pml_config;
         let app_ranks = self.app_ranks;
         let sdc_flips = self.sdc_flips;
-        // One process body per physical process — identical in both carrier
-        // modes; only what hosts the closure (a pooled OS thread or a
-        // coroutine stack) differs.
+        // One process body per physical process, each run on its own
+        // coroutine stack.
         let body_for = {
             let fabric = Arc::clone(&fabric);
             let trace = trace.clone();
@@ -418,9 +398,8 @@ impl JobBuilder {
                         fabric: Arc::clone(&fabric),
                         endpoint: EndpointId(p),
                     };
-                    // Block until the scheduler grants this process one of the
-                    // pool's run permits. In coroutine mode the grant *is* the
-                    // first resume, so this returns immediately.
+                    // The scheduler's grant of a run permit *is* this
+                    // coroutine's first resume, so this returns immediately.
                     fabric.scheduler().start(EndpointId(p));
                     let endpoint = fabric.endpoint(EndpointId(p));
                     let mut pml = Pml::with_config(endpoint, pml_config);
@@ -457,53 +436,20 @@ impl JobBuilder {
                 }
             }
         };
-        let mut handles = Vec::with_capacity(physical);
-        let mut threads_spawned = 0usize;
-        let mut threads_reused = 0usize;
-        let coro = match mode {
-            CarrierMode::Thread => {
-                // Register every process with the scheduler *before* any
-                // carrier starts, so the quiescence check can never misfire
-                // during launch.
-                for p in 0..physical {
-                    fabric.scheduler().register(EndpointId(p));
-                }
-                for p in 0..physical {
-                    // Lease a carrier from the process-global pool instead of
-                    // spawning a fresh OS thread per process per job.
-                    let (handle, source) =
-                        sim_net::CarrierPool::global().run(self.proc_stack_bytes, body_for(p));
-                    match source {
-                        sim_net::CarrierSource::Spawned => threads_spawned += 1,
-                        sim_net::CarrierSource::Reused => threads_reused += 1,
-                    }
-                    handles.push(handle);
-                }
-                None
-            }
-            CarrierMode::Coroutine => {
-                // Spawn-all / attach / register-all / activate, in that
-                // order: a registered slot may be dispatched on the spot, so
-                // its coroutine must already be prepared and the scheduler
-                // must already route dispatches to the runtime — and the
-                // quiescence detector assumes the registered population is
-                // complete before anything blocks, which holds because
-                // nothing executes until `activate` leases the workers.
-                let rt =
-                    CoroRuntime::new(physical, self.proc_stack_bytes, Arc::clone(fabric.stats()));
-                for p in 0..physical {
-                    handles.push(rt.spawn(p, body_for(p)));
-                }
-                fabric.scheduler().attach_coro(Arc::clone(&rt));
-                for p in 0..physical {
-                    fabric.scheduler().register(EndpointId(p));
-                }
-                let (spawned, reused) = rt.activate(workers);
-                threads_spawned = spawned;
-                threads_reused = reused;
-                Some(rt)
-            }
-        };
+        // Spawn-all / attach / register-all / activate, in that order: a
+        // registered slot may be dispatched on the spot, so its coroutine
+        // must already be prepared and the scheduler must already route
+        // dispatches to the runtime — and the quiescence detector assumes
+        // the registered population is complete before anything blocks,
+        // which holds because nothing executes until `activate` leases the
+        // workers.
+        let rt = CoroRuntime::new(physical, self.proc_stack_bytes, Arc::clone(fabric.stats()));
+        let handles: Vec<_> = (0..physical).map(|p| rt.spawn(p, body_for(p))).collect();
+        fabric.scheduler().attach_coro(Arc::clone(&rt));
+        for p in 0..physical {
+            fabric.scheduler().register(EndpointId(p));
+        }
+        let (threads_spawned, threads_reused) = rt.activate(workers);
         let mut processes: Vec<ProcessReport<R>> = handles
             .into_iter()
             .map(|h| {
@@ -511,9 +457,7 @@ impl JobBuilder {
                     .expect("simulated process carrier must not die unexpectedly")
             })
             .collect();
-        if let Some(rt) = coro {
-            rt.shutdown();
-        }
+        rt.shutdown();
         processes.sort_by_key(|p| p.endpoint);
         // Sweep unclaimed duplicate frames (receiver exited before its inbox
         // was drained) into the suppressed count, so the campaign invariant
@@ -535,7 +479,6 @@ impl JobBuilder {
             peak_concurrency: fabric.scheduler().peak_running(),
             threads_spawned,
             threads_reused,
-            carrier_mode: mode,
         }
     }
 }
@@ -963,44 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn back_to_back_jobs_reuse_carrier_threads() {
-        // Two identical jobs in sequence: the second one must draw most of
-        // its carriers from the pool the first one populated (other tests
-        // run concurrently and also feed the pool, so we assert reuse rather
-        // than exact counts). Pinned to thread mode — this is the
-        // carrier-*thread* pool's test; the coroutine counterpart is
-        // `coroutine_jobs_reuse_stacks_and_bound_os_threads`.
-        let run = || {
-            JobBuilder::new(8)
-                .network(fast())
-                .carrier_mode(CarrierMode::Thread)
-                .run(|p| {
-                    let world = p.world();
-                    let peer = (p.rank() + 1) % p.size();
-                    let from = (p.rank() + p.size() - 1) % p.size();
-                    p.sendrecv_bytes(world, peer, 0, Bytes::from(vec![1u8; 16]), from as i64, 0);
-                    p.rank()
-                })
-        };
-        let first = run();
-        let second = run();
-        assert!(first.all_finished() && second.all_finished());
-        assert_eq!(first.carrier_mode, CarrierMode::Thread);
-        assert_eq!(
-            first.threads_spawned + first.threads_reused,
-            8,
-            "every process gets exactly one carrier"
-        );
-        assert_eq!(second.threads_spawned + second.threads_reused, 8);
-        assert!(
-            second.threads_reused > 0,
-            "a back-to-back job must recycle carriers ({} spawned, {} reused)",
-            second.threads_spawned,
-            second.threads_reused
-        );
-    }
-
-    #[test]
     fn single_worker_replay_is_deterministic() {
         // `workers(1)` is the deterministic replay mode: one run permit makes
         // dispatch a pure function of the ready queues, so two identical runs
@@ -1053,83 +958,17 @@ mod tests {
     }
 
     #[test]
-    fn cross_mode_single_worker_replay_is_bit_identical() {
-        // The tentpole equivalence proof at unit scale: under `workers(1)`
-        // dispatch is a pure function of the virtual-time-ordered ready
-        // queues, so the coroutine and thread carriers — which differ only
-        // in *how* control reaches the chosen process — must produce
-        // byte-for-byte identical TraceEvent streams and finish times.
-        if !sim_net::carrier::coro::supported() {
-            return;
-        }
-        let run = |mode: CarrierMode| {
-            JobBuilder::new(6)
-                .network(fast())
-                .workers(1)
-                .trace(true)
-                .carrier_mode(mode)
-                .run(|p| {
-                    let world = p.world();
-                    let peer = (p.rank() + 1) % p.size();
-                    let from = (p.rank() + p.size() - 1) % p.size();
-                    for round in 0..3u8 {
-                        p.sendrecv_bytes(
-                            world,
-                            peer,
-                            1,
-                            Bytes::from(vec![round; 32]),
-                            from as i64,
-                            1,
-                        );
-                    }
-                    if p.rank() == 0 {
-                        for _ in 0..(p.size() - 1) {
-                            let (_, _) = p.recv_bytes(world, crate::types::ANY_SOURCE, 2);
-                        }
-                    } else {
-                        p.send_bytes(world, 0, 2, Bytes::from(vec![p.rank() as u8]));
-                    }
-                    p.now()
-                })
-        };
-        let coro = run(CarrierMode::Coroutine);
-        let thread = run(CarrierMode::Thread);
-        assert!(coro.all_finished() && thread.all_finished());
-        assert_eq!(coro.carrier_mode, CarrierMode::Coroutine);
-        assert_eq!(thread.carrier_mode, CarrierMode::Thread);
-        assert!(coro.peak_concurrency <= 1);
-        assert_eq!(
-            coro.trace.events(),
-            thread.trace.events(),
-            "carrier modes must replay identical TraceEvent streams at workers=1"
-        );
-        assert_eq!(coro.elapsed, thread.elapsed);
-        for (pc, pt) in coro.processes.iter().zip(thread.processes.iter()) {
-            assert_eq!(pc.finish_time, pt.finish_time);
-        }
-        assert!(
-            coro.stats.stack_switches() > 0,
-            "coroutine mode must actually switch stacks"
-        );
-    }
-
-    #[test]
     fn coroutine_jobs_reuse_stacks_and_bound_os_threads() {
-        // The coroutine counterpart of the carrier-thread pool test: a
-        // 16-process job runs on exactly `workers` host threads, leases one
+        // A 16-process job runs on exactly `workers` host threads, leases one
         // stack per process, and a back-to-back job draws every stack from
         // the pool the first one filled. A stack size private to this test
         // keeps parallel tests out of the reuse accounting.
-        if !sim_net::carrier::coro::supported() {
-            return;
-        }
         let size = DEFAULT_PROC_STACK + 0xB000;
         let run = || {
             JobBuilder::new(16)
                 .network(fast())
                 .workers(2)
                 .proc_stack_size(size)
-                .carrier_mode(CarrierMode::Coroutine)
                 .run(|p| {
                     let world = p.world();
                     let peer = (p.rank() + 1) % p.size();
@@ -1141,7 +980,6 @@ mod tests {
         let first = run();
         let second = run();
         assert!(first.all_finished() && second.all_finished());
-        assert_eq!(first.carrier_mode, CarrierMode::Coroutine);
         // OS threads: exactly the worker pool, never one per process.
         assert_eq!(first.threads_spawned + first.threads_reused, 2);
         assert_eq!(second.threads_spawned + second.threads_reused, 2);

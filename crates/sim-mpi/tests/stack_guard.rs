@@ -14,7 +14,7 @@
 //! asserts on the child's exit status and stderr.
 
 use sim_mpi::JobBuilder;
-use sim_net::{CarrierMode, LogGpModel};
+use sim_net::LogGpModel;
 
 /// Burn ~1 KiB of stack per level, defeating tail-call and frame-merging
 /// optimisations with `black_box`, until well past any plausible stack size.
@@ -37,7 +37,6 @@ fn overflow_child() {
     // region after a few hundred frames.
     let report = JobBuilder::new(2)
         .network(LogGpModel::fast_test_model())
-        .carrier_mode(CarrierMode::Coroutine)
         .proc_stack_size(192 * 1024)
         .run(|p| if p.rank() == 0 { recurse(0) } else { 0 });
     // Unreachable: the overflow aborts the process before the job returns.
@@ -46,9 +45,6 @@ fn overflow_child() {
 
 #[test]
 fn stack_overflow_is_contained_with_a_diagnostic() {
-    if !sim_net::carrier::coro::supported() {
-        return;
-    }
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(exe)
         .args(["--ignored", "--exact", "overflow_child", "--test-threads=1"])

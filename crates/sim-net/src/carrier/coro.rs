@@ -2,15 +2,15 @@
 //! stack, and a scheduler handoff is a register save + stack-pointer swap
 //! instead of a futex wake.
 //!
-//! In thread carrier mode ([`super::CarrierPool`]) each live process costs a
-//! parked OS thread, and every dispatch crosses the kernel twice (futex
-//! wait + wake on the target's seat). This module removes both costs: all
-//! process stacks are hosted by `workers` OS threads, and the direct-handoff
-//! path in [`crate::sched::Scheduler`] — which already knows the exact next
-//! process at every park point — transfers control with [`CoroRuntime`]'s
-//! user-space switch. 8192 processes then cost 8192 lazily-committed stacks
-//! ([`super::stack::StackPool`]) and a handful of threads, instead of 8192
-//! kernel threads.
+//! All process stacks of a job are hosted by `workers` OS threads leased
+//! from [`super::CarrierPool`], and the direct-handoff path in
+//! [`crate::sched::Scheduler`] — which already knows the exact next process
+//! at every park point — transfers control with [`CoroRuntime`]'s
+//! user-space switch, without entering the kernel. 8192 processes cost 8192
+//! lazily-committed stacks ([`super::stack::StackPool`]) and a handful of
+//! threads. This is the only way a simulated process runs: the crate does
+//! not build for a target without the switch primitive (Linux on x86-64 or
+//! aarch64).
 //!
 //! # Unsafe contract (summary — the full version is DESIGN.md §5.4)
 //!
@@ -57,20 +57,20 @@ use super::stack::{self, CoroStack, StackPool, StackSource};
 use super::{CarrierHandle, CarrierPool, CarrierSource};
 use crate::stats::NetStats;
 
-/// Whether this build target has the context-switch primitive. When false,
-/// [`super::CarrierMode::Coroutine`] degrades to thread carriers.
-pub fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-}
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!(
+    "sim-net runs every simulated process on a coroutine stack, and its \
+     context switch (`sdr_coro_switch`) exists only for Linux on x86-64 and aarch64"
+);
 
-/// Stack size for the worker OS threads that host coroutines. Workers only
-/// run the injector loop and stack recycling — all process code runs on
-/// coroutine stacks — so this can be small. Kept distinct from typical
-/// process-stack sizes so the [`CarrierPool`] buckets don't mix.
-const WORKER_STACK: usize = 256 * 1024;
+/// Whether this build target has the context-switch primitive: always true,
+/// because the crate does not build anywhere else.
+pub fn supported() -> bool {
+    true
+}
 
 /// Sentinel for "no slot" in the host-thread cells.
 const NONE: usize = usize::MAX;
@@ -88,10 +88,6 @@ thread_local! {
     static RETIRE: Cell<usize> = const { Cell::new(NONE) };
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 mod arch {
     //! The context-switch primitive and initial-frame layout. See the
     //! module docs and DESIGN.md §5.4 for the contract.
@@ -230,26 +226,6 @@ mod arch {
     }
 }
 
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod arch {
-    //! Stub for targets without the switch primitive. [`super::supported`]
-    //! is false there, so `CarrierMode::Coroutine` is never selected and
-    //! these are unreachable.
-
-    use super::super::stack::CoroStack;
-
-    pub unsafe fn switch(_save: *mut usize, _target_sp: usize) {
-        unreachable!("coroutine carriers are not supported on this target");
-    }
-
-    pub unsafe fn prepare(_stack: &CoroStack, _arg: usize) -> usize {
-        unreachable!("coroutine carriers are not supported on this target");
-    }
-}
-
 /// Per-process coroutine state. Fixed at runtime construction; the dispatch
 /// hot path touches only the `ctx` atomic.
 struct CoroSlot {
@@ -279,7 +255,7 @@ struct EntryArgs {
 
 /// Hosts all process stacks of one job on `workers` OS threads.
 ///
-/// Lifecycle (driven by `sim_mpi::runtime` in coroutine mode):
+/// Lifecycle (driven by `sim_mpi::runtime` for every job):
 /// 1. [`CoroRuntime::new`] with the job's process capacity,
 /// 2. [`CoroRuntime::spawn`] for every slot (installs stack + body; nothing
 ///    executes yet),
@@ -316,11 +292,6 @@ impl CoroRuntime {
     /// `stack_bytes` usable bytes. Installs the stack-overflow SIGSEGV
     /// handler on first use.
     pub fn new(capacity: usize, stack_bytes: usize, stats: Arc<NetStats>) -> Arc<CoroRuntime> {
-        assert!(
-            supported(),
-            "coroutine carriers are not supported on this target \
-             (need linux + x86_64/aarch64)"
-        );
         stack::install_overflow_handler();
         let slots = (0..capacity)
             .map(|_| CoroSlot {
@@ -347,8 +318,7 @@ impl CoroRuntime {
     /// Install `body` as slot `slot`'s coroutine: lease a stack, write the
     /// initial switch frame, and park the body for the trampoline. Nothing
     /// runs until a dispatcher resumes the slot (after [`Self::activate`]).
-    /// The handle reports the body's result or panic payload exactly like
-    /// [`CarrierPool::run`].
+    /// The handle reports the body's result or panic payload.
     pub fn spawn<T, F>(&self, slot: usize, body: F) -> CarrierHandle<T>
     where
         T: Send + 'static,
@@ -395,7 +365,7 @@ impl CoroRuntime {
         let mut handles = self.workers.lock().unwrap_or_else(|e| e.into_inner());
         for _ in 0..workers.max(1) {
             let rt = Arc::clone(self);
-            let (h, source) = CarrierPool::global().run(WORKER_STACK, move || worker_loop(rt));
+            let (h, source) = CarrierPool::global().run(move || worker_loop(rt));
             match source {
                 CarrierSource::Spawned => spawned += 1,
                 CarrierSource::Reused => reused += 1,
@@ -656,9 +626,6 @@ mod tests {
 
     #[test]
     fn single_coroutine_runs_and_returns() {
-        if !supported() {
-            return;
-        }
         let rt = rt(1);
         let h = rt.spawn(0, || 6 * 7);
         rt.enqueue_resume(0);
@@ -670,9 +637,6 @@ mod tests {
 
     #[test]
     fn panicking_coroutine_reports_payload_and_retires_cleanly() {
-        if !supported() {
-            return;
-        }
         let rt = rt(2);
         let h0 = rt.spawn(0, || -> usize { panic!("coro body panic") });
         let h1 = rt.spawn(1, || 7usize);
@@ -690,9 +654,6 @@ mod tests {
 
     #[test]
     fn suspend_resume_round_trip_restores_state() {
-        if !supported() {
-            return;
-        }
         // Coroutine 0 computes, suspends to the worker, and is later
         // re-queued by the main thread; its locals must survive the round
         // trip (the registers + stack were saved and restored).
@@ -724,9 +685,6 @@ mod tests {
 
     #[test]
     fn crossed_handoffs_between_two_workers_do_not_livelock() {
-        if !supported() {
-            return;
-        }
         // 0 and 1 run on two workers and, once both are provably running
         // (the barrier), each suspends with the other as its deferred
         // handoff target. Neither token is published yet: waiting for the
@@ -762,9 +720,6 @@ mod tests {
 
     #[test]
     fn direct_handoff_chains_between_coroutines() {
-        if !supported() {
-            return;
-        }
         // 0 hands directly to 1 (PENDING path) which finishes; both retire,
         // stacks recycled, one worker thread hosted the whole chain.
         let rt0 = rt(2);
@@ -791,9 +746,6 @@ mod tests {
 
     #[test]
     fn stacks_recycle_through_the_pool_across_runtimes() {
-        if !supported() {
-            return;
-        }
         // Use a size class private to this test so parallel tests don't
         // interfere with the reuse accounting.
         let size = 128 * 1024 + 0x9000;
@@ -822,9 +774,6 @@ mod tests {
 
     #[test]
     fn stack_peak_gauge_is_per_runtime_not_pool_wide() {
-        if !supported() {
-            return;
-        }
         // Regression (service mode): the peak gauge used to report the
         // global pool's resident bytes, so a big job's stacks inflated a
         // small concurrent job's reported peak. Lease a lot of stack on one

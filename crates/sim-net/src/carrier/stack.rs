@@ -1,7 +1,7 @@
 //! Guarded coroutine stacks and the process-global stack pool.
 //!
-//! Every simulated process in coroutine carrier mode ([`super::coro`]) runs
-//! on a stack allocated here rather than on an OS thread's stack. Two
+//! Every simulated process ([`super::coro`]) runs on a stack allocated here
+//! rather than on an OS thread's stack. Two
 //! allocation strategies exist, tried in order:
 //!
 //! 1. **`mmap` with a guard region** (Linux): the mapping is created
@@ -19,8 +19,8 @@
 //!    than prevention, which is why the guard-page path is preferred.
 //!
 //! Stacks are never freed while the process lives: the [`StackPool`]
-//! recycles them across coroutines and across jobs (mirroring the
-//! OS-thread [`super::CarrierPool`]), bucketed by requested size. The pool
+//! recycles them across coroutines and across jobs (as the worker-thread
+//! [`super::CarrierPool`] recycles threads), bucketed by requested size. The pool
 //! tracks allocation/reuse counts and a resident-bytes high-water mark that
 //! [`crate::stats::NetStats`] surfaces to benchmark reports.
 
@@ -401,7 +401,7 @@ pub fn install_overflow_handler() {
 // ---------------------------------------------------------------------------
 
 /// Process-global recycling pool for coroutine stacks, bucketed by requested
-/// usable size. Mirrors the OS-thread [`super::CarrierPool`]: back-to-back
+/// usable size. Like the worker-thread [`super::CarrierPool`], back-to-back
 /// jobs reuse stacks instead of re-mapping, and nothing is ever unmapped.
 pub struct StackPool {
     idle: Mutex<HashMap<usize, Vec<CoroStack>>>,

@@ -12,10 +12,10 @@
 //!   advances the clock explicitly; communication costs are charged by the
 //!   [`model::NetworkModel`].
 //! * Execution goes through the [`sched::Scheduler`]: each simulated process
-//!   lives on a carrier thread (leased from the process-global
-//!   [`carrier::CarrierPool`], which reuses parked threads across processes
-//!   and jobs), but only a bounded pool of run permits executes at a time,
-//!   dispatched lowest-virtual-time-first. A departing carrier hands its
+//!   lives on a coroutine stack ([`carrier::coro`]), hosted by a few worker
+//!   threads leased from the process-global [`carrier::CarrierPool`], and
+//!   only a bounded pool of run permits executes at a time, dispatched
+//!   lowest-virtual-time-first. A departing carrier hands its
 //!   permit *directly* to the next ready process (one ready heap keyed by
 //!   virtual time); blocking waits park on the scheduler
 //!   (park/unpark wake-token protocol) and deadlocks are detected exactly,

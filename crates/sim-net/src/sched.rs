@@ -13,17 +13,25 @@
 //! the park side). This module removes that handshake from the hot path:
 //!
 //! * **Run permits, not worker threads.** The pool is a counter of `workers`
-//!   run permits. Each simulated process still owns a *carrier* thread (its
-//!   stack is where the application closure lives — see
-//!   [`crate::carrier::CarrierPool`] for how those threads are reused across
-//!   processes and jobs), but a carrier only executes while its process holds
-//!   a permit. At most `workers` processes are ever runnable concurrently.
+//!   run permits. Each simulated process owns a *carrier* — the coroutine
+//!   stack its application closure lives on ([`crate::carrier::coro`]) — but
+//!   a carrier only executes while its process holds a permit. At most
+//!   `workers` processes are ever runnable concurrently.
 //! * **Direct handoff.** When a running process parks, yields its slice, or
 //!   finishes, its carrier *hands its permit directly* to the
 //!   lowest-virtual-time ready process: one CAS on the target's phase word and
-//!   one signal on the target's private seat. No global mutex, no global
+//!   one user-space stack switch into the target. No global mutex, no global
 //!   condvar, and the permit counter does not move — which is also the
 //!   linchpin of the quiescence argument below.
+//! * **Two ways to block, one protocol.** Every job launched by
+//!   `sim_mpi::JobBuilder` attaches its [`CoroRuntime`]
+//!   ([`Scheduler::attach_coro`]), and then blocking is a coroutine
+//!   suspension. A scheduler with no runtime attached blocks its callers on
+//!   per-slot *seats* (a mutex + condvar each) instead; only raw-thread
+//!   callers use that — this module's unit tests and the benchmark's
+//!   thread ping-pong kernels, which measure the futex path against the
+//!   stack switch. Both tails run the same phase / token / permit protocol
+//!   described below.
 //! * **One ready heap.** Ready processes queue in one `(virtual time, FIFO
 //!   sequence, slot)` min-heap behind one mutex. A departing carrier pops its
 //!   top, so the permit always goes to the lowest-virtual-time ready process,
@@ -180,7 +188,7 @@ enum Phase {
     Unmanaged = 0,
     /// Registered and runnable, waiting in the ready heap for a permit.
     Ready = 1,
-    /// Holding a run permit; its carrier thread is executing.
+    /// Holding a run permit; its carrier is executing.
     Running = 2,
     /// Blocked in [`Scheduler::park`] with its permit given away.
     Parked = 3,
@@ -203,10 +211,11 @@ impl Phase {
     }
 }
 
-/// A carrier's private blocking point: one tiny mutex + condvar per slot.
-/// Carriers wait here (and only here); dispatchers store the slot's phase
-/// first, then take the mutex and notify, so a waiter either sees the new
-/// phase on its pre-wait check or is woken by the notify.
+/// A raw thread's private blocking point: one tiny mutex + condvar per slot,
+/// used only when no coroutine runtime is attached. Threads wait here (and
+/// only here); dispatchers store the slot's phase first, then take the mutex
+/// and notify, so a waiter either sees the new phase on its pre-wait check
+/// or is woken by the notify.
 #[derive(Default)]
 struct Seat {
     m: Mutex<()>,
@@ -249,12 +258,12 @@ pub struct Scheduler {
     /// Serialises quiescence verdicts and last-permit rescues (the cold path).
     verdict_lock: Mutex<()>,
     stats: Arc<NetStats>,
-    /// Coroutine carrier runtime, when the job runs in
-    /// [`crate::carrier::CarrierMode::Coroutine`]. Unset (thread mode), the
-    /// dispatch sites signal per-slot seats; set, the same sites become
-    /// user-space stack switches: hot dispatches defer a direct switch on
-    /// the departing carrier's host thread, cold dispatches queue the target
-    /// for a worker, and blocking becomes [`CoroRuntime::suspend_current`].
+    /// The job's coroutine runtime, attached by every `JobBuilder` launch.
+    /// Set, the dispatch sites are user-space stack switches: hot dispatches
+    /// defer a direct switch on the departing carrier's host thread, cold
+    /// dispatches queue the target for a worker, and blocking becomes
+    /// [`CoroRuntime::suspend_current`]. Unset (raw-thread callers only),
+    /// the same sites signal per-slot seats.
     coro: OnceLock<Arc<CoroRuntime>>,
 }
 
@@ -311,8 +320,8 @@ impl Scheduler {
         }
     }
 
-    /// Switch this scheduler to coroutine carriers: dispatches resume
-    /// coroutines in `rt` instead of signalling seats. Must be called before
+    /// Route dispatches to coroutine carriers: they resume coroutines in
+    /// `rt` instead of signalling seats. Must be called before
     /// any slot blocks, and every registered slot must have been installed
     /// with [`CoroRuntime::spawn`] — a dispatcher that targets a slot with
     /// no coroutine would spin forever waiting for its context. Can only be
@@ -391,7 +400,7 @@ impl Scheduler {
     }
 
     /// Put endpoint `e` under scheduler management, queueing it to run. Must
-    /// be called before the process's carrier thread calls [`Scheduler::start`].
+    /// be called before the process's carrier calls [`Scheduler::start`].
     /// Re-registering a finished slot is allowed (recovery forks a replacement
     /// process under the same physical identity).
     pub fn register(&self, e: EndpointId) {
@@ -413,8 +422,10 @@ impl Scheduler {
         self.try_dispatch_idle();
     }
 
-    /// Block the calling carrier thread until its process is granted a run
-    /// permit. Called once, at carrier start-up, after [`Scheduler::register`].
+    /// Block the calling carrier until its process is granted a run permit.
+    /// Called once, at carrier start-up, after [`Scheduler::register`]. On a
+    /// coroutine the grant *is* the first resume, so this returns at once; a
+    /// raw thread waits on its seat.
     pub fn start(&self, e: EndpointId) {
         let seat = &self.seats[e.0];
         let mut g = seat.m.lock().unwrap_or_else(|err| err.into_inner());
@@ -476,10 +487,10 @@ impl Scheduler {
     }
 
     /// Hot dispatch: deliver a permit the caller is handing off on its own
-    /// blocking boundary. Thread mode signals the target's seat; coroutine
-    /// mode defers a direct stack switch — the departing carrier is about to
-    /// suspend, and its suspension switches straight into `idx` without
-    /// touching the kernel or even the worker loop.
+    /// blocking boundary. With a runtime attached this defers a direct stack
+    /// switch — the departing carrier is about to suspend, and its
+    /// suspension switches straight into `idx` without touching the kernel
+    /// or even the worker loop. Without one it signals the target's seat.
     fn dispatch_direct(&self, idx: usize) {
         match self.coro.get() {
             Some(rt) => rt.defer_switch(idx),
@@ -488,9 +499,9 @@ impl Scheduler {
     }
 
     /// Cold dispatch: deliver a permit from a context that is *not* about to
-    /// suspend (idle-permit grants, verdict wakes, registration). Thread
-    /// mode signals the seat; coroutine mode queues the target for a worker
-    /// thread to switch into.
+    /// suspend (idle-permit grants, verdict wakes, registration). With a
+    /// runtime attached this queues the target for a worker thread to
+    /// switch into; without one it signals the seat.
     fn dispatch_cold(&self, idx: usize) {
         match self.coro.get() {
             Some(rt) => rt.enqueue_resume(idx),
@@ -668,8 +679,9 @@ impl Scheduler {
         true
     }
 
-    /// Common blocking tail of `park`/`yield_now`: wait on the slot's seat
-    /// until a dispatcher delivers a permit or the verdict says deadlock.
+    /// Raw-thread blocking tail of `park`/`yield_now`: wait on the slot's
+    /// seat until a dispatcher delivers a permit or the verdict says
+    /// deadlock.
     fn block_on_seat(&self, e: usize) -> Park {
         let seat = &self.seats[e];
         let mut g = seat.m.lock().unwrap_or_else(|err| err.into_inner());
@@ -715,12 +727,12 @@ impl Scheduler {
         }
     }
 
-    /// Coroutine-mode blocking tail: suspend the calling coroutine (which
+    /// Coroutine blocking tail: suspend the calling coroutine (which
     /// also performs any deferred direct handoff) until a dispatcher
     /// resumes it. Mirrors [`Scheduler::block_on_seat`]'s phase protocol:
     /// a resume only follows a `Ready → Running` CAS by a dispatcher or a
     /// committed deadlock verdict, so the post-resume phase decides the
-    /// outcome. There are no spurious wake-ups in this mode — every resume
+    /// outcome. There are no spurious wake-ups here — every resume
     /// was paid for by exactly one dispatch — but the verdict-mutex dance
     /// for a (possibly transient) `Deadlocked` mark is identical.
     fn block_on_coro(&self, e: usize) -> Park {
@@ -756,7 +768,8 @@ impl Scheduler {
         }
     }
 
-    /// Blocking tail shared by `park`/`yield_now`, routed by carrier mode.
+    /// Blocking tail shared by `park`/`yield_now`: a coroutine suspends, a
+    /// raw thread (no runtime attached) waits on its seat.
     fn block_current(&self, e: usize) -> Park {
         if self.coro.get().is_some() {
             self.block_on_coro(e)
@@ -972,10 +985,8 @@ impl Scheduler {
     /// departing carrier hands its permit directly to the process it just
     /// woke, and a ready-but-never-woken process — for example a worker whose
     /// request the master has not matched yet — can sit at virtual time zero
-    /// while the chain runs arbitrarily far ahead. That starvation is
-    /// invisible under OS-thread carriers on a multi-core host (preemption
-    /// eventually runs the straggler) but is deterministic under coroutine
-    /// carriers, where nothing preempts a handoff chain.
+    /// while the chain runs arbitrarily far ahead. Nothing preempts a
+    /// coroutine handoff chain, so that starvation would be deterministic.
     ///
     /// Unlike [`Scheduler::yield_now`] this never parks the caller: advancing
     /// the clock *is* progress, so the no-progress streak is reset, not
@@ -1526,9 +1537,6 @@ mod tests {
         // The coroutine twin of single_worker_pool_is_allowed_and_makes
         // _progress: one permit, one hosting thread, every wake dispatched
         // by a deferred direct switch (no seats involved at all).
-        if !crate::carrier::coro::supported() {
-            return;
-        }
         let stats = Arc::new(NetStats::new());
         let s = Arc::new(Scheduler::with_stats(2, Arc::clone(&stats)));
         s.set_workers(1);
@@ -1575,9 +1583,6 @@ mod tests {
 
     #[test]
     fn coroutine_mode_detects_deadlock_by_quiescence() {
-        if !crate::carrier::coro::supported() {
-            return;
-        }
         let stats = Arc::new(NetStats::new());
         let s = Arc::new(Scheduler::with_stats(2, Arc::clone(&stats)));
         let rt = CoroRuntime::new(2, 192 * 1024, stats);
@@ -1607,9 +1612,6 @@ mod tests {
         // coroutine carriers: a wakeless spinner is parked after
         // YIELD_STREAK_PARK yields and then declared deadlocked together
         // with its parked peer.
-        if !crate::carrier::coro::supported() {
-            return;
-        }
         let stats = Arc::new(NetStats::new());
         let s = Arc::new(Scheduler::with_stats(2, Arc::clone(&stats)));
         let rt = CoroRuntime::new(2, 192 * 1024, stats);
@@ -1641,5 +1643,59 @@ mod tests {
         assert!(spinner.join().unwrap() >= YIELD_STREAK_PARK);
         assert_eq!(parker.join().unwrap(), Park::Deadlock);
         rt.shutdown();
+    }
+
+    #[test]
+    fn coroutine_mode_hammered_park_wake_race_loses_no_wakeups() {
+        // The coroutine twin of hammered_park_wake_race_loses_no_wakeups, at
+        // two workers: parker and waker run on two host threads at once, so
+        // wakes race parks in flight — the shape of every default-worker job.
+        // The parker counts deadlock verdicts instead of panicking and always
+        // finishes, so a spurious verdict fails the assertion below instead
+        // of stranding the waker's drain loop; a lost wake fails the timeout.
+        const ROUNDS: usize = 2000;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let stats = Arc::new(NetStats::new());
+            let s = Arc::new(Scheduler::with_stats(2, Arc::clone(&stats)));
+            s.set_workers(2);
+            let rt = CoroRuntime::new(2, 192 * 1024, stats);
+            s.attach_coro(Arc::clone(&rt));
+            let s2 = Arc::clone(&s);
+            let parker = rt.spawn(0, move || {
+                s2.start(ep(0));
+                let verdicts = (0..ROUNDS)
+                    .filter(|_| s2.park(ep(0), SimTime::ZERO) == Park::Deadlock)
+                    .count();
+                s2.finish(ep(0));
+                verdicts
+            });
+            let s3 = Arc::clone(&s);
+            let waker = rt.spawn(1, move || {
+                s3.start(ep(1));
+                for _ in 0..ROUNDS {
+                    s3.wake(ep(0));
+                    std::hint::spin_loop();
+                }
+                while s3.wake(ep(0)) != WakeOutcome::Ignored {
+                    std::thread::yield_now();
+                }
+                s3.finish(ep(1));
+            });
+            s.register(ep(0));
+            s.register(ep(1));
+            rt.activate(2);
+            let verdicts = parker.join().unwrap();
+            waker.join().unwrap();
+            rt.shutdown();
+            let _ = done_tx.send(verdicts);
+        });
+        let verdicts = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a wake was lost: the parker never ran again");
+        assert_eq!(
+            verdicts, 0,
+            "spurious deadlock verdicts under wake hammering"
+        );
     }
 }

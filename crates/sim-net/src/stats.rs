@@ -168,7 +168,7 @@ counter_table! {
     /// fault-campaign gate demands this equals `msgs_duplicated`.
     dups_suppressed: sum,
     /// User-space context switches performed by the coroutine carrier
-    /// runtime (zero in thread carrier mode).
+    /// runtime.
     stack_switches: sum,
     /// Coroutine stacks freshly mapped for this job's processes.
     stacks_allocated: sum,

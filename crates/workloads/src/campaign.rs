@@ -219,7 +219,7 @@ pub fn case_spec(plan: &FaultPlan, workload: WorkloadKind, tuning: RunTuning) ->
         ranks: config.ranks,
         class: "s".to_string(),
         layout,
-        carrier_mode: tuning.carrier_mode,
+        carrier_mode: None,
         workers: tuning.workers,
         seed: plan.seed,
         crashes: Vec::new(),
@@ -252,10 +252,7 @@ pub fn sampled_case(
     (plan, spec)
 }
 
-const SINGLE_WORKER: RunTuning = RunTuning {
-    workers: Some(1),
-    carrier_mode: None,
-};
+const SINGLE_WORKER: RunTuning = RunTuning { workers: Some(1) };
 
 fn run(spec: &JobSpec) -> JobReport<f64> {
     match run_spec(spec) {
@@ -324,24 +321,14 @@ fn oracle_spec(
 /// Replay the case's faulted job twice under the deterministic single-worker
 /// scheduler with tracing on, and report whether the two `TraceEvent`
 /// streams (and per-process finish times) are bit-identical. A `false` here
-/// is a determinism violation — exactly what the shrink path minimizes. Only
-/// the carrier mode of `tuning` is honoured — replay always pins a single
-/// run permit. Lossy distributions replay the case's actual rotated
-/// workload, so the injected drop/duplicate/delay decisions — pure functions
-/// of the per-link frame counters — recur at the exact same frames.
-pub fn replay_is_deterministic(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    tuning: RunTuning,
-) -> bool {
-    let tuning = RunTuning {
-        carrier_mode: tuning.carrier_mode,
-        ..SINGLE_WORKER
-    };
+/// is a determinism violation — exactly what the shrink path minimizes.
+/// Lossy distributions replay the case's actual rotated workload, so the
+/// injected drop/duplicate/delay decisions — pure functions of the per-link
+/// frame counters — recur at the exact same frames.
+pub fn replay_is_deterministic(config: CampaignConfig, seed: u64, iterations: u64) -> bool {
     let spec = JobSpec {
         trace: true,
-        ..sampled_case(config, seed, iterations, tuning).1
+        ..sampled_case(config, seed, iterations, SINGLE_WORKER).1
     };
     let (a, b) = (run(&spec), run(&spec));
     a.trace.events() == b.trace.events()

@@ -8,7 +8,7 @@
 
 use crate::serve::LayoutSpec;
 use sim_mpi::{JobBuilder, JobReport, Process};
-use sim_net::{CarrierMode, LogGpModel, StatsSnapshot};
+use sim_net::{LogGpModel, StatsSnapshot};
 use std::sync::Arc;
 
 /// A workload packaged for comparison runs.
@@ -44,12 +44,10 @@ impl WorkloadSpec {
 pub struct RunSide {
     /// The fabric's counter table at the end of the run.
     pub stats: StatsSnapshot,
-    /// Carrier threads freshly spawned for the run.
+    /// Worker threads freshly spawned for the run.
     pub threads_spawned: u64,
-    /// Carrier threads recycled from the process-global pool.
+    /// Worker threads recycled from the process-global pool.
     pub threads_reused: u64,
-    /// Execution mode the run used (coroutine stacks vs OS threads).
-    pub carrier_mode: CarrierMode,
     /// Scheduler worker-pool size the run executed with.
     pub workers: u64,
     /// Host (real) seconds the run took, as opposed to simulated seconds.
@@ -62,7 +60,6 @@ impl RunSide {
             stats: report.stats,
             threads_spawned: report.threads_spawned as u64,
             threads_reused: report.threads_reused as u64,
-            carrier_mode: report.carrier_mode,
             workers: report.workers as u64,
             host_secs,
         }
@@ -107,20 +104,13 @@ pub struct RunTuning {
     /// Scheduler worker-pool size (how many simulated processes execute
     /// concurrently). Defaults to `min(host cores, physical processes)`.
     pub workers: Option<usize>,
-    /// Execution mode: coroutine stacks (the default on supported targets)
-    /// or one pooled OS thread per process.
-    pub carrier_mode: Option<CarrierMode>,
 }
 
 impl RunTuning {
     /// Apply the tuning to a builder (`None` fields leave the defaults).
     pub fn apply(self, builder: JobBuilder) -> JobBuilder {
-        let builder = match self.workers {
+        match self.workers {
             Some(w) => builder.workers(w),
-            None => builder,
-        };
-        match self.carrier_mode {
-            Some(m) => builder.carrier_mode(m),
             None => builder,
         }
     }
@@ -199,26 +189,17 @@ mod tests {
             d.handoffs + d.condvar_waits > 0,
             "the run must have dispatched through the scheduler"
         );
-        match side.carrier_mode {
-            CarrierMode::Thread => assert_eq!(
-                side.threads_spawned + side.threads_reused,
-                8,
-                "4 ranks at dual replication need exactly 8 carrier threads"
-            ),
-            CarrierMode::Coroutine => {
-                assert_eq!(
-                    d.stacks_allocated + d.stacks_reused,
-                    8,
-                    "4 ranks at dual replication need exactly 8 coroutine stacks"
-                );
-                assert!(d.stack_switches > 0, "the run must have stack-switched");
-                assert_eq!(
-                    side.threads_spawned + side.threads_reused,
-                    side.workers,
-                    "coroutine mode hosts the whole job on the worker pool"
-                );
-            }
-        }
+        assert_eq!(
+            d.stacks_allocated + d.stacks_reused,
+            8,
+            "4 ranks at dual replication need exactly 8 coroutine stacks"
+        );
+        assert!(d.stack_switches > 0, "the run must have stack-switched");
+        assert_eq!(
+            side.threads_spawned + side.threads_reused,
+            side.workers,
+            "the worker pool hosts the whole job"
+        );
         assert!(side.host_secs > 0.0);
         assert!(
             row.overhead_pct > -2.0 && row.overhead_pct < 50.0,

@@ -1,6 +1,6 @@
 //! The serve engine: run many validated [`JobSpec`]s concurrently over the
-//! process-global carrier/stack pools and stream one [`JobRecord`] per job
-//! as it completes.
+//! process-global worker-thread and coroutine-stack pools and stream one
+//! [`JobRecord`] per job as it completes.
 //!
 //! ## Isolation invariants (DESIGN.md §6)
 //!
@@ -8,7 +8,7 @@
 //! `FailureService` schedule, net-fault policy, and `EventTrace` are all
 //! per-fabric state, so nothing protocol-visible is shared between
 //! concurrently running jobs. The only process-global state jobs share is
-//! the carrier-thread pool and the coroutine stack pool, and those may only
+//! the worker-thread pool and the coroutine stack pool, and those may only
 //! influence the *host-side* counters (thread/stack reuse splits, wall-clock
 //! latency). [`JobRecord::deterministic_json`] is exactly the job-level
 //! image that must be bit-identical between a job run alone and the same
@@ -23,7 +23,7 @@ use super::spec::{CrashFault, JobSpec, LayoutSpec, SpecError, WorkloadKind};
 use crate::nas::NasKernel;
 use sim_mpi::{JobReport, ProcessOutcome};
 use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
-use sim_net::{CarrierMode, NetFaultConfig, TraceEvent};
+use sim_net::{NetFaultConfig, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -118,14 +118,11 @@ pub struct JobRecord {
     pub crashes: usize,
     /// Coroutine stacks leased over the job (fresh + recycled).
     pub stack_leases: u64,
-    /// Peak bytes of coroutine stack this job had leased at once (0 in
-    /// thread mode). Per-job by construction — see
-    /// `sim_net::NetStats::record_stack_lease`.
+    /// Peak bytes of coroutine stack this job had leased at once. Per-job by
+    /// construction — see `sim_net::NetStats::record_stack_lease`.
     pub stack_bytes_peak: u64,
     /// Worker-pool size the job ran with.
     pub workers: usize,
-    /// Execution mode the job actually used.
-    pub carrier_mode: CarrierMode,
     /// Number of trace events recorded (0 unless the spec asked for
     /// tracing).
     pub trace_len: usize,
@@ -138,7 +135,7 @@ pub struct JobRecord {
 }
 
 /// The host-side, scheduling-dependent part of a report: excluded from the
-/// isolation comparison because carrier/stack reuse and wall-clock latency
+/// isolation comparison because thread/stack reuse and wall-clock latency
 /// legitimately depend on what else the server is running.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostRecord {
@@ -146,9 +143,9 @@ pub struct HostRecord {
     pub seq: usize,
     /// Real seconds from job start to completion.
     pub latency_s: f64,
-    /// Carrier threads freshly spawned.
+    /// Worker threads freshly spawned.
     pub threads_spawned: u64,
-    /// Carrier threads recycled from the global pool.
+    /// Worker threads recycled from the global pool.
     pub threads_reused: u64,
     /// Coroutine stacks freshly mapped.
     pub stacks_allocated: u64,
@@ -226,7 +223,6 @@ impl JobRecord {
             ("stack_leases", self.stack_leases.into()),
             ("stack_bytes_peak", self.stack_bytes_peak.into()),
             ("workers", self.workers.into()),
-            ("carrier", self.carrier_mode.as_str().into()),
             ("processes", Json::Arr(processes.collect())),
             ("trace_len", self.trace_len.into()),
             ("trace_digest", hex(self.trace_digest)),
@@ -356,7 +352,6 @@ pub fn run_job(spec: &JobSpec, seq: usize) -> Result<JobRecord, SpecError> {
         stack_leases: stats.stacks_allocated() + stats.stacks_reused(),
         stack_bytes_peak: stats.stack_bytes_peak(),
         workers: report.workers,
-        carrier_mode: report.carrier_mode,
         trace_len: events.len(),
         trace_digest: trace_digest(&events),
         trace: spec.trace.then_some(events),
@@ -540,8 +535,8 @@ pub fn serve<F: FnMut(ServeEvent)>(
 /// Build the standard heavy mixed queue: `jobs` specs rotating through
 /// clean NAS kernels, crash-surviving replicated jobs, a guaranteed
 /// `RankLost` abort, lossy links, delayed acks, native baselines, and
-/// partial layouts — alternating both carrier modes, all at `workers: 1` so
-/// every job is exactly replayable (the isolation-check precondition).
+/// partial layouts — all at `workers: 1` so every job is exactly replayable
+/// (the isolation-check precondition).
 pub fn mixed_queue(jobs: usize, seed: u64) -> Vec<JobSpec> {
     let kernels = [
         NasKernel::Bt,
@@ -553,18 +548,13 @@ pub fn mixed_queue(jobs: usize, seed: u64) -> Vec<JobSpec> {
     (0..jobs)
         .map(|slot| {
             let jseed = seed.wrapping_add(slot as u64);
-            let carrier = if slot % 2 == 0 {
-                CarrierMode::Coroutine
-            } else {
-                CarrierMode::Thread
-            };
             let base = JobSpec {
                 id: format!("job-{slot:03}"),
                 workload: WorkloadKind::Collective { iterations: 6 },
                 ranks: 4,
                 class: "test".to_string(),
                 layout: LayoutSpec::Replicated { degree: 2 },
-                carrier_mode: Some(carrier),
+                carrier_mode: None,
                 workers: Some(1),
                 seed: jseed,
                 crashes: Vec::new(),
@@ -750,12 +740,6 @@ mod tests {
         }
         assert!(specs.iter().any(|s| !s.crashes.is_empty()));
         assert!(specs.iter().any(|s| s.net_faults.is_some()));
-        assert!(specs
-            .iter()
-            .any(|s| s.carrier_mode == Some(CarrierMode::Thread)));
-        assert!(specs
-            .iter()
-            .any(|s| s.carrier_mode == Some(CarrierMode::Coroutine)));
         assert!(specs.iter().any(|s| s.layout == LayoutSpec::Native));
         assert!(specs
             .iter()

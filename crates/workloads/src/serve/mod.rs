@@ -2,7 +2,7 @@
 //!
 //! `sdr-serve` (in `sdr-bench`) accepts a stream of JSON job specs — one
 //! [`JobSpec`] per line — runs many jobs concurrently over the shared
-//! carrier/stack pools, and streams one [`JobRecord`] per job as it
+//! worker-thread and coroutine-stack pools, and streams one [`JobRecord`] per job as it
 //! completes. The module splits into:
 //!
 //! * [`json`] — the JSON value/parser/encoder the wire format and every

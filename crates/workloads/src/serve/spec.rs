@@ -1,7 +1,7 @@
 //! Job specifications: the line protocol `sdr-serve` accepts.
 //!
 //! One JSON object per line describes one simulation job — workload, ranks,
-//! NAS class, replica layout, carrier mode, fault and net-fault config, and
+//! NAS class, replica layout, fault and net-fault config, worker count, and
 //! seed. [`JobSpec::from_json`] validates everything up front and returns a
 //! typed [`SpecError`] on any malformed input, so the server loop never
 //! panics on user data; [`JobSpec::compile`] turns a validated spec into the
@@ -169,7 +169,9 @@ pub struct JobSpec {
     pub class: String,
     /// Replica layout.
     pub layout: LayoutSpec,
-    /// Execution mode override (`None` keeps the build-target default).
+    /// The optional `"carrier"` label (`thread` or `coroutine`). It is
+    /// validated and echoed back on the wire but selects nothing: every job
+    /// runs on coroutine stacks.
     pub carrier_mode: Option<CarrierMode>,
     /// Scheduler worker-pool size override; `Some(1)` makes the job an
     /// exact-deterministic replay.
@@ -704,7 +706,7 @@ impl JobSpec {
 
     /// Compile the spec into the exact [`JobBuilder`] a standalone run would
     /// use: layout factory, fast test network model, fault installs, and the
-    /// execution-layer tuning. Structural layout errors and out-of-range
+    /// worker count. Structural layout errors and out-of-range
     /// fault endpoints surface here as typed errors (and therefore already
     /// at [`JobSpec::from_json`] time, which calls this).
     pub fn compile(&self) -> Result<JobBuilder, SpecError> {
@@ -742,7 +744,6 @@ impl JobSpec {
         }
         let tuning = RunTuning {
             workers: self.workers,
-            carrier_mode: self.carrier_mode,
         };
         Ok(tuning.apply(builder).trace(self.trace))
     }
@@ -806,6 +807,10 @@ mod tests {
             (
                 r#"{"id":"x","workload":"cg","ranks":4,"degree":9}"#,
                 SpecError::InvalidDegree(9),
+            ),
+            (
+                r#"{"id":"x","workload":"cg","ranks":4,"carrier":"fibers"}"#,
+                SpecError::UnknownCarrierMode("fibers".to_string()),
             ),
             (
                 r#"{"id":"x","workload":"cg","ranks":4,"layout":"coverage","coverage":1.5}"#,

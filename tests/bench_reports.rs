@@ -18,10 +18,7 @@ use workloads::nas::{NasConfig, NasKernel};
 use workloads::runner::RunTuning;
 use workloads::serve::json::{parse, Json};
 
-const SINGLE_WORKER: RunTuning = RunTuning {
-    workers: Some(1),
-    carrier_mode: None,
-};
+const SINGLE_WORKER: RunTuning = RunTuning { workers: Some(1) };
 
 /// Every object key of `doc` as a path: `a.b` for nesting, `[]` for "in each
 /// element of this array".
@@ -89,14 +86,13 @@ const MEASUREMENT_KEYS: [&str; 9] = [
     "replicated_ack_msgs",
 ];
 
-const EXECUTION_KEYS: [&str; 12] = [
+const EXECUTION_KEYS: [&str; 11] = [
     "wakes_issued",
     "wakes_suppressed",
     "handoffs",
     "condvar_waits",
     "threads_spawned",
     "threads_reused",
-    "carrier_mode",
     "workers",
     "stack_switches",
     "stacks_allocated",
@@ -141,10 +137,6 @@ fn table_report_keeps_its_schema() {
     // Values CI's gates compute with keep their types.
     let totals = doc.get("totals").expect("totals");
     assert!(totals.get("handoffs").and_then(Json::as_u64).is_some());
-    assert_eq!(
-        totals.get("carrier_mode").and_then(Json::as_str),
-        Some(rows[0].native.carrier_mode.as_str())
-    );
     let first = &doc.get("rows").and_then(Json::as_arr).expect("rows")[0];
     assert_eq!(first.get("results_match"), Some(&Json::Bool(true)));
     assert_eq!(first.get("coverage").and_then(Json::as_f64), Some(1.0));

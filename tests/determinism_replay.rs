@@ -84,17 +84,15 @@ fn faulted_campaign_case_replays_identical_trace_streams() {
 }
 
 #[test]
-fn lossy_campaign_case_replays_identical_trace_streams_in_both_carrier_modes() {
+fn lossy_campaign_case_replays_identical_trace_streams() {
     // The netfault layer must not break replay: drop/duplicate/delay
     // verdicts are pure functions of the per-link frame counters, so under
     // `--workers 1` the same frames get the same verdicts, and the full
     // `TraceEvent` stream — retransmissions, suppressed duplicates and all —
-    // is bit-identical across runs. Checked on both execution layers, since
-    // the retransmission-timeout path interacts with carrier scheduling.
+    // is bit-identical across runs, although the retransmission-timeout
+    // path interacts with carrier scheduling.
     use sdr_mpi::sim_net::campaign::{CampaignConfig, FaultDistribution};
-    use sdr_mpi::sim_net::CarrierMode;
     use sdr_mpi::workloads::campaign::replay_is_deterministic;
-    use sdr_mpi::workloads::runner::RunTuning;
     let config = CampaignConfig {
         ranks: 4,
         degree: 2,
@@ -104,31 +102,22 @@ fn lossy_campaign_case_replays_identical_trace_streams_in_both_carrier_modes() {
             max_delay_per_64k: 3277,
         },
     };
-    for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
-        for seed in [2, 5] {
-            let tuning = RunTuning {
-                workers: Some(1),
-                carrier_mode: Some(mode),
-            };
-            assert!(
-                replay_is_deterministic(config, seed, 6, tuning),
-                "lossy replay diverged (mode {mode:?}, seed {seed})"
-            );
-        }
+    for seed in [2, 5] {
+        assert!(
+            replay_is_deterministic(config, seed, 6),
+            "lossy replay diverged (seed {seed})"
+        );
     }
 }
 
 #[test]
-fn faulted_degree_three_case_replays_identically_in_both_carrier_modes() {
+fn faulted_degree_three_case_replays_identically() {
     // Replica-map acceptance: a degree-3 campaign case with a majority-loss
     // crash plan (two of three replicas of one rank die) must replay a
-    // bit-identical `TraceEvent` stream under `--workers 1` in *both*
-    // execution layers — the fork-election path adds no scheduling
-    // nondeterminism on either carrier.
+    // bit-identical `TraceEvent` stream under `--workers 1` — the
+    // fork-election path adds no scheduling nondeterminism.
     use sdr_mpi::sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
-    use sdr_mpi::sim_net::CarrierMode;
     use sdr_mpi::workloads::campaign::replay_is_deterministic;
-    use sdr_mpi::workloads::runner::RunTuning;
     let config = CampaignConfig {
         ranks: 2,
         degree: 3,
@@ -143,16 +132,10 @@ fn faulted_degree_three_case_replays_identically_in_both_carrier_modes() {
         2,
         "the majority-loss plan must schedule two same-rank crashes"
     );
-    for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
-        let tuning = RunTuning {
-            workers: Some(1),
-            carrier_mode: Some(mode),
-        };
-        assert!(
-            replay_is_deterministic(config, seed, 6, tuning),
-            "degree-3 faulted replay diverged (mode {mode:?}, seed {seed})"
-        );
-    }
+    assert!(
+        replay_is_deterministic(config, seed, 6),
+        "degree-3 faulted replay diverged (seed {seed})"
+    );
 }
 
 #[test]

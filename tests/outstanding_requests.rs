@@ -13,8 +13,8 @@
 //! payload its position in the sender's stream dictates, the send log is
 //! empty and the PML's request table is empty once the application is done.
 //! For the SDR-MPI cases `(elapsed_ns, total_msgs)` at one run permit are
-//! literals captured before the request bookkeeping was collapsed, in both
-//! carrier modes, so re-send order under a multi-entry log is pinned.
+//! literals captured before the request bookkeeping was collapsed, so
+//! re-send order under a multi-entry log is pinned.
 
 mod common;
 
@@ -22,7 +22,7 @@ use common::{fast, survivor_results, with_deadline};
 use repl_baselines::{LeaderFactory, MirrorFactory, RedMpiFactory, SdcReport};
 use sdr_core::{native_job, replicated_job, ReplicationConfig};
 use sim_mpi::{JobBuilder, Process, ProtocolFactory, Rank};
-use sim_net::{CarrierMode, Cluster, CrashSchedule, EndpointId, NetFaultConfig, Placement};
+use sim_net::{Cluster, CrashSchedule, EndpointId, NetFaultConfig, Placement};
 use std::sync::Arc;
 
 const RANKS: usize = 4;
@@ -86,12 +86,8 @@ fn windowed_exchange(p: &mut Process) -> (u64, usize, usize) {
 
 /// Run one case at a single run permit and check every surviving process;
 /// returns `(elapsed_ns, total_msgs)`.
-fn run_case(name: &str, job: JobBuilder, mode: CarrierMode, crashes: usize) -> (u64, u64) {
-    let report = job
-        .network(fast())
-        .workers(1)
-        .carrier_mode(mode)
-        .run(windowed_exchange);
+fn run_case(name: &str, job: JobBuilder, crashes: usize) -> (u64, u64) {
+    let report = job.network(fast()).workers(1).run(windowed_exchange);
     assert_eq!(report.crashed().len(), crashes, "{name}: crash count");
     for (rank, endpoint, (sum, send_log, live_reqs)) in survivor_results(&report) {
         assert_eq!(sum, expected_sum(rank), "{name}: {endpoint:?} payload sum");
@@ -124,7 +120,7 @@ fn windows_of_outstanding_requests_complete_and_leave_no_request_behind() {
             ),
         ];
         for (name, job) in cases {
-            run_case(name, job, CarrierMode::default_mode(), 0);
+            run_case(name, job, 0);
         }
     });
 }
@@ -179,13 +175,11 @@ const SDR_PINS: &[Pin] = &[
 fn sdr_windows_survive_crashes_and_loss_with_pinned_virtual_times() {
     with_deadline("outstanding_requests/sdr", |_| {
         for &(case, job, crashes, elapsed_ns, total_msgs) in SDR_PINS {
-            for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
-                assert_eq!(
-                    run_case(case, job(), mode, crashes),
-                    (elapsed_ns, total_msgs),
-                    "simulated results moved for '{case}' under {mode:?} carriers"
-                );
-            }
+            assert_eq!(
+                run_case(case, job(), crashes),
+                (elapsed_ns, total_msgs),
+                "simulated results moved for '{case}'"
+            );
         }
     });
 }

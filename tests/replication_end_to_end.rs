@@ -6,7 +6,7 @@ mod common;
 use common::fast;
 use sdr_core::{native_job, replicated_job, ReplicationConfig};
 use sim_mpi::{Process, ReduceOp, ANY_SOURCE};
-use sim_net::{CarrierMode, CrashSchedule, EndpointId, LogGpModel, NetFaultConfig, SimTime};
+use sim_net::{CrashSchedule, EndpointId, LogGpModel, NetFaultConfig, SimTime};
 use workloads::apps::{run_hpccg, AppConfig};
 use workloads::nas::{run_kernel, NasConfig, NasKernel};
 
@@ -39,27 +39,20 @@ fn lossy_dual_sp_at_two_workers_matches_its_fault_free_reference() {
         let app = move |p: &mut Process| run_kernel(NasKernel::Sp, p, &cfg);
         let reference = native_job(16).network(fast()).run(app);
         assert!(reference.all_finished());
-        for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
-            let lossy = replicated_job(16, ReplicationConfig::dual())
-                .network(fast())
-                .workers(2)
-                .carrier_mode(mode)
-                .net_faults(NetFaultConfig::lossy_links(), 19)
-                .run(app);
-            assert!(
-                lossy.all_finished(),
-                "{mode:?}: deadlocked {:?}",
-                lossy.deadlocked()
+        let lossy = replicated_job(16, ReplicationConfig::dual())
+            .network(fast())
+            .workers(2)
+            .net_faults(NetFaultConfig::lossy_links(), 19)
+            .run(app);
+        assert!(lossy.all_finished(), "deadlocked {:?}", lossy.deadlocked());
+        assert!(lossy.stats.retransmits() > 0, "no frame was lost");
+        for proc in &lossy.processes {
+            assert_eq!(
+                proc.outcome.result(),
+                Some(reference.primary_results()[proc.app_rank]),
+                "{:?} diverged from the fault-free run",
+                proc.endpoint
             );
-            assert!(lossy.stats.retransmits() > 0, "{mode:?}: no frame was lost");
-            for proc in &lossy.processes {
-                assert_eq!(
-                    proc.outcome.result(),
-                    Some(reference.primary_results()[proc.app_rank]),
-                    "{mode:?}: {:?} diverged from the fault-free run",
-                    proc.endpoint
-                );
-            }
         }
     });
 }

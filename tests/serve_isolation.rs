@@ -3,7 +3,7 @@
 //! fault counters, stack peak, trace digest — must be bit-identical whether
 //! the job runs alone or next to arbitrary concurrent neighbours, because
 //! every job gets its own fabric and the only shared state (the
-//! carrier-thread and coroutine-stack pools) may only influence host-side
+//! worker-thread and coroutine-stack pools) may only influence host-side
 //! counters.
 
 mod common;
@@ -22,7 +22,7 @@ fn queue_lines(specs: &[JobSpec]) -> String {
 /// The tentpole isolation stress: at least 8 jobs with disjoint seeds and
 /// fault configurations — clean NAS kernels, a survivable crash, a
 /// guaranteed `RankLost` abort, lossy links, delayed acks, a native
-/// baseline — all in flight at once, in both carrier modes. Every job's
+/// baseline — all in flight at once. Every job's
 /// concurrent deterministic report must match its solo reference exactly.
 #[test]
 fn eight_concurrent_mixed_jobs_match_their_solo_runs() {
@@ -112,48 +112,89 @@ fn rank_lost_abort_does_not_perturb_neighbours() {
 
 /// Determinism under concurrency: a `workers: 1` job submitted through the
 /// server yields a `TraceEvent` stream — timestamps included — bit-identical
-/// to the same spec run standalone through `JobBuilder`, in both carrier
-/// modes, even while unrelated jobs run beside it.
+/// to the same spec run standalone through `JobBuilder`, even while
+/// unrelated jobs run beside it.
 #[test]
 fn served_workers1_trace_is_bit_identical_to_standalone() {
     with_deadline(
         "served_workers1_trace_is_bit_identical_to_standalone",
         |running| {
-            for carrier in ["coroutine", "thread"] {
-                let line = format!(
-                    "{{\"id\":\"probe-{carrier}\",\"workload\":\"cg\",\"ranks\":2,\
-             \"class\":\"test\",\"workers\":1,\"carrier\":\"{carrier}\",\
-             \"seed\":7,\"trace\":true}}"
-                );
-                let spec = JobSpec::parse_line(&line).expect("valid spec");
-                running.note(line);
+            let line = r#"{"id":"probe","workload":"cg","ranks":2,"class":"test","workers":1,"seed":7,"trace":true}"#;
+            let spec = JobSpec::parse_line(line).expect("valid spec");
+            running.note(line.to_string());
 
-                // Standalone reference: the raw JobBuilder path, no server involved.
-                let app = spec.app();
-                let report = spec.compile().expect("valid spec").run(move |p| (app)(p));
-                let standalone = report.trace.events();
-                assert!(!standalone.is_empty());
+            // Standalone reference: the raw JobBuilder path, no server involved.
+            let app = spec.app();
+            let report = spec.compile().expect("valid spec").run(move |p| (app)(p));
+            let standalone = report.trace.events();
+            assert!(!standalone.is_empty());
 
-                // The same spec through the server, with noisy neighbours in flight.
-                let mut queue: Vec<Submission> = mixed_queue(4, 1000 + 40)
-                    .into_iter()
-                    .map(Submission::Spec)
-                    .collect();
-                queue.insert(2, Submission::Spec(spec.clone()));
-                let mut served_trace = None;
-                workloads::serve::serve(queue, ServeConfig { max_concurrent: 5 }, |event| {
-                    if let ServeEvent::Completed(record) = event {
-                        if record.id == spec.id {
-                            served_trace = record.trace.clone();
-                        }
+            // The same spec through the server, with noisy neighbours in flight.
+            let mut queue: Vec<Submission> = mixed_queue(4, 1000 + 40)
+                .into_iter()
+                .map(Submission::Spec)
+                .collect();
+            queue.insert(2, Submission::Spec(spec.clone()));
+            let mut served_trace = None;
+            workloads::serve::serve(queue, ServeConfig { max_concurrent: 5 }, |event| {
+                if let ServeEvent::Completed(record) = event {
+                    if record.id == spec.id {
+                        served_trace = record.trace.clone();
                     }
-                });
-                let served = served_trace.expect("the probe job must complete with a trace");
-                assert_eq!(
-                    served, standalone,
-                    "{carrier}: served trace diverged from the standalone run"
-                );
-            }
+                }
+            });
+            let served = served_trace.expect("the probe job must complete with a trace");
+            assert_eq!(
+                served, standalone,
+                "served trace diverged from the standalone run"
+            );
+        },
+    )
+}
+
+/// One launch path: a spec labelled `"carrier":"thread"` runs on coroutine
+/// stacks hosted by the worker pool, exactly like its `"coroutine"` twin.
+/// The two 64-rank dual jobs must agree on every simulated result, and the
+/// thread-labelled one must lease one stack per process (128) and run on
+/// `workers` OS threads — not on one OS thread per process.
+#[test]
+fn thread_labelled_spec_runs_on_coroutine_stacks_with_identical_results() {
+    with_deadline(
+        "thread_labelled_spec_runs_on_coroutine_stacks_with_identical_results",
+        |running| {
+            let records: Vec<_> = ["thread", "coroutine"]
+                .iter()
+                .map(|carrier| {
+                    let line = format!(
+                        "{{\"id\":\"label-{carrier}\",\"workload\":\"cg\",\"ranks\":64,\
+                         \"class\":\"test\",\"layout\":\"replicated\",\"degree\":2,\
+                         \"carrier\":\"{carrier}\",\"workers\":1,\"seed\":5,\"trace\":true}}"
+                    );
+                    running.note(line.clone());
+                    let spec = JobSpec::parse_line(&line).expect("valid spec");
+                    run_job(&spec, 0).expect("validated spec")
+                })
+                .collect();
+            let (thread, coro) = (&records[0], &records[1]);
+            assert_eq!(thread.status, JobStatus::Finished);
+            assert_eq!(
+                (thread.elapsed_ns, thread.total_msgs, thread.trace_digest),
+                (coro.elapsed_ns, coro.total_msgs, coro.trace_digest)
+            );
+            assert!(thread.trace_len > 0);
+            let image = |r: &workloads::serve::JobRecord| {
+                r.processes
+                    .iter()
+                    .map(|p| (p.finish_ns, p.result_bits))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(image(thread), image(coro));
+            assert_eq!(thread.stack_leases, 128, "one coroutine stack per process");
+            assert_eq!(
+                (thread.host.threads_spawned + thread.host.threads_reused) as usize,
+                thread.workers,
+                "the worker pool hosts the whole job"
+            );
         },
     )
 }
@@ -203,13 +244,12 @@ fn stack_peak_is_per_job_even_under_heavy_concurrency() {
 /// the serve engine, must match a `JobBuilder` assembled by hand from the
 /// same plan — the way the campaign driver launched jobs before it shared
 /// the spec path — in trace digest, per-process result bits and virtual
-/// elapsed time, at `workers: 1` in both carrier modes.
+/// elapsed time, at `workers: 1`.
 #[test]
 fn campaign_cases_as_specs_match_hand_built_jobs() {
     use sdr_core::{partial_replicated_job, replicated_job, ReplicationConfig};
     use sim_mpi::SdcFlip;
     use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution, PlannedFault};
-    use sim_net::CarrierMode;
     use workloads::campaign::{case_spec, collective_app, lossy_workload};
     use workloads::nas::{run_kernel, NasConfig};
     use workloads::runner::RunTuning;
@@ -253,79 +293,73 @@ fn campaign_cases_as_specs_match_hand_built_jobs() {
         "campaign_cases_as_specs_match_hand_built_jobs",
         move |running| {
             for (config, seed) in cases {
-                for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
-                    let plan = sample_plan(config, seed);
-                    let workload = match config.dist {
-                        FaultDistribution::LossyLinks { .. } => lossy_workload(seed, iterations),
-                        _ => WorkloadKind::Collective { iterations },
-                    };
-                    let tuning = RunTuning {
-                        workers: Some(1),
-                        carrier_mode: Some(mode),
-                    };
-                    let spec = JobSpec {
-                        trace: true,
-                        ..case_spec(&plan, workload.clone(), tuning)
-                    };
-                    running.note(spec.to_json().encode());
-                    let record = run_job(&spec, 0).expect("a campaign case compiles");
+                let plan = sample_plan(config, seed);
+                let workload = match config.dist {
+                    FaultDistribution::LossyLinks { .. } => lossy_workload(seed, iterations),
+                    _ => WorkloadKind::Collective { iterations },
+                };
+                let tuning = RunTuning { workers: Some(1) };
+                let spec = JobSpec {
+                    trace: true,
+                    ..case_spec(&plan, workload.clone(), tuning)
+                };
+                running.note(spec.to_json().encode());
+                let record = run_job(&spec, 0).expect("a campaign case compiles");
 
-                    let mut builder = match config.dist {
-                        FaultDistribution::UnreplicatedBias { .. } => {
-                            partial_replicated_job(4, &[0, 2], ReplicationConfig::dual())
-                                .expect("a valid partial layout")
-                        }
-                        _ => replicated_job(4, ReplicationConfig::with_degree(config.degree)),
+                let mut builder = match config.dist {
+                    FaultDistribution::UnreplicatedBias { .. } => {
+                        partial_replicated_job(4, &[0, 2], ReplicationConfig::dual())
+                            .expect("a valid partial layout")
                     }
-                    .network(common::fast())
-                    .workers(1)
-                    .carrier_mode(mode)
-                    .trace(true);
-                    assert!(!plan.faults.is_empty(), "{}: the plan must inject", spec.id);
-                    for fault in &plan.faults {
-                        builder = match *fault {
-                            PlannedFault::Crash { endpoint, schedule } => {
-                                builder.crash(endpoint, schedule)
-                            }
-                            PlannedFault::BitFlip {
-                                endpoint,
-                                nth_send,
-                                bit,
-                            } => builder.sdc_flip(endpoint, SdcFlip { nth_send, bit }),
-                            PlannedFault::LossyTransport {
-                                config,
-                                policy_seed,
-                            } => builder.net_faults(config, policy_seed),
-                        };
-                    }
-                    let report = match workload {
-                        WorkloadKind::Nas(kernel) => {
-                            let cfg = NasConfig::class_s();
-                            builder.run(move |p| run_kernel(kernel, p, &cfg))
-                        }
-                        _ => builder.run(move |p| collective_app(p, iterations)),
-                    };
-
-                    let id = format!("{} ({mode})", spec.id);
-                    assert!(record.trace_len > 0, "{id}: the run must be traced");
-                    assert_eq!(
-                        record.trace_digest,
-                        trace_digest(&report.trace.events()),
-                        "{id}: trace digests differ"
-                    );
-                    assert_eq!(
-                        record.elapsed_ns,
-                        report.elapsed.as_nanos(),
-                        "{id}: virtual elapsed times differ"
-                    );
-                    let served: Vec<_> = record.processes.iter().map(|p| p.result_bits).collect();
-                    let hand_built: Vec<_> = report
-                        .processes
-                        .iter()
-                        .map(|p| p.outcome.result().map(|v| v.to_bits()))
-                        .collect();
-                    assert_eq!(served, hand_built, "{id}: per-process results differ");
+                    _ => replicated_job(4, ReplicationConfig::with_degree(config.degree)),
                 }
+                .network(common::fast())
+                .workers(1)
+                .trace(true);
+                assert!(!plan.faults.is_empty(), "{}: the plan must inject", spec.id);
+                for fault in &plan.faults {
+                    builder = match *fault {
+                        PlannedFault::Crash { endpoint, schedule } => {
+                            builder.crash(endpoint, schedule)
+                        }
+                        PlannedFault::BitFlip {
+                            endpoint,
+                            nth_send,
+                            bit,
+                        } => builder.sdc_flip(endpoint, SdcFlip { nth_send, bit }),
+                        PlannedFault::LossyTransport {
+                            config,
+                            policy_seed,
+                        } => builder.net_faults(config, policy_seed),
+                    };
+                }
+                let report = match workload {
+                    WorkloadKind::Nas(kernel) => {
+                        let cfg = NasConfig::class_s();
+                        builder.run(move |p| run_kernel(kernel, p, &cfg))
+                    }
+                    _ => builder.run(move |p| collective_app(p, iterations)),
+                };
+
+                let id = &spec.id;
+                assert!(record.trace_len > 0, "{id}: the run must be traced");
+                assert_eq!(
+                    record.trace_digest,
+                    trace_digest(&report.trace.events()),
+                    "{id}: trace digests differ"
+                );
+                assert_eq!(
+                    record.elapsed_ns,
+                    report.elapsed.as_nanos(),
+                    "{id}: virtual elapsed times differ"
+                );
+                let served: Vec<_> = record.processes.iter().map(|p| p.result_bits).collect();
+                let hand_built: Vec<_> = report
+                    .processes
+                    .iter()
+                    .map(|p| p.outcome.result().map(|v| v.to_bits()))
+                    .collect();
+                assert_eq!(served, hand_built, "{id}: per-process results differ");
             }
         },
     )
