@@ -21,7 +21,7 @@
 fn main() {
     let args = sdr_bench::parse_harness_args(std::env::args().skip(1), 16);
     let kernel = workloads::nas::NasKernel::Cg;
-    let points = sdr_bench::layout_sweep_points(args.ranks, args.cfg, kernel, args.tuning);
+    let points = sdr_bench::layout_sweep_points(args.ranks, args.cfg, kernel, args.workers);
     print!(
         "{}",
         sdr_bench::format_comparison_table(

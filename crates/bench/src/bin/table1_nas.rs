@@ -24,7 +24,7 @@
 //! map.
 fn main() {
     let args = sdr_bench::parse_harness_args(std::env::args().skip(1), 16);
-    let rows = sdr_bench::table1_rows(args.ranks, args.cfg, &args.layout(), args.tuning);
+    let rows = sdr_bench::table1_rows(args.ranks, args.cfg, &args.layout(), args.workers);
     print!(
         "{}",
         sdr_bench::format_comparison_table(

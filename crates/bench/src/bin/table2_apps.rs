@@ -5,7 +5,7 @@
 //! carry their own problem configuration).
 fn main() {
     let args = sdr_bench::parse_harness_args(std::env::args().skip(1), 16);
-    let rows = sdr_bench::table2_rows(args.ranks, args.tuning);
+    let rows = sdr_bench::table2_rows(args.ranks, args.workers);
     print!(
         "{}",
         sdr_bench::format_comparison_table(

@@ -27,7 +27,7 @@ fn main() {
         args.seeds,
         args.base_seed,
         args.iterations,
-        args.tuning,
+        args.workers,
     );
     print!(
         "{}",
@@ -50,7 +50,7 @@ fn main() {
         sweep_cases,
         args.base_seed,
         args.iterations,
-        args.tuning,
+        args.workers,
     );
     print!(
         "{}",

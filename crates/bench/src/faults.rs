@@ -27,7 +27,6 @@ use sim_net::NetFaultConfig;
 use workloads::campaign::{
     run_campaign, run_lossy_explicit_case, summarize, CampaignSummary, CaseOutcome,
 };
-use workloads::runner::RunTuning;
 use workloads::serve::Json;
 
 pub use sim_net::campaign::{CampaignConfig, FaultDistribution};
@@ -171,7 +170,7 @@ pub fn lossy_rate_sweep(
     cases: usize,
     base_seed: u64,
     iterations: u64,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> Vec<LossySweepRow> {
     LOSSY_SWEEP_RATES
         .iter()
@@ -204,7 +203,7 @@ pub fn lossy_rate_sweep(
                             policy_seed: seed,
                         }],
                     };
-                    run_lossy_explicit_case(plan, iterations, tuning)
+                    run_lossy_explicit_case(plan, iterations, workers)
                 })
                 .collect();
             LossySweepRow {
@@ -221,12 +220,12 @@ pub fn fault_campaign_rows(
     seeds: usize,
     base_seed: u64,
     iterations: u64,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> Vec<FaultConfigRow> {
     default_fault_configs(ranks, iterations)
         .into_iter()
         .map(|config| {
-            let outcomes = run_campaign(config, base_seed, seeds, iterations, tuning);
+            let outcomes = run_campaign(config, base_seed, seeds, iterations, workers);
             FaultConfigRow {
                 summary: summarize(config, &outcomes),
                 iterations,
@@ -460,8 +459,8 @@ pub struct FaultsArgs {
     pub base_seed: u64,
     /// Workload iterations per case.
     pub iterations: u64,
-    /// Execution-layer tuning.
-    pub tuning: RunTuning,
+    /// Scheduler pool size `--workers` selected (`None`: the default).
+    pub workers: Option<usize>,
     /// Where to write the machine-readable JSON report, if requested.
     pub json_path: Option<std::path::PathBuf>,
 }
@@ -475,7 +474,7 @@ pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> FaultsArgs {
         seeds: 25,
         base_seed: 1,
         iterations: 6,
-        tuning: RunTuning::default(),
+        workers: None,
         json_path: None,
     };
     fn next_usize<I: Iterator<Item = String>>(args: &mut I, name: &str) -> usize {
@@ -494,7 +493,7 @@ pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> FaultsArgs {
                 if parse_shared_flag(
                     other,
                     &mut args,
-                    &mut parsed.tuning,
+                    &mut parsed.workers,
                     &mut parsed.json_path,
                 ) => {}
             other => panic!("unrecognised argument {other:?}"),
@@ -510,7 +509,7 @@ mod tests {
 
     #[test]
     fn small_campaign_rows_have_all_configs_and_json_is_shaped() {
-        let rows = fault_campaign_rows(2, 2, 5, 4, RunTuning::default());
+        let rows = fault_campaign_rows(2, 2, 5, 4, None);
         assert_eq!(rows.len(), 9);
         let names: Vec<_> = rows.iter().map(|r| r.summary.config.dist.name()).collect();
         assert_eq!(
@@ -546,7 +545,7 @@ mod tests {
                 row.summary.violations
             );
         }
-        let sweep = lossy_rate_sweep(2, 2, 5, 4, RunTuning::default());
+        let sweep = lossy_rate_sweep(2, 2, 5, 4, None);
         assert_eq!(sweep.len(), LOSSY_SWEEP_RATES.len());
         for row in &sweep {
             assert_eq!(
@@ -603,6 +602,6 @@ mod tests {
         assert_eq!(args.ranks, 8);
         assert_eq!(args.seeds, 50);
         assert_eq!(args.iterations, 10);
-        assert_eq!(args.tuning.workers, Some(2));
+        assert_eq!(args.workers, Some(2));
     }
 }

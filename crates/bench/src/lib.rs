@@ -30,13 +30,13 @@ pub use faults::{
 use repl_baselines::{CorruptionSpec, LeaderFactory, MirrorFactory, RedMpiFactory, SdcReport};
 use sdr_core::{native_job, replicated_job, ReplicationConfig};
 use sim_mpi::{JobBuilder, ANY_SOURCE};
-use sim_net::{Cluster, LogGpModel, Placement};
+use sim_net::LogGpModel;
 use std::path::PathBuf;
 use std::sync::Arc;
 use workloads::apps::{run_cm1, run_hpccg, AppConfig};
 use workloads::nas::{run_kernel, NasConfig, NasKernel};
 use workloads::netpipe::{self, NetpipePoint};
-use workloads::runner::{compare, ComparisonRow, RunSide, RunTuning, WorkloadSpec};
+use workloads::runner::{compare, ComparisonRow, RunSide, WorkloadSpec};
 use workloads::serve::{Json, LayoutSpec};
 
 /// One row of the Figure 7 sweep: native and replicated measurements for a
@@ -91,7 +91,7 @@ pub fn fig7_default_sizes() -> Vec<usize> {
 }
 
 /// Table 1: the five NAS-like kernels, native vs replicated under `layout`
-/// (the paper's is dual replication, [`harness_layout`]`(2, 1.0)`). `tuning`
+/// (the paper's is dual replication, [`harness_layout`]`(2, 1.0)`). `workers`
 /// is the `--workers` scaling axis: 64/128/256-rank
 /// configurations run through the same bounded scheduler pool as the 16-rank
 /// default.
@@ -99,11 +99,11 @@ pub fn table1_rows(
     ranks: usize,
     cfg: NasConfig,
     layout: &LayoutSpec,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> Vec<ComparisonRow> {
     NasKernel::all()
         .iter()
-        .map(|&kernel| compare_nas(kernel, ranks, cfg, layout, tuning))
+        .map(|&kernel| compare_nas(kernel, ranks, cfg, layout, workers))
         .collect()
 }
 
@@ -112,10 +112,10 @@ fn compare_nas(
     ranks: usize,
     cfg: NasConfig,
     layout: &LayoutSpec,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> ComparisonRow {
     let spec = WorkloadSpec::new(kernel.name(), ranks, move |p| run_kernel(kernel, p, &cfg));
-    compare(&spec, layout, tuning)
+    compare(&spec, layout, workers)
 }
 
 /// The layout the harness flags `--degree D --coverage F` select:
@@ -159,7 +159,7 @@ pub fn layout_sweep_points(
     ranks: usize,
     cfg: NasConfig,
     kernel: NasKernel,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> Vec<ComparisonRow> {
     let ladder = LAYOUT_SWEEP_COVERAGES.iter().map(|&coverage| (2, coverage));
     ladder
@@ -170,7 +170,7 @@ pub fn layout_sweep_points(
                 ranks,
                 cfg,
                 &harness_layout(degree, coverage),
-                tuning,
+                workers,
             )
         })
         .collect()
@@ -218,8 +218,8 @@ pub fn layouts_report_json(
 }
 
 /// Table 2: HPCCG and CM1 (both with anonymous receptions), native vs dual
-/// replication, under the same execution-layer tuning as [`table1_rows`].
-pub fn table2_rows(ranks: usize, tuning: RunTuning) -> Vec<ComparisonRow> {
+/// replication, under the same `--workers` pool size as [`table1_rows`].
+pub fn table2_rows(ranks: usize, workers: Option<usize>) -> Vec<ComparisonRow> {
     let hpccg_cfg = AppConfig::hpccg_paper_like();
     let cm1_cfg = AppConfig::cm1_paper_like();
     let dual = harness_layout(2, 1.0);
@@ -227,12 +227,12 @@ pub fn table2_rows(ranks: usize, tuning: RunTuning) -> Vec<ComparisonRow> {
         compare(
             &WorkloadSpec::new("HPCCG", ranks, move |p| run_hpccg(p, &hpccg_cfg)),
             &dual,
-            tuning,
+            workers,
         ),
         compare(
             &WorkloadSpec::new("CM1", ranks, move |p| run_cm1(p, &cm1_cfg)),
             &dual,
-            tuning,
+            workers,
         ),
     ]
 }
@@ -252,8 +252,8 @@ pub struct HarnessArgs {
     /// the degree-2 partial layout over the first `ceil(coverage * ranks)`
     /// ranks).
     pub coverage: f64,
-    /// Execution-layer tuning.
-    pub tuning: RunTuning,
+    /// Scheduler pool size `--workers` selected (`None`: the default).
+    pub workers: Option<usize>,
     /// Where to write the machine-readable JSON report, if requested.
     pub json_path: Option<PathBuf>,
 }
@@ -272,7 +272,7 @@ impl HarnessArgs {
 pub fn parse_shared_flag<I: Iterator<Item = String>>(
     flag: &str,
     args: &mut I,
-    tuning: &mut RunTuning,
+    workers: &mut Option<usize>,
     json_path: &mut Option<PathBuf>,
 ) -> bool {
     match flag {
@@ -292,7 +292,7 @@ pub fn parse_shared_flag<I: Iterator<Item = String>>(
                      mode (slowest, but two identical runs schedule identically)"
                 );
             }
-            tuning.workers = Some(w);
+            *workers = Some(w);
         }
         "--json" => {
             let path = args.next().expect("--json needs a file path");
@@ -319,7 +319,7 @@ pub fn parse_harness_args<I: Iterator<Item = String>>(
         class_name: "d".to_string(),
         degree: 2,
         coverage: 1.0,
-        tuning: RunTuning::default(),
+        workers: None,
         json_path: None,
     };
     let mut args = args.peekable();
@@ -353,7 +353,7 @@ pub fn parse_harness_args<I: Iterator<Item = String>>(
                 if parse_shared_flag(
                     other,
                     &mut args,
-                    &mut parsed.tuning,
+                    &mut parsed.workers,
                     &mut parsed.json_path,
                 ) => {}
             other => {
@@ -416,11 +416,6 @@ pub fn fig2_comparison(rounds: usize) -> Fig2Row {
     let leader = JobBuilder::new(2)
         .network(LogGpModel::infiniband_20g())
         .protocol(Arc::new(LeaderFactory::new(cfg)))
-        .cluster(Cluster::new(4, 1))
-        .placement(Placement::ReplicaSets {
-            ranks: 2,
-            degree: 2,
-        })
         .run(app.clone());
     let sdr = replicated_job(2, cfg)
         .network(LogGpModel::infiniband_20g())
@@ -484,8 +479,6 @@ pub fn mirror_vs_parallel(ranks: usize, degree: usize, iterations: usize) -> Mir
     let mirror = JobBuilder::new(ranks)
         .network(LogGpModel::infiniband_20g())
         .protocol(Arc::new(MirrorFactory::new(degree)))
-        .cluster(Cluster::new(ranks * degree, 1))
-        .placement(Placement::ReplicaSets { ranks, degree })
         .run(app);
     assert!(native.all_finished() && parallel.all_finished() && mirror.all_finished());
     MirrorRow {
@@ -548,8 +541,6 @@ pub fn redmpi_detection(ranks: usize, iterations: usize, inject: bool) -> RedMpi
     let redmpi = JobBuilder::new(ranks)
         .network(LogGpModel::infiniband_20g())
         .protocol(Arc::new(factory))
-        .cluster(Cluster::new(ranks * 2, 1))
-        .placement(Placement::ReplicaSets { ranks, degree: 2 })
         .run(app);
     let sdr = replicated_job(ranks, ReplicationConfig::dual())
         .network(LogGpModel::infiniband_20g())
@@ -799,12 +790,7 @@ mod tests {
 
     #[test]
     fn formatting_helpers_mention_rows() {
-        let rows = table1_rows(
-            4,
-            NasConfig::test_size(),
-            &harness_layout(2, 1.0),
-            RunTuning::default(),
-        );
+        let rows = table1_rows(4, NasConfig::test_size(), &harness_layout(2, 1.0), None);
         let text = format_comparison_table("Table 1", &rows);
         for k in ["BT", "CG", "FT", "MG", "SP"] {
             assert!(text.contains(k));
@@ -859,12 +845,7 @@ mod tests {
 
     #[test]
     fn layout_sweep_overhead_grows_with_coverage() {
-        let points = layout_sweep_points(
-            4,
-            NasConfig::test_size(),
-            NasKernel::Cg,
-            RunTuning::default(),
-        );
+        let points = layout_sweep_points(4, NasConfig::test_size(), NasKernel::Cg, None);
         assert_eq!(points.len(), LAYOUT_SWEEP_COVERAGES.len() + 1);
         for p in &points {
             assert!(

@@ -1,13 +1,14 @@
 //! Launch-time integration: the [`SdrFactory`] plugs the SDR-MPI protocol into
 //! the `sim-mpi` job launcher, and [`mapped_job`] builds a ready-to-run
-//! [`JobBuilder`] on one [`ReplicaMap`]: one node per physical process, so
-//! different replicas of a rank never share a node whatever the numbering.
+//! [`JobBuilder`] on one [`ReplicaMap`]. Every physical process is its own
+//! node, so different replicas of a rank never share a node whatever the
+//! numbering.
 
 use crate::config::ReplicationConfig;
 use crate::layout::{LayoutError, ReplicaMap};
 use crate::protocol::SdrProtocol;
 use sim_mpi::{JobBuilder, Protocol, ProtocolFactory, Rank};
-use sim_net::{Cluster, EndpointId, Placement};
+use sim_net::EndpointId;
 use std::sync::Arc;
 
 /// Protocol factory for SDR-MPI: every process of the job shares one map.
@@ -44,15 +45,9 @@ impl ProtocolFactory for SdrFactory {
     }
 }
 
-/// A [`JobBuilder`] on one replica map, one node per physical process.
-/// Endpoint `e` runs on node `e`, so the replicas of a rank are always on
-/// different nodes.
+/// A [`JobBuilder`] on one replica map.
 pub fn mapped_job(map: Arc<ReplicaMap>, cfg: ReplicationConfig) -> JobBuilder {
-    let physical = map.physical_processes();
-    JobBuilder::new(map.ranks())
-        .protocol(Arc::new(SdrFactory::new(map, cfg)))
-        .cluster(Cluster::new(physical, 1))
-        .placement(Placement::Packed)
+    JobBuilder::new(map.ranks()).protocol(Arc::new(SdrFactory::new(map, cfg)))
 }
 
 /// A [`JobBuilder`] for `app_ranks` logical ranks, every one replicated
@@ -89,12 +84,10 @@ pub fn coverage_job(
     ))
 }
 
-/// A native (non-replicated) [`JobBuilder`] with the same cluster conventions,
-/// for apples-to-apples baseline runs.
+/// A native (non-replicated) [`JobBuilder`], for apples-to-apples baseline
+/// runs.
 pub fn native_job(app_ranks: usize) -> JobBuilder {
     JobBuilder::new(app_ranks)
-        .cluster(Cluster::new(app_ranks, 1))
-        .placement(Placement::Packed)
 }
 
 #[cfg(test)]
@@ -104,7 +97,6 @@ mod tests {
     use bytes::Bytes;
     use sim_mpi::{ReduceOp, ANY_SOURCE};
     use sim_net::{CrashSchedule, LogGpModel, NetFaultConfig, SimTime};
-    use std::time::Duration;
 
     fn fast() -> LogGpModel {
         LogGpModel::fast_test_model()
@@ -124,25 +116,6 @@ mod tests {
         assert!(!p.is_primary());
         let p0 = f.build(EndpointId(3), 8);
         assert!(p0.is_primary());
-    }
-
-    #[test]
-    fn one_process_per_node_puts_every_endpoint_on_its_own_node() {
-        // With one process per node the paper's replica-set placement and
-        // the packed placement `mapped_job` installs agree: endpoint `e` is
-        // on node `e`, so replicas of a rank never share a node.
-        for (ranks, degree) in [(1, 1), (4, 2), (5, 3), (256, 2)] {
-            let total = ranks * degree;
-            let cluster = Cluster::new(total, 1);
-            let sets = Placement::ReplicaSets { ranks, degree };
-            for e in 0..total {
-                assert_eq!(sets.node_of(e, total, &cluster), sim_net::NodeId(e));
-                assert_eq!(
-                    Placement::Packed.node_of(e, total, &cluster),
-                    sim_net::NodeId(e)
-                );
-            }
-        }
     }
 
     #[test]
@@ -253,7 +226,6 @@ mod tests {
         let report = replicated_job(2, ReplicationConfig::dual())
             .network(fast())
             .crash(EndpointId(3), CrashSchedule::AfterSend { nth: 2 })
-            .recv_timeout(Duration::from_secs(5))
             .run(move |p| {
                 let world = p.world();
                 let peer = 1 - p.rank();
@@ -302,7 +274,6 @@ mod tests {
         let report = replicated_job(2, ReplicationConfig::dual())
             .network(fast())
             .crash(EndpointId(2), CrashSchedule::AtTime { at: SimTime::ZERO })
-            .recv_timeout(Duration::from_secs(5))
             .run(|p| {
                 let world = p.world();
                 if p.rank() == 1 {
@@ -401,7 +372,6 @@ mod tests {
                     at: SimTime::from_nanos(1),
                 },
             )
-            .recv_timeout(Duration::from_secs(5))
             .run(|p| {
                 let world = p.world();
                 let peer = 1 - p.rank();
@@ -444,7 +414,6 @@ mod tests {
             .unwrap()
             .network(fast())
             .crash(EndpointId(1), CrashSchedule::AfterSend { nth: 1 })
-            .recv_timeout(Duration::from_secs(5))
             .run(|p| {
                 let world = p.world();
                 let peer = 1 - p.rank();
@@ -505,17 +474,14 @@ mod tests {
         // the receive, the Irecv-Send-Wait exchange deadlocks because both
         // sides block in MPI_Send waiting for an ack that will never be sent.
         let cfg = ReplicationConfig::dual().ack_on(AckOn::AppWait);
-        let report = replicated_job(2, cfg)
-            .network(fast())
-            .recv_timeout(Duration::from_millis(300))
-            .run(|p| {
-                let world = p.world();
-                let peer = 1 - p.rank();
-                let rreq = p.irecv_bytes(world, peer as i64, 0);
-                // Blocking send: cannot complete before the peer's replicas ack.
-                p.send_bytes(world, peer, 0, Bytes::from(vec![1u8; 32]));
-                let _ = p.wait(world, rreq);
-            });
+        let report = replicated_job(2, cfg).network(fast()).run(|p| {
+            let world = p.world();
+            let peer = 1 - p.rank();
+            let rreq = p.irecv_bytes(world, peer as i64, 0);
+            // Blocking send: cannot complete before the peer's replicas ack.
+            p.send_bytes(world, peer, 0, Bytes::from(vec![1u8; 32]));
+            let _ = p.wait(world, rreq);
+        });
         assert!(
             !report.deadlocked().is_empty(),
             "AppWait acking must deadlock the exchange"
@@ -524,7 +490,6 @@ mod tests {
         // The same pattern with the paper's RecvComplete acking finishes.
         let report_ok = replicated_job(2, ReplicationConfig::dual())
             .network(fast())
-            .recv_timeout(Duration::from_secs(5))
             .run(|p| {
                 let world = p.world();
                 let peer = 1 - p.rank();
@@ -546,7 +511,6 @@ mod tests {
         let report = replicated_job(2, ReplicationConfig::dual())
             .network(fast())
             .net_faults(NetFaultConfig::lossy_links(), 0x10551_1105)
-            .recv_timeout(Duration::from_secs(30))
             .run(move |p| {
                 let world = p.world();
                 let peer = 1 - p.rank();
@@ -602,7 +566,6 @@ mod tests {
         let report = replicated_job(2, ReplicationConfig::dual())
             .network(fast())
             .net_faults(NetFaultConfig::delayed_acks(), 0xACDC)
-            .recv_timeout(Duration::from_secs(30))
             .run(|p| {
                 let world = p.world();
                 let peer = 1 - p.rank();
@@ -660,7 +623,6 @@ mod tests {
         let report = replicated_job(2, ReplicationConfig::dual())
             .network(fast())
             .net_faults(NetFaultConfig::lossy_links(), 0xB0B)
-            .recv_timeout(Duration::from_secs(30))
             .run(move |p| {
                 let world = p.world();
                 let peer = 1 - p.rank();

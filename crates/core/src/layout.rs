@@ -13,8 +13,8 @@
 //! ```
 //!
 //! With every rank replicated `slot[r] = r`, and this is the paper's
-//! `k·n + r`. Numbering is the only thing a map decides; placement is the
-//! job's (one process per node, see [`crate::mapped_job`]).
+//! `k·n + r`. Numbering is the only thing a map decides: every physical
+//! process is its own node, so replicas never share one.
 //!
 //! The map also fixes the *routing rule* for mixed per-rank degrees: the
 //! replica `k` of rank `i` receives rank `j`'s messages directly from replica

@@ -1197,13 +1197,8 @@ mod tests {
     }
 
     fn pml_for(endpoint: usize, n: usize) -> Pml {
-        use sim_net::{Cluster, Fabric, LogGpModel, Placement};
-        let f = Fabric::new(
-            n,
-            LogGpModel::fast_test_model(),
-            Cluster::new(n, 1),
-            Placement::Packed,
-        );
+        use sim_net::{Fabric, LogGpModel};
+        let f = Fabric::with_defaults(n, LogGpModel::fast_test_model());
         Pml::new(f.endpoint(EndpointId(endpoint)))
     }
 

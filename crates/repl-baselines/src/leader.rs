@@ -313,15 +313,13 @@ impl ProtocolFactory for LeaderFactory {
 mod tests {
     use super::*;
     use sim_mpi::{JobBuilder, ANY_SOURCE};
-    use sim_net::{Cluster, LogGpModel, Placement};
+    use sim_net::LogGpModel;
 
     fn leader_job(ranks: usize) -> JobBuilder {
         let cfg = ReplicationConfig::dual();
         JobBuilder::new(ranks)
             .network(LogGpModel::fast_test_model())
             .protocol(Arc::new(LeaderFactory::new(cfg)))
-            .cluster(Cluster::new(ranks * 2, 1))
-            .placement(Placement::ReplicaSets { ranks, degree: 2 })
     }
 
     #[test]
@@ -407,11 +405,6 @@ mod tests {
         let leader = JobBuilder::new(2)
             .network(LogGpModel::infiniband_20g())
             .protocol(Arc::new(LeaderFactory::new(cfg)))
-            .cluster(Cluster::new(4, 1))
-            .placement(Placement::ReplicaSets {
-                ranks: 2,
-                degree: 2,
-            })
             .run(app);
         let sdr = sdr_core::replicated_job(2, cfg)
             .network(LogGpModel::infiniband_20g())

@@ -194,14 +194,12 @@ impl ProtocolFactory for MirrorFactory {
 mod tests {
     use super::*;
     use sim_mpi::{JobBuilder, ReduceOp};
-    use sim_net::{Cluster, LogGpModel, Placement};
+    use sim_net::LogGpModel;
 
     fn mirror_job(ranks: usize, degree: usize) -> JobBuilder {
         JobBuilder::new(ranks)
             .network(LogGpModel::fast_test_model())
             .protocol(Arc::new(MirrorFactory::new(degree)))
-            .cluster(Cluster::new(ranks * degree, 1))
-            .placement(Placement::ReplicaSets { ranks, degree })
     }
 
     #[test]

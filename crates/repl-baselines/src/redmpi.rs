@@ -343,11 +343,6 @@ impl RedMpiFactory {
         }
     }
 
-    /// Replication degree of the jobs this factory builds.
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
     /// Inject the given corruption.
     pub fn with_corruption(mut self, spec: CorruptionSpec) -> Self {
         self.corruption = Some(spec);
@@ -378,15 +373,12 @@ impl ProtocolFactory for RedMpiFactory {
 mod tests {
     use super::*;
     use sim_mpi::JobBuilder;
-    use sim_net::{Cluster, LogGpModel, Placement};
+    use sim_net::LogGpModel;
 
     fn redmpi_job(ranks: usize, factory: RedMpiFactory) -> JobBuilder {
-        let degree = factory.degree();
         JobBuilder::new(ranks)
             .network(LogGpModel::fast_test_model())
             .protocol(Arc::new(factory))
-            .cluster(Cluster::new(ranks * degree, 1))
-            .placement(Placement::ReplicaSets { ranks, degree })
     }
 
     fn exchange_app(p: &mut sim_mpi::Process) -> u64 {
@@ -481,7 +473,7 @@ mod tests {
         // receiver replicas see three agreeing votes.
         let report_handle = SdcReport::new();
         let job = redmpi_job(2, RedMpiFactory::with_degree(3, Arc::clone(&report_handle)))
-            // Endpoint 2 is replica 1 of rank 0 under ReplicaSets placement;
+            // Endpoint 2 is replica 1 of rank 0 (`replica · ranks + rank`);
             // corrupt its 2nd app send below the protocol layer.
             .sdc_flip(
                 EndpointId(2),

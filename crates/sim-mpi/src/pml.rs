@@ -96,28 +96,14 @@ pub enum PmlEvent {
     ProcessFailed(FailureEvent),
 }
 
-/// Cost parameters for PML-internal operations that the network model cannot
-/// see (matching, extra copies from the unexpected queue).
-#[derive(Debug, Clone, Copy)]
-pub struct PmlConfig {
-    /// Cost of matching one incoming message, nanoseconds.
-    pub match_overhead_ns: u64,
-    /// Base cost of delivering a message from the unexpected queue
-    /// (the extra copy the paper mentions), nanoseconds.
-    pub unexpected_copy_base_ns: u64,
-    /// Per-byte cost of that extra copy, picoseconds per byte.
-    pub unexpected_copy_ps_per_byte: u64,
-}
-
-impl Default for PmlConfig {
-    fn default() -> Self {
-        PmlConfig {
-            match_overhead_ns: 40,
-            unexpected_copy_base_ns: 120,
-            unexpected_copy_ps_per_byte: 250,
-        }
-    }
-}
+// Costs of PML-internal operations that the network model cannot see.
+/// Cost of matching one incoming message, nanoseconds.
+const MATCH_OVERHEAD_NS: u64 = 40;
+/// Base cost of delivering a message from the unexpected queue (the extra
+/// copy the paper mentions), nanoseconds.
+const UNEXPECTED_COPY_BASE_NS: u64 = 120;
+/// Per-byte cost of that extra copy, picoseconds per byte.
+const UNEXPECTED_COPY_PS_PER_BYTE: u64 = 250;
 
 /// One scheduled soft-error injection: flip `bit` of the payload of this
 /// process's `nth_send`-th application send (1-based), *after* the protocol
@@ -155,7 +141,6 @@ pub struct Pml {
     /// ([`Pml::recycle_events`]); it becomes `pending_events` the next time
     /// that one is given away, so steady-state progress allocates nothing.
     spare_events: Vec<PmlEvent>,
-    config: PmlConfig,
     /// Application sends posted so far (all destinations), the index the
     /// fault-campaign's [`SdcFlip::nth_send`] counts against. Matches the
     /// fabric's per-endpoint send count used by crash schedules.
@@ -189,13 +174,8 @@ impl std::fmt::Debug for Pml {
 }
 
 impl Pml {
-    /// Wrap an endpoint with the default cost configuration.
+    /// Wrap an endpoint.
     pub fn new(ep: Endpoint) -> Self {
-        Pml::with_config(ep, PmlConfig::default())
-    }
-
-    /// Wrap an endpoint with an explicit cost configuration.
-    pub fn with_config(ep: Endpoint, config: PmlConfig) -> Self {
         Pml {
             ep,
             engine: MatchingEngine::new(),
@@ -205,7 +185,6 @@ impl Pml {
             failures_seen: 0,
             pending_events: Vec::new(),
             spare_events: Vec::new(),
-            config,
             app_sends: 0,
             sdc_flips: Vec::new(),
             recv_cursor: HashMap::default(),
@@ -432,8 +411,7 @@ impl Pml {
 
     fn charge_unexpected_copy(&mut self, len: usize) {
         let cost = SimTime::from_nanos(
-            self.config.unexpected_copy_base_ns
-                + (len as u64 * self.config.unexpected_copy_ps_per_byte) / 1000,
+            UNEXPECTED_COPY_BASE_NS + (len as u64 * UNEXPECTED_COPY_PS_PER_BYTE) / 1000,
         );
         self.ep.clock_mut().charge_comm(cost);
     }
@@ -492,7 +470,7 @@ impl Pml {
                     // The receive-side CPU overhead is paid when the message
                     // is actually delivered to the application, on top of the
                     // arrival time.
-                    let intra = self.ep.fabric().same_node(meta.src, self.ep.id());
+                    let intra = meta.src == self.ep.id();
                     let cost = self.ep.fabric().model().recv_overhead(meta.len, intra);
                     self.ep.clock_mut().charge_comm(cost);
                     Some((meta, payload))
@@ -568,7 +546,7 @@ impl Pml {
     fn deliver_to_matching(&mut self, msg: IncomingMsg) {
         self.ep
             .clock_mut()
-            .charge_comm(SimTime::from_nanos(self.config.match_overhead_ns));
+            .charge_comm(SimTime::from_nanos(MATCH_OVERHEAD_NS));
         if let Some((req, msg)) = self.engine.incoming(msg) {
             self.complete_recv(req, msg);
         }
@@ -766,15 +744,10 @@ impl Pml {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_net::{Cluster, Fabric, LogGpModel, Placement};
+    use sim_net::{Fabric, LogGpModel};
 
     fn fabric(n: usize) -> std::sync::Arc<Fabric> {
-        Fabric::new(
-            n,
-            LogGpModel::fast_test_model(),
-            Cluster::new(n, 1),
-            Placement::Packed,
-        )
+        Fabric::with_defaults(n, LogGpModel::fast_test_model())
     }
 
     #[test]

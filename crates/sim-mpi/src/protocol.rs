@@ -238,15 +238,10 @@ impl ProtocolFactory for NativeFactory {
 mod tests {
     use super::*;
     use crate::types::CommId;
-    use sim_net::{Cluster, Fabric, LogGpModel, Placement};
+    use sim_net::{Fabric, LogGpModel};
 
     fn pml_pair() -> (Pml, Pml) {
-        let f = Fabric::new(
-            2,
-            LogGpModel::fast_test_model(),
-            Cluster::new(2, 1),
-            Placement::Packed,
-        );
+        let f = Fabric::with_defaults(2, LogGpModel::fast_test_model());
         (
             Pml::new(f.endpoint(EndpointId(0))),
             Pml::new(f.endpoint(EndpointId(1))),

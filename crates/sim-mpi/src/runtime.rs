@@ -28,7 +28,7 @@
 //! quantity reported in the paper's tables — is the maximum finish time over
 //! the processes that completed the application.
 
-use crate::pml::{Pml, PmlConfig, SdcFlip};
+use crate::pml::{Pml, SdcFlip};
 use crate::process::Process;
 use crate::protocol::{NativeFactory, ProtocolFactory};
 use crate::types::{MpiError, Rank};
@@ -36,11 +36,10 @@ use sim_net::failure::CrashSignal;
 use sim_net::stats::StatsSnapshot;
 use sim_net::trace::EventTrace;
 use sim_net::{
-    CarrierMode, Cluster, CoroRuntime, CrashSchedule, EndpointId, Fabric, LogGpModel,
-    NetFaultConfig, NetworkModel, Placement, SimTime,
+    CarrierMode, CoroRuntime, CrashSchedule, EndpointId, Fabric, LogGpModel, NetFaultConfig,
+    NetworkModel, SimTime,
 };
 use std::sync::{Arc, Once};
-use std::time::Duration;
 
 /// How one physical process finished.
 #[derive(Debug)]
@@ -52,7 +51,7 @@ pub enum ProcessOutcome<R> {
         /// Virtual time of the crash.
         at: SimTime,
     },
-    /// The process made no progress within the real-time timeout.
+    /// The process was blocked when the scheduler proved the job deadlocked.
     Deadlocked {
         /// Description of what it was waiting for.
         waiting_for: String,
@@ -186,15 +185,11 @@ impl<R> JobReport<R> {
 pub struct JobBuilder {
     app_ranks: usize,
     model: Arc<dyn NetworkModel>,
-    cluster: Option<Cluster>,
-    placement: Option<Placement>,
     factory: Arc<dyn ProtocolFactory>,
     crash_schedules: Vec<(EndpointId, CrashSchedule)>,
     sdc_flips: Vec<(EndpointId, SdcFlip)>,
     net_faults: Option<(NetFaultConfig, u64)>,
-    pml_config: PmlConfig,
     trace: bool,
-    recv_timeout: Duration,
     workers: Option<usize>,
     proc_stack_bytes: usize,
 }
@@ -212,15 +207,11 @@ impl JobBuilder {
         JobBuilder {
             app_ranks,
             model: Arc::new(LogGpModel::infiniband_20g()),
-            cluster: None,
-            placement: None,
             factory: Arc::new(NativeFactory),
             crash_schedules: Vec::new(),
             sdc_flips: Vec::new(),
             net_faults: None,
-            pml_config: PmlConfig::default(),
             trace: false,
-            recv_timeout: Duration::from_secs(20),
             workers: None,
             proc_stack_bytes: DEFAULT_PROC_STACK,
         }
@@ -229,26 +220,6 @@ impl JobBuilder {
     /// Use a specific network cost model.
     pub fn network<M: NetworkModel>(mut self, model: M) -> Self {
         self.model = Arc::new(model);
-        self
-    }
-
-    /// Use a pre-shared network cost model.
-    pub fn network_shared(mut self, model: Arc<dyn NetworkModel>) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Explicit cluster shape (defaults to one core per physical process, one
-    /// process per node).
-    pub fn cluster(mut self, cluster: Cluster) -> Self {
-        self.cluster = Some(cluster);
-        self
-    }
-
-    /// Explicit placement policy (defaults to packed; replication factories
-    /// usually install [`Placement::ReplicaSets`]).
-    pub fn placement(mut self, placement: Placement) -> Self {
-        self.placement = Some(placement);
         self
     }
 
@@ -289,23 +260,9 @@ impl JobBuilder {
         self
     }
 
-    /// Override PML cost parameters.
-    pub fn pml_config(mut self, config: PmlConfig) -> Self {
-        self.pml_config = config;
-        self
-    }
-
     /// Enable event tracing (needed by the send-determinism checker).
     pub fn trace(mut self, enabled: bool) -> Self {
         self.trace = enabled;
-        self
-    }
-
-    /// Real-time deadlock-detection timeout. Only a fallback for endpoints
-    /// driven outside the scheduler: processes launched by this builder detect
-    /// deadlocks through the scheduler's quiescence check instead.
-    pub fn recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
         self
     }
 
@@ -350,10 +307,7 @@ impl JobBuilder {
     {
         install_quiet_panic_hook();
         let physical = self.factory.physical_processes(self.app_ranks);
-        let cluster = self.cluster.unwrap_or(Cluster::new(physical, 1));
-        let placement = self.placement.unwrap_or(Placement::Packed);
-        let fabric = Fabric::new_shared(physical, Arc::clone(&self.model), cluster, placement);
-        fabric.set_recv_timeout(self.recv_timeout);
+        let fabric = Fabric::new_shared(physical, Arc::clone(&self.model));
         // Install before anything runs: protocols read the policy's presence
         // at init time, and per-link fault indices must start at zero.
         if let Some((config, seed)) = self.net_faults {
@@ -373,7 +327,6 @@ impl JobBuilder {
         fabric.scheduler().set_workers(workers);
         let app = Arc::new(app);
         let factory = Arc::clone(&self.factory);
-        let pml_config = self.pml_config;
         let app_ranks = self.app_ranks;
         let sdc_flips = self.sdc_flips;
         // One process body per physical process, each run on its own
@@ -402,7 +355,7 @@ impl JobBuilder {
                     // coroutine's first resume, so this returns immediately.
                     fabric.scheduler().start(EndpointId(p));
                     let endpoint = fabric.endpoint(EndpointId(p));
-                    let mut pml = Pml::with_config(endpoint, pml_config);
+                    let mut pml = Pml::new(endpoint);
                     if !flips.is_empty() {
                         pml.arm_sdc_flips(flips);
                     }
@@ -541,6 +494,7 @@ mod tests {
     use super::*;
     use crate::collectives::ReduceOp;
     use bytes::Bytes;
+    use std::time::Duration;
 
     fn fast() -> LogGpModel {
         LogGpModel::fast_test_model()
@@ -755,7 +709,6 @@ mod tests {
         let report = JobBuilder::new(2)
             .network(fast())
             .crash(EndpointId(1), CrashSchedule::BeforeSend { nth: 1 })
-            .recv_timeout(Duration::from_millis(200))
             .run(|p| {
                 let world = p.world();
                 if p.rank() == 0 {
@@ -824,24 +777,21 @@ mod tests {
 
     #[test]
     fn deadlock_detected_by_quiescence_not_timeout() {
-        // The real-time timeout is deliberately enormous; only the scheduler's
-        // quiescence check can report this deadlock quickly.
+        // Launched processes never wait out a real-time timeout; only the
+        // scheduler's quiescence check can report this deadlock.
         let started = std::time::Instant::now();
-        let report = JobBuilder::new(2)
-            .network(fast())
-            .recv_timeout(Duration::from_secs(600))
-            .run(|p| {
-                let world = p.world();
-                if p.rank() == 0 {
-                    // Nobody ever sends tag 99.
-                    let (_, _) = p.recv_bytes(world, 1, 99);
-                }
-                p.rank()
-            });
+        let report = JobBuilder::new(2).network(fast()).run(|p| {
+            let world = p.world();
+            if p.rank() == 0 {
+                // Nobody ever sends tag 99.
+                let (_, _) = p.recv_bytes(world, 1, 99);
+            }
+            p.rank()
+        });
         assert_eq!(report.deadlocked(), vec![EndpointId(0)]);
         assert!(
             started.elapsed() < Duration::from_secs(30),
-            "quiescence verdict took {:?}: the real-time timeout was burnt instead",
+            "quiescence verdict took {:?}",
             started.elapsed()
         );
     }
@@ -854,19 +804,16 @@ mod tests {
         // forever. The yield-streak guard must convert the fruitless spin
         // into a park and report the deadlock promptly.
         let started = std::time::Instant::now();
-        let report = JobBuilder::new(2)
-            .network(fast())
-            .recv_timeout(Duration::from_secs(600))
-            .run(|p| {
-                let world = p.world();
-                if p.rank() == 0 {
-                    let req = p.irecv_bytes(world, 1, 99);
-                    while !p.test(req) {
-                        std::hint::spin_loop();
-                    }
+        let report = JobBuilder::new(2).network(fast()).run(|p| {
+            let world = p.world();
+            if p.rank() == 0 {
+                let req = p.irecv_bytes(world, 1, 99);
+                while !p.test(req) {
+                    std::hint::spin_loop();
                 }
-                p.rank()
-            });
+            }
+            p.rank()
+        });
         assert_eq!(report.deadlocked(), vec![EndpointId(0)]);
         assert!(
             report.processes[1].outcome.is_finished(),

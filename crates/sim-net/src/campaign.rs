@@ -24,8 +24,8 @@
 //!   with nothing but integer comparisons — no `ln`, so plans cannot drift
 //!   across platforms or math libraries.
 //! * **Replica-set aware.** Crash distributions know the endpoint layout of
-//!   [`crate::topology::Placement::ReplicaSets`] (`endpoint = replica · ranks
-//!   + rank`) so they can either *guarantee* single-replica loss (the
+//!   a uniformly replicated job (`sdr_core::ReplicaMap::uniform`: `endpoint =
+//!   replica · ranks + rank`) so they can either *guarantee* single-replica loss (the
 //!   survivable regime the paper's protocol covers) or *force* correlated
 //!   loss of every replica of one rank (the regime that must abort promptly).
 //!

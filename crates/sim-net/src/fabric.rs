@@ -30,8 +30,7 @@
 //! append order under the mailbox lock. Messages to a crashed process are
 //! silently kept in its fabric-owned inbox — messages a process handed to the
 //! fabric *before* crashing are still delivered, the paper's "channels are
-//! reliable" assumption, and recovery can take a fresh [`Endpoint`] handle
-//! for the same identity that reads the same inbox.
+//! reliable" assumption.
 //!
 //! # Why direct inbox ingest loses no wake
 //!
@@ -58,7 +57,6 @@ use crate::netfault::{FaultVerdict, NetFaultConfig, NetFaultPolicy};
 use crate::sched::{Park, Scheduler};
 use crate::stats::{class, NetStats};
 use crate::time::SimTime;
-use crate::topology::{Cluster, NodeId, Placement};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -167,9 +165,8 @@ impl Ord for PendingMsg {
 #[derive(Default)]
 struct Mailbox {
     /// Next physical-ingest stamp, the FIFO tie-break for equal virtual
-    /// arrivals. It lives in the fabric-owned inbox, not the endpoint, so it
-    /// survives endpoint incarnations (recovery takes a fresh handle over the
-    /// same inbox).
+    /// arrivals. It lives in the fabric-owned inbox, not the endpoint, so
+    /// messages ingested before the endpoint is taken are stamped too.
     next_seq: u64,
     /// Ingested messages with their stamps, in ingest order.
     msgs: Vec<(u64, RawMessage)>,
@@ -237,12 +234,9 @@ impl Inbox {
 pub struct Fabric {
     n: usize,
     model: Arc<dyn NetworkModel>,
-    cluster: Cluster,
-    node_of: Vec<NodeId>,
     /// One inbox per endpoint, owned by the fabric for the whole run so that
-    /// (a) messages sent to a crashed process are not lost and (b) recovery
-    /// can hand out a fresh endpoint handle for the same identity that keeps
-    /// reading the same inbox.
+    /// messages sent to a crashed process are not lost: they stay queued
+    /// under its identity, whether or not a handle is ever taken for it.
     inboxes: Vec<Inbox>,
     taken: Mutex<Vec<bool>>,
     stats: Arc<NetStats>,
@@ -259,33 +253,22 @@ impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
             .field("endpoints", &self.n)
-            .field("cluster", &self.cluster)
             .finish()
     }
 }
 
 impl Fabric {
-    /// Build a fabric for `n` physical processes using `model` for costs and
-    /// `placement` over `cluster` for intra/inter-node classification.
-    pub fn new<M: NetworkModel>(
-        n: usize,
-        model: M,
-        cluster: Cluster,
-        placement: Placement,
-    ) -> Arc<Fabric> {
-        Fabric::new_shared(n, Arc::new(model), cluster, placement)
+    /// Build a fabric for `n` physical processes, each its own node, using
+    /// `model` for costs.
+    pub fn with_defaults<M: NetworkModel>(n: usize, model: M) -> Arc<Fabric> {
+        Fabric::new_shared(n, Arc::new(model))
     }
 
-    /// Like [`Fabric::new`] but with an already type-erased cost model (used
-    /// by the job launcher, which stores the model as `Arc<dyn NetworkModel>`).
-    pub fn new_shared(
-        n: usize,
-        model: Arc<dyn NetworkModel>,
-        cluster: Cluster,
-        placement: Placement,
-    ) -> Arc<Fabric> {
+    /// Like [`Fabric::with_defaults`] but with an already type-erased cost
+    /// model (used by the job launcher, which stores the model as
+    /// `Arc<dyn NetworkModel>`).
+    pub fn new_shared(n: usize, model: Arc<dyn NetworkModel>) -> Arc<Fabric> {
         assert!(n > 0, "fabric needs at least one endpoint");
-        let node_of: Vec<NodeId> = (0..n).map(|p| placement.node_of(p, n, &cluster)).collect();
         let inboxes = (0..n).map(|_| Inbox::new()).collect();
         // The scheduler shares the fabric's stats so its dispatch counters
         // (handoffs, cold dispatches) land in the same snapshot as
@@ -295,8 +278,6 @@ impl Fabric {
         Arc::new(Fabric {
             n,
             model,
-            cluster,
-            node_of,
             inboxes,
             taken: Mutex::new(vec![false; n]),
             stats,
@@ -305,12 +286,6 @@ impl Fabric {
             recv_timeout_ms: AtomicU64::new(20_000),
             net_faults: std::sync::OnceLock::new(),
         })
-    }
-
-    /// Convenience constructor: `n` endpoints, one per core, packed placement.
-    pub fn with_defaults<M: NetworkModel>(n: usize, model: M) -> Arc<Fabric> {
-        let nodes = n.max(1);
-        Fabric::new(n, model, Cluster::new(nodes, 1), Placement::Packed)
     }
 
     /// Number of endpoints.
@@ -415,16 +390,6 @@ impl Fabric {
         }
     }
 
-    /// The node hosting endpoint `e`.
-    pub fn node_of(&self, e: EndpointId) -> NodeId {
-        self.node_of[e.0]
-    }
-
-    /// Do two endpoints share a node?
-    pub fn same_node(&self, a: EndpointId, b: EndpointId) -> bool {
-        self.node_of[a.0] == self.node_of[b.0]
-    }
-
     /// The cost model in use.
     pub fn model(&self) -> &Arc<dyn NetworkModel> {
         &self.model
@@ -443,8 +408,7 @@ impl Fabric {
             .store(timeout.as_millis() as u64, Ordering::Relaxed);
     }
 
-    /// Take the endpoint for physical process `id`. Panics if taken twice
-    /// (unless [`Fabric::reset_endpoint`] released it in between).
+    /// Take the endpoint for physical process `id`. Panics if taken twice.
     pub fn endpoint(self: &Arc<Self>, id: EndpointId) -> Endpoint {
         assert!(id.0 < self.n, "endpoint id out of range");
         {
@@ -464,18 +428,6 @@ impl Fabric {
             app_sends: 0,
             idle_polls: 0,
         }
-    }
-
-    /// Release endpoint `id` so a *new* endpoint handle can be taken for the
-    /// same physical identity. Used by recovery to fork a replacement process
-    /// (Section 3.4 of the paper). Messages ingested into the fabric-owned
-    /// inbox while the previous incarnation was dead remain there; the
-    /// recovery protocol decides by epoch which of them the new incarnation
-    /// must honour. (Messages the dead incarnation had already swept into
-    /// its private pending heap die with it.)
-    pub fn reset_endpoint(self: &Arc<Self>, id: EndpointId) {
-        assert!(id.0 < self.n, "endpoint id out of range");
-        self.taken.lock()[id.0] = false;
     }
 }
 
@@ -682,7 +634,8 @@ impl Endpoint {
         if is_app {
             self.maybe_crash(true);
         }
-        let intra = self.fabric.same_node(self.id, dst);
+        // Every process is its own node: only a self-send is intra-node.
+        let intra = self.id == dst;
         let send_overhead = self.fabric.model.send_overhead(payload.len(), intra);
         let wire_time = self.fabric.model.wire_time(payload.len(), intra);
         self.clock.charge_comm(send_overhead);
@@ -715,7 +668,7 @@ impl Endpoint {
 
     /// Send to self without going over the wire (used by collectives that
     /// include the root in their own destination set). Costs only the
-    /// intra-node overheads.
+    /// intra-node overheads — the only send that pays them.
     pub fn send_to_self(&mut self, cls: u8, header: [i64; HEADER_WORDS], payload: Bytes) {
         self.send(self.id, cls, header, payload);
     }
@@ -823,7 +776,7 @@ impl Endpoint {
         if msg.class == class::APP {
             return;
         }
-        let intra = self.fabric.same_node(msg.src, self.id);
+        let intra = msg.src == self.id;
         let cost = self.fabric.model.recv_overhead(msg.len(), intra);
         self.clock.charge_comm(cost);
     }
@@ -1194,35 +1147,33 @@ mod tests {
     }
 
     #[test]
-    fn intra_node_cheaper_than_inter_node_delivery() {
-        // 2 nodes x 2 cores; endpoints 0,1 share node 0, endpoint 2 is remote.
-        let fabric = Fabric::new(
-            4,
-            LogGpModel::infiniband_20g(),
-            Cluster::new(2, 2),
-            Placement::Packed,
-        );
+    fn only_a_self_send_pays_intra_node_costs() {
+        // Every process is its own node: endpoint 0's send to itself is the
+        // only intra-node message, its sends to 1 and 2 are inter-node.
+        let model = LogGpModel::infiniband_20g();
+        let fabric = Fabric::with_defaults(3, model);
         let mut p0 = fabric.endpoint(EndpointId(0));
         let mut p1 = fabric.endpoint(EndpointId(1));
         let mut p2 = fabric.endpoint(EndpointId(2));
-        p0.send(
-            EndpointId(1),
-            class::APP,
-            hdr(0),
-            Bytes::from(vec![0u8; 1024]),
-        );
-        p0.send(
-            EndpointId(2),
-            class::APP,
-            hdr(0),
-            Bytes::from(vec![0u8; 1024]),
-        );
-        let local = p1.recv_blocking().unwrap();
-        let remote = p2.recv_blocking().unwrap();
-        assert!(
-            local.arrival - local.injected_at < remote.arrival - remote.injected_at,
-            "intra-node wire time should be smaller"
-        );
+        let payload = Bytes::from(vec![0u8; 1024]);
+        let mut before = p0.now();
+        for dst in 0..3 {
+            p0.send(EndpointId(dst), class::APP, hdr(0), payload.clone());
+            let intra = dst == 0;
+            assert_eq!(
+                p0.now() - before,
+                model.send_overhead(1024, intra),
+                "send overhead to {dst}"
+            );
+            before = p0.now();
+        }
+        for (msg, intra) in [
+            (p0.recv_blocking().unwrap(), true),
+            (p1.recv_blocking().unwrap(), false),
+            (p2.recv_blocking().unwrap(), false),
+        ] {
+            assert_eq!(msg.arrival - msg.injected_at, model.wire_time(1024, intra));
+        }
     }
 
     #[test]
@@ -1372,13 +1323,8 @@ mod tests {
             hdr(0),
             Bytes::from_static(b"kept"),
         );
-        // No panic; stats still count the attempt, and a recovery incarnation
-        // taking a fresh handle for the same identity can still drain it.
+        // No panic, and the stats still count the attempt.
         assert_eq!(fabric.stats().snapshot().app_msgs(), 1);
-        fabric.reset_endpoint(EndpointId(1));
-        let mut b2 = fabric.endpoint(EndpointId(1));
-        let msg = b2.recv_blocking().expect("inbox survives the endpoint");
-        assert_eq!(&msg.payload[..], b"kept");
     }
 
     #[test]

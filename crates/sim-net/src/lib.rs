@@ -75,7 +75,6 @@ pub mod netfault;
 pub mod sched;
 pub mod stats;
 pub mod time;
-pub mod topology;
 pub mod trace;
 
 pub use campaign::{
@@ -93,5 +92,4 @@ pub use netfault::{FaultVerdict, NetFaultConfig, NetFaultPolicy};
 pub use sched::{Park, Scheduler, WakeOutcome};
 pub use stats::{NetStats, StatsSnapshot};
 pub use time::SimTime;
-pub use topology::{Cluster, NodeId, Placement};
 pub use trace::{EventKind, EventTrace, TraceEvent};

@@ -12,9 +12,9 @@
 //! and matching/delivering it charges `o_recv` to the receiver's clock. The
 //! parameters of [`LogGpModel::infiniband_20g`] are calibrated so that the
 //! *native* one-byte ping-pong latency is ≈1.67 µs and the peak bandwidth is
-//! ≈20 Gb/s, matching Figure 7 of the paper. Intra-node communication (two
-//! ranks placed on the same simulated node) uses a cheaper shared-memory-like
-//! parameter set.
+//! ≈20 Gb/s, matching Figure 7 of the paper. Every physical process is its
+//! own node, so the cheaper shared-memory-like intra-node parameter set is
+//! what a process pays to send to itself.
 //!
 //! # The arrival-ordering contract
 //!
@@ -35,6 +35,8 @@
 use crate::time::SimTime;
 
 /// A network cost model maps (message size, locality) to virtual-time costs.
+/// The fabric passes `intra_node = true` only for a process's sends to
+/// itself: every physical process is its own node.
 ///
 /// Implementations must be pure functions of their parameters so that
 /// simulations are reproducible.
@@ -88,7 +90,8 @@ impl LinkParams {
 pub struct LogGpModel {
     /// Parameters used when sender and receiver are on different nodes.
     pub inter: LinkParams,
-    /// Parameters used when sender and receiver share a node.
+    /// Parameters used when sender and receiver share a node — with one
+    /// process per node, what a process pays to send to itself.
     pub intra: LinkParams,
 }
 

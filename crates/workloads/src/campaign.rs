@@ -42,7 +42,6 @@
 //! spec line.
 
 use crate::nas::NasKernel;
-use crate::runner::RunTuning;
 use crate::serve::{run_spec, JobSpec, LayoutSpec, WorkloadKind};
 use bytes::Bytes;
 use repl_baselines::{RedMpiFactory, SdcReport};
@@ -191,10 +190,11 @@ pub fn lossy_workload(seed: u64, iterations: u64) -> WorkloadKind {
 /// configuration picks the layout (the partial layout the
 /// [`FaultDistribution::UnreplicatedBias`] mask describes, full replication
 /// at the configured degree otherwise), the plan's faults become the spec's
-/// crash / bit-flip / net-fault fields, and `tuning` its execution layer.
+/// crash / bit-flip / net-fault fields, and `workers` its scheduler pool
+/// size (`None` keeps the launcher's default).
 /// NAS workloads run at class S. The spec round-trips through the wire
 /// format, so its JSON line replays the case under `sdr_serve --queue`.
-pub fn case_spec(plan: &FaultPlan, workload: WorkloadKind, tuning: RunTuning) -> JobSpec {
+pub fn case_spec(plan: &FaultPlan, workload: WorkloadKind, workers: Option<usize>) -> JobSpec {
     let config = plan.config;
     let layout = match config.dist {
         FaultDistribution::UnreplicatedBias {
@@ -220,7 +220,7 @@ pub fn case_spec(plan: &FaultPlan, workload: WorkloadKind, tuning: RunTuning) ->
         class: "s".to_string(),
         layout,
         carrier_mode: None,
-        workers: tuning.workers,
+        workers,
         seed: plan.seed,
         crashes: Vec::new(),
         sdc: Vec::new(),
@@ -238,7 +238,7 @@ pub fn sampled_case(
     config: CampaignConfig,
     seed: u64,
     iterations: u64,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> (FaultPlan, JobSpec) {
     let workload = match config.dist {
         FaultDistribution::SoftErrors { .. } => WorkloadKind::Ring { iterations },
@@ -248,11 +248,11 @@ pub fn sampled_case(
         _ => WorkloadKind::Collective { iterations },
     };
     let plan = sample_plan(config, seed);
-    let spec = case_spec(&plan, workload, tuning);
+    let spec = case_spec(&plan, workload, workers);
     (plan, spec)
 }
 
-const SINGLE_WORKER: RunTuning = RunTuning { workers: Some(1) };
+const SINGLE_WORKER: Option<usize> = Some(1);
 
 fn run(spec: &JobSpec) -> JobReport<f64> {
     match run_spec(spec) {
@@ -350,9 +350,9 @@ fn run_crash_case(
     config: CampaignConfig,
     seed: u64,
     iterations: u64,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> CaseOutcome {
-    let (plan, spec) = sampled_case(config, seed, iterations, tuning);
+    let (plan, spec) = sampled_case(config, seed, iterations, workers);
     let unrecoverable = match config.dist {
         FaultDistribution::CorrelatedPairLoss { .. } => {
             Some("correlated loss of both replicas".to_string())
@@ -406,8 +406,12 @@ fn run_crash_case(
 /// duplicate is suppressed, and drops force retransmissions. Used by
 /// [`run_case`] for sampled plans and by the bench harness's fixed-rate
 /// sweep.
-pub fn run_lossy_explicit_case(plan: FaultPlan, iterations: u64, tuning: RunTuning) -> CaseOutcome {
-    let spec = case_spec(&plan, lossy_workload(plan.seed, iterations), tuning);
+pub fn run_lossy_explicit_case(
+    plan: FaultPlan,
+    iterations: u64,
+    workers: Option<usize>,
+) -> CaseOutcome {
+    let spec = case_spec(&plan, lossy_workload(plan.seed, iterations), workers);
     let workload = spec.workload.name();
     let reference = run(&JobSpec {
         crashes: Vec::new(),
@@ -472,13 +476,13 @@ fn run_sdc_case(
     config: CampaignConfig,
     seed: u64,
     iterations: u64,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> CaseOutcome {
     assert!(
         config.degree >= 2,
         "the redMPI comparison needs at least two replicas"
     );
-    let (plan, spec) = sampled_case(config, seed, iterations, tuning);
+    let (plan, spec) = sampled_case(config, seed, iterations, workers);
     let report_handle = SdcReport::new();
     let app = spec.app();
     let report = spec
@@ -525,14 +529,14 @@ pub fn run_case(
     config: CampaignConfig,
     seed: u64,
     iterations: u64,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> CaseOutcome {
     match config.dist {
-        FaultDistribution::SoftErrors { .. } => run_sdc_case(config, seed, iterations, tuning),
+        FaultDistribution::SoftErrors { .. } => run_sdc_case(config, seed, iterations, workers),
         FaultDistribution::LossyLinks { .. } | FaultDistribution::DelayedAcks { .. } => {
-            run_lossy_explicit_case(sample_plan(config, seed), iterations, tuning)
+            run_lossy_explicit_case(sample_plan(config, seed), iterations, workers)
         }
-        _ => run_crash_case(config, seed, iterations, tuning),
+        _ => run_crash_case(config, seed, iterations, workers),
     }
 }
 
@@ -543,10 +547,10 @@ pub fn run_campaign(
     base_seed: u64,
     cases: usize,
     iterations: u64,
-    tuning: RunTuning,
+    workers: Option<usize>,
 ) -> Vec<CaseOutcome> {
     (0..cases as u64)
-        .map(|i| run_case(config, base_seed + i, iterations, tuning))
+        .map(|i| run_case(config, base_seed + i, iterations, workers))
         .collect()
 }
 
@@ -931,7 +935,7 @@ mod tests {
 
     #[test]
     fn mid_collective_cases_are_survived() {
-        let outcomes = run_campaign(survive_cfg(), 100, 5, 6, RunTuning::default());
+        let outcomes = run_campaign(survive_cfg(), 100, 5, 6, None);
         let summary = summarize(survive_cfg(), &outcomes);
         assert_eq!(summary.cases, 5);
         assert!(
@@ -955,7 +959,7 @@ mod tests {
                 horizon_sends: 3,
             },
         };
-        let outcomes = run_campaign(cfg, 7, 4, 6, RunTuning::default());
+        let outcomes = run_campaign(cfg, 7, 4, 6, None);
         let summary = summarize(cfg, &outcomes);
         assert!(
             summary.violations.is_empty(),
@@ -977,7 +981,7 @@ mod tests {
                 payload_bits: 8192,
             },
         };
-        let outcomes = run_campaign(cfg, 11, 4, 6, RunTuning::default());
+        let outcomes = run_campaign(cfg, 11, 4, 6, None);
         let summary = summarize(cfg, &outcomes);
         assert!(
             summary.violations.is_empty(),
@@ -1000,7 +1004,7 @@ mod tests {
                 payload_bits: 8192,
             },
         };
-        let outcomes = run_campaign(cfg, 19, 3, 6, RunTuning::default());
+        let outcomes = run_campaign(cfg, 19, 3, 6, None);
         let summary = summarize(cfg, &outcomes);
         assert!(
             summary.violations.is_empty(),
@@ -1026,7 +1030,7 @@ mod tests {
                 horizon_sends: 3,
             },
         };
-        let outcomes = run_campaign(cfg, 23, 4, 6, RunTuning::default());
+        let outcomes = run_campaign(cfg, 23, 4, 6, None);
         let summary = summarize(cfg, &outcomes);
         assert!(
             summary.violations.is_empty(),
@@ -1052,7 +1056,7 @@ mod tests {
                 horizon_sends: 6,
             },
         };
-        let outcomes = run_campaign(cfg, 40, 8, 6, RunTuning::default());
+        let outcomes = run_campaign(cfg, 40, 8, 6, None);
         let summary = summarize(cfg, &outcomes);
         assert!(
             summary.violations.is_empty(),
@@ -1085,7 +1089,7 @@ mod tests {
                 max_delay_per_64k: 3277,
             },
         };
-        let outcomes = run_campaign(cfg, 12, 6, 6, RunTuning::default());
+        let outcomes = run_campaign(cfg, 12, 6, 6, None);
         let summary = summarize(cfg, &outcomes);
         assert!(
             summary.violations.is_empty(),
@@ -1123,7 +1127,7 @@ mod tests {
                 max_delay_ns: 400_000,
             },
         };
-        let outcomes = run_campaign(cfg, 30, 4, 6, RunTuning::default());
+        let outcomes = run_campaign(cfg, 30, 4, 6, None);
         let summary = summarize(cfg, &outcomes);
         assert!(
             summary.violations.is_empty(),

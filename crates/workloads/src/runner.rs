@@ -7,7 +7,7 @@
 //! `sdr-bench` harness binaries print them.
 
 use crate::serve::LayoutSpec;
-use sim_mpi::{JobBuilder, JobReport, Process};
+use sim_mpi::{JobReport, Process};
 use sim_net::{LogGpModel, StatsSnapshot};
 use std::sync::Arc;
 
@@ -97,43 +97,28 @@ fn checksums(report: &JobReport<f64>) -> Vec<f64> {
     report.primary_results().into_iter().copied().collect()
 }
 
-/// Execution-layer tuning for harness runs, threaded down to the scheduler:
-/// `None` fields keep the [`sim_mpi::JobBuilder`] defaults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunTuning {
-    /// Scheduler worker-pool size (how many simulated processes execute
-    /// concurrently). Defaults to `min(host cores, physical processes)`.
-    pub workers: Option<usize>,
-}
-
-impl RunTuning {
-    /// Apply the tuning to a builder (`None` fields leave the defaults).
-    pub fn apply(self, builder: JobBuilder) -> JobBuilder {
-        match self.workers {
-            Some(w) => builder.workers(w),
-            None => builder,
-        }
-    }
-}
-
 /// Run `spec` natively and replicated under `layout` — full replication at
 /// any degree, or a partial layout — on the InfiniBand-20G model and build
 /// the row. Both builders come from [`LayoutSpec::builder`], the same switch
 /// job specs compile through, so a table row and a served job of the same
-/// layout launch the same protocol factory, cluster and placement. The row's
+/// layout launch the same protocol factory. `workers` sizes the scheduler
+/// pool (`None` keeps the [`sim_mpi::JobBuilder`] default). The row's
 /// `degree` and `coverage` are read back from the replicated run's process
 /// table. The scheduler multiplexes the job's processes over the bounded
 /// worker pool regardless of rank count, which is what carries the ≥ 64-rank
 /// harness configurations.
-pub fn compare(spec: &WorkloadSpec, layout: &LayoutSpec, tuning: RunTuning) -> ComparisonRow {
+pub fn compare(spec: &WorkloadSpec, layout: &LayoutSpec, workers: Option<usize>) -> ComparisonRow {
     let run = |layout: &LayoutSpec, side: &str| {
-        let builder = layout
+        let mut builder = layout
             .builder(spec.ranks)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
             .network(LogGpModel::infiniband_20g());
+        if let Some(w) = workers {
+            builder = builder.workers(w);
+        }
         let app = Arc::clone(&spec.app);
         let started = std::time::Instant::now();
-        let report = tuning.apply(builder).run(move |p| (app)(p));
+        let report = builder.run(move |p| (app)(p));
         let host_secs = started.elapsed().as_secs_f64();
         assert!(
             report.all_finished(),
@@ -173,7 +158,7 @@ mod tests {
     fn comparison_row_for_cg_is_sane() {
         let cfg = NasConfig::test_size();
         let spec = WorkloadSpec::new("CG", 4, move |p| run_kernel(NasKernel::Cg, p, &cfg));
-        let row = compare(&spec, &DUAL, RunTuning::default());
+        let row = compare(&spec, &DUAL, None);
         assert!(
             row.results_match,
             "native and replicated checksums must agree"
@@ -213,7 +198,7 @@ mod tests {
         let cfg = NasConfig::test_size();
         let spec = WorkloadSpec::new("CG", 4, move |p| run_kernel(NasKernel::Cg, p, &cfg));
         let layout = LayoutSpec::Coverage { coverage: 0.5 };
-        let row = compare(&spec, &layout, RunTuning::default());
+        let row = compare(&spec, &layout, None);
         assert!(
             row.results_match,
             "mapped run must match the native results"
@@ -234,7 +219,7 @@ mod tests {
         // density the SDR-MPI overhead stays below 5%.
         let cfg = NasConfig::class_d_like();
         let spec = WorkloadSpec::new("CG", 8, move |p| run_kernel(NasKernel::Cg, p, &cfg));
-        let row = compare(&spec, &DUAL, RunTuning::default());
+        let row = compare(&spec, &DUAL, None);
         assert!(row.results_match);
         assert!(
             row.overhead_pct < 5.0,

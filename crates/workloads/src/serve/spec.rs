@@ -12,7 +12,6 @@
 use super::json::{self, Json, JsonError};
 use crate::campaign::{collective_app, ring_app};
 use crate::nas::{run_kernel, NasConfig, NasKernel};
-use crate::runner::RunTuning;
 use sdr_core::{
     coverage_job, native_job, partial_replicated_job, replicated_job, ReplicationConfig,
 };
@@ -101,8 +100,8 @@ impl LayoutSpec {
     }
 
     /// The [`JobBuilder`] for `ranks` application ranks under this layout:
-    /// the one place a (degree, coverage) choice becomes a protocol factory,
-    /// cluster and placement. Specs compile through it and so do the
+    /// the one place a (degree, coverage) choice becomes a protocol factory.
+    /// Specs compile through it and so do the
     /// Table 1/2 and layout-sweep rows ([`crate::runner::compare`]), which
     /// then install their own network model. Structurally invalid subsets
     /// surface as [`SpecError::InvalidLayout`].
@@ -347,6 +346,19 @@ fn get_seed(obj: &Json, field: &'static str) -> Result<Option<u64>, SpecError> {
     }
 }
 
+/// A 32-bit field: a larger integer is rejected rather than wrapped, so it
+/// can never pass a range check as its low 32 bits.
+fn get_u32(obj: &Json, field: &'static str) -> Result<Option<u32>, SpecError> {
+    get_u64(obj, field)?
+        .map(|v| {
+            u32::try_from(v).map_err(|_| SpecError::WrongType {
+                field,
+                expected: "an integer below 2^32",
+            })
+        })
+        .transpose()
+}
+
 fn get_usize(obj: &Json, field: &'static str) -> Result<Option<usize>, SpecError> {
     Ok(get_u64(obj, field)?.map(|v| v as usize))
 }
@@ -517,7 +529,7 @@ impl JobSpec {
             sdc.push(SdcFault {
                 endpoint: require(get_usize(item, "endpoint")?, "endpoint")?,
                 nth_send,
-                bit: require(get_u64(item, "bit")?, "bit")? as u32,
+                bit: require(get_u32(item, "bit")?, "bit")?,
             });
         }
         let net_faults = match doc.get("net") {
@@ -535,11 +547,9 @@ impl JobSpec {
                     Some("delayed-acks") => NetFaultConfig::delayed_acks(),
                     Some(other) => return Err(SpecError::UnknownProfile(other.to_string())),
                     None => NetFaultConfig {
-                        drop_per_64k: require(get_u64(net, "drop_per_64k")?, "drop_per_64k")?
-                            as u32,
-                        dup_per_64k: require(get_u64(net, "dup_per_64k")?, "dup_per_64k")? as u32,
-                        delay_per_64k: require(get_u64(net, "delay_per_64k")?, "delay_per_64k")?
-                            as u32,
+                        drop_per_64k: require(get_u32(net, "drop_per_64k")?, "drop_per_64k")?,
+                        dup_per_64k: require(get_u32(net, "dup_per_64k")?, "dup_per_64k")?,
+                        delay_per_64k: require(get_u32(net, "delay_per_64k")?, "delay_per_64k")?,
                         delay_ns: require(get_u64(net, "delay_ns")?, "delay_ns")?,
                         ack_only: get_bool(net, "ack_only")?.unwrap_or(false),
                     },
@@ -742,10 +752,10 @@ impl JobSpec {
         if let Some(net) = &self.net_faults {
             builder = builder.net_faults(net.config, net.seed);
         }
-        let tuning = RunTuning {
-            workers: self.workers,
-        };
-        Ok(tuning.apply(builder).trace(self.trace))
+        if let Some(w) = self.workers {
+            builder = builder.workers(w);
+        }
+        Ok(builder.trace(self.trace))
     }
 }
 
@@ -830,6 +840,20 @@ mod tests {
             (
                 r#"{"id":"x","workload":"cg","ranks":4,"net":{"drop_per_64k":65536,"dup_per_64k":1,"delay_per_64k":0,"delay_ns":0}}"#,
                 SpecError::InvalidFaultRates { sum: 65_537 },
+            ),
+            (
+                r#"{"id":"x","workload":"cg","ranks":4,"net":{"drop_per_64k":4294967296,"dup_per_64k":0,"delay_per_64k":0,"delay_ns":0}}"#,
+                SpecError::WrongType {
+                    field: "drop_per_64k",
+                    expected: "an integer below 2^32",
+                },
+            ),
+            (
+                r#"{"id":"x","workload":"cg","ranks":4,"sdc":[{"endpoint":0,"nth_send":1,"bit":4294967301}]}"#,
+                SpecError::WrongType {
+                    field: "bit",
+                    expected: "an integer below 2^32",
+                },
             ),
             (
                 r#"{"id":"x","workload":"cg","ranks":"four"}"#,

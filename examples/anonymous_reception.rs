@@ -8,7 +8,7 @@
 use repl_baselines::LeaderFactory;
 use sdr_core::{replicated_job, ReplicationConfig};
 use sim_mpi::{JobBuilder, Process, ANY_SOURCE};
-use sim_net::{Cluster, LogGpModel, Placement};
+use sim_net::LogGpModel;
 use std::sync::Arc;
 
 fn app(p: &mut Process) -> u64 {
@@ -40,8 +40,6 @@ fn main() {
     let leader = JobBuilder::new(ranks)
         .network(LogGpModel::infiniband_20g())
         .protocol(Arc::new(LeaderFactory::new(cfg)))
-        .cluster(Cluster::new(ranks * 2, 1))
-        .placement(Placement::ReplicaSets { ranks, degree: 2 })
         .run(app);
 
     println!(

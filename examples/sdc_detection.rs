@@ -8,7 +8,7 @@
 
 use repl_baselines::{CorruptionSpec, RedMpiFactory, SdcReport};
 use sim_mpi::{JobBuilder, Process};
-use sim_net::{Cluster, LogGpModel, Placement};
+use sim_net::LogGpModel;
 use std::sync::Arc;
 
 fn app(p: &mut Process) -> u64 {
@@ -38,11 +38,6 @@ fn main() {
     let job = JobBuilder::new(2)
         .network(LogGpModel::infiniband_20g())
         .protocol(Arc::new(factory))
-        .cluster(Cluster::new(4, 1))
-        .placement(Placement::ReplicaSets {
-            ranks: 2,
-            degree: 2,
-        })
         .run(app);
     println!("job finished: {}", job.all_finished());
     println!("hash messages exchanged : {}", job.stats.hash_msgs());

@@ -9,7 +9,7 @@
 //!
 //! | re-export | crate | role |
 //! |---|---|---|
-//! | [`sim_net`] | `crates/sim-net` | virtual-time fabric: LogGP model, topology, failures |
+//! | [`sim_net`] | `crates/sim-net` | virtual-time fabric: LogGP model, failures |
 //! | [`sim_mpi`] | `crates/sim-mpi` | MPI-like runtime: PML, matching, collectives, interception |
 //! | [`sdr_core`] | `crates/core` | the paper's protocol: acks, replica layout, recovery |
 //! | [`repl_baselines`] | `crates/repl-baselines` | mirror / leader / redMPI baselines |

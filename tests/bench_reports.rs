@@ -15,10 +15,9 @@ use sdr_bench::{
 use std::collections::BTreeSet;
 use workloads::campaign::Violation;
 use workloads::nas::{NasConfig, NasKernel};
-use workloads::runner::RunTuning;
 use workloads::serve::json::{parse, Json};
 
-const SINGLE_WORKER: RunTuning = RunTuning { workers: Some(1) };
+const SINGLE_WORKER: Option<usize> = Some(1);
 
 /// Every object key of `doc` as a path: `a.b` for nesting, `[]` for "in each
 /// element of this array".

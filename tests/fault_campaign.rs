@@ -13,10 +13,9 @@ use workloads::campaign::{
     crash_faults_violate_survival, run_case, sampled_case, shrink_explicit_violation,
     shrink_fault_list, shrink_violation, summarize, CaseOutcome,
 };
-use workloads::runner::RunTuning;
 use workloads::serve::JobSpec;
 
-/// `workloads::campaign::run_campaign` at the default tuning, one case at a
+/// `workloads::campaign::run_campaign` at the default workers, one case at a
 /// time, telling the deadline guard which spec line is about to run — so a
 /// hung case fails its test with the line that replays it.
 fn run_campaign(
@@ -26,12 +25,12 @@ fn run_campaign(
     cases: u64,
     iterations: u64,
 ) -> Vec<CaseOutcome> {
-    let tuning = RunTuning::default();
+    let workers = None;
     (base_seed..base_seed + cases)
         .map(|seed| {
-            let (_, spec) = sampled_case(config, seed, iterations, tuning);
+            let (_, spec) = sampled_case(config, seed, iterations, workers);
             running.note(spec.to_json().encode());
-            run_case(config, seed, iterations, tuning)
+            run_case(config, seed, iterations, workers)
         })
         .collect()
 }
@@ -490,7 +489,7 @@ fn every_sampled_case_is_a_replayable_spec_line() {
             dist,
         };
         for seed in 0..12 {
-            let (plan, spec) = sampled_case(config, seed, 6, RunTuning::default());
+            let (plan, spec) = sampled_case(config, seed, 6, None);
             let line = spec.to_json().encode();
             assert_eq!(
                 JobSpec::parse_line(&line).as_ref(),

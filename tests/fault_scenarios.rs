@@ -65,9 +65,6 @@ fn crash_of_both_replicas_of_one_rank_is_a_clear_job_failure() {
         // Endpoints 1 and 3 are replicas 0 and 1 of rank 1.
         .crash(EndpointId(1), CrashSchedule::AfterSend { nth: 1 })
         .crash(EndpointId(3), CrashSchedule::AfterSend { nth: 1 })
-        // Deliberately long real-time timeout: only a real failure path (not
-        // a burnt timeout) can finish this test quickly.
-        .recv_timeout(Duration::from_secs(300))
         .run(move |p| figure3_pattern(p, rounds));
     assert!(
         started.elapsed() < Duration::from_secs(60),
@@ -114,8 +111,8 @@ fn ack_on_app_wait_deadlocks_the_exchange_and_quiescence_reports_it() {
     // MPI_Wait (instead of the library-level irecvComplete), the ubiquitous
     // `MPI_Irecv; MPI_Send; MPI_Wait` neighbour exchange deadlocks — every
     // process blocks in MPI_Send waiting for acks its peer's replicas would
-    // only emit after their own MPI_Send completed. The real-time timeout is
-    // deliberately enormous: only the scheduler's exact quiescence verdict
+    // only emit after their own MPI_Send completed. Launched processes never
+    // wait out a real-time timeout: only the scheduler's exact quiescence verdict
     // (which must see through all 8 parked processes at once) can finish this
     // test quickly, and every process must be reported Deadlocked — not hung,
     // not Panicked.
@@ -132,12 +129,11 @@ fn ack_on_app_wait_deadlocks_the_exchange_and_quiescence_reports_it() {
     let started = std::time::Instant::now();
     let report = replicated_job(ranks, ReplicationConfig::dual().ack_on(AckOn::AppWait))
         .network(fast())
-        .recv_timeout(Duration::from_secs(600))
         .run(exchange);
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "AppWait deadlock took {:?} to surface: the quiescence verdict was \
-         not reached and a real-time timeout burnt instead",
+         not reached",
         started.elapsed()
     );
     assert_eq!(
@@ -341,7 +337,6 @@ fn partial_layout_unreplicated_crash_aborts_promptly_with_rank_lost() {
     let report = partial_replicated_job(2, &[0], ReplicationConfig::dual())
         .expect("valid partial layout")
         .network(fast())
-        .recv_timeout(Duration::from_secs(300))
         .crash(EndpointId(1), CrashSchedule::AfterSend { nth: 1 })
         .run(move |p| figure3_pattern(p, 6));
     assert!(
@@ -377,7 +372,6 @@ fn degree_three_sdc_flip_is_outvoted_and_counted_as_corrected() {
     // holds three votes per message, so a single flipped copy is not just
     // *detected* (a two-replica tie) but *outvoted* — the campaign counts it
     // in `sdc_corrected`, one correction per injected flip.
-    use workloads::runner::RunTuning;
     let config = CampaignConfig {
         ranks: 2,
         degree: 3,
@@ -387,7 +381,7 @@ fn degree_three_sdc_flip_is_outvoted_and_counted_as_corrected() {
             payload_bits: 64,
         },
     };
-    let outcomes = workloads::campaign::run_campaign(config, 11, 4, 4, RunTuning::default());
+    let outcomes = workloads::campaign::run_campaign(config, 11, 4, 4, None);
     let mut injected_total = 0;
     for o in &outcomes {
         assert!(o.survived, "seed {}: SDC must never kill the job", o.seed);
@@ -471,9 +465,7 @@ fn sampled_correlated_pair_loss_surfaces_rank_lost_promptly() {
     assert_eq!(crashes[1].0 .0 % ranks, lost_rank, "same rank, twice");
 
     let started = std::time::Instant::now();
-    let mut builder = replicated_job(ranks, ReplicationConfig::dual())
-        .network(fast())
-        .recv_timeout(Duration::from_secs(300));
+    let mut builder = replicated_job(ranks, ReplicationConfig::dual()).network(fast());
     for (endpoint, schedule) in plan.crashes() {
         builder = builder.crash(endpoint, schedule);
     }

@@ -22,7 +22,7 @@ use common::{fast, survivor_results, with_deadline};
 use repl_baselines::{LeaderFactory, MirrorFactory, RedMpiFactory, SdcReport};
 use sdr_core::{native_job, replicated_job, ReplicationConfig};
 use sim_mpi::{JobBuilder, Process, ProtocolFactory, Rank};
-use sim_net::{Cluster, CrashSchedule, EndpointId, NetFaultConfig, Placement};
+use sim_net::{CrashSchedule, EndpointId, NetFaultConfig};
 use std::sync::Arc;
 
 const RANKS: usize = 4;
@@ -98,13 +98,7 @@ fn run_case(name: &str, job: JobBuilder, crashes: usize) -> (u64, u64) {
 }
 
 fn baseline_job(factory: Arc<dyn ProtocolFactory>) -> JobBuilder {
-    JobBuilder::new(RANKS)
-        .protocol(factory)
-        .cluster(Cluster::new(RANKS * 2, 1))
-        .placement(Placement::ReplicaSets {
-            ranks: RANKS,
-            degree: 2,
-        })
+    JobBuilder::new(RANKS).protocol(factory)
 }
 
 #[test]

@@ -23,7 +23,7 @@ use common::{fast, pump};
 use sdr_core::{RecoveryCoordinator, ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::Pml;
 use sim_mpi::{CommId, Protocol, TagSel};
-use sim_net::{Cluster, EndpointId, Fabric, Placement, SimTime};
+use sim_net::{EndpointId, Fabric, SimTime};
 use std::sync::Arc;
 
 #[test]
@@ -31,12 +31,7 @@ fn figure4_recovery_of_p11() {
     let ranks = 2;
     let cfg = ReplicationConfig::dual();
     let map = Arc::new(ReplicaMap::uniform(ranks, cfg.degree));
-    let fabric = Fabric::new(
-        4,
-        fast(),
-        Cluster::new(4, 1),
-        Placement::ReplicaSets { ranks, degree: 2 },
-    );
+    let fabric = Fabric::with_defaults(4, fast());
     // Physical ids: 0 = p⁰₀, 1 = p⁰₁, 2 = p¹₀, 3 = p¹₁ (failed, recovered later).
     let mut pml0 = Pml::new(fabric.endpoint(EndpointId(0)));
     let mut pml1 = Pml::new(fabric.endpoint(EndpointId(1)));

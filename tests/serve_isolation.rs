@@ -252,7 +252,6 @@ fn campaign_cases_as_specs_match_hand_built_jobs() {
     use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution, PlannedFault};
     use workloads::campaign::{case_spec, collective_app, lossy_workload};
     use workloads::nas::{run_kernel, NasConfig};
-    use workloads::runner::RunTuning;
     use workloads::serve::{trace_digest, WorkloadKind};
 
     let iterations = 6;
@@ -298,10 +297,10 @@ fn campaign_cases_as_specs_match_hand_built_jobs() {
                     FaultDistribution::LossyLinks { .. } => lossy_workload(seed, iterations),
                     _ => WorkloadKind::Collective { iterations },
                 };
-                let tuning = RunTuning { workers: Some(1) };
+                let workers = Some(1);
                 let spec = JobSpec {
                     trace: true,
-                    ..case_spec(&plan, workload.clone(), tuning)
+                    ..case_spec(&plan, workload.clone(), workers)
                 };
                 running.note(spec.to_json().encode());
                 let record = run_job(&spec, 0).expect("a campaign case compiles");
