@@ -11,7 +11,7 @@
 //! correlated pair loss, 100% SDC detection, and — for the lossy-transport
 //! distributions — 100% masked survival with exact duplicate accounting
 //! (`dups_suppressed == msgs_duplicated`) and at least one retransmission.
-//! The replica-map rows add degree-3 majority loss (fork-election
+//! The replica-map rows add degree-3 majority loss (substitution
 //! must mask losing all but one replica of a rank), degree-3 soft errors
 //! (every flip *corrected* by hash majority, `sdc_corrected ==
 //! sdc_injected`), and a partial-coverage crash distribution (covered ranks
@@ -46,7 +46,7 @@ pub struct FaultConfigRow {
 /// soft-error class, and the two lossy-transport distributions (frame
 /// drop/duplicate/delay up to ~5% per class, and heavy ack-only delays
 /// always outlasting the retransmission timer) at dual replication, plus the
-/// replica-map rows — degree-3 majority loss (fork-election must
+/// replica-map rows — degree-3 majority loss (substitution must
 /// mask the loss of all but one replica of a rank), degree-3 soft errors
 /// (flips must be *corrected* by hash majority, not just detected), and a
 /// partial-coverage crash distribution biased toward the unreplicated ranks

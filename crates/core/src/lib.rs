@@ -11,15 +11,16 @@
 //! * [`protocol::SdrProtocol`] — Algorithm 1: receiver-driven acknowledgements
 //!   emitted on the library-level `irecvComplete` event, send completion
 //!   gated on collecting the acks of all other replicas of the destination
-//!   rank, and the `upon failure` substitution handler.
+//!   rank, the `upon failure` substitution handler, and the recovery of
+//!   Section 3.4 ([`SdrProtocol::fork`], [`SdrProtocol::announce_recovery`]).
 //! * [`config::ReplicationConfig`] — replication degree and the ack-timing
 //!   ablation ([`config::AckOn`]).
 //! * [`layout::ReplicaMap`] — the rank → replica-set mapping: the
 //!   transparent `MPI_COMM_WORLD` splitting of Figure 6 at any degree
 //!   ([`ReplicaMap::uniform`]) and partial replication of a configured rank
-//!   subset ([`ReplicaMap::partial`]).
-//! * [`recovery`] — Section 3.4 generalized: fork-election among surviving
-//!   replicas plus ack-frontier merge.
+//!   subset ([`ReplicaMap::partial`]). Its
+//!   [`ReplicaMap::lowest_live_replica`] is the one election: the substitute
+//!   of Algorithm 1 and the fork source of Section 3.4.
 //! * [`factory::mapped_job`] — one-call launcher for a job on one map;
 //!   [`factory::replicated_job`] is its uniform case.
 //!
@@ -42,7 +43,6 @@ pub mod config;
 pub mod factory;
 pub mod layout;
 pub mod protocol;
-pub mod recovery;
 
 pub use config::{AckOn, ReplicationConfig};
 pub use factory::{
@@ -50,4 +50,3 @@ pub use factory::{
 };
 pub use layout::{LayoutError, ReplicaMap};
 pub use protocol::{SdrCounters, SdrProtocol, SeqTracker};
-pub use recovery::{RecoveryCoordinator, RecoveryError, RecoveryOutcome};

@@ -99,8 +99,7 @@ pub struct SeqTracker {
 
 impl SeqTracker {
     /// The cumulative delivery frontier: every sequence `< next_expected()`
-    /// has been delivered in order. This is the value recovery merges across
-    /// surviving replicas to form the union ack frontier.
+    /// has been delivered in order.
     pub fn next_expected(&self) -> u64 {
         self.next_expected
     }
@@ -310,14 +309,8 @@ impl SdrProtocol {
         self.counters
     }
 
-    /// The application-level send sequence numbers, one per destination rank
-    /// (exposed for recovery demonstrations and diagnostics).
-    pub fn send_sequence_numbers(&self) -> Vec<u64> {
-        self.send_seq.clone()
-    }
-
     /// Has this process already delivered application message `seq` from
-    /// `src_rank`? (Exposed for recovery demonstrations and diagnostics.)
+    /// `src_rank`? (Exposed for the recovery script and diagnostics.)
     pub fn has_delivered(&self, src_rank: Rank, seq: u64) -> bool {
         self.recv_seen
             .get(src_rank)
@@ -327,14 +320,6 @@ impl SdrProtocol {
 
     fn is_alive(&self, e: EndpointId) -> bool {
         self.alive.get(e.0).copied().unwrap_or(false)
-    }
-
-    /// Deterministic substitute election: the lowest-numbered alive replica of
-    /// `rank` (Algorithm 1, `electSubstitute`). Returns `None` when every
-    /// replica of the rank has failed — which for a singleton rank of a
-    /// partial map is its first (and only) crash.
-    fn elect_substitute(&self, rank: Rank) -> Option<usize> {
-        (0..self.map.degree_of(rank)).find(|&rep| self.is_alive(self.map.endpoint(rank, rep)))
     }
 
     /// The sender and acker are the wire source and destination; the header
@@ -459,65 +444,95 @@ impl SdrProtocol {
         }
     }
 
-    /// Section 3.4: a recovery notification announces that `recovered` has
-    /// been forked from the substitute's state and is live again. Relying on
-    /// FIFO channels, any message addressed to the recovered process's rank
-    /// that has not been acknowledged by the substitute *at the moment this
-    /// notification is processed* was not part of the forked state, so the
-    /// sender replays it directly to the new process. Acknowledgements toward
-    /// the recovered process resume for messages received afterwards. With
-    /// degree ≥ 3 the fork source is the deterministically elected lowest
-    /// surviving replica (fork-election), so "the substitute" below is that
-    /// replica's endpoint.
+    /// Section 3.4, step 1: the process forked from this one to replace the
+    /// failed `recovered` replica of the same rank. It starts from this
+    /// process's sequencing state — what it has sent and delivered — with
+    /// the same map and configuration; send-determinism makes that state the
+    /// one the failed replica would have reached. Its routing and liveness
+    /// start fresh: its PML learns every failure still on record from the
+    /// failure service, as any process does.
+    pub fn fork(&self, recovered: EndpointId) -> SdrProtocol {
+        assert_eq!(
+            self.map.rank_of(recovered),
+            self.my_rank,
+            "a fork must replace a replica of its own rank"
+        );
+        let mut forked = SdrProtocol::new(recovered, Arc::clone(&self.map), self.cfg);
+        forked.send_seq = self.send_seq.clone();
+        forked.recv_seen = self.recv_seen.clone();
+        forked
+    }
+
+    /// Section 3.4, step 2: after [`SdrProtocol::fork`], announce that
+    /// `recovered` is live again. Sends the notification to every live peer
+    /// (FIFO behind everything this process sent before), forgets the
+    /// failure in the fabric's failure service, and hands the recovered
+    /// replica's duties back at once. Returns how many peers were notified.
+    /// This process must not fail between the fork and this call (the
+    /// paper's requirement).
+    pub fn announce_recovery(&mut self, pml: &mut Pml, recovered: EndpointId) -> usize {
+        let me = pml.endpoint_id();
+        let header = [ctl::RECOVERY_NOTIFY, recovered.0 as i64, 0, 0, 0, 0, 0, 0];
+        let mut notified = 0;
+        for e in (0..self.alive.len()).map(EndpointId) {
+            if e != me && e != recovered && self.is_alive(e) {
+                pml.send_control(e, class::CONTROL, header, Bytes::new());
+                notified += 1;
+            }
+        }
+        pml.endpoint().fabric().failure().mark_recovered(recovered);
+        self.handle_recovery_notification(pml, recovered);
+        notified
+    }
+
+    /// Section 3.4, step 3: `recovered` has been forked from the fork
+    /// source's state — the lowest live replica of its rank — and is live
+    /// again. Relying on FIFO channels, any message addressed to the
+    /// recovered rank that the fork source has not acknowledged *when this
+    /// notification is processed* was not part of the forked state, so its
+    /// direct sender replays it to the new process; acknowledgements toward
+    /// the recovered process resume for messages received afterwards.
+    /// Receivers whose direct source is the recovered process switch back
+    /// to it from the fork source — which stops sending on its behalf — so a
+    /// message the fork source sent for it must have been received first.
     pub(crate) fn handle_recovery_notification(&mut self, pml: &mut Pml, recovered: EndpointId) {
         let (rrank, rrep) = self.map.locate(recovered);
-        if recovered.0 < self.alive.len() {
-            self.alive[recovered.0] = true;
-        }
-        let my_degree = self.map.degree_of(self.my_rank);
+        // Elected while `recovered` still counts as dead.
+        let fork_source = self.map.lowest_live_replica(rrank, &self.alive);
+        self.alive[recovered.0] = true;
         if self.my_rank == rrank {
-            // Replicas of the recovered rank: the recovered process is in
-            // charge of itself again; stop sending on its behalf.
-            for l in 0..my_degree {
-                if l == rrep {
-                    self.substitute[l] = rrep;
-                }
-            }
+            // The recovered process is in charge of itself again; the fork
+            // source stops sending to its counterpart destinations (all
+            // distinct from its own because rrep != my_replica).
+            self.substitute[rrep] = rrep;
             if self.my_replica != rrep {
-                // I was the substitute: stop sending on behalf of the
-                // recovered replica (drop its counterpart destinations, which
-                // are all distinct from my own because rrep != my_replica).
                 for dests in &mut self.physical_dests {
                     *dests &= !(1 << rrep);
                 }
             }
             return;
         }
-        if rrep % my_degree == self.my_replica {
-            // The recovered process is one of my direct destinations for rank
-            // `rrank`: resume sending directly to it, and replay every
-            // message it cannot have inherited from the fork source's state
-            // (those not yet acknowledged by that survivor).
+        if self.map.direct_src(self.my_replica, rrank) == recovered {
+            let sub = std::mem::replace(&mut self.physical_src[rrank], recovered);
+            for pml_req in pml.pending_recvs_from(sub) {
+                pml.redirect_recv(pml_req, Some(recovered));
+            }
+        }
+        if rrep % self.map.degree_of(self.my_rank) == self.my_replica {
+            // The recovered process is one of my direct destinations for
+            // rank `rrank`: resume sending directly to it, and replay every
+            // message it cannot have inherited from the fork source (no fork
+            // source: nothing counts as inherited).
             self.physical_dests[rrank] |= 1 << rrep;
-            // The fork source is the lowest alive replica of rrank other than
-            // the recovered process itself (no bit if there is none: then
-            // nothing counts as inherited).
-            let fork_source: ReplicaMask = (0..self.map.degree_of(rrank))
-                .find(|&rep| rep != rrep && self.is_alive(self.map.endpoint(rrank, rep)))
-                .map_or(0, |rep| 1 << rep);
+            let inherited: ReplicaMask = fork_source.map_or(0, |rep| 1 << rep);
             for entry in self.sends.values() {
-                if entry.dst_rank == rrank && entry.acks_received & fork_source == 0 {
+                if entry.dst_rank == rrank && entry.acks_received & inherited == 0 {
                     let (comm, tag, aux) = (entry.comm, entry.tag, entry.seq as i64);
                     pml.isend(recovered, comm, tag, aux, entry.payload.clone());
                     self.counters.resends += 1;
                 }
             }
         }
-        // Processes that receive from the substitute (my_replica != rrep) only
-        // need the liveness update: the ack rule "ack every alive replica of
-        // the sender rank except the one received from" now includes the
-        // recovered process again, exactly for messages received after this
-        // notification (FIFO ordering argument of Section 3.4).
     }
 
     /// Algorithm 1, `upon failure of p^rep_rank`.
@@ -528,7 +543,7 @@ impl SdrProtocol {
         self.alive[ev.endpoint.0] = false;
         self.counters.failures_handled += 1;
         let (failed_rank, failed_rep) = self.map.locate(ev.endpoint);
-        let Some(sub) = self.elect_substitute(failed_rank) else {
+        let Some(sub) = self.map.lowest_live_replica(failed_rank, &self.alive) else {
             // Every replica of the rank is gone; nothing the protocol can do
             // (the paper would fall back to checkpoint/restart here). Abort
             // this process with a clear error instead of letting the job hang
@@ -1163,18 +1178,25 @@ mod tests {
     }
 
     #[test]
-    fn substitute_election_is_lowest_alive_replica() {
-        let mut proto = uniform(0, 2, ReplicationConfig::with_degree(3));
-        assert_eq!(proto.elect_substitute(1), Some(0));
-        // Kill replica 0 of rank 1 (endpoint 1).
-        proto.alive[1] = false;
-        assert_eq!(proto.elect_substitute(1), Some(1));
-        // Kill replica 1 of rank 1 (endpoint 3).
-        proto.alive[3] = false;
-        assert_eq!(proto.elect_substitute(1), Some(2));
-        // Kill the last one.
-        proto.alive[5] = false;
-        assert_eq!(proto.elect_substitute(1), None);
+    fn fork_carries_the_sequencing_state() {
+        let mut substitute = uniform(1, 2, ReplicationConfig::dual());
+        substitute.send_seq = vec![5, 9];
+        substitute.recv_seen[0].record(0);
+        substitute.recv_seen[0].record(1);
+        // Endpoint 3 is replica 1 of rank 1, the substitute's own rank.
+        let forked = substitute.fork(EndpointId(3));
+        assert_eq!((forked.app_rank(), forked.replica_id()), (1, 1));
+        assert_eq!(forked.send_seq, vec![5, 9]);
+        assert!(forked.has_delivered(0, 1));
+        assert!(!forked.has_delivered(0, 2));
+        assert_eq!(forked.physical_src[0], EndpointId(2), "routing is its own");
+    }
+
+    #[test]
+    #[should_panic(expected = "a fork must replace a replica of its own rank")]
+    fn fork_rejects_an_endpoint_of_another_rank() {
+        // Endpoint 2 is replica 1 of rank 0; the substitute plays rank 1.
+        uniform(1, 2, ReplicationConfig::dual()).fork(EndpointId(2));
     }
 
     #[test]

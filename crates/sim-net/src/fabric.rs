@@ -666,13 +666,6 @@ impl Endpoint {
         }
     }
 
-    /// Send to self without going over the wire (used by collectives that
-    /// include the root in their own destination set). Costs only the
-    /// intra-node overheads — the only send that pays them.
-    pub fn send_to_self(&mut self, cls: u8, header: [i64; HEADER_WORDS], payload: Bytes) {
-        self.send(self.id, cls, header, payload);
-    }
-
     /// Close this endpoint's *wake window*: the next send to each destination
     /// wakes it again.
     ///

@@ -338,11 +338,6 @@ impl Scheduler {
         );
     }
 
-    /// The attached coroutine runtime, if any.
-    pub fn coro_runtime(&self) -> Option<&Arc<CoroRuntime>> {
-        self.coro.get()
-    }
-
     fn load_phase(&self, idx: usize) -> Phase {
         Phase::from_u8(self.phase[idx].load(Ordering::SeqCst))
     }

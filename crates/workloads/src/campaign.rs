@@ -37,9 +37,8 @@
 //!
 //! Any deviation is a *violation*; [`shrink_violation`] replays the case's
 //! fault list under the deterministic single-worker scheduler and reduces it
-//! to a locally minimal failing subset ([`sim_net::campaign::shrink_events`]),
-//! emitting a ready-to-paste regression-test stanza and the minimal plan's
-//! spec line.
+//! to a locally minimal failing subset ([`sim_net::campaign::shrink_events`])
+//! and names the minimal plan as a spec line.
 
 use crate::nas::NasKernel;
 use crate::serve::{run_spec, JobSpec, LayoutSpec, WorkloadKind};
@@ -49,7 +48,7 @@ use sim_mpi::{JobReport, Process, ProcessOutcome, ReduceOp};
 use sim_net::campaign::{
     sample_plan, shrink_events, CampaignConfig, FaultDistribution, FaultPlan, PlannedFault,
 };
-use sim_net::{CrashSchedule, StatsSnapshot};
+use sim_net::StatsSnapshot;
 use std::sync::Arc;
 
 /// The collective-heavy campaign workload: every iteration mixes a ring
@@ -287,7 +286,7 @@ fn crash_report_survived(report: &JobReport<f64>, expected: f64) -> Option<Strin
     None
 }
 
-/// Oracle for the shrinker and the checked-in regression stanzas: does
+/// Oracle for the shrinker and the checked-in regression cases: does
 /// running [`collective_app`] under `faults` (deterministic single-worker
 /// replay) violate survivability — i.e. some non-crashed process fails to
 /// finish with the closed-form checksum?
@@ -344,7 +343,7 @@ pub fn replay_is_deterministic(config: CampaignConfig, seed: u64, iterations: u6
 /// [`FaultDistribution::UnreplicatedBias`] — the loss of an unreplicated
 /// rank, must abort promptly with a typed `RankLost` (never a hang or a
 /// wrong answer); every other loss leaves one replica per rank (majority
-/// loss at degree ≥ 3 included: fork-election recovery masks it) and must be
+/// loss at degree ≥ 3 included: substitution masks it) and must be
 /// survived.
 fn run_crash_case(
     config: CampaignConfig,
@@ -722,61 +721,13 @@ pub struct ShrinkOutcome {
     pub minimal: Vec<PlannedFault>,
     /// Oracle replays the search needed.
     pub probes: usize,
-    /// Ready-to-paste regression test stanza reproducing the violation from
-    /// the minimal plan.
-    pub stanza: String,
     /// The minimal plan as one `sdr_serve --queue` line — the exact job the
     /// oracle's last failing probe ran.
     pub spec: String,
 }
 
-fn fault_to_source(f: &PlannedFault) -> String {
-    match *f {
-        PlannedFault::Crash { endpoint, schedule } => {
-            let sched = match schedule {
-                CrashSchedule::Never => "CrashSchedule::Never".to_string(),
-                CrashSchedule::AtTime { at } => format!(
-                    "CrashSchedule::AtTime {{ at: SimTime::from_nanos({}) }}",
-                    at.as_nanos()
-                ),
-                CrashSchedule::BeforeSend { nth } => {
-                    format!("CrashSchedule::BeforeSend {{ nth: {nth} }}")
-                }
-                CrashSchedule::AfterSend { nth } => {
-                    format!("CrashSchedule::AfterSend {{ nth: {nth} }}")
-                }
-            };
-            format!(
-                "PlannedFault::Crash {{ endpoint: EndpointId({}), schedule: {sched} }}",
-                endpoint.0
-            )
-        }
-        PlannedFault::BitFlip {
-            endpoint,
-            nth_send,
-            bit,
-        } => format!(
-            "PlannedFault::BitFlip {{ endpoint: EndpointId({}), nth_send: {nth_send}, bit: {bit} }}",
-            endpoint.0
-        ),
-        PlannedFault::LossyTransport {
-            config,
-            policy_seed,
-        } => format!(
-            "PlannedFault::LossyTransport {{ config: NetFaultConfig {{ drop_per_64k: {}, \
-             dup_per_64k: {}, delay_per_64k: {}, delay_ns: {}, ack_only: {} }}, \
-             policy_seed: {policy_seed} }}",
-            config.drop_per_64k,
-            config.dup_per_64k,
-            config.delay_per_64k,
-            config.delay_ns,
-            config.ack_only
-        ),
-    }
-}
-
 /// Shrink a survivability violation to a locally minimal fault subset and
-/// emit a regression-test stanza. Returns `None` when the case's full fault
+/// name it as a spec line. Returns `None` when the case's full fault
 /// list does not actually violate survivability (nothing to shrink). The
 /// oracle replays candidates under `--workers 1`, so the search is exact.
 pub fn shrink_violation(
@@ -790,7 +741,7 @@ pub fn shrink_violation(
 /// Like [`shrink_violation`], but over an explicit fault list instead of a
 /// sampled plan (for violations composed synthetically, e.g. a campaign-found
 /// fatal pair buried in survivable noise). `seed_label` only names the
-/// emitted stanza and spec. Returns `None` when the list does not violate
+/// emitted spec. Returns `None` when the list does not violate
 /// survivability.
 pub fn shrink_explicit_violation(
     config: CampaignConfig,
@@ -804,7 +755,6 @@ pub fn shrink_explicit_violation(
         faults: faults.to_vec(),
     };
     shrink_fault_list(config, seed_label, iterations, faults).map(|(minimal, probes)| {
-        let stanza = regression_stanza(config, seed_label, iterations, &plan, &minimal, probes);
         let spec = oracle_spec(config, seed_label, iterations, &minimal)
             .to_json()
             .encode();
@@ -812,7 +762,6 @@ pub fn shrink_explicit_violation(
             plan,
             minimal,
             probes,
-            stanza,
             spec,
         }
     })
@@ -839,86 +788,6 @@ pub fn shrink_fault_list(
         oracle(candidate)
     });
     Some((minimal, probes))
-}
-
-fn regression_stanza(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    plan: &FaultPlan,
-    minimal: &[PlannedFault],
-    probes: usize,
-) -> String {
-    let mut faults_src = String::new();
-    for f in minimal {
-        faults_src.push_str("        ");
-        faults_src.push_str(&fault_to_source(f));
-        faults_src.push_str(",\n");
-    }
-    // Import exactly what the minimal plan's constructors need, so the
-    // emitted stanza compiles warning-free when pasted.
-    let mut sim_net_items = Vec::new();
-    if minimal
-        .iter()
-        .any(|f| matches!(f, PlannedFault::Crash { .. }))
-    {
-        sim_net_items.extend(["CrashSchedule", "EndpointId"]);
-    } else if minimal
-        .iter()
-        .any(|f| matches!(f, PlannedFault::BitFlip { .. }))
-    {
-        sim_net_items.push("EndpointId");
-    }
-    if minimal
-        .iter()
-        .any(|f| matches!(f, PlannedFault::LossyTransport { .. }))
-    {
-        sim_net_items.push("NetFaultConfig");
-    }
-    let sim_net_use = match sim_net_items.as_slice() {
-        [] => String::new(),
-        [item] => format!("    use sdr_mpi::sim_net::{item};\n"),
-        items => format!("    use sdr_mpi::sim_net::{{{}}};\n", items.join(", ")),
-    };
-    format!(
-        r#"#[test]
-fn campaign_{dist}_seed_{seed}_minimal_plan_is_fatal() {{
-    // Auto-generated by workloads::campaign::shrink_violation.
-    // config: ranks={ranks} degree={degree} dist={dist}; seed={seed};
-    // shrunk {full} sampled fault(s) to {min} in {probes} oracle probe(s).
-    use sdr_mpi::sim_net::campaign::{{CampaignConfig, FaultDistribution, PlannedFault}};
-{sim_net_use}    use sdr_mpi::workloads::campaign::crash_faults_violate_survival;
-    let config = CampaignConfig {{
-        ranks: {ranks},
-        degree: {degree},
-        dist: FaultDistribution::MidCollective {{ max_phase: 1 }}, // shape only
-    }};
-    let faults = [
-{faults_src}    ];
-    assert!(
-        crash_faults_violate_survival(config, {iterations}, &faults),
-        "the shrunk plan must still violate survivability"
-    );
-    for drop in 0..faults.len() {{
-        let without: Vec<_> = faults
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != drop)
-            .map(|(_, f)| *f)
-            .collect();
-        assert!(
-            !crash_faults_violate_survival(config, {iterations}, &without),
-            "dropping fault {{drop}} should make the job survivable (minimality)"
-        );
-    }}
-}}
-"#,
-        dist = config.dist.name().replace('-', "_"),
-        ranks = config.ranks,
-        degree = config.degree,
-        full = plan.faults.len(),
-        min = minimal.len(),
-    )
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`sim_net`] | `crates/sim-net` | virtual-time fabric: LogGP model, failures |
 //! | [`sim_mpi`] | `crates/sim-mpi` | MPI-like runtime: PML, matching, collectives, interception |
-//! | [`sdr_core`] | `crates/core` | the paper's protocol: acks, replica layout, recovery |
+//! | [`sdr_core`] | `crates/core` | the paper's protocol: acks, substitution, Section 3.4 recovery, replica layout |
 //! | [`repl_baselines`] | `crates/repl-baselines` | mirror / leader / redMPI baselines |
 //! | [`workloads`] | `crates/workloads` | NAS, NetPipe, HPCCG, CM1 mini-kernels |
 

@@ -115,7 +115,7 @@ fn faulted_degree_three_case_replays_identically() {
     // Replica-map acceptance: a degree-3 campaign case with a majority-loss
     // crash plan (two of three replicas of one rank die) must replay a
     // bit-identical `TraceEvent` stream under `--workers 1` — the
-    // fork-election path adds no scheduling nondeterminism.
+    // repeated substitute election adds no scheduling nondeterminism.
     use sdr_mpi::sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
     use sdr_mpi::workloads::campaign::replay_is_deterministic;
     let config = CampaignConfig {

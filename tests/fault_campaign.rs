@@ -1,7 +1,7 @@
 //! The Monte Carlo fault campaign end to end: purity of the seeded plan
 //! sampling (property-tested), the per-distribution expectations over real
 //! runs, and the shrink-to-seed path that reduces a violating case to a
-//! minimal fault plan with a ready-to-paste regression stanza.
+//! minimal fault plan named as a replayable spec line.
 
 mod common;
 
@@ -49,7 +49,7 @@ fn soft_cfg(ranks: usize, flips: usize) -> CampaignConfig {
 
 proptest! {
     /// Plan sampling is a pure function of `(config, seed)`: resampling gives
-    /// a byte-identical encoding, and a different seed gives a different one.
+    /// an equal plan, and a different seed gives a different one.
     #[test]
     fn plan_sampling_is_pure_in_config_and_seed(
         seed in any::<u64>(),
@@ -59,9 +59,9 @@ proptest! {
         let config = soft_cfg(ranks, flips);
         let a = sample_plan(config, seed);
         let b = sample_plan(config, seed);
-        prop_assert_eq!(a.encode(), b.encode(), "same (config, seed) must replay byte-identically");
+        prop_assert_eq!(&a, &b, "same (config, seed) must replay identically");
         let c = sample_plan(config, seed.wrapping_add(1));
-        prop_assert_ne!(a.encode(), c.encode(), "the seed is part of the plan identity");
+        prop_assert_ne!(&a, &c, "the seed is part of the plan identity");
     }
 
     /// Every sampled plan is well-formed for its configuration: fault
@@ -226,12 +226,11 @@ fn shrink_reduces_a_violating_plan_to_the_fatal_pair() {
 }
 
 #[test]
-fn shrink_violation_emits_a_regression_stanza_for_a_seeded_case() {
+fn shrink_violation_emits_a_replayable_spec_for_a_seeded_case() {
     // End-to-end shrink-to-seed: a seeded correlated-pair case violates
     // survivability; `shrink_violation` replays it under the deterministic
-    // single-worker scheduler, minimizes the plan, and emits a regression
-    // stanza that names the seed and embeds the minimal fault list as
-    // compilable Rust.
+    // single-worker scheduler, minimizes the plan, and names the minimal
+    // plan as a spec line that `sdr_serve --queue` replays.
     let config = CampaignConfig {
         ranks: 2,
         degree: 2,
@@ -250,14 +249,20 @@ fn shrink_violation_emits_a_regression_stanza_for_a_seeded_case() {
         shrunk.minimal
     );
     assert!(shrunk.probes >= 1);
-    assert!(shrunk.stanza.contains("#[test]"));
-    assert!(shrunk.stanza.contains(&format!("seed_{seed}")));
-    assert!(shrunk.stanza.contains("crash_faults_violate_survival"));
-    assert!(shrunk.stanza.contains("PlannedFault::Crash"));
-    // The shrink result also names the minimal plan as a spec line: the job
-    // the oracle's last failing probe ran, replayable under `sdr_serve`.
+    // The spec line is the job the oracle's last failing probe ran: the
+    // seed, the two pair crashes and the deterministic single worker.
     let minimal_spec = JobSpec::parse_line(&shrunk.spec).expect("a valid spec line");
-    assert_eq!(minimal_spec.crashes.len(), 2);
+    assert_eq!(minimal_spec.seed, seed);
+    let crashes: Vec<PlannedFault> = minimal_spec
+        .crashes
+        .iter()
+        .map(|c| PlannedFault::Crash {
+            endpoint: EndpointId(c.endpoint),
+            schedule: c.schedule,
+        })
+        .collect();
+    assert_eq!(crashes, shrunk.minimal);
+    assert!(minimal_spec.sdc.is_empty() && minimal_spec.net_faults.is_none());
     assert_eq!(minimal_spec.workers, Some(1));
     let replayed = workloads::serve::run_job(&minimal_spec, 0).expect("validated spec");
     assert_eq!(replayed.status, workloads::serve::JobStatus::Aborted);
@@ -347,8 +352,8 @@ fn shrink_reduces_a_lossy_violation_to_the_transport_fault() {
     // Synthetic unmaskable case: a total-loss link policy (every faultable
     // frame dropped) exhausts the retransmission-attempt cap, buried in a
     // survivable single-replica noise crash. The shrinker must strip the
-    // noise and return exactly the transport fault, and the emitted stanza
-    // must embed it as compilable Rust (the checked-in copy lives in
+    // noise and return exactly the transport fault, and the emitted spec
+    // line must carry it alone (the checked-in case lives in
     // tests/campaign_regressions.rs).
     let config = CampaignConfig {
         ranks: 2,
@@ -380,13 +385,14 @@ fn shrink_reduces_a_lossy_violation_to_the_transport_fault() {
         vec![total_loss],
         "the noise crash must be stripped"
     );
-    assert!(shrunk.stanza.contains("PlannedFault::LossyTransport"));
-    assert!(shrunk.stanza.contains("NetFaultConfig"));
+    let spec = JobSpec::parse_line(&shrunk.spec).expect("a valid spec line");
+    let net = spec.net_faults.expect("the transport fault is kept");
+    assert_eq!((net.config.drop_per_64k, net.seed), (65_536, 7));
+    assert!(spec.crashes.is_empty(), "and the noise crash is not");
     assert!(
         !crash_faults_violate_survival(config, 6, &[noise]),
         "the noise crash alone must be survivable"
     );
-    println!("{}", shrunk.stanza);
 }
 
 #[test]
@@ -411,8 +417,7 @@ fn violating_cases_are_recorded_with_their_seed_for_replay() {
                 assert_eq!(outcome.plan.seed, outcome.seed);
                 let replayed: FaultPlan = sample_plan(config, outcome.seed);
                 assert_eq!(
-                    replayed.encode(),
-                    outcome.plan.encode(),
+                    replayed, outcome.plan,
                     "the recorded (config, seed) must resample the identical plan"
                 );
                 // The second handle: the case *is* a job spec, and its one-line

@@ -269,7 +269,7 @@ fn degree_three_survives_two_sequential_crashes_of_the_same_rank() {
     // Physical layout (ranks=2, degree=3): endpoints 0,1 are
     // replica 0 of ranks 0,1; endpoints 2,3 replica 1; endpoints 4,5
     // replica 2. Replica 1 of rank 1 (endpoint 3) dies first, replica 2
-    // (endpoint 5) dies later — fork-election must elect a substitute twice
+    // (endpoint 5) dies later — the election must pick a substitute twice
     // for the same rank, and the last copy (endpoint 1) carries the rank to
     // completion with results bit-identical to a fault-free reference.
     let ranks = 2;

@@ -289,41 +289,45 @@ proptest! {
         }
     }
 
-    /// Fork-election is a pure function of the survivor set: the lowest
-    /// surviving replica index wins, repeated elections agree, and killing
-    /// the losers never changes the winner.
+    /// The one election ([`sdr_core::ReplicaMap::lowest_live_replica`], the
+    /// substitute of Algorithm 1 and the fork source of Section 3.4) is a
+    /// pure function of the survivor set: the lowest surviving replica index
+    /// wins, repeated elections agree, and killing the losers never changes
+    /// the winner. On partial maps a singleton rank elects its only replica
+    /// while it lives and nobody once it is dead.
     #[test]
     fn fork_election_is_deterministic_across_survivor_subsets(
         ranks in 1usize..12,
         degree in 2usize..5,
+        replicated_mask in any::<u64>(),
         dead_mask in any::<u64>(),
     ) {
-        use sdr_core::{RecoveryCoordinator, RecoveryError, ReplicaMap};
-        use std::sync::Arc;
-        let coord = RecoveryCoordinator::new(Arc::new(ReplicaMap::uniform(ranks, degree)))
-            .expect("degree >= 2 always recovers");
-        // A uniform map numbers endpoint(rank, rep) = rep * ranks + rank.
-        let alive: Vec<bool> = (0..ranks * degree)
-            .map(|e| dead_mask & (1u64 << (e % 64)) == 0)
-            .collect();
-        for rank in 0..ranks {
-            let expected = (0..degree).find(|&rep| alive[rep * ranks + rank]);
-            let got = coord.elect_fork_source(rank, &alive);
-            match expected {
-                Some(rep) => prop_assert_eq!(got, Ok(rep)),
-                None => prop_assert_eq!(got, Err(RecoveryError::NoSurvivor { rank })),
-            }
-            prop_assert_eq!(coord.elect_fork_source(rank, &alive), got, "election must be stable");
-            if let Ok(rep) = got {
-                // Survivor subsets: with every non-elected replica of the
-                // rank dead too, the winner is unchanged.
-                let mut fewer = alive.clone();
-                for other in 0..degree {
-                    if other != rep {
-                        fewer[other * ranks + rank] = false;
-                    }
+        use sdr_core::ReplicaMap;
+        let replicated: Vec<usize> =
+            (0..ranks).filter(|r| replicated_mask & (1u64 << r) != 0).collect();
+        let mut maps = vec![ReplicaMap::uniform(ranks, degree)];
+        maps.extend(ReplicaMap::partial(ranks, &replicated).ok());
+        for map in &maps {
+            let alive: Vec<bool> = (0..map.physical_processes())
+                .map(|e| dead_mask & (1u64 << (e % 64)) == 0)
+                .collect();
+            for rank in 0..ranks {
+                let live = |rep: usize| alive[map.endpoint(rank, rep).0];
+                let got = map.lowest_live_replica(rank, &alive);
+                prop_assert_eq!(got, (0..map.degree_of(rank)).find(|&rep| live(rep)));
+                prop_assert_eq!(map.lowest_live_replica(rank, &alive), got, "election must be stable");
+                if !map.is_replicated(rank) {
+                    prop_assert_eq!(got, live(0).then_some(0), "a singleton elects itself or nobody");
                 }
-                prop_assert_eq!(coord.elect_fork_source(rank, &fewer), Ok(rep));
+                if let Some(rep) = got {
+                    // Survivor subsets: with every non-elected replica of the
+                    // rank dead too, the winner is unchanged.
+                    let mut fewer = alive.clone();
+                    for other in (0..map.degree_of(rank)).filter(|&other| other != rep) {
+                        fewer[map.endpoint(rank, other).0] = false;
+                    }
+                    prop_assert_eq!(map.lowest_live_replica(rank, &fewer), Some(rep));
+                }
             }
         }
     }

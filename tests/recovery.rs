@@ -15,12 +15,14 @@
 //! 4. Relying on FIFO channels, p¹₀ re-sends exactly the messages not yet
 //!    acknowledged by the substitute (seq 1) to the new replica, and
 //!    acknowledgements toward p¹₁ resume for messages received afterwards.
+//! 5. The substitute hands p¹₁'s duties back: rank 1's next message reaches
+//!    p¹₀ from p¹₁ alone, and p⁰₁ sends only its own copy.
 
 mod common;
 
 use bytes::Bytes;
 use common::{fast, pump};
-use sdr_core::{RecoveryCoordinator, ReplicaMap, ReplicationConfig, SdrProtocol};
+use sdr_core::{ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::Pml;
 use sim_mpi::{CommId, Protocol, TagSel};
 use sim_net::{EndpointId, Fabric, SimTime};
@@ -70,13 +72,11 @@ fn figure4_recovery_of_p11() {
     );
 
     // --- step 4: the substitute forks the new replica and notifies ---------
-    let coordinator = RecoveryCoordinator::new(map).expect("dual replication recovers");
-    let snapshot = coordinator.fork_snapshot(&p01);
-    assert_eq!(snapshot.rank, 1);
-    let outcome = coordinator.broadcast_notification(&mut pml1, &p01, EndpointId(3));
-    assert_eq!(outcome.notified, 2, "p⁰₀ and p¹₀ are notified");
+    let mut p11 = p01.fork(EndpointId(3));
+    assert_eq!(p11.app_rank(), 1);
+    let notified = p01.announce_recovery(&mut pml1, EndpointId(3));
+    assert_eq!(notified, 2, "p⁰₀ and p¹₀ are notified");
     let mut pml3 = Pml::new(fabric.endpoint(EndpointId(3)));
-    let mut p11 = coordinator.restore(EndpointId(3), &snapshot, cfg);
     // The forked state already contains seq 0 from rank 0, but not seq 1.
     assert!(p11.has_delivered(0, 0));
     assert!(!p11.has_delivered(0, 1));
@@ -128,33 +128,39 @@ fn figure4_recovery_of_p11() {
         "ack from the recovered replica completes p⁰₀'s send"
     );
     assert!(p10.send_complete(&mut pml2, s10_2));
-}
 
-#[test]
-fn recovery_for_unreplicated_maps_is_a_typed_error() {
-    // Fork-election needs at least one replicated rank to elect a survivor
-    // from; an all-singleton map must surface as a typed, matchable error —
-    // not a panic and not a silent misbehaviour (DESIGN.md §4.1).
-    use sdr_core::RecoveryError;
-    let err = RecoveryCoordinator::new(Arc::new(ReplicaMap::uniform(4, 1))).unwrap_err();
-    assert_eq!(err, RecoveryError::NoReplicatedRanks);
-    let msg = err.to_string();
-    assert!(msg.contains("replicated"), "{msg}");
-
-    // Degree ≥ 3 is now supported: the lowest surviving replica index wins
-    // the fork election deterministically.
-    let coord = RecoveryCoordinator::new(Arc::new(ReplicaMap::uniform(4, 3)))
-        .expect("degree 3 recovers via fork-election");
-    let alive = [
-        true, true, true, true, // replica 0
-        false, true, true, true, // replica 1 (rank 0 dead)
-        false, true, true, true, // replica 2 (rank 0 dead)
-    ];
-    assert_eq!(coord.elect_fork_source(0, &alive), Ok(0));
-    let mut alive = alive;
-    alive[0] = false; // replica 0 of rank 0 dies too
+    // --- step 8: the substitute hands p¹₁'s duties back ---------------------
+    // Rank 1 sends to rank 0. Each copy carries a marker byte so the script
+    // can tell which replica's copy a receiver consumed.
+    let sent_by_p01 = pml1.endpoint().app_sends();
+    let s01_0 = p01.isend(&mut pml1, 0, CommId::WORLD, 6, Bytes::from(vec![0x01; 16]));
+    let s11_0 = p11.isend(&mut pml3, 0, CommId::WORLD, 6, Bytes::from(vec![0x11; 16]));
     assert_eq!(
-        coord.elect_fork_source(0, &alive),
-        Err(RecoveryError::NoSurvivor { rank: 0 })
+        pml1.endpoint().app_sends(),
+        sent_by_p01 + 1,
+        "the substitute no longer sends on p¹₁'s behalf"
     );
+    let r00_0 = p00.irecv(&mut pml0, Some(1), CommId::WORLD, TagSel::Tag(6));
+    let r10_0 = p10.irecv(&mut pml2, Some(1), CommId::WORLD, TagSel::Tag(6));
+    pump(&mut pml0, &mut p00);
+    pump(&mut pml2, &mut p10);
+    let (_, data) = p00
+        .take_recv(&mut pml0, r00_0)
+        .expect("p⁰₀ receives p⁰₁'s copy");
+    assert_eq!(data[0], 0x01, "the substitute's one copy went to p⁰₀");
+    let (_, data) = p10.take_recv(&mut pml2, r10_0).expect("p¹₀ receives again");
+    assert_eq!(data[0], 0x11, "p¹₀ consumes p¹₁'s copy");
+    assert_eq!(pml0.matching().unexpected_len(), 0);
+    assert_eq!(
+        pml2.matching().unexpected_len(),
+        0,
+        "no stray copy from the substitute waits at p¹₀"
+    );
+    pump(&mut pml1, &mut p01);
+    pump(&mut pml3, &mut p11);
+    assert!(
+        p01.send_complete(&mut pml1, s01_0),
+        "p¹₀ acks the substitute"
+    );
+    assert!(p11.send_complete(&mut pml3, s11_0), "p⁰₀ acks p¹₁");
 }
