@@ -507,8 +507,8 @@ impl Pml {
 
     fn process_raw(&mut self, raw: sim_net::RawMessage) {
         if raw.class == class::SYSTEM {
-            // Failure-detector wake-up: carries no content, it only unblocks
-            // the channel wait so that `poll_failures` runs promptly.
+            // Failure-detector wake-up: carries no content, it only unparks
+            // a waiting receiver so that `poll_failures` runs promptly.
             return;
         }
         if raw.class == class::APP {
@@ -689,11 +689,11 @@ impl Pml {
     }
 
     /// Blocking progress: like [`Pml::progress`], but if no event is pending
-    /// the call waits for the next message — by parking on the scheduler
-    /// (managed processes) or with the legacy real-time timeout (endpoints
-    /// driven manually). Returns [`MpiError::Deadlock`] when the scheduler's
-    /// quiescence check proves the job stuck, when the real-time timeout
-    /// elapses, or when the transport is torn down.
+    /// the call parks on the scheduler until the next message (see
+    /// [`sim_net::Endpoint::recv_blocking`]: an endpoint driven by hand, outside
+    /// a launched job, cannot block and panics on an empty inbox). Returns
+    /// [`MpiError::Deadlock`] when the scheduler's quiescence check proves the
+    /// job stuck.
     ///
     /// `waiting_for` describes what the caller is blocked on; it is formatted
     /// only if the wait fails. `racy` is the racy-wait hint (see
@@ -744,7 +744,8 @@ impl Pml {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_net::{Fabric, LogGpModel};
+    use sim_net::failure::CrashSignal;
+    use sim_net::{CrashSchedule, Fabric, LogGpModel};
 
     fn fabric(n: usize) -> std::sync::Arc<Fabric> {
         Fabric::with_defaults(n, LogGpModel::fast_test_model())
@@ -1122,40 +1123,52 @@ mod tests {
         assert_eq!(&p1.take_recv(req).unwrap().1[..], b"ok");
     }
 
-    #[test]
-    fn deadlock_detected_when_nothing_arrives() {
-        let f = fabric(2);
-        f.set_recv_timeout(std::time::Duration::from_millis(50));
-        let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
-        let _req = p0.irecv(Some(EndpointId(1)), CommId::WORLD, TagSel::Tag(0));
-        let err = p0
-            .progress_blocking("message that never comes", false)
-            .unwrap_err();
-        assert!(matches!(err, MpiError::Deadlock { .. }));
-    }
+    // A blocking wait on which nothing ever arrives is a launched job's
+    // quiescence verdict: `runtime::tests::deadlock_detected_by_quiescence_not_timeout`.
 
     #[test]
     fn progress_blocking_wakes_on_failure_notification() {
+        // Two managed processes on one run permit: 0 parks waiting for 1,
+        // which then crashes before its first send. The crash's system-class
+        // wake-up unparks 0, which must report the failure, not a deadlock.
         let f = fabric(2);
-        f.set_recv_timeout(std::time::Duration::from_millis(100));
-        let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
-        let _req = p0.irecv(Some(EndpointId(1)), CommId::WORLD, TagSel::Tag(0));
-        // Record the peer failure from another thread after a short delay.
-        let f2 = std::sync::Arc::clone(&f);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            f2.failure().record_failure(EndpointId(1), SimTime::ZERO);
-        });
-        // First blocking call times out on the channel but picks up the
-        // failure event instead of reporting a deadlock.
-        let events = loop {
-            match p0.progress_blocking("peer message or failure", false) {
-                Ok(evs) if !evs.is_empty() => break evs,
-                Ok(_) => continue,
-                Err(e) => panic!("unexpected deadlock: {e}"),
+        f.scheduler().set_workers(1);
+        f.scheduler().register(EndpointId(0));
+        f.scheduler().register(EndpointId(1));
+        f.failure()
+            .schedule(EndpointId(1), CrashSchedule::BeforeSend { nth: 1 });
+        let waiter = std::thread::spawn({
+            let f = std::sync::Arc::clone(&f);
+            move || {
+                f.scheduler().start(EndpointId(0));
+                let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
+                let _req = p0.irecv(Some(EndpointId(1)), CommId::WORLD, TagSel::Tag(0));
+                let events = p0
+                    .progress_blocking("peer message or failure", false)
+                    .expect("woken by the failure, not deadlocked");
+                drop(p0);
+                f.scheduler().finish(EndpointId(0));
+                events
             }
-        };
-        assert!(matches!(events[0], PmlEvent::ProcessFailed(_)));
-        h.join().unwrap();
+        });
+        while f.scheduler().parked_count() == 0 {
+            std::thread::yield_now();
+        }
+        f.scheduler().start(EndpointId(1));
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut p1 = Pml::new(f.endpoint(EndpointId(1)));
+            p1.isend(EndpointId(0), CommId::WORLD, 0, 0, Bytes::new());
+        }));
+        assert!(crash.unwrap_err().is::<CrashSignal>());
+        f.scheduler().finish(EndpointId(1));
+        let events = waiter.join().unwrap();
+        assert!(matches!(
+            events[..],
+            [PmlEvent::ProcessFailed(ev)] if ev.endpoint == EndpointId(1)
+        ));
+        // The waiter swept the wake-up, so it was woken by it rather than
+        // reaching the failure through a quiescence verdict.
+        let snap = f.stats().snapshot();
+        assert_eq!(snap.msgs_delivered[class::SYSTEM as usize], 1);
     }
 }

@@ -15,9 +15,9 @@
 //! stack counters on [`StatsSnapshot`] account for the churn. Carriers only
 //! execute while holding one of the scheduler's bounded run permits —
 //! `workers` of them, defaulting to the host core count. Blocked processes
-//! park on the scheduler instead of pinning an OS thread in a timed channel
-//! wait: concurrency never exceeds the worker pool, and parked carriers cost
-//! nothing but their (small, pooled) stacks.
+//! park on the scheduler instead of pinning an OS thread: concurrency never
+//! exceeds the worker pool, and parked carriers cost nothing but their
+//! (small, pooled) stacks.
 //!
 //! Crashed processes (scheduled via [`sim_net::CrashSchedule`]) unwind with a
 //! `CrashSignal` panic that the launcher converts into a

@@ -99,8 +99,9 @@ pub struct Status {
 /// an application or protocol might want to observe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpiError {
-    /// A blocking operation made no progress within the fabric's real-time
-    /// timeout: the simulated application is deadlocked.
+    /// A blocking operation can never complete: the scheduler's quiescence
+    /// check found every unfinished process blocked with no message in
+    /// flight, so the simulated application is deadlocked.
     Deadlock {
         /// Physical process that detected the deadlock.
         endpoint: EndpointId,

@@ -41,12 +41,8 @@
 //! does [`Scheduler::wake`] set the destination's wake token. A receiver
 //! that is about to park re-checks that token *after* publishing its `Parked`
 //! phase, so in every interleaving either the receiver's pre-park sweep sees
-//! `queued != 0`, or its token re-check fires and it re-polls. For unmanaged
-//! endpoints the same argument runs against the timed seat: a waiter
-//! registers itself in `timed_waiters` before re-reading `queued` (both
-//! SeqCst), while the ingest increments `queued` before reading
-//! `timed_waiters` — one side always sees the other. The full argument is
-//! spelled out in DESIGN.md §5.3.
+//! `queued != 0`, or its token re-check fires and it re-polls. The full
+//! argument is spelled out in DESIGN.md §5.3.
 //! A managed sender's repeat sends inside one *wake window* skip the wake
 //! under the condition given at [`Endpoint::flush`].
 
@@ -61,9 +57,8 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Identifier of a physical process / its fabric endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -113,14 +108,9 @@ impl RawMessage {
     }
 }
 
-/// Why a blocking receive returned without a message. Distinguishing these
-/// matters: a timeout *may* be a deadlock (the legacy real-time heuristic)
-/// and quiescence is the scheduler's exact deadlock verdict.
+/// Why a blocking receive returned without a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
-    /// No traffic arrived within the fabric's real-time timeout (only
-    /// possible for endpoints driven outside the scheduler).
-    Timeout,
     /// The scheduler's quiescence check fired: every unfinished process is
     /// parked and no message is in flight — the job is deadlocked.
     Quiescent,
@@ -129,7 +119,6 @@ pub enum RecvError {
 impl std::fmt::Display for RecvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecvError::Timeout => write!(f, "no traffic within the real-time timeout"),
             RecvError::Quiescent => write!(
                 f,
                 "scheduler quiescence: every unfinished process is blocked with no messages in flight"
@@ -184,14 +173,6 @@ struct Inbox {
     mailbox: Mutex<Mailbox>,
     /// Advisory message count (over-approximation; zero proves empty).
     queued: AtomicU64,
-    /// Number of unmanaged carriers blocked in a timed wait on this inbox.
-    /// Ingest only touches the seat below when this is non-zero, so the
-    /// scheduler-managed hot path never pays for the legacy wait mode.
-    timed_waiters: AtomicU32,
-    /// Seat for unmanaged timed waits (std primitives: the vendored
-    /// parking_lot stand-in has no condvar).
-    timed_seat: std::sync::Mutex<()>,
-    timed_cv: std::sync::Condvar,
 }
 
 impl Inbox {
@@ -199,9 +180,6 @@ impl Inbox {
         Inbox {
             mailbox: Mutex::new(Mailbox::default()),
             queued: AtomicU64::new(0),
-            timed_waiters: AtomicU32::new(0),
-            timed_seat: std::sync::Mutex::new(()),
-            timed_cv: std::sync::Condvar::new(),
         }
     }
 
@@ -213,19 +191,12 @@ impl Inbox {
     fn ingest(&self, msg: RawMessage, dup: Option<RawMessage>) {
         let frames = 1 + dup.is_some() as u64;
         self.queued.fetch_add(frames, Ordering::SeqCst);
-        {
-            let mut mailbox = self.mailbox.lock();
-            let seq = mailbox.next_seq;
-            mailbox.next_seq = seq + frames;
-            mailbox.msgs.push((seq, msg));
-            if let Some(copy) = dup {
-                mailbox.msgs.push((seq + 1, copy));
-            }
-        }
-        if self.timed_waiters.load(Ordering::SeqCst) > 0 {
-            // Serialise with the waiter's check-then-wait, then signal.
-            drop(self.timed_seat.lock().unwrap_or_else(|e| e.into_inner()));
-            self.timed_cv.notify_all();
+        let mut mailbox = self.mailbox.lock();
+        let seq = mailbox.next_seq;
+        mailbox.next_seq = seq + frames;
+        mailbox.msgs.push((seq, msg));
+        if let Some(copy) = dup {
+            mailbox.msgs.push((seq + 1, copy));
         }
     }
 }
@@ -242,7 +213,6 @@ pub struct Fabric {
     stats: Arc<NetStats>,
     failure: FailureService,
     sched: Scheduler,
-    recv_timeout_ms: AtomicU64,
     /// The job's lossy-transport fault policy, if one was installed (see
     /// [`crate::netfault`]). Installed once before any process starts;
     /// fault-free runs pay one atomic load per delivery for the `None` check.
@@ -283,7 +253,6 @@ impl Fabric {
             stats,
             failure: FailureService::new(n),
             sched,
-            recv_timeout_ms: AtomicU64::new(20_000),
             net_faults: std::sync::OnceLock::new(),
         })
     }
@@ -303,9 +272,9 @@ impl Fabric {
         &self.failure
     }
 
-    /// The process scheduler. Endpoints registered with it park on the
-    /// scheduler instead of doing timed channel waits; the job launcher in
-    /// `sim-mpi` registers every process it spawns.
+    /// The process scheduler. Only endpoints registered with it can block
+    /// in a receive (they park on it); the job launcher in `sim-mpi`
+    /// registers every process it spawns.
     pub fn scheduler(&self) -> &Scheduler {
         &self.sched
     }
@@ -395,19 +364,6 @@ impl Fabric {
         &self.model
     }
 
-    /// Real-time timeout used by blocking receives before declaring a
-    /// simulated deadlock.
-    pub fn recv_timeout(&self) -> Duration {
-        Duration::from_millis(self.recv_timeout_ms.load(Ordering::Relaxed))
-    }
-
-    /// Change the deadlock-detection timeout (tests that intentionally
-    /// provoke a deadlock use a short timeout).
-    pub fn set_recv_timeout(&self, timeout: Duration) {
-        self.recv_timeout_ms
-            .store(timeout.as_millis() as u64, Ordering::Relaxed);
-    }
-
     /// Take the endpoint for physical process `id`. Panics if taken twice.
     pub fn endpoint(self: &Arc<Self>, id: EndpointId) -> Endpoint {
         assert!(id.0 < self.n, "endpoint id out of range");
@@ -436,7 +392,7 @@ impl Fabric {
 pub struct Endpoint {
     id: EndpointId,
     /// Was this endpoint registered with the fabric's scheduler when taken?
-    /// Managed endpoints park on the scheduler instead of doing timed waits.
+    /// Only managed endpoints can block: they park on the scheduler.
     managed: bool,
     fabric: Arc<Fabric>,
     clock: VirtualClock,
@@ -786,10 +742,10 @@ impl Endpoint {
     /// Scheduler-managed endpoints *park* instead of blocking the OS thread on
     /// the inbox: the carrier releases its run permit, and it is woken on the
     /// next delivery. A [`RecvError::Quiescent`] verdict means the scheduler
-    /// proved the job deadlocked. Unmanaged endpoints (driven manually, outside a job
-    /// launcher) keep the legacy real-time timeout, waiting on the inbox's
-    /// timed seat and returning early when a new failure is recorded so
-    /// teardown of a crashed peer does not burn the full timeout.
+    /// proved the job deadlocked. An unmanaged endpoint (driven by hand,
+    /// outside a job launcher) has nothing to wait on: it returns a message
+    /// that is already queued and panics on an empty inbox — launch through
+    /// `JobBuilder` to block, or poll with [`Endpoint::try_recv`].
     ///
     /// As with [`Endpoint::try_recv`], the clock is not advanced to the
     /// message's arrival; waiting layers synchronise the clock when the
@@ -817,68 +773,23 @@ impl Endpoint {
                 self.maybe_crash(false);
                 return Ok(msg);
             }
-            if self.managed {
-                self.flush();
-                let verdict = if tried_yield {
-                    self.fabric.sched.park(self.id, self.clock.now())
-                } else {
-                    tried_yield = true;
-                    self.fabric.sched.yield_now(self.id, self.clock.now())
-                };
-                match verdict {
-                    Park::Woken => {
-                        self.maybe_crash(false);
-                        continue;
-                    }
-                    Park::Deadlock => return Err(RecvError::Quiescent),
-                }
+            assert!(
+                self.managed,
+                "endpoint {} blocked on an empty inbox: blocking needs a scheduler-managed \
+                 endpoint (launch through JobBuilder); polling code uses try_recv",
+                self.id.0
+            );
+            self.flush();
+            let verdict = if tried_yield {
+                self.fabric.sched.park(self.id, self.clock.now())
             } else {
-                self.recv_timed()?;
+                tried_yield = true;
+                self.fabric.sched.yield_now(self.id, self.clock.now())
+            };
+            match verdict {
+                Park::Woken => self.maybe_crash(false),
+                Park::Deadlock => return Err(RecvError::Quiescent),
             }
-        }
-    }
-
-    /// Legacy timed wait for unmanaged endpoints, on the inbox's timed seat.
-    /// Waits in short slices so a freshly recorded failure surfaces
-    /// immediately (the caller polls the failure detector on
-    /// [`RecvError::Timeout`]) instead of after the full timeout.
-    ///
-    /// The check-then-wait race against a concurrent ingest is closed by a
-    /// store-load protocol (mirroring the scheduler's wake tokens): the
-    /// waiter registers itself in `timed_waiters`, then re-reads the inbox
-    /// count under the seat lock; the ingest raises the count, then reads
-    /// `timed_waiters` and signals through the same seat. One side always
-    /// sees the other, so no delivery can slip between the check and the
-    /// wait.
-    fn recv_timed(&mut self) -> Result<(), RecvError> {
-        let timeout = self.fabric.recv_timeout();
-        let slice = Duration::from_millis(50).min(timeout);
-        let deadline = Instant::now() + timeout;
-        let failures_at_start = self.fabric.failure.failed_count();
-        loop {
-            // The sweep always precedes the error checks: a message ingested
-            // right before the deadline (or a failure) must surface as a
-            // delivery, not a timeout — matching the channel-era semantics,
-            // where a message arriving within the final slice was returned.
-            if self.sweep_inbox() {
-                return Ok(());
-            }
-            if self.fabric.failure.failed_count() > failures_at_start || Instant::now() >= deadline
-            {
-                return Err(RecvError::Timeout);
-            }
-            let inbox = &self.fabric.inboxes[self.id.0];
-            inbox.timed_waiters.fetch_add(1, Ordering::SeqCst);
-            {
-                let seat = inbox.timed_seat.lock().unwrap_or_else(|e| e.into_inner());
-                if inbox.queued.load(Ordering::SeqCst) == 0 {
-                    let _ = inbox
-                        .timed_cv
-                        .wait_timeout(seat, slice)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
-            inbox.timed_waiters.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -918,6 +829,7 @@ mod tests {
     use super::*;
     use crate::failure::CrashSchedule;
     use crate::model::LogGpModel;
+    use std::time::{Duration, Instant};
 
     fn two_endpoint_fabric() -> (Endpoint, Endpoint, Arc<Fabric>) {
         let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
@@ -1170,63 +1082,6 @@ mod tests {
     }
 
     #[test]
-    fn unmanaged_recv_times_out_with_typed_error() {
-        let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
-        fabric.set_recv_timeout(Duration::from_millis(30));
-        let mut a = fabric.endpoint(EndpointId(0));
-        assert_eq!(a.recv_blocking().unwrap_err(), RecvError::Timeout);
-    }
-
-    #[test]
-    fn unmanaged_recv_wakes_promptly_on_cross_thread_delivery() {
-        // The timed seat must be signalled by a concurrent ingest: with a
-        // long 10 s timeout, a delivery 20 ms in has to complete the wait in
-        // far less than one 50 ms slice-polling cycle would suggest.
-        let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
-        fabric.set_recv_timeout(Duration::from_secs(10));
-        let mut a = fabric.endpoint(EndpointId(0));
-        let f2 = Arc::clone(&fabric);
-        let h = std::thread::spawn(move || {
-            let mut b = f2.endpoint(EndpointId(1));
-            std::thread::sleep(Duration::from_millis(20));
-            b.send(EndpointId(0), class::APP, hdr(5), Bytes::new());
-        });
-        let started = Instant::now();
-        let msg = a.recv_blocking().expect("delivered across threads");
-        assert_eq!(msg.header[0], 5);
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "timed wait must be signalled by the ingest, took {:?}",
-            started.elapsed()
-        );
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn unmanaged_recv_returns_early_when_a_failure_is_recorded() {
-        // A long 10 s timeout, but a failure is recorded 20 ms in: the timed
-        // wait must return promptly so the caller can poll the detector,
-        // instead of burning the full timeout.
-        let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
-        fabric.set_recv_timeout(Duration::from_secs(10));
-        let mut a = fabric.endpoint(EndpointId(0));
-        let f2 = Arc::clone(&fabric);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            f2.failure().record_failure(EndpointId(1), SimTime::ZERO);
-        });
-        let started = std::time::Instant::now();
-        let err = a.recv_blocking().unwrap_err();
-        assert_eq!(err, RecvError::Timeout);
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "crashed-peer teardown must fail fast, took {:?}",
-            started.elapsed()
-        );
-        h.join().unwrap();
-    }
-
-    #[test]
     fn managed_recv_parks_and_wakes_on_delivery() {
         let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
         fabric.scheduler().register(EndpointId(0));
@@ -1257,13 +1112,11 @@ mod tests {
     #[test]
     fn managed_recv_reports_quiescence_without_real_time_timeout() {
         // One managed process waiting forever: the quiescence check must
-        // declare the deadlock immediately, long before the (deliberately
-        // huge) real-time timeout.
+        // declare the deadlock immediately; no real-time clock is involved.
         let fabric = Fabric::with_defaults(1, LogGpModel::fast_test_model());
-        fabric.set_recv_timeout(Duration::from_secs(1000));
         fabric.scheduler().register(EndpointId(0));
         let f2 = Arc::clone(&fabric);
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let h = std::thread::spawn(move || {
             f2.scheduler().start(EndpointId(0));
             let mut a = f2.endpoint(EndpointId(0));
@@ -1388,20 +1241,15 @@ mod tests {
     #[test]
     fn drop_policy_drops_faultable_classes_but_not_exempt_ones() {
         let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
-        fabric.set_recv_timeout(Duration::from_millis(30));
         fabric.install_net_faults(uniform_fault(65_536, 0, 0, 0), 5);
         let mut a = fabric.endpoint(EndpointId(0));
         let mut b = fabric.endpoint(EndpointId(1));
         a.send(EndpointId(1), class::APP, hdr(1), Bytes::new());
         a.send(EndpointId(1), class::ACK, hdr(2), Bytes::new());
         a.send(EndpointId(1), class::CONTROL, hdr(3), Bytes::new());
-        let msg = b.recv_blocking().expect("control traffic is exempt");
+        let msg = b.try_recv().expect("control traffic is exempt");
         assert_eq!(msg.header[0], 3);
-        assert_eq!(
-            b.recv_blocking().unwrap_err(),
-            RecvError::Timeout,
-            "app and ack frames were dropped"
-        );
+        assert!(b.try_recv().is_none(), "app and ack frames were dropped");
         assert_eq!(fabric.stats().snapshot().msgs_dropped(), 2);
     }
 
@@ -1446,7 +1294,6 @@ mod tests {
     fn policy_verdicts_are_identical_across_runs() {
         let run = || {
             let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
-            fabric.set_recv_timeout(Duration::from_millis(30));
             fabric.install_net_faults(uniform_fault(20_000, 20_000, 20_000, 1_000), 99);
             let mut a = fabric.endpoint(EndpointId(0));
             let mut b = fabric.endpoint(EndpointId(1));
@@ -1454,7 +1301,7 @@ mod tests {
                 a.send(EndpointId(1), class::APP, hdr(i), Bytes::new());
             }
             let mut got = Vec::new();
-            while let Ok(msg) = b.recv_blocking() {
+            while let Some(msg) = b.try_recv() {
                 got.push((msg.header[0], msg.arrival));
             }
             let snap = fabric.stats().snapshot();

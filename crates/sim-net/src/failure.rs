@@ -284,11 +284,6 @@ impl FailureService {
     pub fn capacity(&self) -> usize {
         self.inner.read().schedules.len()
     }
-
-    /// Number of failed processes.
-    pub fn failed_count(&self) -> usize {
-        self.inner.read().failed_set.len()
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +346,6 @@ mod tests {
         assert_eq!(a.seq, 0);
         assert_eq!(b.seq, 1);
         assert_eq!(again, a, "second report of the same failure is ignored");
-        assert_eq!(svc.failed_count(), 2);
         assert!(svc.is_failed(ep(2)));
         assert!(!svc.is_failed(ep(0)));
         let all = svc.failures();
@@ -387,7 +381,7 @@ mod tests {
         svc.record_failure(ep(0), SimTime::ZERO);
         svc.mark_recovered(ep(0));
         assert!(!svc.is_failed(ep(0)));
-        assert_eq!(svc.failed_count(), 0);
+        assert!(svc.failures().is_empty());
         assert!(!svc.should_crash(ep(0), SimTime::from_secs(1), 0, false));
     }
 

@@ -183,8 +183,8 @@ pub enum WakeOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum Phase {
-    /// Not registered with the scheduler (endpoints driven manually keep the
-    /// legacy timed-wait path).
+    /// Not registered with the scheduler: an endpoint driven by hand, which
+    /// only polls (a blocking receive on its empty inbox panics).
     Unmanaged = 0,
     /// Registered and runnable, waiting in the ready heap for a permit.
     Ready = 1,

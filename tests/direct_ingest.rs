@@ -2,7 +2,8 @@
 //! `Endpoint::send` returns — for scheduler-managed endpoints too, with no
 //! blocking boundary, explicit push or drop handler in between — and the one
 //! mailbox lock keeps per-pair FIFO and global arrival order under
-//! concurrent senders.
+//! concurrent senders. Only a managed endpoint can block: an unmanaged one
+//! returns what is already queued and panics on an empty inbox.
 
 use bytes::Bytes;
 use sim_net::fabric::HEADER_WORDS;
@@ -87,6 +88,35 @@ fn a_process_that_sends_and_exits_without_blocking_still_delivers() {
     sender.join().unwrap();
     let msg = receiver.join().unwrap().expect("delivered via park/unpark");
     assert_eq!(msg.header[0], 42);
+}
+
+#[test]
+fn an_unmanaged_blocking_receive_returns_a_message_already_queued() {
+    // Endpoints driven by hand (the benchmark's fabric kernels among them)
+    // may call `recv_blocking` on an inbox that already holds a message.
+    let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
+    let mut a = fabric.endpoint(EndpointId(0));
+    let mut b = fabric.endpoint(EndpointId(1));
+    for i in 0..2 {
+        a.send(EndpointId(1), class::APP, hdr(i, 0), Bytes::new());
+    }
+    for i in 0..2 {
+        let msg = b.recv_blocking().expect("an ingested message is returned");
+        assert_eq!(msg.header[0], i);
+    }
+}
+
+#[test]
+#[should_panic(
+    expected = "endpoint 1 blocked on an empty inbox: blocking needs a scheduler-managed \
+                endpoint (launch through JobBuilder); polling code uses try_recv"
+)]
+fn an_unmanaged_blocking_receive_on_an_empty_inbox_panics() {
+    // Nothing can wake an endpoint the scheduler does not manage, so a
+    // blocking receive with nothing queued is a usage error, not a wait.
+    let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
+    let mut b = fabric.endpoint(EndpointId(1));
+    let _ = b.recv_blocking();
 }
 
 /// Send `0..5` from a managed endpoint 0 to endpoint 1 under `schedule`;

@@ -1,6 +1,5 @@
 //! Virtual-time pins: literal `(elapsed_ns, total_msgs, FNV-1a of the
-//! finished processes' checksum bits)` for twenty `workers: 1` spec lines, in
-//! both carrier modes.
+//! finished processes' checksum bits)` for twenty `workers: 1` spec lines.
 //!
 //! With one run permit a job's virtual times, message counts and checksums
 //! are a pure function of its spec, so they are pinned as constants: a
@@ -16,7 +15,6 @@
 
 mod common;
 
-use sim_net::CarrierMode;
 use workloads::serve::{run_job, run_spec, JobSpec, JobStatus};
 
 /// `(spec line, expected status, elapsed_ns, total_msgs, result hash)`.
@@ -190,29 +188,26 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 fn single_permit_virtual_times_counts_and_checksums_match_their_pins() {
     common::with_deadline("virtual_time_pins", |running| {
         for &(line, status, elapsed_ns, total_msgs, result_hash) in PINS {
-            for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
-                let mut spec = JobSpec::parse_line(line).expect("pinned spec line parses");
-                spec.carrier_mode = Some(mode);
-                running.note(spec.to_json().encode());
-                let record = run_job(&spec, 0).expect("pinned spec compiles");
-                let hash = fnv1a(record.processes.iter().filter_map(|p| p.result_bits));
-                assert_eq!(
-                    (
-                        record.status,
-                        record.elapsed_ns,
-                        record.total_msgs,
-                        format!("{hash:#018x}")
-                    ),
-                    (
-                        status,
-                        elapsed_ns,
-                        total_msgs,
-                        format!("{result_hash:#018x}")
-                    ),
-                    "simulated results moved for '{}' under {mode:?} carriers",
-                    spec.id
-                );
-            }
+            let spec = JobSpec::parse_line(line).expect("pinned spec line parses");
+            running.note(spec.to_json().encode());
+            let record = run_job(&spec, 0).expect("pinned spec compiles");
+            let hash = fnv1a(record.processes.iter().filter_map(|p| p.result_bits));
+            assert_eq!(
+                (
+                    record.status,
+                    record.elapsed_ns,
+                    record.total_msgs,
+                    format!("{hash:#018x}")
+                ),
+                (
+                    status,
+                    elapsed_ns,
+                    total_msgs,
+                    format!("{result_hash:#018x}")
+                ),
+                "simulated results moved for '{}'",
+                spec.id
+            );
         }
     });
 }
@@ -226,23 +221,20 @@ fn lossy_single_permit_jobs_retransmit_without_waiting_in_real_time() {
             .filter(|spec| spec.net_faults.is_some())
             .collect();
         assert_eq!(lossy.len(), 2, "bt-lossy and sp-lossy-crash");
-        for mut spec in lossy {
-            for mode in [CarrierMode::Coroutine, CarrierMode::Thread] {
-                spec.carrier_mode = Some(mode);
-                running.note(spec.to_json().encode());
-                let (report, _) = run_spec(&spec).expect("pinned spec compiles");
-                assert!(
-                    report.stats.retransmits() > 0,
-                    "'{}' under {mode:?} carriers never hit a retransmission timeout",
-                    spec.id
-                );
-                assert_eq!(
-                    report.stats.retx_real_waits(),
-                    0,
-                    "'{}' under {mode:?} carriers waited in real time while holding the only permit",
-                    spec.id
-                );
-            }
+        for spec in lossy {
+            running.note(spec.to_json().encode());
+            let (report, _) = run_spec(&spec).expect("pinned spec compiles");
+            assert!(
+                report.stats.retransmits() > 0,
+                "'{}' never hit a retransmission timeout",
+                spec.id
+            );
+            assert_eq!(
+                report.stats.retx_real_waits(),
+                0,
+                "'{}' waited in real time while holding the only permit",
+                spec.id
+            );
         }
     });
 }
