@@ -69,7 +69,8 @@ pub mod ctl {
 /// dropped — because the timer is armed in the *sender's* virtual time and
 /// nothing keeps it from firing before the peer that owes the ack has been
 /// dispatched that far (the peer's wire-sequence window dedups the copies).
-/// Only a virtual-time lookahead can remove those; ROADMAP items 4(b)/5.
+/// Only a virtual-time lookahead can remove those: ROADMAP item 2 tracks
+/// `proto.retx_per_drop`, item 4 the lookahead rule.
 pub const RETX_BASE_NS: u64 = 50_000;
 
 /// A send-log entry still unacknowledged after this many doubled timeouts

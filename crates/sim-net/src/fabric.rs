@@ -16,15 +16,17 @@
 //! its destination's mailbox before it returns.
 //!
 //! * **One mailbox per endpoint, one lock.** The fabric owns one inbox per
-//!   endpoint: a mutex-guarded vector plus the next *ingest sequence number*.
-//!   A send appends under that lock and stamps the message with the sequence
-//!   number, which is the FIFO tie-break for equal virtual arrivals (they pop
-//!   in physical ingest order). The receiver only ever takes the lock to swap
-//!   the vector out.
-//! * **One pending heap.** The receiver sweeps its mailbox into a private
-//!   `BinaryHeap` keyed by `(arrival, ingest seq)` and pops its minimum: the
-//!   earliest virtual arrival first, equal arrivals in ingest order, however
-//!   the stamps were ordered on the way in (see [`crate::model`]).
+//!   endpoint: a mutex-guarded deque of messages in *ingest order*. A send
+//!   appends under that lock; ingest order is the FIFO tie-break for equal
+//!   virtual arrivals (they pop in physical ingest order). The receiver only
+//!   ever takes the lock to swap the deque out.
+//! * **One sorted batch.** The receiver swaps its mailbox in whole into a
+//!   private deque, drops the policy-injected duplicate copies and
+//!   stable-sorts the batch by arrival: the earliest virtual arrival pops
+//!   first, equal arrivals in ingest order, however the stamps were ordered
+//!   on the way in (see [`crate::model`]). Messages left over from an earlier
+//!   sweep were ingested before the new batch and sit ahead of it, so the
+//!   stable re-sort keeps the same `(arrival, ingest order)` rule.
 //!
 //! Reliability and FIFO ordering per ordered process pair follow from the
 //! append order under the mailbox lock. Messages to a crashed process are
@@ -37,7 +39,7 @@
 //! The store-load (Dekker) wake protocol of [`crate::sched`] is what makes
 //! the mailbox safe without a channel's internal blocking: an ingest makes
 //! the message visible **before** it issues the wake — `queued` is
-//! incremented, then the vector is appended under the lock, and only then
+//! incremented, then the deque is appended under the lock, and only then
 //! does [`Scheduler::wake`] set the destination's wake token. A receiver
 //! that is about to park re-checks that token *after* publishing its `Parked`
 //! phase, so in every interleaving either the receiver's pre-park sweep sees
@@ -55,8 +57,7 @@ use crate::stats::{class, NetStats};
 use crate::time::SimTime;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -127,50 +128,17 @@ impl std::fmt::Display for RecvError {
     }
 }
 
-/// A swept message in the receiver's pending heap (a min-heap via `Reverse`)
-/// under its pop key: virtual arrival time, with ties broken by the inbox's
-/// physical ingest order (the exact tie-break the channel-era fabric
-/// provided through its FIFO push order).
-struct PendingMsg(Reverse<(SimTime, u64)>, RawMessage);
-
-impl PartialEq for PendingMsg {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for PendingMsg {}
-impl PartialOrd for PendingMsg {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingMsg {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-/// The lock-guarded half of an [`Inbox`].
-#[derive(Default)]
-struct Mailbox {
-    /// Next physical-ingest stamp, the FIFO tie-break for equal virtual
-    /// arrivals. It lives in the fabric-owned inbox, not the endpoint, so
-    /// messages ingested before the endpoint is taken are stamped too.
-    next_seq: u64,
-    /// Ingested messages with their stamps, in ingest order.
-    msgs: Vec<(u64, RawMessage)>,
-}
-
 /// The fabric-owned mailbox of one endpoint: the single buffer a delivery
 /// crosses between sender and receiver.
 ///
-/// Senders append under the one lock; the receiver swaps the whole vector
-/// out. `queued` is an advisory over-approximation maintained like the
-/// scheduler's ready-entry count — incremented *before* a push inserts,
-/// decremented *after* a sweep removes — so a zero read proves the mailbox is
-/// empty and the hot empty-poll path never touches the lock.
+/// Senders append under the one lock, in ingest order; the receiver swaps
+/// the whole deque out. `queued` is an advisory over-approximation
+/// maintained like the scheduler's ready-entry count — incremented *before*
+/// a push inserts, decremented *after* a sweep removes — so a zero read
+/// proves the mailbox is empty and the hot empty-poll path never touches the
+/// lock.
 struct Inbox {
-    mailbox: Mutex<Mailbox>,
+    mailbox: Mutex<VecDeque<RawMessage>>,
     /// Advisory message count (over-approximation; zero proves empty).
     queued: AtomicU64,
 }
@@ -178,25 +146,22 @@ struct Inbox {
 impl Inbox {
     fn new() -> Self {
         Inbox {
-            mailbox: Mutex::new(Mailbox::default()),
+            mailbox: Mutex::new(VecDeque::new()),
             queued: AtomicU64::new(0),
         }
     }
 
     /// Append `msg` — and after it the policy-injected duplicate copy, when
-    /// there is one — stamping each frame with the next ingest sequence. The
-    /// count is raised before the insert (see the struct docs); the caller
-    /// issues the scheduler wake *after* this returns, which is what the
-    /// no-lost-wake argument in the module docs relies on.
+    /// there is one. The count is raised before the insert (see the struct
+    /// docs); the caller issues the scheduler wake *after* this returns,
+    /// which is what the no-lost-wake argument in the module docs relies on.
     fn ingest(&self, msg: RawMessage, dup: Option<RawMessage>) {
         let frames = 1 + dup.is_some() as u64;
         self.queued.fetch_add(frames, Ordering::SeqCst);
         let mut mailbox = self.mailbox.lock();
-        let seq = mailbox.next_seq;
-        mailbox.next_seq = seq + frames;
-        mailbox.msgs.push((seq, msg));
+        mailbox.push_back(msg);
         if let Some(copy) = dup {
-            mailbox.msgs.push((seq + 1, copy));
+            mailbox.push_back(copy);
         }
     }
 }
@@ -304,8 +269,8 @@ impl Fabric {
     ///
     /// With a fault policy installed the message may first be dropped,
     /// delayed (arrival pushed, clamped to the link floor) or duplicated. A
-    /// duplicate's marked copy is ingested *after* the original so it takes
-    /// the later ingest sequence — the pop order then always hands the real
+    /// duplicate's marked copy is ingested *after* the original, so it is
+    /// later in ingest order — the pop order then always hands the real
     /// frame to the receiver first.
     fn ingest(&self, mut msg: RawMessage) {
         let dst = msg.dst;
@@ -349,9 +314,9 @@ impl Fabric {
         }
         for inbox in &self.inboxes {
             let mut mailbox = inbox.mailbox.lock();
-            let before = mailbox.msgs.len();
-            mailbox.msgs.retain(|(_, m)| !m.dup);
-            let removed = (before - mailbox.msgs.len()) as u64;
+            let before = mailbox.len();
+            mailbox.retain(|m| !m.dup);
+            let removed = (before - mailbox.len()) as u64;
             inbox.queued.fetch_sub(removed, Ordering::SeqCst);
             for _ in 0..removed {
                 self.stats.record_dup_suppressed();
@@ -377,8 +342,7 @@ impl Fabric {
             managed: self.sched.is_managed(id),
             fabric: Arc::clone(self),
             clock: VirtualClock::new(),
-            pending: BinaryHeap::new(),
-            sweep: Vec::new(),
+            pending: VecDeque::new(),
             window: 1,
             woken: vec![0; self.n],
             app_sends: 0,
@@ -388,7 +352,7 @@ impl Fabric {
 }
 
 /// A physical process's handle onto the fabric. Owns the process's virtual
-/// clock and its private view of the incoming inbox (the pending heap).
+/// clock and its private view of the incoming inbox (the sorted batch).
 pub struct Endpoint {
     id: EndpointId,
     /// Was this endpoint registered with the fabric's scheduler when taken?
@@ -396,12 +360,10 @@ pub struct Endpoint {
     managed: bool,
     fabric: Arc<Fabric>,
     clock: VirtualClock,
-    /// Swept deliveries, popped in `(arrival, ingest seq)` order.
-    pending: BinaryHeap<PendingMsg>,
-    /// Scratch vector the sweep swaps the mailbox contents into; the drained
-    /// vector goes back on the next swap, so the steady state allocates
-    /// nothing.
-    sweep: Vec<(u64, RawMessage)>,
+    /// Swept deliveries, sorted by `(arrival, ingest order)` and popped from
+    /// the front. When empty it is swapped with the mailbox on the next
+    /// sweep, so the steady state allocates nothing.
+    pending: VecDeque<RawMessage>,
     /// Current wake window (see [`Endpoint::flush`]); starts at 1.
     window: u64,
     /// Per destination, the last window in which this endpoint woke it.
@@ -640,45 +602,65 @@ impl Endpoint {
         self.window += 1;
     }
 
-    /// Push one swept message onto the pending heap.
-    ///
-    /// Policy-injected duplicate copies are discarded right here, before
-    /// they can enter the heap: the protocol layer above therefore never
-    /// observes a transport-level duplicate, and `has_pending` / pop order
-    /// are computed over real frames only. Each discard counts toward
-    /// `dups_suppressed` (the campaign gate pairs it with `msgs_duplicated`).
-    fn enqueue_pending(&mut self, seq: u64, msg: RawMessage) {
-        if msg.dup {
-            self.fabric.stats.record_dup_suppressed();
-            return;
-        }
-        self.fabric.stats.record_delivery(msg.class);
-        self.pending
-            .push(PendingMsg(Reverse((msg.arrival, seq)), msg));
-    }
-
-    /// Sweep the fabric-owned inbox into the pending heap: every message
-    /// that has physically arrived is ingested in one pass, so a wakeup
+    /// Sweep the fabric-owned inbox into the pending batch: every message
+    /// that has physically arrived is taken in one pass, so a wakeup
     /// processes all available traffic rather than one message. Returns
     /// whether anything was swept. The empty case — every poll of an idle
     /// endpoint — is answered from the inbox's advisory count without
     /// touching the lock.
+    ///
+    /// Into an empty batch the sweep is one swap under the lock: the
+    /// cleared deque (head at 0, so the next batch lands contiguous) goes
+    /// back to the mailbox. Leftovers from an earlier sweep (the PML drains
+    /// every sweep; `try_recv`, `has_pending` and a bare `recv_blocking` can
+    /// leave some) were ingested before the new messages, so they stay ahead
+    /// of them. Policy-injected duplicate
+    /// copies are discarded right here, before the protocol layer above can
+    /// observe them; each discard counts toward `dups_suppressed` (the
+    /// campaign gate pairs it with `msgs_duplicated`). The stable sort by
+    /// arrival then leaves equal arrivals in ingest order, and costs one
+    /// pass over a batch that is already sorted.
     fn sweep_inbox(&mut self) -> bool {
         let inbox = &self.fabric.inboxes[self.id.0];
         if inbox.queued.load(Ordering::SeqCst) == 0 {
             return false;
         }
-        let mut sweep = std::mem::take(&mut self.sweep);
-        std::mem::swap(&mut sweep, &mut inbox.mailbox.lock().msgs);
+        let kept = self.pending.len();
+        {
+            let mut mailbox = inbox.mailbox.lock();
+            if kept == 0 {
+                self.pending.clear();
+                std::mem::swap(&mut self.pending, &mut mailbox);
+            } else {
+                self.pending.append(&mut mailbox);
+                mailbox.clear();
+            }
+        }
+        let swept = self.pending.len() - kept;
         // Decrement *after* the removal so the advisory count never
         // under-reports (see the Inbox docs).
-        inbox.queued.fetch_sub(sweep.len() as u64, Ordering::SeqCst);
-        let swept_any = !sweep.is_empty();
-        for (seq, msg) in sweep.drain(..) {
-            self.enqueue_pending(seq, msg);
+        inbox.queued.fetch_sub(swept as u64, Ordering::SeqCst);
+        let stats = &self.fabric.stats;
+        let mut any_dup = false;
+        for msg in self.pending.range(kept..) {
+            if msg.dup {
+                stats.record_dup_suppressed();
+                any_dup = true;
+            } else {
+                stats.record_delivery(msg.class);
+            }
         }
-        self.sweep = sweep;
-        swept_any
+        if any_dup {
+            let mut at = 0;
+            self.pending.retain(|msg| {
+                at += 1;
+                at <= kept || !msg.dup
+            });
+        }
+        self.pending
+            .make_contiguous()
+            .sort_by_key(|msg| msg.arrival);
+        swept > 0
     }
 
     /// Non-blocking receive: returns the earliest-arriving (in virtual time)
@@ -709,10 +691,10 @@ impl Endpoint {
 
     /// The pop half of [`Endpoint::try_recv`]: return the earliest-arriving
     /// already-swept message (charging the receive overhead) without probing
-    /// the inbox again. `None` when the pending heap is empty — call
+    /// the inbox again. `None` when the pending batch is empty — call
     /// [`Endpoint::poll_ready`] to sweep first.
     pub fn next_ready(&mut self) -> Option<RawMessage> {
-        let PendingMsg(_, msg) = self.pending.pop()?;
+        let msg = self.pending.pop_front()?;
         self.charge_recv_overhead(&msg);
         Some(msg)
     }
@@ -962,7 +944,7 @@ mod tests {
     #[test]
     fn equal_arrivals_pop_in_ingest_order() {
         // Two senders with identical clocks and message sizes produce equal
-        // arrival stamps; the ingest-seq tie-break must pop them in physical
+        // arrival stamps; the stable sort must pop them in physical
         // ingest order, reproducing the channel-era FIFO semantics.
         let fabric = Fabric::with_defaults(3, LogGpModel::fast_test_model());
         let mut a = fabric.endpoint(EndpointId(0));

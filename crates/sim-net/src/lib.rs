@@ -22,8 +22,8 @@
 //!   by quiescence, instead of by real-time timeouts.
 //! * Transport is a single-pass delivery pipeline: one fabric-owned mailbox
 //!   per destination endpoint behind one lock, which a send ingests into
-//!   *in place* before it returns, feeding a receiver-side heap keyed by
-//!   `(arrival, ingest sequence)`. Messages from one sender to one
+//!   *in place* before it returns; the receiver swaps the mailbox out and
+//!   stable-sorts the batch by arrival. Messages from one sender to one
 //!   receiver are delivered in order (the paper's FIFO reliable channel
 //!   assumption; ties between equal virtual arrivals are broken by physical
 //!   ingest order). A sender wakes each destination once per wake window

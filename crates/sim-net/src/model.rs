@@ -19,17 +19,17 @@
 //! # The arrival-ordering contract
 //!
 //! The fabric's single-pass delivery pipeline (`sim_net::fabric`, DESIGN.md
-//! §5.3) pops each receiver's messages from one heap keyed by `(arrival,
-//! ingest sequence)`, so it assumes nothing about the order in which arrival
-//! stamps are ingested: a sender's arrivals run backwards whenever a large
-//! message is followed closely by a small one (the small one's shorter wire
-//! time outruns the big one's), and across senders ingest order only roughly
-//! tracks virtual time.
+//! §5.3) stable-sorts each receiver's swept batch by arrival, so pops come
+//! in `(arrival, ingest order)` order and it assumes nothing about the order
+//! in which arrival stamps are ingested: a sender's arrivals run backwards
+//! whenever a large message is followed closely by a small one (the small
+//! one's shorter wire time outruns the big one's), and across senders ingest
+//! order only roughly tracks virtual time.
 //!
 //! What *is* load-bearing for determinism: implementations must be pure
 //! functions of `(payload size, locality)` as stated on [`NetworkModel`], so
 //! identical runs stamp identical arrivals, and ties between equal arrival
-//! stamps are broken by the fabric's ingest sequence, never by wall-clock
+//! stamps are broken by the fabric's ingest order, never by wall-clock
 //! time.
 
 use crate::time::SimTime;

@@ -57,7 +57,7 @@ pub struct NetFaultConfig {
     /// Probability a faultable message is silently dropped, per 65 536.
     pub drop_per_64k: u32,
     /// Probability a faultable message is duplicated (one extra copy with the
-    /// same arrival, a later ingest sequence), per 65 536.
+    /// same arrival, ingested right after the original), per 65 536.
     pub dup_per_64k: u32,
     /// Probability a faultable message is delayed, per 65 536.
     pub delay_per_64k: u32,

@@ -7,8 +7,8 @@
 //! saturating arithmetic (virtual time never goes negative and never wraps).
 //!
 //! `SimTime`'s `Ord` is plain numeric order on the nanosecond value; the
-//! fabric's pending heaps and the scheduler's ready heap both key on it
-//! directly (as `(SimTime, sequence)` pairs), so the total order of
+//! fabric's arrival sort and the scheduler's ready heap (as `(SimTime,
+//! sequence)` pairs) both key on it directly, so the total order of
 //! timestamps — and therefore pop order everywhere — is exactly the total
 //! order of `u64`. See `sim_net::model` for the arrival-ordering contract
 //! built on top of this.

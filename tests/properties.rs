@@ -237,6 +237,74 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
+    /// Pops and sweeps interleaved with sends: a `has_pending` sweep or a
+    /// `try_recv` that pops one of many leaves the rest behind, and the next
+    /// sweep lands new frames on those leftovers. Senders either sync to a
+    /// shared virtual grid point (equal sizes then tie exactly, across
+    /// batches too) or step their own clock by a stride; the 4 KiB size
+    /// overtakes a later small send (an inversion). `quiet` picks how often
+    /// the receiver pops and sweeps, from every few sends to batches of
+    /// dozens. Every pop — interleaved or in the final drain — must return
+    /// the least `(arrival, send index)` of the frames sent and not yet
+    /// popped.
+    #[test]
+    fn interleaved_pops_and_sweeps_pop_the_least_unpopped_frame(
+        senders in 1usize..5,
+        quiet in 0usize..3,
+        ops in proptest::collection::vec(any::<u64>(), 1..200),
+    ) {
+        use sim_net::fabric::HEADER_WORDS;
+        use sim_net::stats::class;
+        use sim_net::{Fabric, LogGpModel, NetworkModel};
+        let model = LogGpModel::fast_test_model();
+        let fabric = Fabric::with_defaults(senders + 1, model);
+        let dst = EndpointId(senders);
+        let mut tx: Vec<_> = (0..senders).map(|s| fabric.endpoint(EndpointId(s))).collect();
+        let mut rx = fabric.endpoint(dst);
+        // Out of 16: below `pop` a `try_recv`, below `sweep` a `has_pending`.
+        let (pop, sweep) = [(3, 6), (1, 2), (0, 1)][quiet];
+        let mut unpopped: Vec<(SimTime, i64)> = Vec::new();
+        let mut grid = SimTime::ZERO;
+        let mut sent = 0i64;
+        let check_pop = |rx: &mut sim_net::Endpoint, unpopped: &mut Vec<(SimTime, i64)>| {
+            let least = unpopped.iter().enumerate().min_by_key(|(_, key)| **key).map(|(at, _)| at);
+            let msg = rx.try_recv();
+            prop_assert_eq!(
+                msg.map(|m| (m.arrival, m.header[0])),
+                least.map(|at| unpopped.swap_remove(at)),
+                "a pop returns the least unpopped (arrival, send index)"
+            );
+        };
+        for &op in &ops {
+            match op % 16 {
+                k if k < pop => check_pop(&mut rx, &mut unpopped),
+                k if k < sweep => {
+                    prop_assert_eq!(rx.has_pending(), !unpopped.is_empty());
+                }
+                _ => {
+                    let sender = &mut tx[(op >> 4) as usize % senders];
+                    if (op >> 8) % 8 == 0 {
+                        grid += SimTime::from_nanos(1_000);
+                    }
+                    match (op >> 12) % 4 {
+                        0 | 1 => sender.wait_until(grid),
+                        stride => sender.compute(SimTime::from_nanos([1, 700][stride as usize - 2])),
+                    }
+                    let size = [0, 8, 4096][(op >> 16) as usize % 3];
+                    let mut header = [0; HEADER_WORDS];
+                    header[0] = sent;
+                    sender.send(dst, class::APP, header, bytes::Bytes::from(vec![0u8; size]));
+                    unpopped.push((sender.now() + model.wire_time(size, false), sent));
+                    sent += 1;
+                }
+            }
+        }
+        while !unpopped.is_empty() {
+            check_pop(&mut rx, &mut unpopped);
+        }
+        prop_assert!(rx.try_recv().is_none(), "every frame pops exactly once");
+    }
+
     /// The replica map is a bijection between the logical pairs
     /// `{(rank, rep) : rep < degree_of(rank)}` and the dense endpoint range
     /// `0..Σdegree` for every kind of map its constructors build — uniform at

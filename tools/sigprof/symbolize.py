@@ -5,9 +5,11 @@ Usage: symbolize.py SAMPLES [TOP_N]
 
 A PC inside the main binary is named with `nm -C`. A PC inside a shared
 library (libc `memmove`/`malloc`, libm `sin`) is named with `nm -D` when it
-falls inside an exported symbol, else `?`, and is charged to the module of
-the caller the sampler found on the stack — `libc.so.6:?  <- workloads::nas`
-is a copy or an allocation made by a kernel. No external dependencies.
+falls inside an exported symbol, else `?`. The by-module table charges it to
+the module of the caller the sampler found on the stack; the by-symbol table
+names that calling symbol — `libc.so.6:memcpy  <- alloc::vec::Vec<T,A>::push`
+is a copy made by a push, not just somewhere in `alloc::vec`. No external
+dependencies.
 """
 
 import bisect
@@ -29,9 +31,14 @@ def symbols(path, dynamic):
     return [s[0] for s in table], table
 
 
+def unhashed(symbol):
+    """`a::b::f::h0123456789abcdef` -> `a::b::f`."""
+    return re.sub(r"::h[0-9a-f]{16}$", "", symbol)
+
+
 def module(symbol):
     """`<a::b::T as c::Tr>::f` -> `a::b`, `a::b::f` -> `a::b` (hash suffix dropped)."""
-    path = re.sub(r"::h[0-9a-f]{16}$", "", symbol).lstrip("<&*mut ").split(" as ")[0].split("<")[0]
+    path = unhashed(symbol).lstrip("<&*mut ").split(" as ")[0].split("<")[0]
     parts = path.split("::")
     return "::".join(parts[:2]) if len(parts) > 2 else parts[0]
 
@@ -70,15 +77,16 @@ def main():
             by_symbol[sym] += 1
             by_module[module(sym)] += 1
         else:
-            owner = module(name(caller)[1]) if caller else "?"
-            by_symbol[f"{os.path.basename(path or '?')}:{sym}  <- {owner}"] += 1
+            calling = unhashed(name(caller)[1]) if caller else "?"
+            owner = module(calling)
+            by_symbol[f"{os.path.basename(path or '?')}:{sym}  <- {calling}"] += 1
             by_module[owner] += 1
             leaf[owner] += 1
     top, total = int(sys.argv[2]) if len(sys.argv) > 2 else 25, len(samples)
     print(f"{total} samples\n\nby crate::module (library leaves charged to their caller; of which leaf)")
     for key, n in by_module.most_common(top):
         print(f"{100 * n / total:6.2f}%  {n:7d}  {key}  ({leaf[key]} leaf)")
-    print("\nby symbol")
+    print("\nby symbol (library leaves named with their calling symbol)")
     for key, n in by_symbol.most_common(top):
         print(f"{100 * n / total:6.2f}%  {n:7d}  {key}")
 
