@@ -24,9 +24,7 @@
 use crate::parse_shared_flag;
 use sim_net::campaign::{FaultPlan, PlannedFault};
 use sim_net::NetFaultConfig;
-use workloads::campaign::{
-    run_campaign, run_lossy_explicit_case, summarize, CampaignSummary, CaseOutcome,
-};
+use workloads::campaign::{run_campaign, run_case, summarize, CampaignSummary, CaseOutcome};
 use workloads::serve::Json;
 
 pub use sim_net::campaign::{CampaignConfig, FaultDistribution};
@@ -164,7 +162,8 @@ pub struct LossySweepRow {
 /// [`LOSSY_SWEEP_RATES`]. Unlike the campaign configurations (which sample
 /// rates up to a maximum), every case of a row runs the exact same
 /// [`NetFaultConfig`] — only the policy seed and the workload rotate — so the
-/// row is a true point on the overhead-vs-rate curve.
+/// row is a true point on the overhead-vs-rate curve. Each hand-built plan
+/// goes through the campaign's one case runner, [`run_case`].
 pub fn lossy_rate_sweep(
     ranks: usize,
     cases: usize,
@@ -203,7 +202,7 @@ pub fn lossy_rate_sweep(
                             policy_seed: seed,
                         }],
                     };
-                    run_lossy_explicit_case(plan, iterations, workers)
+                    run_case(plan, iterations, workers)
                 })
                 .collect();
             LossySweepRow {

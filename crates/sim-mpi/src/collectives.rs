@@ -18,7 +18,7 @@ use crate::process::{Comm, Process, Request};
 use crate::types::Rank;
 use bytes::Bytes;
 
-/// Element-wise reduction operators over `f64`/`u64` vectors.
+/// Element-wise reduction operators over `f64` vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Element-wise sum.
@@ -42,16 +42,6 @@ impl ReduceOp {
         }
     }
 
-    /// Apply the operator to two `u64` operands.
-    pub fn apply_u64(&self, a: u64, b: u64) -> u64 {
-        match self {
-            ReduceOp::Sum => a.wrapping_add(b),
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Prod => a.wrapping_mul(b),
-        }
-    }
-
     /// `acc[i] = acc[i] op other[i]`. `other` is any exact-length sequence,
     /// so a received payload is combined straight from its bytes
     /// ([`datatype::iter_f64s`]) without a `Vec` in between.
@@ -70,17 +60,6 @@ impl ReduceOp {
             *a = self.apply_f64(*a, b);
         }
     }
-
-    fn combine_u64s(&self, acc: &mut [u64], other: &[u64]) {
-        assert_eq!(
-            acc.len(),
-            other.len(),
-            "reduction operands must have equal length"
-        );
-        for (a, b) in acc.iter_mut().zip(other.iter()) {
-            *a = self.apply_u64(*a, *b);
-        }
-    }
 }
 
 mod op_code {
@@ -90,9 +69,7 @@ mod op_code {
     pub const ALLREDUCE: i64 = 4;
     pub const GATHER: i64 = 5;
     pub const ALLGATHER: i64 = 6;
-    pub const SCATTER: i64 = 7;
     pub const ALLTOALL: i64 = 8;
-    pub const SCAN: i64 = 9;
 }
 
 impl Process {
@@ -155,20 +132,6 @@ impl Process {
     pub fn bcast_f64s(&mut self, comm: Comm, root: Rank, data: Option<&[f64]>) -> Vec<f64> {
         let bytes = self.bcast_bytes(comm, root, data.map(datatype::f64s_to_bytes));
         datatype::bytes_to_f64s(&bytes)
-    }
-
-    /// `MPI_Reduce` of an `f64` vector to `root` using a binomial tree.
-    /// Returns `Some(result)` on the root, `None` elsewhere.
-    pub fn reduce_f64s(
-        &mut self,
-        comm: Comm,
-        root: Rank,
-        op: ReduceOp,
-        contribution: &[f64],
-    ) -> Option<Vec<f64>> {
-        let mut acc = contribution.to_vec();
-        self.reduce_in_place(comm, root, op, &mut acc);
-        (self.comm_rank(comm) == root).then_some(acc)
     }
 
     /// Binomial-tree reduce over `acc`: on return the root's `acc` holds the
@@ -252,30 +215,6 @@ impl Process {
         acc[0]
     }
 
-    /// Scalar `MPI_Allreduce` over `u64`.
-    pub fn allreduce_u64(&mut self, comm: Comm, op: ReduceOp, value: u64) -> u64 {
-        let size = self.comm_size(comm);
-        let rank = self.comm_rank(comm);
-        if size <= 1 {
-            return value;
-        }
-        let tag = self.next_coll_tag(comm, op_code::ALLREDUCE);
-        // Reduce to rank 0 linearly then broadcast: simple and correct for the
-        // small scalar control values this is used for (iteration counts,
-        // convergence flags).
-        let mut acc = value;
-        if rank == 0 {
-            for src in 1..size {
-                let (_, other) = self.recv_bytes(comm, src as i64, tag);
-                acc = op.apply_u64(acc, datatype::bytes_to_u64(&other));
-            }
-        } else {
-            self.send_bytes(comm, 0, tag, datatype::u64_to_bytes(value));
-        }
-        let reduced = (rank == 0).then(|| datatype::u64_to_bytes(acc));
-        datatype::bytes_to_u64(&self.bcast_bytes(comm, 0, reduced))
-    }
-
     /// `MPI_Gather` of raw byte blocks to `root`. Returns `Some(blocks)` in
     /// communicator-rank order on the root, `None` elsewhere.
     pub fn gather_bytes(
@@ -340,30 +279,6 @@ impl Process {
             .collect()
     }
 
-    /// `MPI_Scatter` of per-rank byte blocks from `root`. The root passes
-    /// `Some(blocks)` (one per rank, in communicator-rank order).
-    pub fn scatter_bytes(&mut self, comm: Comm, root: Rank, blocks: Option<Vec<Bytes>>) -> Bytes {
-        let size = self.comm_size(comm);
-        let rank = self.comm_rank(comm);
-        let tag = self.next_coll_tag(comm, op_code::SCATTER);
-        if rank == root {
-            let blocks = blocks.expect("root must provide the blocks to scatter");
-            assert_eq!(blocks.len(), size, "scatter needs one block per rank");
-            let mut mine = Bytes::new();
-            for (dst, block) in blocks.into_iter().enumerate() {
-                if dst == rank {
-                    mine = block;
-                } else {
-                    self.send_bytes(comm, dst, tag, block);
-                }
-            }
-            mine
-        } else {
-            let (_, payload) = self.recv_bytes(comm, root as i64, tag);
-            payload
-        }
-    }
-
     /// `MPI_Alltoall` of per-destination byte blocks (one block per rank).
     /// Returns one block per source rank.
     pub fn alltoall_bytes(&mut self, comm: Comm, blocks: Vec<Bytes>) -> Vec<Bytes> {
@@ -388,52 +303,6 @@ impl Process {
         }
         out
     }
-
-    /// Inclusive `MPI_Scan` over `f64` vectors (linear pipeline).
-    pub fn scan_f64s(&mut self, comm: Comm, op: ReduceOp, contribution: &[f64]) -> Vec<f64> {
-        let size = self.comm_size(comm);
-        let rank = self.comm_rank(comm);
-        let tag = self.next_coll_tag(comm, op_code::SCAN);
-        let mut acc = contribution.to_vec();
-        if rank > 0 {
-            let (_, prefix) = self.recv_f64s(comm, (rank - 1) as i64, tag);
-            let mut combined = prefix;
-            op.combine_f64s(&mut combined, acc.iter().copied());
-            acc = combined;
-        }
-        if rank + 1 < size {
-            self.send_f64s(comm, rank + 1, tag, &acc);
-        }
-        acc
-    }
-
-    /// `MPI_Reduce` for `u64` vectors (linear gather at root, mirroring the
-    /// scalar allreduce implementation).
-    pub fn reduce_u64s(
-        &mut self,
-        comm: Comm,
-        root: Rank,
-        op: ReduceOp,
-        contribution: &[u64],
-    ) -> Option<Vec<u64>> {
-        let size = self.comm_size(comm);
-        let rank = self.comm_rank(comm);
-        let tag = self.next_coll_tag(comm, op_code::REDUCE);
-        if rank == root {
-            let mut acc = contribution.to_vec();
-            for src in 0..size {
-                if src == rank {
-                    continue;
-                }
-                let (_, other) = self.recv_u64s(comm, src as i64, tag);
-                op.combine_u64s(&mut acc, &other);
-            }
-            Some(acc)
-        } else {
-            self.send_u64s(comm, root, tag, contribution);
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -446,14 +315,6 @@ mod tests {
         assert_eq!(ReduceOp::Min.apply_f64(2.0, 3.0), 2.0);
         assert_eq!(ReduceOp::Max.apply_f64(2.0, 3.0), 3.0);
         assert_eq!(ReduceOp::Prod.apply_f64(2.0, 3.0), 6.0);
-    }
-
-    #[test]
-    fn reduce_op_u64_semantics_wrapping() {
-        assert_eq!(ReduceOp::Sum.apply_u64(u64::MAX, 1), 0);
-        assert_eq!(ReduceOp::Min.apply_u64(7, 9), 7);
-        assert_eq!(ReduceOp::Max.apply_u64(7, 9), 9);
-        assert_eq!(ReduceOp::Prod.apply_u64(3, 5), 15);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * non-blocking point-to-point communication with MPI matching semantics
 //!   (source/tag wildcards, unexpected-message queue) — [`pml`], [`matching`];
-//! * communicators and groups, including `dup`, `split` and `create` —
-//!   [`comm`], [`process`];
+//! * communicators and groups, with `MPI_Comm_split` — [`comm`],
+//!   [`process`];
 //! * collective operations implemented over point-to-point — [`collectives`];
 //! * a protocol interception layer equivalent to Open MPI's vProtocol
 //!   framework, through which SDR-MPI and the baseline replication protocols

@@ -99,11 +99,6 @@ impl Process {
         self.pml.compute(d);
     }
 
-    /// Convenience: advance the clock by `us` microseconds of computation.
-    pub fn compute_us(&mut self, us: f64) {
-        self.compute(SimTime::from_micros_f64(us));
-    }
-
     /// Access the PML (protocol implementations and tests).
     pub fn pml(&self) -> &Pml {
         &self.pml
@@ -133,31 +128,6 @@ impl Process {
     /// This process's rank within a communicator.
     pub fn comm_rank(&self, comm: Comm) -> Rank {
         self.comm_info(comm).my_rank
-    }
-
-    /// The group of a communicator.
-    pub fn comm_group(&self, comm: Comm) -> Group {
-        self.comm_info(comm).group.clone()
-    }
-
-    /// `MPI_Comm_dup`: duplicate a communicator (same members, fresh context).
-    /// Collective over the communicator: every member must call it.
-    pub fn comm_dup(&mut self, comm: Comm) -> Comm {
-        let (parent_id, derived, group, my_rank) = {
-            let info = &mut self.comms[comm.0];
-            let d = info.derived;
-            info.derived += 1;
-            (info.id, d, info.group.clone(), info.my_rank)
-        };
-        let id = derive_comm_id(parent_id, derived, 0);
-        self.comms.push(CommInfo {
-            id,
-            group,
-            my_rank,
-            coll_seq: 0,
-            derived: 0,
-        });
-        Comm(self.comms.len() - 1)
     }
 
     /// `MPI_Comm_split`: split a communicator by `color`, ordering members of
@@ -209,24 +179,6 @@ impl Process {
             derived: 0,
         });
         Some(Comm(self.comms.len() - 1))
-    }
-
-    /// Create a communicator from an explicit group of *parent communicator*
-    /// ranks (`MPI_Comm_create`-like). Collective over the parent; processes
-    /// not in the group receive `None`.
-    pub fn comm_create(&mut self, comm: Comm, group_ranks: &[Rank]) -> Option<Comm> {
-        let my_rank = self.comm_rank(comm);
-        let color = if group_ranks.contains(&my_rank) {
-            0
-        } else {
-            -1
-        };
-        let key = group_ranks
-            .iter()
-            .position(|&r| r == my_rank)
-            .map(|p| p as i64)
-            .unwrap_or(0);
-        self.comm_split(comm, color, key)
     }
 
     // -- point-to-point -------------------------------------------------------

@@ -359,31 +359,6 @@ impl FaultPlan {
             _ => None,
         })
     }
-
-    /// The soft-error faults of the plan, in order.
-    pub fn bit_flips(&self) -> impl Iterator<Item = (EndpointId, u64, u32)> + '_ {
-        self.faults.iter().filter_map(|f| match *f {
-            PlannedFault::BitFlip {
-                endpoint,
-                nth_send,
-                bit,
-            } => Some((endpoint, nth_send, bit)),
-            _ => None,
-        })
-    }
-
-    /// The lossy-transport faults of the plan, in order (at most one per
-    /// plan under the bundled distributions — the fabric accepts a single
-    /// installed policy per job).
-    pub fn lossy_transports(&self) -> impl Iterator<Item = (NetFaultConfig, u64)> + '_ {
-        self.faults.iter().filter_map(|f| match *f {
-            PlannedFault::LossyTransport {
-                config,
-                policy_seed,
-            } => Some((config, policy_seed)),
-            _ => None,
-        })
-    }
 }
 
 /// Sample the fault plan for `(config, seed)`. Pure: no ambient state, no
@@ -740,15 +715,24 @@ mod tests {
         };
         for seed in 0..50 {
             let plan = sample_plan(cfg(dist), seed);
-            let targets: Vec<_> = plan.bit_flips().map(|(e, n, _)| (e, n)).collect();
+            let mut targets = Vec::new();
+            for fault in &plan.faults {
+                let PlannedFault::BitFlip {
+                    endpoint,
+                    nth_send,
+                    bit,
+                } = *fault
+                else {
+                    panic!("seed {seed}: a soft-error plan holds only flips");
+                };
+                assert!((1..=6).contains(&nth_send));
+                assert!(bit < 64);
+                targets.push((endpoint, nth_send));
+            }
             let mut dedup = targets.clone();
             dedup.sort();
             dedup.dedup();
             assert_eq!(targets.len(), dedup.len(), "seed {seed} repeated a target");
-            for (_, nth, bit) in plan.bit_flips() {
-                assert!((1..=6).contains(&nth));
-                assert!(bit < 64);
-            }
         }
     }
 
@@ -762,10 +746,13 @@ mod tests {
         let mut distinct = std::collections::BTreeSet::new();
         for seed in 0..100 {
             let plan = sample_plan(cfg(dist), seed);
-            let lossy: Vec<_> = plan.lossy_transports().collect();
-            assert_eq!(lossy.len(), 1, "one fabric-wide policy per plan");
-            assert!(plan.crashes().next().is_none());
-            let (config, policy_seed) = lossy[0];
+            let [PlannedFault::LossyTransport {
+                config,
+                policy_seed,
+            }] = plan.faults[..]
+            else {
+                panic!("one fabric-wide policy per plan: {plan:?}");
+            };
             config.validate();
             assert!((1..=3277).contains(&config.drop_per_64k));
             assert!((1..=3277).contains(&config.dup_per_64k));
@@ -785,7 +772,9 @@ mod tests {
         };
         for seed in 0..100 {
             let plan = sample_plan(cfg(dist), seed);
-            let (config, _) = plan.lossy_transports().next().expect("one policy");
+            let [PlannedFault::LossyTransport { config, .. }] = plan.faults[..] else {
+                panic!("one policy per plan: {plan:?}");
+            };
             config.validate();
             assert!(config.ack_only, "delayed-acks must not touch payloads");
             assert_eq!(config.drop_per_64k, 0);

@@ -1,20 +1,21 @@
-//! Fault-campaign execution: run sampled [`FaultPlan`]s, judge each case
-//! against its distribution's expectation, and shrink violations to minimal
-//! regression cases.
+//! Fault-campaign execution: run [`FaultPlan`]s, judge each case's
+//! [`JobRecord`] against its distribution's expectation, and shrink
+//! violations to minimal regression cases.
 //!
 //! This is the execution half of the fault-campaign engine; the planning
-//! half ([`sim_net::campaign`]) samples seeded plans. For every case the
-//! driver:
+//! half ([`sim_net::campaign`]) samples seeded plans. For every case
+//! [`run_case`]:
 //!
-//! 1. samples the plan for `(config, seed)` ([`sim_net::campaign::sample_plan`]),
+//! 1. takes a plan — sampled for `(config, seed)`
+//!    ([`sim_net::campaign::sample_plan`]) or built by hand,
 //! 2. turns it into a [`JobSpec`] ([`case_spec`]) — the same one-line job
 //!    description `sdr_serve` accepts, so every case doubles as its own
-//!    replay handle — and runs it through the serve engine's execution path
-//!    ([`crate::serve::run_spec`]): crashes compile to
-//!    [`sim_mpi::JobBuilder::crash`] schedules (i.e.
-//!    `FailureService::schedule` calls), soft errors to
+//!    replay handle — and runs it through the serve engine's
+//!    [`run_job`]: crashes compile to [`sim_mpi::JobBuilder::crash`]
+//!    schedules (i.e. `FailureService::schedule` calls), soft errors to
 //!    [`sim_mpi::JobBuilder::sdc_flip`] PML corruption hooks,
-//! 3. judges the report:
+//! 3. judges the job's [`JobRecord`] — the record `sdr_serve` streams for
+//!    the same spec line:
 //!    * single-replica-loss distributions (`exp-mtbf`, `mid-collective`)
 //!      must be **survived** — every non-crashed process finishes with the
 //!      closed-form checksum;
@@ -27,29 +28,30 @@
 //! [`sim_mpi::JobBuilder::net_faults`] policy install in their spec: the
 //! fabric drops/duplicates/delays frames per the sampled
 //! [`sim_net::NetFaultConfig`], and the case must be **masked** — every
-//! process finishes, the results are bit-identical to a fault-free reference
-//! run of the same workload, every injected duplicate is suppressed
+//! process finishes, the results are bit-identical to the record of a
+//! fault-free twin of the same spec, every injected duplicate is suppressed
 //! (`dups_suppressed == msgs_duplicated`), and any drop forces at least one
 //! retransmission. Lossy cases rotate through the five NAS kernels plus the
 //! collective-heavy app ([`lossy_workload`]), so the masking claim covers
 //! halo exchanges, all-to-all transposes and pipelined sweeps, not just one
 //! traffic shape.
 //!
-//! Any deviation is a *violation*; [`shrink_violation`] replays the case's
-//! fault list under the deterministic single-worker scheduler and reduces it
-//! to a locally minimal failing subset ([`sim_net::campaign::shrink_events`])
-//! and names the minimal plan as a spec line.
+//! Any deviation is a *violation*; [`shrink`] replays the plan's fault list
+//! under the deterministic single-worker scheduler, reduces it to a locally
+//! minimal failing subset ([`sim_net::campaign::shrink_events`]) and names
+//! the minimal plan as a spec line.
 
 use crate::nas::NasKernel;
-use crate::serve::{run_spec, JobSpec, LayoutSpec, WorkloadKind};
+use crate::serve::{run_job, JobRecord, JobSpec, JobStatus, LayoutSpec, WorkloadKind};
 use bytes::Bytes;
 use repl_baselines::{RedMpiFactory, SdcReport};
-use sim_mpi::{JobReport, Process, ProcessOutcome, ReduceOp};
+use sim_mpi::{Process, ReduceOp};
 use sim_net::campaign::{
     sample_plan, shrink_events, CampaignConfig, FaultDistribution, FaultPlan, PlannedFault,
 };
-use sim_net::StatsSnapshot;
+use sim_net::{SimTime, StatsSnapshot};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The collective-heavy campaign workload: every iteration mixes a ring
 /// halo exchange (the per-rank send traffic crash schedules count) with an
@@ -99,80 +101,48 @@ pub fn ring_app(p: &mut Process, iterations: u64) -> f64 {
     acc
 }
 
-/// The verdict on one campaign case.
+/// The verdict on one campaign case: the job's service record plus what a
+/// record cannot say — the plan it came from, the verdict, and the
+/// measurements that need a second run or another protocol.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
-    /// The case seed.
-    pub seed: u64,
-    /// The sampled plan the case ran with.
+    /// The plan the case ran with.
     pub plan: FaultPlan,
-    /// The job the case ran — the plan as a spec. `spec.to_json().encode()`
-    /// is the line that replays the case under `sdr_serve --queue`.
-    pub spec: JobSpec,
+    /// The job's record, as `sdr_serve` streams it: seed, crashes, injected
+    /// flips and transport counters are read from here, and
+    /// `record.spec.to_json().encode()` is the line that replays the case
+    /// under `sdr_serve --queue`.
+    pub record: JobRecord,
     /// Did the job survive (all non-crashed processes finished with the
     /// expected checksum)? Always false for abort-expected distributions.
     pub survived: bool,
-    /// Did a survivor report the unrecoverable rank loss (`RankLost`)?
-    pub aborted: bool,
-    /// Crashes that actually fired during the run.
-    pub crashes: usize,
-    /// Survived runs with at least one crash: virtual seconds from the first
-    /// crash to job completion (the recovery latency the campaign
-    /// aggregates).
-    pub recovery_latency_s: Option<f64>,
-    /// Soft-error flips actually injected (a planned flip on a send index
-    /// the endpoint never reached does not fire).
-    pub sdc_injected: u64,
+    /// Virtual-time overhead of the masked lossy run relative to its
+    /// fault-free twin, in percent. `None` for non-lossy distributions.
+    pub masked_overhead_pct: Option<f64>,
     /// Flips detected by the redMPI cross-replica comparison.
     pub sdc_detected: u64,
     /// Flips outvoted by a hash majority (degree ≥ 3 only): detected *and*
     /// attributable to the corrupt copy, so the receiver can substitute the
     /// majority payload.
     pub sdc_corrected: u64,
-    /// Fabric counters of the faulted run; the transport fault and masking
-    /// counters (`msgs_dropped`, `retransmits`, `dups_suppressed`, ...) are
-    /// zero unless the case installed a network fault policy.
-    pub net: StatsSnapshot,
-    /// Virtual-time overhead of the masked lossy run relative to its
-    /// fault-free reference of the same workload, in percent. `None` for
-    /// non-lossy distributions.
-    pub masked_overhead_pct: Option<f64>,
-    /// Workload the case ran ("collective", "ring", or a NAS kernel name —
-    /// lossy cases rotate through the kernels by seed).
-    pub workload: &'static str,
     /// Violation of the distribution's expectation, if any.
     pub violation: Option<String>,
 }
 
 impl CaseOutcome {
-    /// The verdict fields every case kind fills the same way; each kind adds
-    /// its own measurements on top.
-    fn judged(
-        plan: FaultPlan,
-        spec: JobSpec,
-        report: &JobReport<f64>,
-        survived: bool,
-        violation: Option<String>,
-    ) -> CaseOutcome {
-        CaseOutcome {
-            seed: plan.seed,
-            plan,
-            survived,
-            aborted: false,
-            crashes: 0,
-            recovery_latency_s: None,
-            sdc_injected: 0,
-            sdc_detected: 0,
-            sdc_corrected: 0,
-            net: report.stats,
-            masked_overhead_pct: None,
-            workload: match &spec.workload {
-                WorkloadKind::Nas(kernel) => kernel.name(),
-                other => other.name(),
-            },
-            violation,
-            spec,
-        }
+    /// Survived runs with at least one crash: virtual seconds from the first
+    /// crash to job completion (the recovery latency the campaign
+    /// aggregates). A crashed process's finish time is its crash time.
+    pub fn recovery_latency_s(&self) -> Option<f64> {
+        let first_crash = self
+            .record
+            .processes
+            .iter()
+            .filter(|p| p.outcome == "crashed")
+            .map(|p| SimTime::from_nanos(p.finish_ns))
+            .min()?;
+        let elapsed = SimTime::from_nanos(self.record.elapsed_ns);
+        self.survived.then(|| (elapsed - first_crash).as_secs_f64())
     }
 }
 
@@ -229,61 +199,65 @@ pub fn case_spec(plan: &FaultPlan, workload: WorkloadKind, workers: Option<usize
     .with_faults(&plan.faults)
 }
 
-/// The plan [`run_case`] samples for `(config, seed)` and the spec it runs:
-/// the ring exchange for soft errors, the seed-rotated [`lossy_workload`]
-/// for the lossy-transport distributions, the collective app for every
-/// crash distribution.
+/// The spec [`run_case`] runs for `plan`: the ring exchange for soft errors,
+/// the seed-rotated [`lossy_workload`] for the lossy-transport
+/// distributions, the collective app for every crash distribution.
+fn plan_spec(plan: &FaultPlan, iterations: u64, workers: Option<usize>) -> JobSpec {
+    let workload = match plan.config.dist {
+        FaultDistribution::SoftErrors { .. } => WorkloadKind::Ring { iterations },
+        FaultDistribution::LossyLinks { .. } | FaultDistribution::DelayedAcks { .. } => {
+            lossy_workload(plan.seed, iterations)
+        }
+        _ => WorkloadKind::Collective { iterations },
+    };
+    case_spec(plan, workload, workers)
+}
+
+/// The plan [`run_case`] gets for `(config, seed)` in a campaign, and the
+/// spec it runs.
 pub fn sampled_case(
     config: CampaignConfig,
     seed: u64,
     iterations: u64,
     workers: Option<usize>,
 ) -> (FaultPlan, JobSpec) {
-    let workload = match config.dist {
-        FaultDistribution::SoftErrors { .. } => WorkloadKind::Ring { iterations },
-        FaultDistribution::LossyLinks { .. } | FaultDistribution::DelayedAcks { .. } => {
-            lossy_workload(seed, iterations)
-        }
-        _ => WorkloadKind::Collective { iterations },
-    };
     let plan = sample_plan(config, seed);
-    let spec = case_spec(&plan, workload, workers);
+    let spec = plan_spec(&plan, iterations, workers);
     (plan, spec)
 }
 
 const SINGLE_WORKER: Option<usize> = Some(1);
 
-fn run(spec: &JobSpec) -> JobReport<f64> {
-    match run_spec(spec) {
-        Ok((report, _host_secs)) => report,
-        Err(e) => panic!("campaign case {} does not compile: {e}", spec.id),
-    }
+fn record_of(spec: &JobSpec) -> JobRecord {
+    run_job(spec, 0).unwrap_or_else(|e| panic!("campaign case {} does not compile: {e}", spec.id))
 }
 
-/// Does the crash report describe a fully survived run: every non-crashed
-/// process finished with `expected`?
-fn crash_report_survived(report: &JobReport<f64>, expected: f64) -> Option<String> {
-    for proc in &report.processes {
-        if proc.outcome.is_crashed() {
-            continue;
-        }
-        match &proc.outcome {
-            ProcessOutcome::Finished(v) if *v == expected => {}
-            ProcessOutcome::Finished(v) => {
-                return Some(format!(
-                    "survivor {:?} finished with wrong checksum {v} (expected {expected})",
-                    proc.endpoint
-                ));
-            }
-            other => {
-                return Some(format!(
-                    "survivor {:?} did not finish: {other:?}",
-                    proc.endpoint
-                ));
-            }
-        }
-    }
-    None
+/// Why `record` is not a fully survived run — some non-crashed process did
+/// not finish with `expected` — or `None` when it is.
+fn survival_failure(record: &JobRecord, expected: f64) -> Option<String> {
+    let mut survivors = record.processes.iter().filter(|p| p.outcome != "crashed");
+    survivors.find_map(|p| match p.result_bits.map(f64::from_bits) {
+        Some(v) if v == expected => None,
+        Some(v) => Some(format!(
+            "survivor {} finished with wrong checksum {v} (expected {expected})",
+            p.endpoint
+        )),
+        None => Some(format!(
+            "survivor {} did not finish: {}",
+            p.endpoint, p.outcome
+        )),
+    })
+}
+
+/// Does running [`collective_app`] under `plan`'s faults (deterministic
+/// single-worker replay) violate survivability?
+fn violates_survival(plan: &FaultPlan, iterations: u64) -> bool {
+    let expected = collective_checksum(plan.config.ranks, iterations);
+    survival_failure(&record_of(&oracle_spec(plan, iterations)), expected).is_some()
+}
+
+fn oracle_spec(plan: &FaultPlan, iterations: u64) -> JobSpec {
+    case_spec(plan, WorkloadKind::Collective { iterations }, SINGLE_WORKER)
 }
 
 /// Oracle for the shrinker and the checked-in regression cases: does
@@ -295,31 +269,18 @@ pub fn crash_faults_violate_survival(
     iterations: u64,
     faults: &[PlannedFault],
 ) -> bool {
-    let report = run(&oracle_spec(config, 0, iterations, faults));
-    crash_report_survived(&report, collective_checksum(config.ranks, iterations)).is_some()
-}
-
-fn oracle_spec(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    faults: &[PlannedFault],
-) -> JobSpec {
     let plan = FaultPlan {
         config,
-        seed,
+        seed: 0,
         faults: faults.to_vec(),
     };
-    case_spec(
-        &plan,
-        WorkloadKind::Collective { iterations },
-        SINGLE_WORKER,
-    )
+    violates_survival(&plan, iterations)
 }
 
 /// Replay the case's faulted job twice under the deterministic single-worker
-/// scheduler with tracing on, and report whether the two `TraceEvent`
-/// streams (and per-process finish times) are bit-identical. A `false` here
+/// scheduler with tracing on, and report whether the two records'
+/// [`JobRecord::deterministic_json`] images — full trace, per-process
+/// finish times and results included — are byte-identical. A `false` here
 /// is a determinism violation — exactly what the shrink path minimizes.
 /// Lossy distributions replay the case's actual rotated workload, so the
 /// injected drop/duplicate/delay decisions — pure functions of the per-link
@@ -329,213 +290,159 @@ pub fn replay_is_deterministic(config: CampaignConfig, seed: u64, iterations: u6
         trace: true,
         ..sampled_case(config, seed, iterations, SINGLE_WORKER).1
     };
-    let (a, b) = (run(&spec), run(&spec));
-    a.trace.events() == b.trace.events()
-        && a.processes.len() == b.processes.len()
-        && a.processes
-            .iter()
-            .zip(b.processes.iter())
-            .all(|(pa, pb)| pa.finish_time == pb.finish_time)
+    record_of(&spec).deterministic_json() == record_of(&spec).deterministic_json()
 }
 
-/// Run one crash case. The verdict depends on what the sampled plan killed:
-/// correlated loss of both replicas of a rank, or — on the partial layout of
-/// [`FaultDistribution::UnreplicatedBias`] — the loss of an unreplicated
-/// rank, must abort promptly with a typed `RankLost` (never a hang or a
-/// wrong answer); every other loss leaves one replica per rank (majority
-/// loss at degree ≥ 3 included: substitution masks it) and must be
-/// survived.
-fn run_crash_case(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    workers: Option<usize>,
-) -> CaseOutcome {
-    let (plan, spec) = sampled_case(config, seed, iterations, workers);
-    let unrecoverable = match config.dist {
-        FaultDistribution::CorrelatedPairLoss { .. } => {
-            Some("correlated loss of both replicas".to_string())
+/// Run one campaign case — a sampled or hand-built plan — and judge its
+/// record against the distribution's expectation (see the module docs):
+///
+/// * **crash** distributions: correlated loss of both replicas of a rank,
+///   or — on the partial layout of [`FaultDistribution::UnreplicatedBias`]
+///   — the loss of an unreplicated rank, must abort promptly with a typed
+///   `RankLost` (never a hang or a wrong answer); every other loss leaves
+///   one replica per rank (majority loss at degree ≥ 3 included:
+///   substitution masks it) and must be survived;
+/// * **lossy** distributions: a fault-free twin of the spec runs first, and
+///   the faulted run must finish with every replica of every rank returning
+///   the twin's exact bit pattern, every injected duplicate suppressed, and
+///   retransmissions behind any drop;
+/// * **soft errors**: the spec compiles the plan's bit flips like any other
+///   job; only the protocol is swapped for the redMPI baseline, whose
+///   cross-replica hash comparison is what detects them (the spec line of
+///   an SDC case therefore replays the *injection* under SDR-MPI, not the
+///   detection).
+pub fn run_case(plan: FaultPlan, iterations: u64, workers: Option<usize>) -> CaseOutcome {
+    let config = plan.config;
+    let spec = plan_spec(&plan, iterations, workers);
+    let mut masked_overhead_pct = None;
+    let (mut sdc_detected, mut sdc_corrected) = (0, 0);
+    let (record, survived, violation) = match config.dist {
+        FaultDistribution::SoftErrors { .. } => {
+            assert!(
+                config.degree >= 2,
+                "the redMPI comparison needs at least two replicas"
+            );
+            let votes = SdcReport::new();
+            let app = spec.app();
+            let builder = spec
+                .compile()
+                .unwrap_or_else(|e| panic!("campaign case {} does not compile: {e}", spec.id))
+                .protocol(Arc::new(RedMpiFactory::with_degree(
+                    config.degree,
+                    Arc::clone(&votes),
+                )));
+            let started = Instant::now();
+            let report = builder.run(move |p| (app)(p));
+            let record = JobRecord::from_report(&spec, &report, 0, started.elapsed().as_secs_f64());
+            let survived = record.status == JobStatus::Finished;
+            let injected = record.sdc_flips_injected;
+            (sdc_detected, sdc_corrected) = (votes.mismatches(), votes.corrected());
+            let violation = if !survived {
+                Some("SDC run did not finish cleanly".to_string())
+            } else if sdc_detected != injected {
+                Some(format!(
+                    "SDC detection mismatch: {injected} flips injected, {sdc_detected} detected"
+                ))
+            } else if config.degree >= 3 && sdc_corrected != injected {
+                // A single in-flight flip is the minority of ≥ 3 hash votes,
+                // so at degree ≥ 3 every detection must also be a correction.
+                Some(format!(
+                    "SDC correction mismatch at degree {}: {injected} flips injected, \
+                     {sdc_corrected} outvoted",
+                    config.degree
+                ))
+            } else {
+                None
+            };
+            (record, survived, violation)
         }
-        // The sampler's single crash always hits endpoint `r` = the rank id;
-        // coverage of that rank decides the expectation.
-        FaultDistribution::UnreplicatedBias {
-            replicated_mask, ..
-        } => plan
-            .crashes()
-            .next()
-            .filter(|(ep, _)| replicated_mask & (1u64 << ep.0) == 0)
-            .map(|(ep, _)| format!("crash of unreplicated rank {}", ep.0)),
-        _ => None,
-    };
-    let report = run(&spec);
-    let crashes = report.crashed().len();
-    let not_survived =
-        crash_report_survived(&report, collective_checksum(config.ranks, iterations));
-    let survived = not_survived.is_none();
-    let aborted = report.rank_lost();
-    let violation = match unrecoverable {
-        Some(_) if aborted => None,
-        Some(loss) => Some(format!(
-            "{loss} was not reported as RankLost (survived={survived}, crashes={crashes})"
-        )),
-        None => not_survived,
-    };
-    let first_crash = report
-        .processes
-        .iter()
-        .filter_map(|p| match p.outcome {
-            ProcessOutcome::Crashed { at } => Some(at),
-            _ => None,
-        })
-        .min();
-    CaseOutcome {
-        aborted,
-        crashes,
-        recovery_latency_s: first_crash
-            .filter(|_| survived)
-            .map(|at| (report.elapsed - at).as_secs_f64()),
-        ..CaseOutcome::judged(plan, spec, &report, survived, violation)
-    }
-}
-
-/// Run a lossy-transport case over an explicit (possibly hand-built) plan:
-/// one fault-free reference run of the seed's workload, one faulted run, and
-/// the masking judgement — every process finishes, every replica of every
-/// rank returns the exact bit pattern the reference did, every injected
-/// duplicate is suppressed, and drops force retransmissions. Used by
-/// [`run_case`] for sampled plans and by the bench harness's fixed-rate
-/// sweep.
-pub fn run_lossy_explicit_case(
-    plan: FaultPlan,
-    iterations: u64,
-    workers: Option<usize>,
-) -> CaseOutcome {
-    let spec = case_spec(&plan, lossy_workload(plan.seed, iterations), workers);
-    let workload = spec.workload.name();
-    let reference = run(&JobSpec {
-        crashes: Vec::new(),
-        sdc: Vec::new(),
-        net_faults: None,
-        ..spec.clone()
-    });
-    assert!(
-        reference.all_finished(),
-        "{workload}: the fault-free reference run must finish"
-    );
-    let report = run(&spec);
-    let net = report.stats;
-    let bits = |r: &JobReport<f64>| -> Vec<Option<u64>> {
-        let results = r.processes.iter().map(|p| p.outcome.result());
-        results.map(|v| v.map(|v| v.to_bits())).collect()
-    };
-    let violation = if !report.all_finished() {
-        Some(format!(
-            "{workload}: lossy run did not finish cleanly: {:?}",
-            report
-                .processes
-                .iter()
-                .map(|p| (p.endpoint, &p.outcome))
-                .collect::<Vec<_>>()
-        ))
-    } else if bits(&report) != bits(&reference) {
-        Some(format!(
-            "{workload}: masked run diverged from the fault-free reference \
-             ({:?} vs {:?})",
-            bits(&report),
-            bits(&reference)
-        ))
-    } else if net.dups_suppressed != net.msgs_duplicated {
-        Some(format!(
-            "{workload}: duplicate accounting broken: {} copies injected, {} suppressed",
-            net.msgs_duplicated, net.dups_suppressed
-        ))
-    } else if net.msgs_dropped > 0 && net.retransmits == 0 {
-        Some(format!(
-            "{workload}: {} frames dropped but no retransmission fired",
-            net.msgs_dropped
-        ))
-    } else {
-        None
-    };
-    let ref_secs = reference.elapsed.as_secs_f64();
-    let masked_overhead_pct =
-        (ref_secs > 0.0).then(|| (report.elapsed.as_secs_f64() - ref_secs) / ref_secs * 100.0);
-    CaseOutcome {
-        masked_overhead_pct,
-        ..CaseOutcome::judged(plan, spec, &report, violation.is_none(), violation)
-    }
-}
-
-/// Run one soft-error case. The spec compiles the plan's bit flips like any
-/// other job; only the protocol is swapped for the redMPI baseline, whose
-/// cross-replica hash comparison is what detects them (the spec line of an
-/// SDC case therefore replays the *injection* under SDR-MPI, not the
-/// detection).
-fn run_sdc_case(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    workers: Option<usize>,
-) -> CaseOutcome {
-    assert!(
-        config.degree >= 2,
-        "the redMPI comparison needs at least two replicas"
-    );
-    let (plan, spec) = sampled_case(config, seed, iterations, workers);
-    let report_handle = SdcReport::new();
-    let app = spec.app();
-    let report = spec
-        .compile()
-        .unwrap_or_else(|e| panic!("campaign case {} does not compile: {e}", spec.id))
-        .protocol(Arc::new(RedMpiFactory::with_degree(
-            config.degree,
-            Arc::clone(&report_handle),
-        )))
-        .run(move |p| (app)(p));
-    let survived = report.all_finished();
-    let injected = report.stats.sdc_flips_injected();
-    let detected = report_handle.mismatches();
-    let corrected = report_handle.corrected();
-    let violation = if !survived {
-        Some("SDC run did not finish cleanly".to_string())
-    } else if detected != injected {
-        Some(format!(
-            "SDC detection mismatch: {injected} flips injected, {detected} detected"
-        ))
-    } else if config.degree >= 3 && corrected != injected {
-        // A single in-flight flip is the minority of ≥ 3 hash votes, so at
-        // degree ≥ 3 every detection must also be a correction.
-        Some(format!(
-            "SDC correction mismatch at degree {}: {injected} flips injected, \
-             {corrected} outvoted",
-            config.degree
-        ))
-    } else {
-        None
-    };
-    CaseOutcome {
-        sdc_injected: injected,
-        sdc_detected: detected,
-        sdc_corrected: corrected,
-        ..CaseOutcome::judged(plan, spec, &report, survived, violation)
-    }
-}
-
-/// Run one campaign case: sample the plan for `(config, seed)`, turn it into
-/// a spec, run it, and judge the outcome against the distribution's
-/// expectation (see the module docs).
-pub fn run_case(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-    workers: Option<usize>,
-) -> CaseOutcome {
-    match config.dist {
-        FaultDistribution::SoftErrors { .. } => run_sdc_case(config, seed, iterations, workers),
         FaultDistribution::LossyLinks { .. } | FaultDistribution::DelayedAcks { .. } => {
-            run_lossy_explicit_case(sample_plan(config, seed), iterations, workers)
+            let workload = spec.workload.name();
+            let reference = record_of(&JobSpec {
+                crashes: Vec::new(),
+                sdc: Vec::new(),
+                net_faults: None,
+                ..spec.clone()
+            });
+            assert_eq!(
+                reference.status,
+                JobStatus::Finished,
+                "{workload}: the fault-free reference run must finish"
+            );
+            let record = record_of(&spec);
+            let bits = |r: &JobRecord| -> Vec<Option<u64>> {
+                r.processes.iter().map(|p| p.result_bits).collect()
+            };
+            let violation = if record.status != JobStatus::Finished {
+                Some(format!(
+                    "{workload}: lossy run did not finish cleanly ({})",
+                    record.status.name()
+                ))
+            } else if bits(&record) != bits(&reference) {
+                Some(format!(
+                    "{workload}: masked run diverged from the fault-free reference \
+                     ({:?} vs {:?})",
+                    bits(&record),
+                    bits(&reference)
+                ))
+            } else if record.dups_suppressed != record.msgs_duplicated {
+                Some(format!(
+                    "{workload}: duplicate accounting broken: {} copies injected, {} suppressed",
+                    record.msgs_duplicated, record.dups_suppressed
+                ))
+            } else if record.msgs_dropped > 0 && record.retransmits == 0 {
+                Some(format!(
+                    "{workload}: {} frames dropped but no retransmission fired",
+                    record.msgs_dropped
+                ))
+            } else {
+                None
+            };
+            let secs = |r: &JobRecord| SimTime::from_nanos(r.elapsed_ns).as_secs_f64();
+            let ref_secs = secs(&reference);
+            masked_overhead_pct =
+                (ref_secs > 0.0).then(|| (secs(&record) - ref_secs) / ref_secs * 100.0);
+            (record, violation.is_none(), violation)
         }
-        _ => run_crash_case(config, seed, iterations, workers),
+        _ => {
+            let unrecoverable = match config.dist {
+                FaultDistribution::CorrelatedPairLoss { .. } => {
+                    Some("correlated loss of both replicas".to_string())
+                }
+                // The sampler's single crash always hits endpoint `r` = the
+                // rank id; coverage of that rank decides the expectation.
+                FaultDistribution::UnreplicatedBias {
+                    replicated_mask, ..
+                } => plan
+                    .crashes()
+                    .next()
+                    .filter(|(ep, _)| replicated_mask & (1u64 << ep.0) == 0)
+                    .map(|(ep, _)| format!("crash of unreplicated rank {}", ep.0)),
+                _ => None,
+            };
+            let record = record_of(&spec);
+            let not_survived =
+                survival_failure(&record, collective_checksum(config.ranks, iterations));
+            let survived = not_survived.is_none();
+            let violation = match unrecoverable {
+                Some(_) if record.status == JobStatus::Aborted => None,
+                Some(loss) => Some(format!(
+                    "{loss} was not reported as RankLost (survived={survived}, crashes={})",
+                    record.crashes
+                )),
+                None => not_survived,
+            };
+            (record, survived, violation)
+        }
+    };
+    CaseOutcome {
+        plan,
+        record,
+        survived,
+        masked_overhead_pct,
+        sdc_detected,
+        sdc_corrected,
+        violation,
     }
 }
 
@@ -549,7 +456,7 @@ pub fn run_campaign(
     workers: Option<usize>,
 ) -> Vec<CaseOutcome> {
     (0..cases as u64)
-        .map(|i| run_case(config, base_seed + i, iterations, workers))
+        .map(|i| run_case(sample_plan(config, base_seed + i), iterations, workers))
         .collect()
 }
 
@@ -624,7 +531,10 @@ pub struct CampaignSummary {
     pub sdc_corrected: u64,
     /// Recovery-latency distribution over the survived-with-crash cases.
     pub recovery_latency: LatencyStats,
-    /// The cases' fabric counters merged (see [`CaseOutcome::net`]).
+    /// The five transport counters every [`JobRecord`] carries
+    /// (`msgs_dropped`, `msgs_duplicated`, `msgs_delayed`, `retransmits`,
+    /// `dups_suppressed`), summed over the cases; the rest of the snapshot
+    /// stays zero.
     pub net: StatsSnapshot,
     /// Median masked-delivery overhead over the lossy cases, percent of the
     /// fault-free virtual run time.
@@ -673,6 +583,9 @@ impl CampaignSummary {
 
 /// Aggregate a configuration's case outcomes.
 pub fn summarize(config: CampaignConfig, outcomes: &[CaseOutcome]) -> CampaignSummary {
+    let sum = |counter: fn(&JobRecord) -> u64| -> u64 {
+        outcomes.iter().map(|o| counter(&o.record)).sum()
+    };
     let overhead = LatencyStats::from_samples(
         outcomes
             .iter()
@@ -683,29 +596,37 @@ pub fn summarize(config: CampaignConfig, outcomes: &[CaseOutcome]) -> CampaignSu
         config,
         cases: outcomes.len(),
         survived: outcomes.iter().filter(|o| o.survived).count(),
-        aborted: outcomes.iter().filter(|o| o.aborted).count(),
-        crashes_injected: outcomes.iter().map(|o| o.crashes as u64).sum(),
-        sdc_injected: outcomes.iter().map(|o| o.sdc_injected).sum(),
+        aborted: outcomes
+            .iter()
+            .filter(|o| o.record.status == JobStatus::Aborted)
+            .count(),
+        crashes_injected: sum(|r| r.crashes as u64),
+        sdc_injected: sum(|r| r.sdc_flips_injected),
         sdc_detected: outcomes.iter().map(|o| o.sdc_detected).sum(),
         sdc_corrected: outcomes.iter().map(|o| o.sdc_corrected).sum(),
         recovery_latency: LatencyStats::from_samples(
             outcomes
                 .iter()
-                .filter_map(|o| o.recovery_latency_s)
+                .filter_map(CaseOutcome::recovery_latency_s)
                 .collect(),
         ),
-        net: outcomes
-            .iter()
-            .fold(StatsSnapshot::default(), |sum, o| sum.merged(&o.net)),
+        net: StatsSnapshot {
+            msgs_dropped: sum(|r| r.msgs_dropped),
+            msgs_duplicated: sum(|r| r.msgs_duplicated),
+            msgs_delayed: sum(|r| r.msgs_delayed),
+            retransmits: sum(|r| r.retransmits),
+            dups_suppressed: sum(|r| r.dups_suppressed),
+            ..StatsSnapshot::default()
+        },
         masked_overhead_median_pct: overhead.median_s,
         masked_overhead_p90_pct: overhead.p90_s,
         violations: outcomes
             .iter()
             .filter_map(|o| {
                 o.violation.clone().map(|detail| Violation {
-                    seed: o.seed,
+                    seed: o.record.spec.seed,
                     detail,
-                    spec: o.spec.to_json().encode(),
+                    spec: o.record.spec.to_json().encode(),
                 })
             })
             .collect(),
@@ -715,7 +636,7 @@ pub fn summarize(config: CampaignConfig, outcomes: &[CaseOutcome]) -> CampaignSu
 /// Result of shrinking a violating case.
 #[derive(Debug, Clone)]
 pub struct ShrinkOutcome {
-    /// The full sampled plan the violation was found with.
+    /// The full plan the violation was found with.
     pub plan: FaultPlan,
     /// The locally minimal failing fault subset.
     pub minimal: Vec<PlannedFault>,
@@ -726,68 +647,33 @@ pub struct ShrinkOutcome {
     pub spec: String,
 }
 
-/// Shrink a survivability violation to a locally minimal fault subset and
-/// name it as a spec line. Returns `None` when the case's full fault
-/// list does not actually violate survivability (nothing to shrink). The
-/// oracle replays candidates under `--workers 1`, so the search is exact.
-pub fn shrink_violation(
-    config: CampaignConfig,
-    seed: u64,
-    iterations: u64,
-) -> Option<ShrinkOutcome> {
-    shrink_explicit_violation(config, seed, iterations, &sample_plan(config, seed).faults)
-}
-
-/// Like [`shrink_violation`], but over an explicit fault list instead of a
-/// sampled plan (for violations composed synthetically, e.g. a campaign-found
-/// fatal pair buried in survivable noise). `seed_label` only names the
-/// emitted spec. Returns `None` when the list does not violate
-/// survivability.
-pub fn shrink_explicit_violation(
-    config: CampaignConfig,
-    seed_label: u64,
-    iterations: u64,
-    faults: &[PlannedFault],
-) -> Option<ShrinkOutcome> {
-    let plan = FaultPlan {
-        config,
-        seed: seed_label,
+/// Shrink a survivability violation — a sampled plan, or one composed by
+/// hand (e.g. a campaign-found fatal pair buried in survivable noise) — to
+/// a locally minimal fault subset and name it as a spec line. Every probe
+/// replays [`collective_app`] under the candidate faults at `--workers 1`,
+/// so the search is exact. Returns `None` when the plan's full fault list
+/// does not violate survivability (nothing to shrink).
+pub fn shrink(plan: FaultPlan, iterations: u64) -> Option<ShrinkOutcome> {
+    let with_faults = |faults: &[PlannedFault]| FaultPlan {
+        config: plan.config,
+        seed: plan.seed,
         faults: faults.to_vec(),
     };
-    shrink_fault_list(config, seed_label, iterations, faults).map(|(minimal, probes)| {
-        let spec = oracle_spec(config, seed_label, iterations, &minimal)
-            .to_json()
-            .encode();
-        ShrinkOutcome {
-            plan,
-            minimal,
-            probes,
-            spec,
-        }
-    })
-}
-
-/// Shrink an explicit fault list (used both by [`shrink_violation`] and the
-/// synthetic-violation tests). Returns the minimal failing subset and the
-/// number of oracle probes, or `None` if the full list does not fail.
-pub fn shrink_fault_list(
-    config: CampaignConfig,
-    _seed: u64,
-    iterations: u64,
-    faults: &[PlannedFault],
-) -> Option<(Vec<PlannedFault>, usize)> {
-    let mut probes = 0usize;
-    let oracle =
-        |candidate: &[PlannedFault]| crash_faults_violate_survival(config, iterations, candidate);
-    if !oracle(faults) {
+    if !violates_survival(&plan, iterations) {
         return None;
     }
-    probes += 1;
-    let minimal = shrink_events(faults, |candidate| {
+    let mut probes = 1;
+    let minimal = shrink_events(&plan.faults, |candidate| {
         probes += 1;
-        oracle(candidate)
+        violates_survival(&with_faults(candidate), iterations)
     });
-    Some((minimal, probes))
+    let spec = oracle_spec(&with_faults(&minimal), iterations);
+    Some(ShrinkOutcome {
+        plan,
+        minimal,
+        probes,
+        spec: spec.to_json().encode(),
+    })
 }
 
 #[cfg(test)]
@@ -977,8 +863,10 @@ mod tests {
             summary.net
         );
         assert_eq!(summary.net.dups_suppressed, summary.net.msgs_duplicated);
-        let workloads: std::collections::BTreeSet<_> =
-            outcomes.iter().map(|o| o.workload).collect();
+        let workloads: std::collections::BTreeSet<_> = outcomes
+            .iter()
+            .map(|o| o.record.spec.workload.name())
+            .collect();
         assert_eq!(workloads.len(), 6, "six distinct workloads: {workloads:?}");
         assert!(
             outcomes.iter().all(|o| o.masked_overhead_pct.is_some()),

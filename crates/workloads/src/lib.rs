@@ -32,8 +32,8 @@ pub mod runner;
 pub mod serve;
 
 pub use campaign::{
-    case_spec, run_campaign, run_case, shrink_violation, CampaignSummary, CaseOutcome,
-    LatencyStats, ShrinkOutcome, Violation,
+    case_spec, run_campaign, run_case, shrink, CampaignSummary, CaseOutcome, LatencyStats,
+    ShrinkOutcome, Violation,
 };
 pub use determinism::{check_send_determinism, DeterminismReport, JitterModel};
 pub use netpipe::{netpipe_sweep, NetpipePoint};

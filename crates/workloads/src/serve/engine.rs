@@ -190,6 +190,93 @@ pub fn trace_digest(events: &[TraceEvent]) -> u64 {
 }
 
 impl JobRecord {
+    /// Condense the raw report of `spec`'s run into its service record;
+    /// `seq` and `latency_s` fill the host part. [`run_job`] builds every
+    /// served record this way, and so does a caller that ran the compiled
+    /// spec under another protocol (the fault campaign's soft-error cases).
+    pub fn from_report(
+        spec: &JobSpec,
+        report: &JobReport<f64>,
+        seq: usize,
+        latency_s: f64,
+    ) -> JobRecord {
+        let crashes = report.crashed().len();
+        let mut deadlocked = false;
+        let mut failed = false;
+        let processes: Vec<ProcessRecord> = report
+            .processes
+            .iter()
+            .map(|p| {
+                let (outcome, result_bits) = match &p.outcome {
+                    ProcessOutcome::Finished(v) => ("finished", Some(v.to_bits())),
+                    ProcessOutcome::Crashed { .. } => ("crashed", None),
+                    ProcessOutcome::Deadlocked { .. } => {
+                        deadlocked = true;
+                        ("deadlocked", None)
+                    }
+                    ProcessOutcome::Panicked(_) => {
+                        failed = true;
+                        ("panicked", None)
+                    }
+                };
+                ProcessRecord {
+                    endpoint: p.endpoint.0,
+                    app_rank: p.app_rank,
+                    replica: p.replica,
+                    primary: p.primary,
+                    outcome,
+                    result_bits,
+                    finish_ns: p.finish_time.as_nanos(),
+                }
+            })
+            .collect();
+        let status = if report.rank_lost() {
+            JobStatus::Aborted
+        } else if deadlocked {
+            JobStatus::Deadlocked
+        } else if failed {
+            JobStatus::Failed
+        } else if crashes > 0 {
+            JobStatus::Survived
+        } else {
+            JobStatus::Finished
+        };
+        let events = report.trace.events();
+        let stats = &report.stats;
+        JobRecord {
+            id: spec.id.clone(),
+            spec: spec.clone(),
+            status,
+            processes,
+            elapsed_ns: report.elapsed.as_nanos(),
+            app_msgs: stats.app_msgs(),
+            ack_msgs: stats.ack_msgs(),
+            total_msgs: stats.total_msgs(),
+            total_bytes: stats.total_bytes(),
+            msgs_dropped: stats.msgs_dropped(),
+            msgs_duplicated: stats.msgs_duplicated(),
+            msgs_delayed: stats.msgs_delayed(),
+            retransmits: stats.retransmits(),
+            dups_suppressed: stats.dups_suppressed(),
+            sdc_flips_injected: stats.sdc_flips_injected(),
+            crashes,
+            stack_leases: stats.stacks_allocated() + stats.stacks_reused(),
+            stack_bytes_peak: stats.stack_bytes_peak(),
+            workers: report.workers,
+            trace_len: events.len(),
+            trace_digest: trace_digest(&events),
+            trace: spec.trace.then_some(events),
+            host: HostRecord {
+                seq,
+                latency_s,
+                threads_spawned: report.threads_spawned as u64,
+                threads_reused: report.threads_reused as u64,
+                stacks_allocated: stats.stacks_allocated(),
+                stacks_reused: stats.stacks_reused(),
+            },
+        }
+    }
+
     /// The full report as JSON, host observations included.
     pub fn to_json(&self) -> Json {
         let processes = self.processes.iter().map(|p| {
@@ -275,9 +362,9 @@ impl JobRecord {
 /// Compile `spec` and run it to completion on the calling thread; returns
 /// the raw job report and the host seconds the run took. This is the single
 /// execution path: [`run_job`] (and through it the concurrent server, the
-/// isolation tests' solo references and the bench driver) and every fault
-/// campaign case go through it — sharing it is what makes "bit-identical to
-/// the same job run alone" a meaningful comparison.
+/// isolation tests' solo references, the bench driver and the fault
+/// campaign's crash and lossy cases) goes through it — sharing it is what
+/// makes "bit-identical to the same job run alone" a meaningful comparison.
 pub fn run_spec(spec: &JobSpec) -> Result<(JobReport<f64>, f64), SpecError> {
     let builder = spec.compile()?;
     let app = spec.app();
@@ -289,81 +376,7 @@ pub fn run_spec(spec: &JobSpec) -> Result<(JobReport<f64>, f64), SpecError> {
 /// [`run_spec`], condensed into the job's service record.
 pub fn run_job(spec: &JobSpec, seq: usize) -> Result<JobRecord, SpecError> {
     let (report, latency_s) = run_spec(spec)?;
-    let crashes = report.crashed().len();
-    let mut deadlocked = false;
-    let mut failed = false;
-    let processes: Vec<ProcessRecord> = report
-        .processes
-        .iter()
-        .map(|p| {
-            let (outcome, result_bits) = match &p.outcome {
-                ProcessOutcome::Finished(v) => ("finished", Some(v.to_bits())),
-                ProcessOutcome::Crashed { .. } => ("crashed", None),
-                ProcessOutcome::Deadlocked { .. } => {
-                    deadlocked = true;
-                    ("deadlocked", None)
-                }
-                ProcessOutcome::Panicked(_) => {
-                    failed = true;
-                    ("panicked", None)
-                }
-            };
-            ProcessRecord {
-                endpoint: p.endpoint.0,
-                app_rank: p.app_rank,
-                replica: p.replica,
-                primary: p.primary,
-                outcome,
-                result_bits,
-                finish_ns: p.finish_time.as_nanos(),
-            }
-        })
-        .collect();
-    let status = if report.rank_lost() {
-        JobStatus::Aborted
-    } else if deadlocked {
-        JobStatus::Deadlocked
-    } else if failed {
-        JobStatus::Failed
-    } else if crashes > 0 {
-        JobStatus::Survived
-    } else {
-        JobStatus::Finished
-    };
-    let events = report.trace.events();
-    let stats = &report.stats;
-    Ok(JobRecord {
-        id: spec.id.clone(),
-        spec: spec.clone(),
-        status,
-        processes,
-        elapsed_ns: report.elapsed.as_nanos(),
-        app_msgs: stats.app_msgs(),
-        ack_msgs: stats.ack_msgs(),
-        total_msgs: stats.total_msgs(),
-        total_bytes: stats.total_bytes(),
-        msgs_dropped: stats.msgs_dropped(),
-        msgs_duplicated: stats.msgs_duplicated(),
-        msgs_delayed: stats.msgs_delayed(),
-        retransmits: stats.retransmits(),
-        dups_suppressed: stats.dups_suppressed(),
-        sdc_flips_injected: stats.sdc_flips_injected(),
-        crashes,
-        stack_leases: stats.stacks_allocated() + stats.stacks_reused(),
-        stack_bytes_peak: stats.stack_bytes_peak(),
-        workers: report.workers,
-        trace_len: events.len(),
-        trace_digest: trace_digest(&events),
-        trace: spec.trace.then_some(events),
-        host: HostRecord {
-            seq,
-            latency_s,
-            threads_spawned: report.threads_spawned as u64,
-            threads_reused: report.threads_reused as u64,
-            stacks_allocated: stats.stacks_allocated(),
-            stacks_reused: stats.stacks_reused(),
-        },
-    })
+    Ok(JobRecord::from_report(spec, &report, seq, latency_s))
 }
 
 /// One submitted queue entry: a validated spec or a typed rejection.

@@ -10,8 +10,10 @@
 //! * [`spec`] — [`JobSpec`] validation with typed [`SpecError`]s, and the
 //!   spec → [`sim_mpi::JobBuilder`] compiler;
 //! * [`engine`] — [`run_spec`]/[`run_job`] (the one execution path, shared
-//!   with the fault campaigns), the concurrent [`serve`] loop, the standard
-//!   [`mixed_queue`], and the [`check_isolation`] gate.
+//!   with the fault campaigns, whose cases are judged on the
+//!   [`JobRecord`] [`JobRecord::from_report`] condenses), the concurrent
+//!   [`serve`] loop, the standard [`mixed_queue`], and the
+//!   [`check_isolation`] gate.
 //!
 //! The per-job isolation contract and its verification strategy are
 //! documented on [`engine`] and in DESIGN.md §6.

@@ -10,14 +10,14 @@ use proptest::prelude::*;
 use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution, FaultPlan, PlannedFault};
 use sim_net::{CrashSchedule, EndpointId, NetFaultConfig};
 use workloads::campaign::{
-    crash_faults_violate_survival, run_case, sampled_case, shrink_explicit_violation,
-    shrink_fault_list, shrink_violation, summarize, CaseOutcome,
+    crash_faults_violate_survival, run_case, sampled_case, shrink, summarize, CaseOutcome,
 };
-use workloads::serve::JobSpec;
+use workloads::serve::{run_job, JobSpec};
 
 /// `workloads::campaign::run_campaign` at the default workers, one case at a
-/// time, telling the deadline guard which spec line is about to run — so a
-/// hung case fails its test with the line that replays it.
+/// time through the one case runner, telling the deadline guard which spec
+/// line is about to run — so a hung case fails its test with the line that
+/// replays it.
 fn run_campaign(
     running: &Running,
     config: CampaignConfig,
@@ -28,9 +28,9 @@ fn run_campaign(
     let workers = None;
     (base_seed..base_seed + cases)
         .map(|seed| {
-            let (_, spec) = sampled_case(config, seed, iterations, workers);
+            let (plan, spec) = sampled_case(config, seed, iterations, workers);
             running.note(spec.to_json().encode());
-            run_case(config, seed, iterations, workers)
+            run_case(plan, iterations, workers)
         })
         .collect()
 }
@@ -211,10 +211,18 @@ fn shrink_reduces_a_violating_plan_to_the_fatal_pair() {
         crash(1, 1), // fatal pair, part 1: replica 0 of rank 1
         crash(3, 1), // fatal pair, part 2: replica 1 of rank 1
     ];
-    let (minimal, probes) =
-        shrink_fault_list(config, 0, 6, &faults).expect("the full plan must violate survivability");
+    let plan = FaultPlan {
+        config,
+        seed: 0,
+        faults,
+    };
+    let shrunk = shrink(plan, 6).expect("the full plan must violate survivability");
+    let minimal = shrunk.minimal;
     assert_eq!(minimal, vec![crash(1, 1), crash(3, 1)]);
-    assert!(probes >= 2, "shrinking must actually probe the oracle");
+    assert!(
+        shrunk.probes >= 2,
+        "shrinking must actually probe the oracle"
+    );
     assert!(
         !crash_faults_violate_survival(config, 6, &minimal[..1]),
         "dropping the second pair crash must make the job survivable"
@@ -228,7 +236,7 @@ fn shrink_reduces_a_violating_plan_to_the_fatal_pair() {
 #[test]
 fn shrink_violation_emits_a_replayable_spec_for_a_seeded_case() {
     // End-to-end shrink-to-seed: a seeded correlated-pair case violates
-    // survivability; `shrink_violation` replays it under the deterministic
+    // survivability; `shrink` replays its sampled plan under the deterministic
     // single-worker scheduler, minimizes the plan, and names the minimal
     // plan as a spec line that `sdr_serve --queue` replays.
     let config = CampaignConfig {
@@ -240,7 +248,7 @@ fn shrink_violation_emits_a_replayable_spec_for_a_seeded_case() {
         },
     };
     let seed = 3;
-    let shrunk = shrink_violation(config, seed, 6)
+    let shrunk = shrink(sample_plan(config, seed), 6)
         .expect("a correlated pair loss always violates survivability");
     assert_eq!(
         shrunk.minimal.len(),
@@ -264,7 +272,7 @@ fn shrink_violation_emits_a_replayable_spec_for_a_seeded_case() {
     assert_eq!(crashes, shrunk.minimal);
     assert!(minimal_spec.sdc.is_empty() && minimal_spec.net_faults.is_none());
     assert_eq!(minimal_spec.workers, Some(1));
-    let replayed = workloads::serve::run_job(&minimal_spec, 0).expect("validated spec");
+    let replayed = run_job(&minimal_spec, 0).expect("validated spec");
     assert_eq!(replayed.status, workloads::serve::JobStatus::Aborted);
     // Sanity: the minimal plan is a subsequence of the sampled plan.
     let full: Vec<PlannedFault> = shrunk.plan.faults.clone();
@@ -307,10 +315,12 @@ fn lossy_links_campaign_is_fully_masked_over_the_nas_kernels() {
             assert!(summary.net.msgs_dropped > 0, "{:?}", summary.net);
             assert!(summary.net.retransmits > 0, "{:?}", summary.net);
             assert_eq!(summary.net.dups_suppressed, summary.net.msgs_duplicated);
-            let kernels: std::collections::BTreeSet<_> =
-                outcomes.iter().map(|o| o.workload).collect();
+            let kernels: std::collections::BTreeSet<_> = outcomes
+                .iter()
+                .map(|o| o.record.spec.workload.name())
+                .collect();
             assert!(
-                ["BT", "CG", "FT", "MG", "SP"]
+                ["bt", "cg", "ft", "mg", "sp"]
                     .iter()
                     .all(|k| kernels.contains(k)),
                 "the seed range must cover all five NAS kernels: {kernels:?}"
@@ -378,8 +388,12 @@ fn shrink_reduces_a_lossy_violation_to_the_transport_fault() {
         endpoint: EndpointId(2),
         schedule: CrashSchedule::AfterSend { nth: 2 },
     };
-    let shrunk = shrink_explicit_violation(config, 7, 6, &[noise, total_loss])
-        .expect("a total-loss policy must violate survivability");
+    let plan = FaultPlan {
+        config,
+        seed: 7,
+        faults: vec![noise, total_loss],
+    };
+    let shrunk = shrink(plan, 6).expect("a total-loss policy must violate survivability");
     assert_eq!(
         shrunk.minimal,
         vec![total_loss],
@@ -401,7 +415,8 @@ fn violating_cases_are_recorded_with_their_seed_for_replay() {
         "violating_cases_are_recorded_with_their_seed_for_replay",
         |running| {
             // The `(config, seed)` pair in every outcome is the replay handle: a
-            // violation report must let a developer re-run the exact case.
+            // violation report must let a developer re-run the exact case. The
+            // seed and the spec are read from the case's record.
             let config = CampaignConfig {
                 ranks: 2,
                 degree: 2,
@@ -412,20 +427,21 @@ fn violating_cases_are_recorded_with_their_seed_for_replay() {
             };
             let outcomes = run_campaign(running, config, 50, 3, 6);
             for (i, outcome) in outcomes.iter().enumerate() {
-                assert_eq!(outcome.seed, 50 + i as u64);
+                let spec = &outcome.record.spec;
+                assert_eq!(spec.seed, 50 + i as u64);
                 assert_eq!(outcome.plan.config, config);
-                assert_eq!(outcome.plan.seed, outcome.seed);
-                let replayed: FaultPlan = sample_plan(config, outcome.seed);
+                assert_eq!(outcome.plan.seed, spec.seed);
+                let replayed: FaultPlan = sample_plan(config, spec.seed);
                 assert_eq!(
                     replayed, outcome.plan,
                     "the recorded (config, seed) must resample the identical plan"
                 );
                 // The second handle: the case *is* a job spec, and its one-line
                 // JSON survives the `sdr_serve --queue` wire format unchanged.
-                let line = outcome.spec.to_json().encode();
+                let line = spec.to_json().encode();
                 assert!(!line.contains('\n'));
-                assert_eq!(JobSpec::parse_line(&line).as_ref(), Ok(&outcome.spec));
-                assert_eq!(outcome.spec.crashes.len(), outcome.plan.crashes().count());
+                assert_eq!(JobSpec::parse_line(&line).as_ref(), Ok(spec));
+                assert_eq!(spec.crashes.len(), outcome.plan.crashes().count());
             }
             // A violation report carries that line, so a failing CI artifact can be
             // pasted straight into a queue file.
@@ -438,7 +454,111 @@ fn violating_cases_are_recorded_with_their_seed_for_replay() {
                 (violation.seed, violation.detail.as_str()),
                 (50, "planted for the test")
             );
-            assert_eq!(JobSpec::parse_line(&violation.spec), Ok(flagged.spec));
+            assert_eq!(
+                JobSpec::parse_line(&violation.spec),
+                Ok(flagged.record.spec)
+            );
+        },
+    )
+}
+
+/// The replay handle reproduces the record, not just the spec: for every
+/// crash and lossy distribution at `workers: 1`, the case's spec line,
+/// re-parsed from the wire format and served through `run_job`, yields a
+/// record whose deterministic image (status, per-process outcomes, results
+/// and finish times, counters, trace digest) is byte-identical to the
+/// record the campaign judged. A served SDC line runs under SDR-MPI, not the
+/// redMPI baseline that judged the case, so it replays only the injection:
+/// the check there is that the same flips land (`sdc_flips_injected`).
+#[test]
+fn every_case_record_is_reproduced_by_serving_its_spec_line() {
+    with_deadline(
+        "every_case_record_is_reproduced_by_serving_its_spec_line",
+        |running| {
+            let configs = [
+                (
+                    2,
+                    FaultDistribution::ExponentialMtbf {
+                        mean_sends: 8,
+                        horizon_sends: 6,
+                        max_crashes: 2,
+                    },
+                ),
+                (2, FaultDistribution::MidCollective { max_phase: 8 }),
+                (
+                    2,
+                    FaultDistribution::CorrelatedPairLoss {
+                        mean_sends: 3,
+                        horizon_sends: 6,
+                    },
+                ),
+                (
+                    3,
+                    FaultDistribution::MajorityLoss {
+                        mean_sends: 3,
+                        horizon_sends: 6,
+                    },
+                ),
+                (
+                    2,
+                    FaultDistribution::UnreplicatedBias {
+                        replicated_mask: 0b0011,
+                        horizon_sends: 6,
+                    },
+                ),
+                (
+                    2,
+                    FaultDistribution::LossyLinks {
+                        max_drop_per_64k: 3277,
+                        max_dup_per_64k: 3277,
+                        max_delay_per_64k: 3277,
+                    },
+                ),
+                (
+                    2,
+                    FaultDistribution::DelayedAcks {
+                        max_delay_per_64k: 32_768,
+                        max_delay_ns: 400_000,
+                    },
+                ),
+                (
+                    2,
+                    FaultDistribution::SoftErrors {
+                        flips: 2,
+                        max_send: 6,
+                        payload_bits: 8192,
+                    },
+                ),
+            ];
+            for (degree, dist) in configs {
+                let config = CampaignConfig {
+                    ranks: 4,
+                    degree,
+                    dist,
+                };
+                for seed in 1..=4 {
+                    let (plan, spec) = sampled_case(config, seed, 6, Some(1));
+                    let line = spec.to_json().encode();
+                    running.note(line.clone());
+                    let record = run_case(plan, 6, Some(1)).record;
+                    assert_eq!(record.spec.to_json().encode(), line);
+                    let served = JobSpec::parse_line(&line).expect("a valid spec line");
+                    let replayed = run_job(&served, 0).expect("validated spec");
+                    if matches!(dist, FaultDistribution::SoftErrors { .. }) {
+                        assert!(record.sdc_flips_injected > 0, "{line}");
+                        assert_eq!(
+                            replayed.sdc_flips_injected, record.sdc_flips_injected,
+                            "{line}: the served line must inject the same flips"
+                        );
+                    } else {
+                        assert_eq!(
+                            replayed.deterministic_json(),
+                            record.deterministic_json(),
+                            "{line}: the served line must reproduce the case's record"
+                        );
+                    }
+                }
+            }
         },
     )
 }

@@ -384,19 +384,18 @@ fn degree_three_sdc_flip_is_outvoted_and_counted_as_corrected() {
     let outcomes = workloads::campaign::run_campaign(config, 11, 4, 4, None);
     let mut injected_total = 0;
     for o in &outcomes {
-        assert!(o.survived, "seed {}: SDC must never kill the job", o.seed);
-        assert!(o.violation.is_none(), "seed {}: {:?}", o.seed, o.violation);
+        let (seed, injected) = (o.plan.seed, o.record.sdc_flips_injected);
+        assert!(o.survived, "seed {seed}: SDC must never kill the job");
+        assert!(o.violation.is_none(), "seed {seed}: {:?}", o.violation);
         assert_eq!(
-            o.sdc_detected, o.sdc_injected,
-            "seed {}: every injected flip must be detected",
-            o.seed
+            o.sdc_detected, injected,
+            "seed {seed}: every injected flip must be detected"
         );
         assert_eq!(
-            o.sdc_corrected, o.sdc_injected,
-            "seed {}: every detected flip must be outvoted at degree 3",
-            o.seed
+            o.sdc_corrected, injected,
+            "seed {seed}: every detected flip must be outvoted at degree 3"
         );
-        injected_total += o.sdc_injected;
+        injected_total += injected;
     }
     assert!(
         injected_total >= 1,
