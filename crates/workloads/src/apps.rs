@@ -14,7 +14,7 @@
 //!   receives, local advection/diffusion update, and a CFL allreduce every few
 //!   steps.
 
-use sim_mpi::datatype::{bytes_to_f64s, f64s_to_bytes};
+use sim_mpi::datatype::{f64s_to_bytes, iter_f64s};
 use sim_mpi::{Process, ReduceOp, ANY_SOURCE};
 use sim_net::SimTime;
 
@@ -79,38 +79,36 @@ pub fn run_hpccg(p: &mut Process, cfg: &AppConfig) -> f64 {
     let mut x: Vec<f64> = (0..n)
         .map(|i| ((rank * n + i) as f64 * 0.21).sin())
         .collect();
+    let up = (rank + 1 < size).then_some(rank + 1);
+    let down = rank.checked_sub(1);
+    // Halo planes decoded into buffers owned from before the first
+    // iteration; a missing neighbour's plane stays zero.
+    let mut halo_up = vec![0.0; n];
+    let mut halo_down = vec![0.0; n];
     let mut residual = 0.0;
     for it in 0..cfg.iterations {
         // Boundary-plane exchange with up/down neighbours, received
         // anonymously (HPCCG posts wildcard receives for its neighbour
         // planes and sorts them out by inspecting the status).
-        let up = if rank + 1 < size {
-            Some(rank + 1)
-        } else {
-            None
-        };
-        let down = if rank > 0 { Some(rank - 1) } else { None };
-        let expected = up.is_some() as usize + down.is_some() as usize;
-        let mut reqs = Vec::new();
-        for _ in 0..expected {
-            reqs.push(p.irecv_bytes(world, ANY_SOURCE, 200 + it as i64 % 2));
+        let tag = 200 + it as i64 % 2;
+        let reqs = [up, down].map(|nb| nb.map(|_| p.irecv_bytes(world, ANY_SOURCE, tag)));
+        // Both neighbours get the same plane: encoded once, shared.
+        let plane = f64s_to_bytes(&x);
+        for nb in [up, down].into_iter().flatten() {
+            p.send_bytes(world, nb, tag, plane.clone());
         }
-        let plane: Vec<f64> = x.iter().take(n).copied().collect();
-        if let Some(u) = up {
-            p.send_bytes(world, u, 200 + it as i64 % 2, f64s_to_bytes(&plane));
-        }
-        if let Some(d) = down {
-            p.send_bytes(world, d, 200 + it as i64 % 2, f64s_to_bytes(&plane));
-        }
-        let mut halo_up = vec![0.0; n];
-        let mut halo_down = vec![0.0; n];
-        for req in reqs {
+        for req in reqs.into_iter().flatten() {
             let (status, payload) = p.wait(world, req);
-            let values = bytes_to_f64s(&payload.expect("halo plane"));
-            if Some(status.source) == up {
-                halo_up = values;
+            let halo = if Some(status.source) == up {
+                &mut halo_up
             } else {
-                halo_down = values;
+                &mut halo_down
+            };
+            for (h, v) in halo
+                .iter_mut()
+                .zip(iter_f64s(&payload.expect("halo plane")))
+            {
+                *h = v;
             }
         }
         // 27-point-ish local mat-vec + CG vector updates (charged, simplified
@@ -154,32 +152,47 @@ pub fn run_cm1(p: &mut Process, cfg: &AppConfig) -> f64 {
             Some(ny as usize * px + nx as usize)
         }
     };
+    let neighbours: Vec<usize> = [(1i64, 0i64), (-1, 0), (0, 1), (0, -1)]
+        .iter()
+        .filter_map(|&(dx, dy)| neighbour(dx, dy))
+        .collect();
+    // One halo buffer per neighbour, in ascending source order, and their
+    // sum: owned from before the first step.
+    let mut sources = neighbours.clone();
+    sources.sort_unstable();
+    let mut halos = vec![vec![0.0; n]; sources.len()];
+    let mut halo_sum = vec![0.0; n];
     let mut checksum = 0.0;
     for step in 0..cfg.iterations {
         let tag = 300 + (step % 2) as i64;
-        let neighbours: Vec<usize> = [(1i64, 0i64), (-1, 0), (0, 1), (0, -1)]
-            .iter()
-            .filter_map(|&(dx, dy)| neighbour(dx, dy))
-            .collect();
         // CM1 posts wildcard receives for all incoming halos of the step.
-        let reqs: Vec<_> = (0..neighbours.len())
-            .map(|_| p.irecv_bytes(world, ANY_SOURCE, tag))
-            .collect();
+        let mut reqs = [None; 4];
+        for req in &mut reqs[..neighbours.len()] {
+            *req = Some(p.irecv_bytes(world, ANY_SOURCE, tag));
+        }
+        // Every neighbour gets the same field: encoded once, shared.
+        let face = f64s_to_bytes(&field);
         for &nb in &neighbours {
-            p.send_bytes(world, nb, tag, f64s_to_bytes(&field));
+            p.send_bytes(world, nb, tag, face.clone());
         }
-        // Collect the halos keyed by their actual sender, then combine them in
-        // source order: the result is independent of the reception order, which
-        // keeps the kernel send-deterministic down to the last floating-point
-        // bit (the property the whole protocol relies on).
-        let mut halos: Vec<(usize, Vec<f64>)> = Vec::with_capacity(reqs.len());
-        for req in reqs {
+        // Decode each halo into its actual sender's buffer, then combine them
+        // in source order: the result is independent of the reception order,
+        // which keeps the kernel send-deterministic down to the last
+        // floating-point bit (the property the whole protocol relies on).
+        for req in reqs.into_iter().flatten() {
             let (status, payload) = p.wait(world, req);
-            halos.push((status.source, bytes_to_f64s(&payload.expect("halo"))));
+            let slot = sources
+                .binary_search(&status.source)
+                .expect("a halo from a neighbour");
+            for (h, v) in halos[slot]
+                .iter_mut()
+                .zip(iter_f64s(&payload.expect("halo")))
+            {
+                *h = v;
+            }
         }
-        halos.sort_by_key(|(src, _)| *src);
-        let mut halo_sum = vec![0.0; n];
-        for (_, values) in &halos {
+        halo_sum.fill(0.0);
+        for values in &halos {
             for (h, v) in halo_sum.iter_mut().zip(values) {
                 *h += v;
             }

@@ -30,6 +30,14 @@
 //! sum taken over it. `tests/kernel_steady_state.rs` holds each kernel to
 //! its payload bytes plus 4 KiB per rank and iteration.
 //!
+//! The rule's second half is about what stays live: an iteration releases
+//! what it sent and received before the next iteration allocates. A
+//! received payload is consumed where it is decoded, and a send buffer is
+//! held only by the views in flight, so one generation of payloads exists at
+//! a time (FT's transpose slab is 512 KiB per rank at 128 ranks).
+//! `tests/kernel_live_payload.rs` lets a second iteration raise a job's
+//! memory high-water mark by at most 4 KiB per rank.
+//!
 //! The rule never touches the arithmetic: every expression keeps its
 //! association and every reduction its order, and the loops this module used
 //! before (grid clones, per-block twiddle recurrence) survive as the
@@ -37,7 +45,7 @@
 //! bit.
 
 use bytes::Bytes;
-use sim_mpi::datatype::{bytes_to_f64, f64_to_bytes, f64s_to_bytes, f64s_to_bytes_iter, iter_f64s};
+use sim_mpi::datatype::{bytes_to_f64, f64_to_bytes, f64s_to_bytes, iter_f64s};
 use sim_mpi::{Process, ReduceOp};
 use sim_net::SimTime;
 
@@ -340,20 +348,26 @@ pub fn run_mg(p: &mut Process, cfg: &NasConfig) -> f64 {
 // FT: distributed 2-D FFT (row FFTs, all-to-all transpose, column FFTs)
 // ---------------------------------------------------------------------------
 
-/// The twiddle factors of every stage of an `n`-point radix-2 FFT, computed
-/// once per run. A stage of butterfly span `len` uses `w^k`, `k < len / 2`,
-/// built by the recurrence `w^(k+1) = w^k · w` from `(1, 0)`; that sequence
-/// is the same in every block of the stage and in every transform of the
-/// same length, so it is tabulated instead of re-derived per block. The
-/// stage with half-span `h` occupies `[h - 1, 2h - 1)` of each table.
+/// What an `n`-point radix-2 FFT needs besides its input, computed once per
+/// run: the bit-reversal swaps and the twiddle factors of every stage.
+///
+/// A stage of butterfly span `len` uses `w^k`, `k < len / 2`, built by the
+/// recurrence `w^(k+1) = w^k · w` from `(1, 0)`; that sequence is the same in
+/// every block of the stage and in every transform of the same length, so it
+/// is tabulated instead of re-derived per block. The stage with half-span `h`
+/// occupies `[h - 1, 2h - 1)` of each table.
 struct Twiddles {
     re: Vec<f64>,
     im: Vec<f64>,
+    /// The pairs `(i, j)`, `i < j`, that the bit-reversal permutation
+    /// exchanges, in the order the incremental reversal visits them.
+    swaps: Vec<(u32, u32)>,
 }
 
 impl Twiddles {
     fn new(n: usize) -> Self {
         assert!(n.is_power_of_two());
+        assert!(n - 1 <= u32::MAX as usize, "bit-reversal indices are u32");
         let mut re = Vec::with_capacity(n - 1);
         let mut im = Vec::with_capacity(n - 1);
         let mut len = 2;
@@ -370,7 +384,20 @@ impl Twiddles {
             }
             len <<= 1;
         }
-        Twiddles { re, im }
+        let mut swaps = Vec::new();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                swaps.push((i as u32, j as u32));
+            }
+        }
+        Twiddles { re, im, swaps }
     }
 
     /// The `(re, im)` factors of the stage with half-span `half`.
@@ -382,27 +409,53 @@ impl Twiddles {
     }
 }
 
+/// One radix-2 butterfly: `(u, v) <- (u + w·v, u - w·v)` on `(re, im)`
+/// pairs, the product formed exactly as in the stage loop of [`fft_inplace`].
+/// A unit twiddle is multiplied out like any other: `x·1 − y·0` is not `x`
+/// for signed zeros and non-finite values.
+#[inline(always)]
+fn butterfly(re: &mut [f64; 4], im: &mut [f64; 4], lo: usize, hi: usize, w: (f64, f64)) {
+    let (ur, ui) = (re[lo], im[lo]);
+    let (vr, vi) = (re[hi] * w.0 - im[hi] * w.1, re[hi] * w.1 + im[hi] * w.0);
+    re[lo] = ur + vr;
+    im[lo] = ui + vi;
+    re[hi] = ur - vr;
+    im[hi] = ui - vi;
+}
+
 /// In-place iterative radix-2 FFT over (re, im) pairs of length `n`, with
-/// the twiddles of `Twiddles::new(n)`.
+/// the swaps and twiddles of `Twiddles::new(n)`.
+///
+/// The span-2 and span-4 stages run fused, in one pass over 4-point chunks:
+/// each chunk's two span-2 butterflies, then its two span-4 ones — the same
+/// products and sums in the same order as two separate passes, since no
+/// butterfly of either stage reads outside its chunk. The larger stages keep
+/// one pass each: their inner loop vectorises, a two-stages-per-pass loop
+/// does not.
 fn fft_inplace(re: &mut [f64], im: &mut [f64], twiddles: &Twiddles) {
     let n = re.len();
     assert!(n.is_power_of_two());
+    assert_eq!(im.len(), n, "real and imaginary parts of one length");
     assert_eq!(twiddles.re.len(), n - 1, "twiddle table of another length");
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            re.swap(i, j);
-            im.swap(i, j);
-        }
+    for &(i, j) in &twiddles.swaps {
+        re.swap(i as usize, j as usize);
+        im.swap(i as usize, j as usize);
     }
     let mut len = 2;
+    if n >= 4 {
+        let w1 = (twiddles.re[0], twiddles.im[0]);
+        let (w2r, w2i) = twiddles.stage(2);
+        let w2 = [(w2r[0], w2i[0]), (w2r[1], w2i[1])];
+        let (re4, _) = re.as_chunks_mut::<4>();
+        let (im4, _) = im.as_chunks_mut::<4>();
+        for (re, im) in re4.iter_mut().zip(im4) {
+            butterfly(re, im, 0, 1, w1);
+            butterfly(re, im, 2, 3, w1);
+            butterfly(re, im, 0, 2, w2[0]);
+            butterfly(re, im, 1, 3, w2[1]);
+        }
+        len = 8;
+    }
     while len <= n {
         let half = len / 2;
         let (wr, wi) = twiddles.stage(half);
@@ -430,6 +483,23 @@ fn fft_inplace(re: &mut [f64], im: &mut [f64], twiddles: &Twiddles) {
     }
 }
 
+/// A marshalled grid point: its `re` then its `im`, little-endian.
+type Point = [[u8; 8]; 2];
+
+/// A transpose payload as the points it holds.
+fn as_points(bytes: &[u8]) -> &[Point] {
+    let (points, rest) = bytes.as_chunks::<8>().0.as_chunks::<2>();
+    assert!(rest.is_empty(), "payload of whole (re, im) points");
+    points
+}
+
+/// [`as_points`] of a payload being written.
+fn as_points_mut(bytes: &mut [u8]) -> &mut [Point] {
+    let (points, rest) = bytes.as_chunks_mut::<8>().0.as_chunks_mut::<2>();
+    assert!(rest.is_empty(), "payload of whole (re, im) points");
+    points
+}
+
 /// Distributed FFT steps; returns a checksum of the transformed field.
 pub fn run_ft(p: &mut Process, cfg: &NasConfig) -> f64 {
     let size = p.size();
@@ -451,8 +521,7 @@ pub fn run_ft(p: &mut Process, cfg: &NasConfig) -> f64 {
     // When `size` does not divide `cols` the remainder columns stay local:
     // the slab holds `size` blocks of `block_cols` columns, not `cols`.
     let block_cols = cols / size;
-    let block_words = rows * block_cols * 2;
-    let block_bytes = block_words * std::mem::size_of::<f64>();
+    let block_bytes = rows * block_cols * std::mem::size_of::<Point>();
     let mut checksum = 0.0;
     for _step in 0..cfg.iterations {
         // Local row FFTs.
@@ -465,32 +534,50 @@ pub fn run_ft(p: &mut Process, cfg: &NasConfig) -> f64 {
         // (re, im)-interleaved, straight into the payload buffer; the
         // per-destination blocks are then O(1) `Bytes::slice` views sharing
         // that single allocation instead of one marshalling + allocation per
-        // destination (256 of them at paper scale).
-        let slab = f64s_to_bytes_iter(
-            size * block_words,
-            (0..size).flat_map(|dst| {
-                let block = dst * block_cols..(dst + 1) * block_cols;
-                re.iter().zip(&im).flat_map(move |(re, im)| {
-                    let pairs = re[block.clone()].iter().zip(&im[block.clone()]);
-                    pairs.flat_map(|(re, im)| [*re, *im])
-                })
-            }),
-        );
-        let blocks: Vec<Bytes> = (0..size)
-            .map(|dst| slab.slice(dst * block_bytes..(dst + 1) * block_bytes))
-            .collect();
+        // destination (256 of them at paper scale). The slab handle itself
+        // goes out of scope here: from now on only the views hold it.
+        let blocks: Vec<Bytes> = {
+            let slab = Bytes::from_fill(size * block_bytes, |out| {
+                let points = as_points_mut(out);
+                for (dst, block) in points.chunks_exact_mut(rows * block_cols).enumerate() {
+                    let span = dst * block_cols..(dst + 1) * block_cols;
+                    let rows_out = block.chunks_exact_mut(block_cols);
+                    for ((re, im), row) in re.iter().zip(&im).zip(rows_out) {
+                        let values = re[span.clone()].iter().zip(&im[span.clone()]);
+                        for ((re, im), point) in values.zip(row) {
+                            *point = [re.to_le_bytes(), im.to_le_bytes()];
+                        }
+                    }
+                }
+            });
+            (0..size)
+                .map(|dst| slab.slice(dst * block_bytes..(dst + 1) * block_bytes))
+                .collect()
+        };
         let received = p.alltoall_bytes(p.world(), blocks);
         // Rebuild the local slab from the received blocks (transposed layout),
         // then FFT along the other dimension (still length `cols` rows locally
-        // to keep the kernel simple).
+        // to keep the kernel simple). Each block is consumed: its view, and
+        // with the last view its sender's slab, is freed once copied, so the
+        // next iteration marshals into memory this one released.
         cfg.charge_compute(p, rows * cols, 1.0);
-        for (src, block) in received.iter().enumerate() {
-            let mut words = iter_f64s(block);
-            let block = src * block_cols..(src + 1) * block_cols;
-            for (re, im) in re.iter_mut().zip(&mut im) {
-                for (re, im) in re[block.clone()].iter_mut().zip(&mut im[block.clone()]) {
-                    *re = words.next().expect("block holds rows x block_cols pairs");
-                    *im = words.next().expect("block holds rows x block_cols pairs");
+        for (src, block) in received.into_iter().enumerate() {
+            let points = as_points(&block);
+            assert_eq!(
+                points.len(),
+                rows * block_cols,
+                "block of rows x block_cols points"
+            );
+            let span = src * block_cols..(src + 1) * block_cols;
+            for ((re, im), row) in re
+                .iter_mut()
+                .zip(&mut im)
+                .zip(points.chunks_exact(block_cols))
+            {
+                let values = re[span.clone()].iter_mut().zip(&mut im[span.clone()]);
+                for ((re, im), [re_le, im_le]) in values.zip(row) {
+                    *re = f64::from_le_bytes(*re_le);
+                    *im = f64::from_le_bytes(*im_le);
                 }
             }
         }
@@ -814,16 +901,77 @@ mod tests {
         }
     }
 
+    /// Edge values of `f64`: signed zeros, infinities, NaN, subnormals and the
+    /// extremes of the normal range.
+    const EDGES: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        5e-324,
+        -5e-324,
+        1.5e-310,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1.0,
+    ];
+
+    /// The inputs every transform length is checked on, as `(name, re, im)`.
+    fn fft_inputs(n: usize) -> Vec<(&'static str, Vec<f64>, Vec<f64>)> {
+        let cycled = |offset: usize| (0..n).map(|i| EDGES[(i + offset) % EDGES.len()]).collect();
+        let lone = |value: f64| {
+            let mut field = vec![0.0; n];
+            field[n / 3] = value;
+            field
+        };
+        vec![
+            ("seeded", seeded(n, 11), seeded(n, 13)),
+            (
+                "signed zeros",
+                (0..n)
+                    .map(|i| if i % 3 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+                vec![-0.0; n],
+            ),
+            (
+                "subnormals",
+                seeded(n, 17).iter().map(|v| v * 1e-305).collect(),
+                seeded(n, 19).iter().map(|v| v * 1e-310).collect(),
+            ),
+            ("lone infinity", lone(f64::INFINITY), vec![-0.0; n]),
+            ("lone NaN", vec![-0.0; n], lone(f64::NAN)),
+            ("cycled edges", cycled(0), cycled(5)),
+        ]
+    }
+
+    /// Equal bits, or both NaN: Rust leaves the sign and payload of a NaN
+    /// result unspecified, so those are not held to the reference.
+    fn assert_same_floats(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}[{i}]: {g:e} ({:#x}) vs {w:e} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
     #[test]
     fn tabulated_fft_is_bit_identical_to_the_per_block_recurrence() {
-        for log_n in 1..=12 {
+        for log_n in 0..=12 {
             let n = 1usize << log_n;
-            let (mut want_re, mut want_im) = (seeded(n, 11), seeded(n, 13));
-            let (mut re, mut im) = (want_re.clone(), want_im.clone());
-            reference_fft(&mut want_re, &mut want_im);
-            fft_inplace(&mut re, &mut im, &Twiddles::new(n));
-            assert_eq!(bits(&re), bits(&want_re), "re, n = {n}");
-            assert_eq!(bits(&im), bits(&want_im), "im, n = {n}");
+            let twiddles = Twiddles::new(n);
+            for (name, mut want_re, mut want_im) in fft_inputs(n) {
+                let (mut re, mut im) = (want_re.clone(), want_im.clone());
+                reference_fft(&mut want_re, &mut want_im);
+                fft_inplace(&mut re, &mut im, &twiddles);
+                assert_same_floats(&re, &want_re, &format!("re, n = {n}, {name}"));
+                assert_same_floats(&im, &want_im, &format!("im, n = {n}, {name}"));
+            }
         }
     }
 

@@ -1,16 +1,15 @@
 //! Minimal regression cases found and shrunk by the fault campaign.
 //!
-//! Each test below pins a fault plan that
-//! `workloads::campaign::shrink_explicit_violation` reduced: a campaign case
-//! that violated the survivability expectation, replayed under the
-//! deterministic `--workers 1` scheduler and reduced (delta-debugging over
-//! the injected events) to a locally minimal fault plan. The shrinker names
-//! that plan as a spec line (`ShrinkOutcome::spec`, replayable with
-//! `sdr_serve --queue`); the test states the same plan as Rust and checks
-//! that it still violates survivability and that every fault in it is
-//! needed. The provenance comment on each test names the `(config, seed)`
-//! the case came from, so the full pre-shrink plan can be resampled with
-//! `sim_net::campaign::sample_plan`.
+//! Each test below pins a fault plan that `workloads::campaign::shrink`
+//! reduced: a campaign case that violated the survivability expectation,
+//! replayed under the deterministic `--workers 1` scheduler and reduced
+//! (delta-debugging over the injected events) to a locally minimal fault
+//! plan. The shrinker names that plan as a spec line (`ShrinkOutcome::spec`,
+//! replayable with `sdr_serve --queue`); the test states the same plan as
+//! Rust and checks that it still violates survivability and that every fault
+//! in it is needed. The provenance comment on each test names the
+//! `(config, seed)` the case came from, so the full pre-shrink plan can be
+//! resampled with `sim_net::campaign::sample_plan`.
 //!
 //! The first was produced from the correlated-pair case `seed 3` (both
 //! replicas of rank 3 lost) buried in two survivable single-replica noise
@@ -28,7 +27,7 @@
 
 #[test]
 fn campaign_correlated_pair_seed_3_minimal_plan_is_fatal() {
-    // Shrunk by workloads::campaign::shrink_violation.
+    // Shrunk by workloads::campaign::shrink.
     // config: ranks=4 degree=2 dist=correlated_pair; seed=3;
     // shrunk 4 sampled fault(s) to 2 in 10 oracle probe(s).
     use sdr_mpi::sim_net::campaign::{CampaignConfig, FaultDistribution, PlannedFault};
@@ -69,7 +68,7 @@ fn campaign_correlated_pair_seed_3_minimal_plan_is_fatal() {
 
 #[test]
 fn campaign_lossy_links_seed_7_minimal_plan_is_fatal() {
-    // Shrunk by workloads::campaign::shrink_violation.
+    // Shrunk by workloads::campaign::shrink.
     // config: ranks=2 degree=2 dist=lossy_links; seed=7;
     // shrunk 2 sampled fault(s) to 1 in 5 oracle probe(s).
     use sdr_mpi::sim_net::campaign::{CampaignConfig, FaultDistribution, PlannedFault};
