@@ -4,12 +4,12 @@
 //! Usage: `table_faults [--ranks N] [--seeds N] [--base-seed N] [--iters N]
 //! [--workers W] [--json PATH]`
 //!
-//! Each case is fully determined by `(config, seed)`: the plan sampling is
-//! pure, and every case runs as a `JobSpec` and is judged on the
-//! `JobRecord` that `sdr_serve` streams for it, so a reported violation
+//! Each case is fully determined by `(config, seed)`: sampling writes the
+//! faults straight into the case's `JobSpec`, and every case is judged on
+//! the `JobRecord` that `sdr_serve` streams for it, so a reported violation
 //! prints (and the JSON report embeds) the one line that replays it under
 //! `sdr_serve --queue`; `workloads::campaign::shrink` reduces it to a
-//! minimal failing plan, replaying candidates under the deterministic
+//! minimal failing spec line, rerunning candidates under the deterministic
 //! `--workers 1` scheduler. At `--workers 1` two runs print byte-identical
 //! text and JSON (CI `faults-smoke` compares them).
 //! `--json PATH` writes the machine-readable report that CI uploads as the

@@ -4,8 +4,8 @@
 //! landing mid-collective) plus redMPI-style soft-error injection, aggregated
 //! into the `BENCH_faults.json` CI artifact.
 //!
-//! Every case is fully determined by `(config, seed)`; the planning lives in
-//! `sim_net::campaign` and the execution/judging in `workloads::campaign`.
+//! Every case is fully determined by `(config, seed)`: `workloads::campaign`
+//! samples it into a `JobSpec`, runs it and judges its record.
 //! The CI gate (`faults-smoke`) demands 100% survivability for the
 //! single-replica-loss configurations, a 100% prompt-abort rate for the
 //! correlated pair loss, 100% SDC detection, and — for the lossy-transport
@@ -22,12 +22,13 @@
 //! that rotate through the NAS kernels.
 
 use crate::parse_shared_flag;
-use sim_net::campaign::{FaultPlan, PlannedFault};
 use sim_net::NetFaultConfig;
-use workloads::campaign::{run_campaign, run_case, summarize, CampaignSummary, CaseOutcome};
-use workloads::serve::Json;
+use workloads::campaign::{
+    case_spec, run_campaign, run_case, summarize, CampaignSummary, CaseOutcome,
+};
+use workloads::serve::{JobSpec, Json, NetFaultSpec};
 
-pub use sim_net::campaign::{CampaignConfig, FaultDistribution};
+pub use workloads::campaign::{CampaignConfig, FaultDistribution};
 
 /// One configuration's campaign result.
 #[derive(Debug, Clone)]
@@ -162,8 +163,9 @@ pub struct LossySweepRow {
 /// [`LOSSY_SWEEP_RATES`]. Unlike the campaign configurations (which sample
 /// rates up to a maximum), every case of a row runs the exact same
 /// [`NetFaultConfig`] — only the policy seed and the workload rotate — so the
-/// row is a true point on the overhead-vs-rate curve. Each hand-built plan
-/// goes through the campaign's one case runner, [`run_case`].
+/// row is a true point on the overhead-vs-rate curve. Each case is the
+/// campaign's spec for its seed with the row's policy in place of the
+/// sampled one, run through the campaign's one case runner, [`run_case`].
 pub fn lossy_rate_sweep(
     ranks: usize,
     cases: usize,
@@ -194,15 +196,14 @@ pub fn lossy_rate_sweep(
             let outcomes: Vec<CaseOutcome> = (0..cases as u64)
                 .map(|i| {
                     let seed = base_seed + i;
-                    let plan = FaultPlan {
-                        config: campaign_config,
-                        seed,
-                        faults: vec![PlannedFault::LossyTransport {
+                    let spec = JobSpec {
+                        net_faults: Some(NetFaultSpec {
                             config: net_config,
-                            policy_seed: seed,
-                        }],
+                            seed,
+                        }),
+                        ..case_spec(campaign_config, seed, iterations, workers)
                     };
-                    run_case(plan, iterations, workers)
+                    run_case(campaign_config, spec)
                 })
                 .collect();
             LossySweepRow {

@@ -128,11 +128,6 @@ impl SeqTracker {
         }
         true
     }
-
-    /// Number of out-of-order sequence numbers currently held.
-    pub fn pending_out_of_order(&self) -> usize {
-        self.ahead.len()
-    }
 }
 
 #[derive(Debug)]
@@ -1089,7 +1084,7 @@ mod tests {
             assert!(t.record(s));
             assert!(t.seen(s));
         }
-        assert_eq!(t.pending_out_of_order(), 0);
+        assert_eq!(t.next_expected(), 10);
     }
 
     #[test]
@@ -1107,9 +1102,9 @@ mod tests {
         let mut t = SeqTracker::default();
         assert!(t.record(2));
         assert!(t.record(0));
-        assert_eq!(t.pending_out_of_order(), 1);
+        assert_eq!(t.next_expected(), 1, "2 is held ahead of the gap");
         assert!(t.record(1));
-        assert_eq!(t.pending_out_of_order(), 0);
+        assert_eq!(t.next_expected(), 3, "filling the gap compacts 2");
         assert!(!t.record(2));
         assert!(t.record(3));
     }

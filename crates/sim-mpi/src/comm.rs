@@ -69,72 +69,6 @@ impl Group {
     pub fn members(&self) -> &[Rank] {
         &self.members
     }
-
-    /// `MPI_Group_incl`: sub-group of the listed group ranks, in that order.
-    pub fn incl(&self, group_ranks: &[Rank]) -> Group {
-        Group::from_members(group_ranks.iter().map(|&r| self.members[r]).collect())
-    }
-
-    /// `MPI_Group_excl`: group without the listed group ranks.
-    pub fn excl(&self, group_ranks: &[Rank]) -> Group {
-        let excluded: std::collections::BTreeSet<_> = group_ranks.iter().copied().collect();
-        Group {
-            members: self
-                .members
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !excluded.contains(i))
-                .map(|(_, &m)| m)
-                .collect(),
-        }
-    }
-
-    /// `MPI_Group_union`: members of `self` followed by members of `other`
-    /// not already present.
-    pub fn union(&self, other: &Group) -> Group {
-        let mut members = self.members.clone();
-        for &m in &other.members {
-            if !members.contains(&m) {
-                members.push(m);
-            }
-        }
-        Group { members }
-    }
-
-    /// `MPI_Group_intersection`: members of `self` also present in `other`,
-    /// in `self` order.
-    pub fn intersection(&self, other: &Group) -> Group {
-        Group {
-            members: self
-                .members
-                .iter()
-                .copied()
-                .filter(|m| other.contains(*m))
-                .collect(),
-        }
-    }
-
-    /// `MPI_Group_difference`: members of `self` not present in `other`.
-    pub fn difference(&self, other: &Group) -> Group {
-        Group {
-            members: self
-                .members
-                .iter()
-                .copied()
-                .filter(|m| !other.contains(*m))
-                .collect(),
-        }
-    }
-
-    /// `MPI_Group_translate_ranks`: for each group rank in `ranks` (relative
-    /// to `self`), the corresponding group rank in `other`, or `None` if the
-    /// member is absent there.
-    pub fn translate_ranks(&self, ranks: &[Rank], other: &Group) -> Vec<Option<Rank>> {
-        ranks
-            .iter()
-            .map(|&r| other.rank_of(self.members[r]))
-            .collect()
-    }
 }
 
 /// A communicator as seen by one process: context id, member group, and this
@@ -215,36 +149,6 @@ mod tests {
             assert_eq!(g.rank_of(r), Some(r));
         }
         assert_eq!(g.rank_of(4), None);
-    }
-
-    #[test]
-    fn incl_excl() {
-        let g = Group::world(6);
-        let sub = g.incl(&[4, 1, 3]);
-        assert_eq!(sub.members(), &[4, 1, 3]);
-        assert_eq!(sub.rank_of(4), Some(0));
-        let rest = g.excl(&[0, 2]);
-        assert_eq!(rest.members(), &[1, 3, 4, 5]);
-    }
-
-    #[test]
-    fn set_operations() {
-        let a = Group::from_members(vec![0, 1, 2, 3]);
-        let b = Group::from_members(vec![2, 3, 4, 5]);
-        assert_eq!(a.union(&b).members(), &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(a.intersection(&b).members(), &[2, 3]);
-        assert_eq!(a.difference(&b).members(), &[0, 1]);
-        assert_eq!(b.difference(&a).members(), &[4, 5]);
-    }
-
-    #[test]
-    fn translate_ranks_between_groups() {
-        let a = Group::from_members(vec![0, 1, 2, 3]);
-        let b = Group::from_members(vec![3, 1]);
-        assert_eq!(
-            a.translate_ranks(&[0, 1, 3], &b),
-            vec![None, Some(1), Some(0)]
-        );
     }
 
     #[test]

@@ -191,10 +191,6 @@ pub struct MatchingEngine {
     unexpected: HashMap<CommId, UnexpectedBuckets>,
     unexpected_live: usize,
     arrival_seq: u64,
-    /// Highest number of simultaneously queued unexpected messages (a useful
-    /// experiment statistic: leader-based protocols grow this).
-    peak_unexpected: usize,
-    total_unexpected: u64,
     /// Emptied posted buckets awaiting reuse, at most [`SPARE_BUCKETS`].
     spare_posted: Vec<VecDeque<(u64, PostedRecv)>>,
     /// Emptied unexpected buckets awaiting reuse, at most [`SPARE_BUCKETS`].
@@ -338,8 +334,6 @@ impl MatchingEngine {
                 .or_insert_with(|| self.spare_unexpected.pop().unwrap_or_default())
                 .push_back((seq, msg));
             self.unexpected_live += 1;
-            self.total_unexpected += 1;
-            self.peak_unexpected = self.peak_unexpected.max(self.unexpected_live);
             None
         }
     }
@@ -414,16 +408,6 @@ impl MatchingEngine {
     /// at most [`SPARE_BUCKETS`] (diagnostics).
     pub fn spare_buckets(&self) -> (usize, usize) {
         (self.spare_posted.len(), self.spare_unexpected.len())
-    }
-
-    /// Peak length of the unexpected queue over the lifetime of the engine.
-    pub fn peak_unexpected(&self) -> usize {
-        self.peak_unexpected
-    }
-
-    /// Total number of messages that ever went through the unexpected queue.
-    pub fn total_unexpected(&self) -> u64 {
-        self.total_unexpected
     }
 
     /// The source filters of all currently posted receives, **in posting
@@ -505,7 +489,6 @@ mod tests {
         assert!(eng.incoming(msg(0, 2, 5, 2)).is_none());
         assert_eq!(eng.unexpected_len(), 3);
         assert_eq!(eng.posted_len(), 1);
-        assert_eq!(eng.total_unexpected(), 3);
     }
 
     #[test]
@@ -725,18 +708,5 @@ mod tests {
             Some(PmlReqId(1)),
             "queued message must match the earliest posting"
         );
-    }
-
-    #[test]
-    fn peak_unexpected_tracks_high_water_mark() {
-        let mut eng = MatchingEngine::new();
-        for i in 0..5 {
-            eng.incoming(msg(0, 1, 5, i));
-        }
-        for _ in 0..5 {
-            eng.post_recv(posting(1, Some(0), 1, TagSel::Tag(5)));
-        }
-        assert_eq!(eng.unexpected_len(), 0);
-        assert_eq!(eng.peak_unexpected(), 5);
     }
 }

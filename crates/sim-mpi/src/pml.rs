@@ -159,8 +159,6 @@ pub struct Pml {
         std::collections::BTreeMap<u64, IncomingMsg>,
         BuildHasherDefault<KeyHasher>,
     >,
-    /// Wire-level duplicates discarded by the sequence window.
-    wire_dups_suppressed: u64,
 }
 
 impl std::fmt::Debug for Pml {
@@ -189,7 +187,6 @@ impl Pml {
             sdc_flips: Vec::new(),
             recv_cursor: HashMap::default(),
             reorder: std::collections::HashMap::default(),
-            wire_dups_suppressed: 0,
         }
     }
 
@@ -199,12 +196,6 @@ impl Pml {
     /// unacknowledged sends (see `DESIGN.md` §5.5).
     pub fn lossy_transport(&self) -> bool {
         self.ep.fabric().net_fault_policy().is_some()
-    }
-
-    /// Wire-level duplicate messages the receive sequence window has
-    /// discarded (retransmits whose original also arrived).
-    pub fn wire_dups_suppressed(&self) -> u64 {
-        self.wire_dups_suppressed
     }
 
     /// Arm scheduled soft-error injections (fault-campaign SDC class): each
@@ -574,7 +565,6 @@ impl Pml {
                 .get(&key)
                 .is_some_and(|buf| buf.contains_key(&msg.seq))
         {
-            self.wire_dups_suppressed += 1;
             self.pending_events.push(PmlEvent::DuplicateSuppressed {
                 src: msg.src,
                 comm: msg.comm,
@@ -1070,12 +1060,14 @@ mod tests {
             Bytes::from_static(b"first"),
         );
         let events = p1.progress_blocking("dup", false).unwrap();
-        assert!(matches!(
-            events[0],
-            PmlEvent::DuplicateSuppressed { src, aux, .. }
-                if src == EndpointId(0) && aux == 42
-        ));
-        assert_eq!(p1.wire_dups_suppressed(), 1);
+        assert!(
+            matches!(
+                events[..],
+                [PmlEvent::DuplicateSuppressed { src, aux, .. }]
+                    if src == EndpointId(0) && aux == 42
+            ),
+            "exactly the one copy is suppressed: {events:?}"
+        );
         assert_eq!(
             p1.matching().unexpected_len(),
             0,

@@ -35,12 +35,6 @@
 //! * [`stats::NetStats`] counts messages and bytes so protocol-level message
 //!   complexity (e.g. mirror's `O(q·r²)` vs parallel's `O(q·r)`) can be
 //!   measured directly.
-//! * [`campaign`] samples seeded, reproducible fault plans (exponential-MTBF
-//!   crashes, correlated replica-pair loss, mid-collective crashes, soft
-//!   errors, lossy links and delayed acks) that the upper layers compile into
-//!   `FailureService` schedules, PML corruption hooks and fabric-level
-//!   [`netfault::NetFaultPolicy`] installations, and shrinks failing plans to
-//!   minimal regression cases.
 //! * [`netfault`] is the lossy-transport injection layer: a seeded per-job
 //!   policy that drops, duplicates or delays application/ack deliveries at
 //!   configured per-link rates, deterministically, while preserving per-link
@@ -65,7 +59,6 @@
 
 #![deny(missing_docs)]
 
-pub mod campaign;
 pub mod carrier;
 pub mod clock;
 pub mod fabric;
@@ -77,17 +70,13 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use campaign::{
-    sample_plan, shrink_events, CampaignConfig, CampaignRng, FaultDistribution, FaultPlan,
-    PlannedFault,
-};
 pub use carrier::coro::CoroRuntime;
 pub use carrier::stack::StackPool;
 pub use carrier::{CarrierHandle, CarrierMode, CarrierPool, CarrierSource};
 pub use clock::VirtualClock;
 pub use fabric::{Endpoint, EndpointId, Fabric, RawMessage, RecvError};
 pub use failure::{CrashSchedule, FailureEvent, FailureService};
-pub use model::{HockneyModel, LogGpModel, NetworkModel};
+pub use model::{LogGpModel, NetworkModel};
 pub use netfault::{FaultVerdict, NetFaultConfig, NetFaultPolicy};
 pub use sched::{Park, Scheduler, WakeOutcome};
 pub use stats::{NetStats, StatsSnapshot};

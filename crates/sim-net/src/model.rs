@@ -176,42 +176,6 @@ impl NetworkModel for LogGpModel {
     }
 }
 
-/// Classic Hockney (latency + size/bandwidth) model. Simpler than LogGP:
-/// no distinct CPU overheads, no rendezvous surcharge. Used by tests and by
-/// ablation benches to check that experiment *shapes* are not artifacts of one
-/// particular cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HockneyModel {
-    /// One-way latency, nanoseconds.
-    pub alpha_ns: u64,
-    /// Transfer time per byte, picoseconds.
-    pub beta_ps_per_byte: u64,
-}
-
-impl HockneyModel {
-    /// A model loosely matching a 20 Gb/s link with 1.6 µs base latency.
-    pub fn infiniband_like() -> Self {
-        HockneyModel {
-            alpha_ns: 1_600,
-            beta_ps_per_byte: 500,
-        }
-    }
-}
-
-impl NetworkModel for HockneyModel {
-    fn send_overhead(&self, _payload_bytes: usize, _intra_node: bool) -> SimTime {
-        SimTime::ZERO
-    }
-
-    fn recv_overhead(&self, _payload_bytes: usize, _intra_node: bool) -> SimTime {
-        SimTime::ZERO
-    }
-
-    fn wire_time(&self, payload_bytes: usize, _intra_node: bool) -> SimTime {
-        SimTime::from_nanos(self.alpha_ns + (payload_bytes as u64 * self.beta_ps_per_byte) / 1_000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,14 +235,6 @@ mod tests {
             assert!(t >= prev);
             prev = t;
         }
-    }
-
-    #[test]
-    fn hockney_has_no_cpu_overhead() {
-        let m = HockneyModel::infiniband_like();
-        assert_eq!(m.send_overhead(1024, false), SimTime::ZERO);
-        assert_eq!(m.recv_overhead(1024, false), SimTime::ZERO);
-        assert!(m.one_way(1024, false) > SimTime::ZERO);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!
 //! Every verdict is a pure function of `(config, seed, src, dst, k)` where
 //! `k` is the per-link index of the message among the link's *faultable*
-//! messages — the same splitmix64 discipline [`crate::campaign`] uses for
-//! fault plans ([`decide`] is exposed so tests can check purity directly).
+//! messages — the same splitmix64 discipline `workloads::campaign` uses to
+//! sample fault cases ([`decide`] is exposed so tests can check purity
+//! directly).
 //! The per-link counters are deterministic because only `src`'s carrier ever
 //! sends on the link `(src, dst)` and its sends are in program order; no
 //! cross-process race can reorder a link's message indices.
@@ -129,7 +130,7 @@ pub enum FaultVerdict {
     Delay,
 }
 
-/// `splitmix64` — the same finalizer [`crate::campaign::CampaignRng`] uses.
+/// `splitmix64` — the same finalizer `workloads::campaign::CampaignRng` uses.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

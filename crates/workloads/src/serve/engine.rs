@@ -20,9 +20,9 @@
 
 use super::json::Json;
 use super::spec::{CrashFault, JobSpec, LayoutSpec, SpecError, WorkloadKind};
+use crate::campaign::{case_spec, CampaignConfig, FaultDistribution};
 use crate::nas::NasKernel;
 use sim_mpi::{JobReport, ProcessOutcome};
-use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
 use sim_net::{NetFaultConfig, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -590,8 +590,8 @@ pub fn mixed_queue(jobs: usize, seed: u64) -> Vec<JobSpec> {
                     }],
                     ..base
                 },
-                // Guaranteed abort: both replicas of one rank die
-                // (correlated pair loss sampled from the campaign planner).
+                // Guaranteed abort: both replicas of one rank die (the
+                // crashes of a sampled correlated-pair campaign case).
                 2 => {
                     let cfg = CampaignConfig {
                         ranks: 2,
@@ -601,8 +601,11 @@ pub fn mixed_queue(jobs: usize, seed: u64) -> Vec<JobSpec> {
                             horizon_sends: 3,
                         },
                     };
-                    JobSpec { ranks: 2, ..base }
-                        .with_faults(&sample_plan(cfg, 7 + jseed % 4).faults)
+                    JobSpec {
+                        ranks: 2,
+                        crashes: case_spec(cfg, 7 + jseed % 4, 6, None).crashes,
+                        ..base
+                    }
                 }
                 // Lossy links over a ring exchange.
                 3 => JobSpec {

@@ -16,7 +16,6 @@ use sdr_core::{
     coverage_job, native_job, partial_replicated_job, replicated_job, ReplicationConfig,
 };
 use sim_mpi::{JobBuilder, Process, SdcFlip};
-use sim_net::campaign::PlannedFault;
 use sim_net::{CarrierMode, CrashSchedule, EndpointId, LogGpModel, NetFaultConfig, SimTime};
 use std::fmt;
 use std::sync::Arc;
@@ -331,7 +330,7 @@ fn get_u64(obj: &Json, field: &'static str) -> Result<Option<u64>, SpecError> {
     }
 }
 
-/// Seeds are 64-bit patterns (the campaign planner draws policy seeds from
+/// Seeds are 64-bit patterns (the campaign sampler draws policy seeds from
 /// the whole `u64` range), but a JSON integer here is an `i64`: the encoder
 /// writes `seed as i64`, so seeds ≥ 2⁶³ appear negative on the wire and are
 /// read back bit for bit.
@@ -663,40 +662,6 @@ impl JobSpec {
             fields.push(("trace", true.into()));
         }
         Json::obj(fields)
-    }
-
-    /// Add a fault plan's events to the spec: crashes, PML bit flips and the
-    /// transport policy each land in their field. This is how campaign
-    /// cases ([`crate::campaign::case_spec`]) and the planted aborts of the
-    /// mixed queue turn sampled [`PlannedFault`]s into a runnable job.
-    pub fn with_faults(mut self, faults: &[PlannedFault]) -> JobSpec {
-        for fault in faults {
-            match *fault {
-                PlannedFault::Crash { endpoint, schedule } => self.crashes.push(CrashFault {
-                    endpoint: endpoint.0,
-                    schedule,
-                }),
-                PlannedFault::BitFlip {
-                    endpoint,
-                    nth_send,
-                    bit,
-                } => self.sdc.push(SdcFault {
-                    endpoint: endpoint.0,
-                    nth_send,
-                    bit,
-                }),
-                PlannedFault::LossyTransport {
-                    config,
-                    policy_seed,
-                } => {
-                    self.net_faults = Some(NetFaultSpec {
-                        config,
-                        seed: policy_seed,
-                    })
-                }
-            }
-        }
-        self
     }
 
     /// The application closure the spec's workload names.

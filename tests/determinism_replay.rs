@@ -35,9 +35,10 @@ fn traced_replay_run() -> (Vec<TraceEvent>, Vec<u64>) {
 }
 
 /// One traced, replicated single-permit run of the campaign's
-/// collective-heavy workload with a seeded fault plan compiled in.
+/// collective-heavy workload with the crashes of a seeded campaign case compiled in.
 fn traced_faulted_run(seed: u64) -> (Vec<TraceEvent>, Vec<u64>) {
-    use sdr_mpi::sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
+    use sdr_mpi::sim_net::EndpointId;
+    use sdr_mpi::workloads::campaign::{case_spec, CampaignConfig, FaultDistribution};
     let ranks = 4;
     let iterations = 6u64;
     let config = CampaignConfig {
@@ -45,13 +46,12 @@ fn traced_faulted_run(seed: u64) -> (Vec<TraceEvent>, Vec<u64>) {
         degree: 2,
         dist: FaultDistribution::MidCollective { max_phase: 6 },
     };
-    let plan = sample_plan(config, seed);
     let mut builder = replicated_job(ranks, ReplicationConfig::dual())
         .network(LogGpModel::fast_test_model())
         .workers(1)
         .trace(true);
-    for (endpoint, schedule) in plan.crashes() {
-        builder = builder.crash(endpoint, schedule);
+    for c in case_spec(config, seed, iterations, None).crashes {
+        builder = builder.crash(EndpointId(c.endpoint), c.schedule);
     }
     let report = builder.run(move |p| sdr_mpi::workloads::campaign::collective_app(p, iterations));
     assert!(report.peak_concurrency <= 1);
@@ -91,8 +91,9 @@ fn lossy_campaign_case_replays_identical_trace_streams() {
     // `TraceEvent` stream — retransmissions, suppressed duplicates and all —
     // is bit-identical across runs, although the retransmission-timeout
     // path interacts with carrier scheduling.
-    use sdr_mpi::sim_net::campaign::{CampaignConfig, FaultDistribution};
-    use sdr_mpi::workloads::campaign::replay_is_deterministic;
+    use sdr_mpi::workloads::campaign::{
+        replay_is_deterministic, CampaignConfig, FaultDistribution,
+    };
     let config = CampaignConfig {
         ranks: 4,
         degree: 2,
@@ -113,11 +114,12 @@ fn lossy_campaign_case_replays_identical_trace_streams() {
 #[test]
 fn faulted_degree_three_case_replays_identically() {
     // Replica-map acceptance: a degree-3 campaign case with a majority-loss
-    // crash plan (two of three replicas of one rank die) must replay a
+    // crash case (two of three replicas of one rank die) must replay a
     // bit-identical `TraceEvent` stream under `--workers 1` — the
     // repeated substitute election adds no scheduling nondeterminism.
-    use sdr_mpi::sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
-    use sdr_mpi::workloads::campaign::replay_is_deterministic;
+    use sdr_mpi::workloads::campaign::{
+        case_spec, replay_is_deterministic, CampaignConfig, FaultDistribution,
+    };
     let config = CampaignConfig {
         ranks: 2,
         degree: 3,
@@ -128,9 +130,9 @@ fn faulted_degree_three_case_replays_identically() {
     };
     let seed = 23;
     assert_eq!(
-        sample_plan(config, seed).crashes().count(),
+        case_spec(config, seed, 6, None).crashes.len(),
         2,
-        "the majority-loss plan must schedule two same-rank crashes"
+        "the majority-loss case must schedule two same-rank crashes"
     );
     assert!(
         replay_is_deterministic(config, seed, 6),

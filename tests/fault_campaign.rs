@@ -1,18 +1,18 @@
-//! The Monte Carlo fault campaign end to end: purity of the seeded plan
+//! The Monte Carlo fault campaign end to end: purity of the seeded case
 //! sampling (property-tested), the per-distribution expectations over real
 //! runs, and the shrink-to-seed path that reduces a violating case to a
-//! minimal fault plan named as a replayable spec line.
+//! minimal replayable spec line.
 
 mod common;
 
 use common::{with_deadline, Running};
 use proptest::prelude::*;
-use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution, FaultPlan, PlannedFault};
-use sim_net::{CrashSchedule, EndpointId, NetFaultConfig};
+use sim_net::CrashSchedule;
 use workloads::campaign::{
-    crash_faults_violate_survival, run_case, sampled_case, shrink, summarize, CaseOutcome,
+    case_spec, run_case, shrink, summarize, violates_survival, CampaignConfig, CaseOutcome,
+    FaultDistribution,
 };
-use workloads::serve::{run_job, JobSpec};
+use workloads::serve::{run_job, CrashFault, JobSpec};
 
 /// `workloads::campaign::run_campaign` at the default workers, one case at a
 /// time through the one case runner, telling the deadline guard which spec
@@ -28,9 +28,9 @@ fn run_campaign(
     let workers = None;
     (base_seed..base_seed + cases)
         .map(|seed| {
-            let (plan, spec) = sampled_case(config, seed, iterations, workers);
+            let spec = case_spec(config, seed, iterations, workers);
             running.note(spec.to_json().encode());
-            run_case(plan, iterations, workers)
+            run_case(config, spec)
         })
         .collect()
 }
@@ -48,8 +48,8 @@ fn soft_cfg(ranks: usize, flips: usize) -> CampaignConfig {
 }
 
 proptest! {
-    /// Plan sampling is a pure function of `(config, seed)`: resampling gives
-    /// an equal plan, and a different seed gives a different one.
+    /// Case sampling is a pure function of `(config, seed)`: resampling gives
+    /// an equal spec, and a different seed samples different faults.
     #[test]
     fn plan_sampling_is_pure_in_config_and_seed(
         seed in any::<u64>(),
@@ -57,14 +57,14 @@ proptest! {
         flips in 1usize..4,
     ) {
         let config = soft_cfg(ranks, flips);
-        let a = sample_plan(config, seed);
-        let b = sample_plan(config, seed);
+        let a = case_spec(config, seed, 6, None);
+        let b = case_spec(config, seed, 6, None);
         prop_assert_eq!(&a, &b, "same (config, seed) must replay identically");
-        let c = sample_plan(config, seed.wrapping_add(1));
-        prop_assert_ne!(&a, &c, "the seed is part of the plan identity");
+        let c = case_spec(config, seed.wrapping_add(1), 6, None);
+        prop_assert_ne!(&a.sdc, &c.sdc, "the seed decides the sampled flips");
     }
 
-    /// Every sampled plan is well-formed for its configuration: fault
+    /// Every sampled case is well-formed for its configuration: fault
     /// endpoints exist, crash schedules and flip indices are in range.
     #[test]
     fn sampled_plans_are_well_formed(seed in any::<u64>(), dist_pick in 0usize..6) {
@@ -80,40 +80,34 @@ proptest! {
             FaultDistribution::DelayedAcks { max_delay_per_64k: 32_768, max_delay_ns: 400_000 },
         ][dist_pick];
         let config = CampaignConfig { ranks, degree: 2, dist };
-        let plan = sample_plan(config, seed);
-        for fault in &plan.faults {
-            match *fault {
-                PlannedFault::Crash { endpoint, schedule } => {
-                    prop_assert!(endpoint.0 < config.endpoints());
-                    match schedule {
-                        CrashSchedule::AfterSend { nth } | CrashSchedule::BeforeSend { nth } => {
-                            prop_assert!(nth >= 1);
-                        }
-                        _ => {}
-                    }
+        let spec = case_spec(config, seed, 6, None);
+        for crash in &spec.crashes {
+            prop_assert!(crash.endpoint < config.endpoints());
+            match crash.schedule {
+                CrashSchedule::AfterSend { nth } | CrashSchedule::BeforeSend { nth } => {
+                    prop_assert!(nth >= 1);
                 }
-                PlannedFault::BitFlip { endpoint, nth_send, bit } => {
-                    prop_assert!(endpoint.0 < config.endpoints());
-                    prop_assert!((1..=6).contains(&nth_send));
-                    prop_assert!(bit < 8192);
+                _ => {}
+            }
+        }
+        for flip in &spec.sdc {
+            prop_assert!(flip.endpoint < config.endpoints());
+            prop_assert!((1..=6).contains(&flip.nth_send));
+            prop_assert!(flip.bit < 8192);
+        }
+        if let Some(net) = spec.net_faults.map(|n| n.config) {
+            // A sampled policy is always installable: within the 64k
+            // probability budget, and never an all-zero no-op.
+            net.validate();
+            prop_assert!(net.drop_per_64k + net.dup_per_64k + net.delay_per_64k >= 1);
+            match dist {
+                FaultDistribution::DelayedAcks { .. } => {
+                    prop_assert!(net.ack_only);
+                    prop_assert_eq!(net.drop_per_64k, 0);
+                    prop_assert_eq!(net.dup_per_64k, 0);
+                    prop_assert!(net.delay_ns >= 60_000);
                 }
-                PlannedFault::LossyTransport { config: net, policy_seed: _ } => {
-                    // A sampled policy is always installable: within the
-                    // 64k probability budget, and never an all-zero no-op.
-                    net.validate();
-                    prop_assert!(
-                        net.drop_per_64k + net.dup_per_64k + net.delay_per_64k >= 1
-                    );
-                    match dist {
-                        FaultDistribution::DelayedAcks { .. } => {
-                            prop_assert!(net.ack_only);
-                            prop_assert_eq!(net.drop_per_64k, 0);
-                            prop_assert_eq!(net.dup_per_64k, 0);
-                            prop_assert!(net.delay_ns >= 60_000);
-                        }
-                        _ => prop_assert!(!net.ack_only),
-                    }
-                }
+                _ => prop_assert!(!net.ack_only),
             }
         }
     }
@@ -193,52 +187,58 @@ fn sdc_campaign_detects_every_injected_flip() {
 #[test]
 fn shrink_reduces_a_violating_plan_to_the_fatal_pair() {
     // Synthetic violation: a correlated pair loss of rank 1 (endpoints 1 and
-    // 3 at 2 ranks × dual) buried between survivable single-replica noise
-    // crashes. The shrinker must strip the noise and return exactly the two
-    // crashes that together kill the rank — and dropping either one must make
-    // the job survivable again (local minimality).
-    let config = CampaignConfig {
-        ranks: 2,
-        degree: 2,
-        dist: FaultDistribution::MidCollective { max_phase: 1 }, // shape only
-    };
-    let crash = |ep: usize, nth: u64| PlannedFault::Crash {
-        endpoint: EndpointId(ep),
+    // 3 at 2 ranks × dual) behind a survivable single-replica noise crash
+    // (endpoint 2, replica 1 of rank 0). The shrinker must strip the noise
+    // and return exactly the two crashes that together kill the rank — and
+    // dropping either one must make the job survivable again (local
+    // minimality).
+    let spec = JobSpec::parse_line(
+        r#"{"id":"fatal-pair","workload":"collective","iterations":6,"ranks":2,
+            "class":"s","layout":"replicated","degree":2,"seed":0,"crashes":[
+            {"endpoint":2,"kind":"after-send","nth":2},
+            {"endpoint":1,"kind":"after-send","nth":1},
+            {"endpoint":3,"kind":"after-send","nth":1}]}"#,
+    )
+    .expect("a valid spec line");
+    let shrunk = shrink(spec.clone()).expect("the full spec must violate survivability");
+    let crash = |endpoint, nth| CrashFault {
+        endpoint,
         schedule: CrashSchedule::AfterSend { nth },
     };
-    let faults = vec![
-        crash(2, 2), // noise: replica 1 of rank 0, survivable
-        crash(1, 1), // fatal pair, part 1: replica 0 of rank 1
-        crash(3, 1), // fatal pair, part 2: replica 1 of rank 1
-    ];
-    let plan = FaultPlan {
-        config,
-        seed: 0,
-        faults,
-    };
-    let shrunk = shrink(plan, 6).expect("the full plan must violate survivability");
-    let minimal = shrunk.minimal;
-    assert_eq!(minimal, vec![crash(1, 1), crash(3, 1)]);
+    let minimal = shrunk.spec;
+    assert_eq!(minimal.crashes, vec![crash(1, 1), crash(3, 1)]);
+    assert_eq!(
+        minimal,
+        JobSpec {
+            workers: Some(1),
+            crashes: minimal.crashes.clone(),
+            ..spec
+        },
+        "only the fault items change, and the rerun is at one worker"
+    );
     assert!(
         shrunk.probes >= 2,
         "shrinking must actually probe the oracle"
     );
-    assert!(
-        !crash_faults_violate_survival(config, 6, &minimal[..1]),
-        "dropping the second pair crash must make the job survivable"
-    );
-    assert!(
-        !crash_faults_violate_survival(config, 6, &minimal[1..]),
-        "dropping the first pair crash must make the job survivable"
-    );
+    for kept in &minimal.crashes {
+        let alone = JobSpec {
+            crashes: vec![*kept],
+            ..minimal.clone()
+        };
+        assert!(
+            !violates_survival(&alone),
+            "dropping the other pair crash must make the job survivable: {kept:?}"
+        );
+    }
 }
 
 #[test]
 fn shrink_violation_emits_a_replayable_spec_for_a_seeded_case() {
     // End-to-end shrink-to-seed: a seeded correlated-pair case violates
-    // survivability; `shrink` replays its sampled plan under the deterministic
-    // single-worker scheduler, minimizes the plan, and names the minimal
-    // plan as a spec line that `sdr_serve --queue` replays.
+    // survivability; `shrink` reruns its sampled spec under the
+    // deterministic single-worker scheduler, minimizes its faults, and
+    // returns the minimal case as a spec line that `sdr_serve --queue`
+    // replays.
     let config = CampaignConfig {
         ranks: 2,
         degree: 2,
@@ -248,39 +248,33 @@ fn shrink_violation_emits_a_replayable_spec_for_a_seeded_case() {
         },
     };
     let seed = 3;
-    let shrunk = shrink(sample_plan(config, seed), 6)
-        .expect("a correlated pair loss always violates survivability");
+    let sampled = case_spec(config, seed, 6, None);
+    let shrunk =
+        shrink(sampled.clone()).expect("a correlated pair loss always violates survivability");
     assert_eq!(
-        shrunk.minimal.len(),
+        shrunk.spec.crashes.len(),
         2,
-        "the minimal plan is exactly the two pair crashes: {:?}",
-        shrunk.minimal
+        "the minimal case is exactly the two pair crashes: {:?}",
+        shrunk.spec.crashes
     );
     assert!(shrunk.probes >= 1);
     // The spec line is the job the oracle's last failing probe ran: the
     // seed, the two pair crashes and the deterministic single worker.
-    let minimal_spec = JobSpec::parse_line(&shrunk.spec).expect("a valid spec line");
+    let line = shrunk.spec.to_json().encode();
+    let minimal_spec = JobSpec::parse_line(&line).expect("a valid spec line");
+    assert_eq!(minimal_spec, shrunk.spec);
     assert_eq!(minimal_spec.seed, seed);
-    let crashes: Vec<PlannedFault> = minimal_spec
-        .crashes
-        .iter()
-        .map(|c| PlannedFault::Crash {
-            endpoint: EndpointId(c.endpoint),
-            schedule: c.schedule,
-        })
-        .collect();
-    assert_eq!(crashes, shrunk.minimal);
     assert!(minimal_spec.sdc.is_empty() && minimal_spec.net_faults.is_none());
     assert_eq!(minimal_spec.workers, Some(1));
     let replayed = run_job(&minimal_spec, 0).expect("validated spec");
     assert_eq!(replayed.status, workloads::serve::JobStatus::Aborted);
-    // Sanity: the minimal plan is a subsequence of the sampled plan.
-    let full: Vec<PlannedFault> = shrunk.plan.faults.clone();
-    let mut cursor = full.iter();
-    for f in &shrunk.minimal {
+    // Sanity: the minimal crashes are a subsequence of the sampled ones.
+    let mut cursor = sampled.crashes.iter();
+    for c in &minimal_spec.crashes {
         assert!(
-            cursor.any(|g| g == f),
-            "minimal fault {f:?} not in sampled order in {full:?}"
+            cursor.any(|g| g == c),
+            "minimal crash {c:?} not in sampled order in {:?}",
+            sampled.crashes
         );
     }
 }
@@ -360,51 +354,35 @@ fn delayed_acks_campaign_is_fully_masked() {
 #[test]
 fn shrink_reduces_a_lossy_violation_to_the_transport_fault() {
     // Synthetic unmaskable case: a total-loss link policy (every faultable
-    // frame dropped) exhausts the retransmission-attempt cap, buried in a
+    // frame dropped) exhausts the retransmission-attempt cap, next to a
     // survivable single-replica noise crash. The shrinker must strip the
     // noise and return exactly the transport fault, and the emitted spec
     // line must carry it alone (the checked-in case lives in
     // tests/campaign_regressions.rs).
-    let config = CampaignConfig {
-        ranks: 2,
-        degree: 2,
-        dist: FaultDistribution::LossyLinks {
-            max_drop_per_64k: 1,
-            max_dup_per_64k: 1,
-            max_delay_per_64k: 1,
-        }, // shape only
-    };
-    let total_loss = PlannedFault::LossyTransport {
-        config: NetFaultConfig {
-            drop_per_64k: 65_536,
-            dup_per_64k: 0,
-            delay_per_64k: 0,
-            delay_ns: 0,
-            ack_only: false,
-        },
-        policy_seed: 7,
-    };
-    let noise = PlannedFault::Crash {
-        endpoint: EndpointId(2),
-        schedule: CrashSchedule::AfterSend { nth: 2 },
-    };
-    let plan = FaultPlan {
-        config,
-        seed: 7,
-        faults: vec![noise, total_loss],
-    };
-    let shrunk = shrink(plan, 6).expect("a total-loss policy must violate survivability");
-    assert_eq!(
-        shrunk.minimal,
-        vec![total_loss],
+    let spec = JobSpec::parse_line(
+        r#"{"id":"total-loss","workload":"collective","iterations":6,"ranks":2,
+            "class":"s","layout":"replicated","degree":2,"seed":7,
+            "crashes":[{"endpoint":2,"kind":"after-send","nth":2}],
+            "net":{"drop_per_64k":65536,"dup_per_64k":0,"delay_per_64k":0,
+                   "delay_ns":0,"ack_only":false,"seed":7}}"#,
+    )
+    .expect("a valid spec line");
+    let shrunk = shrink(spec.clone()).expect("a total-loss policy must violate survivability");
+    assert!(
+        shrunk.spec.crashes.is_empty(),
         "the noise crash must be stripped"
     );
-    let spec = JobSpec::parse_line(&shrunk.spec).expect("a valid spec line");
-    let net = spec.net_faults.expect("the transport fault is kept");
+    let line = shrunk.spec.to_json().encode();
+    let replay = JobSpec::parse_line(&line).expect("a valid spec line");
+    let net = replay.net_faults.expect("the transport fault is kept");
     assert_eq!((net.config.drop_per_64k, net.seed), (65_536, 7));
-    assert!(spec.crashes.is_empty(), "and the noise crash is not");
+    assert!(replay.crashes.is_empty(), "and the noise crash is not");
     assert!(
-        !crash_faults_violate_survival(config, 6, &[noise]),
+        !violates_survival(&JobSpec {
+            net_faults: None,
+            workers: Some(1),
+            ..spec
+        }),
         "the noise crash alone must be survivable"
     );
 }
@@ -429,19 +407,17 @@ fn violating_cases_are_recorded_with_their_seed_for_replay() {
             for (i, outcome) in outcomes.iter().enumerate() {
                 let spec = &outcome.record.spec;
                 assert_eq!(spec.seed, 50 + i as u64);
-                assert_eq!(outcome.plan.config, config);
-                assert_eq!(outcome.plan.seed, spec.seed);
-                let replayed: FaultPlan = sample_plan(config, spec.seed);
                 assert_eq!(
-                    replayed, outcome.plan,
-                    "the recorded (config, seed) must resample the identical plan"
+                    &case_spec(config, spec.seed, 6, None),
+                    spec,
+                    "the recorded (config, seed) must resample the identical case"
                 );
                 // The second handle: the case *is* a job spec, and its one-line
                 // JSON survives the `sdr_serve --queue` wire format unchanged.
                 let line = spec.to_json().encode();
                 assert!(!line.contains('\n'));
                 assert_eq!(JobSpec::parse_line(&line).as_ref(), Ok(spec));
-                assert_eq!(spec.crashes.len(), outcome.plan.crashes().count());
+                assert_eq!(spec.crashes.len(), 2, "both replicas of one rank");
             }
             // A violation report carries that line, so a failing CI artifact can be
             // pasted straight into a queue file.
@@ -537,10 +513,10 @@ fn every_case_record_is_reproduced_by_serving_its_spec_line() {
                     dist,
                 };
                 for seed in 1..=4 {
-                    let (plan, spec) = sampled_case(config, seed, 6, Some(1));
+                    let spec = case_spec(config, seed, 6, Some(1));
                     let line = spec.to_json().encode();
                     running.note(line.clone());
-                    let record = run_case(plan, 6, Some(1)).record;
+                    let record = run_case(config, spec).record;
                     assert_eq!(record.spec.to_json().encode(), line);
                     let served = JobSpec::parse_line(&line).expect("a valid spec line");
                     let replayed = run_job(&served, 0).expect("validated spec");
@@ -565,7 +541,7 @@ fn every_case_record_is_reproduced_by_serving_its_spec_line() {
 
 #[test]
 fn every_sampled_case_is_a_replayable_spec_line() {
-    // Whatever the planner samples — crashes, bit flips, transport policies
+    // Whatever the sampler draws — crashes, bit flips, transport policies
     // with seeds from the whole u64 range, partial layouts — the case's spec
     // must survive the `sdr_serve --queue` wire format unchanged, or the
     // replay handle in a violation report would not reproduce the case.
@@ -614,18 +590,12 @@ fn every_sampled_case_is_a_replayable_spec_line() {
             dist,
         };
         for seed in 0..12 {
-            let (plan, spec) = sampled_case(config, seed, 6, None);
+            let spec = case_spec(config, seed, 6, None);
             let line = spec.to_json().encode();
             assert_eq!(
                 JobSpec::parse_line(&line).as_ref(),
                 Ok(&spec),
                 "{} seed {seed}: {line}",
-                dist.name()
-            );
-            assert_eq!(
-                spec.crashes.len() + spec.sdc.len() + spec.net_faults.iter().count(),
-                plan.faults.len(),
-                "{} seed {seed}: every planned fault lands in the spec",
                 dist.name()
             );
             wide_seeds += spec

@@ -13,9 +13,10 @@ mod common;
 use common::{fast, figure3_expected, figure3_pattern, survivor_results};
 use sdr_core::{partial_replicated_job, replicated_job, AckOn, ReplicationConfig};
 use sim_mpi::{Process, ProcessOutcome, ReduceOp};
-use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution};
 use sim_net::{CrashSchedule, EndpointId};
 use std::time::Duration;
+use workloads::campaign::{case_spec, CampaignConfig, FaultDistribution};
+use workloads::serve::CrashFault;
 
 #[test]
 fn figure3_crash_of_p11_after_first_send() {
@@ -384,7 +385,7 @@ fn degree_three_sdc_flip_is_outvoted_and_counted_as_corrected() {
     let outcomes = workloads::campaign::run_campaign(config, 11, 4, 4, None);
     let mut injected_total = 0;
     for o in &outcomes {
-        let (seed, injected) = (o.plan.seed, o.record.sdc_flips_injected);
+        let (seed, injected) = (o.record.spec.seed, o.record.sdc_flips_injected);
         assert!(o.survived, "seed {seed}: SDC must never kill the job");
         assert!(o.violation.is_none(), "seed {seed}: {:?}", o.violation);
         assert_eq!(
@@ -410,7 +411,7 @@ fn sampled_mid_collective_crashes_are_survived_at_any_phase() {
     // endpoint, a random 1..=8th application send). Whatever phase the seed
     // lands on, the survivors must finish with the closed-form checksum —
     // compiled into the job exactly the way the campaign driver does it, one
-    // `FailureService::schedule` call per planned crash.
+    // `FailureService::schedule` call per sampled crash.
     let ranks = 4;
     let iterations = 6u64;
     let config = CampaignConfig {
@@ -421,10 +422,9 @@ fn sampled_mid_collective_crashes_are_survived_at_any_phase() {
     let expect = workloads::campaign::collective_checksum(ranks, iterations);
     let mut fired = 0usize;
     for seed in 40..46 {
-        let plan = sample_plan(config, seed);
         let mut builder = replicated_job(ranks, ReplicationConfig::dual()).network(fast());
-        for (endpoint, schedule) in plan.crashes() {
-            builder = builder.crash(endpoint, schedule);
+        for c in case_spec(config, seed, iterations, None).crashes {
+            builder = builder.crash(EndpointId(c.endpoint), c.schedule);
         }
         let report = builder.run(move |p| workloads::campaign::collective_app(p, iterations));
         fired += report.crashed().len();
@@ -457,16 +457,15 @@ fn sampled_correlated_pair_loss_surfaces_rank_lost_promptly() {
             horizon_sends: 4,
         },
     };
-    let plan = sample_plan(config, 3);
-    let crashes: Vec<_> = plan.crashes().collect();
+    let crashes: Vec<CrashFault> = case_spec(config, 3, 8, None).crashes;
     assert_eq!(crashes.len(), 2, "both replicas of one rank are scheduled");
-    let lost_rank = crashes[0].0 .0 % ranks;
-    assert_eq!(crashes[1].0 .0 % ranks, lost_rank, "same rank, twice");
+    let lost_rank = crashes[0].endpoint % ranks;
+    assert_eq!(crashes[1].endpoint % ranks, lost_rank, "same rank, twice");
 
     let started = std::time::Instant::now();
     let mut builder = replicated_job(ranks, ReplicationConfig::dual()).network(fast());
-    for (endpoint, schedule) in plan.crashes() {
-        builder = builder.crash(endpoint, schedule);
+    for c in &crashes {
+        builder = builder.crash(EndpointId(c.endpoint), c.schedule);
     }
     let report = builder.run(move |p| figure3_pattern(p, 8));
     assert!(

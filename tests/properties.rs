@@ -36,26 +36,6 @@ proptest! {
         prop_assert_eq!(ta.min(tb).as_nanos(), a.min(b));
     }
 
-    /// Group incl/excl partition the group; rank translation round-trips.
-    #[test]
-    fn group_incl_excl_partition(n in 1usize..24, picks in proptest::collection::btree_set(0usize..24, 0..12)) {
-        let picks: Vec<usize> = picks.into_iter().filter(|&p| p < n).collect();
-        let world = Group::world(n);
-        let incl = world.incl(&picks);
-        let excl = world.excl(&picks);
-        prop_assert_eq!(incl.size() + excl.size(), n);
-        for (i, &p) in picks.iter().enumerate() {
-            prop_assert_eq!(incl.world_rank(i), p);
-            prop_assert!(!excl.contains(p));
-        }
-        // union of the two parts gives back all world ranks.
-        let union = incl.union(&excl);
-        prop_assert_eq!(union.size(), n);
-        for r in 0..n {
-            prop_assert!(union.contains(r));
-        }
-    }
-
     /// `Group::rank_of` answers an identity hit without scanning; it must
     /// stay the linear scan's answer on world, prefix, permuted and sparse
     /// groups, for members and non-members alike.
@@ -67,7 +47,7 @@ proptest! {
         sparse in proptest::collection::btree_set(0usize..64, 0..24),
     ) {
         let world = Group::world(n);
-        let prefix = world.incl(&(0..prefix.min(n)).collect::<Vec<_>>());
+        let prefix = Group::from_members((0..prefix.min(n)).collect());
         // Permuted: transpositions leave some members at their own index
         // (the identity shortcut) and move others (the scan).
         let mut members: Vec<usize> = (0..n).collect();

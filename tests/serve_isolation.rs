@@ -240,17 +240,17 @@ fn stack_peak_is_per_job_even_under_heavy_concurrency() {
 
 /// The same contract for fault-campaign cases, which run as specs: a crash
 /// case, a partial-coverage crash case and a lossy-transport case, each
-/// compiled from its sampled plan by `campaign::case_spec` and run through
-/// the serve engine, must match a `JobBuilder` assembled by hand from the
-/// same plan — the way the campaign driver launched jobs before it shared
-/// the spec path — in trace digest, per-process result bits and virtual
-/// elapsed time, at `workers: 1`.
+/// sampled by `campaign::case_spec` and run through the serve engine, must
+/// match a `JobBuilder` assembled by hand from the spec's fields — layout,
+/// crashes, flips and transport policy installed one call at a time,
+/// without `JobSpec::compile` — in trace digest, per-process result bits and
+/// virtual elapsed time, at `workers: 1`.
 #[test]
 fn campaign_cases_as_specs_match_hand_built_jobs() {
     use sdr_core::{partial_replicated_job, replicated_job, ReplicationConfig};
     use sim_mpi::SdcFlip;
-    use sim_net::campaign::{sample_plan, CampaignConfig, FaultDistribution, PlannedFault};
-    use workloads::campaign::{case_spec, collective_app, lossy_workload};
+    use sim_net::EndpointId;
+    use workloads::campaign::{case_spec, collective_app, CampaignConfig, FaultDistribution};
     use workloads::nas::{run_kernel, NasConfig};
     use workloads::serve::{trace_digest, WorkloadKind};
 
@@ -292,15 +292,9 @@ fn campaign_cases_as_specs_match_hand_built_jobs() {
         "campaign_cases_as_specs_match_hand_built_jobs",
         move |running| {
             for (config, seed) in cases {
-                let plan = sample_plan(config, seed);
-                let workload = match config.dist {
-                    FaultDistribution::LossyLinks { .. } => lossy_workload(seed, iterations),
-                    _ => WorkloadKind::Collective { iterations },
-                };
-                let workers = Some(1);
                 let spec = JobSpec {
                     trace: true,
-                    ..case_spec(&plan, workload.clone(), workers)
+                    ..case_spec(config, seed, iterations, Some(1))
                 };
                 running.note(spec.to_json().encode());
                 let record = run_job(&spec, 0).expect("a campaign case compiles");
@@ -315,24 +309,25 @@ fn campaign_cases_as_specs_match_hand_built_jobs() {
                 .network(common::fast())
                 .workers(1)
                 .trace(true);
-                assert!(!plan.faults.is_empty(), "{}: the plan must inject", spec.id);
-                for fault in &plan.faults {
-                    builder = match *fault {
-                        PlannedFault::Crash { endpoint, schedule } => {
-                            builder.crash(endpoint, schedule)
-                        }
-                        PlannedFault::BitFlip {
-                            endpoint,
-                            nth_send,
-                            bit,
-                        } => builder.sdc_flip(endpoint, SdcFlip { nth_send, bit }),
-                        PlannedFault::LossyTransport {
-                            config,
-                            policy_seed,
-                        } => builder.net_faults(config, policy_seed),
-                    };
+                assert!(
+                    !spec.crashes.is_empty() || !spec.sdc.is_empty() || spec.net_faults.is_some(),
+                    "{}: the case must inject",
+                    spec.id
+                );
+                for c in &spec.crashes {
+                    builder = builder.crash(EndpointId(c.endpoint), c.schedule);
                 }
-                let report = match workload {
+                for f in &spec.sdc {
+                    let flip = SdcFlip {
+                        nth_send: f.nth_send,
+                        bit: f.bit,
+                    };
+                    builder = builder.sdc_flip(EndpointId(f.endpoint), flip);
+                }
+                if let Some(net) = spec.net_faults {
+                    builder = builder.net_faults(net.config, net.seed);
+                }
+                let report = match spec.workload {
                     WorkloadKind::Nas(kernel) => {
                         let cfg = NasConfig::class_s();
                         builder.run(move |p| run_kernel(kernel, p, &cfg))
