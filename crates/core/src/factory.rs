@@ -95,7 +95,7 @@ mod tests {
     use super::*;
     use crate::config::AckOn;
     use bytes::Bytes;
-    use sim_mpi::{ReduceOp, ANY_SOURCE};
+    use sim_mpi::{datatype, ReduceOp, ANY_SOURCE};
     use sim_net::{CrashSchedule, LogGpModel, NetFaultConfig, SimTime};
 
     fn fast() -> LogGpModel {
@@ -156,23 +156,18 @@ mod tests {
             .network(fast())
             .run(|p| {
                 let world = p.world();
-                p.barrier(world);
                 let sum = p.allreduce_f64(world, ReduceOp::Sum, (p.rank() + 1) as f64);
-                let bcast = p.bcast_f64s(
-                    world,
-                    1,
-                    if p.rank() == 1 {
-                        Some(&[2.5][..])
-                    } else {
-                        None
-                    },
-                );
-                let gathered = p.gather_bytes(world, 0, Bytes::from(vec![p.rank() as u8]));
-                let gathered_ok = match gathered {
-                    Some(blocks) => blocks.iter().enumerate().all(|(i, b)| b[0] as usize == i),
-                    None => true,
-                };
-                (sum, bcast[0], gathered_ok)
+                let root_data = (p.rank() == 1).then(|| datatype::f64_to_bytes(2.5));
+                let bcast = datatype::bytes_to_f64(&p.bcast_bytes(world, 1, root_data));
+                let blocks = (0..4)
+                    .map(|d| Bytes::from(vec![(p.rank() * 10 + d) as u8]))
+                    .collect();
+                let exchanged = p.alltoall_bytes(world, blocks);
+                let exchanged_ok = exchanged
+                    .iter()
+                    .enumerate()
+                    .all(|(src, b)| b[0] as usize == src * 10 + p.rank());
+                (sum, bcast, exchanged_ok)
             });
         assert!(report.all_finished());
         for r in report.primary_results() {
@@ -658,21 +653,6 @@ mod tests {
             report.stats.dups_suppressed(),
             report.stats.msgs_duplicated()
         );
-    }
-
-    #[test]
-    fn comm_split_under_replication() {
-        let report = replicated_job(4, ReplicationConfig::dual())
-            .network(fast())
-            .run(|p| {
-                let world = p.world();
-                let color = (p.rank() / 2) as i64;
-                let sub = p.comm_split(world, color, 0).unwrap();
-                p.allreduce_f64(sub, ReduceOp::Sum, p.rank() as f64)
-            });
-        assert!(report.all_finished());
-        let results = report.primary_results();
-        assert_eq!(results, vec![&1.0, &1.0, &5.0, &5.0]);
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub use factory::{
     coverage_job, mapped_job, native_job, partial_replicated_job, replicated_job, SdrFactory,
 };
 pub use layout::{LayoutError, ReplicaMap};
-pub use protocol::{SdrCounters, SdrProtocol, SeqTracker};
+pub use protocol::{SdrProtocol, SeqTracker};

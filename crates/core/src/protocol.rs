@@ -186,21 +186,6 @@ pub(crate) struct RecvEntry {
     pub(crate) post_arrival_cost: SimTime,
 }
 
-/// Counters exposed for experiments and tests.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SdrCounters {
-    /// Acknowledgements emitted by this process.
-    pub acks_sent: u64,
-    /// Acknowledgements received by this process.
-    pub acks_received: u64,
-    /// Application messages re-sent on behalf of a failed replica.
-    pub resends: u64,
-    /// Duplicate application messages dropped by the sequence filter.
-    pub duplicates_dropped: u64,
-    /// Failure notifications handled.
-    pub failures_handled: u64,
-}
-
 /// The per-physical-process SDR-MPI protocol instance.
 pub struct SdrProtocol {
     pub(crate) map: Arc<ReplicaMap>,
@@ -243,7 +228,6 @@ pub struct SdrProtocol {
     /// iff a `NetFaultPolicy` is installed on the fabric). Switches on
     /// ack-everyone, the retransmission timer and the finalize drain.
     lossy: bool,
-    counters: SdrCounters,
 }
 
 impl std::fmt::Debug for SdrProtocol {
@@ -296,13 +280,7 @@ impl SdrProtocol {
             early_acks: HashMap::default(),
             fin_acked: HashMap::default(),
             lossy: false,
-            counters: SdrCounters::default(),
         }
-    }
-
-    /// Experiment counters.
-    pub fn counters(&self) -> SdrCounters {
-        self.counters
     }
 
     /// Has this process already delivered application message `seq` from
@@ -353,13 +331,11 @@ impl SdrProtocol {
                     Bytes::new(),
                     not_before,
                 );
-                self.counters.acks_sent += 1;
             }
         }
     }
 
     fn register_ack(&mut self, from: EndpointId, seq: u64, arrival: SimTime) {
-        self.counters.acks_received += 1;
         let (dst_rank, replica) = self.map.locate(from);
         let bit = 1 << replica;
         // Find the matching send entry (messages to `dst_rank` with `seq`).
@@ -401,7 +377,6 @@ impl SdrProtocol {
             // payload and re-arm the receive with the same filter.
             let src = entry.src_rank.map(|r| self.physical_src[r]);
             let (comm, tag) = (entry.comm, entry.tag);
-            self.counters.duplicates_dropped += 1;
             if self.lossy {
                 // The sender evidently lost our acknowledgement: re-emit it.
                 self.send_acks_for(pml, src_rank, src_replica, seq, meta.arrival);
@@ -525,7 +500,6 @@ impl SdrProtocol {
                 if entry.dst_rank == rrank && entry.acks_received & inherited == 0 {
                     let (comm, tag, aux) = (entry.comm, entry.tag, entry.seq as i64);
                     pml.isend(recovered, comm, tag, aux, entry.payload.clone());
-                    self.counters.resends += 1;
                 }
             }
         }
@@ -537,7 +511,6 @@ impl SdrProtocol {
             return; // unknown or already handled
         }
         self.alive[ev.endpoint.0] = false;
-        self.counters.failures_handled += 1;
         let (failed_rank, failed_rep) = self.map.locate(ev.endpoint);
         let Some(sub) = self.map.lowest_live_replica(failed_rank, &self.alive) else {
             // Every replica of the rank is gone; nothing the protocol can do
@@ -583,7 +556,6 @@ impl SdrProtocol {
                         if entry.acks_received & bit == 0 {
                             let (comm, tag, aux) = (entry.comm, entry.tag, entry.seq as i64);
                             pml.isend(target, comm, tag, aux, entry.payload.clone());
-                            self.counters.resends += 1;
                         }
                         // Delivery is now guaranteed over our own reliable
                         // channel; stop waiting for that ack.
@@ -749,7 +721,6 @@ impl SdrProtocol {
                 Bytes::new(),
                 arrival,
             );
-            self.counters.acks_sent += 1;
         }
         // Not seen yet: our own direct sender's retransmission timer is in
         // charge of getting the payload here; we will ack on delivery.
@@ -995,7 +966,6 @@ impl Protocol for SdrProtocol {
                 // made it through after all: the sender is still missing our
                 // acknowledgement, so re-emit it.
                 let (src_rank, src_replica) = self.map.locate(src);
-                self.counters.duplicates_dropped += 1;
                 self.send_acks_for(pml, src_rank, src_replica, aux as u64, arrival);
             }
             PmlEvent::ProcessFailed(ev) => self.handle_failure(pml, ev),
@@ -1208,12 +1178,6 @@ mod tests {
         uniform(0, 1, ReplicationConfig::with_degree(65));
     }
 
-    #[test]
-    fn counters_start_at_zero() {
-        let proto = uniform(0, 2, ReplicationConfig::dual());
-        assert_eq!(proto.counters(), SdrCounters::default());
-    }
-
     fn pml_for(endpoint: usize, n: usize) -> Pml {
         use sim_net::{Fabric, LogGpModel};
         let f = Fabric::with_defaults(n, LogGpModel::fast_test_model());
@@ -1252,7 +1216,6 @@ mod tests {
             0,
             "last ack garbage-collects the entry"
         );
-        assert_eq!(proto.counters().acks_received, 1);
     }
 
     #[test]

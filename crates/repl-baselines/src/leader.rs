@@ -65,8 +65,6 @@ pub struct LeaderParallelProtocol {
     early_decisions: HashMap<u64, (Rank, SimTime)>,
     /// Decisions the leader still has to announce (src rank per anon seq).
     announce_queue: VecDeque<(u64, Rank)>,
-    decisions_sent: u64,
-    decisions_received: u64,
 }
 
 impl LeaderParallelProtocol {
@@ -81,18 +79,11 @@ impl LeaderParallelProtocol {
             next_req: 1 << 32,
             early_decisions: HashMap::new(),
             announce_queue: VecDeque::new(),
-            decisions_sent: 0,
-            decisions_received: 0,
         }
     }
 
     fn is_leader(&self) -> bool {
         self.inner.replica_id() == 0
-    }
-
-    /// Number of decision messages sent / received by this process.
-    pub fn decision_counts(&self) -> (u64, u64) {
-        (self.decisions_sent, self.decisions_received)
     }
 
     fn announce(&mut self, pml: &mut Pml, anon_seq: u64, src_rank: Rank) {
@@ -104,7 +95,6 @@ impl LeaderParallelProtocol {
         for rep in 1..self.map.degree_of(my_rank) {
             let target = self.map.endpoint(my_rank, rep);
             pml.send_control(target, class::CONTROL, header, Bytes::new());
-            self.decisions_sent += 1;
         }
     }
 }
@@ -235,7 +225,6 @@ impl Protocol for LeaderParallelProtocol {
                 let seq = header[1] as u64;
                 let src_rank = header[2] as usize;
                 let arrival = *arrival;
-                self.decisions_received += 1;
                 // Post the deferred anonymous receive if it is already known;
                 // otherwise remember the decision for when it gets posted.
                 let mut posted = None;
@@ -281,13 +270,6 @@ pub struct LeaderFactory {
 }
 
 impl LeaderFactory {
-    /// Dual replication, leader-based non-determinism handling.
-    pub fn dual() -> Self {
-        LeaderFactory {
-            cfg: ReplicationConfig::dual(),
-        }
-    }
-
     /// Explicit configuration.
     pub fn new(cfg: ReplicationConfig) -> Self {
         LeaderFactory { cfg }

@@ -35,7 +35,6 @@ pub struct MirrorProtocol {
     /// redundant copies from the unexpected queue.
     delivered: Vec<u64>,
     events_since_purge: u32,
-    redundant_copies_sent: u64,
 }
 
 impl MirrorProtocol {
@@ -49,13 +48,7 @@ impl MirrorProtocol {
             send_seq: vec![0; app_ranks],
             delivered: vec![0; app_ranks],
             events_since_purge: 0,
-            redundant_copies_sent: 0,
         }
-    }
-
-    /// Number of redundant (non-primary) copies this process has sent.
-    pub fn redundant_copies_sent(&self) -> u64 {
-        self.redundant_copies_sent
     }
 
     fn purge_redundant(&mut self, pml: &mut Pml) {
@@ -103,7 +96,6 @@ impl Protocol for MirrorProtocol {
             }
             let target = self.map.endpoint(dst, rep);
             pml.isend(target, comm, tag, seq as i64, payload.clone());
-            self.redundant_copies_sent += 1;
         }
         self.inner.isend(pml, dst, comm, tag, payload)
     }
@@ -167,11 +159,6 @@ impl MirrorFactory {
     pub fn new(degree: usize) -> Self {
         assert!(degree >= 1);
         MirrorFactory { degree }
-    }
-
-    /// Dual mirror replication.
-    pub fn dual() -> Self {
-        MirrorFactory::new(2)
     }
 }
 

@@ -54,10 +54,6 @@ struct SdcReportInner {
     comparisons: u64,
     mismatches: u64,
     corrected: u64,
-    /// `(source rank, per-source seq)` keys of the detected corruptions, in
-    /// detection order — the fault-campaign engine matches these against its
-    /// injection plan.
-    detected: Vec<(Rank, u64)>,
 }
 
 impl SdcReport {
@@ -66,12 +62,11 @@ impl SdcReport {
         Arc::new(SdcReport::default())
     }
 
-    fn record(&self, key: (Rank, u64), mismatch: bool, corrected: bool) {
+    fn record(&self, mismatch: bool, corrected: bool) {
         let mut g = self.inner.lock();
         g.comparisons += 1;
         if mismatch {
             g.mismatches += 1;
-            g.detected.push(key);
         }
         if corrected {
             g.corrected += 1;
@@ -93,12 +88,6 @@ impl SdcReport {
     /// the corruption is *corrected*, not merely detected.
     pub fn corrected(&self) -> u64 {
         self.inner.lock().corrected
-    }
-
-    /// `(source rank, per-source seq)` keys of the detected corruptions, in
-    /// detection order (one entry per mismatching comparison).
-    pub fn detected_keys(&self) -> Vec<(Rank, u64)> {
-        self.inner.lock().detected.clone()
     }
 }
 
@@ -172,7 +161,7 @@ impl RedMpiProtocol {
                 .iter()
                 .any(|&v| votes.iter().filter(|&&x| x == v).count() * 2 > n)
         };
-        self.report.record(key, mismatch, corrected);
+        self.report.record(mismatch, corrected);
     }
 }
 
@@ -432,8 +421,6 @@ mod tests {
         // seen twice (once by each receiver replica of rank 1).
         assert_eq!(report_handle.mismatches(), 2);
         assert!(report_handle.comparisons() >= 8);
-        // Both detections carry the corrupted message's identity.
-        assert_eq!(report_handle.detected_keys(), vec![(0, 2), (0, 2)]);
         // The primary replica set still computed the uncorrupted result.
         assert_eq!(result.primary_results()[1], &42);
     }
@@ -459,7 +446,6 @@ mod tests {
         assert!(result.all_finished());
         assert_eq!(result.stats.sdc_flips_injected(), 1);
         assert_eq!(report_handle.mismatches(), 1);
-        assert_eq!(report_handle.detected_keys(), vec![(0, 1)]);
         assert_eq!(report_handle.corrected(), 0, "two votes can only tie");
         // The primary replica set never saw the corruption.
         assert_eq!(result.primary_results()[1], &42);
@@ -491,7 +477,6 @@ mod tests {
             1,
             "minority of three is outvoted"
         );
-        assert_eq!(report_handle.detected_keys(), vec![(0, 1)]);
         // 3 replicas × 4 messages, each checked against 2 remote hashes.
         assert_eq!(report_handle.comparisons(), 12);
         assert_eq!(result.primary_results()[1], &42);

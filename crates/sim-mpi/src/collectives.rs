@@ -8,13 +8,13 @@
 //! (native, SDR-MPI, mirror, leader-based, redMPI) transparently applies to
 //! collective traffic too.
 //!
-//! Algorithms are the textbook ones used by MPICH/Open MPI for medium-size
-//! messages: binomial trees for bcast/reduce, recursive doubling for
-//! allreduce (power-of-two), ring allgather, pairwise alltoall and a
-//! dissemination barrier.
+//! These are the collectives the workloads call. Algorithms are the textbook
+//! ones used by MPICH/Open MPI for medium-size messages: binomial trees for
+//! bcast/reduce, recursive doubling for allreduce (power-of-two) and
+//! pairwise alltoall.
 
 use crate::datatype;
-use crate::process::{Comm, Process, Request};
+use crate::process::{Comm, Process};
 use crate::types::Rank;
 use bytes::Bytes;
 
@@ -63,33 +63,13 @@ impl ReduceOp {
 }
 
 mod op_code {
-    pub const BARRIER: i64 = 1;
     pub const BCAST: i64 = 2;
     pub const REDUCE: i64 = 3;
     pub const ALLREDUCE: i64 = 4;
-    pub const GATHER: i64 = 5;
-    pub const ALLGATHER: i64 = 6;
     pub const ALLTOALL: i64 = 8;
 }
 
 impl Process {
-    /// `MPI_Barrier`: dissemination barrier, `⌈log2 p⌉` rounds.
-    pub fn barrier(&mut self, comm: Comm) {
-        let size = self.comm_size(comm);
-        if size <= 1 {
-            return;
-        }
-        let rank = self.comm_rank(comm);
-        let tag = self.next_coll_tag(comm, op_code::BARRIER);
-        let mut dist = 1usize;
-        while dist < size {
-            let to = (rank + dist) % size;
-            let from = (rank + size - dist) % size;
-            self.sendrecv_bytes(comm, to, tag, Bytes::new(), from as i64, tag);
-            dist *= 2;
-        }
-    }
-
     /// `MPI_Bcast` of raw bytes using a binomial tree. The root passes
     /// `Some(data)`; every process (including the root) gets the data back.
     pub fn bcast_bytes(&mut self, comm: Comm, root: Rank, data: Option<Bytes>) -> Bytes {
@@ -128,12 +108,6 @@ impl Process {
         buf
     }
 
-    /// `MPI_Bcast` of an `f64` vector.
-    pub fn bcast_f64s(&mut self, comm: Comm, root: Rank, data: Option<&[f64]>) -> Vec<f64> {
-        let bytes = self.bcast_bytes(comm, root, data.map(datatype::f64s_to_bytes));
-        datatype::bytes_to_f64s(&bytes)
-    }
-
     /// Binomial-tree reduce over `acc`: on return the root's `acc` holds the
     /// result (elsewhere a partial one). Received payloads are combined
     /// straight from their bytes, so a round allocates only what it sends.
@@ -164,18 +138,10 @@ impl Process {
         }
     }
 
-    /// `MPI_Allreduce` of an `f64` vector: recursive doubling when the
-    /// communicator size is a power of two, reduce-then-broadcast otherwise.
-    pub fn allreduce_f64s(&mut self, comm: Comm, op: ReduceOp, contribution: &[f64]) -> Vec<f64> {
-        let mut acc = contribution.to_vec();
-        self.allreduce_in_place(comm, op, &mut acc);
-        acc
-    }
-
-    /// The allreduce behind [`Process::allreduce_f64s`] and
-    /// [`Process::allreduce_f64`], over a caller-owned accumulator: no `Vec`
-    /// per round, and for up to four words (an inline payload) no allocation
-    /// at all.
+    /// The allreduce behind [`Process::allreduce_f64`], over a caller-owned
+    /// accumulator: recursive doubling when the communicator size is a power
+    /// of two, reduce-then-broadcast otherwise. No `Vec` per round, and for
+    /// up to four words (an inline payload) no allocation at all.
     fn allreduce_in_place(&mut self, comm: Comm, op: ReduceOp, acc: &mut [f64]) {
         let size = self.comm_size(comm);
         let rank = self.comm_rank(comm);
@@ -213,70 +179,6 @@ impl Process {
         let mut acc = [value];
         self.allreduce_in_place(comm, op, &mut acc);
         acc[0]
-    }
-
-    /// `MPI_Gather` of raw byte blocks to `root`. Returns `Some(blocks)` in
-    /// communicator-rank order on the root, `None` elsewhere.
-    pub fn gather_bytes(
-        &mut self,
-        comm: Comm,
-        root: Rank,
-        contribution: Bytes,
-    ) -> Option<Vec<Bytes>> {
-        let size = self.comm_size(comm);
-        let rank = self.comm_rank(comm);
-        let tag = self.next_coll_tag(comm, op_code::GATHER);
-        if rank == root {
-            // Post all receives first, then collect.
-            let mut reqs: Vec<Option<Request>> = Vec::with_capacity(size);
-            for src in 0..size {
-                if src == rank {
-                    reqs.push(None);
-                } else {
-                    reqs.push(Some(self.irecv_bytes(comm, src as i64, tag)));
-                }
-            }
-            let mut out = vec![Bytes::new(); size];
-            out[rank] = contribution;
-            for (src, req) in reqs.into_iter().enumerate() {
-                if let Some(req) = req {
-                    let (_, payload) = self.wait(comm, req);
-                    out[src] = payload.expect("gather receive yields payload");
-                }
-            }
-            Some(out)
-        } else {
-            self.send_bytes(comm, root, tag, contribution);
-            None
-        }
-    }
-
-    /// `MPI_Allgather` of raw byte blocks using the ring algorithm. Returns
-    /// the blocks of every rank in communicator-rank order.
-    pub fn allgather_bytes(&mut self, comm: Comm, contribution: Bytes) -> Vec<Bytes> {
-        let size = self.comm_size(comm);
-        let rank = self.comm_rank(comm);
-        let tag = self.next_coll_tag(comm, op_code::ALLGATHER);
-        let mut blocks: Vec<Option<Bytes>> = vec![None; size];
-        blocks[rank] = Some(contribution);
-        if size == 1 {
-            return blocks.into_iter().map(|b| b.unwrap()).collect();
-        }
-        let right = (rank + 1) % size;
-        let left = (rank + size - 1) % size;
-        for step in 0..size - 1 {
-            let send_idx = (rank + size - step) % size;
-            let recv_idx = (rank + size - step - 1) % size;
-            let payload = blocks[send_idx]
-                .clone()
-                .expect("block to forward is present");
-            let (_, received) = self.sendrecv_bytes(comm, right, tag, payload, left as i64, tag);
-            blocks[recv_idx] = Some(received);
-        }
-        blocks
-            .into_iter()
-            .map(|b| b.expect("ring completed"))
-            .collect()
     }
 
     /// `MPI_Alltoall` of per-destination byte blocks (one block per rank).

@@ -4,15 +4,14 @@
 //! The real MPI datatype engine (derived types, packing) is far larger than
 //! anything the replication protocol interacts with; SDR-MPI treats payloads
 //! as opaque bytes. We therefore only provide the conversions the workloads
-//! need: `f64`, `i64`, `u64` and raw bytes, all little-endian.
+//! need: `f64`, `u64` and raw bytes, all little-endian.
 //!
 //! Encoding writes each byte once, into the buffer the fabric will carry
 //! ([`Bytes::from_fill`]): a payload of up to `bytes::INLINE_CAP` bytes —
 //! every scalar halo and allreduce word — touches no allocator, a larger one
 //! costs one allocation and no copy. Decoding has a non-allocating form for
-//! one word ([`bytes_to_f64`], [`bytes_to_u64`]) and for many
-//! ([`iter_f64s`]); the `bytes_to_*s` functions collect the same words into
-//! a `Vec`.
+//! one word ([`bytes_to_f64`]) and for many ([`iter_f64s`]); the
+//! `bytes_to_*s` functions collect the same words into a `Vec`.
 
 use bytes::Bytes;
 
@@ -79,16 +78,6 @@ pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
     iter_f64s(bytes).collect()
 }
 
-/// Encode a slice of `i64` values.
-pub fn i64s_to_bytes(values: &[i64]) -> Bytes {
-    encode_words(values.len(), values.iter().copied(), i64::to_le_bytes)
-}
-
-/// Decode a payload produced by [`i64s_to_bytes`].
-pub fn bytes_to_i64s(bytes: &[u8]) -> Vec<i64> {
-    decode_words(bytes, i64::from_le_bytes).collect()
-}
-
 /// Encode a slice of `u64` values.
 pub fn u64s_to_bytes(values: &[u64]) -> Bytes {
     encode_words(values.len(), values.iter().copied(), u64::to_le_bytes)
@@ -110,17 +99,6 @@ pub fn bytes_to_f64(bytes: &[u8]) -> f64 {
     f64::from_le_bytes(bytes.try_into().expect("8 bytes"))
 }
 
-/// Encode a single `u64`.
-pub fn u64_to_bytes(v: u64) -> Bytes {
-    Bytes::copy_from_slice(&v.to_le_bytes())
-}
-
-/// Decode a single `u64` (panics on wrong length).
-pub fn bytes_to_u64(bytes: &[u8]) -> u64 {
-    assert_eq!(bytes.len(), 8, "expected 8 bytes for a u64");
-    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn i64_roundtrip() {
-        let v = vec![0, -1, i64::MAX, i64::MIN, 42];
-        assert_eq!(bytes_to_i64s(&i64s_to_bytes(&v)), v);
-    }
-
-    #[test]
     fn u64_roundtrip() {
         let v = vec![0, 1, u64::MAX, 0xdead_beef];
         assert_eq!(bytes_to_u64s(&u64s_to_bytes(&v)), v);
@@ -146,7 +118,6 @@ mod tests {
     #[test]
     fn scalar_roundtrip() {
         assert_eq!(bytes_to_f64(&f64_to_bytes(2.75)), 2.75);
-        assert_eq!(bytes_to_u64(&u64_to_bytes(77)), 77);
     }
 
     #[test]
@@ -176,7 +147,7 @@ mod tests {
     #[test]
     fn empty_slices() {
         assert!(bytes_to_f64s(&f64s_to_bytes(&[])).is_empty());
-        assert!(bytes_to_i64s(&i64s_to_bytes(&[])).is_empty());
+        assert!(bytes_to_u64s(&u64s_to_bytes(&[])).is_empty());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * non-blocking point-to-point communication with MPI matching semantics
 //!   (source/tag wildcards, unexpected-message queue) — [`pml`], [`matching`];
-//! * communicators and groups, with `MPI_Comm_split` — [`comm`],
-//!   [`process`];
+//! * one world communicator per replica set, as SDR-MPI's transparent
+//!   `MPI_COMM_WORLD` (Figure 6) — [`comm`], [`process`];
 //! * collective operations implemented over point-to-point — [`collectives`];
 //! * a protocol interception layer equivalent to Open MPI's vProtocol
 //!   framework, through which SDR-MPI and the baseline replication protocols
@@ -46,7 +46,7 @@ pub mod runtime;
 pub mod types;
 
 pub use collectives::ReduceOp;
-pub use comm::{CommInfo, Group};
+pub use comm::CommInfo;
 pub use matching::PmlReqId;
 pub use pml::{MsgMeta, Pml, PmlEvent, SdcFlip};
 pub use process::{Comm, Process, Request};
@@ -54,6 +54,4 @@ pub use protocol::{
     NativeFactory, NativeProtocol, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory,
 };
 pub use runtime::{JobBuilder, JobReport, ProcessOutcome, ProcessReport};
-pub use types::{
-    CommId, MpiError, MpiResult, Rank, Source, Status, Tag, TagSel, ANY_SOURCE, ANY_TAG,
-};
+pub use types::{CommId, MpiError, MpiResult, Rank, Status, Tag, TagSel, ANY_SOURCE, ANY_TAG};

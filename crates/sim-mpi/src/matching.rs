@@ -204,10 +204,8 @@ impl MatchingEngine {
     }
 
     /// The bucket of `comm_map` holding the earliest-arriving message that
-    /// matches the (src, tag) filter pair, honouring wildcards. Shared by
-    /// [`MatchingEngine::take_unexpected`] (which pops it) and
-    /// [`MatchingEngine::probe`] (which peeks), so the two can never disagree
-    /// about which message matches first.
+    /// matches the (src, tag) filter pair, honouring wildcards; what
+    /// [`MatchingEngine::take_unexpected`] pops.
     fn earliest_unexpected_bucket(
         comm_map: &UnexpectedBuckets,
         src: Option<EndpointId>,
@@ -376,22 +374,6 @@ impl MatchingEngine {
         let at = bucket.partition_point(|&(s, _)| s < seq);
         bucket.insert(at, (seq, posting));
         None
-    }
-
-    /// Is there an unexpected message matching (comm, src, tag)? Used by
-    /// `MPI_Iprobe`-style calls.
-    pub fn probe(
-        &self,
-        comm: CommId,
-        src: Option<EndpointId>,
-        tag: TagSel,
-    ) -> Option<&IncomingMsg> {
-        let comm_map = self.unexpected.get(&comm)?;
-        let bucket = Self::earliest_unexpected_bucket(comm_map, src, tag)?;
-        comm_map
-            .get(&bucket)
-            .and_then(|q| q.front())
-            .map(|(_, m)| m)
     }
 
     /// Number of currently posted receives.
@@ -583,21 +565,6 @@ mod tests {
         // Now a message from 9 matches, one from 3 does not.
         assert!(eng.incoming(msg(3, 1, 5, 0)).is_none());
         assert!(eng.incoming(msg(9, 1, 5, 1)).is_some());
-    }
-
-    #[test]
-    fn probe_finds_unexpected_without_removing() {
-        let mut eng = MatchingEngine::new();
-        eng.incoming(msg(2, 1, 7, 0));
-        assert!(eng.probe(CommId(1), None, TagSel::Any).is_some());
-        assert!(eng
-            .probe(CommId(1), Some(EndpointId(2)), TagSel::Tag(7))
-            .is_some());
-        assert!(eng
-            .probe(CommId(1), Some(EndpointId(3)), TagSel::Tag(7))
-            .is_none());
-        assert!(eng.probe(CommId(2), None, TagSel::Any).is_none());
-        assert_eq!(eng.unexpected_len(), 1, "probe must not consume");
     }
 
     #[test]

@@ -803,7 +803,7 @@ mod tests {
         // Progress with no posted recv: message becomes unexpected, no event.
         // (Block so the clock advances past the arrival time.)
         std::thread::sleep(std::time::Duration::from_millis(5));
-        p1.compute(SimTime::from_secs(1));
+        p1.compute(SimTime::from_micros(1_000_000));
         let events = p1.progress();
         assert!(events.is_empty());
         assert_eq!(p1.matching().unexpected_len(), 1);

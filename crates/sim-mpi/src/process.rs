@@ -1,14 +1,14 @@
-//! The application-facing process handle: MPI-like point-to-point calls,
-//! request completion (wait/test), and communicator management.
+//! The application-facing process handle: MPI-like point-to-point calls and
+//! request completion (wait/test) on the world communicator.
 //!
 //! A [`Process`] combines the [`Pml`] (point-to-point engine), the active
-//! [`Protocol`] (native pass-through or a replication protocol) and the
-//! communicator table. Workloads are written against this API only — the same
-//! code runs natively or replicated depending on which protocol factory the
-//! job was launched with, which is the paper's transparency argument for
-//! implementing replication inside the library.
+//! [`Protocol`] (native pass-through or a replication protocol) and its view
+//! of the world communicator ([`crate::comm`]). Workloads are written against
+//! this API only — the same code runs natively or replicated depending on
+//! which protocol factory the job was launched with, which is the paper's
+//! transparency argument for implementing replication inside the library.
 
-use crate::comm::{derive_comm_id, CommInfo, Group};
+use crate::comm::CommInfo;
 use crate::datatype;
 use crate::pml::{Pml, PmlEvent};
 use crate::protocol::{ProtoRecvReq, ProtoSendReq, Protocol};
@@ -17,7 +17,8 @@ use bytes::Bytes;
 use sim_net::trace::{digest, EventKind, EventTrace, TraceEvent};
 use sim_net::SimTime;
 
-/// Handle to a communicator owned by a [`Process`].
+/// Handle to a communicator owned by a [`Process`]. A job has one, the
+/// world ([`crate::comm`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Comm(pub(crate) usize);
 
@@ -39,7 +40,7 @@ pub enum Request {
 pub struct Process {
     pml: Pml,
     protocol: Box<dyn Protocol>,
-    comms: Vec<CommInfo>,
+    world: CommInfo,
     trace: EventTrace,
 }
 
@@ -61,7 +62,7 @@ impl Process {
         Process {
             pml,
             protocol,
-            comms: vec![world],
+            world,
             trace,
         }
     }
@@ -76,11 +77,6 @@ impl Process {
     /// Number of ranks in the application world.
     pub fn size(&self) -> usize {
         self.protocol.app_size()
-    }
-
-    /// Replica id of the underlying physical process (0 when not replicated).
-    pub fn replica_id(&self) -> usize {
-        self.protocol.replica_id()
     }
 
     /// The world communicator.
@@ -104,81 +100,30 @@ impl Process {
         &self.pml
     }
 
-    /// Access the event trace.
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
-    }
-
     /// Access the active protocol (diagnostics).
     pub fn protocol(&self) -> &dyn Protocol {
         self.protocol.as_ref()
     }
 
-    // -- communicators --------------------------------------------------------
+    // -- the world communicator -----------------------------------------------
 
+    /// The world's [`CommInfo`]; any other handle is rejected.
     fn comm_info(&self, comm: Comm) -> &CommInfo {
-        &self.comms[comm.0]
+        assert!(
+            comm == Comm::WORLD,
+            "unknown communicator {comm:?}: a job has one, the world"
+        );
+        &self.world
     }
 
     /// Size of a communicator.
     pub fn comm_size(&self, comm: Comm) -> usize {
-        self.comm_info(comm).size()
+        self.comm_info(comm).size
     }
 
     /// This process's rank within a communicator.
     pub fn comm_rank(&self, comm: Comm) -> Rank {
         self.comm_info(comm).my_rank
-    }
-
-    /// `MPI_Comm_split`: split a communicator by `color`, ordering members of
-    /// each new communicator by `(key, old rank)`. Collective over the parent
-    /// communicator. Returns `None` if `color` is negative (the
-    /// `MPI_UNDEFINED` convention: this process joins no new communicator).
-    pub fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Option<Comm> {
-        let my_rank = self.comm_rank(comm);
-        let size = self.comm_size(comm);
-        // Exchange (color, key) with every member via an allgather on the parent.
-        let mine = datatype::i64s_to_bytes(&[color, key]);
-        let all = self.allgather_bytes(comm, mine);
-        assert_eq!(all.len(), size);
-        let derived = {
-            let info = &mut self.comms[comm.0];
-            let d = info.derived;
-            info.derived += 1;
-            d
-        };
-        if color < 0 {
-            return None;
-        }
-        // Build the member list of my color, sorted by (key, parent rank).
-        let mut members: Vec<(i64, usize)> = Vec::new();
-        for (r, bytes) in all.iter().enumerate() {
-            let vals = datatype::bytes_to_i64s(bytes);
-            if vals[0] == color {
-                members.push((vals[1], r));
-            }
-        }
-        members.sort();
-        let parent_info = self.comm_info(comm);
-        let group = Group::from_members(
-            members
-                .iter()
-                .map(|&(_, r)| parent_info.group.world_rank(r))
-                .collect(),
-        );
-        let new_rank = members
-            .iter()
-            .position(|&(_, r)| r == my_rank)
-            .expect("calling process must be in its own color");
-        let id = derive_comm_id(parent_info.id, derived, color);
-        self.comms.push(CommInfo {
-            id,
-            group,
-            my_rank: new_rank,
-            coll_seq: 0,
-            derived: 0,
-        });
-        Some(Comm(self.comms.len() - 1))
     }
 
     // -- point-to-point -------------------------------------------------------
@@ -194,14 +139,12 @@ impl Process {
     pub fn isend_bytes(&mut self, comm: Comm, dst: Rank, tag: Tag, payload: Bytes) -> Request {
         self.check_rank(comm, dst);
         self.drain_events();
-        let info = self.comm_info(comm);
-        let world_dst = info.world_rank(dst);
-        let comm_id = info.id;
+        let comm_id = self.comm_info(comm).id;
         if self.trace.is_enabled() {
             self.trace.record(TraceEvent {
                 process: self.pml.endpoint_id(),
                 kind: EventKind::Send,
-                peer: Some(world_dst),
+                peer: Some(dst),
                 tag: Some(tag),
                 payload_digest: digest(&payload),
                 payload_len: payload.len(),
@@ -210,7 +153,7 @@ impl Process {
         }
         let req = self
             .protocol
-            .isend(&mut self.pml, world_dst, comm_id, tag, payload);
+            .isend(&mut self.pml, dst, comm_id, tag, payload);
         Request::Send(req)
     }
 
@@ -218,22 +161,19 @@ impl Process {
     /// [`ANY_SOURCE`]) with tag `tag` (or [`ANY_TAG`]).
     pub fn irecv_bytes(&mut self, comm: Comm, src: i64, tag: Tag) -> Request {
         self.drain_events();
-        let info = self.comm_info(comm);
-        let world_src = if src == ANY_SOURCE {
+        let comm_id = self.comm_info(comm).id;
+        let src = if src == ANY_SOURCE {
             None
         } else {
             self.check_rank(comm, src as usize);
-            Some(self.comm_info(comm).world_rank(src as usize))
+            Some(src as usize)
         };
         let tag_sel = if tag == ANY_TAG {
             TagSel::Any
         } else {
             TagSel::Tag(tag)
         };
-        let comm_id = info.id;
-        let req = self
-            .protocol
-            .irecv(&mut self.pml, world_src, comm_id, tag_sel);
+        let req = self.protocol.irecv(&mut self.pml, src, comm_id, tag_sel);
         Request::Recv(req)
     }
 
@@ -282,10 +222,8 @@ impl Process {
 
     /// `MPI_Wait`: block until the request completes. For receives, returns
     /// the status and payload; for sends, the payload slot is `None`.
-    ///
-    /// Translate a communicator-rank status by passing the same `comm` the
-    /// request was created on.
     pub fn wait(&mut self, comm: Comm, req: Request) -> (Status, Option<Bytes>) {
+        let my_rank = self.comm_rank(comm);
         // A send request's payload is already out when we wait on it: what is
         // outstanding is the protocol-level completion (e.g. SDR acks), which
         // races with this wait — hint the wait engine accordingly. Receive
@@ -303,7 +241,7 @@ impl Process {
                 self.protocol.free_send(&mut self.pml, s);
                 (
                     Status {
-                        source: self.comm_rank(comm),
+                        source: my_rank,
                         tag: 0,
                         len: 0,
                     },
@@ -315,10 +253,6 @@ impl Process {
                     .protocol
                     .take_recv(&mut self.pml, r)
                     .expect("completed receive must yield a payload");
-                let comm_src = self
-                    .comm_info(comm)
-                    .comm_rank_of(status.source)
-                    .unwrap_or(status.source);
                 if self.trace.is_enabled() {
                     self.trace.record(TraceEvent {
                         process: self.pml.endpoint_id(),
@@ -330,14 +264,7 @@ impl Process {
                         at: self.pml.now(),
                     });
                 }
-                (
-                    Status {
-                        source: comm_src,
-                        tag: status.tag,
-                        len: status.len,
-                    },
-                    Some(payload),
-                )
+                (status, Some(payload))
             }
         }
     }
@@ -345,20 +272,6 @@ impl Process {
     /// `MPI_Waitall`: wait for every request, in order.
     pub fn waitall(&mut self, comm: Comm, reqs: &[Request]) -> Vec<(Status, Option<Bytes>)> {
         reqs.iter().map(|&r| self.wait(comm, r)).collect()
-    }
-
-    /// `MPI_Waitany`: block until any of the requests completes; returns its
-    /// index and result. Panics if `reqs` is empty.
-    pub fn waitany(&mut self, comm: Comm, reqs: &[Request]) -> (usize, Status, Option<Bytes>) {
-        assert!(!reqs.is_empty(), "waitany on an empty request list");
-        loop {
-            self.drain_events();
-            if let Some(idx) = reqs.iter().position(|&r| self.request_complete(r)) {
-                let (status, payload) = self.wait(comm, reqs[idx]);
-                return (idx, status, payload);
-            }
-            self.block_for_events("any request completion in MPI_Waitany", false);
-        }
     }
 
     /// Blocking send (`MPI_Send`).
@@ -394,17 +307,6 @@ impl Process {
 
     // -- typed convenience wrappers ------------------------------------------
 
-    /// Blocking send of an `f64` slice.
-    pub fn send_f64s(&mut self, comm: Comm, dst: Rank, tag: Tag, values: &[f64]) {
-        self.send_bytes(comm, dst, tag, datatype::f64s_to_bytes(values));
-    }
-
-    /// Blocking receive of an `f64` vector.
-    pub fn recv_f64s(&mut self, comm: Comm, src: i64, tag: Tag) -> (Status, Vec<f64>) {
-        let (status, bytes) = self.recv_bytes(comm, src, tag);
-        (status, datatype::bytes_to_f64s(&bytes))
-    }
-
     /// Blocking send of a `u64` slice.
     pub fn send_u64s(&mut self, comm: Comm, dst: Rank, tag: Tag, values: &[u64]) {
         self.send_bytes(comm, dst, tag, datatype::u64s_to_bytes(values));
@@ -431,9 +333,8 @@ impl Process {
     // -- internals shared with collectives ------------------------------------
 
     pub(crate) fn next_coll_tag(&mut self, comm: Comm, op_code: i64) -> Tag {
-        let info = &mut self.comms[comm.0];
-        let seq = info.coll_seq;
-        info.coll_seq += 1;
+        let seq = self.comm_info(comm).coll_seq;
+        self.world.coll_seq += 1;
         // Collective tags live far above any reasonable application tag.
         (1 << 40) + (seq as i64) * 64 + op_code
     }

@@ -15,31 +15,6 @@ pub const ANY_SOURCE: i64 = -1;
 /// Wildcard tag: match any tag (`MPI_ANY_TAG`).
 pub const ANY_TAG: Tag = -1;
 
-/// Source specification for a receive request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Source {
-    /// Receive only from this rank.
-    Rank(Rank),
-    /// Receive from any rank (`MPI_ANY_SOURCE`).
-    Any,
-}
-
-impl Source {
-    /// Convert an `i64`-style source (`>=0` rank or [`ANY_SOURCE`]).
-    pub fn from_i64(v: i64) -> Source {
-        if v == ANY_SOURCE {
-            Source::Any
-        } else {
-            Source::Rank(v as usize)
-        }
-    }
-
-    /// Is this the wildcard?
-    pub fn is_any(&self) -> bool {
-        matches!(self, Source::Any)
-    }
-}
-
 /// Tag specification for a receive request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TagSel {
@@ -50,15 +25,6 @@ pub enum TagSel {
 }
 
 impl TagSel {
-    /// Convert an `i64`-style tag (`>=0` tag or [`ANY_TAG`]).
-    pub fn from_i64(v: i64) -> TagSel {
-        if v == ANY_TAG {
-            TagSel::Any
-        } else {
-            TagSel::Tag(v)
-        }
-    }
-
     /// Does `tag` satisfy this selector?
     pub fn matches(&self, tag: Tag) -> bool {
         match self {
@@ -193,21 +159,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn source_wildcard_roundtrip() {
-        assert_eq!(Source::from_i64(ANY_SOURCE), Source::Any);
-        assert_eq!(Source::from_i64(3), Source::Rank(3));
-        assert!(Source::Any.is_any());
-        assert!(!Source::Rank(0).is_any());
-    }
-
-    #[test]
     fn tag_selector_matching() {
         assert!(TagSel::Any.matches(0));
         assert!(TagSel::Any.matches(12345));
         assert!(TagSel::Tag(7).matches(7));
         assert!(!TagSel::Tag(7).matches(8));
-        assert_eq!(TagSel::from_i64(ANY_TAG), TagSel::Any);
-        assert_eq!(TagSel::from_i64(9), TagSel::Tag(9));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! process — instead of silently scribbling over the neighbouring stack in
 //! the pool's mmap'd region. Aborting is deliberate: once a guard page is
 //! hit the faulting frame cannot be unwound safely, so the only sound
-//! containment is "loud, immediate death with a pointer at the fix"
-//! (`JobBuilder::proc_stack_size`).
+//! containment is "loud, immediate death" with a diagnostic that names the
+//! stack size (`sim_mpi::runtime::DEFAULT_PROC_STACK`).
 //!
 //! The overflow necessarily kills the whole process, so the test runs the
 //! overflowing job in a child: the parent re-executes this test binary with
@@ -17,7 +17,8 @@ use sim_mpi::JobBuilder;
 use sim_net::LogGpModel;
 
 /// Burn ~1 KiB of stack per level, defeating tail-call and frame-merging
-/// optimisations with `black_box`, until well past any plausible stack size.
+/// optimisations with `black_box`, until well past any plausible stack size
+/// (the 1 MiB default is crossed after about a thousand frames).
 fn recurse(depth: u64) -> u64 {
     let mut frame = [depth; 128];
     std::hint::black_box(&mut frame);
@@ -33,11 +34,10 @@ fn overflow_child() {
     if std::env::var("SDR_STACK_GUARD_CHILD").is_err() {
         return;
     }
-    // A deliberately small coroutine stack: the recursion crosses its guard
-    // region after a few hundred frames.
+    // Every coroutine stack is `DEFAULT_PROC_STACK` bytes: the recursion
+    // crosses its guard region.
     let report = JobBuilder::new(2)
         .network(LogGpModel::fast_test_model())
-        .proc_stack_size(192 * 1024)
         .run(|p| if p.rank() == 0 { recurse(0) } else { 0 });
     // Unreachable: the overflow aborts the process before the job returns.
     panic!("job survived a stack overflow: {:?}", report.all_finished());
@@ -62,7 +62,7 @@ fn stack_overflow_is_contained_with_a_diagnostic() {
         "child stderr must carry the guard-page diagnostic, got:\n{stderr}"
     );
     assert!(
-        stderr.contains("proc_stack_size"),
-        "the diagnostic must point at the fix, got:\n{stderr}"
+        stderr.contains("DEFAULT_PROC_STACK"),
+        "the diagnostic must name the stack size, got:\n{stderr}"
     );
 }

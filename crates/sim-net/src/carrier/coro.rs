@@ -475,11 +475,6 @@ impl CoroRuntime {
         }
     }
 
-    /// The job-level stats sink this runtime reports switch counts to.
-    pub fn stats(&self) -> &Arc<NetStats> {
-        &self.stats
-    }
-
     /// Number of process slots this runtime hosts.
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -632,7 +627,7 @@ mod tests {
         rt.activate(1);
         assert_eq!(h.join().unwrap(), 42);
         rt.shutdown();
-        assert!(rt.stats().snapshot().stack_switches() >= 1);
+        assert!(rt.stats.snapshot().stack_switches() >= 1);
     }
 
     #[test]
@@ -723,7 +718,6 @@ mod tests {
         // 0 hands directly to 1 (PENDING path) which finishes; both retire,
         // stacks recycled, one worker thread hosted the whole chain.
         let rt0 = rt(2);
-        let before = StackPool::global().reused();
         let rt_a = Arc::clone(&rt0);
         let h0 = rt0.spawn(0, move || {
             rt_a.defer_switch(1);
@@ -741,7 +735,6 @@ mod tests {
         rt0.enqueue_resume(0);
         assert_eq!(h0.join().unwrap(), 13);
         rt0.shutdown();
-        let _ = before;
     }
 
     #[test]

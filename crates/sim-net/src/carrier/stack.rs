@@ -20,12 +20,12 @@
 //!
 //! Stacks are never freed while the process lives: the [`StackPool`]
 //! recycles them across coroutines and across jobs (as the worker-thread
-//! [`super::CarrierPool`] recycles threads), bucketed by requested size. The pool
-//! tracks allocation/reuse counts and a resident-bytes high-water mark that
-//! [`crate::stats::NetStats`] surfaces to benchmark reports.
+//! [`super::CarrierPool`] recycles threads), bucketed by requested size. Each
+//! lease reports whether it was fresh or reused, and the leasing runtime
+//! counts both in [`crate::stats::NetStats`] (`stacks_*`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
 /// Canary word written (×[`CANARY_WORDS`]) at the low end of every stack.
@@ -216,11 +216,6 @@ impl CoroStack {
         (self.base + self.guard + 15) & !15
     }
 
-    /// Whether this stack has a `PROT_NONE` guard region below it.
-    pub fn guarded(&self) -> bool {
-        self.guard != 0
-    }
-
     /// The usable size this stack was requested with (pool bucket key).
     pub fn size_class(&self) -> usize {
         self.size_class
@@ -273,8 +268,9 @@ pub fn canary_intact(addr: usize) -> bool {
 pub fn canary_violation(slot: usize) -> ! {
     eprintln!(
         "sim-net: fatal: coroutine stack canary clobbered (process slot {slot}); \
-         a simulated process overflowed its stack — raise \
-         JobBuilder::proc_stack_size. Aborting before the corruption spreads."
+         a simulated process overflowed its DEFAULT_PROC_STACK-byte stack \
+         (sim_mpi::runtime); keep deep recursion off it. Aborting before the \
+         corruption spreads."
     );
     std::process::abort();
 }
@@ -338,7 +334,8 @@ unsafe extern "C" fn on_segv(
     let addr = if info.is_null() { 0 } else { (*info).si_addr };
     if fault_in_guard(addr) {
         const MSG: &[u8] = b"sim-net: fatal: simulated-process stack overflow \
-(coroutine guard page hit); raise JobBuilder::proc_stack_size\n";
+(coroutine guard page hit): stacks are DEFAULT_PROC_STACK bytes \
+(sim_mpi::runtime); keep deep recursion off them\n";
         sys::write(2, MSG.as_ptr() as *const _, MSG.len());
         sys::abort();
     }
@@ -405,9 +402,6 @@ pub fn install_overflow_handler() {
 /// jobs reuse stacks instead of re-mapping, and nothing is ever unmapped.
 pub struct StackPool {
     idle: Mutex<HashMap<usize, Vec<CoroStack>>>,
-    allocated: AtomicU64,
-    reused: AtomicU64,
-    resident: AtomicU64,
 }
 
 /// Whether a stack lease was freshly mapped or recycled from the pool.
@@ -425,9 +419,6 @@ impl StackPool {
         static POOL: OnceLock<StackPool> = OnceLock::new();
         POOL.get_or_init(|| StackPool {
             idle: Mutex::new(HashMap::new()),
-            allocated: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
         })
     }
 
@@ -438,17 +429,8 @@ impl StackPool {
             idle.get_mut(&usable).and_then(Vec::pop)
         };
         match pooled {
-            Some(s) => {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                (s, StackSource::Reused)
-            }
-            None => {
-                let s = CoroStack::new(usable);
-                self.allocated.fetch_add(1, Ordering::Relaxed);
-                self.resident
-                    .fetch_add(s.footprint() as u64, Ordering::Relaxed);
-                (s, StackSource::Fresh)
-            }
+            Some(s) => (s, StackSource::Reused),
+            None => (CoroStack::new(usable), StackSource::Fresh),
         }
     }
 
@@ -463,24 +445,6 @@ impl StackPool {
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
         idle.entry(s.size_class()).or_default().push(s);
     }
-
-    /// Total stacks ever allocated (never decremented; stacks are pooled
-    /// forever).
-    pub fn allocated(&self) -> u64 {
-        self.allocated.load(Ordering::Relaxed)
-    }
-
-    /// Total leases satisfied from the pool instead of a fresh allocation.
-    pub fn reused(&self) -> u64 {
-        self.reused.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of bytes held in stacks (virtual footprint, guards
-    /// included). Because stacks are never freed this equals the running
-    /// total of all allocations.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +455,7 @@ mod tests {
     fn mmap_stack_has_guard_and_canary() {
         let s = CoroStack::new(64 * 1024);
         if cfg!(target_os = "linux") {
-            assert!(s.guarded(), "linux should take the mmap path");
+            assert!(s.guard != 0, "linux should take the mmap path");
         }
         assert!(s.canary_ok());
         assert_eq!(s.top() % 16, 0);
@@ -502,7 +466,7 @@ mod tests {
     #[test]
     fn heap_stack_canary_detects_overwrite() {
         let s = CoroStack::new_heap(16 * 1024);
-        assert!(!s.guarded());
+        assert_eq!(s.guard, 0);
         assert!(s.canary_ok());
         // Simulate an overflow scribbling over the low end of the stack.
         unsafe { (s.canary_addr() as *mut usize).write_volatile(0xDEAD) };
@@ -515,9 +479,6 @@ mod tests {
     fn pool_reuses_stacks_by_size_class() {
         let pool = StackPool {
             idle: Mutex::new(HashMap::new()),
-            allocated: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
         };
         let (a, src_a) = pool.get(32 * 1024);
         assert_eq!(src_a, StackSource::Fresh);
@@ -528,8 +489,5 @@ mod tests {
         assert_eq!(b.canary_addr(), a_base, "same stack came back");
         let (_c, src_c) = pool.get(64 * 1024);
         assert_eq!(src_c, StackSource::Fresh, "different size class");
-        assert_eq!(pool.allocated(), 2);
-        assert_eq!(pool.reused(), 1);
-        assert!(pool.resident_bytes() >= (32 + 64) * 1024);
     }
 }

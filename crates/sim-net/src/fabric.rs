@@ -102,11 +102,6 @@ impl RawMessage {
     pub fn len(&self) -> usize {
         self.payload.len()
     }
-
-    /// True if the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
 }
 
 /// Why a blocking receive returned without a message.
@@ -220,11 +215,6 @@ impl Fabric {
             sched,
             net_faults: std::sync::OnceLock::new(),
         })
-    }
-
-    /// Number of endpoints.
-    pub fn size(&self) -> usize {
-        self.n
     }
 
     /// The shared statistics counters.
@@ -865,7 +855,7 @@ mod tests {
     #[test]
     fn send_with_floor_delays_injection_stamp() {
         let (mut a, mut b, _f) = two_endpoint_fabric();
-        let floor = SimTime::from_millis(3);
+        let floor = SimTime::from_micros(3_000);
         a.send_with_floor(EndpointId(1), class::ACK, hdr(9), Bytes::new(), floor);
         let msg = b.recv_blocking().expect("delivered");
         assert!(
@@ -898,7 +888,7 @@ mod tests {
         let mut b = fabric.endpoint(EndpointId(1));
         // c is "late": advance its clock before sending so its message has a
         // later virtual arrival even though it is ingested first.
-        c.compute(SimTime::from_millis(10));
+        c.compute(SimTime::from_micros(10_000));
         c.send(EndpointId(1), class::APP, hdr(2), Bytes::new());
         a.send(EndpointId(1), class::APP, hdr(1), Bytes::new());
         let first = b.recv_blocking().unwrap();
@@ -916,7 +906,7 @@ mod tests {
         let mut a = fabric.endpoint(EndpointId(0));
         let mut c = fabric.endpoint(EndpointId(2));
         let mut b = fabric.endpoint(EndpointId(1));
-        a.compute(SimTime::from_millis(10));
+        a.compute(SimTime::from_micros(10_000));
         a.send(EndpointId(1), class::APP, hdr(2), Bytes::new());
         c.send(EndpointId(1), class::APP, hdr(1), Bytes::new());
         // One sweep ingests both.
@@ -1248,7 +1238,10 @@ mod tests {
         for i in 0..5 {
             let msg = b.recv_blocking().unwrap();
             assert_eq!(msg.header[0], i, "delays must not reorder a link");
-            assert!(msg.arrival >= SimTime::from_millis(1), "arrival was pushed");
+            assert!(
+                msg.arrival >= SimTime::from_micros(1_000),
+                "arrival was pushed"
+            );
             assert!(msg.arrival >= last);
             last = msg.arrival;
         }

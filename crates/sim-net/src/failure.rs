@@ -256,14 +256,6 @@ impl FailureService {
         }
     }
 
-    /// All failures detected so far, in detection order. A process polls this
-    /// from its progress loop and reacts to events with `seq` it has not seen
-    /// yet (perfect failure detector: every alive process eventually sees every
-    /// failure, in the same order).
-    pub fn failures(&self) -> Vec<FailureEvent> {
-        self.inner.read().failed.clone()
-    }
-
     /// Failures with sequence number `>= from_seq` (what a process has not yet
     /// observed). The caller-has-seen-everything case is answered from an
     /// atomic without taking the lock — this runs on every progress poll.
@@ -279,11 +271,6 @@ impl FailureService {
             .copied()
             .collect()
     }
-
-    /// Number of processes known to this service.
-    pub fn capacity(&self) -> usize {
-        self.inner.read().schedules.len()
-    }
 }
 
 #[cfg(test)]
@@ -297,7 +284,7 @@ mod tests {
     #[test]
     fn default_schedule_never_crashes() {
         let svc = FailureService::new(4);
-        assert!(!svc.should_crash(ep(0), SimTime::from_secs(1000), 1_000_000, true));
+        assert!(!svc.should_crash(ep(0), SimTime::from_micros(1_000_000_000), 1_000_000, true));
         assert!(!svc.should_crash(ep(3), SimTime::MAX, u64::MAX, false));
     }
 
@@ -348,7 +335,7 @@ mod tests {
         assert_eq!(again, a, "second report of the same failure is ignored");
         assert!(svc.is_failed(ep(2)));
         assert!(!svc.is_failed(ep(0)));
-        let all = svc.failures();
+        let all = svc.failures_since(0);
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].endpoint, ep(2));
         assert_eq!(all[1].endpoint, ep(1));
@@ -381,8 +368,8 @@ mod tests {
         svc.record_failure(ep(0), SimTime::ZERO);
         svc.mark_recovered(ep(0));
         assert!(!svc.is_failed(ep(0)));
-        assert!(svc.failures().is_empty());
-        assert!(!svc.should_crash(ep(0), SimTime::from_secs(1), 0, false));
+        assert!(svc.failures_since(0).is_empty());
+        assert!(!svc.should_crash(ep(0), SimTime::from_micros(1_000_000), 0, false));
     }
 
     #[test]
@@ -418,7 +405,6 @@ mod tests {
     fn schedule_beyond_capacity_grows() {
         let svc = FailureService::new(1);
         svc.schedule(ep(5), CrashSchedule::AtTime { at: SimTime::ZERO });
-        assert_eq!(svc.capacity(), 6);
         assert!(svc.should_crash(ep(5), SimTime::ZERO, 0, false));
     }
 }

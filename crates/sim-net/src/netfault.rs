@@ -197,16 +197,6 @@ impl NetFaultPolicy {
         }
     }
 
-    /// The configuration this policy was built from.
-    pub fn config(&self) -> &NetFaultConfig {
-        &self.config
-    }
-
-    /// The seed this policy was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     fn link(&self, src: usize, dst: usize) -> usize {
         debug_assert!(src < self.n && dst < self.n);
         src * self.n + dst

@@ -1359,7 +1359,7 @@ mod tests {
             let (s, order) = (Arc::clone(&s), Arc::clone(&order));
             handles.push(std::thread::spawn(move || {
                 s.start(ep(0));
-                s.yield_now(ep(0), SimTime::from_millis(5));
+                s.yield_now(ep(0), SimTime::from_micros(5_000));
                 order.lock().unwrap().push(0usize);
                 s.finish(ep(0));
             }));

@@ -88,26 +88,22 @@ macro_rules! counter_table {
                 [$((stringify!($name), self.$name),)*].into_iter()
             }
 
-            /// Combine two windows element by element: `counter` on the
-            /// per-class arrays and the event counters, `gauge` on the
-            /// table's `max` entries.
-            fn zip(
-                &self,
-                other: &StatsSnapshot,
-                counter: fn(u64, u64) -> u64,
-                gauge: fn(u64, u64) -> u64,
-            ) -> StatsSnapshot {
+            /// Union of two windows (e.g. the rows of one report): the
+            /// per-class arrays and the event counters add, the table's
+            /// `max` entries (gauges) take the maximum.
+            pub fn merged(&self, other: &StatsSnapshot) -> StatsSnapshot {
                 let arr = |a: &[u64; class::COUNT], b: &[u64; class::COUNT]| {
-                    std::array::from_fn(|i| counter(a[i], b[i]))
+                    std::array::from_fn(|i| a[i] + b[i])
                 };
                 StatsSnapshot {
                     msgs_sent: arr(&self.msgs_sent, &other.msgs_sent),
                     bytes_sent: arr(&self.bytes_sent, &other.bytes_sent),
                     msgs_delivered: arr(&self.msgs_delivered, &other.msgs_delivered),
-                    $($name: if counter_table!(@gauge $merge) { gauge } else { counter }(
-                        self.$name,
-                        other.$name,
-                    ),)*
+                    $($name: if counter_table!(@gauge $merge) {
+                        u64::max(self.$name, other.$name)
+                    } else {
+                        self.$name + other.$name
+                    },)*
                 }
             }
         }
@@ -179,9 +175,7 @@ counter_table! {
     /// service mode many jobs share the pool, and a neighbour's allocations
     /// must not inflate this job's reported peak (see
     /// `crate::carrier::coro::CoroRuntime`). A gauge, not a counter:
-    /// [`StatsSnapshot::merged`] takes the maximum, and
-    /// [`StatsSnapshot::since`] deltas are only meaningful against an empty
-    /// baseline snapshot.
+    /// [`StatsSnapshot::merged`] takes the maximum.
     stack_bytes_peak: max,
 }
 
@@ -325,17 +319,6 @@ impl StatsSnapshot {
             self.handoffs as f64 / total as f64
         }
     }
-
-    /// Difference `self - earlier`, per counter (saturating).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        self.zip(earlier, u64::saturating_sub, u64::saturating_sub)
-    }
-
-    /// Union of two windows (e.g. the rows of one report): event counters
-    /// add, gauges take the maximum.
-    pub fn merged(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        self.zip(other, |a, b| a + b, u64::max)
-    }
 }
 
 #[cfg(test)]
@@ -367,19 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn since_subtracts() {
-        let s = NetStats::new();
-        s.record_send(class::APP, 10);
-        let before = s.snapshot();
-        s.record_send(class::APP, 10);
-        s.record_send(class::CONTROL, 4);
-        let delta = s.snapshot().since(&before);
-        assert_eq!(delta.app_msgs(), 1);
-        assert_eq!(delta.control_msgs(), 1);
-        assert_eq!(delta.total_bytes(), 14);
-    }
-
-    #[test]
     fn wake_counters_roundtrip() {
         let s = NetStats::new();
         s.record_wake(WakeOutcome::Unparked);
@@ -390,9 +360,9 @@ mod tests {
         assert_eq!(before.wakes_issued(), 1);
         assert_eq!(before.wakes_suppressed(), 3);
         s.record_wake(WakeOutcome::Unparked);
-        let delta = s.snapshot().since(&before);
-        assert_eq!(delta.wakes_issued(), 1);
-        assert_eq!(delta.wakes_suppressed(), 0);
+        let after = s.snapshot();
+        assert_eq!(after.wakes_issued(), 2);
+        assert_eq!(after.wakes_suppressed(), 3);
     }
 
     #[test]
@@ -407,9 +377,9 @@ mod tests {
         assert_eq!(snap.condvar_waits(), 1);
         assert!((snap.direct_dispatch_fraction() - 0.75).abs() < f64::EPSILON);
         s.record_cold_dispatch();
-        let delta = s.snapshot().since(&snap);
-        assert_eq!(delta.handoffs(), 0);
-        assert_eq!(delta.condvar_waits(), 1);
+        let after = s.snapshot();
+        assert_eq!(after.handoffs(), 3);
+        assert_eq!(after.condvar_waits(), 2);
         // An idle snapshot reports a full direct fraction, not a NaN.
         assert!((StatsSnapshot::default().direct_dispatch_fraction() - 1.0).abs() < f64::EPSILON);
     }
@@ -422,8 +392,7 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.sdc_flips_injected(), 2);
         s.record_sdc_flip();
-        let delta = s.snapshot().since(&snap);
-        assert_eq!(delta.sdc_flips_injected(), 1);
+        assert_eq!(s.snapshot().sdc_flips_injected(), 3);
     }
 
     #[test]
@@ -444,10 +413,10 @@ mod tests {
         assert_eq!(snap.dups_suppressed(), 2);
         s.record_retransmit();
         s.record_msg_dropped();
-        let delta = s.snapshot().since(&snap);
-        assert_eq!(delta.retransmits(), 1);
-        assert_eq!(delta.msgs_dropped(), 1);
-        assert_eq!(delta.msgs_duplicated(), 0);
+        let after = s.snapshot();
+        assert_eq!(after.retransmits(), 2);
+        assert_eq!(after.msgs_dropped(), 2);
+        assert_eq!(after.msgs_duplicated(), 2);
     }
 
     #[test]
@@ -466,9 +435,9 @@ mod tests {
         assert_eq!(snap.stacks_reused(), 2);
         assert_eq!(snap.stack_bytes_peak(), 3 << 20);
         s.record_stack_switch();
-        let delta = s.snapshot().since(&snap);
-        assert_eq!(delta.stack_switches(), 1);
-        assert_eq!(delta.stacks_allocated(), 0);
+        let after = s.snapshot();
+        assert_eq!(after.stack_switches(), 3);
+        assert_eq!(after.stacks_allocated(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Sub};
 
 /// A point in (or duration of) virtual time, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -35,26 +35,6 @@ impl SimTime {
     /// Construct from microseconds.
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
-    }
-
-    /// Construct from milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
-    /// Construct from a floating-point number of microseconds (rounded).
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimTime((us * 1_000.0).round().max(0.0) as u64)
-    }
-
-    /// Construct from a floating-point number of seconds (rounded).
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s * 1e9).round().max(0.0) as u64)
     }
 
     /// Raw nanoseconds.
@@ -82,11 +62,6 @@ impl SimTime {
         SimTime(self.0.saturating_add(other.0))
     }
 
-    /// Saturating subtraction (clamps at zero).
-    pub fn saturating_sub(self, other: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(other.0))
-    }
-
     /// The later of two timestamps.
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
@@ -94,25 +69,6 @@ impl SimTime {
         } else {
             other
         }
-    }
-
-    /// The earlier of two timestamps.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Scale a duration by an integer factor (saturating).
-    pub fn scaled(self, factor: u64) -> SimTime {
-        SimTime(self.0.saturating_mul(factor))
-    }
-
-    /// Scale a duration by a floating-point factor (rounded, clamped at 0).
-    pub fn scaled_f64(self, factor: f64) -> SimTime {
-        SimTime((self.0 as f64 * factor).round().max(0.0) as u64)
     }
 
     /// True iff this is the zero timestamp.
@@ -138,12 +94,6 @@ impl Sub for SimTime {
     type Output = SimTime;
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
-    }
-}
-
-impl SubAssign for SimTime {
-    fn sub_assign(&mut self, rhs: SimTime) {
-        self.0 = self.0.saturating_sub(rhs.0);
     }
 }
 
@@ -174,39 +124,20 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1_000));
-        assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1_000));
-        assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1_000));
-        assert_eq!(SimTime::from_micros_f64(1.5), SimTime::from_nanos(1_500));
-        assert_eq!(SimTime::from_secs_f64(0.25), SimTime::from_millis(250));
     }
 
     #[test]
     fn arithmetic_saturates() {
         assert_eq!(SimTime::MAX + SimTime::from_nanos(1), SimTime::MAX);
         assert_eq!(SimTime::ZERO - SimTime::from_nanos(1), SimTime::ZERO);
-        assert_eq!(
-            SimTime::from_nanos(5).saturating_sub(SimTime::from_nanos(10)),
-            SimTime::ZERO
-        );
     }
 
     #[test]
-    fn max_min() {
+    fn max() {
         let a = SimTime::from_nanos(5);
         let b = SimTime::from_nanos(9);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
         assert_eq!(b.max(b), b);
-    }
-
-    #[test]
-    fn scaling() {
-        assert_eq!(SimTime::from_nanos(10).scaled(3), SimTime::from_nanos(30));
-        assert_eq!(
-            SimTime::from_nanos(10).scaled_f64(2.5),
-            SimTime::from_nanos(25)
-        );
-        assert_eq!(SimTime::from_nanos(10).scaled_f64(-1.0), SimTime::ZERO);
     }
 
     #[test]
@@ -221,8 +152,8 @@ mod tests {
     fn display_picks_unit() {
         assert_eq!(format!("{}", SimTime::from_nanos(500)), "500ns");
         assert_eq!(format!("{}", SimTime::from_micros(2)), "2.000us");
-        assert_eq!(format!("{}", SimTime::from_millis(3)), "3.000ms");
-        assert_eq!(format!("{}", SimTime::from_secs(4)), "4.000s");
+        assert_eq!(format!("{}", SimTime::from_micros(3_000)), "3.000ms");
+        assert_eq!(format!("{}", SimTime::from_micros(4_000_000)), "4.000s");
     }
 
     #[test]

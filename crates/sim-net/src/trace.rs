@@ -3,8 +3,8 @@
 //! The send-determinism checker (in the `workloads` crate) and several
 //! integration tests need to compare the *sequence of send events* of a
 //! process across executions — the operational form of the paper's
-//! Definition 1. [`EventTrace`] records those events with a stable digest of
-//! the payload so traces can be compared cheaply.
+//! Definition 1. [`EventTrace`] records those events, in order, with a
+//! stable digest of the payload so traces can be compared cheaply.
 
 use crate::fabric::EndpointId;
 use crate::time::SimTime;
@@ -41,20 +41,6 @@ pub struct TraceEvent {
     /// Virtual time of the event. Excluded from determinism comparisons
     /// (timing is allowed to differ between executions).
     pub at: SimTime,
-}
-
-impl TraceEvent {
-    /// The portion of the event relevant for send-determinism comparison:
-    /// everything except the timestamp.
-    pub fn determinism_key(&self) -> (EventKind, Option<usize>, Option<i64>, u64, usize) {
-        (
-            self.kind,
-            self.peer,
-            self.tag,
-            self.payload_digest,
-            self.payload_len,
-        )
-    }
 }
 
 /// FNV-1a digest of a byte slice. Stable across platforms and executions.
@@ -108,39 +94,6 @@ impl EventTrace {
     pub fn events(&self) -> Vec<TraceEvent> {
         self.events.lock().clone()
     }
-
-    /// Events of one process, in order.
-    pub fn events_of(&self, process: EndpointId) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .iter()
-            .filter(|e| e.process == process)
-            .cloned()
-            .collect()
-    }
-
-    /// The per-process sequence of send events, reduced to their determinism
-    /// keys — the object compared by Definition 1.
-    pub fn send_sequence(
-        &self,
-        process: EndpointId,
-    ) -> Vec<(EventKind, Option<usize>, Option<i64>, u64, usize)> {
-        self.events_of(process)
-            .into_iter()
-            .filter(|e| e.kind == EventKind::Send)
-            .map(|e| e.determinism_key())
-            .collect()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True if no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +123,7 @@ mod tests {
     fn disabled_trace_records_nothing() {
         let t = EventTrace::disabled();
         t.record(ev(0, EventKind::Send, 1, 0, b"x"));
-        assert!(t.is_empty());
+        assert!(t.events().is_empty());
         assert!(!t.is_enabled());
     }
 
@@ -180,30 +133,14 @@ mod tests {
         t.record(ev(0, EventKind::Send, 1, 0, b"a"));
         t.record(ev(1, EventKind::RecvComplete, 0, 0, b"a"));
         t.record(ev(0, EventKind::Send, 1, 1, b"b"));
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.events_of(EndpointId(0)).len(), 2);
-        assert_eq!(t.send_sequence(EndpointId(0)).len(), 2);
-        assert_eq!(t.send_sequence(EndpointId(1)).len(), 0);
-    }
-
-    #[test]
-    fn determinism_key_ignores_time() {
-        let mut a = ev(0, EventKind::Send, 1, 7, b"payload");
-        let mut b = a.clone();
-        a.at = SimTime::from_nanos(1);
-        b.at = SimTime::from_nanos(999);
-        assert_eq!(a.determinism_key(), b.determinism_key());
-    }
-
-    #[test]
-    fn send_sequence_differs_when_payload_differs() {
-        let t1 = EventTrace::enabled();
-        t1.record(ev(0, EventKind::Send, 1, 0, b"a"));
-        let t2 = EventTrace::enabled();
-        t2.record(ev(0, EventKind::Send, 1, 0, b"b"));
-        assert_ne!(
-            t1.send_sequence(EndpointId(0)),
-            t2.send_sequence(EndpointId(0))
+        let kinds: Vec<_> = t.events().iter().map(|e| (e.process.0, e.kind)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (0, EventKind::Send),
+                (1, EventKind::RecvComplete),
+                (0, EventKind::Send)
+            ]
         );
     }
 
@@ -212,6 +149,6 @@ mod tests {
         let t = EventTrace::enabled();
         let t2 = t.clone();
         t.record(ev(0, EventKind::Send, 1, 0, b"x"));
-        assert_eq!(t2.len(), 1);
+        assert_eq!(t2.events().len(), 1);
     }
 }

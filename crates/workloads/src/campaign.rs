@@ -357,13 +357,6 @@ pub struct CampaignConfig {
     pub dist: FaultDistribution,
 }
 
-impl CampaignConfig {
-    /// Physical processes of a job with this shape.
-    pub fn endpoints(&self) -> usize {
-        self.ranks * self.degree
-    }
-}
-
 /// Fold the configuration into the case seed so that the same seed under
 /// different configurations yields unrelated cases. FNV-1a over the canonical
 /// config words, xored into the seed.
@@ -663,30 +656,6 @@ fn survival_failure(record: &JobRecord) -> Option<String> {
             p.endpoint, p.outcome
         )),
     })
-}
-
-/// The survivability oracle of the shrinker and the checked-in regression
-/// cases: does running `spec` (a [`collective_app`] job) leave some
-/// non-crashed process without the closed-form checksum? Run it at
-/// `workers: 1` for an exact verdict.
-pub fn violates_survival(spec: &JobSpec) -> bool {
-    survival_failure(&record_of(spec)).is_some()
-}
-
-/// Replay the case's faulted job twice under the deterministic single-worker
-/// scheduler with tracing on, and report whether the two records'
-/// [`JobRecord::deterministic_json`] images — full trace, per-process
-/// finish times and results included — are byte-identical. A `false` here
-/// is a determinism violation — exactly what the shrink path minimizes.
-/// Lossy distributions replay the case's actual rotated workload, so the
-/// injected drop/duplicate/delay decisions — pure functions of the per-link
-/// frame counters — recur at the exact same frames.
-pub fn replay_is_deterministic(config: CampaignConfig, seed: u64, iterations: u64) -> bool {
-    let spec = JobSpec {
-        trace: true,
-        ..case_spec(config, seed, iterations, SINGLE_WORKER)
-    };
-    record_of(&spec).deterministic_json() == record_of(&spec).deterministic_json()
 }
 
 /// Run one campaign case — `config` and a spec sampled for it by
@@ -1047,23 +1016,25 @@ pub struct ShrinkOutcome {
 /// Shrink a survivability violation — a sampled case, or one composed by
 /// hand (e.g. a campaign-found fatal pair buried in survivable noise) — to a
 /// spec with a locally minimal subset of its fault items. The items are the
-/// spec's own crashes, bit flips and transport policy, taken as one list;
-/// every probe reruns the candidate spec through [`violates_survival`] at
-/// `workers: 1`, so the search is exact. Returns `None` when the full spec
-/// does not violate survivability (nothing to shrink).
+/// spec's own crashes, bit flips and transport policy, taken as one list.
+/// The oracle — does running the spec (a [`collective_app`] job) leave some
+/// non-crashed process without the closed-form checksum? — reruns every
+/// candidate at `workers: 1`, so the search is exact. Returns `None` when
+/// the full spec does not violate survivability (nothing to shrink).
 pub fn shrink(spec: JobSpec) -> Option<ShrinkOutcome> {
     let spec = JobSpec {
         workers: SINGLE_WORKER,
         ..spec
     };
-    if !violates_survival(&spec) {
+    let violates = |spec: &JobSpec| survival_failure(&record_of(spec)).is_some();
+    if !violates(&spec) {
         return None;
     }
     let items = spec.crashes.len() + spec.sdc.len() + usize::from(spec.net_faults.is_some());
     let mut probes = 1;
     let kept = shrink_events(&(0..items).collect::<Vec<_>>(), |candidate| {
         probes += 1;
-        violates_survival(&keep_faults(&spec, candidate))
+        violates(&keep_faults(&spec, candidate))
     });
     Some(ShrinkOutcome {
         spec: keep_faults(&spec, &kept),

@@ -148,14 +148,15 @@ where
             report.all_finished(),
             "determinism-check run {run} did not finish"
         );
+        // A send is compared on everything but its timestamp: timing may
+        // differ between correct executions.
+        let events = report.trace.events();
         let per_rank: Vec<Vec<_>> = (0..ranks)
             .map(|r| {
-                report
-                    .trace
-                    .events_of(sim_net::EndpointId(r))
-                    .into_iter()
-                    .filter(|e| e.kind == EventKind::Send)
-                    .map(|e| e.determinism_key())
+                events
+                    .iter()
+                    .filter(|e| e.process == sim_net::EndpointId(r) && e.kind == EventKind::Send)
+                    .map(|e| (e.peer, e.tag, e.payload_digest, e.payload_len))
                     .collect()
             })
             .collect();
@@ -180,6 +181,7 @@ mod tests {
     use crate::nas::{run_cg, NasConfig};
     use bytes::Bytes;
     use sdr_core::native_job;
+    use sim_mpi::datatype::{bytes_to_f64s, f64s_to_bytes};
     use sim_mpi::{ReduceOp, ANY_SOURCE};
 
     #[test]
@@ -221,14 +223,14 @@ mod tests {
                 if p.rank() == 0 {
                     let mut total = 0.0;
                     for _ in 0..3 {
-                        let (_, v) = p.recv_f64s(world, ANY_SOURCE, 5);
-                        total += v[0];
+                        let (_, v) = p.recv_bytes(world, ANY_SOURCE, 5);
+                        total += bytes_to_f64s(&v)[0];
                     }
-                    p.send_f64s(world, 1, 6, &[total]);
+                    p.send_bytes(world, 1, 6, f64s_to_bytes(&[total]));
                 } else {
-                    p.send_f64s(world, 0, 5, &[p.rank() as f64]);
+                    p.send_bytes(world, 0, 5, f64s_to_bytes(&[p.rank() as f64]));
                     if p.rank() == 1 {
-                        let _ = p.recv_f64s(world, 0, 6);
+                        let _ = p.recv_bytes(world, 0, 6);
                     }
                 }
                 p.allreduce_f64(world, ReduceOp::Sum, 1.0)

@@ -691,16 +691,6 @@ fn run_adi(p: &mut Process, cfg: &NasConfig, flavor: AdiFlavor) -> f64 {
     checksum
 }
 
-/// Public wrappers for the two ADI flavours.
-pub fn run_bt(p: &mut Process, cfg: &NasConfig) -> f64 {
-    run_adi(p, cfg, AdiFlavor::Bt)
-}
-
-/// Scalar-pentadiagonal flavour.
-pub fn run_sp(p: &mut Process, cfg: &NasConfig) -> f64 {
-    run_adi(p, cfg, AdiFlavor::Sp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

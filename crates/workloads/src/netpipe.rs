@@ -73,18 +73,6 @@ pub fn measure(builder: JobBuilder, size: usize, reps: usize) -> NetpipePoint {
     }
 }
 
-/// The default NetPipe message-size ladder (1 B – 8 MiB, roughly the x-axis of
-/// Figure 7).
-pub fn default_sizes() -> Vec<usize> {
-    let mut sizes = vec![1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512];
-    let mut s = 1024usize;
-    while s <= 8 * 1024 * 1024 {
-        sizes.push(s);
-        s *= 4;
-    }
-    sizes
-}
-
 /// Sweep the message sizes with a builder factory (one fresh job per size).
 pub fn netpipe_sweep<F>(mut make_builder: F, sizes: &[usize], reps: usize) -> Vec<NetpipePoint>
 where
@@ -157,13 +145,5 @@ mod tests {
         );
         assert!(points[0].throughput_mbps < points[1].throughput_mbps);
         assert!(points[1].throughput_mbps < points[2].throughput_mbps);
-    }
-
-    #[test]
-    fn default_sizes_span_the_figure_axis() {
-        let sizes = default_sizes();
-        assert_eq!(*sizes.first().unwrap(), 1);
-        assert_eq!(*sizes.last().unwrap(), 4 * 1024 * 1024);
-        assert!(sizes.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -11,7 +11,9 @@
 use sdr_mpi::sdr_core::{replicated_job, ReplicationConfig};
 use sdr_mpi::sim_net::trace::TraceEvent;
 use sdr_mpi::sim_net::LogGpModel;
+use sdr_mpi::workloads::campaign::{case_spec, CampaignConfig};
 use sdr_mpi::workloads::nas::{run_kernel, NasConfig, NasKernel};
+use sdr_mpi::workloads::serve::{run_job, JobSpec};
 
 /// One traced, replicated CG run in single-permit replay mode. CG's pattern
 /// mixes row/column exchanges with reductions, and the SDR ack waits drive
@@ -34,11 +36,30 @@ fn traced_replay_run() -> (Vec<TraceEvent>, Vec<u64>) {
     (report.trace.events(), finish_times)
 }
 
+/// Replay a campaign case's faulted job twice under the deterministic
+/// single-worker scheduler with tracing on, and report whether the two
+/// records' `deterministic_json` images (full trace, per-process finish
+/// times and results included) are byte-identical. Lossy distributions
+/// replay the case's actual rotated workload, so the injected
+/// drop/duplicate/delay decisions recur at the exact same frames.
+fn replay_is_deterministic(config: CampaignConfig, seed: u64, iterations: u64) -> bool {
+    let spec = JobSpec {
+        trace: true,
+        ..case_spec(config, seed, iterations, Some(1))
+    };
+    let image = || {
+        run_job(&spec, 0)
+            .expect("a campaign case compiles")
+            .deterministic_json()
+    };
+    image() == image()
+}
+
 /// One traced, replicated single-permit run of the campaign's
 /// collective-heavy workload with the crashes of a seeded campaign case compiled in.
 fn traced_faulted_run(seed: u64) -> (Vec<TraceEvent>, Vec<u64>) {
     use sdr_mpi::sim_net::EndpointId;
-    use sdr_mpi::workloads::campaign::{case_spec, CampaignConfig, FaultDistribution};
+    use sdr_mpi::workloads::campaign::FaultDistribution;
     let ranks = 4;
     let iterations = 6u64;
     let config = CampaignConfig {
@@ -91,9 +112,7 @@ fn lossy_campaign_case_replays_identical_trace_streams() {
     // `TraceEvent` stream — retransmissions, suppressed duplicates and all —
     // is bit-identical across runs, although the retransmission-timeout
     // path interacts with carrier scheduling.
-    use sdr_mpi::workloads::campaign::{
-        replay_is_deterministic, CampaignConfig, FaultDistribution,
-    };
+    use sdr_mpi::workloads::campaign::FaultDistribution;
     let config = CampaignConfig {
         ranks: 4,
         degree: 2,
@@ -117,9 +136,7 @@ fn faulted_degree_three_case_replays_identically() {
     // crash case (two of three replicas of one rank die) must replay a
     // bit-identical `TraceEvent` stream under `--workers 1` — the
     // repeated substitute election adds no scheduling nondeterminism.
-    use sdr_mpi::workloads::campaign::{
-        case_spec, replay_is_deterministic, CampaignConfig, FaultDistribution,
-    };
+    use sdr_mpi::workloads::campaign::FaultDistribution;
     let config = CampaignConfig {
         ranks: 2,
         degree: 3,

@@ -9,8 +9,7 @@ use common::{with_deadline, Running};
 use proptest::prelude::*;
 use sim_net::CrashSchedule;
 use workloads::campaign::{
-    case_spec, run_case, shrink, summarize, violates_survival, CampaignConfig, CaseOutcome,
-    FaultDistribution,
+    case_spec, run_case, shrink, summarize, CampaignConfig, CaseOutcome, FaultDistribution,
 };
 use workloads::serve::{run_job, CrashFault, JobSpec};
 
@@ -80,9 +79,10 @@ proptest! {
             FaultDistribution::DelayedAcks { max_delay_per_64k: 32_768, max_delay_ns: 400_000 },
         ][dist_pick];
         let config = CampaignConfig { ranks, degree: 2, dist };
+        let endpoints = config.ranks * config.degree;
         let spec = case_spec(config, seed, 6, None);
         for crash in &spec.crashes {
-            prop_assert!(crash.endpoint < config.endpoints());
+            prop_assert!(crash.endpoint < endpoints);
             match crash.schedule {
                 CrashSchedule::AfterSend { nth } | CrashSchedule::BeforeSend { nth } => {
                     prop_assert!(nth >= 1);
@@ -91,7 +91,7 @@ proptest! {
             }
         }
         for flip in &spec.sdc {
-            prop_assert!(flip.endpoint < config.endpoints());
+            prop_assert!(flip.endpoint < endpoints);
             prop_assert!((1..=6).contains(&flip.nth_send));
             prop_assert!(flip.bit < 8192);
         }
@@ -226,7 +226,7 @@ fn shrink_reduces_a_violating_plan_to_the_fatal_pair() {
             ..minimal.clone()
         };
         assert!(
-            !violates_survival(&alone),
+            shrink(alone).is_none(),
             "dropping the other pair crash must make the job survivable: {kept:?}"
         );
     }
@@ -378,11 +378,12 @@ fn shrink_reduces_a_lossy_violation_to_the_transport_fault() {
     assert_eq!((net.config.drop_per_64k, net.seed), (65_536, 7));
     assert!(replay.crashes.is_empty(), "and the noise crash is not");
     assert!(
-        !violates_survival(&JobSpec {
+        shrink(JobSpec {
             net_faults: None,
             workers: Some(1),
             ..spec
-        }),
+        })
+        .is_none(),
         "the noise crash alone must be survivable"
     );
 }

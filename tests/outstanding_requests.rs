@@ -106,8 +106,11 @@ fn windows_of_outstanding_requests_complete_and_leave_no_request_behind() {
     with_deadline("outstanding_requests/baselines", |_| {
         let cases: [(&str, JobBuilder); 4] = [
             ("native", native_job(RANKS)),
-            ("mirror", baseline_job(Arc::new(MirrorFactory::dual()))),
-            ("leader", baseline_job(Arc::new(LeaderFactory::dual()))),
+            ("mirror", baseline_job(Arc::new(MirrorFactory::new(2)))),
+            (
+                "leader",
+                baseline_job(Arc::new(LeaderFactory::new(ReplicationConfig::dual()))),
+            ),
             (
                 "redmpi",
                 baseline_job(Arc::new(RedMpiFactory::dual(SdcReport::new()))),

@@ -83,11 +83,11 @@ fn figure4_recovery_of_p11() {
 
     // --- step 5: notification handling --------------------------------------
     pump(&mut pml0, &mut p00); // liveness update only
-    let resends_before = p10.counters().resends;
+    let sends_before = pml2.endpoint().app_sends();
     pump(&mut pml2, &mut p10); // p¹₀ replays seq 1 to the new replica
     assert_eq!(
-        p10.counters().resends,
-        resends_before + 1,
+        pml2.endpoint().app_sends(),
+        sends_before + 1,
         "exactly the unacknowledged message is replayed"
     );
 

@@ -5,6 +5,7 @@ mod common;
 
 use common::fast;
 use sdr_core::{native_job, replicated_job, ReplicationConfig};
+use sim_mpi::datatype::{bytes_to_f64s, f64s_to_bytes};
 use sim_mpi::{Process, ReduceOp, ANY_SOURCE};
 use sim_net::{CrashSchedule, EndpointId, LogGpModel, NetFaultConfig, SimTime};
 use workloads::apps::{run_hpccg, AppConfig};
@@ -65,12 +66,12 @@ fn collectives_and_any_source_under_degree_three() {
         if p.rank() == 0 {
             let mut total = 0.0;
             for _ in 0..3 {
-                let (_, v) = p.recv_f64s(world, ANY_SOURCE, 9);
-                total += v[0];
+                let (_, v) = p.recv_bytes(world, ANY_SOURCE, 9);
+                total += bytes_to_f64s(&v)[0];
             }
             p.allreduce_f64(world, ReduceOp::Sum, total)
         } else {
-            p.send_f64s(world, 0, 9, &[p.rank() as f64]);
+            p.send_bytes(world, 0, 9, f64s_to_bytes(&[p.rank() as f64]));
             p.allreduce_f64(world, ReduceOp::Sum, 0.0)
         }
     });
