@@ -277,16 +277,21 @@ impl std::fmt::Debug for Scheduler {
     }
 }
 
-/// `min(available cores, n)` clamped to at least 2 — the default pool size
+/// The cores this process may run on, read once: 1 when the host does not
+/// say. `std::thread::available_parallelism` re-reads the cgroup files on
+/// every call (≈ 13 µs), and every job launch asks.
+pub fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
+}
+
+/// `min(host cores, n)` clamped to at least 2 — the default pool size
 /// for an `n`-process job. The default keeps two permits even on one-core
 /// hosts so a blocking request and the peer that satisfies it can always
 /// interleave without waiting out a yield streak; pass an explicit
 /// `workers = 1` (see [`MIN_WORKERS`]) for deterministic replay.
 pub fn default_workers(n: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(4);
-    cores.min(n.max(1)).max(2)
+    host_cores().min(n.max(1)).max(2)
 }
 
 impl Scheduler {

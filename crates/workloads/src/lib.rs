@@ -21,13 +21,15 @@
 //! Definition 1: run a workload under perturbed message timing and compare the
 //! per-rank send sequences. [`runner`] packages the native-vs-replicated
 //! comparison used by the Table 1/2 harnesses, and [`serve`] holds the job
-//! spec every harness above the simulator launches through.
+//! spec every harness above the simulator launches through. [`pool`] lends
+//! the host's idle cores to a kernel's per-row numerics.
 
 pub mod apps;
 pub mod campaign;
 pub mod determinism;
 pub mod nas;
 pub mod netpipe;
+pub mod pool;
 pub mod runner;
 pub mod serve;
 

@@ -43,11 +43,35 @@
 //! before (grid clones, per-block twiddle recurrence) survive as the
 //! `#[cfg(test)]` references the current ones are compared against bit for
 //! bit.
+//!
+//! # FT on every core
+//!
+//! FT's per-row work has no dependency between rows, so once a rank's grid
+//! has [`pool::MIN_POINTS`] points its per-row phases fan out over the host's
+//! cores through [`pool::for_each`], one region each:
+//!
+//! 1. the `sin` grid set-up, once per run;
+//! 2. per iteration, each row's FFT, then marshalling that row into every
+//!    block of the send slab;
+//! 3. per iteration, decoding each row from the received blocks, then its
+//!    second FFT.
+//!
+//! Each thread keeps one contiguous range of rows in every region, so a row
+//! is transformed, marshalled and decoded on one core. Every element sees the
+//! operations of the single-threaded loop in their order, and the checksum,
+//! the one reduction, stays on the caller. Virtual time is charged before
+//! each region, as before, so `workers: 1` results are bit-identical at any
+//! core count (DESIGN.md §5.6). The FFT itself has a portable and an AVX2
+//! build of one body, with the same bits.
 
+use crate::pool;
 use bytes::Bytes;
 use sim_mpi::datatype::{bytes_to_f64, f64_to_bytes, f64s_to_bytes, iter_f64s};
 use sim_mpi::{Process, ReduceOp};
 use sim_net::SimTime;
+use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Which NAS-like kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -423,8 +447,39 @@ fn butterfly(re: &mut [f64; 4], im: &mut [f64; 4], lo: usize, hi: usize, w: (f64
     im[hi] = ui - vi;
 }
 
+/// An FFT instance: [`fft_portable`] compiled for one instruction set.
+type Fft = fn(&mut [f64], &mut [f64], &Twiddles);
+
 /// In-place iterative radix-2 FFT over (re, im) pairs of length `n`, with
-/// the swaps and twiddles of `Twiddles::new(n)`.
+/// the swaps and twiddles of `Twiddles::new(n)`: the AVX2 build where the
+/// host has AVX2, the portable one elsewhere, chosen on first use. Both
+/// compile the same [`fft_portable`] without fused multiply-adds, so they
+/// return the same bits.
+fn fft_inplace(re: &mut [f64], im: &mut [f64], twiddles: &Twiddles) {
+    static FFT: OnceLock<Fft> = OnceLock::new();
+    FFT.get_or_init(|| fft_avx2().unwrap_or(fft_portable))(re, im, twiddles)
+}
+
+/// [`fft_portable`] with 256-bit vectors, if this host has AVX2.
+fn fft_avx2() -> Option<Fft> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        #[target_feature(enable = "avx2")]
+        fn avx2(re: &mut [f64], im: &mut [f64], twiddles: &Twiddles) {
+            fft_portable(re, im, twiddles);
+        }
+        fn detected(re: &mut [f64], im: &mut [f64], twiddles: &Twiddles) {
+            // SAFETY: `detected` is handed out only after the check above
+            // found AVX2 on this host.
+            unsafe { avx2(re, im, twiddles) }
+        }
+        return Some(detected);
+    }
+    None
+}
+
+/// The FFT itself: the build for the target's baseline instruction set, and
+/// inlined into the AVX2 one.
 ///
 /// The span-2 and span-4 stages run fused, in one pass over 4-point chunks:
 /// each chunk's two span-2 butterflies, then its two span-4 ones — the same
@@ -432,7 +487,8 @@ fn butterfly(re: &mut [f64; 4], im: &mut [f64; 4], lo: usize, hi: usize, w: (f64
 /// butterfly of either stage reads outside its chunk. The larger stages keep
 /// one pass each: their inner loop vectorises, a two-stages-per-pass loop
 /// does not.
-fn fft_inplace(re: &mut [f64], im: &mut [f64], twiddles: &Twiddles) {
+#[inline(always)]
+fn fft_portable(re: &mut [f64], im: &mut [f64], twiddles: &Twiddles) {
     let n = re.len();
     assert!(n.is_power_of_two());
     assert_eq!(im.len(), n, "real and imaginary parts of one length");
@@ -500,95 +556,167 @@ fn as_points_mut(bytes: &mut [u8]) -> &mut [Point] {
     points
 }
 
+/// A slice whose elements the threads of one [`pool::for_each`] region
+/// borrow mutably, each a part no other index of the region touches.
+struct Disjoint<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _slice: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: threads sharing a `Disjoint` share `ptr` and `len`, which nothing
+// writes after `new`. What they get through them is `part`'s `&mut [T]`, each
+// range held by one thread at a time (its contract), so `T: Send` is all
+// another thread needs.
+unsafe impl<T: Send> Sync for Disjoint<'_, T> {}
+
+impl<'a, T> Disjoint<'a, T> {
+    fn new(slice: &'a mut [T]) -> Self {
+        Disjoint {
+            ptr: slice.as_mut_ptr(),
+            len: slice.len(),
+            _slice: PhantomData,
+        }
+    }
+
+    /// The elements `range`.
+    ///
+    /// # Safety
+    /// No other reference into `range` may be live while the result is.
+    // `&self` to `&mut`: exclusive by the contract above, not by the borrow.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn part(&self, range: Range<usize>) -> &mut [T] {
+        assert!(range.start <= range.end && range.end <= self.len);
+        // SAFETY: in bounds (checked above) of a slice borrowed for 'a;
+        // exclusive by the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
+    }
+}
+
+/// Run `row(r)` for every `r < rows` of a grid of `points` points: on the
+/// helper pool from [`pool::MIN_POINTS`] up, inline below.
+fn for_each_row(rows: usize, points: usize, row: impl Fn(usize) + Sync) {
+    if points >= pool::MIN_POINTS {
+        pool::for_each(rows, row);
+    } else {
+        (0..rows).for_each(row);
+    }
+}
+
 /// Distributed FFT steps; returns a checksum of the transformed field.
+///
+/// Every per-row phase is one `for_each_row` region, so a large grid's rows
+/// are shared out over the host's cores: the grid set-up, the row FFTs fused
+/// with marshalling each row into the send slab, and the decode of each row
+/// from the received blocks fused with the second row FFTs. A row is written
+/// only by the thread its index went to, with the operations of the
+/// single-threaded loop in their order; the checksum stays on the caller.
 pub fn run_ft(p: &mut Process, cfg: &NasConfig) -> f64 {
     let size = p.size();
     let rank = p.rank();
     // Global grid: (rows = size * rows_per_rank) x (cols = size * rows_per_rank),
-    // each rank holds `rows_per_rank` full rows.
+    // each rank holds `rows_per_rank` full rows, row-major in `re` and `im`.
     let rows_per_rank = (cfg.local_size / size).next_power_of_two().clamp(2, 64);
     let cols = (rows_per_rank * size).next_power_of_two();
     let rows = rows_per_rank;
-    let mut re: Vec<Vec<f64>> = (0..rows)
-        .map(|r| {
-            (0..cols)
-                .map(|c| (((rank * rows + r) * cols + c) as f64 * 0.017).sin())
-                .collect()
-        })
-        .collect();
-    let mut im: Vec<Vec<f64>> = vec![vec![0.0; cols]; rows];
+    let points = rows * cols;
+    let row_span = |r: usize| r * cols..(r + 1) * cols;
+    let mut re = vec![0.0; points];
+    let mut im = vec![0.0; points];
+    {
+        let grid = Disjoint::new(&mut re);
+        for_each_row(rows, points, |r| {
+            // SAFETY: only index `r` of this region touches row `r`.
+            let row = unsafe { grid.part(row_span(r)) };
+            for (c, value) in row.iter_mut().enumerate() {
+                *value = (((rank * rows + r) * cols + c) as f64 * 0.017).sin();
+            }
+        });
+    }
     let twiddles = Twiddles::new(cols);
     // When `size` does not divide `cols` the remainder columns stay local:
     // the slab holds `size` blocks of `block_cols` columns, not `cols`.
     let block_cols = cols / size;
-    let block_bytes = rows * block_cols * std::mem::size_of::<Point>();
+    let block_points = rows * block_cols;
+    let block_bytes = block_points * std::mem::size_of::<Point>();
     let mut checksum = 0.0;
     for _step in 0..cfg.iterations {
-        // Local row FFTs.
-        cfg.charge_compute(p, rows * cols, 2.5);
-        for (re, im) in re.iter_mut().zip(&mut im) {
-            fft_inplace(re, im, &twiddles);
-        }
-        // All-to-all transpose: block (this rank, dest) of columns. The
-        // whole send slab is marshalled once, destination-major and
-        // (re, im)-interleaved, straight into the payload buffer; the
-        // per-destination blocks are then O(1) `Bytes::slice` views sharing
-        // that single allocation instead of one marshalling + allocation per
-        // destination (256 of them at paper scale). The slab handle itself
-        // goes out of scope here: from now on only the views hold it.
+        // Local row FFTs, each row then marshalled into the all-to-all
+        // transpose: block (this rank, dest) of columns. The whole send slab
+        // is filled once, destination-major and (re, im)-interleaved,
+        // straight into the payload buffer; the per-destination blocks are
+        // then O(1) `Bytes::slice` views sharing that single allocation
+        // instead of one marshalling + allocation per destination (256 of
+        // them at paper scale). The slab handle itself goes out of scope
+        // here: from now on only the views hold it.
+        cfg.charge_compute(p, points, 2.5);
         let blocks: Vec<Bytes> = {
             let slab = Bytes::from_fill(size * block_bytes, |out| {
-                let points = as_points_mut(out);
-                for (dst, block) in points.chunks_exact_mut(rows * block_cols).enumerate() {
-                    let span = dst * block_cols..(dst + 1) * block_cols;
-                    let rows_out = block.chunks_exact_mut(block_cols);
-                    for ((re, im), row) in re.iter().zip(&im).zip(rows_out) {
-                        let values = re[span.clone()].iter().zip(&im[span.clone()]);
-                        for ((re, im), point) in values.zip(row) {
+                let slab = Disjoint::new(as_points_mut(out));
+                let (re, im) = (Disjoint::new(&mut re), Disjoint::new(&mut im));
+                for_each_row(rows, points, |r| {
+                    // SAFETY: only index `r` of this region touches row `r`
+                    // of the grid, and row `r` of every block of the slab.
+                    let (re, im) = unsafe { (re.part(row_span(r)), im.part(row_span(r))) };
+                    fft_inplace(re, im, &twiddles);
+                    for dst in 0..size {
+                        let at = dst * block_points + r * block_cols;
+                        // SAFETY: as above.
+                        let out = unsafe { slab.part(at..at + block_cols) };
+                        let span = dst * block_cols..(dst + 1) * block_cols;
+                        let values = re[span.clone()].iter().zip(&im[span]);
+                        for ((re, im), point) in values.zip(out) {
                             *point = [re.to_le_bytes(), im.to_le_bytes()];
                         }
                     }
-                }
+                });
             });
             (0..size)
                 .map(|dst| slab.slice(dst * block_bytes..(dst + 1) * block_bytes))
                 .collect()
         };
         let received = p.alltoall_bytes(p.world(), blocks);
-        // Rebuild the local slab from the received blocks (transposed layout),
-        // then FFT along the other dimension (still length `cols` rows locally
-        // to keep the kernel simple). Each block is consumed: its view, and
-        // with the last view its sender's slab, is freed once copied, so the
+        // Rebuild each local row from the received blocks (transposed
+        // layout), then FFT along the other dimension (still length `cols`
+        // rows locally to keep the kernel simple). The blocks are freed once
+        // copied — with the last view of a sender's slab, the slab — so the
         // next iteration marshals into memory this one released.
-        cfg.charge_compute(p, rows * cols, 1.0);
-        for (src, block) in received.into_iter().enumerate() {
-            let points = as_points(&block);
+        cfg.charge_compute(p, points, 1.0);
+        cfg.charge_compute(p, points, 2.5);
+        for block in &received {
             assert_eq!(
-                points.len(),
-                rows * block_cols,
+                as_points(block).len(),
+                block_points,
                 "block of rows x block_cols points"
             );
-            let span = src * block_cols..(src + 1) * block_cols;
-            for ((re, im), row) in re
-                .iter_mut()
-                .zip(&mut im)
-                .zip(points.chunks_exact(block_cols))
-            {
-                let values = re[span.clone()].iter_mut().zip(&mut im[span.clone()]);
-                for ((re, im), [re_le, im_le]) in values.zip(row) {
-                    *re = f64::from_le_bytes(*re_le);
-                    *im = f64::from_le_bytes(*im_le);
+        }
+        {
+            let (re, im) = (Disjoint::new(&mut re), Disjoint::new(&mut im));
+            for_each_row(rows, points, |r| {
+                // SAFETY: only index `r` of this region touches row `r`.
+                let (re, im) = unsafe { (re.part(row_span(r)), im.part(row_span(r))) };
+                for (src, block) in received.iter().enumerate() {
+                    let row = &as_points(block)[r * block_cols..(r + 1) * block_cols];
+                    let span = src * block_cols..(src + 1) * block_cols;
+                    let values = re[span.clone()].iter_mut().zip(&mut im[span]);
+                    for ((re, im), [re_le, im_le]) in values.zip(row) {
+                        *re = f64::from_le_bytes(*re_le);
+                        *im = f64::from_le_bytes(*im_le);
+                    }
                 }
-            }
+                fft_inplace(re, im, &twiddles);
+            });
         }
-        cfg.charge_compute(p, rows * cols, 2.5);
-        for (re, im) in re.iter_mut().zip(&mut im) {
-            fft_inplace(re, im, &twiddles);
+        drop(received);
+        // Checksum reduce, as NPB FT does after each evolution step: the
+        // `re` and `im` sums are two chains, each in grid order from the
+        // `-0.0` that `Sum` starts from, interleaved in one loop.
+        let (mut sum_re, mut sum_im) = (-0.0f64, -0.0f64);
+        for (re, im) in re.iter().zip(&im) {
+            sum_re += re.abs();
+            sum_im += im.abs();
         }
-        // Checksum reduce, as NPB FT does after each evolution step.
-        let local: f64 = re.iter().flatten().map(|v| v.abs()).sum::<f64>()
-            + im.iter().flatten().map(|v| v.abs()).sum::<f64>();
-        checksum = p.allreduce_f64(p.world(), ReduceOp::Sum, local);
+        checksum = p.allreduce_f64(p.world(), ReduceOp::Sum, sum_re + sum_im);
     }
     checksum
 }
@@ -950,17 +1078,25 @@ mod tests {
         }
     }
 
+    /// Every build of the FFT is held to the reference: the portable one,
+    /// and the AVX2 one where this host can run it.
     #[test]
     fn tabulated_fft_is_bit_identical_to_the_per_block_recurrence() {
+        let mut builds: Vec<(&str, Fft)> = vec![("portable", fft_portable)];
+        builds.extend(fft_avx2().map(|fft| ("avx2", fft)));
         for log_n in 0..=12 {
             let n = 1usize << log_n;
             let twiddles = Twiddles::new(n);
             for (name, mut want_re, mut want_im) in fft_inputs(n) {
-                let (mut re, mut im) = (want_re.clone(), want_im.clone());
+                let (re, im) = (want_re.clone(), want_im.clone());
                 reference_fft(&mut want_re, &mut want_im);
-                fft_inplace(&mut re, &mut im, &twiddles);
-                assert_same_floats(&re, &want_re, &format!("re, n = {n}, {name}"));
-                assert_same_floats(&im, &want_im, &format!("im, n = {n}, {name}"));
+                for (build, fft) in &builds {
+                    let (mut re, mut im) = (re.clone(), im.clone());
+                    fft(&mut re, &mut im, &twiddles);
+                    let what = format!("{build}, n = {n}, {name}");
+                    assert_same_floats(&re, &want_re, &format!("re, {what}"));
+                    assert_same_floats(&im, &want_im, &format!("im, {what}"));
+                }
             }
         }
     }
