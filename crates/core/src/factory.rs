@@ -113,9 +113,8 @@ mod tests {
         let p = f.build(EndpointId(11), 8);
         assert_eq!(p.app_rank(), 3);
         assert_eq!(p.replica_id(), 1);
-        assert!(!p.is_primary());
         let p0 = f.build(EndpointId(3), 8);
-        assert!(p0.is_primary());
+        assert_eq!(p0.replica_id(), 0, "replica 0 reports the job's results");
     }
 
     #[test]

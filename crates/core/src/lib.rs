@@ -9,10 +9,12 @@
 //! `MPI_Waitany`).
 //!
 //! * [`protocol::SdrProtocol`] — Algorithm 1: receiver-driven acknowledgements
-//!   emitted on the library-level `irecvComplete` event, send completion
+//!   emitted on the library-level `irecvComplete` event and send completion
 //!   gated on collecting the acks of all other replicas of the destination
-//!   rank, the `upon failure` substitution handler, and the recovery of
-//!   Section 3.4 ([`SdrProtocol::fork`], [`SdrProtocol::announce_recovery`]).
+//!   rank (the fast path, `protocol/mod.rs`), with one file per slow path:
+//!   loss masking (`lossy.rs`), the `upon failure` substitution handler
+//!   (`failure.rs`), and the recovery of Section 3.4 (`recovery.rs`:
+//!   [`SdrProtocol::fork`], [`SdrProtocol::announce_recovery`]).
 //! * [`config::ReplicationConfig`] — replication degree and the ack-timing
 //!   ablation ([`config::AckOn`]).
 //! * [`layout::ReplicaMap`] — the rank → replica-set mapping: the

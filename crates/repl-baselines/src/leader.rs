@@ -104,16 +104,8 @@ impl Protocol for LeaderParallelProtocol {
         self.inner.app_rank()
     }
 
-    fn app_size(&self) -> usize {
-        self.inner.app_size()
-    }
-
     fn replica_id(&self) -> usize {
         self.inner.replica_id()
-    }
-
-    fn is_primary(&self) -> bool {
-        self.inner.is_primary()
     }
 
     fn isend(
@@ -250,6 +242,10 @@ impl Protocol for LeaderParallelProtocol {
         self.inner.handle_event(pml, ev);
     }
 
+    fn finalize(&mut self, pml: &mut Pml) {
+        self.inner.finalize(pml);
+    }
+
     fn describe_pending(&self) -> String {
         let awaiting = self
             .anon
@@ -260,6 +256,10 @@ impl Protocol for LeaderParallelProtocol {
             "leader-based protocol: {awaiting} anonymous receptions awaiting leader decision; {}",
             self.inner.describe_pending()
         )
+    }
+
+    fn send_log_len(&self) -> usize {
+        self.inner.send_log_len()
     }
 }
 

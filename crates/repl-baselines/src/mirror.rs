@@ -65,16 +65,8 @@ impl Protocol for MirrorProtocol {
         self.inner.app_rank()
     }
 
-    fn app_size(&self) -> usize {
-        self.inner.app_size()
-    }
-
     fn replica_id(&self) -> usize {
         self.inner.replica_id()
-    }
-
-    fn is_primary(&self) -> bool {
-        self.inner.is_primary()
     }
 
     fn isend(
@@ -145,6 +137,10 @@ impl Protocol for MirrorProtocol {
 
     fn describe_pending(&self) -> String {
         format!("mirror protocol: {}", self.inner.describe_pending())
+    }
+
+    fn send_log_len(&self) -> usize {
+        self.inner.send_log_len()
     }
 }
 

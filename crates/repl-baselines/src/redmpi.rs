@@ -170,16 +170,8 @@ impl Protocol for RedMpiProtocol {
         self.inner.app_rank()
     }
 
-    fn app_size(&self) -> usize {
-        self.inner.app_size()
-    }
-
     fn replica_id(&self) -> usize {
         self.inner.replica_id()
-    }
-
-    fn is_primary(&self) -> bool {
-        self.inner.is_primary()
     }
 
     fn isend(
@@ -304,6 +296,10 @@ impl Protocol for RedMpiProtocol {
             self.local_digest.len() + self.remote_hash.len(),
             self.inner.describe_pending()
         )
+    }
+
+    fn send_log_len(&self) -> usize {
+        self.inner.send_log_len()
     }
 }
 

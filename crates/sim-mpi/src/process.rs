@@ -55,10 +55,10 @@ impl std::fmt::Debug for Process {
 }
 
 impl Process {
-    /// Assemble a process from its parts (used by the runtime launcher).
-    pub fn new(mut pml: Pml, mut protocol: Box<dyn Protocol>, trace: EventTrace) -> Self {
-        protocol.init(&mut pml);
-        let world = CommInfo::world(protocol.app_size(), protocol.app_rank());
+    /// Assemble a process of a job of `app_ranks` ranks from its parts (used
+    /// by the runtime launcher).
+    pub fn new(pml: Pml, protocol: Box<dyn Protocol>, app_ranks: usize, trace: EventTrace) -> Self {
+        let world = CommInfo::world(app_ranks, protocol.app_rank());
         Process {
             pml,
             protocol,
@@ -71,12 +71,12 @@ impl Process {
 
     /// This process's rank in the application world.
     pub fn rank(&self) -> Rank {
-        self.protocol.app_rank()
+        self.world.my_rank
     }
 
     /// Number of ranks in the application world.
     pub fn size(&self) -> usize {
-        self.protocol.app_size()
+        self.world.size
     }
 
     /// The world communicator.

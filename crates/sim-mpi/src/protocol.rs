@@ -34,22 +34,10 @@ pub trait Protocol: Send {
     /// The application-world rank this physical process plays.
     fn app_rank(&self) -> Rank;
 
-    /// Number of ranks in the application world.
-    fn app_size(&self) -> usize;
-
     /// Replica id of this physical process (0 for native executions).
     fn replica_id(&self) -> usize {
         0
     }
-
-    /// Whether this process's application results should be reported as the
-    /// job's output (for replicated runs, typically replica set 0).
-    fn is_primary(&self) -> bool {
-        true
-    }
-
-    /// Initialize protocol state. Called once before the application runs.
-    fn init(&mut self, _pml: &mut Pml) {}
 
     /// Post an application send of `payload` to `dst` (app-world rank) on
     /// communicator `comm` with `tag`.
@@ -91,8 +79,9 @@ pub trait Protocol: Send {
     /// notifications). Called by the process layer for every event, in order.
     fn handle_event(&mut self, pml: &mut Pml, ev: PmlEvent);
 
-    /// Flush/cleanup at `MPI_Finalize` time.
-    fn finalize(&mut self, _pml: &mut Pml) {}
+    /// Flush/cleanup at `MPI_Finalize` time. No default: a wrapper that
+    /// forgets to forward it leaves its inner protocol undrained.
+    fn finalize(&mut self, pml: &mut Pml);
 
     /// One-line description of what the caller is blocked on, for deadlock
     /// diagnostics.
@@ -103,10 +92,9 @@ pub trait Protocol: Send {
     /// Number of send-log entries the protocol currently retains (payloads
     /// kept for post-failure re-sends). Protocols without a send log report 0.
     /// Exposed so experiments can assert the log stays bounded under
-    /// ack-driven garbage collection.
-    fn send_log_len(&self) -> usize {
-        0
-    }
+    /// ack-driven garbage collection. No default, for the same reason as
+    /// [`Protocol::finalize`].
+    fn send_log_len(&self) -> usize;
 }
 
 /// Builds one [`Protocol`] instance per physical process. The factory also
@@ -149,10 +137,6 @@ impl NativeProtocol {
 impl Protocol for NativeProtocol {
     fn app_rank(&self) -> Rank {
         self.rank
-    }
-
-    fn app_size(&self) -> usize {
-        self.size
     }
 
     fn isend(
@@ -204,6 +188,12 @@ impl Protocol for NativeProtocol {
     }
 
     fn free_send(&mut self, _pml: &mut Pml, _req: ProtoSendReq) {}
+
+    fn finalize(&mut self, _pml: &mut Pml) {}
+
+    fn send_log_len(&self) -> usize {
+        0
+    }
 
     fn handle_event(&mut self, _pml: &mut Pml, _ev: PmlEvent) {
         // Native executions have no protocol traffic and no fault tolerance:
@@ -294,9 +284,7 @@ mod tests {
         assert_eq!(f.name(), "native");
         let p = f.build(EndpointId(3), 16);
         assert_eq!(p.app_rank(), 3);
-        assert_eq!(p.app_size(), 16);
         assert_eq!(p.replica_id(), 0);
-        assert!(p.is_primary());
     }
 
     #[test]

@@ -92,10 +92,9 @@ pub struct ProcessReport<R> {
     pub endpoint: EndpointId,
     /// Application-world rank this process played.
     pub app_rank: Rank,
-    /// Replica id (0 when not replicated).
+    /// Replica id (0 when not replicated). Replica 0 of every rank is the
+    /// job's primary output.
     pub replica: usize,
-    /// Whether this process's results are the job's primary output.
-    pub primary: bool,
     /// How the process finished.
     pub outcome: ProcessOutcome<R>,
     /// Final virtual time of the process.
@@ -141,7 +140,7 @@ impl<R> JobReport<R> {
         let mut with_rank: Vec<(Rank, &R)> = self
             .processes
             .iter()
-            .filter(|p| p.primary)
+            .filter(|p| p.replica == 0)
             .filter_map(|p| p.outcome.result().map(|r| (p.app_rank, r)))
             .collect();
         with_rank.sort_by_key(|(r, _)| *r);
@@ -251,10 +250,10 @@ impl JobBuilder {
     /// fault class, next to [`JobBuilder::crash`] and [`JobBuilder::sdc_flip`].
     /// The policy is a pure function of `(config, seed)` and the per-link
     /// message indices, so identical jobs replay identical fault decisions.
-    /// Protocols discover the lossy transport through
-    /// [`Pml::lossy_transport`](crate::pml::Pml::lossy_transport) at init and
-    /// are expected to mask it (SDR-MPI retransmits on a virtual-time timer
-    /// and suppresses duplicates; see DESIGN.md §5.5).
+    /// Protocols ask [`Pml::lossy_transport`](crate::pml::Pml::lossy_transport)
+    /// wherever the mode matters to them and are expected to mask the loss
+    /// (SDR-MPI retransmits on a virtual-time timer and suppresses
+    /// duplicates; see DESIGN.md §5.5).
     pub fn net_faults(mut self, config: NetFaultConfig, seed: u64) -> Self {
         self.net_faults = Some((config, seed));
         self
@@ -302,7 +301,8 @@ impl JobBuilder {
         let physical = self.factory.physical_processes(self.app_ranks);
         let fabric = Fabric::new_shared(physical, Arc::clone(&self.model));
         // Install before anything runs: protocols read the policy's presence
-        // at init time, and per-link fault indices must start at zero.
+        // from their first call on, and per-link fault indices must start at
+        // zero.
         if let Some((config, seed)) = self.net_faults {
             fabric.install_net_faults(config, seed);
         }
@@ -355,8 +355,7 @@ impl JobBuilder {
                     let protocol = factory.build(EndpointId(p), app_ranks);
                     let app_rank = protocol.app_rank();
                     let replica = protocol.replica_id();
-                    let primary = protocol.is_primary();
-                    let mut process = Process::new(pml, protocol, trace);
+                    let mut process = Process::new(pml, protocol, app_ranks, trace);
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let r = app(&mut process);
                         process.finalize();
@@ -372,7 +371,6 @@ impl JobBuilder {
                         endpoint: EndpointId(p),
                         app_rank,
                         replica,
-                        primary,
                         outcome,
                         finish_time: clock.now(),
                         compute_time: clock.compute_time(),

@@ -130,8 +130,10 @@ pub enum FaultVerdict {
     Delay,
 }
 
-/// `splitmix64` — the same finalizer `workloads::campaign::CampaignRng` uses.
-fn splitmix64(mut x: u64) -> u64 {
+/// One `splitmix64` step: advance `x` by the golden-ratio increment and
+/// finalize it. The fault verdicts below and `workloads::campaign`'s case
+/// sampler draw from this one function.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

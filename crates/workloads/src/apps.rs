@@ -283,7 +283,7 @@ mod tests {
         let finished_primary = repl
             .processes
             .iter()
-            .filter(|p| p.primary)
+            .filter(|p| p.replica == 0)
             .all(|p| p.outcome.is_finished());
         assert!(finished_primary, "primary replica set must finish");
     }

@@ -68,6 +68,7 @@ use bytes::Bytes;
 use repl_baselines::{RedMpiFactory, SdcReport};
 use sdr_core::ReplicaMap;
 use sim_mpi::{Process, ReduceOp};
+use sim_net::netfault::splitmix64;
 use sim_net::{CrashSchedule, EndpointId, NetFaultConfig, SimTime, StatsSnapshot};
 use std::sync::Arc;
 use std::time::Instant;
@@ -137,11 +138,9 @@ impl CampaignRng {
 
     /// Next raw 64-bit value (splitmix64 step).
     pub fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform value in `[0, bound)`; `bound` must be non-zero.

@@ -64,10 +64,8 @@ pub struct ProcessRecord {
     pub endpoint: usize,
     /// Application rank the process played.
     pub app_rank: usize,
-    /// Replica index within its rank.
+    /// Replica index within its rank; replica 0 is the job's primary output.
     pub replica: usize,
-    /// Whether the process's result is part of the job's primary output.
-    pub primary: bool,
     /// Outcome kind (`"finished"`, `"crashed"`, `"deadlocked"`,
     /// `"panicked"`).
     pub outcome: &'static str,
@@ -223,7 +221,6 @@ impl JobRecord {
                     endpoint: p.endpoint.0,
                     app_rank: p.app_rank,
                     replica: p.replica,
-                    primary: p.primary,
                     outcome,
                     result_bits,
                     finish_ns: p.finish_time.as_nanos(),
@@ -284,7 +281,7 @@ impl JobRecord {
                 ("endpoint", p.endpoint.into()),
                 ("app_rank", p.app_rank.into()),
                 ("replica", p.replica.into()),
-                ("primary", p.primary.into()),
+                ("primary", (p.replica == 0).into()),
                 ("outcome", p.outcome.into()),
                 ("finish_ns", p.finish_ns.into()),
             ];

@@ -7,7 +7,8 @@
 //! `waitall`s — 18 sends and 18 receives in flight per process, 5 rounds —
 //! natively, under SDR-MPI at degree 2 and 3, with replica crashes inside a
 //! window (the substitute re-sends from a multi-entry log, in log order),
-//! over lossy links, and under the three baseline protocols.
+//! over lossy links, and under the three baseline protocols, reliable and
+//! lossy.
 //!
 //! Checked on every finished process: each receive carries exactly the
 //! payload its position in the sender's stream dictates, the send log is
@@ -101,20 +102,38 @@ fn baseline_job(factory: Arc<dyn ProtocolFactory>) -> JobBuilder {
     JobBuilder::new(RANKS).protocol(factory)
 }
 
+fn mirror() -> JobBuilder {
+    baseline_job(Arc::new(MirrorFactory::new(2)))
+}
+
+fn leader() -> JobBuilder {
+    baseline_job(Arc::new(LeaderFactory::new(ReplicationConfig::dual())))
+}
+
+fn redmpi() -> JobBuilder {
+    baseline_job(Arc::new(RedMpiFactory::dual(SdcReport::new())))
+}
+
+/// The baselines wrap an SDR-MPI engine that masks loss on its own: over
+/// lossy links each must still deliver exactly the fault-free payloads.
+/// At seed 7 a leader-protocol process that skipped the engine's finalize
+/// drain left a peer's last send unacked until its retransmission cap.
+fn lossy(job: JobBuilder, seed: u64) -> JobBuilder {
+    job.net_faults(NetFaultConfig::lossy_links(), seed)
+}
+
 #[test]
 fn windows_of_outstanding_requests_complete_and_leave_no_request_behind() {
     with_deadline("outstanding_requests/baselines", |_| {
-        let cases: [(&str, JobBuilder); 4] = [
+        let cases: [(&str, JobBuilder); 8] = [
             ("native", native_job(RANKS)),
-            ("mirror", baseline_job(Arc::new(MirrorFactory::new(2)))),
-            (
-                "leader",
-                baseline_job(Arc::new(LeaderFactory::new(ReplicationConfig::dual()))),
-            ),
-            (
-                "redmpi",
-                baseline_job(Arc::new(RedMpiFactory::dual(SdcReport::new()))),
-            ),
+            ("mirror", mirror()),
+            ("leader", leader()),
+            ("redmpi", redmpi()),
+            ("mirror-lossy", lossy(mirror(), 17)),
+            ("leader-lossy", lossy(leader(), 17)),
+            ("redmpi-lossy", lossy(redmpi(), 17)),
+            ("leader-lossy-seed-7", lossy(leader(), 7)),
         ];
         for (name, job) in cases {
             run_case(name, job, 0);

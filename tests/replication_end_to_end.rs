@@ -119,7 +119,7 @@ fn crash_during_collective_heavy_run_is_survived() {
     let expected: f64 = (0..8)
         .map(|i| (0 + i) + (1 + i) + (2 + i) + (3 + i))
         .sum::<usize>() as f64;
-    for proc in report.processes.iter().filter(|p| p.primary) {
+    for proc in report.processes.iter().filter(|p| p.replica == 0) {
         assert!(proc.outcome.is_finished());
         assert_eq!(proc.outcome.result(), Some(&expected));
     }
