@@ -214,9 +214,8 @@ impl ReplicaMap {
     /// The lowest replica index of `rank` whose endpoint `alive` (indexed by
     /// endpoint id; missing entries count as dead) marks live, or `None`
     /// when every replica is dead. This is the one election of the protocol:
-    /// Algorithm 1's `electSubstitute` and the fork source of Section 3.4.
-    /// Every survivor evaluates it on the same liveness view, so it needs no
-    /// message exchange.
+    /// Algorithm 1's `electSubstitute`. Every survivor evaluates it on the
+    /// same liveness view, so it needs no message exchange.
     pub fn lowest_live_replica(&self, rank: Rank, alive: &[bool]) -> Option<usize> {
         (0..self.degree_of(rank)).find(|&rep| {
             alive

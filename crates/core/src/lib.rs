@@ -12,9 +12,9 @@
 //!   emitted on the library-level `irecvComplete` event and send completion
 //!   gated on collecting the acks of all other replicas of the destination
 //!   rank (the fast path, `protocol/mod.rs`), with one file per slow path:
-//!   loss masking (`lossy.rs`), the `upon failure` substitution handler
-//!   (`failure.rs`), and the recovery of Section 3.4 (`recovery.rs`:
-//!   [`SdrProtocol::fork`], [`SdrProtocol::announce_recovery`]).
+//!   loss masking (`lossy.rs`) and the `upon failure` substitution handler
+//!   (`failure.rs`). Crashes are masked, not repaired: a failed replica
+//!   stays dead, and Section 3.4's recovery is not reproduced.
 //! * [`config::ReplicationConfig`] — replication degree and the ack-timing
 //!   ablation ([`config::AckOn`]).
 //! * [`layout::ReplicaMap`] — the rank → replica-set mapping: the
@@ -22,7 +22,7 @@
 //!   ([`ReplicaMap::uniform`]) and partial replication of a configured rank
 //!   subset ([`ReplicaMap::partial`]). Its
 //!   [`ReplicaMap::lowest_live_replica`] is the one election: the substitute
-//!   of Algorithm 1 and the fork source of Section 3.4.
+//!   of Algorithm 1.
 //! * [`factory::mapped_job`] — one-call launcher for a job on one map;
 //!   [`factory::replicated_job`] is its uniform case.
 //!

@@ -20,8 +20,10 @@
 //!
 //! This file is the fast path: the state, the send fan-out, the choice of
 //! receive source, ack emission and registration, completion and free. Each
-//! slow path has a file: loss masking (DESIGN.md §5.5), the `upon failure`
-//! handler (`failure.rs`) and Section 3.4's recovery (`recovery.rs`).
+//! slow path has a file: loss masking (DESIGN.md §5.5) and the `upon failure`
+//! handler (`failure.rs`). Failures are masked, not repaired: a crashed
+//! replica stays dead, and Section 3.4's recovery is not reproduced
+//! (DESIGN.md §4.1).
 
 use crate::config::{AckOn, ReplicationConfig};
 use crate::layout::{ReplicaMap, ReplicaMask};
@@ -37,7 +39,6 @@ use std::sync::Arc;
 
 mod failure;
 mod lossy;
-mod recovery;
 
 /// Per-message bookkeeping maps ride the matching engine's trusted-key
 /// multiplicative hasher instead of SipHash.
@@ -50,9 +51,6 @@ pub mod ctl {
     /// `CONTROL` when re-emitted reliably in response to an
     /// [`ACK_PROBE`]).
     pub const ACK: i64 = 1;
-    /// Recovery notification broadcast by the substitute after forking a new
-    /// replica (class `CONTROL`), Section 3.4.
-    pub const RECOVERY_NOTIFY: i64 = 2;
     /// Self-addressed retransmission timer (class `CONTROL`): fires the
     /// timeout/backoff check for one send-log entry.
     pub const RETX_TIMER: i64 = 3;
@@ -187,15 +185,15 @@ pub struct SdrProtocol {
     /// `substitute[rep]`: which replica id of *this* process's rank is in
     /// charge of sending on behalf of replica `rep`.
     substitute: Vec<usize>,
-    /// Liveness of every physical process, as known locally.
+    /// Liveness of every physical process, as known locally. An entry only
+    /// ever goes from alive to dead.
     alive: Vec<bool>,
 
     // --- sequencing and request bookkeeping --------------------------------
     send_seq: Vec<u64>,
     recv_seen: Vec<SeqTracker>,
     /// The send log, keyed by send-request id — i.e. in posting order, which
-    /// is wire order: the failure and recovery handlers re-send by iterating
-    /// it.
+    /// is wire order: the failure handler re-sends by iterating it.
     sends: BTreeMap<u64, SendEntry>,
     next_send: u64,
     recvs: BTreeMap<PmlReqId, RecvEntry>,
@@ -518,9 +516,6 @@ impl Protocol for SdrProtocol {
                 let (a, b) = (header[1] as u64, header[2] as u64);
                 match header[0] {
                     ctl::ACK => self.register_ack(src, a, arrival),
-                    ctl::RECOVERY_NOTIFY => {
-                        self.handle_recovery_notification(pml, EndpointId(a as usize))
-                    }
                     ctl::RETX_TIMER => self.handle_retx_timer(pml, a, arrival),
                     ctl::ACK_PROBE => self.handle_ack_probe(pml, src, a as usize, b, arrival),
                     ctl::FIN_ACK => self.handle_fin_ack(src, a, arrival),

@@ -10,7 +10,7 @@
 //! * [`PmlEvent::RecvCompleted`] — the `pml_recv_complete` callback
 //!   (the paper's `irecvComplete` event) on which SDR-MPI emits its acks;
 //! * [`PmlEvent::Control`] — delivery of protocol-level messages (acks,
-//!   leader decisions, recovery notifications) that bypass MPI matching;
+//!   leader decisions, retransmission timers) that bypass MPI matching;
 //! * [`PmlEvent::ProcessFailed`] — the failure notification from the external
 //!   failure-detection service.
 //!
@@ -229,11 +229,6 @@ impl Pml {
     /// Advance the virtual clock by `d` of application computation.
     pub fn compute(&mut self, d: SimTime) {
         self.ep.compute(d);
-    }
-
-    /// The matching engine (read-only; used by statistics and tests).
-    pub fn matching(&self) -> &MatchingEngine {
-        &self.engine
     }
 
     /// Synchronise the clock to a virtual deadline the process waited out
@@ -602,7 +597,7 @@ impl Pml {
             .failure()
             .failures_since(self.failures_seen);
         for ev in new {
-            self.failures_seen = self.failures_seen.max(ev.seq + 1);
+            self.failures_seen = ev.seq + 1;
             // A process does not get notified of its own failure.
             if ev.endpoint != self.ep.id() {
                 self.pending_events.push(PmlEvent::ProcessFailed(ev));
@@ -806,7 +801,7 @@ mod tests {
         p1.compute(SimTime::from_micros(1_000_000));
         let events = p1.progress();
         assert!(events.is_empty());
-        assert_eq!(p1.matching().unexpected_len(), 1);
+        assert_eq!(p1.engine.unexpected_len(), 1);
         // Posting the recv delivers it immediately (extra copy) with an event.
         let before = p1.now();
         let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(3));
@@ -883,7 +878,7 @@ mod tests {
             }
             other => panic!("unexpected event {other:?}"),
         }
-        assert_eq!(p1.matching().unexpected_len(), 0);
+        assert_eq!(p1.engine.unexpected_len(), 0);
     }
 
     #[test]
@@ -1068,11 +1063,7 @@ mod tests {
             ),
             "exactly the one copy is suppressed: {events:?}"
         );
-        assert_eq!(
-            p1.matching().unexpected_len(),
-            0,
-            "dup never reached matching"
-        );
+        assert_eq!(p1.engine.unexpected_len(), 0, "dup never reached matching");
         assert_eq!(f.stats().snapshot().retransmits(), 3);
     }
 

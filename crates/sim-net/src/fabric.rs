@@ -466,11 +466,6 @@ impl Endpoint {
         self.managed && self.fabric.sched.running() <= 1
     }
 
-    /// Number of application-class messages sent so far.
-    pub fn app_sends(&self) -> u64 {
-        self.app_sends
-    }
-
     /// Check this process's crash schedule and, if it fires, record the
     /// failure and unwind with a [`CrashSignal`] panic. `pre_send` selects the
     /// before/after-send semantics of the schedule.
@@ -1015,12 +1010,25 @@ mod tests {
 
     #[test]
     fn non_app_classes_do_not_count_as_app_sends() {
-        let (mut a, _b, _f) = two_endpoint_fabric();
-        a.send(EndpointId(1), class::ACK, hdr(0), Bytes::new());
-        a.send(EndpointId(1), class::CONTROL, hdr(0), Bytes::new());
-        assert_eq!(a.app_sends(), 0);
-        a.send(EndpointId(1), class::APP, hdr(0), Bytes::new());
-        assert_eq!(a.app_sends(), 1);
+        // A crash due before the `nth` application send fires neither on an
+        // ack nor on control traffic sent first, only on that APP send.
+        for nth in [1, 2] {
+            let (mut a, _b, fabric) = two_endpoint_fabric();
+            fabric
+                .failure()
+                .schedule(EndpointId(0), CrashSchedule::BeforeSend { nth });
+            a.send(EndpointId(1), class::ACK, hdr(0), Bytes::new());
+            a.send(EndpointId(1), class::CONTROL, hdr(0), Bytes::new());
+            for _ in 1..nth {
+                a.send(EndpointId(1), class::APP, hdr(0), Bytes::new());
+            }
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                a.send(EndpointId(1), class::APP, hdr(0), Bytes::new());
+            }));
+            let err = result.expect_err("the APP send crashes");
+            assert!(err.downcast_ref::<CrashSignal>().is_some());
+            assert_eq!(fabric.stats().snapshot().app_msgs(), nth - 1);
+        }
     }
 
     #[test]

@@ -33,12 +33,10 @@
 //!   locked rule could fire on. The flags are sized at construction;
 //!   endpoints beyond them (only ever created by hand, in tests) always take
 //!   the locked path.
-//! * `failed_seq` is a **monotonic sequence allocator**, written under the
-//!   inner write lock and read lock-free: `failures_since(from)` returns
-//!   empty without locking when `from >= failed_seq`. Recovery
-//!   (`mark_recovered`) removes events but never lowers the counter, so the
-//!   lock-free early-out can never hide a failure a poller has not yet
-//!   observed, even across recoveries that reuse endpoint ids.
+//! * `failed_seq` is the length of the failure log, written under the inner
+//!   write lock and read lock-free: `failures_since(from)` returns empty
+//!   without locking when `from >= failed_seq`. The log is append-only — a
+//!   failed endpoint stays failed — so an event's `seq` is its index in it.
 //!
 //! All of them are SeqCst: a recorder publishes the event list (under the
 //! lock) before bumping `failed_seq`, so any poller that sees the new
@@ -49,7 +47,6 @@
 use crate::fabric::EndpointId;
 use crate::time::SimTime;
 use parking_lot::RwLock;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -100,15 +97,17 @@ pub struct FailureEvent {
     pub endpoint: EndpointId,
     /// Virtual time (on the failed process's clock) at which it failed.
     pub at: SimTime,
-    /// Monotonic sequence number in global detection order.
+    /// Index in the append-only failure log: 0, 1, 2, … in global
+    /// detection order.
     pub seq: u64,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     schedules: Vec<CrashSchedule>,
+    /// The failure log, append-only: `failed[i].seq == i`, and an endpoint
+    /// appears at most once.
     failed: Vec<FailureEvent>,
-    failed_set: BTreeSet<usize>,
 }
 
 /// Shared failure-injection + perfect-failure-detection service.
@@ -124,15 +123,11 @@ struct Inner {
 pub struct FailureService {
     inner: Arc<RwLock<Inner>>,
     /// Per endpoint: true once it was given a schedule other than `Never` or
-    /// was recorded as failed. Never reset (a recovered endpoint just keeps
-    /// taking the locked path); purely a fast-path gate for `should_crash`.
+    /// was recorded as failed. Never reset; purely a fast-path gate for
+    /// `should_crash`.
     may_crash: Arc<[AtomicBool]>,
-    /// Monotonic next failure sequence number — one past the highest `seq`
-    /// ever assigned. Written under the inner write lock, read lock-free by
-    /// the per-progress poll. Never decremented: `mark_recovered` removes
-    /// events from the list but does not reclaim their sequence numbers, so
-    /// `from_seq >= failed_seq` always means "no event with `seq >= from_seq`
-    /// exists" even across recoveries.
+    /// The number of recorded failures, i.e. the next event's `seq`. Written
+    /// under the inner write lock, read lock-free by the per-progress poll.
     failed_seq: Arc<AtomicU64>,
 }
 
@@ -143,7 +138,6 @@ impl FailureService {
             inner: Arc::new(RwLock::new(Inner {
                 schedules: vec![CrashSchedule::Never; n],
                 failed: Vec::new(),
-                failed_set: BTreeSet::new(),
             })),
             may_crash: (0..n).map(|_| AtomicBool::new(false)).collect(),
             failed_seq: Arc::new(AtomicU64::new(0)),
@@ -213,21 +207,12 @@ impl FailureService {
     /// Returns the recorded event (existing one if already failed).
     pub fn record_failure(&self, endpoint: EndpointId, at: SimTime) -> FailureEvent {
         let mut g = self.inner.write();
-        if g.failed_set.contains(&endpoint.0) {
-            return *g
-                .failed
-                .iter()
-                .find(|e| e.endpoint == endpoint)
-                .expect("failed_set and failed list out of sync");
+        if let Some(ev) = g.failed.iter().find(|e| e.endpoint == endpoint) {
+            return *ev;
         }
-        // Sequence numbers come from the monotonic counter, NOT from
-        // `failed.len()`: recovery shrinks the list, and reusing a length-
-        // derived seq would hand a new failure a number that pollers have
-        // already consumed, making them skip the event forever.
-        let seq = self.failed_seq.load(Ordering::SeqCst);
+        let seq = g.failed.len() as u64;
         let ev = FailureEvent { endpoint, at, seq };
         g.failed.push(ev);
-        g.failed_set.insert(endpoint.0);
         self.mark_may_crash(endpoint);
         self.failed_seq.store(seq + 1, Ordering::SeqCst);
         ev
@@ -238,38 +223,22 @@ impl FailureService {
         if self.failed_seq.load(Ordering::SeqCst) == 0 {
             return false;
         }
-        self.inner.read().failed_set.contains(&endpoint.0)
-    }
-
-    /// Remove `endpoint` from the failed set (used by recovery when a new
-    /// process is forked to replace a failed replica and takes over its id).
-    pub fn mark_recovered(&self, endpoint: EndpointId) {
-        let mut g = self.inner.write();
-        g.failed_set.remove(&endpoint.0);
-        g.failed.retain(|e| e.endpoint != endpoint);
-        // `failed_seq` is deliberately left alone: it is a monotonic
-        // sequence allocator, not a list length. Lowering it here would make
-        // the lock-free fast path in `failures_since` hide still-unobserved
-        // failures whose seq is at or above the lowered value.
-        if endpoint.0 < g.schedules.len() {
-            g.schedules[endpoint.0] = CrashSchedule::Never;
-        }
+        self.inner
+            .read()
+            .failed
+            .iter()
+            .any(|e| e.endpoint == endpoint)
     }
 
     /// Failures with sequence number `>= from_seq` (what a process has not yet
-    /// observed). The caller-has-seen-everything case is answered from an
+    /// observed): the log's suffix from index `from_seq`. The
+    /// caller-has-seen-everything case is answered from an
     /// atomic without taking the lock — this runs on every progress poll.
     pub fn failures_since(&self, from_seq: u64) -> Vec<FailureEvent> {
         if from_seq >= self.failed_seq.load(Ordering::SeqCst) {
             return Vec::new();
         }
-        self.inner
-            .read()
-            .failed
-            .iter()
-            .filter(|e| e.seq >= from_seq)
-            .copied()
-            .collect()
+        self.inner.read().failed[from_seq as usize..].to_vec()
     }
 }
 
@@ -356,49 +325,9 @@ mod tests {
     fn failed_process_reported_as_should_crash() {
         let svc = FailureService::new(2);
         svc.record_failure(ep(0), SimTime::ZERO);
-        // Even with no schedule, a process recorded as failed keeps crashing
-        // (this matters for recovery tests that reuse endpoint ids).
+        // Even with no schedule, a process recorded as failed keeps crashing:
+        // a failed endpoint stays failed.
         assert!(svc.should_crash(ep(0), SimTime::ZERO, 0, false));
-    }
-
-    #[test]
-    fn mark_recovered_clears_state() {
-        let svc = FailureService::new(2);
-        svc.schedule(ep(0), CrashSchedule::AtTime { at: SimTime::ZERO });
-        svc.record_failure(ep(0), SimTime::ZERO);
-        svc.mark_recovered(ep(0));
-        assert!(!svc.is_failed(ep(0)));
-        assert!(svc.failures_since(0).is_empty());
-        assert!(!svc.should_crash(ep(0), SimTime::from_micros(1_000_000), 0, false));
-    }
-
-    #[test]
-    fn recovery_does_not_hide_later_failures() {
-        // Regression: A fails (seq 0), a poller advances to from_seq = 1,
-        // B fails (seq 1), then A recovers. The lock-free fast path in
-        // `failures_since` must not early-return empty — B is still
-        // unobserved.
-        let svc = FailureService::new(4);
-        svc.record_failure(ep(0), SimTime::ZERO);
-        let b = svc.record_failure(ep(1), SimTime::from_nanos(3));
-        svc.mark_recovered(ep(0));
-        assert_eq!(svc.failures_since(1), vec![b]);
-        assert_eq!(svc.failures_since(2), vec![]);
-    }
-
-    #[test]
-    fn seq_is_never_reused_after_recovery() {
-        // Regression: seqs must come from a monotonic counter, not the list
-        // length, or a post-recovery failure reuses a seq that pollers have
-        // already consumed and is silently skipped.
-        let svc = FailureService::new(4);
-        svc.record_failure(ep(0), SimTime::ZERO); // seq 0
-        svc.record_failure(ep(1), SimTime::ZERO); // seq 1
-        svc.mark_recovered(ep(0));
-        let c = svc.record_failure(ep(2), SimTime::ZERO);
-        assert_eq!(c.seq, 2, "recovered seqs must not be reallocated");
-        // A poller that had observed seqs 0 and 1 still sees C.
-        assert_eq!(svc.failures_since(2), vec![c]);
     }
 
     #[test]

@@ -400,23 +400,19 @@ impl Scheduler {
     }
 
     /// Put endpoint `e` under scheduler management, queueing it to run. Must
-    /// be called before the process's carrier calls [`Scheduler::start`].
-    /// Re-registering a finished slot is allowed (recovery forks a replacement
-    /// process under the same physical identity).
+    /// be called once, before the process's carrier calls
+    /// [`Scheduler::start`]. A slot is managed for one process's life: a
+    /// finished or deadlocked slot is never registered again, and an
+    /// unmanaged one still holds its initial clock, streak and token (only a
+    /// running slot writes the first two; a wake leaves it no token).
     pub fn register(&self, e: EndpointId) {
         let phase = self.load_phase(e.0);
         assert!(
-            matches!(
-                phase,
-                Phase::Unmanaged | Phase::Finished | Phase::Deadlocked
-            ),
-            "endpoint {} registered while still {:?}",
+            phase == Phase::Unmanaged,
+            "endpoint {} registered while {:?}",
             e.0,
             phase
         );
-        self.vtime[e.0].store(0, Ordering::Relaxed);
-        self.streak[e.0].store(0, Ordering::Relaxed);
-        self.token[e.0].store(false, Ordering::SeqCst);
         self.phase[e.0].store(Phase::Ready as u8, Ordering::SeqCst);
         self.push_ready(e.0, SimTime::ZERO);
         self.try_dispatch_idle();
@@ -1086,6 +1082,16 @@ mod tests {
         assert!(!s.is_managed(ep(1)));
         s.start(ep(0)); // must not block: a permit is free
         s.finish(ep(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 0 registered while Finished")]
+    fn re_registering_a_finished_slot_panics() {
+        let s = Scheduler::new(2);
+        s.register(ep(0));
+        s.start(ep(0));
+        s.finish(ep(0));
+        s.register(ep(0));
     }
 
     #[test]

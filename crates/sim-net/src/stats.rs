@@ -16,8 +16,8 @@ pub mod class {
     pub const APP: u8 = 0;
     /// Replication-protocol acknowledgement.
     pub const ACK: u8 = 1;
-    /// Replication-protocol control traffic (leader decisions, recovery
-    /// notifications, substitution announcements).
+    /// Replication-protocol control traffic (leader decisions, ack probes,
+    /// retransmission timers, finalize notices).
     pub const CONTROL: u8 = 2;
     /// Payload-hash messages (redMPI-style SDC detection).
     pub const HASH: u8 = 3;

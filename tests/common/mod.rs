@@ -1,6 +1,6 @@
 //! Shared fixtures for the integration tests: the fast network model, the
 //! Figure 3 communication pattern, the survivor assertions of the fault
-//! scenarios, the PML/protocol pump of the scripted recovery tests, and the
+//! scenarios, the PML/protocol pump of the hand-driven failure test, and the
 //! wall-clock deadline that turns a hung job into a failed test.
 #![allow(dead_code)]
 

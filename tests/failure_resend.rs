@@ -3,8 +3,8 @@
 //! pinned here: exactly the entries missing the dead replica's
 //! acknowledgement, in posting order across destinations.
 //!
-//! Three ranks under dual replication, driven by hand as in
-//! `tests/recovery.rs` (endpoint `k·3 + r` is replica `k` of rank `r`):
+//! Three ranks under dual replication, driven by hand through each
+//! process's PML and protocol (endpoint `k·3 + r` is replica `k` of rank `r`):
 //!
 //! 1. p⁰₀ (endpoint 0) and p¹₀ (endpoint 3) post the same six sends,
 //!    alternating irregularly between ranks 1 and 2.

@@ -40,25 +40,43 @@ proptest! {
     /// through the service's locked accessors after every operation of a
     /// random history — schedules set and cleared, failures recorded for a
     /// running endpoint by itself or by another party (the call is the
-    /// same), recoveries, and endpoints beyond the service's initial size.
+    /// same), and endpoints beyond the service's initial size. The failure
+    /// log is append-only: after every operation an event's `seq` is its
+    /// index in record order, and `failures_since(k)` is the suffix from `k`.
     #[test]
     fn failure_service_crash_check_matches_the_locked_rule(
         n in 1usize..6,
         ops in proptest::collection::vec(any::<u64>(), 1..60),
     ) {
         let svc = FailureService::new(n);
+        let mut recorded = Vec::new();
         for op in ops {
             let e = EndpointId((op >> 8) as usize % (n + 2)); // two beyond `n`
             let k = (op >> 16) % 4;
-            match op % 8 {
+            match op % 6 {
                 0 => svc.schedule(e, CrashSchedule::Never),
                 1 => svc.schedule(e, CrashSchedule::AtTime { at: SimTime::from_nanos(k) }),
                 2 => svc.schedule(e, CrashSchedule::BeforeSend { nth: k }),
                 3 => svc.schedule(e, CrashSchedule::AfterSend { nth: k }),
-                4 | 5 => {
+                _ => {
                     svc.record_failure(e, SimTime::from_nanos(k));
+                    if !recorded.contains(&e) {
+                        recorded.push(e);
+                    }
                 }
-                _ => svc.mark_recovered(e),
+            }
+            let log = svc.failures_since(0);
+            let order: Vec<(u64, EndpointId)> =
+                log.iter().map(|ev| (ev.seq, ev.endpoint)).collect();
+            let expected: Vec<(u64, EndpointId)> =
+                recorded.iter().enumerate().map(|(i, &e)| (i as u64, e)).collect();
+            prop_assert_eq!(order, expected, "seqs are 0..len in record order");
+            for from in 0..=log.len() + 1 {
+                prop_assert_eq!(
+                    svc.failures_since(from as u64),
+                    log.get(from..).unwrap_or_default().to_vec(),
+                    "failures_since({}) is the log's suffix", from
+                );
             }
             for e in (0..n + 2).map(EndpointId) {
                 for probe in 0..16u64 {
@@ -297,13 +315,13 @@ proptest! {
     }
 
     /// The one election ([`sdr_core::ReplicaMap::lowest_live_replica`], the
-    /// substitute of Algorithm 1 and the fork source of Section 3.4) is a
-    /// pure function of the survivor set: the lowest surviving replica index
-    /// wins, repeated elections agree, and killing the losers never changes
-    /// the winner. On partial maps a singleton rank elects its only replica
-    /// while it lives and nobody once it is dead.
+    /// substitute of Algorithm 1) is a pure function of the survivor set: the
+    /// lowest surviving replica index wins, repeated elections agree, and
+    /// killing the losers never changes the winner. On partial maps a
+    /// singleton rank elects its only replica while it lives and nobody once
+    /// it is dead.
     #[test]
-    fn fork_election_is_deterministic_across_survivor_subsets(
+    fn substitute_election_is_deterministic_across_survivor_subsets(
         ranks in 1usize..12,
         degree in 2usize..5,
         replicated_mask in any::<u64>(),
