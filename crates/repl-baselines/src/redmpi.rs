@@ -14,7 +14,6 @@
 //! and the `ablation_redmpi` harness.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use sdr_core::{AckOn, ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::{Pml, PmlEvent};
 use sim_mpi::{
@@ -24,7 +23,7 @@ use sim_net::stats::class;
 use sim_net::trace::digest;
 use sim_net::EndpointId;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Control-message kind for payload hashes.
 pub const HASH_KIND: i64 = 200;
@@ -63,7 +62,7 @@ impl SdcReport {
     }
 
     fn record(&self, mismatch: bool, corrected: bool) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         g.comparisons += 1;
         if mismatch {
             g.mismatches += 1;
@@ -75,19 +74,28 @@ impl SdcReport {
 
     /// Total hash comparisons performed.
     pub fn comparisons(&self) -> u64 {
-        self.inner.lock().comparisons
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .comparisons
     }
 
     /// Hash mismatches (detected corruptions).
     pub fn mismatches(&self) -> u64 {
-        self.inner.lock().mismatches
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .mismatches
     }
 
     /// Mismatches outvoted by a hash majority (degree ≥ 3 only): the receiver
     /// knows which copy is corrupt and can substitute the majority value, so
     /// the corruption is *corrected*, not merely detected.
     pub fn corrected(&self) -> u64 {
-        self.inner.lock().corrected
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .corrected
     }
 }
 

@@ -456,9 +456,7 @@ impl Pml {
                     // The receive-side CPU overhead is paid when the message
                     // is actually delivered to the application, on top of the
                     // arrival time.
-                    let intra = meta.src == self.ep.id();
-                    let cost = self.ep.fabric().model().recv_overhead(meta.len, intra);
-                    self.ep.clock_mut().charge_comm(cost);
+                    self.ep.charge_recv(meta.src, meta.len);
                     Some((meta, payload))
                 } else {
                     unreachable!("state checked above")

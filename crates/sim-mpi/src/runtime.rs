@@ -37,7 +37,7 @@ use sim_net::stats::StatsSnapshot;
 use sim_net::trace::EventTrace;
 use sim_net::{
     CarrierMode, CoroRuntime, CrashSchedule, EndpointId, Fabric, LogGpModel, NetFaultConfig,
-    NetworkModel, SimTime,
+    SimTime,
 };
 use std::sync::{Arc, Once};
 
@@ -183,7 +183,7 @@ impl<R> JobReport<R> {
 /// Builder for a simulated MPI job.
 pub struct JobBuilder {
     app_ranks: usize,
-    model: Arc<dyn NetworkModel>,
+    model: LogGpModel,
     factory: Arc<dyn ProtocolFactory>,
     crash_schedules: Vec<(EndpointId, CrashSchedule)>,
     sdc_flips: Vec<(EndpointId, SdcFlip)>,
@@ -206,7 +206,7 @@ impl JobBuilder {
         assert!(app_ranks > 0, "a job needs at least one rank");
         JobBuilder {
             app_ranks,
-            model: Arc::new(LogGpModel::infiniband_20g()),
+            model: LogGpModel::infiniband_20g(),
             factory: Arc::new(NativeFactory),
             crash_schedules: Vec::new(),
             sdc_flips: Vec::new(),
@@ -217,8 +217,8 @@ impl JobBuilder {
     }
 
     /// Use a specific network cost model.
-    pub fn network<M: NetworkModel>(mut self, model: M) -> Self {
-        self.model = Arc::new(model);
+    pub fn network(mut self, model: LogGpModel) -> Self {
+        self.model = model;
         self
     }
 
@@ -259,7 +259,8 @@ impl JobBuilder {
         self
     }
 
-    /// Enable event tracing (needed by the send-determinism checker).
+    /// Enable event tracing: the job's sends and receives are recorded in
+    /// [`JobReport::trace`].
     pub fn trace(mut self, enabled: bool) -> Self {
         self.trace = enabled;
         self
@@ -299,7 +300,7 @@ impl JobBuilder {
     {
         install_quiet_panic_hook();
         let physical = self.factory.physical_processes(self.app_ranks);
-        let fabric = Fabric::new_shared(physical, Arc::clone(&self.model));
+        let fabric = Fabric::with_defaults(physical, self.model);
         // Install before anything runs: protocols read the policy's presence
         // from their first call on, and per-link fault indices must start at
         // zero.

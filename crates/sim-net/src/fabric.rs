@@ -50,16 +50,15 @@
 
 use crate::clock::VirtualClock;
 use crate::failure::{CrashSignal, FailureService};
-use crate::model::NetworkModel;
+use crate::model::LogGpModel;
 use crate::netfault::{FaultVerdict, NetFaultConfig, NetFaultPolicy};
 use crate::sched::{Park, Scheduler};
 use crate::stats::{class, NetStats};
 use crate::time::SimTime;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identifier of a physical process / its fabric endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -153,7 +152,7 @@ impl Inbox {
     fn ingest(&self, msg: RawMessage, dup: Option<RawMessage>) {
         let frames = 1 + dup.is_some() as u64;
         self.queued.fetch_add(frames, Ordering::SeqCst);
-        let mut mailbox = self.mailbox.lock();
+        let mut mailbox = self.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
         mailbox.push_back(msg);
         if let Some(copy) = dup {
             mailbox.push_back(copy);
@@ -164,7 +163,7 @@ impl Inbox {
 /// The shared fabric connecting `n` endpoints.
 pub struct Fabric {
     n: usize,
-    model: Arc<dyn NetworkModel>,
+    model: LogGpModel,
     /// One inbox per endpoint, owned by the fabric for the whole run so that
     /// messages sent to a crashed process are not lost: they stay queued
     /// under its identity, whether or not a handle is ever taken for it.
@@ -190,14 +189,7 @@ impl std::fmt::Debug for Fabric {
 impl Fabric {
     /// Build a fabric for `n` physical processes, each its own node, using
     /// `model` for costs.
-    pub fn with_defaults<M: NetworkModel>(n: usize, model: M) -> Arc<Fabric> {
-        Fabric::new_shared(n, Arc::new(model))
-    }
-
-    /// Like [`Fabric::with_defaults`] but with an already type-erased cost
-    /// model (used by the job launcher, which stores the model as
-    /// `Arc<dyn NetworkModel>`).
-    pub fn new_shared(n: usize, model: Arc<dyn NetworkModel>) -> Arc<Fabric> {
+    pub fn with_defaults(n: usize, model: LogGpModel) -> Arc<Fabric> {
         assert!(n > 0, "fabric needs at least one endpoint");
         let inboxes = (0..n).map(|_| Inbox::new()).collect();
         // The scheduler shares the fabric's stats so its dispatch counters
@@ -303,7 +295,7 @@ impl Fabric {
             return;
         }
         for inbox in &self.inboxes {
-            let mut mailbox = inbox.mailbox.lock();
+            let mut mailbox = inbox.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
             let before = mailbox.len();
             mailbox.retain(|m| !m.dup);
             let removed = (before - mailbox.len()) as u64;
@@ -314,16 +306,11 @@ impl Fabric {
         }
     }
 
-    /// The cost model in use.
-    pub fn model(&self) -> &Arc<dyn NetworkModel> {
-        &self.model
-    }
-
     /// Take the endpoint for physical process `id`. Panics if taken twice.
     pub fn endpoint(self: &Arc<Self>, id: EndpointId) -> Endpoint {
         assert!(id.0 < self.n, "endpoint id out of range");
         {
-            let mut taken = self.taken.lock();
+            let mut taken = self.taken.lock().unwrap_or_else(PoisonError::into_inner);
             assert!(!taken[id.0], "endpoint {} already taken", id.0);
             taken[id.0] = true;
         }
@@ -612,7 +599,7 @@ impl Endpoint {
         }
         let kept = self.pending.len();
         {
-            let mut mailbox = inbox.mailbox.lock();
+            let mut mailbox = inbox.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
             if kept == 0 {
                 self.pending.clear();
                 std::mem::swap(&mut self.pending, &mut mailbox);
@@ -689,11 +676,17 @@ impl Endpoint {
     // clock has been synchronised to the arrival); protocol-level messages
     // (acks, control, hashes) are charged here, when they are processed.
     fn charge_recv_overhead(&mut self, msg: &RawMessage) {
-        if msg.class == class::APP {
-            return;
+        if msg.class != class::APP {
+            self.charge_recv(msg.src, msg.len());
         }
-        let intra = msg.src == self.id;
-        let cost = self.fabric.model.recv_overhead(msg.len(), intra);
+    }
+
+    /// Charge this endpoint's clock the model's receive overhead for a
+    /// `len`-byte message from `src` (intra-node only when `src` is this
+    /// endpoint). The MPI layer calls it when an application receive
+    /// completes.
+    pub fn charge_recv(&mut self, src: EndpointId, len: usize) {
+        let cost = self.fabric.model.recv_overhead(len, src == self.id);
         self.clock.charge_comm(cost);
     }
 

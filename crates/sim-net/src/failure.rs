@@ -46,9 +46,8 @@
 
 use crate::fabric::EndpointId;
 use crate::time::SimTime;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Panic payload used to unwind a simulated process out of arbitrary user
 /// code when its crash schedule fires. The runtime recognises this payload and
@@ -146,7 +145,7 @@ impl FailureService {
 
     /// Schedule a crash for `endpoint`. Replaces any previous schedule.
     pub fn schedule(&self, endpoint: EndpointId, schedule: CrashSchedule) {
-        let mut g = self.inner.write();
+        let mut g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if endpoint.0 >= g.schedules.len() {
             g.schedules.resize(endpoint.0 + 1, CrashSchedule::Never);
         }
@@ -168,6 +167,7 @@ impl FailureService {
     pub fn schedule_of(&self, endpoint: EndpointId) -> CrashSchedule {
         self.inner
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .schedules
             .get(endpoint.0)
             .copied()
@@ -206,7 +206,7 @@ impl FailureService {
     /// Record that `endpoint` has crashed at virtual time `at`. Idempotent.
     /// Returns the recorded event (existing one if already failed).
     pub fn record_failure(&self, endpoint: EndpointId, at: SimTime) -> FailureEvent {
-        let mut g = self.inner.write();
+        let mut g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(ev) = g.failed.iter().find(|e| e.endpoint == endpoint) {
             return *ev;
         }
@@ -225,6 +225,7 @@ impl FailureService {
         }
         self.inner
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .failed
             .iter()
             .any(|e| e.endpoint == endpoint)
@@ -238,7 +239,11 @@ impl FailureService {
         if from_seq >= self.failed_seq.load(Ordering::SeqCst) {
             return Vec::new();
         }
-        self.inner.read().failed[from_seq as usize..].to_vec()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .failed[from_seq as usize..]
+            .to_vec()
     }
 }
 

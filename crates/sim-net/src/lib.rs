@@ -10,7 +10,7 @@
 //!
 //! * Every physical process owns a [`clock::VirtualClock`]. Computation
 //!   advances the clock explicitly; communication costs are charged by the
-//!   [`model::NetworkModel`].
+//!   one cost model, [`model::LogGpModel`].
 //! * Execution goes through the [`sched::Scheduler`]: each simulated process
 //!   lives on a coroutine stack ([`carrier::coro`]), hosted by a few worker
 //!   threads leased from the process-global [`carrier::CarrierPool`], and
@@ -76,7 +76,7 @@ pub use carrier::{CarrierHandle, CarrierMode, CarrierPool, CarrierSource};
 pub use clock::VirtualClock;
 pub use fabric::{Endpoint, EndpointId, Fabric, RawMessage, RecvError};
 pub use failure::{CrashSchedule, FailureEvent, FailureService};
-pub use model::{LogGpModel, NetworkModel};
+pub use model::LogGpModel;
 pub use netfault::{FaultVerdict, NetFaultConfig, NetFaultPolicy};
 pub use sched::{Park, Scheduler, WakeOutcome};
 pub use stats::{NetStats, StatsSnapshot};

@@ -26,39 +26,12 @@
 //! one's shorter wire time outruns the big one's), and across senders ingest
 //! order only roughly tracks virtual time.
 //!
-//! What *is* load-bearing for determinism: implementations must be pure
-//! functions of `(payload size, locality)` as stated on [`NetworkModel`], so
-//! identical runs stamp identical arrivals, and ties between equal arrival
-//! stamps are broken by the fabric's ingest order, never by wall-clock
-//! time.
+//! What *is* load-bearing for determinism: every cost is a pure function of
+//! `(payload size, locality)`, as stated on [`LogGpModel`], so identical
+//! runs stamp identical arrivals, and ties between equal arrival stamps are
+//! broken by the fabric's ingest order, never by wall-clock time.
 
 use crate::time::SimTime;
-
-/// A network cost model maps (message size, locality) to virtual-time costs.
-/// The fabric passes `intra_node = true` only for a process's sends to
-/// itself: every physical process is its own node.
-///
-/// Implementations must be pure functions of their parameters so that
-/// simulations are reproducible.
-pub trait NetworkModel: Send + Sync + 'static {
-    /// CPU time charged on the sender for injecting one message.
-    fn send_overhead(&self, payload_bytes: usize, intra_node: bool) -> SimTime;
-
-    /// CPU time charged on the receiver for extracting one message.
-    fn recv_overhead(&self, payload_bytes: usize, intra_node: bool) -> SimTime;
-
-    /// Wire time: delay between injection completing on the sender and the
-    /// message being available at the receiver.
-    fn wire_time(&self, payload_bytes: usize, intra_node: bool) -> SimTime;
-
-    /// Total one-way cost as seen by a ping-pong benchmark: overheads plus
-    /// wire time. Provided for convenience and for model-level unit tests.
-    fn one_way(&self, payload_bytes: usize, intra_node: bool) -> SimTime {
-        self.send_overhead(payload_bytes, intra_node)
-            + self.wire_time(payload_bytes, intra_node)
-            + self.recv_overhead(payload_bytes, intra_node)
-    }
-}
 
 /// Parameters for one locality class (intra-node or inter-node) of the
 /// LogGP-style model.
@@ -85,7 +58,15 @@ impl LinkParams {
     }
 }
 
-/// LogGP-style model with separate intra-node and inter-node parameter sets.
+/// LogGP-style model with separate intra-node and inter-node parameter sets:
+/// the one network cost model, mapping (message size, locality) to
+/// virtual-time costs. The fabric passes `intra_node = true` only for a
+/// process's sends to itself: every physical process is its own node.
+///
+/// Every cost method is a pure function of the model's parameters and its
+/// arguments, so simulations are reproducible; timing perturbations (the
+/// send-determinism check's delays, lossy links) come from the fabric's
+/// seeded fault policy ([`crate::netfault`]), never from the model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogGpModel {
     /// Parameters used when sender and receiver are on different nodes.
@@ -152,10 +133,9 @@ impl LogGpModel {
             &self.inter
         }
     }
-}
 
-impl NetworkModel for LogGpModel {
-    fn send_overhead(&self, payload_bytes: usize, intra_node: bool) -> SimTime {
+    /// CPU time charged on the sender for injecting one message.
+    pub fn send_overhead(&self, payload_bytes: usize, intra_node: bool) -> SimTime {
         let p = self.params(intra_node);
         let mut t = SimTime::from_nanos(p.send_overhead_ns);
         if payload_bytes > p.eager_threshold {
@@ -164,13 +144,16 @@ impl NetworkModel for LogGpModel {
         t
     }
 
-    fn recv_overhead(&self, payload_bytes: usize, intra_node: bool) -> SimTime {
+    /// CPU time charged on the receiver for extracting one message.
+    pub fn recv_overhead(&self, payload_bytes: usize, intra_node: bool) -> SimTime {
         let p = self.params(intra_node);
         let _ = payload_bytes;
         SimTime::from_nanos(p.recv_overhead_ns)
     }
 
-    fn wire_time(&self, payload_bytes: usize, intra_node: bool) -> SimTime {
+    /// Wire time: delay between injection completing on the sender and the
+    /// message being available at the receiver.
+    pub fn wire_time(&self, payload_bytes: usize, intra_node: bool) -> SimTime {
         let p = self.params(intra_node);
         SimTime::from_nanos(p.latency_ns) + p.per_byte(payload_bytes)
     }
@@ -180,12 +163,20 @@ impl NetworkModel for LogGpModel {
 mod tests {
     use super::*;
 
+    /// Total one-way cost as seen by a ping-pong benchmark: overheads plus
+    /// wire time.
+    fn one_way(m: &LogGpModel, payload_bytes: usize, intra_node: bool) -> SimTime {
+        m.send_overhead(payload_bytes, intra_node)
+            + m.wire_time(payload_bytes, intra_node)
+            + m.recv_overhead(payload_bytes, intra_node)
+    }
+
     #[test]
     fn infiniband_one_byte_latency_matches_paper_native() {
         let m = LogGpModel::infiniband_20g();
-        let one_way = m.one_way(1, false);
+        let t = one_way(&m, 1, false);
         // Paper: native Open MPI one-byte latency is 1.67 µs. Allow ±10%.
-        let us = one_way.as_micros_f64();
+        let us = t.as_micros_f64();
         assert!(
             us > 1.5 && us < 1.85,
             "one-way latency {us} µs out of range"
@@ -196,7 +187,7 @@ mod tests {
     fn infiniband_large_message_bandwidth_near_20gbps() {
         let m = LogGpModel::infiniband_20g();
         let size = 8 * 1024 * 1024usize;
-        let t = m.one_way(size, false).as_secs_f64();
+        let t = one_way(&m, size, false).as_secs_f64();
         let gbps = (size as f64 * 8.0) / t / 1e9;
         // The paper's Figure 7b tops out a bit above 10 Gb/s effective;
         // accept anything between 10 and 20 Gb/s for the model itself.
@@ -210,7 +201,7 @@ mod tests {
     fn intra_node_cheaper_than_inter_node() {
         let m = LogGpModel::infiniband_20g();
         for &size in &[1usize, 1024, 65536, 1 << 20] {
-            assert!(m.one_way(size, true) < m.one_way(size, false));
+            assert!(one_way(&m, size, true) < one_way(&m, size, false));
         }
     }
 
@@ -241,6 +232,6 @@ mod tests {
     fn fast_test_model_is_faster() {
         let fast = LogGpModel::fast_test_model();
         let ib = LogGpModel::infiniband_20g();
-        assert!(fast.one_way(1024, false) < ib.one_way(1024, false));
+        assert!(one_way(&fast, 1024, false) < one_way(&ib, 1024, false));
     }
 }

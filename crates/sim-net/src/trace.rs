@@ -1,6 +1,6 @@
 //! Lightweight event tracing.
 //!
-//! The send-determinism checker (in the `workloads` crate) and several
+//! The send-determinism test (`tests/send_determinism.rs`) and several
 //! integration tests need to compare the *sequence of send events* of a
 //! process across executions — the operational form of the paper's
 //! Definition 1. [`EventTrace`] records those events, in order, with a
@@ -8,8 +8,7 @@
 
 use crate::fabric::EndpointId;
 use crate::time::SimTime;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Kinds of traced events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,13 +85,19 @@ impl EventTrace {
     /// Append an event (no-op when disabled).
     pub fn record(&self, ev: TraceEvent) {
         if self.enabled {
-            self.events.lock().push(ev);
+            self.events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(ev);
         }
     }
 
     /// All recorded events, in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 

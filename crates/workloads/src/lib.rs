@@ -17,16 +17,15 @@
 //! model so that the compute/communication ratio is class-D-like (see
 //! `DESIGN.md` §2 for the substitution argument).
 //!
-//! [`determinism`] provides the operational send-determinism check of
-//! Definition 1: run a workload under perturbed message timing and compare the
-//! per-rank send sequences. [`runner`] packages the native-vs-replicated
-//! comparison used by the Table 1/2 harnesses, and [`serve`] holds the job
-//! spec every harness above the simulator launches through. [`pool`] lends
-//! the host's idle cores to a kernel's per-row numerics.
+//! [`runner`] packages the native-vs-replicated comparison used by the
+//! Table 1/2 harnesses, and [`serve`] holds the job spec every harness above
+//! the simulator launches through. [`pool`] lends the host's idle cores to a
+//! kernel's per-row numerics. Definition 1 (send-determinism) is checked on
+//! every workload here by `tests/send_determinism.rs`, which re-runs each
+//! one under the fabric's seeded delay policy and compares per-rank sends.
 
 pub mod apps;
 pub mod campaign;
-pub mod determinism;
 pub mod nas;
 pub mod netpipe;
 pub mod pool;
@@ -37,7 +36,6 @@ pub use campaign::{
     case_spec, run_campaign, run_case, shrink, CampaignSummary, CaseOutcome, LatencyStats,
     ShrinkOutcome, Violation,
 };
-pub use determinism::{check_send_determinism, DeterminismReport, JitterModel};
 pub use netpipe::{netpipe_sweep, NetpipePoint};
 pub use runner::{compare, ComparisonRow, WorkloadSpec};
 pub use serve::{JobRecord, JobSpec, ServeConfig, ServeEvent, SpecError};

@@ -212,7 +212,7 @@ proptest! {
     ) {
         use sim_net::fabric::HEADER_WORDS;
         use sim_net::stats::class;
-        use sim_net::{Fabric, LogGpModel, NetworkModel};
+        use sim_net::{Fabric, LogGpModel};
         let model = LogGpModel::fast_test_model();
         let fabric = Fabric::with_defaults(senders + 1, model);
         let dst = EndpointId(senders);
