@@ -129,7 +129,6 @@ mod tests {
                 sim_mpi::PmlEvent::ProcessFailed(sim_net::FailureEvent {
                     endpoint: EndpointId(1),
                     at: SimTime::ZERO,
-                    seq: 0,
                 }),
             );
         }));
@@ -150,7 +149,6 @@ mod tests {
             sim_mpi::PmlEvent::ProcessFailed(sim_net::FailureEvent {
                 endpoint: EndpointId(1),
                 at: SimTime::ZERO,
-                seq: 0,
             }),
         );
         // Second failure leaves rank 1 with no replica: clear abort.
@@ -160,7 +158,6 @@ mod tests {
                 sim_mpi::PmlEvent::ProcessFailed(sim_net::FailureEvent {
                     endpoint: EndpointId(3),
                     at: SimTime::ZERO,
-                    seq: 1,
                 }),
             );
         }));

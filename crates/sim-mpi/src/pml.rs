@@ -11,8 +11,8 @@
 //!   (the paper's `irecvComplete` event) on which SDR-MPI emits its acks;
 //! * [`PmlEvent::Control`] — delivery of protocol-level messages (acks,
 //!   leader decisions, retransmission timers) that bypass MPI matching;
-//! * [`PmlEvent::ProcessFailed`] — the failure notification from the external
-//!   failure-detection service.
+//! * [`PmlEvent::ProcessFailed`] — a peer crashed: the `SYSTEM` message
+//!   naming it that every other process receives (`sim_net::Fabric::fail`).
 //!
 //! Crucially, the PML only makes progress when one of its methods is called
 //! (no asynchronous progress thread), reproducing the default Open MPI /
@@ -92,7 +92,7 @@ pub enum PmlEvent {
         /// Virtual arrival time of the duplicate.
         arrival: SimTime,
     },
-    /// The failure-detection service reports a crashed process.
+    /// A peer crashed: its `SYSTEM` notification was drained.
     ProcessFailed(FailureEvent),
 }
 
@@ -135,8 +135,10 @@ pub struct Pml {
     requests: HashMap<PmlReqId, ReqState>,
     next_req: u64,
     send_seq: HashMap<(EndpointId, CommId), u64>,
-    failures_seen: u64,
     pending_events: Vec<PmlEvent>,
+    /// Crash notifications drained by the current progress call, held back
+    /// until it places them among `pending_events` (see [`Pml::progress`]).
+    failed: Vec<FailureEvent>,
     /// A drained event vector the caller handed back
     /// ([`Pml::recycle_events`]); it becomes `pending_events` the next time
     /// that one is given away, so steady-state progress allocates nothing.
@@ -180,8 +182,8 @@ impl Pml {
             requests: HashMap::default(),
             next_req: 1,
             send_seq: HashMap::default(),
-            failures_seen: 0,
             pending_events: Vec::new(),
+            failed: Vec::new(),
             spare_events: Vec::new(),
             app_sends: 0,
             sdc_flips: Vec::new(),
@@ -491,8 +493,12 @@ impl Pml {
 
     fn process_raw(&mut self, raw: sim_net::RawMessage) {
         if raw.class == class::SYSTEM {
-            // Failure-detector wake-up: carries no content, it only unparks
-            // a waiting receiver so that `poll_failures` runs promptly.
+            // A crash notification (`Fabric::fail`): `header[0]` names the
+            // failed process, the arrival is its crash time.
+            self.failed.push(FailureEvent {
+                endpoint: EndpointId(raw.header[0] as usize),
+                at: raw.arrival,
+            });
             return;
         }
         if raw.class == class::APP {
@@ -588,21 +594,6 @@ impl Pml {
         }
     }
 
-    fn poll_failures(&mut self) {
-        let new = self
-            .ep
-            .fabric()
-            .failure()
-            .failures_since(self.failures_seen);
-        for ev in new {
-            self.failures_seen = ev.seq + 1;
-            // A process does not get notified of its own failure.
-            if ev.endpoint != self.ep.id() {
-                self.pending_events.push(PmlEvent::ProcessFailed(ev));
-            }
-        }
-    }
-
     /// Give the queued events to the caller, leaving the spare vector (or an
     /// empty one) in their place.
     fn take_events(&mut self) -> Vec<PmlEvent> {
@@ -627,15 +618,23 @@ impl Pml {
         }
     }
 
-    /// Non-blocking progress: drain virtually-arrived messages, poll the
-    /// failure detector, and return all events generated since the last call.
+    /// Non-blocking progress: drain every delivered message and return all
+    /// events generated since the last call.
+    ///
+    /// Crash notifications drained here are returned *ahead* of the drain's
+    /// other events (behind events queued before the call, e.g. receives
+    /// that `irecv` completed from the unexpected queue), while
+    /// [`Pml::progress_blocking`] returns the ones its own drain finds
+    /// *behind* everything else. Protocols react to a failure by re-sending
+    /// and redirecting receives, so these positions order those reactions
+    /// against the batch and move virtual time if changed.
     ///
     /// An empty poll feeds the endpoint's idle counter: scheduler-managed
     /// processes that busy-poll (`MPI_Test` loops) cooperatively yield their
     /// run permit after enough fruitless calls, so a poller can never starve
     /// the bounded worker pool.
     pub fn progress(&mut self) -> Vec<PmlEvent> {
-        self.poll_failures();
+        let before_drain = self.pending_events.len();
         // Under lossy transport every progress call is its own wake window
         // (`Endpoint::flush`): a process whose inbox is kept warm by its own
         // retransmission timer and by inbound retransmits may go a long time
@@ -653,6 +652,11 @@ impl Pml {
         while let Some(raw) = self.ep.next_ready() {
             drained_any = true;
             self.process_raw(raw);
+        }
+        if !self.failed.is_empty() {
+            let failed = self.failed.drain(..).map(PmlEvent::ProcessFailed);
+            self.pending_events
+                .splice(before_drain..before_drain, failed);
         }
         let events = self.take_events();
         if drained_any || !events.is_empty() {
@@ -694,33 +698,24 @@ impl Pml {
         if !events.is_empty() {
             return Ok(events);
         }
-        match self.ep.recv_blocking_hinted(racy) {
-            Ok(raw) => {
-                self.process_raw(raw);
-                // Drain anything else that became visible in the same batch
-                // (`recv_blocking` already swept the inbox; `next_ready` pops
-                // without re-probing it).
-                while let Some(raw) = self.ep.next_ready() {
-                    self.process_raw(raw);
-                }
-                self.poll_failures();
-                Ok(self.take_events())
-            }
-            Err(err) => {
-                // Check failures one more time (a failure notification may be
-                // what unblocks us) before declaring the deadlock.
-                self.poll_failures();
-                let events = self.take_events();
-                if events.is_empty() {
-                    Err(MpiError::Deadlock {
-                        endpoint: self.ep.id(),
-                        waiting_for: format!("{waiting_for} [{err}]"),
-                    })
-                } else {
-                    Ok(events)
-                }
-            }
+        let raw = self
+            .ep
+            .recv_blocking_hinted(racy)
+            .map_err(|err| MpiError::Deadlock {
+                endpoint: self.ep.id(),
+                waiting_for: format!("{waiting_for} [{err}]"),
+            })?;
+        self.process_raw(raw);
+        // Drain anything else that became visible in the same batch
+        // (`recv_blocking` already swept the inbox; `next_ready` pops
+        // without re-probing it).
+        while let Some(raw) = self.ep.next_ready() {
+            self.process_raw(raw);
         }
+        // Crash notifications go last here (see `progress`).
+        let failed = self.failed.drain(..).map(PmlEvent::ProcessFailed);
+        self.pending_events.extend(failed);
+        Ok(self.take_events())
     }
 }
 
@@ -891,12 +886,12 @@ mod tests {
     fn failure_notification_delivered_as_event() {
         let f = fabric(3);
         let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
-        f.failure()
-            .record_failure(EndpointId(2), SimTime::from_nanos(5));
+        f.fail(EndpointId(2), SimTime::from_nanos(5));
         let events = p0.progress();
         assert!(matches!(
-            events[0],
-            PmlEvent::ProcessFailed(ev) if ev.endpoint == EndpointId(2)
+            events[..],
+            [PmlEvent::ProcessFailed(ev)]
+                if ev == FailureEvent { endpoint: EndpointId(2), at: SimTime::from_nanos(5) }
         ));
         // Not reported twice.
         assert!(p0.progress().is_empty());
@@ -904,20 +899,19 @@ mod tests {
 
     #[test]
     fn own_failure_not_reported_to_self() {
-        // The failure-event filter must not notify a process of its own
-        // failure (a crashed process is unwound by the crash signal instead).
-        // Verify the filter directly on the pending-event list: process 1
-        // fails, process 0 is notified, and a hypothetical poll by process 1
-        // would be preceded by its crash-signal unwind anyway.
+        // The notification goes to every process but the failed one (a
+        // crashed process is unwound by the crash signal instead).
         let f = fabric(2);
         let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
-        f.failure().record_failure(EndpointId(1), SimTime::ZERO);
+        let mut p1 = Pml::new(f.endpoint(EndpointId(1)));
+        f.fail(EndpointId(1), SimTime::ZERO);
         let events = p0.progress();
         assert_eq!(events.len(), 1);
         assert!(matches!(
             events[0],
             PmlEvent::ProcessFailed(ev) if ev.endpoint == EndpointId(1)
         ));
+        assert!(p1.progress().is_empty());
     }
 
     #[test]
@@ -1116,8 +1110,6 @@ mod tests {
         f.scheduler().set_workers(1);
         f.scheduler().register(EndpointId(0));
         f.scheduler().register(EndpointId(1));
-        f.failure()
-            .schedule(EndpointId(1), CrashSchedule::BeforeSend { nth: 1 });
         let waiter = std::thread::spawn({
             let f = std::sync::Arc::clone(&f);
             move || {
@@ -1137,7 +1129,9 @@ mod tests {
         }
         f.scheduler().start(EndpointId(1));
         let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut p1 = Pml::new(f.endpoint(EndpointId(1)));
+            let mut ep = f.endpoint(EndpointId(1));
+            ep.schedule_crash(CrashSchedule::BeforeSend { nth: 1 });
+            let mut p1 = Pml::new(ep);
             p1.isend(EndpointId(0), CommId::WORLD, 0, 0, Bytes::new());
         }));
         assert!(crash.unwrap_err().is::<CrashSignal>());

@@ -307,9 +307,6 @@ impl JobBuilder {
         if let Some((config, seed)) = self.net_faults {
             fabric.install_net_faults(config, seed);
         }
-        for (ep, schedule) in &self.crash_schedules {
-            fabric.failure().schedule(*ep, *schedule);
-        }
         let trace = if self.trace {
             EventTrace::enabled()
         } else {
@@ -323,6 +320,7 @@ impl JobBuilder {
         let factory = Arc::clone(&self.factory);
         let app_ranks = self.app_ranks;
         let sdc_flips = self.sdc_flips;
+        let crash_schedules = self.crash_schedules;
         // One process body per physical process, each run on its own
         // coroutine stack.
         let body_for = {
@@ -338,6 +336,12 @@ impl JobBuilder {
                     .filter(|(ep, _)| *ep == EndpointId(p))
                     .map(|(_, f)| *f)
                     .collect();
+                // The last schedule `crash` set for this endpoint wins.
+                let crash = crash_schedules
+                    .iter()
+                    .rev()
+                    .find(|(ep, _)| *ep == EndpointId(p))
+                    .map_or(CrashSchedule::Never, |(_, s)| *s);
                 move || {
                     // Mark the slot finished on every exit path (including
                     // unexpected panics), so peers never wait on a ghost.
@@ -348,7 +352,8 @@ impl JobBuilder {
                     // The scheduler's grant of a run permit *is* this
                     // coroutine's first resume, so this returns immediately.
                     fabric.scheduler().start(EndpointId(p));
-                    let endpoint = fabric.endpoint(EndpointId(p));
+                    let mut endpoint = fabric.endpoint(EndpointId(p));
+                    endpoint.schedule_crash(crash);
                     let mut pml = Pml::new(endpoint);
                     if !flips.is_empty() {
                         pml.arm_sdc_flips(flips);

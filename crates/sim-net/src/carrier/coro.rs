@@ -36,7 +36,7 @@
 //!   after every switch, never cached across one: a coroutine that suspends
 //!   on one worker may resume on another.
 //! * **Unwinding.** Panics (including the simulated-crash unwind from
-//!   `FailureService::maybe_crash`) never cross a switch: the process body
+//!   `Endpoint::maybe_crash`) never cross a switch: the process body
 //!   runs under `catch_unwind` *on the coroutine's own stack*, and drop
 //!   handlers along the unwind never park. The coroutine retires normally afterwards, so crash
 //!   cleanup ("switch-out + drop-on-owner") is just the ordinary retirement

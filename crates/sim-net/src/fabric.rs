@@ -49,7 +49,7 @@
 //! under the condition given at [`Endpoint::flush`].
 
 use crate::clock::VirtualClock;
-use crate::failure::{CrashSignal, FailureService};
+use crate::failure::{CrashSchedule, CrashSignal, FailureEvent};
 use crate::model::LogGpModel;
 use crate::netfault::{FaultVerdict, NetFaultConfig, NetFaultPolicy};
 use crate::sched::{Park, Scheduler};
@@ -170,7 +170,6 @@ pub struct Fabric {
     inboxes: Vec<Inbox>,
     taken: Mutex<Vec<bool>>,
     stats: Arc<NetStats>,
-    failure: FailureService,
     sched: Scheduler,
     /// The job's lossy-transport fault policy, if one was installed (see
     /// [`crate::netfault`]). Installed once before any process starts;
@@ -203,7 +202,6 @@ impl Fabric {
             inboxes,
             taken: Mutex::new(vec![false; n]),
             stats,
-            failure: FailureService::new(n),
             sched,
             net_faults: std::sync::OnceLock::new(),
         })
@@ -214,9 +212,29 @@ impl Fabric {
         &self.stats
     }
 
-    /// The failure injection/detection service.
-    pub fn failure(&self) -> &FailureService {
-        &self.failure
+    /// Notify every endpoint but `endpoint` that it failed at virtual time
+    /// `at`: each gets a `SYSTEM` message whose `header[0]` names the failed
+    /// endpoint, arriving at `at`, and is woken (the paper's "the underlying
+    /// system notifies every process"). [`Endpoint::maybe_crash`] calls this
+    /// when a crash schedule fires; tests call it to fail a hand-driven
+    /// endpoint.
+    pub fn fail(&self, endpoint: EndpointId, at: SimTime) -> FailureEvent {
+        let mut header = [0; HEADER_WORDS];
+        header[0] = endpoint.0 as i64;
+        for i in (0..self.n).filter(|&i| i != endpoint.0) {
+            self.ingest(RawMessage {
+                src: endpoint,
+                dst: EndpointId(i),
+                class: class::SYSTEM,
+                header,
+                payload: Bytes::new(),
+                injected_at: at,
+                arrival: at,
+                dup: false,
+            });
+            self.wake(EndpointId(i));
+        }
+        FailureEvent { endpoint, at }
     }
 
     /// The process scheduler. Only endpoints registered with it can block
@@ -323,6 +341,7 @@ impl Fabric {
             window: 1,
             woken: vec![0; self.n],
             app_sends: 0,
+            crash: CrashSchedule::Never,
             idle_polls: 0,
         }
     }
@@ -346,6 +365,8 @@ pub struct Endpoint {
     /// Per destination, the last window in which this endpoint woke it.
     woken: Vec<u64>,
     app_sends: u64,
+    /// When this process crashes ([`Endpoint::schedule_crash`]).
+    crash: CrashSchedule,
     /// Consecutive empty progress polls; drives the cooperative yield.
     idle_polls: u32,
 }
@@ -453,43 +474,22 @@ impl Endpoint {
         self.managed && self.fabric.sched.running() <= 1
     }
 
-    /// Check this process's crash schedule and, if it fires, record the
-    /// failure and unwind with a [`CrashSignal`] panic. `pre_send` selects the
-    /// before/after-send semantics of the schedule.
+    /// Set when this process crashes. Replaces any previous schedule.
+    pub fn schedule_crash(&mut self, schedule: CrashSchedule) {
+        self.crash = schedule;
+    }
+
+    /// Check this process's crash schedule and, if it fires, notify every
+    /// other endpoint ([`Fabric::fail`]) and unwind with a [`CrashSignal`]
+    /// panic. `pre_send` selects the before/after-send semantics of the
+    /// schedule.
     ///
     /// Everything the process sent before this point is already in its
     /// destination's mailbox (the paper assumes channels are reliable, so it
-    /// must still be delivered). Before unwinding, a system-class wake-up
-    /// message is pushed to every other endpoint so that processes blocked
-    /// on their incoming queue poll the failure detector promptly (the
-    /// paper's "the underlying system notifies every process").
+    /// must still be delivered).
     pub fn maybe_crash(&mut self, pre_send: bool) {
-        if self
-            .fabric
-            .failure()
-            .should_crash(self.id, self.clock.now(), self.app_sends, pre_send)
-        {
-            let ev = self
-                .fabric
-                .failure()
-                .record_failure(self.id, self.clock.now());
-            for i in 0..self.fabric.n {
-                if i == self.id.0 {
-                    continue;
-                }
-                let wakeup = RawMessage {
-                    src: self.id,
-                    dst: EndpointId(i),
-                    class: class::SYSTEM,
-                    header: [0; HEADER_WORDS],
-                    payload: Bytes::new(),
-                    injected_at: ev.at,
-                    arrival: ev.at,
-                    dup: false,
-                };
-                self.fabric.ingest(wakeup);
-                self.fabric.wake(EndpointId(i));
-            }
+        if self.crash.fires(self.clock.now(), self.app_sends, pre_send) {
+            let ev = self.fabric.fail(self.id, self.clock.now());
             std::panic::panic_any(CrashSignal {
                 endpoint: self.id,
                 at: ev.at,
@@ -978,10 +978,8 @@ mod tests {
     #[test]
     fn crash_schedule_unwinds_with_signal() {
         let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
-        fabric
-            .failure()
-            .schedule(EndpointId(0), CrashSchedule::AfterSend { nth: 2 });
         let mut a = fabric.endpoint(EndpointId(0));
+        a.schedule_crash(CrashSchedule::AfterSend { nth: 2 });
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for i in 0..5 {
                 a.send(EndpointId(1), class::APP, hdr(i), Bytes::new());
@@ -992,13 +990,23 @@ mod tests {
             .downcast_ref::<CrashSignal>()
             .expect("panic payload is a CrashSignal");
         assert_eq!(sig.endpoint, EndpointId(0));
-        assert!(fabric.failure().is_failed(EndpointId(0)));
         // Exactly 2 application messages were handed to the fabric before the
-        // crash; they remain deliverable.
+        // crash; they remain deliverable, next to the crash notification,
+        // which names the failed endpoint and arrives at the crash time.
         assert_eq!(fabric.stats().snapshot().app_msgs(), 2);
         let mut b = fabric.endpoint(EndpointId(1));
-        assert!(b.recv_blocking().is_ok());
-        assert!(b.recv_blocking().is_ok());
+        let mut classes: Vec<u8> = (0..3)
+            .map(|_| b.try_recv().unwrap())
+            .map(|m| {
+                if m.class == class::SYSTEM {
+                    assert_eq!((m.src, m.header[0], m.arrival), (EndpointId(0), 0, sig.at));
+                }
+                m.class
+            })
+            .collect();
+        classes.sort();
+        assert_eq!(classes, [class::APP, class::APP, class::SYSTEM]);
+        assert!(b.try_recv().is_none());
     }
 
     #[test]
@@ -1007,9 +1015,7 @@ mod tests {
         // ack nor on control traffic sent first, only on that APP send.
         for nth in [1, 2] {
             let (mut a, _b, fabric) = two_endpoint_fabric();
-            fabric
-                .failure()
-                .schedule(EndpointId(0), CrashSchedule::BeforeSend { nth });
+            a.schedule_crash(CrashSchedule::BeforeSend { nth });
             a.send(EndpointId(1), class::ACK, hdr(0), Bytes::new());
             a.send(EndpointId(1), class::CONTROL, hdr(0), Bytes::new());
             for _ in 1..nth {

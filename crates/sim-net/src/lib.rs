@@ -29,9 +29,10 @@
 //!   ingest order). A sender wakes each destination once per wake window
 //!   ([`Endpoint::flush`]); wakes to already-runnable targets take a
 //!   lock-free fast path ([`sched::Scheduler::wake`]).
-//! * Crash failures are injected by the [`failure::FailureService`], which also
-//!   acts as the "external service" the paper assumes for failure detection:
-//!   every alive endpoint learns about a crash.
+//! * Crash failures are injected by each endpoint's own
+//!   [`failure::CrashSchedule`]. When it fires, [`Fabric::fail`] sends every
+//!   other endpoint a `SYSTEM` message naming the failed process: the
+//!   notification the paper assumes "the underlying system" provides.
 //! * [`stats::NetStats`] counts messages and bytes so protocol-level message
 //!   complexity (e.g. mirror's `O(q·r²)` vs parallel's `O(q·r)`) can be
 //!   measured directly.
@@ -44,7 +45,7 @@
 //!
 //! # Concurrency protocols at a glance
 //!
-//! Three modules own lock-free protocols; each states its
+//! Two modules own lock-free protocols; each states its
 //! full argument in its own docs (and DESIGN.md §5.1–§5.3 gives the
 //! narrative version, `ARCHITECTURE.md` the end-to-end tour):
 //!
@@ -53,9 +54,6 @@
 //! * [`sched`] — per-slot atomic phase words, wake tokens with the
 //!   Dekker-style store-load re-check, direct permit handoff, and the
 //!   verdict mutex that serialises quiescence.
-//! * [`failure`] — atomic fast paths (a per-endpoint `may_crash` flag, the
-//!   `failed_seq` allocator) answering the per-send crash checks and
-//!   per-progress failure polls without touching the service's inner lock.
 
 #![deny(missing_docs)]
 
@@ -75,7 +73,7 @@ pub use carrier::stack::StackPool;
 pub use carrier::{CarrierHandle, CarrierMode, CarrierPool, CarrierSource};
 pub use clock::VirtualClock;
 pub use fabric::{Endpoint, EndpointId, Fabric, RawMessage, RecvError};
-pub use failure::{CrashSchedule, FailureEvent, FailureService};
+pub use failure::{CrashSchedule, FailureEvent};
 pub use model::LogGpModel;
 pub use netfault::{FaultVerdict, NetFaultConfig, NetFaultPolicy};
 pub use sched::{Park, Scheduler, WakeOutcome};

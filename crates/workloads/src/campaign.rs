@@ -28,8 +28,8 @@
 //!   promptly).
 //!
 //! [`run_case`] runs a case's spec through the serve engine's [`run_job`] —
-//! crashes compile to [`sim_mpi::JobBuilder::crash`] schedules (i.e.
-//! `FailureService::schedule` calls), soft errors to
+//! crashes compile to [`sim_mpi::JobBuilder::crash`] schedules (each
+//! endpoint's own `CrashSchedule`), soft errors to
 //! [`sim_mpi::JobBuilder::sdc_flip`] PML corruption hooks — and judges the
 //! job's [`JobRecord`], the record `sdr_serve` streams for the same spec
 //! line:

@@ -5,8 +5,8 @@
 //! ## Isolation invariants (DESIGN.md §6)
 //!
 //! Every job gets its own `Fabric` — scheduler, virtual clock, statistics,
-//! `FailureService` schedule, net-fault policy, and `EventTrace` are all
-//! per-fabric state, so nothing protocol-visible is shared between
+//! endpoints' crash schedules, net-fault policy, and `EventTrace` are all
+//! per-job state, so nothing protocol-visible is shared between
 //! concurrently running jobs. The only process-global state jobs share is
 //! the worker-thread pool and the coroutine stack pool, and those may only
 //! influence the *host-side* counters (thread/stack reuse splits, wall-clock

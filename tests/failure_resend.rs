@@ -73,9 +73,7 @@ fn substitute_resends_unacked_entries_in_posting_order_across_destinations() {
     );
 
     // --- step 3: p¹₀ fails, p⁰₀ substitutes for it --------------------------
-    fabric
-        .failure()
-        .record_failure(EndpointId(3), SimTime::ZERO);
+    fabric.fail(EndpointId(3), SimTime::ZERO);
     pump(&mut pml0, &mut p00);
     for &s in &sends {
         assert!(

@@ -411,7 +411,7 @@ fn sampled_mid_collective_crashes_are_survived_at_any_phase() {
     // endpoint, a random 1..=8th application send). Whatever phase the seed
     // lands on, the survivors must finish with the closed-form checksum —
     // compiled into the job exactly the way the campaign driver does it, one
-    // `FailureService::schedule` call per sampled crash.
+    // `JobBuilder::crash` call per sampled crash.
     let ranks = 4;
     let iterations = 6u64;
     let config = CampaignConfig {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sdr_core::SeqTracker;
 use sim_mpi::matching::{IncomingMsg, MatchingEngine, PmlReqId, PostedRecv};
 use sim_mpi::{CommId, TagSel};
-use sim_net::{CrashSchedule, EndpointId, FailureService, SimTime};
+use sim_net::{CrashSchedule, EndpointId, SimTime};
 
 proptest! {
     /// A SeqTracker accepts every sequence number exactly once, in any order.
@@ -34,67 +34,30 @@ proptest! {
         prop_assert_eq!(ta.max(tb).as_nanos(), a.max(b));
     }
 
-    /// `FailureService::should_crash` answers from a per-endpoint flag while
-    /// nothing ever happened to the endpoint. Reference: the locked rule it
-    /// short-circuits (failed, else the schedule's own condition), evaluated
-    /// through the service's locked accessors after every operation of a
-    /// random history — schedules set and cleared, failures recorded for a
-    /// running endpoint by itself or by another party (the call is the
-    /// same), and endpoints beyond the service's initial size. The failure
-    /// log is append-only: after every operation an event's `seq` is its
-    /// index in record order, and `failures_since(k)` is the suffix from `k`.
+    /// A failed endpoint stays failed: `CrashSchedule::fires` is monotone.
+    /// Once a check of one kind (pre-send or post-send) fires, it fires at
+    /// every later clock and every larger application-send count, so the
+    /// endpoint's later checks keep unwinding it.
     #[test]
-    fn failure_service_crash_check_matches_the_locked_rule(
-        n in 1usize..6,
-        ops in proptest::collection::vec(any::<u64>(), 1..60),
-    ) {
-        let svc = FailureService::new(n);
-        let mut recorded = Vec::new();
-        for op in ops {
-            let e = EndpointId((op >> 8) as usize % (n + 2)); // two beyond `n`
-            let k = (op >> 16) % 4;
-            match op % 6 {
-                0 => svc.schedule(e, CrashSchedule::Never),
-                1 => svc.schedule(e, CrashSchedule::AtTime { at: SimTime::from_nanos(k) }),
-                2 => svc.schedule(e, CrashSchedule::BeforeSend { nth: k }),
-                3 => svc.schedule(e, CrashSchedule::AfterSend { nth: k }),
-                _ => {
-                    svc.record_failure(e, SimTime::from_nanos(k));
-                    if !recorded.contains(&e) {
-                        recorded.push(e);
-                    }
+    fn a_fired_crash_check_keeps_firing(kind in 0u8..4, k in 0u64..6) {
+        let schedule = match kind {
+            0 => CrashSchedule::Never,
+            1 => CrashSchedule::AtTime { at: SimTime::from_nanos(k) },
+            2 => CrashSchedule::BeforeSend { nth: k },
+            _ => CrashSchedule::AfterSend { nth: k },
+        };
+        let t = SimTime::from_nanos;
+        for pre_send in [false, true] {
+            for (now, sends) in (0..8).flat_map(|now| (0..8).map(move |sends| (now, sends))) {
+                if !schedule.fires(t(now), sends, pre_send) {
+                    continue;
                 }
-            }
-            let log = svc.failures_since(0);
-            let order: Vec<(u64, EndpointId)> =
-                log.iter().map(|ev| (ev.seq, ev.endpoint)).collect();
-            let expected: Vec<(u64, EndpointId)> =
-                recorded.iter().enumerate().map(|(i, &e)| (i as u64, e)).collect();
-            prop_assert_eq!(order, expected, "seqs are 0..len in record order");
-            for from in 0..=log.len() + 1 {
-                prop_assert_eq!(
-                    svc.failures_since(from as u64),
-                    log.get(from..).unwrap_or_default().to_vec(),
-                    "failures_since({}) is the log's suffix", from
-                );
-            }
-            for e in (0..n + 2).map(EndpointId) {
-                for probe in 0..16u64 {
-                    let (now, sends) = (SimTime::from_nanos(probe % 4), probe / 4);
-                    for pre_send in [false, true] {
-                        let locked = svc.is_failed(e)
-                            || match svc.schedule_of(e) {
-                                CrashSchedule::Never => false,
-                                CrashSchedule::AtTime { at } => now >= at,
-                                CrashSchedule::BeforeSend { nth } => pre_send && sends + 1 >= nth,
-                                CrashSchedule::AfterSend { nth } => !pre_send && sends >= nth,
-                            };
-                        prop_assert_eq!(
-                            svc.should_crash(e, now, sends, pre_send),
-                            locked,
-                            "{:?} now {:?} sends {} pre_send {}", e, now, sends, pre_send
-                        );
-                    }
+                for (later, more) in (now..10).flat_map(|l| (sends..10).map(move |m| (l, m))) {
+                    prop_assert!(
+                        schedule.fires(t(later), more, pre_send),
+                        "{:?} fired at ({}, {}) but not at ({}, {}), pre_send {}",
+                        schedule, now, sends, later, more, pre_send
+                    );
                 }
             }
         }

@@ -29,31 +29,109 @@ fn all_nas_kernels_match_native_under_replication() {
     }
 }
 
-/// With a second run permit in circulation a retransmission timeout still
-/// waits in real time for the peer that may be executing concurrently
-/// (`Endpoint::runs_alone` is false there; DESIGN.md §5.5). The `workers: 1`
-/// pins cannot reach that branch, so this job does.
+/// How a [`TWO_WORKER_CASES`] job must end.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Ending {
+    /// Every process that did not crash finishes with the native result of
+    /// its rank.
+    Survived,
+    /// Every replica of one rank crashed: a survivor aborts with `RankLost`.
+    RankLost,
+}
+
+/// One 16-rank class-S SP job at `workers(2)`: replication degree, lossy
+/// links or not, the endpoints that crash after their tenth application
+/// send (endpoint `k·16 + r` is replica `k` of rank `r`), and the ending.
+struct TwoWorkerCase {
+    name: &'static str,
+    degree: usize,
+    lossy: bool,
+    crashes: &'static [usize],
+    ending: Ending,
+}
+
+const TWO_WORKER_CASES: &[TwoWorkerCase] = &[
+    TwoWorkerCase {
+        name: "lossy dual",
+        degree: 2,
+        lossy: true,
+        crashes: &[],
+        ending: Ending::Survived,
+    },
+    TwoWorkerCase {
+        name: "dual, one replica of rank 5 crashed",
+        degree: 2,
+        lossy: false,
+        crashes: &[21],
+        ending: Ending::Survived,
+    },
+    TwoWorkerCase {
+        name: "degree 3, two replicas of rank 5 crashed",
+        degree: 3,
+        lossy: false,
+        crashes: &[21, 37],
+        ending: Ending::Survived,
+    },
+    TwoWorkerCase {
+        name: "dual, both replicas of rank 5 crashed",
+        degree: 2,
+        lossy: false,
+        crashes: &[5, 21],
+        ending: Ending::RankLost,
+    },
+];
+
+/// With a second run permit in circulation a survivor learns of a crash
+/// while the crashed process's peers may still be executing, and a
+/// retransmission timeout still waits in real time for the peer that may be
+/// executing concurrently (`Endpoint::runs_alone` is false there; DESIGN.md
+/// §5.5). The `workers: 1` pins reach neither, so these jobs do.
 #[test]
-fn lossy_dual_sp_at_two_workers_matches_its_fault_free_reference() {
-    common::with_deadline("lossy_dual_sp_at_two_workers", |_| {
+fn faults_at_two_workers_end_as_each_case_expects() {
+    common::with_deadline("faults_at_two_workers", |running| {
         let cfg = NasConfig::class_s();
         let app = move |p: &mut Process| run_kernel(NasKernel::Sp, p, &cfg);
         let reference = native_job(16).network(fast()).run(app);
         assert!(reference.all_finished());
-        let lossy = replicated_job(16, ReplicationConfig::dual())
-            .network(fast())
-            .workers(2)
-            .net_faults(NetFaultConfig::lossy_links(), 19)
-            .run(app);
-        assert!(lossy.all_finished(), "deadlocked {:?}", lossy.deadlocked());
-        assert!(lossy.stats.retransmits() > 0, "no frame was lost");
-        for proc in &lossy.processes {
-            assert_eq!(
-                proc.outcome.result(),
-                Some(reference.primary_results()[proc.app_rank]),
-                "{:?} diverged from the fault-free run",
-                proc.endpoint
-            );
+        for case in TWO_WORKER_CASES {
+            running.note(case.name.to_string());
+            let mut job = replicated_job(16, ReplicationConfig::with_degree(case.degree))
+                .network(fast())
+                .workers(2);
+            if case.lossy {
+                job = job.net_faults(NetFaultConfig::lossy_links(), 19);
+            }
+            for &e in case.crashes {
+                job = job.crash(EndpointId(e), CrashSchedule::AfterSend { nth: 10 });
+            }
+            let report = job.run(app);
+            let crashed: Vec<EndpointId> = case.crashes.iter().map(|&e| EndpointId(e)).collect();
+            assert_eq!(report.crashed(), crashed, "{}", case.name);
+            if case.lossy {
+                assert!(
+                    report.stats.retransmits() > 0,
+                    "{}: no frame was lost",
+                    case.name
+                );
+            }
+            match case.ending {
+                Ending::Survived => {
+                    for proc in report
+                        .processes
+                        .iter()
+                        .filter(|p| !crashed.contains(&p.endpoint))
+                    {
+                        assert_eq!(
+                            proc.outcome.result(),
+                            Some(reference.primary_results()[proc.app_rank]),
+                            "{}: {:?} diverged from the fault-free run",
+                            case.name,
+                            proc.endpoint
+                        );
+                    }
+                }
+                Ending::RankLost => assert!(report.rank_lost(), "{}: no RankLost abort", case.name),
+            }
         }
     });
 }

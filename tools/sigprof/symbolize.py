@@ -3,9 +3,12 @@
 
 Usage: symbolize.py SAMPLES [TOP_N]
 
-A PC inside the main binary is named with `nm -C`. A PC inside a shared
-library (libc `memmove`/`malloc`, libm `sin`) is named with `nm -D` when it
-falls inside an exported symbol, else `?`. The by-module table charges it to
+A PC inside the main binary is named with `nm -C`, a PC inside a shared
+library (libc `memmove`/`malloc`, libm `sin`) with `nm -D`; either only when
+it falls inside the symbol's `nm -S` size, else `?` (a PC past a symbol's end,
+in padding or an unnamed stub, is not charged to it). A main-binary symbol
+with no size (hand-written assembly such as `sdr_coro_switch`) owns the PCs
+up to the next symbol. The by-module table charges a library PC to
 the module of the caller the sampler found on the stack; the by-symbol table
 names that calling symbol — `libc.so.6:memcpy  <- alloc::vec::Vec<T,A>::push`
 is a copy made by a push, not just somewhere in `alloc::vec`. No external
@@ -66,7 +69,8 @@ def main():
             tables[path] = symbols(path, path != exe)
         starts, table = tables[path]
         j = bisect.bisect(starts, pc - bases[path]) - 1
-        inside = j >= 0 and (path == exe or pc - bases[path] < table[j][0] + max(table[j][1], 1))
+        sizeless = path == exe and table[j][1] == 0
+        inside = j >= 0 and (sizeless or pc - bases[path] < table[j][0] + max(table[j][1], 1))
         return path, table[j][2] if inside else "?"
 
     by_symbol, by_module, leaf = collections.Counter(), collections.Counter(), collections.Counter()
