@@ -19,7 +19,10 @@
 //! `BENCH_table1.json` band. `--json PATH` writes the `BENCH_layouts.json`
 //! artifact.
 fn main() {
-    let args = sdr_bench::parse_harness_args(std::env::args().skip(1), 16);
+    let args = sdr_bench::or_exit(
+        sdr_bench::parse_harness_args(std::env::args().skip(1), 16),
+        &format!("usage: layout_sweep {}", sdr_bench::HARNESS_FLAGS),
+    );
     let kernel = workloads::nas::NasKernel::Cg;
     let points = sdr_bench::layout_sweep_points(args.ranks, args.cfg, kernel, args.workers);
     print!(

@@ -18,12 +18,12 @@
 //! concurrently, and exits nonzero if any job's deterministic report
 //! diverged from its solo reference (see DESIGN.md §6).
 
-use sdr_bench::serve::{parse_serve_args, ServeMode};
+use sdr_bench::serve::{parse_serve_args, ServeMode, SERVE_USAGE};
 use std::io::{Read, Write};
 use workloads::serve::{check_isolation, mixed_queue, parse_queue, serve, ServeConfig};
 
 fn main() {
-    let args = parse_serve_args(std::env::args().skip(1));
+    let args = sdr_bench::or_exit(parse_serve_args(std::env::args().skip(1)), SERVE_USAGE);
     let config = ServeConfig {
         max_concurrent: args.max_jobs,
     };

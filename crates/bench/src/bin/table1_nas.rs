@@ -23,7 +23,10 @@
 //! as crash-fatal singletons — the partial layouts of the replica
 //! map.
 fn main() {
-    let args = sdr_bench::parse_harness_args(std::env::args().skip(1), 16);
+    let args = sdr_bench::or_exit(
+        sdr_bench::parse_harness_args(std::env::args().skip(1), 16),
+        &format!("usage: table1_nas {}", sdr_bench::HARNESS_FLAGS),
+    );
     let rows = sdr_bench::table1_rows(args.ranks, args.cfg, &args.layout(), args.workers);
     print!(
         "{}",

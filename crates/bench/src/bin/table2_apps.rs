@@ -4,7 +4,10 @@
 //! accepted for symmetry with `table1_nas` but ignored: Table 2's applications
 //! carry their own problem configuration).
 fn main() {
-    let args = sdr_bench::parse_harness_args(std::env::args().skip(1), 16);
+    let args = sdr_bench::or_exit(
+        sdr_bench::parse_harness_args(std::env::args().skip(1), 16),
+        &format!("usage: table2_apps {}", sdr_bench::HARNESS_FLAGS),
+    );
     let rows = sdr_bench::table2_rows(args.ranks, args.workers);
     print!(
         "{}",

@@ -23,7 +23,10 @@
 //! abort promptly). The report also carries the fixed-rate lossy sweep
 //! (survivability and masked-delivery overhead vs drop rate, 1%–10%).
 fn main() {
-    let args = sdr_bench::parse_faults_args(std::env::args().skip(1));
+    let args = sdr_bench::or_exit(
+        sdr_bench::parse_faults_args(std::env::args().skip(1)),
+        sdr_bench::FAULTS_USAGE,
+    );
     let rows = sdr_bench::fault_campaign_rows(
         args.ranks,
         args.seeds,

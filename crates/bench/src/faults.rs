@@ -21,7 +21,7 @@
 //! curve: fixed drop rates from 1% to 10%, each row aggregating seeded cases
 //! that rotate through the NAS kernels.
 
-use crate::parse_shared_flag;
+use crate::{parse_shared_flag, CliStop};
 use sim_net::NetFaultConfig;
 use workloads::campaign::{
     case_spec, run_campaign, run_case, summarize, CampaignSummary, CaseOutcome,
@@ -29,6 +29,10 @@ use workloads::campaign::{
 use workloads::serve::{JobSpec, Json, NetFaultSpec};
 
 pub use workloads::campaign::{CampaignConfig, FaultDistribution};
+
+/// The usage line `table_faults --help` prints.
+pub const FAULTS_USAGE: &str = "usage: table_faults [--ranks N] [--seeds N] [--base-seed N] \
+                                [--iters N] [--workers W] [--json PATH]";
 
 /// One configuration's campaign result.
 #[derive(Debug, Clone)]
@@ -468,7 +472,7 @@ pub struct FaultsArgs {
 /// CLI parsing for `table_faults`: `--ranks N`, `--seeds N`, `--base-seed N`,
 /// `--iters N`, plus the [`parse_shared_flag`] pair (`--workers N`,
 /// `--json PATH`).
-pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> FaultsArgs {
+pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> Result<FaultsArgs, CliStop> {
     let mut parsed = FaultsArgs {
         ranks: 4,
         seeds: 25,
@@ -496,11 +500,12 @@ pub fn parse_faults_args<I: Iterator<Item = String>>(args: I) -> FaultsArgs {
                     &mut parsed.workers,
                     &mut parsed.json_path,
                 ) => {}
-            other => panic!("unrecognised argument {other:?}"),
+            "--help" | "-h" => return Err(CliStop::Help),
+            other => return Err(CliStop::Unknown(other.to_string())),
         }
     }
     assert!(parsed.ranks > 0 && parsed.seeds > 0 && parsed.iterations > 0);
-    parsed
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -598,7 +603,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(args.ranks, 8);
         assert_eq!(args.seeds, 50);
         assert_eq!(args.iterations, 10);

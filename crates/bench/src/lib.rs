@@ -19,12 +19,12 @@
 pub mod faults;
 pub mod serve;
 
-pub use serve::{parse_serve_args, ServeArgs, ServeMode};
+pub use serve::{parse_serve_args, ServeArgs, ServeMode, SERVE_USAGE};
 
 pub use faults::{
     config_coverage, fault_campaign_rows, faults_report_json, format_faults_table,
     format_lossy_sweep_table, lossy_rate_sweep, parse_faults_args, FaultConfigRow, FaultsArgs,
-    LossySweepRow, LOSSY_SWEEP_RATES,
+    LossySweepRow, FAULTS_USAGE, LOSSY_SWEEP_RATES,
 };
 
 use repl_baselines::{CorruptionSpec, LeaderFactory, MirrorFactory, RedMpiFactory, SdcReport};
@@ -265,6 +265,37 @@ impl HarnessArgs {
     }
 }
 
+/// Why a command line does not run: it asked for `--help`, or it holds an
+/// argument the parser does not know.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliStop {
+    /// `--help` (or `-h`): print the usage line and exit 0.
+    Help,
+    /// An unknown flag or argument: print it with the usage line, exit 2.
+    Unknown(String),
+}
+
+/// Unwrap a parsed command line, or print `usage` and exit: 0 after
+/// `--help`, 2 after an argument the binary does not know.
+pub fn or_exit<T>(parsed: Result<T, CliStop>, usage: &str) -> T {
+    match parsed {
+        Ok(args) => args,
+        Err(CliStop::Help) => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Err(CliStop::Unknown(arg)) => {
+            eprintln!("unrecognised argument {arg:?}\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The usage line the table harnesses print for `--help`, after the binary's
+/// name.
+pub const HARNESS_FLAGS: &str =
+    "[--ranks N] [--class s|test|d] [--degree D] [--coverage F] [--workers W] [--json PATH]";
+
 /// The flags every harness binary spells the same way: `--workers N`
 /// (rejected below [`sim_net::sched::MIN_WORKERS`]) and `--json PATH`.
 /// Consumes `flag`'s value from `args` and returns `true` if `flag` is one
@@ -312,7 +343,7 @@ pub fn parse_shared_flag<I: Iterator<Item = String>>(
 pub fn parse_harness_args<I: Iterator<Item = String>>(
     args: I,
     default_ranks: usize,
-) -> HarnessArgs {
+) -> Result<HarnessArgs, CliStop> {
     let mut parsed = HarnessArgs {
         ranks: default_ranks,
         cfg: NasConfig::class_d_like(),
@@ -356,19 +387,17 @@ pub fn parse_harness_args<I: Iterator<Item = String>>(
                     &mut parsed.workers,
                     &mut parsed.json_path,
                 ) => {}
-            other => {
-                if let Ok(n) = other.parse() {
-                    parsed.ranks = n;
-                } else {
-                    panic!("unrecognised argument {other:?}");
-                }
-            }
+            "--help" | "-h" => return Err(CliStop::Help),
+            other => match other.parse() {
+                Ok(n) => parsed.ranks = n,
+                Err(_) => return Err(CliStop::Unknown(other.to_string())),
+            },
         }
     }
     assert!(parsed.ranks > 0, "rank count must be positive");
     // Range-checks `--degree`/`--coverage` and their combination.
     parsed.layout();
-    parsed
+    Ok(parsed)
 }
 
 /// Result of the Figure 2 comparison: wall-clock time of an anonymous
@@ -809,10 +838,12 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string()),
             16,
-        );
+        )
+        .unwrap();
         assert_eq!((args.ranks, args.degree), (8, 3));
         assert_eq!(args.coverage, 1.0);
-        let args = parse_harness_args(["--coverage", "0.5"].iter().map(|s| s.to_string()), 16);
+        let args =
+            parse_harness_args(["--coverage", "0.5"].iter().map(|s| s.to_string()), 16).unwrap();
         assert_eq!((args.degree, args.coverage), (2, 0.5));
         assert_eq!(args.layout(), LayoutSpec::Coverage { coverage: 0.5 });
     }
@@ -825,13 +856,13 @@ mod tests {
         type Parser = fn(Vec<String>);
         let parsers: [(&str, Parser); 3] = [
             ("table harnesses", |a| {
-                parse_harness_args(a.into_iter(), 16);
+                parse_harness_args(a.into_iter(), 16).unwrap();
             }),
             ("table_faults", |a| {
-                parse_faults_args(a.into_iter());
+                parse_faults_args(a.into_iter()).unwrap();
             }),
             ("sdr_serve", |a| {
-                parse_serve_args(a.into_iter());
+                parse_serve_args(a.into_iter()).unwrap();
             }),
         ];
         for (binary, parse) in parsers {

@@ -2,6 +2,13 @@
 //! isolation self-test. (Sustained service throughput is the `serve_mixed`
 //! workload of the repo's benchmark, `benchmark/`.)
 
+use crate::CliStop;
+
+/// The usage line `sdr_serve --help` prints.
+pub const SERVE_USAGE: &str =
+    "usage: sdr_serve [--queue PATH] [--max-jobs N] [--out PATH]\n       \
+                               sdr_serve --self-test N [--max-jobs N] [--seed N]";
+
 /// Parsed command line of the `sdr_serve` binary (see [`parse_serve_args`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
@@ -33,7 +40,7 @@ pub enum ServeMode {
 /// (isolation gate over an N-job mixed queue), `--seed N` (self-test queue
 /// seed), `--out PATH` (serve-mode report stream). There are no
 /// execution-layer flags: jobs carry their own tuning in their specs.
-pub fn parse_serve_args<I: Iterator<Item = String>>(mut args: I) -> ServeArgs {
+pub fn parse_serve_args<I: Iterator<Item = String>>(mut args: I) -> Result<ServeArgs, CliStop> {
     let mut parsed = ServeArgs {
         mode: ServeMode::Serve,
         queue: None,
@@ -74,10 +81,11 @@ pub fn parse_serve_args<I: Iterator<Item = String>>(mut args: I) -> ServeArgs {
                 let path = args.next().expect("--out needs a file path");
                 parsed.out_path = Some(std::path::PathBuf::from(path));
             }
-            other => panic!("unrecognised argument {other:?}"),
+            "--help" | "-h" => return Err(CliStop::Help),
+            other => return Err(CliStop::Unknown(other.to_string())),
         }
     }
-    parsed
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -90,11 +98,12 @@ mod tests {
             ["--queue", "q.jsonl", "--max-jobs", "8", "--out", "r.jsonl"]
                 .iter()
                 .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(args.mode, ServeMode::Serve);
         assert_eq!(args.max_jobs, 8);
         assert!(args.queue.is_some() && args.out_path.is_some());
-        let args = parse_serve_args(["--self-test", "6"].iter().map(|s| s.to_string()));
+        let args = parse_serve_args(["--self-test", "6"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!((args.mode, args.jobs), (ServeMode::SelfTest, 6));
     }
 }

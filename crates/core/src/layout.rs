@@ -93,6 +93,9 @@ pub struct ReplicaMap {
     replicated: Vec<Rank>,
     /// Each rank's index in `replicated`, or `UNREPLICATED`.
     slot: Vec<u32>,
+    /// `(rank, replica)` of every endpoint: [`ReplicaMap::locate`] is a
+    /// lookup.
+    located: Vec<(u32, u32)>,
 }
 
 impl ReplicaMap {
@@ -141,11 +144,19 @@ impl ReplicaMap {
         for (i, &rank) in replicated.iter().enumerate() {
             slot[rank] = i as u32;
         }
+        let copies = replicated.len();
+        let located = (0..ranks + (degree - 1) * copies)
+            .map(|e| match e.checked_sub(ranks) {
+                None => (e as u32, 0),
+                Some(j) => (replicated[j % copies] as u32, (1 + j / copies) as u32),
+            })
+            .collect();
         ReplicaMap {
             ranks,
             degree,
             replicated,
             slot,
+            located,
         }
     }
 
@@ -196,14 +207,10 @@ impl ReplicaMap {
     /// The (rank, replica) identity of a physical process.
     pub fn locate(&self, endpoint: EndpointId) -> (Rank, usize) {
         let e = endpoint.0;
-        assert!(e < self.physical_processes(), "endpoint {e} out of range");
-        if e < self.ranks {
-            (e, 0)
-        } else {
-            let copies = self.replicated.len();
-            let j = e - self.ranks;
-            (self.replicated[j % copies], 1 + j / copies)
-        }
+        let Some(&(rank, replica)) = self.located.get(e) else {
+            panic!("endpoint {e} out of range");
+        };
+        (rank as Rank, replica as usize)
     }
 
     /// The logical rank of a physical process.

@@ -12,7 +12,7 @@ impl SdrProtocol {
         if ev.endpoint.0 >= self.alive.len() || !self.alive[ev.endpoint.0] {
             return; // unknown or already handled
         }
-        self.alive[ev.endpoint.0] = false;
+        self.mark_dead(ev.endpoint);
         let (failed_rank, failed_rep) = self.map.locate(ev.endpoint);
         let Some(sub) = self.map.lowest_live_replica(failed_rank, &self.alive) else {
             // Every replica of the rank is gone; nothing the protocol can do
@@ -42,12 +42,12 @@ impl SdrProtocol {
                     for rank in 0..self.map.ranks() {
                         if l < self.map.degree_of(rank) && self.is_alive(self.map.endpoint(rank, l))
                         {
-                            self.physical_dests[rank] |= bit;
+                            self.peers[rank].physical_dests |= bit;
                         }
                     }
                     // Re-send, in log order, every message whose ack from
                     // replica `l` of the destination rank is missing.
-                    for entry in self.sends.values_mut() {
+                    for entry in self.sends.iter_mut() {
                         if l >= self.map.degree_of(entry.dst_rank) {
                             continue;
                         }
@@ -79,12 +79,13 @@ impl SdrProtocol {
         } else {
             // Algorithm 1, lines 28-35: I am not a replica of the failed rank.
             let new_src = self.map.endpoint(failed_rank, sub);
-            if self.physical_src[failed_rank] == ev.endpoint {
-                self.physical_src[failed_rank] = new_src;
+            let peer = &mut self.peers[failed_rank];
+            if peer.physical_src == ev.endpoint {
+                peer.physical_src = new_src;
             }
             // Cancel ack expectations that the dead process would have sent
             // (it was a destination-rank replica for my sends to failed_rank).
-            for entry in self.sends.values_mut() {
+            for entry in self.sends.iter_mut() {
                 if entry.dst_rank == failed_rank {
                     entry.acks_expected &= !(1 << failed_rep);
                 }
@@ -104,7 +105,7 @@ impl SdrProtocol {
     /// path's own GC (the failure handler force-completes acks of dead
     /// replicas; a `FIN_ACK` acks many entries at once).
     pub(super) fn collect_send_log_garbage(&mut self) {
-        self.sends.retain(|_, e| !(e.app_freed && e.fully_acked()));
+        self.sends.remove_where(|e| e.app_freed && e.fully_acked());
     }
 }
 

@@ -91,7 +91,7 @@ impl SdrProtocol {
                 continue;
             }
             entry.acks_expected |= 1 << rep;
-            let fin_acked = self.fin_acked.get(&(entry.dst_rank, target));
+            let fin_acked = self.fin_acked.get(target.0);
             if fin_acked.is_some_and(|&upto| entry.seq < upto) {
                 entry.acks_received |= 1 << rep;
             }
@@ -120,7 +120,7 @@ impl SdrProtocol {
     /// so the receiver's window dedups it), probe cross replicas reliably —
     /// and re-arm the timer with doubled backoff.
     pub(super) fn handle_retx_timer(&mut self, pml: &mut Pml, id: u64, now: SimTime) {
-        let Some(entry) = self.sends.get_mut(&id) else {
+        let Some(entry) = self.sends.get_mut(id) else {
             return; // already acked and collected: stale timer
         };
         if entry.fully_acked() {
@@ -161,7 +161,7 @@ impl SdrProtocol {
             RETX_MAX_ATTEMPTS,
         );
         let missing = entry.acks_expected & !entry.acks_received;
-        let entry = &self.sends[&id];
+        let entry = self.sends.get(id).expect("looked up above");
         let (dst_rank, comm, tag, seq) = (entry.dst_rank, entry.comm, entry.tag, entry.seq);
         for rep in (0..self.map.degree_of(dst_rank)).filter(|rep| missing & (1 << rep) != 0) {
             let target = self.map.endpoint(dst_rank, rep);
@@ -192,7 +192,7 @@ impl SdrProtocol {
         seq: u64,
         arrival: SimTime,
     ) {
-        if self.recv_seen[sender_rank].seen(seq) {
+        if self.peers[sender_rank].recv_seen.seen(seq) {
             let header = ctl::header(ctl::ACK, seq, 0);
             pml.send_control_at(prober, class::CONTROL, header, Bytes::new(), arrival);
         }
@@ -206,13 +206,16 @@ impl SdrProtocol {
     /// sends this (possibly slower) replica has not posted yet.
     pub(super) fn handle_fin_ack(&mut self, acker: EndpointId, upto: u64, arrival: SimTime) {
         let (dst_rank, replica) = self.map.locate(acker);
-        for entry in self.sends.values_mut() {
+        for entry in self.sends.iter_mut() {
             if entry.dst_rank == dst_rank && entry.seq < upto {
                 entry.acks_received |= 1 << replica;
                 entry.completion_floor = entry.completion_floor.max(arrival);
             }
         }
-        let slot = self.fin_acked.entry((dst_rank, acker)).or_insert(0);
+        if self.fin_acked.is_empty() {
+            self.fin_acked = vec![0; self.alive.len()];
+        }
+        let slot = &mut self.fin_acked[acker.0];
         *slot = (*slot).max(upto);
         self.collect_send_log_garbage();
     }
@@ -243,7 +246,7 @@ impl SdrProtocol {
         //    complete even after we exit.
         let me = pml.endpoint_id();
         for src_rank in 0..self.map.ranks() {
-            let upto = self.recv_seen[src_rank].next_expected();
+            let upto = self.peers[src_rank].recv_seen.next_expected();
             if upto == 0 {
                 continue;
             }
@@ -259,7 +262,7 @@ impl SdrProtocol {
         //    probe responses, peers' FIN_ACKs) until every entry is fully
         //    acknowledged — exiting earlier would strand a receiver whose
         //    copy of a payload was dropped.
-        while self.sends.values().any(|e| !e.fully_acked()) {
+        while self.sends.iter().any(|e| !e.fully_acked()) {
             match pml.progress_blocking("SDR-MPI finalize: draining unacked send log", false) {
                 Ok(events) => {
                     for ev in events {

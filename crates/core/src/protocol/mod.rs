@@ -28,21 +28,15 @@
 use crate::config::{AckOn, ReplicationConfig};
 use crate::layout::{ReplicaMap, ReplicaMask};
 use bytes::Bytes;
-use sim_mpi::matching::KeyHasher;
-use sim_mpi::pml::{MsgMeta, Pml, PmlEvent};
+use sim_mpi::pml::{Pml, PmlEvent};
 use sim_mpi::{CommId, PmlReqId, ProtoRecvReq, ProtoSendReq, Protocol, Rank, Status, Tag, TagSel};
 use sim_net::stats::class;
 use sim_net::{EndpointId, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
-use std::hash::BuildHasherDefault;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 mod failure;
 mod lossy;
-
-/// Per-message bookkeeping maps ride the matching engine's trusted-key
-/// multiplicative hasher instead of SipHash.
-type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// Control-message kinds carried in `header[0]` of SDR-MPI protocol traffic,
 /// and the one constructor of their headers.
@@ -79,7 +73,10 @@ pub mod ctl {
 #[derive(Debug, Default, Clone)]
 pub struct SeqTracker {
     next_expected: u64,
-    ahead: BTreeSet<u64>,
+    /// Delivered sequences above a gap; allocated on the first one (a
+    /// post-failure re-send), so a tracker is two words.
+    #[allow(clippy::box_collection)]
+    ahead: Option<Box<BTreeSet<u64>>>,
 }
 
 impl SeqTracker {
@@ -91,7 +88,7 @@ impl SeqTracker {
 
     /// Has `seq` already been delivered?
     pub fn seen(&self, seq: u64) -> bool {
-        seq < self.next_expected || self.ahead.contains(&seq)
+        seq < self.next_expected || self.ahead.as_ref().is_some_and(|a| a.contains(&seq))
     }
 
     /// Record delivery of `seq`. Returns `false` if it was already delivered
@@ -102,31 +99,25 @@ impl SeqTracker {
         }
         if seq == self.next_expected {
             self.next_expected += 1;
-            while self.ahead.remove(&self.next_expected) {
-                self.next_expected += 1;
+            if let Some(ahead) = &mut self.ahead {
+                while ahead.remove(&self.next_expected) {
+                    self.next_expected += 1;
+                }
             }
         } else {
-            self.ahead.insert(seq);
+            self.ahead.get_or_insert_default().insert(seq);
         }
         true
     }
 }
 
+/// One send-log entry. The fields an acknowledgement reads and writes come
+/// first, in declaration order, so the ack path touches one cache line.
 #[derive(Debug)]
+#[repr(C)]
 struct SendEntry {
     dst_rank: Rank,
-    comm: CommId,
-    tag: Tag,
     seq: u64,
-    /// Retained until all acks are in, so the substitute logic can re-send it.
-    payload: Bytes,
-    /// Wire (stream) sequence of each direct send, per target, so a
-    /// retransmission replays the payload under the *same* sequence and the
-    /// receiver's window dedups/reorders it correctly. Empty on reliable
-    /// transports.
-    wire_sends: Vec<(EndpointId, u64)>,
-    /// Retransmission-timer firings for this entry so far.
-    retx_attempts: u32,
     /// Replicas of `dst_rank` whose acknowledgement this send waits for.
     acks_expected: ReplicaMask,
     /// Replicas of `dst_rank` known to hold the message (acked, or re-sent to
@@ -140,6 +131,17 @@ struct SendEntry {
     /// also fully acked it is garbage — the ack-driven GC removes it the
     /// moment the last acknowledgement arrives, keeping the send log bounded.
     app_freed: bool,
+    /// Retransmission-timer firings for this entry so far.
+    retx_attempts: u32,
+    comm: CommId,
+    tag: Tag,
+    /// Retained until all acks are in, so the substitute logic can re-send it.
+    payload: Bytes,
+    /// Wire (stream) sequence of each direct send, per target, so a
+    /// retransmission replays the payload under the *same* sequence and the
+    /// receiver's window dedups/reorders it correctly. Empty on reliable
+    /// transports.
+    wire_sends: Vec<(EndpointId, u64)>,
 }
 
 impl SendEntry {
@@ -148,24 +150,152 @@ impl SendEntry {
     }
 }
 
-/// Protocol-side state of one posted receive, keyed by its PML request id.
+/// The send log: a ring of entries in posting order, which is wire order
+/// (the failure handler re-sends by iterating it). A send-request id is the
+/// entry's position in the ring plus `base`, the id of the ring's front; a
+/// removed entry leaves a hole until every entry ahead of it is gone too.
+#[derive(Debug)]
+struct SendLog {
+    base: u64,
+    ring: VecDeque<Option<SendEntry>>,
+    live: usize,
+}
+
+impl SendLog {
+    fn new() -> Self {
+        SendLog {
+            base: 1,
+            ring: VecDeque::new(),
+            live: 0,
+        }
+    }
+
+    /// Append `entry`; returns its id.
+    fn push(&mut self, entry: SendEntry) -> u64 {
+        self.ring.push_back(Some(entry));
+        self.live += 1;
+        self.base + self.ring.len() as u64 - 1
+    }
+
+    /// The id the next [`SendLog::push`] returns.
+    fn next_id(&self) -> u64 {
+        self.base + self.ring.len() as u64
+    }
+
+    fn get(&self, id: u64) -> Option<&SendEntry> {
+        let at = id.checked_sub(self.base)?;
+        self.ring.get(at as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut SendEntry> {
+        let at = id.checked_sub(self.base)?;
+        self.ring.get_mut(at as usize)?.as_mut()
+    }
+
+    /// The id of the live entry for application sequence `seq` to
+    /// `dst_rank`, looking at `hint` first.
+    fn find(&self, dst_rank: Rank, seq: u64, hint: u64) -> Option<u64> {
+        let is = |e: &SendEntry| e.dst_rank == dst_rank && e.seq == seq;
+        if self.get(hint).is_some_and(is) {
+            return Some(hint);
+        }
+        let at = self.ring.iter().position(|e| e.as_ref().is_some_and(is))?;
+        Some(self.base + at as u64)
+    }
+
+    fn remove(&mut self, id: u64) {
+        let Some(at) = id.checked_sub(self.base) else {
+            return;
+        };
+        if let Some(slot) = self.ring.get_mut(at as usize) {
+            if slot.take().is_some() {
+                self.live -= 1;
+                self.trim();
+            }
+        }
+    }
+
+    /// Drop every entry `drop` selects.
+    fn remove_where(&mut self, mut drop: impl FnMut(&SendEntry) -> bool) {
+        for slot in &mut self.ring {
+            if slot.as_ref().is_some_and(&mut drop) {
+                *slot = None;
+                self.live -= 1;
+            }
+        }
+        self.trim();
+    }
+
+    /// Pop the holes at the front.
+    fn trim(&mut self) {
+        while matches!(self.ring.front(), Some(None)) {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// The live entries, in posting order.
+    fn iter(&self) -> impl Iterator<Item = &SendEntry> {
+        self.ring.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut SendEntry> {
+        self.ring.iter_mut().flatten()
+    }
+}
+
+/// Protocol-side state of one posted receive, at its PML slot's index.
 #[derive(Debug)]
 struct RecvEntry {
+    /// The PML request, current generation included.
+    req: PmlReqId,
     /// The posted filter, kept to re-arm the receive after a duplicate.
     src_rank: Option<Rank>,
     comm: CommId,
     tag: TagSel,
     /// A non-duplicate message has completed at the library level.
     delivered: bool,
-    /// Deferred-ack bookkeeping for the [`AckOn::AppWait`] ablation:
-    /// (sender rank, sender replica, app-level seq, message arrival).
-    deferred_ack: Option<(Rank, usize, u64, SimTime)>,
+    /// The [`AckOn::AppWait`] ablation acknowledges the message when the
+    /// application takes it.
+    ack_deferred: bool,
     /// Acknowledgement-emission CPU time that was spent while this process's
     /// clock was still behind the message's arrival. It is re-applied when the
     /// application completes the receive, so that the reception processing
     /// (match + ack emission) shows up on the critical path exactly as it does
     /// in a library without asynchronous progress.
     post_arrival_cost: SimTime,
+}
+
+/// An acknowledgement that raced ahead of the local send it acknowledges
+/// (replicas may skew): who acked `(dst_rank, seq)` and the latest arrival
+/// among them.
+#[derive(Debug)]
+struct EarlyAck {
+    dst_rank: Rank,
+    seq: u64,
+    ackers: ReplicaMask,
+    floor: SimTime,
+}
+
+/// Everything the protocol keeps per application rank, in one cache line.
+#[derive(Debug, Clone)]
+#[repr(align(64))]
+struct Peer {
+    /// Next application sequence of a send to this rank.
+    send_seq: u64,
+    /// Send-log id of the latest send to this rank: where its
+    /// acknowledgement is looked up first.
+    last_send: u64,
+    /// `physicalDests[rank]`: replicas of the rank this process sends
+    /// application messages to directly.
+    physical_dests: ReplicaMask,
+    /// `physicalSrc[rank]`: the replica of the rank this process receives
+    /// from.
+    physical_src: EndpointId,
+    /// Application sequences delivered from the rank.
+    recv_seen: SeqTracker,
+    /// The rank's replicas this process believes alive (`alive`, per rank).
+    live: ReplicaMask,
 }
 
 /// The per-physical-process SDR-MPI protocol instance.
@@ -177,36 +307,30 @@ pub struct SdrProtocol {
     my_replica: usize,
 
     // --- Algorithm 1 state -------------------------------------------------
-    /// `physicalDests[rank]`: replicas of `rank` this process sends application
-    /// messages to directly.
-    physical_dests: Vec<ReplicaMask>,
-    /// `physicalSrc[rank]`: the replica of `rank` this process receives from.
-    physical_src: Vec<EndpointId>,
+    /// Per application rank: routing (`physicalDests`, `physicalSrc`) and
+    /// sequencing.
+    peers: Vec<Peer>,
     /// `substitute[rep]`: which replica id of *this* process's rank is in
     /// charge of sending on behalf of replica `rep`.
     substitute: Vec<usize>,
-    /// Liveness of every physical process, as known locally. An entry only
-    /// ever goes from alive to dead.
+    /// Liveness of every physical process, as known locally, as the
+    /// substitute election reads it; each peer's `live` mask mirrors its
+    /// rank's entries for the fast path. An entry only ever goes from alive
+    /// to dead.
     alive: Vec<bool>,
 
-    // --- sequencing and request bookkeeping --------------------------------
-    send_seq: Vec<u64>,
-    recv_seen: Vec<SeqTracker>,
-    /// The send log, keyed by send-request id — i.e. in posting order, which
-    /// is wire order: the failure handler re-sends by iterating it.
-    sends: BTreeMap<u64, SendEntry>,
-    next_send: u64,
-    recvs: BTreeMap<PmlReqId, RecvEntry>,
-    /// Acks that raced ahead of the local send: `(dst_rank, seq)` → who acked
-    /// and the latest arrival among them.
-    early_acks: HashMap<(Rank, u64), (ReplicaMask, SimTime)>,
-    /// Cumulative pre-acknowledgements from peers' `FIN_ACK` notices:
-    /// `(dst_rank, acker) → upto` means `acker` has received every
-    /// application sequence `< upto` addressed to `dst_rank`. Folded into new
-    /// send entries at `isend` time, covering the replica-skew case where a
-    /// slow replica posts a send after its fast counterpart's receiver has
-    /// already finalized.
-    fin_acked: HashMap<(Rank, EndpointId), u64>,
+    // --- request bookkeeping -----------------------------------------------
+    sends: SendLog,
+    /// Posted receives, at their PML slot's index.
+    recvs: Vec<Option<RecvEntry>>,
+    early_acks: Vec<EarlyAck>,
+    /// Cumulative pre-acknowledgements from peers' `FIN_ACK` notices, per
+    /// acker endpoint (empty until the first): `upto` means the acker has
+    /// received every application sequence `< upto` this rank addressed to
+    /// its rank. Folded into new send entries at `isend` time, covering the
+    /// replica-skew case where a slow replica posts a send after its fast
+    /// counterpart's receiver has already finalized.
+    fin_acked: Vec<u64>,
 }
 
 impl SdrProtocol {
@@ -222,12 +346,15 @@ impl SdrProtocol {
             map.max_degree()
         );
         let (my_rank, my_replica) = map.locate(endpoint);
-        let app_ranks = map.ranks();
-        let physical_dests = (0..app_ranks)
-            .map(|rank| map.direct_dests(my_rank, my_replica, rank))
-            .collect();
-        let physical_src = (0..app_ranks)
-            .map(|rank| map.direct_src(my_replica, rank))
+        let peers = (0..map.ranks())
+            .map(|rank| Peer {
+                send_seq: 0,
+                last_send: 0,
+                physical_dests: map.direct_dests(my_rank, my_replica, rank),
+                physical_src: map.direct_src(my_replica, rank),
+                recv_seen: SeqTracker::default(),
+                live: ReplicaMask::MAX >> (ReplicaMask::BITS as usize - map.degree_of(rank)),
+            })
             .collect();
         let my_degree = map.degree_of(my_rank);
         let physical = map.physical_processes();
@@ -236,22 +363,36 @@ impl SdrProtocol {
             cfg,
             my_rank,
             my_replica,
-            physical_dests,
-            physical_src,
+            peers,
             substitute: (0..my_degree).collect(),
             alive: vec![true; physical],
-            send_seq: vec![0; app_ranks],
-            recv_seen: vec![SeqTracker::default(); app_ranks],
-            sends: BTreeMap::new(),
-            next_send: 1,
-            recvs: BTreeMap::new(),
-            early_acks: HashMap::default(),
-            fin_acked: HashMap::default(),
+            sends: SendLog::new(),
+            recvs: Vec::new(),
+            early_acks: Vec::new(),
+            fin_acked: Vec::new(),
         }
+    }
+
+    /// The protocol's entry for PML request `req`, if it is current.
+    fn recv_entry(&self, req: PmlReqId) -> Option<&RecvEntry> {
+        let entry = self.recvs.get(req.0 as u32 as usize)?.as_ref()?;
+        (entry.req == req).then_some(entry)
+    }
+
+    fn recv_entry_mut(&mut self, req: PmlReqId) -> Option<&mut RecvEntry> {
+        let entry = self.recvs.get_mut(req.0 as u32 as usize)?.as_mut()?;
+        (entry.req == req).then_some(entry)
     }
 
     fn is_alive(&self, e: EndpointId) -> bool {
         self.alive.get(e.0).copied().unwrap_or(false)
+    }
+
+    /// Record that endpoint `e` failed.
+    fn mark_dead(&mut self, e: EndpointId) {
+        self.alive[e.0] = false;
+        let (rank, replica) = self.map.locate(e);
+        self.peers[rank].live &= !(1 << replica);
     }
 
     /// Algorithm 1, lines 15-17: acknowledge `(src_rank, seq)` to the live
@@ -267,60 +408,69 @@ impl SdrProtocol {
         seq: u64,
         arrival: SimTime,
     ) {
-        let targets = Self::ack_targets(pml, src_rep);
+        let targets = Self::ack_targets(pml, src_rep) & self.peers[src_rank].live;
         for rep in (0..self.map.degree_of(src_rank)).filter(|rep| targets & (1 << rep) != 0) {
             let target = self.map.endpoint(src_rank, rep);
-            if self.is_alive(target) {
-                let header = ctl::header(ctl::ACK, seq, 0);
-                pml.send_control_at(target, class::ACK, header, Bytes::new(), arrival);
-            }
+            let header = ctl::header(ctl::ACK, seq, 0);
+            pml.send_control_at(target, class::ACK, header, Bytes::new(), arrival);
         }
     }
 
     fn register_ack(&mut self, from: EndpointId, seq: u64, arrival: SimTime) {
         let (dst_rank, replica) = self.map.locate(from);
         let bit = 1 << replica;
-        // Find the matching send entry (messages to `dst_rank` with `seq`).
-        // A scan, not a second index: the log holds the sends still in flight,
-        // one entry in every measured workload.
-        let matching = self
-            .sends
-            .iter_mut()
-            .find(|(_, e)| e.dst_rank == dst_rank && e.seq == seq);
-        if let Some((&id, entry)) = matching {
+        // Find the matching send entry (messages to `dst_rank` with `seq`):
+        // usually the latest send to that rank, else a scan of the log.
+        let peer = &self.peers[dst_rank];
+        if let Some(id) = self.sends.find(dst_rank, seq, peer.last_send) {
+            let entry = self.sends.get_mut(id).expect("found above");
             entry.acks_received |= bit;
             entry.completion_floor = entry.completion_floor.max(arrival);
             if entry.app_freed && entry.fully_acked() {
                 // Ack-driven GC: the application already released the request
                 // and this was the last missing acknowledgement — the payload
                 // can never be needed for a re-send again.
-                self.sends.remove(&id);
+                self.sends.remove(id);
             }
-        } else if seq >= self.send_seq[dst_rank] {
+        } else if seq >= peer.send_seq {
             // The ack raced ahead of the local send (replicas may skew):
             // remember it until the send is posted.
-            let early = self.early_acks.entry((dst_rank, seq)).or_default();
-            early.0 |= bit;
-            early.1 = early.1.max(arrival);
+            match self
+                .early_acks
+                .iter_mut()
+                .find(|e| e.dst_rank == dst_rank && e.seq == seq)
+            {
+                Some(early) => {
+                    early.ackers |= bit;
+                    early.floor = early.floor.max(arrival);
+                }
+                None => self.early_acks.push(EarlyAck {
+                    dst_rank,
+                    seq,
+                    ackers: bit,
+                    floor: arrival,
+                }),
+            }
         }
         // Otherwise the send has already completed and been freed; stale ack.
     }
 
-    fn handle_recv_complete(&mut self, pml: &mut Pml, req: PmlReqId, meta: MsgMeta) {
-        let Some(entry) = self.recvs.get(&req) else {
+    fn handle_recv_complete(&mut self, pml: &mut Pml, req: PmlReqId) {
+        let Some(entry) = self.recv_entry(req) else {
             // Not one of ours (should not happen: every application receive is
             // registered). Ignore defensively.
             return;
         };
-        let (src_rank, src_replica) = self.map.locate(meta.src);
-        let seq = meta.aux as u64;
-        if !self.recv_seen[src_rank].record(seq) {
+        let (posted_src, comm, tag) = (entry.src_rank, entry.comm, entry.tag);
+        let msg = pml.completed_msg(req).expect("a completed receive");
+        let (src, seq, arrival) = (msg.src, msg.aux as u64, msg.arrival);
+        let (src_rank, src_replica) = self.map.locate(src);
+        if !self.peers[src_rank].recv_seen.record(seq) {
             // Duplicate delivery caused by a post-failure re-send: drop the
             // payload and re-arm the receive with the same filter.
-            let src = entry.src_rank.map(|r| self.physical_src[r]);
-            let (comm, tag) = (entry.comm, entry.tag);
-            self.reack_duplicate(pml, meta.src, seq, meta.arrival);
-            pml.repost_recv(req, src, comm, tag);
+            let src_filter = posted_src.map(|r| self.peers[r].physical_src);
+            self.reack_duplicate(pml, src, seq, arrival);
+            pml.repost_recv(req, src_filter, comm, tag);
             return;
         }
         let ack_on = self.ack_timing(pml);
@@ -329,22 +479,20 @@ impl SdrProtocol {
             // The paper's design: acknowledge on the library-level
             // irecvComplete event (Algorithm 1, lines 15-17).
             let before = pml.now();
-            self.send_acks_for(pml, src_rank, src_replica, seq, meta.arrival);
+            self.send_acks_for(pml, src_rank, src_replica, seq, arrival);
             // If the ack was emitted while this process was still (virtually)
             // idle before the message's arrival, the charge above is absorbed
             // when the clock later synchronises to the arrival; remember it so
             // the receive completion re-applies it on the critical path.
-            if before < meta.arrival {
+            if before < arrival {
                 post_arrival_cost = pml.now() - before;
             }
         }
         // AckOn::Never: no acknowledgement at all (baseline configurations).
-        let entry = self.recvs.get_mut(&req).expect("looked up above");
+        let entry = self.recv_entry_mut(req).expect("looked up above");
         entry.delivered = true;
         entry.post_arrival_cost = post_arrival_cost;
-        if ack_on == AckOn::AppWait {
-            entry.deferred_ack = Some((src_rank, src_replica, seq, meta.arrival));
-        }
+        entry.ack_deferred = ack_on == AckOn::AppWait;
     }
 }
 
@@ -369,8 +517,10 @@ impl Protocol for SdrProtocol {
             dst < self.map.ranks(),
             "destination rank {dst} out of range"
         );
-        let seq = self.send_seq[dst];
-        self.send_seq[dst] += 1;
+        let peer = &mut self.peers[dst];
+        let seq = peer.send_seq;
+        peer.send_seq += 1;
+        let (physical_dests, live) = (peer.physical_dests, peer.live);
 
         let mut entry = SendEntry {
             dst_rank: dst,
@@ -390,12 +540,12 @@ impl Protocol for SdrProtocol {
         // payload clones share one allocation (`Bytes` is refcounted), so the
         // replication degree does not multiply copies.
         for rep in 0..self.map.degree_of(dst) {
-            let target = self.map.endpoint(dst, rep);
-            if !self.is_alive(target) {
+            let bit = 1 << rep;
+            if live & bit == 0 {
                 continue;
             }
-            let bit = 1 << rep;
-            if self.physical_dests[dst] & bit != 0 {
+            if physical_dests & bit != 0 {
+                let target = self.map.endpoint(dst, rep);
                 let wire_seq = pml.isend(target, comm, tag, seq as i64, payload.clone());
                 Self::note_wire_send(pml, &mut entry, (target, wire_seq));
             } else if self.cfg.ack_on != AckOn::Never {
@@ -403,14 +553,19 @@ impl Protocol for SdrProtocol {
             }
         }
         // Fold in acks that arrived before this send was posted.
-        if let Some((ackers, floor)) = self.early_acks.remove(&(dst, seq)) {
-            entry.acks_received |= ackers;
-            entry.completion_floor = floor;
+        if let Some(at) = self
+            .early_acks
+            .iter()
+            .position(|e| e.dst_rank == dst && e.seq == seq)
+        {
+            let early = self.early_acks.swap_remove(at);
+            entry.acks_received |= early.ackers;
+            entry.completion_floor = early.floor;
         }
-        let id = self.next_send;
-        self.next_send += 1;
+        let id = self.sends.next_id();
         self.cover_send(pml, id, &mut entry);
-        self.sends.insert(id, entry);
+        self.sends.push(entry);
+        self.peers[dst].last_send = id;
         ProtoSendReq(id)
     }
 
@@ -426,64 +581,69 @@ impl Protocol for SdrProtocol {
         // leader-decided source unnecessary (Section 3.1).
         let phys_src = src.map(|r| {
             assert!(r < self.map.ranks(), "source rank {r} out of range");
-            self.physical_src[r]
+            self.peers[r].physical_src
         });
-        // The protocol-level handle *is* the PML request id.
+        // The protocol-level handle *is* the PML request id, and the entry
+        // sits at the index of the request's slot.
         let pml_req = pml.irecv(phys_src, comm, tag);
-        self.recvs.insert(
-            pml_req,
-            RecvEntry {
-                src_rank: src,
-                comm,
-                tag,
-                delivered: false,
-                deferred_ack: None,
-                post_arrival_cost: SimTime::ZERO,
-            },
-        );
+        let at = pml_req.0 as u32 as usize;
+        if at >= self.recvs.len() {
+            self.recvs.resize_with(at + 1, || None);
+        }
+        self.recvs[at] = Some(RecvEntry {
+            req: pml_req,
+            src_rank: src,
+            comm,
+            tag,
+            delivered: false,
+            ack_deferred: false,
+            post_arrival_cost: SimTime::ZERO,
+        });
         ProtoRecvReq(pml_req.0)
     }
 
     fn send_complete(&mut self, _pml: &mut Pml, req: ProtoSendReq) -> bool {
         // The direct sends were complete when `isend` returned; what can be
         // outstanding is the acknowledgements (Algorithm 1, `MPI_Wait`).
-        self.sends.get(&req.0).is_none_or(SendEntry::fully_acked)
+        self.sends.get(req.0).is_none_or(SendEntry::fully_acked)
     }
 
     fn recv_complete(&mut self, _pml: &mut Pml, req: ProtoRecvReq) -> bool {
-        self.recvs.get(&PmlReqId(req.0)).is_none_or(|e| e.delivered)
+        self.recv_entry(PmlReqId(req.0)).is_none_or(|e| e.delivered)
     }
 
     fn take_recv(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> Option<(Status, Bytes)> {
         let pml_req = PmlReqId(req.0);
-        if !self.recvs.get(&pml_req)?.delivered {
+        if !self.recv_entry(pml_req)?.delivered {
             return None;
         }
-        let entry = self.recvs.remove(&pml_req).expect("checked above");
-        let (meta, payload) = pml.take_recv(pml_req)?;
+        let entry = self.recvs[pml_req.0 as u32 as usize]
+            .take()
+            .expect("checked above");
+        let msg = pml.take_recv(pml_req)?;
         if !entry.post_arrival_cost.is_zero() {
             pml.endpoint_mut()
                 .clock_mut()
                 .charge_comm(entry.post_arrival_cost);
         }
-        if let Some((src_rank, src_replica, seq, arrival)) = entry.deferred_ack {
+        let (src_rank, src_replica) = self.map.locate(msg.src);
+        if entry.ack_deferred {
             // AppWait ablation: acknowledge only now that the application has
             // completed the receive.
-            self.send_acks_for(pml, src_rank, src_replica, seq, arrival);
+            self.send_acks_for(pml, src_rank, src_replica, msg.aux as u64, msg.arrival);
         }
-        let src_rank = self.map.rank_of(meta.src);
         Some((
             Status {
                 source: src_rank,
-                tag: meta.tag,
-                len: meta.len,
+                tag: msg.tag,
+                len: msg.payload.len(),
             },
-            payload,
+            msg.payload,
         ))
     }
 
     fn free_send(&mut self, pml: &mut Pml, req: ProtoSendReq) {
-        let Some(entry) = self.sends.get_mut(&req.0) else {
+        let Some(entry) = self.sends.get_mut(req.0) else {
             return;
         };
         // The application-level send completion (return from MPI_Wait)
@@ -493,7 +653,7 @@ impl Protocol for SdrProtocol {
             .sync_to(entry.completion_floor);
         entry.app_freed = true;
         if entry.fully_acked() {
-            self.sends.remove(&req.0);
+            self.sends.remove(req.0);
         }
         // Not fully acked: the entry stays in the send log so a substitute
         // can still re-send the payload; the ack-driven GC reclaims it when
@@ -502,7 +662,7 @@ impl Protocol for SdrProtocol {
 
     fn handle_event(&mut self, pml: &mut Pml, ev: PmlEvent) {
         match ev {
-            PmlEvent::RecvCompleted { req, meta } => self.handle_recv_complete(pml, req, meta),
+            PmlEvent::RecvCompleted { req } => self.handle_recv_complete(pml, req),
             // Acks travel on the (faultable) ACK class, every other kind —
             // and an ack re-emitted for a probe — on the reliable CONTROL
             // class. Other classes belong to the baselines.
@@ -535,18 +695,18 @@ impl Protocol for SdrProtocol {
     }
 
     fn describe_pending(&self) -> String {
-        let waiting_acks: usize = self.sends.values().filter(|e| !e.fully_acked()).count();
+        let waiting_acks = self.sends.iter().filter(|e| !e.fully_acked()).count();
         format!(
             "SDR-MPI rank {} replica {}: {} sends awaiting acks, {} receives outstanding",
             self.my_rank,
             self.my_replica,
             waiting_acks,
-            self.recvs.len()
+            self.recvs.iter().flatten().count()
         )
     }
 
     fn send_log_len(&self) -> usize {
-        self.sends.len()
+        self.sends.live
     }
 }
 
@@ -602,12 +762,12 @@ mod tests {
         assert_eq!(proto.replica_id(), 1);
         for rank in 0..4 {
             assert_eq!(
-                proto.physical_src[rank],
+                proto.peers[rank].physical_src,
                 EndpointId(4 + rank),
                 "replica 1 receives from replica 1 of every rank"
             );
             assert_eq!(
-                proto.physical_dests[rank], 0b10,
+                proto.peers[rank].physical_dests, 0b10,
                 "and sends to replica 1 of every rank, only"
             );
         }
@@ -621,18 +781,18 @@ mod tests {
         let singleton =
             SdrProtocol::new(EndpointId(1), Arc::clone(&map), ReplicationConfig::dual());
         assert_eq!(singleton.app_rank(), 1);
-        assert_eq!(singleton.physical_dests[0], 0b11);
+        assert_eq!(singleton.peers[0].physical_dests, 0b11);
         // Replica 1 of rank 0 (endpoint 2) sends nothing to the singleton
         // directly; replica 0 (endpoint 0) owns the direct copy.
         let rep1 = SdrProtocol::new(EndpointId(2), Arc::clone(&map), ReplicationConfig::dual());
-        assert_eq!(rep1.physical_dests[1], 0);
+        assert_eq!(rep1.peers[1].physical_dests, 0);
         let rep0 = SdrProtocol::new(EndpointId(0), Arc::clone(&map), ReplicationConfig::dual());
-        assert_eq!(rep0.physical_dests[1], 0b1);
+        assert_eq!(rep0.peers[1].physical_dests, 0b1);
         assert_eq!(map.endpoint(1, 0), EndpointId(1));
         // Both replicas of rank 0 receive rank 1's messages from the
         // singleton itself.
-        assert_eq!(rep0.physical_src[1], EndpointId(1));
-        assert_eq!(rep1.physical_src[1], EndpointId(1));
+        assert_eq!(rep0.peers[1].physical_src, EndpointId(1));
+        assert_eq!(rep1.peers[1].physical_src, EndpointId(1));
     }
 
     #[test]
@@ -707,7 +867,12 @@ mod tests {
                 },
             );
         }
-        assert_eq!(proto.early_acks[&(1, 0)], (0b110, SimTime::from_nanos(80)));
+        let early = &proto.early_acks[..];
+        assert!(
+            matches!(early, [EarlyAck { dst_rank: 1, seq: 0, ackers: 0b110, floor }]
+                if *floor == SimTime::from_nanos(80)),
+            "{early:?}"
+        );
         let req = proto.isend(&mut pml, 1, CommId::WORLD, 7, Bytes::from_static(b"x"));
         assert!(proto.early_acks.is_empty());
         assert!(

@@ -59,6 +59,9 @@ pub struct LeaderParallelProtocol {
     anon: BTreeMap<u64, AnonState>,
     /// Wrapper request id → anonymous sequence (for anonymous receives) .
     anon_of_req: HashMap<u64, u64>,
+    /// Next anonymous-receive handle: the top half of the id space, which
+    /// the PML's request ids — the inner protocol's receive handles — never
+    /// use (`sim_mpi::PmlReqId`).
     next_req: u64,
     /// Decisions that arrived before the matching anonymous receive was
     /// posted locally (decided source rank, decision arrival time).
@@ -76,7 +79,7 @@ impl LeaderParallelProtocol {
             anon_seq: 0,
             anon: BTreeMap::new(),
             anon_of_req: HashMap::new(),
-            next_req: 1 << 32,
+            next_req: 1 << 63,
             early_decisions: HashMap::new(),
             announce_queue: VecDeque::new(),
         }
@@ -323,6 +326,39 @@ mod tests {
             0,
             "no decisions for named sources"
         );
+    }
+
+    #[test]
+    fn anonymous_handles_never_alias_a_reused_receive_slot() {
+        // A named receive frees its PML slot (generation 1 next time); then
+        // an anonymous receive and two more named ones are posted. A follower
+        // posts nothing for the anonymous one until the decision arrives, so
+        // a named receive reuses that slot: its handle must not equal the
+        // anonymous receive's.
+        let report = leader_job(2).run(|p| {
+            let world = p.world();
+            if p.rank() == 0 {
+                for v in 1..=3u64 {
+                    p.send_u64s(world, 1, 5, &[v]);
+                }
+                p.send_u64s(world, 1, 7, &[70]);
+                return 0;
+            }
+            p.recv_u64s(world, 0, 5);
+            let anon = p.irecv_bytes(world, ANY_SOURCE, 7);
+            let named = [p.irecv_bytes(world, 0, 5), p.irecv_bytes(world, 0, 5)];
+            let mut got = 0;
+            for req in named.into_iter().chain([anon]) {
+                let bytes = p.wait(world, req).1.expect("a receive");
+                got = got * 100 + sim_mpi::datatype::bytes_to_u64s(&bytes)[0];
+            }
+            got
+        });
+        assert!(report.all_finished(), "{:?}", report.processes);
+        for proc in &report.processes {
+            let want = if proc.app_rank == 0 { 0 } else { 20_370 };
+            assert_eq!(proc.outcome.result(), Some(&want), "{:?}", proc.endpoint);
+        }
     }
 
     #[test]

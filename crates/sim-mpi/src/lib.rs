@@ -48,7 +48,7 @@ pub mod types;
 pub use collectives::ReduceOp;
 pub use comm::CommInfo;
 pub use matching::PmlReqId;
-pub use pml::{MsgMeta, Pml, PmlEvent, SdcFlip};
+pub use pml::{Pml, PmlEvent, SdcFlip};
 pub use process::{Comm, Process, Request};
 pub use protocol::{
     NativeFactory, NativeProtocol, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory,

@@ -9,84 +9,35 @@
 //! queue later costs an extra copy, which is exactly the cost the paper says
 //! leader-based protocols inflate by delaying receive posting (Section 3.1).
 //!
-//! Both queues are **indexed**, not linear:
+//! Both queues are kept per peer, as Open MPI's `ob1` keeps them, in lists
+//! threaded through two node pools — nothing is hashed:
 //!
-//! * Posted receives live in buckets keyed by `(comm, source filter, tag
-//!   filter)` — wildcard filters get their own buckets — and carry a global
-//!   posting-order sequence number. An incoming message can only be claimed by
-//!   one of the four buckets its `(comm, src, tag)` projects onto
-//!   (specific/specific, specific/any, any/specific, any/any); taking the
-//!   bucket head with the smallest posting sequence reproduces MPI's
-//!   posting-order semantics exactly, in O(1) hash lookups instead of a scan.
-//! * Unexpected messages live in buckets keyed by the concrete `(comm, src,
-//!   tag)` and carry an arrival sequence number. A specific receive pops its
-//!   bucket head directly; a wildcard receive takes the minimum arrival
-//!   sequence over the communicator's matching bucket heads (bounded by the
-//!   number of distinct live `(src, tag)` pairs, not by queue length).
+//! * Each `(source endpoint, communicator)` has a FIFO of the receives posted
+//!   for that source (any tag) and a FIFO of its unexpected messages. A job
+//!   has two communicators ([`CommId::INTERNAL`], [`CommId::WORLD`]), each
+//!   with a table of list heads indexed by source endpoint and grown to the
+//!   highest source seen: eight bytes per endpoint of a communicator in use.
+//! * `MPI_ANY_SOURCE` receives sit in their own per-communicator list, and
+//!   every unexpected message is also threaded, in arrival order, on a
+//!   per-communicator list that any-source receives scan.
+//! * Every posting carries a global posting sequence. An incoming message
+//!   takes the first posting with a matching tag in its source's list and in
+//!   the any-source list, whichever was posted first — MPI's posting-order
+//!   rule. A receive takes the first unexpected message with a matching tag
+//!   in its source's list (or, for any source, in the arrival list), which is
+//!   the earliest arrival that matches.
+//!
+//! Emptied nodes go on their pool's free list, so a pool holds as many nodes
+//! as were ever live at once, and the steady state allocates nothing.
 
 use crate::types::{CommId, Tag, TagSel};
 use bytes::Bytes;
 use sim_net::{EndpointId, SimTime};
-use std::collections::VecDeque;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// A fast multiplicative hasher for the engine's small integer-tuple keys.
-/// The default SipHash is DoS-resistant but costs more than the matching
-/// logic itself at this granularity; bucket keys are derived from trusted
-/// in-process state, so the cheap mix is safe.
-#[derive(Default)]
-pub struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        // Fibonacci-style multiplicative mixing; plenty for integer keys.
-        self.0 = (self.0 ^ v)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(23);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHasher>>;
-
-/// How many emptied buckets of each kind (posted, unexpected) the engine
-/// keeps for reuse. Under an all-to-all every bucket holds one entry, so
-/// without the free list each message allocates a deque when its bucket
-/// appears and frees it when the bucket empties; a handful of spares absorbs
-/// that, and the bound keeps the retained memory negligible (a few hundred
-/// bytes per spare).
-pub const SPARE_BUCKETS: usize = 8;
-
-/// Keep the just-emptied `bucket` for reuse unless `spare` is full.
-fn retire_bucket<T>(spare: &mut Vec<VecDeque<T>>, bucket: VecDeque<T>) {
-    debug_assert!(bucket.is_empty());
-    if spare.len() < SPARE_BUCKETS {
-        spare.push(bucket);
-    }
-}
-
-/// One communicator's unexpected-message buckets: concrete (src, tag) →
-/// FIFO of (arrival seq, message).
-type UnexpectedBuckets = HashMap<(EndpointId, Tag), VecDeque<(u64, IncomingMsg)>>;
-
-/// Identifier of a PML-level receive request.
+/// Identifier of a PML-level receive request. The PML hands out a slot index
+/// in the low 32 bits and a 31-bit generation above it, so its ids never
+/// have the top bit set: a protocol that mints receive handles of its own
+/// takes them from that half. The matching engine accepts any value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PmlReqId(pub u64);
 
@@ -124,77 +75,211 @@ pub struct PostedRecv {
     pub tag: TagSel,
 }
 
-impl PostedRecv {
-    fn matches(&self, m: &IncomingMsg) -> bool {
-        self.comm == m.comm
-            && self.tag.matches(m.tag)
-            && self.src.map(|s| s == m.src).unwrap_or(true)
-    }
-}
-
-/// Result of delivering a message from the unexpected queue: the engine also
-/// reports that an extra copy is required so the PML can charge its cost.
+/// Result of delivering a message from the unexpected queue (the PML charges
+/// the extra copy it costs).
 #[derive(Debug, Clone)]
 pub struct UnexpectedDelivery {
     /// The matched message.
     pub msg: IncomingMsg,
-    /// Always true; kept explicit for readability at call sites.
-    pub extra_copy: bool,
 }
 
-/// Bucket key for posted receives: the filter triple, with `None` standing
-/// for the `MPI_ANY_SOURCE` / `MPI_ANY_TAG` wildcards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PostKey {
-    comm: CommId,
-    src: Option<EndpointId>,
-    tag: Option<Tag>,
+/// The index of `comm` in per-communicator tables: a job has two
+/// communicators, [`CommId::INTERNAL`] (0) and [`CommId::WORLD`] (1).
+pub(crate) fn comm_slot(comm: CommId) -> usize {
+    assert!(
+        comm.0 < 2,
+        "unknown communicator {comm:?}: a job has two, INTERNAL (0) and WORLD (1)"
+    );
+    comm.0 as usize
 }
 
-impl PostKey {
-    fn of(posting: &PostedRecv) -> PostKey {
-        PostKey {
-            comm: posting.comm,
-            src: posting.src,
-            tag: match posting.tag {
-                TagSel::Tag(t) => Some(t),
-                TagSel::Any => None,
-            },
+/// "No node": the end of a list, or an empty list's head.
+const NIL: u32 = u32::MAX;
+
+/// One node's place in one list. A list is named by its head; the head's
+/// `prev` is the tail, and the tail's `next` is [`NIL`].
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    next: u32,
+    prev: u32,
+}
+
+#[derive(Debug)]
+struct Node<T> {
+    item: Option<T>,
+    /// Posted nodes use chain 0 only; unexpected nodes are on their source's
+    /// list (chain 0) and their communicator's arrival list (chain 1).
+    links: [Links; 2],
+}
+
+/// A node pool; lists are threaded through its nodes, and so is the free
+/// list (chain 0 of the free nodes, from `free`).
+#[derive(Debug)]
+struct Pool<T> {
+    nodes: Vec<Node<T>>,
+    free: u32,
+}
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool {
+            nodes: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl<T> Pool<T> {
+    fn alloc(&mut self, item: T) -> u32 {
+        const UNLINKED: Links = Links {
+            next: NIL,
+            prev: NIL,
+        };
+        match self.free {
+            NIL => {
+                self.nodes.push(Node {
+                    item: Some(item),
+                    links: [UNLINKED; 2],
+                });
+                (self.nodes.len() - 1) as u32
+            }
+            i => {
+                let node = &mut self.nodes[i as usize];
+                self.free = node.links[0].next;
+                node.item = Some(item);
+                i
+            }
         }
     }
 
-    /// Which of the four filter kinds this key belongs to; see
-    /// [`MatchingEngine::posted_kinds`].
-    fn kind(&self) -> usize {
-        (self.src.is_none() as usize) | ((self.tag.is_none() as usize) << 1)
+    fn release(&mut self, i: u32) -> T {
+        let node = &mut self.nodes[i as usize];
+        node.links[0].next = self.free;
+        self.free = i;
+        node.item.take().expect("live node")
+    }
+
+    fn item(&self, i: u32) -> &T {
+        self.nodes[i as usize].item.as_ref().expect("live node")
+    }
+
+    fn tail(&self, head: u32, chain: usize) -> u32 {
+        self.nodes[head as usize].links[chain].prev
+    }
+
+    fn links(&mut self, i: u32, chain: usize) -> &mut Links {
+        &mut self.nodes[i as usize].links[chain]
+    }
+
+    /// Insert node `i` into the list at `head` before node `at` ([`NIL`]:
+    /// at the tail).
+    fn insert_before(&mut self, head: &mut u32, chain: usize, at: u32, i: u32) {
+        if *head == NIL {
+            *self.links(i, chain) = Links { next: NIL, prev: i };
+            *head = i;
+        } else if at == NIL {
+            let tail = self.links(*head, chain).prev;
+            self.links(tail, chain).next = i;
+            *self.links(i, chain) = Links {
+                next: NIL,
+                prev: tail,
+            };
+            self.links(*head, chain).prev = i;
+        } else {
+            let prev = self.links(at, chain).prev;
+            *self.links(i, chain) = Links { next: at, prev };
+            self.links(at, chain).prev = i;
+            if at == *head {
+                *head = i;
+            } else {
+                self.links(prev, chain).next = i;
+            }
+        }
+    }
+
+    fn unlink(&mut self, head: &mut u32, chain: usize, i: u32) {
+        let Links { next, prev } = *self.links(i, chain);
+        if i == *head {
+            *head = next;
+            if next != NIL {
+                self.links(next, chain).prev = prev;
+            }
+        } else {
+            self.links(prev, chain).next = next;
+            if next == NIL {
+                self.links(*head, chain).prev = prev;
+            } else {
+                self.links(next, chain).prev = prev;
+            }
+        }
+    }
+
+    /// The first node of the list at `head`, in list order, whose item
+    /// satisfies `pred`.
+    fn find(&self, head: u32, chain: usize, mut pred: impl FnMut(&T) -> bool) -> Option<u32> {
+        let mut i = head;
+        while i != NIL {
+            let node = &self.nodes[i as usize];
+            if pred(node.item.as_ref().expect("live node")) {
+                return Some(i);
+            }
+            i = node.links[chain].next;
+        }
+        None
     }
 }
 
+/// The list heads of one `(source, communicator)` pair.
+#[derive(Debug, Clone, Copy)]
+struct PeerLists {
+    posted: u32,
+    unexpected: u32,
+}
+
+/// The list heads of one communicator: its any-source postings and its
+/// unexpected messages in arrival order.
+#[derive(Debug, Clone, Copy)]
+struct CommLists {
+    any_source: u32,
+    arrivals: u32,
+}
+
+#[derive(Debug)]
+struct Posting {
+    /// Global posting sequence: lower matches first.
+    seq: u64,
+    recv: PostedRecv,
+}
+
 /// Matching engine state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MatchingEngine {
-    /// Posted receives, bucketed by filter triple. Entries carry the global
-    /// posting sequence; each bucket is sorted by it and never left empty.
-    posted: HashMap<PostKey, VecDeque<(u64, PostedRecv)>>,
-    /// Request id → bucket it currently lives in (a redirect moves it).
-    posted_where: HashMap<PmlReqId, PostKey>,
-    /// Live posting count per filter kind (specific/specific, any-source,
-    /// any-tag, any/any). Lets [`MatchingEngine::incoming`] probe only bucket
-    /// kinds that can exist — applications that never post wildcards pay for
-    /// exactly one lookup per message.
-    posted_kinds: [usize; 4],
+    /// Per communicator, per source endpoint (grown on first sight).
+    peers: [Vec<PeerLists>; 2],
+    comms: [CommLists; 2],
+    posted: Pool<Posting>,
+    unexpected: Pool<IncomingMsg>,
     posted_seq: u64,
-    /// Unexpected messages, bucketed per communicator by concrete (src, tag).
-    /// Entries carry the global arrival sequence; buckets are FIFO in it and
-    /// never left empty (a communicator's map, once created, is — it stays
-    /// for the next message).
-    unexpected: HashMap<CommId, UnexpectedBuckets>,
+    posted_live: usize,
     unexpected_live: usize,
-    arrival_seq: u64,
-    /// Emptied posted buckets awaiting reuse, at most [`SPARE_BUCKETS`].
-    spare_posted: Vec<VecDeque<(u64, PostedRecv)>>,
-    /// Emptied unexpected buckets awaiting reuse, at most [`SPARE_BUCKETS`].
-    spare_unexpected: Vec<VecDeque<(u64, IncomingMsg)>>,
+}
+
+impl Default for MatchingEngine {
+    fn default() -> Self {
+        const EMPTY: CommLists = CommLists {
+            any_source: NIL,
+            arrivals: NIL,
+        };
+        MatchingEngine {
+            peers: [Vec::new(), Vec::new()],
+            comms: [EMPTY; 2],
+            posted: Pool::default(),
+            unexpected: Pool::default(),
+            posted_seq: 0,
+            posted_live: 0,
+            unexpected_live: 0,
+        }
+    }
 }
 
 impl MatchingEngine {
@@ -203,72 +288,88 @@ impl MatchingEngine {
         Self::default()
     }
 
-    /// The bucket of `comm_map` holding the earliest-arriving message that
-    /// matches the (src, tag) filter pair, honouring wildcards; what
-    /// [`MatchingEngine::take_unexpected`] pops.
-    fn earliest_unexpected_bucket(
-        comm_map: &UnexpectedBuckets,
-        src: Option<EndpointId>,
-        tag: TagSel,
-    ) -> Option<(EndpointId, Tag)> {
-        if let (Some(s), TagSel::Tag(t)) = (src, tag) {
-            let k = (s, t);
-            return comm_map.contains_key(&k).then_some(k);
+    /// The list heads of `src` on communicator slot `c`, grown on first use.
+    fn peer(&mut self, src: EndpointId, c: usize) -> &mut PeerLists {
+        const EMPTY: PeerLists = PeerLists {
+            posted: NIL,
+            unexpected: NIL,
+        };
+        let peers = &mut self.peers[c];
+        if src.0 >= peers.len() {
+            peers.resize(src.0 + 1, EMPTY);
         }
-        // Wildcard on source and/or tag: minimum arrival sequence over the
-        // communicator's matching bucket heads.
-        let mut best: Option<(u64, (EndpointId, Tag))> = None;
-        for (&(msrc, mtag), q) in comm_map.iter() {
-            if let Some(want) = src {
-                if want != msrc {
-                    continue;
-                }
-            }
-            if !tag.matches(mtag) {
-                continue;
-            }
-            if let Some(&(seq, _)) = q.front() {
-                if best.map(|(s, _)| seq < s).unwrap_or(true) {
-                    best = Some((seq, (msrc, mtag)));
-                }
-            }
-        }
-        best.map(|(_, bucket)| bucket)
+        &mut peers[src.0]
     }
 
-    /// Pop the earliest unexpected message matching `posting`, if any.
-    fn take_unexpected(&mut self, posting: &PostedRecv) -> Option<IncomingMsg> {
-        let comm_map = self.unexpected.get_mut(&posting.comm)?;
-        let bucket = Self::earliest_unexpected_bucket(comm_map, posting.src, posting.tag)?;
-        let q = comm_map.get_mut(&bucket).expect("bucket exists");
-        let (_, msg) = q.pop_front().expect("bucket non-empty");
-        if q.is_empty() {
-            let q = comm_map.remove(&bucket).expect("bucket exists");
-            retire_bucket(&mut self.spare_unexpected, q);
-        }
+    fn peer_head(&self, src: EndpointId, c: usize, posted: bool) -> u32 {
+        self.peers[c].get(src.0).map_or(NIL, |lists| {
+            if posted {
+                lists.posted
+            } else {
+                lists.unexpected
+            }
+        })
+    }
+
+    /// Pop the earliest unexpected message matching the `(src, comm, tag)`
+    /// filter, if any.
+    fn take_unexpected(
+        &mut self,
+        src: Option<EndpointId>,
+        comm: CommId,
+        tag: TagSel,
+    ) -> Option<IncomingMsg> {
+        let c = comm_slot(comm);
+        let matches = |m: &IncomingMsg| tag.matches(m.tag);
+        let i = match src {
+            Some(s) => self
+                .unexpected
+                .find(self.peer_head(s, c, false), 0, matches)?,
+            None => self.unexpected.find(self.comms[c].arrivals, 1, matches)?,
+        };
+        let from = self.unexpected.item(i).src;
+        self.unexpected
+            .unlink(&mut self.peers[c][from.0].unexpected, 0, i);
+        self.unexpected.unlink(&mut self.comms[c].arrivals, 1, i);
         self.unexpected_live -= 1;
-        Some(msg)
+        Some(self.unexpected.release(i))
+    }
+
+    /// Append `posting` (posting sequence `seq`) to its list, behind every
+    /// posting of that list with a lower sequence.
+    fn enqueue_posting(&mut self, seq: u64, recv: PostedRecv) {
+        let c = comm_slot(recv.comm);
+        let mut head = match recv.src {
+            Some(s) => self.peer(s, c).posted,
+            None => self.comms[c].any_source,
+        };
+        // A fresh posting has the highest sequence yet and goes to the tail;
+        // only a redirected one can belong further up.
+        let at = match head {
+            NIL => NIL,
+            head if self.posted.item(self.posted.tail(head, 0)).seq < seq => NIL,
+            head => self.posted.find(head, 0, |p| p.seq > seq).unwrap_or(NIL),
+        };
+        let src = recv.src;
+        let i = self.posted.alloc(Posting { seq, recv });
+        self.posted.insert_before(&mut head, 0, at, i);
+        match src {
+            Some(s) => self.peer(s, c).posted = head,
+            None => self.comms[c].any_source = head,
+        }
+        self.posted_live += 1;
     }
 
     /// Post a receive request. If a message in the unexpected queue already
     /// matches it, the earliest such message is removed and returned (the
     /// request completes immediately, at the cost of an extra copy).
     pub fn post_recv(&mut self, posting: PostedRecv) -> Option<UnexpectedDelivery> {
-        if let Some(msg) = self.take_unexpected(&posting) {
-            return Some(UnexpectedDelivery {
-                msg,
-                extra_copy: true,
-            });
+        if let Some(msg) = self.take_unexpected(posting.src, posting.comm, posting.tag) {
+            return Some(UnexpectedDelivery { msg });
         }
-        let key = PostKey::of(&posting);
         let seq = self.posted_seq;
         self.posted_seq += 1;
-        self.posted_where.insert(posting.req, key);
-        self.posted_kinds[key.kind()] += 1;
-        self.posted
-            .entry(key)
-            .or_insert_with(|| self.spare_posted.pop().unwrap_or_default())
-            .push_back((seq, posting));
+        self.enqueue_posting(seq, posting);
         None
     }
 
@@ -277,108 +378,86 @@ impl MatchingEngine {
     /// request id returned together with the message. Otherwise the message is
     /// stored in the unexpected queue.
     pub fn incoming(&mut self, msg: IncomingMsg) -> Option<(PmlReqId, IncomingMsg)> {
-        // The only buckets whose filters can match this message.
-        let candidates = [
-            PostKey {
-                comm: msg.comm,
-                src: Some(msg.src),
-                tag: Some(msg.tag),
-            },
-            PostKey {
-                comm: msg.comm,
-                src: Some(msg.src),
-                tag: None,
-            },
-            PostKey {
-                comm: msg.comm,
-                src: None,
-                tag: Some(msg.tag),
-            },
-            PostKey {
-                comm: msg.comm,
-                src: None,
-                tag: None,
-            },
-        ];
-        let mut best: Option<(u64, PostKey)> = None;
-        for key in candidates {
-            if self.posted_kinds[key.kind()] == 0 {
-                continue; // no live posting of this filter kind exists at all
-            }
-            if let Some(&(seq, _)) = self.posted.get(&key).and_then(|q| q.front()) {
-                if best.map(|(s, _)| seq < s).unwrap_or(true) {
-                    best = Some((seq, key));
-                }
-            }
-        }
-        if let Some((_, key)) = best {
-            let q = self.posted.get_mut(&key).expect("bucket exists");
-            let (_, posting) = q.pop_front().expect("bucket non-empty");
-            if q.is_empty() {
-                let q = self.posted.remove(&key).expect("bucket exists");
-                retire_bucket(&mut self.spare_posted, q);
-            }
-            self.posted_where.remove(&posting.req);
-            self.posted_kinds[key.kind()] -= 1;
-            debug_assert!(posting.matches(&msg));
-            Some((posting.req, msg))
+        let c = comm_slot(msg.comm);
+        let tag_matches = |p: &Posting| p.recv.tag.matches(msg.tag);
+        let specific = self
+            .posted
+            .find(self.peer_head(msg.src, c, true), 0, tag_matches);
+        let any = match self.comms[c].any_source {
+            NIL => None,
+            head => self.posted.find(head, 0, tag_matches),
+        };
+        let seq = |i: u32| self.posted.item(i).seq;
+        let take_any = match (specific, any) {
+            (Some(s), Some(a)) => seq(a) < seq(s),
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        let taken = if take_any {
+            let i = any.expect("chosen above");
+            self.posted.unlink(&mut self.comms[c].any_source, 0, i);
+            i
+        } else if let Some(i) = specific {
+            let lists = &mut self.peers[c][msg.src.0];
+            self.posted.unlink(&mut lists.posted, 0, i);
+            i
         } else {
-            let seq = self.arrival_seq;
-            self.arrival_seq += 1;
+            let i = self.unexpected.alloc(msg);
+            let src = self.unexpected.item(i).src;
+            let mut head = self.peer(src, c).unexpected;
+            self.unexpected.insert_before(&mut head, 0, NIL, i);
+            self.peer(src, c).unexpected = head;
             self.unexpected
-                .entry(msg.comm)
-                .or_default()
-                .entry((msg.src, msg.tag))
-                .or_insert_with(|| self.spare_unexpected.pop().unwrap_or_default())
-                .push_back((seq, msg));
+                .insert_before(&mut self.comms[c].arrivals, 1, NIL, i);
             self.unexpected_live += 1;
-            None
-        }
+            return None;
+        };
+        self.posted_live -= 1;
+        let posting = self.posted.release(taken);
+        debug_assert!(posting.recv.src.is_none_or(|s| s == msg.src));
+        Some((posting.recv.req, msg))
     }
 
     /// Change the source filter of a posted receive (Algorithm 1, line 35:
     /// receive requests from a failed replica are redirected to its
     /// substitute). If the new filter matches an unexpected message, that
     /// message is delivered immediately; otherwise the posting moves to its
-    /// new bucket, keeping its original posting-order priority.
+    /// new list, keeping its original posting-order priority. A failure-path
+    /// operation: it scans the lists for `req`.
     pub fn redirect(
         &mut self,
         req: PmlReqId,
         new_src: Option<EndpointId>,
     ) -> Option<UnexpectedDelivery> {
-        let old_key = *self.posted_where.get(&req)?;
-        let old_bucket = self.posted.get_mut(&old_key).expect("live posting bucket");
-        let pos = old_bucket
-            .iter()
-            .position(|(_, p)| p.req == req)
-            .expect("live posting present in its bucket");
-        let (seq, mut posting) = old_bucket.remove(pos).expect("position valid");
-        if old_bucket.is_empty() {
-            self.posted.remove(&old_key);
+        let is_req = |p: &Posting| p.recv.req == req;
+        let mut found = None;
+        'search: for c in 0..2 {
+            if let Some(i) = self.posted.find(self.comms[c].any_source, 0, is_req) {
+                self.posted.unlink(&mut self.comms[c].any_source, 0, i);
+                found = Some(i);
+                break;
+            }
+            for lists in &mut self.peers[c] {
+                if let Some(i) = self.posted.find(lists.posted, 0, is_req) {
+                    self.posted.unlink(&mut lists.posted, 0, i);
+                    found = Some(i);
+                    break 'search;
+                }
+            }
         }
-        posting.src = new_src;
-        self.posted_kinds[old_key.kind()] -= 1;
-        if let Some(msg) = self.take_unexpected(&posting) {
-            self.posted_where.remove(&req);
-            return Some(UnexpectedDelivery {
-                msg,
-                extra_copy: true,
-            });
+        let Posting { seq, mut recv } = self.posted.release(found?);
+        self.posted_live -= 1;
+        recv.src = new_src;
+        if let Some(msg) = self.take_unexpected(recv.src, recv.comm, recv.tag) {
+            return Some(UnexpectedDelivery { msg });
         }
-        let new_key = PostKey::of(&posting);
-        self.posted_where.insert(req, new_key);
-        self.posted_kinds[new_key.kind()] += 1;
-        let bucket = self.posted.entry(new_key).or_default();
-        // Keep the bucket sorted by posting sequence: the redirected request
-        // retains its original matching priority.
-        let at = bucket.partition_point(|&(s, _)| s < seq);
-        bucket.insert(at, (seq, posting));
+        self.enqueue_posting(seq, recv);
         None
     }
 
     /// Number of currently posted receives.
     pub fn posted_len(&self) -> usize {
-        self.posted_where.len()
+        self.posted_live
     }
 
     /// Number of currently queued unexpected messages.
@@ -386,21 +465,25 @@ impl MatchingEngine {
         self.unexpected_live
     }
 
-    /// Emptied `(posted, unexpected)` buckets currently kept for reuse, each
-    /// at most [`SPARE_BUCKETS`] (diagnostics).
-    pub fn spare_buckets(&self) -> (usize, usize) {
-        (self.spare_posted.len(), self.spare_unexpected.len())
+    /// Nodes the `(posted, unexpected)` pools hold, live or free: the most
+    /// that were ever live at once (diagnostics).
+    pub fn pool_sizes(&self) -> (usize, usize) {
+        (self.posted.nodes.len(), self.unexpected.nodes.len())
     }
 
-    /// The source filters of all currently posted receives, **in posting
-    /// order** (used by failure handling to find requests that need
-    /// redirecting — redirects deliver queued unexpected messages
-    /// immediately, so the iteration order decides which posting matches
-    /// first and must follow MPI's posting-order rule).
+    /// All currently posted receives, **in posting order** (used by failure
+    /// handling to find requests that need redirecting — redirects deliver
+    /// queued unexpected messages immediately, so the iteration order decides
+    /// which posting matches first and must follow MPI's posting-order rule).
     pub fn posted_requests(&self) -> impl Iterator<Item = &PostedRecv> {
-        let mut live: Vec<&(u64, PostedRecv)> = self.posted.values().flatten().collect();
-        live.sort_unstable_by_key(|(seq, _)| *seq);
-        live.into_iter().map(|(_, p)| p)
+        let mut live: Vec<&Posting> = self
+            .posted
+            .nodes
+            .iter()
+            .filter_map(|n| n.item.as_ref())
+            .collect();
+        live.sort_unstable_by_key(|p| p.seq);
+        live.into_iter().map(|p| &p.recv)
     }
 
     /// Drop every unexpected message for which `discard` returns true.
@@ -409,13 +492,20 @@ impl MatchingEngine {
     /// unexpected queue bounded.
     pub fn purge_unexpected<F: FnMut(&IncomingMsg) -> bool>(&mut self, mut discard: F) -> usize {
         let mut dropped = 0;
-        for comm_map in self.unexpected.values_mut() {
-            comm_map.retain(|_, q| {
-                let before = q.len();
-                q.retain(|(_, m)| !discard(m));
-                dropped += before - q.len();
-                !q.is_empty()
-            });
+        for c in 0..2 {
+            let mut i = self.comms[c].arrivals;
+            while i != NIL {
+                let next = self.unexpected.links(i, 1).next;
+                if discard(self.unexpected.item(i)) {
+                    let src = self.unexpected.item(i).src;
+                    self.unexpected
+                        .unlink(&mut self.peers[c][src.0].unexpected, 0, i);
+                    self.unexpected.unlink(&mut self.comms[c].arrivals, 1, i);
+                    self.unexpected.release(i);
+                    dropped += 1;
+                }
+                i = next;
+            }
         }
         self.unexpected_live -= dropped;
         dropped
@@ -468,7 +558,7 @@ mod tests {
         // Wrong source.
         assert!(eng.incoming(msg(2, 1, 5, 1)).is_none());
         // Wrong communicator.
-        assert!(eng.incoming(msg(0, 2, 5, 2)).is_none());
+        assert!(eng.incoming(msg(0, 0, 5, 2)).is_none());
         assert_eq!(eng.unexpected_len(), 3);
         assert_eq!(eng.posted_len(), 1);
     }
@@ -497,7 +587,6 @@ mod tests {
         assert!(eng.incoming(msg(0, 1, 5, 0)).is_none());
         let delivery = eng.post_recv(posting(1, Some(0), 1, TagSel::Tag(5)));
         let d = delivery.expect("unexpected message should be delivered");
-        assert!(d.extra_copy);
         assert_eq!(d.msg.seq, 0);
         assert_eq!(eng.unexpected_len(), 0);
         assert_eq!(eng.posted_len(), 0);
@@ -568,8 +657,8 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_post_takes_earliest_arrival_across_source_buckets() {
-        // Messages land in distinct (src, tag) buckets; an any-source/any-tag
+    fn wildcard_post_takes_earliest_arrival_across_sources() {
+        // Messages land in distinct source lists; an any-source/any-tag
         // posting must still drain them in global arrival order.
         let mut eng = MatchingEngine::new();
         eng.incoming(msg(4, 1, 8, 0));
@@ -586,9 +675,9 @@ mod tests {
     }
 
     #[test]
-    fn redirect_preserves_posting_order_priority_in_new_bucket() {
+    fn redirect_preserves_posting_order_priority_in_new_list() {
         // Posting 1 (earlier) expects src 5; posting 2 (later) expects src 9.
-        // Redirecting posting 1 to src 9 moves it into posting 2's bucket but
+        // Redirecting posting 1 to src 9 moves it into posting 2's list but
         // must keep its earlier posting-order priority.
         let mut eng = MatchingEngine::new();
         eng.post_recv(posting(1, Some(5), 1, TagSel::Tag(3)));
@@ -601,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn postings_redirected_away_do_not_block_their_old_bucket() {
+    fn postings_redirected_away_do_not_block_their_old_list() {
         let mut eng = MatchingEngine::new();
         eng.post_recv(posting(1, Some(0), 1, TagSel::Tag(5)));
         eng.post_recv(posting(2, Some(0), 1, TagSel::Tag(5)));
@@ -610,7 +699,7 @@ mod tests {
         assert!(eng.redirect(PmlReqId(2), Some(EndpointId(9))).is_none());
         assert_eq!(eng.posted_len(), 3);
         let (req, _) = eng.incoming(msg(0, 1, 5, 0)).unwrap();
-        assert_eq!(req, PmlReqId(3), "the old bucket holds only what stayed");
+        assert_eq!(req, PmlReqId(3), "the old list holds only what stayed");
         assert_eq!(
             eng.posted_requests().count(),
             2,
@@ -618,30 +707,30 @@ mod tests {
         );
         assert!(
             eng.incoming(msg(0, 1, 5, 1)).is_none(),
-            "emptied bucket matches nothing"
+            "emptied list matches nothing"
         );
     }
 
     #[test]
-    fn specific_posting_beats_later_wildcard_across_buckets() {
+    fn wildcard_posting_beats_later_specific_across_lists() {
         let mut eng = MatchingEngine::new();
         // Wildcard posted FIRST must win over a specific posting made later.
         eng.post_recv(posting(1, None, 1, TagSel::Any));
         eng.post_recv(posting(2, Some(0), 1, TagSel::Tag(5)));
         let (req, _) = eng.incoming(msg(0, 1, 5, 0)).unwrap();
-        assert_eq!(req, PmlReqId(1), "posting order wins across bucket kinds");
+        assert_eq!(req, PmlReqId(1), "posting order wins across lists");
     }
 
     #[test]
-    fn posted_requests_iterates_in_posting_order_across_buckets() {
+    fn posted_requests_iterates_in_posting_order_across_lists() {
         // Failure handling redirects pending receives in the order this
         // iterator yields them, and a redirect can consume a queued
         // unexpected message immediately — so the order must be posting
-        // order even though the postings live in different hash buckets.
+        // order even though the postings live in different lists.
         let mut eng = MatchingEngine::new();
         eng.post_recv(posting(5, Some(0), 1, TagSel::Any));
         eng.post_recv(posting(3, Some(0), 1, TagSel::Tag(7)));
-        eng.post_recv(posting(9, None, 2, TagSel::Any));
+        eng.post_recv(posting(9, None, 0, TagSel::Any));
         eng.post_recv(posting(1, Some(4), 1, TagSel::Tag(7)));
         let order: Vec<u64> = eng.posted_requests().map(|p| p.req.0).collect();
         assert_eq!(order, vec![5, 3, 9, 1]);
@@ -675,5 +764,52 @@ mod tests {
             Some(PmlReqId(1)),
             "queued message must match the earliest posting"
         );
+    }
+
+    #[test]
+    fn a_tag_scan_skips_earlier_postings_and_messages_of_other_tags() {
+        // One source, tags 1..=4 posted in order; messages arrive with tags
+        // 4..=1: each matches the one posting of its tag, wherever it sits.
+        let mut eng = MatchingEngine::new();
+        for t in 1..=4 {
+            eng.post_recv(posting(t as u64, Some(0), 1, TagSel::Tag(t)));
+        }
+        for t in (1..=4).rev() {
+            let (req, _) = eng.incoming(msg(0, 1, t, t as u64)).unwrap();
+            assert_eq!(req, PmlReqId(t as u64));
+        }
+        // The same the other way round, through the unexpected list.
+        for t in 1..=4 {
+            assert!(eng.incoming(msg(0, 1, t, t as u64)).is_none());
+        }
+        for t in (1..=4).rev() {
+            let d = eng
+                .post_recv(posting(9, Some(0), 1, TagSel::Tag(t)))
+                .unwrap();
+            assert_eq!(d.msg.tag, t);
+        }
+        assert_eq!((eng.posted_len(), eng.unexpected_len()), (0, 0));
+        assert_eq!(eng.pool_sizes(), (4, 4), "freed nodes are reused");
+    }
+
+    #[test]
+    fn purge_unlinks_from_both_lists() {
+        let mut eng = MatchingEngine::new();
+        for seq in 0..6 {
+            eng.incoming(msg((seq % 2) as usize, 1, 5, seq));
+        }
+        assert_eq!(eng.purge_unexpected(|m| m.seq % 3 == 0), 2);
+        let mut left = Vec::new();
+        while let Some(d) = eng.post_recv(posting(1, None, 1, TagSel::Any)) {
+            left.push(d.msg.seq);
+        }
+        assert_eq!(left, vec![1, 2, 4, 5]);
+        assert!(eng.post_recv(posting(2, Some(1), 1, TagSel::Any)).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "a job has two")]
+    fn a_third_communicator_is_rejected() {
+        MatchingEngine::new().incoming(msg(0, 2, 5, 0));
     }
 }

@@ -8,7 +8,9 @@
 //! * `isend` / `irecv` — the `pml_send`/`pml_recv` entry points a protocol can
 //!   wrap with pre/post-treatment;
 //! * [`PmlEvent::RecvCompleted`] — the `pml_recv_complete` callback
-//!   (the paper's `irecvComplete` event) on which SDR-MPI emits its acks;
+//!   (the paper's `irecvComplete` event) on which SDR-MPI emits its acks. It
+//!   names the request; the message itself stays in the request's slot
+//!   ([`Pml::completed_msg`]) until [`Pml::take_recv`] hands it out;
 //! * [`PmlEvent::Control`] — delivery of protocol-level messages (acks,
 //!   leader decisions, retransmission timers) that bypass MPI matching;
 //! * [`PmlEvent::ProcessFailed`] — a peer crashed: the `SYSTEM` message
@@ -19,47 +21,20 @@
 //! MPICH2 behaviour that motivates acking on `irecvComplete` rather than in
 //! `MPI_Wait` (Section 3.3).
 
-use crate::matching::{IncomingMsg, KeyHasher, MatchingEngine, PmlReqId, PostedRecv};
+use crate::matching::{comm_slot, IncomingMsg, MatchingEngine, PmlReqId, PostedRecv};
 use crate::types::{CommId, MpiError, MpiResult, Tag, TagSel};
 use bytes::Bytes;
 use sim_net::stats::class;
 use sim_net::{Endpoint, EndpointId, FailureEvent, RecvError, SimTime};
-use std::hash::BuildHasherDefault;
-
-/// The request/sequence tables are touched several times per message; the
-/// same trusted-key multiplicative hasher the matching engine uses keeps
-/// them off the SipHash path.
-type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHasher>>;
-
-/// Metadata describing a completed receive (or an incoming message), handed
-/// to protocols together with [`PmlEvent::RecvCompleted`].
-#[derive(Debug, Clone, Copy)]
-pub struct MsgMeta {
-    /// Sending physical process.
-    pub src: EndpointId,
-    /// Communicator context of the message.
-    pub comm: CommId,
-    /// Message tag.
-    pub tag: Tag,
-    /// PML-level sequence number of the (src → this process, comm) stream.
-    pub seq: u64,
-    /// Protocol auxiliary word (e.g. SDR-MPI's application-level sequence).
-    pub aux: i64,
-    /// Payload length in bytes.
-    pub len: usize,
-    /// Virtual arrival time of the message.
-    pub arrival: SimTime,
-}
 
 /// Events produced by the progress engine and consumed by the protocol layer.
 #[derive(Debug, Clone)]
 pub enum PmlEvent {
-    /// A posted receive completed at the library level (`irecvComplete`).
+    /// A posted receive completed at the library level (`irecvComplete`);
+    /// its message waits in the request's slot ([`Pml::completed_msg`]).
     RecvCompleted {
         /// The receive request that completed.
         req: PmlReqId,
-        /// Metadata of the delivered message.
-        meta: MsgMeta,
     },
     /// A non-application message (ack, decision, notification, hash) arrived.
     Control {
@@ -119,22 +94,62 @@ pub struct SdcFlip {
     pub bit: u32,
 }
 
-/// State of one receive request.
+/// One slot of the receive-request slab. Its index and its generation make
+/// up the [`PmlReqId`] handed out for it; the generation moves on when the
+/// slot is freed, so a handle kept past [`Pml::take_recv`] resolves to
+/// nothing even after the slot is reused.
 #[derive(Debug)]
-enum ReqState {
-    /// Waiting for a matching message.
-    RecvPending,
-    /// Completed; payload retained until taken.
-    RecvDone { meta: MsgMeta, payload: Bytes },
+struct ReqSlot {
+    generation: u32,
+    state: SlotState,
+}
+
+#[derive(Debug)]
+enum SlotState {
+    /// On the free list, ahead of the slot at this index ([`NO_SLOT`]: the
+    /// last).
+    Free(u32),
+    /// Posted, waiting for a matching message.
+    Pending,
+    /// Matched; the message waits here until taken.
+    Done(IncomingMsg),
+}
+
+/// The end of the free-slot list.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Generations wrap at 31 bits, leaving the top bit of every [`PmlReqId`]
+/// clear.
+const GENERATION_MASK: u32 = u32::MAX >> 1;
+
+/// `table`'s entry for endpoint `e`, growing the table to reach it.
+fn grown(table: &mut Vec<u64>, e: EndpointId) -> &mut u64 {
+    if e.0 >= table.len() {
+        table.resize(e.0 + 1, 0);
+    }
+    &mut table[e.0]
+}
+
+impl ReqSlot {
+    fn id(&self, index: usize) -> PmlReqId {
+        PmlReqId((self.generation as u64) << 32 | index as u64)
+    }
 }
 
 /// The PML: per-process point-to-point engine.
 pub struct Pml {
     ep: Endpoint,
     engine: MatchingEngine,
-    requests: HashMap<PmlReqId, ReqState>,
-    next_req: u64,
-    send_seq: HashMap<(EndpointId, CommId), u64>,
+    /// Receive requests, a slab indexed by the low half of a [`PmlReqId`].
+    slots: Vec<ReqSlot>,
+    /// The last-freed slot, which is reused first; the free slots are
+    /// chained through their state.
+    free_slot: u32,
+    /// Slots not on the free list.
+    live_requests: usize,
+    /// Next wire sequence per communicator slot and destination endpoint,
+    /// grown to the highest destination sent to.
+    send_seq: [Vec<u64>; 2],
     pending_events: Vec<PmlEvent>,
     /// Crash notifications drained by the current progress call, held back
     /// until it places them among `pending_events` (see [`Pml::progress`]).
@@ -149,18 +164,15 @@ pub struct Pml {
     app_sends: u64,
     /// Scheduled soft-error injections, armed by the job launcher.
     sdc_flips: Vec<SdcFlip>,
-    /// Next expected wire sequence per (src, comm) stream. Only maintained
-    /// when a lossy-transport policy is installed on the fabric — reliable
-    /// fabrics deliver per-link FIFO, so the window would be pure overhead.
-    recv_cursor: HashMap<(EndpointId, CommId), u64>,
+    /// Next expected wire sequence per communicator slot and source
+    /// endpoint. Only maintained when a lossy-transport policy is installed
+    /// on the fabric — reliable fabrics deliver per-link FIFO, so the window
+    /// would be pure overhead.
+    recv_cursor: [Vec<u64>; 2],
     /// Messages that arrived ahead of a wire-sequence gap (a dropped original
     /// whose retransmit has not landed yet), held back so matching sees the
-    /// stream in wire order.
-    reorder: std::collections::HashMap<
-        (EndpointId, CommId),
-        std::collections::BTreeMap<u64, IncomingMsg>,
-        BuildHasherDefault<KeyHasher>,
-    >,
+    /// stream in wire order. Gaps are rare and short, so this is a list.
+    held_back: Vec<IncomingMsg>,
 }
 
 impl std::fmt::Debug for Pml {
@@ -168,7 +180,7 @@ impl std::fmt::Debug for Pml {
         f.debug_struct("Pml")
             .field("endpoint", &self.ep.id())
             .field("now", &self.ep.now())
-            .field("outstanding", &self.requests.len())
+            .field("outstanding", &self.live_requests)
             .finish()
     }
 }
@@ -179,16 +191,17 @@ impl Pml {
         Pml {
             ep,
             engine: MatchingEngine::new(),
-            requests: HashMap::default(),
-            next_req: 1,
-            send_seq: HashMap::default(),
+            slots: Vec::new(),
+            free_slot: NO_SLOT,
+            live_requests: 0,
+            send_seq: [Vec::new(), Vec::new()],
             pending_events: Vec::new(),
             failed: Vec::new(),
             spare_events: Vec::new(),
             app_sends: 0,
             sdc_flips: Vec::new(),
-            recv_cursor: HashMap::default(),
-            reorder: std::collections::HashMap::default(),
+            recv_cursor: [Vec::new(), Vec::new()],
+            held_back: Vec::new(),
         }
     }
 
@@ -263,8 +276,7 @@ impl Pml {
     ) -> u64 {
         self.app_sends += 1;
         let payload = self.corrupt_if_scheduled(payload);
-        let seq_key = (dst, comm);
-        let seq = self.send_seq.entry(seq_key).or_insert(0);
+        let seq = grown(&mut self.send_seq[comm_slot(comm)], dst);
         let this_seq = *seq;
         *seq += 1;
         let header = [
@@ -361,10 +373,41 @@ impl Pml {
     /// Post a receive for a message on `comm` with tag filter `tag`, from
     /// physical process `src` (`None` = `MPI_ANY_SOURCE`).
     pub fn irecv(&mut self, src: Option<EndpointId>, comm: CommId, tag: TagSel) -> PmlReqId {
-        let req = PmlReqId(self.next_req);
-        self.next_req += 1;
+        let index = match self.free_slot {
+            NO_SLOT => {
+                self.slots.push(ReqSlot {
+                    generation: 0,
+                    state: SlotState::Pending,
+                });
+                self.slots.len() - 1
+            }
+            free => {
+                let index = free as usize;
+                let SlotState::Free(next) = self.slots[index].state else {
+                    unreachable!("the free list holds free slots")
+                };
+                self.free_slot = next;
+                self.slots[index].state = SlotState::Pending;
+                index
+            }
+        };
+        self.live_requests += 1;
+        let req = self.slots[index].id(index);
         self.post_recv(req, src, comm, tag);
         req
+    }
+
+    /// The slot `req` names, if the handle is current.
+    fn slot_mut(&mut self, req: PmlReqId) -> Option<&mut ReqSlot> {
+        let slot = self.slots.get_mut(req.0 as u32 as usize)?;
+        let current = slot.generation == (req.0 >> 32) as u32;
+        (current && !matches!(slot.state, SlotState::Free(_))).then_some(slot)
+    }
+
+    fn slot(&self, req: PmlReqId) -> Option<&SlotState> {
+        let slot = self.slots.get(req.0 as u32 as usize)?;
+        let current = slot.generation == (req.0 >> 32) as u32;
+        (current && !matches!(slot.state, SlotState::Free(_))).then_some(&slot.state)
     }
 
     /// Discard the message a completed receive was matched with and post the
@@ -379,12 +422,12 @@ impl Pml {
         comm: CommId,
         tag: TagSel,
     ) {
-        let _ = self.take_recv(req);
-        self.post_recv(req, src, comm, tag);
+        if self.take_message(req).is_some() {
+            self.post_recv(req, src, comm, tag);
+        }
     }
 
     fn post_recv(&mut self, req: PmlReqId, src: Option<EndpointId>, comm: CommId, tag: TagSel) {
-        self.requests.insert(req, ReqState::RecvPending);
         let posting = PostedRecv {
             req,
             src,
@@ -405,31 +448,16 @@ impl Pml {
     }
 
     fn complete_recv(&mut self, req: PmlReqId, msg: IncomingMsg) {
-        let meta = MsgMeta {
-            src: msg.src,
-            comm: msg.comm,
-            tag: msg.tag,
-            seq: msg.seq,
-            aux: msg.aux,
-            len: msg.payload.len(),
-            arrival: msg.arrival,
-        };
-        self.requests.insert(
-            req,
-            ReqState::RecvDone {
-                meta,
-                payload: msg.payload,
-            },
-        );
-        self.pending_events
-            .push(PmlEvent::RecvCompleted { req, meta });
+        let slot = self.slot_mut(req).expect("a posted request's slot");
+        slot.state = SlotState::Done(msg);
+        self.pending_events.push(PmlEvent::RecvCompleted { req });
     }
 
     /// Redirect a pending receive to a new source (Algorithm 1 line 35). If a
     /// queued unexpected message from the new source already matches, the
     /// request completes immediately.
     pub fn redirect_recv(&mut self, req: PmlReqId, new_src: Option<EndpointId>) {
-        if !matches!(self.requests.get(&req), Some(ReqState::RecvPending)) {
+        if !matches!(self.slot(req), Some(SlotState::Pending)) {
             return;
         }
         if let Some(delivery) = self.engine.redirect(req, new_src) {
@@ -440,7 +468,16 @@ impl Pml {
 
     /// Has the receive been matched (or already been taken)?
     pub fn is_complete(&self, req: PmlReqId) -> bool {
-        !matches!(self.requests.get(&req), Some(ReqState::RecvPending))
+        !matches!(self.slot(req), Some(SlotState::Pending))
+    }
+
+    /// The message a completed receive was matched with, still in its slot
+    /// (`None` unless `req` is a completed, untaken receive).
+    pub fn completed_msg(&self, req: PmlReqId) -> Option<&IncomingMsg> {
+        match self.slot(req)? {
+            SlotState::Done(msg) => Some(msg),
+            _ => None,
+        }
     }
 
     /// Take the result of a completed receive, freeing the request. Returns
@@ -450,22 +487,33 @@ impl Pml {
     /// receive (the return from `MPI_Wait`), so the caller's clock is
     /// synchronised to the message's arrival time: a process cannot observe
     /// a message before it has arrived.
-    pub fn take_recv(&mut self, req: PmlReqId) -> Option<(MsgMeta, Bytes)> {
-        match self.requests.get(&req) {
-            Some(ReqState::RecvDone { .. }) => {
-                if let Some(ReqState::RecvDone { meta, payload }) = self.requests.remove(&req) {
-                    self.ep.clock_mut().sync_to(meta.arrival);
-                    // The receive-side CPU overhead is paid when the message
-                    // is actually delivered to the application, on top of the
-                    // arrival time.
-                    self.ep.charge_recv(meta.src, meta.len);
-                    Some((meta, payload))
-                } else {
-                    unreachable!("state checked above")
-                }
-            }
-            _ => None,
+    pub fn take_recv(&mut self, req: PmlReqId) -> Option<IncomingMsg> {
+        let msg = self.take_message(req)?;
+        let index = req.0 as u32;
+        let slot = &mut self.slots[index as usize];
+        slot.state = SlotState::Free(self.free_slot);
+        slot.generation = (slot.generation + 1) & GENERATION_MASK;
+        self.free_slot = index;
+        self.live_requests -= 1;
+        Some(msg)
+    }
+
+    /// Move a completed receive's message out of its slot, which goes back
+    /// to pending, and account for its reception: the clock is synchronised
+    /// to the arrival and charged the receive overhead — paid when the
+    /// message is actually delivered to the application, on top of the
+    /// arrival time.
+    fn take_message(&mut self, req: PmlReqId) -> Option<IncomingMsg> {
+        let slot = self.slot_mut(req)?;
+        if !matches!(slot.state, SlotState::Done(_)) {
+            return None;
         }
+        let SlotState::Done(msg) = std::mem::replace(&mut slot.state, SlotState::Pending) else {
+            unreachable!("state checked above")
+        };
+        self.ep.clock_mut().sync_to(msg.arrival);
+        self.ep.charge_recv(msg.src, msg.payload.len());
+        Some(msg)
     }
 
     /// Pending (not yet matched) receive requests whose source filter is
@@ -482,7 +530,7 @@ impl Pml {
     /// Number of live receive requests — posted or completed, not yet taken
     /// (diagnostic; a finished application leaves none).
     pub fn outstanding_requests(&self) -> usize {
-        self.requests.len()
+        self.live_requests
     }
 
     /// Drop unexpected messages matching `discard` (see
@@ -556,13 +604,14 @@ impl Pml {
     /// * The in-order message advances the cursor and drains any buffered
     ///   successors.
     fn window_ingest(&mut self, msg: IncomingMsg) {
-        let key = (msg.src, msg.comm);
-        let cursor = self.recv_cursor.entry(key).or_insert(0);
-        if msg.seq < *cursor
+        let (src, comm, c) = (msg.src, msg.comm, comm_slot(msg.comm));
+        let same_stream = |h: &IncomingMsg| h.src == src && h.comm == comm;
+        let cursor = *grown(&mut self.recv_cursor[c], src);
+        if msg.seq < cursor
             || self
-                .reorder
-                .get(&key)
-                .is_some_and(|buf| buf.contains_key(&msg.seq))
+                .held_back
+                .iter()
+                .any(|h| same_stream(h) && h.seq == msg.seq)
         {
             self.pending_events.push(PmlEvent::DuplicateSuppressed {
                 src: msg.src,
@@ -572,24 +621,23 @@ impl Pml {
             });
             return;
         }
-        if msg.seq > *cursor {
-            self.reorder.entry(key).or_default().insert(msg.seq, msg);
+        if msg.seq > cursor {
+            self.held_back.push(msg);
             return;
         }
-        *cursor += 1;
+        self.recv_cursor[c][src.0] += 1;
         self.deliver_to_matching(msg);
         loop {
-            let next = *self.recv_cursor.get(&key).expect("cursor exists");
-            let Some(buf) = self.reorder.get_mut(&key) else {
+            let next = self.recv_cursor[c][src.0];
+            let Some(at) = self
+                .held_back
+                .iter()
+                .position(|h| same_stream(h) && h.seq == next)
+            else {
                 break;
             };
-            let Some(msg) = buf.remove(&next) else {
-                if buf.is_empty() {
-                    self.reorder.remove(&key);
-                }
-                break;
-            };
-            *self.recv_cursor.get_mut(&key).expect("cursor exists") += 1;
+            let msg = self.held_back.swap_remove(at);
+            self.recv_cursor[c][src.0] += 1;
             self.deliver_to_matching(msg);
         }
     }
@@ -762,18 +810,24 @@ mod tests {
         let events = p1.progress_blocking("test recv", false).unwrap();
         assert!(p1.is_complete(req));
         match &events[0] {
-            PmlEvent::RecvCompleted { req: r, meta } => {
+            PmlEvent::RecvCompleted { req: r } => {
                 assert_eq!(*r, req);
-                assert_eq!(meta.tag, 7);
-                assert_eq!(meta.aux, 42);
-                assert_eq!(meta.len, 5);
-                assert_eq!(meta.src, EndpointId(0));
+                let msg = p1.completed_msg(req).expect("the slot holds the message");
+                assert_eq!(msg.tag, 7);
+                assert_eq!(msg.aux, 42);
+                assert_eq!(msg.payload.len(), 5);
+                assert_eq!(msg.src, EndpointId(0));
             }
             other => panic!("unexpected event {other:?}"),
         }
-        let (meta, payload) = p1.take_recv(req).unwrap();
-        assert_eq!(&payload[..], b"hello");
-        assert_eq!(meta.seq, 0);
+        let msg = p1.take_recv(req).unwrap();
+        assert_eq!(&msg.payload[..], b"hello");
+        assert_eq!(msg.seq, 0);
+        assert!(p1.completed_msg(req).is_none(), "taken once");
+        assert!(
+            p1.take_recv(req).is_none(),
+            "a freed handle resolves to nothing"
+        );
     }
 
     #[test]
@@ -829,7 +883,7 @@ mod tests {
             while !p1.is_complete(req) {
                 p1.progress_blocking("sdc recv", false).unwrap();
             }
-            payloads.push(p1.take_recv(req).unwrap().1);
+            payloads.push(p1.take_recv(req).unwrap().payload);
         }
         assert_eq!(&payloads[0][..], b"\x00\x00", "send 1 is clean");
         assert_eq!(&payloads[1][..], b"\x02\x00", "send 2 has bit 1 flipped");
@@ -942,7 +996,7 @@ mod tests {
         while !p1.is_complete(req) {
             p1.progress_blocking("second copy", false).unwrap();
         }
-        assert_eq!(&p1.take_recv(req).unwrap().1[..], b"fresh");
+        assert_eq!(&p1.take_recv(req).unwrap().payload[..], b"fresh");
         assert_eq!(p1.outstanding_requests(), 0);
     }
 
@@ -963,9 +1017,9 @@ mod tests {
         );
         p1.progress_blocking("redirected recv", false).unwrap();
         assert!(p1.is_complete(req));
-        let (meta, payload) = p1.take_recv(req).unwrap();
-        assert_eq!(meta.src, EndpointId(2));
-        assert_eq!(&payload[..], b"sub");
+        let msg = p1.take_recv(req).unwrap();
+        assert_eq!(msg.src, EndpointId(2));
+        assert_eq!(&msg.payload[..], b"sub");
     }
 
     #[test]
@@ -983,7 +1037,7 @@ mod tests {
             while !p1.is_complete(req) {
                 p1.progress_blocking("seq recv", false).unwrap();
             }
-            seqs.push(p1.take_recv(req).unwrap().0.seq);
+            seqs.push(p1.take_recv(req).unwrap().seq);
         }
         assert_eq!(seqs, vec![0, 1, 2]);
     }
@@ -1034,8 +1088,8 @@ mod tests {
         while !(p1.is_complete(r1) && p1.is_complete(r2)) {
             p1.progress_blocking("gap fill", false).unwrap();
         }
-        assert_eq!(&p1.take_recv(r1).unwrap().1[..], b"first");
-        assert_eq!(&p1.take_recv(r2).unwrap().1[..], b"second");
+        assert_eq!(&p1.take_recv(r1).unwrap().payload[..], b"first");
+        assert_eq!(&p1.take_recv(r2).unwrap().payload[..], b"second");
         // A second copy of wire seq 0 is suppressed before matching and
         // surfaced as a DuplicateSuppressed event.
         p0.resend_app(
@@ -1075,10 +1129,10 @@ mod tests {
         );
         let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
         let mut p1 = Pml::new(f.endpoint(EndpointId(1)));
-        // A gap on comm 9 must not hold back comm WORLD traffic.
+        // A gap on the internal communicator must not hold back WORLD traffic.
         p0.resend_app(
             EndpointId(1),
-            CommId(9),
+            CommId::INTERNAL,
             1,
             0,
             1,
@@ -1095,7 +1149,7 @@ mod tests {
         while !p1.is_complete(req) {
             p1.progress_blocking("cross-comm", false).unwrap();
         }
-        assert_eq!(&p1.take_recv(req).unwrap().1[..], b"ok");
+        assert_eq!(&p1.take_recv(req).unwrap().payload[..], b"ok");
     }
 
     // A blocking wait on which nothing ever arrives is a launched job's

@@ -176,14 +176,14 @@ impl Protocol for NativeProtocol {
     }
 
     fn take_recv(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> Option<(Status, Bytes)> {
-        let (meta, payload) = pml.take_recv(crate::matching::PmlReqId(req.0))?;
+        let msg = pml.take_recv(crate::matching::PmlReqId(req.0))?;
         Some((
             Status {
-                source: meta.src.0,
-                tag: meta.tag,
-                len: meta.len,
+                source: msg.src.0,
+                tag: msg.tag,
+                len: msg.payload.len(),
             },
-            payload,
+            msg.payload,
         ))
     }
 

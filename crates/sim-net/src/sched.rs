@@ -508,7 +508,10 @@ impl Scheduler {
     /// A carrier leaves the `Running` phase while still holding its permit
     /// (it has already published its new phase): hand the permit directly to
     /// the best ready slot, or release it — and if it was the last permit,
-    /// run the rescue/quiescence cold path.
+    /// run the rescue/quiescence cold path. A release that leaves other
+    /// permits in circulation offers the freed one to the ready heap again:
+    /// a waker may have pushed a slot between the `pop_best` miss and the
+    /// release, and its cold dispatch found no free permit then.
     fn depart(&self) {
         // Honour a shrunken pool: handoff keeps permits in circulation
         // forever under continuous ready work, so an over-budget permit must
@@ -526,6 +529,8 @@ impl Scheduler {
         debug_assert!(prev > 0, "permit released while none in circulation");
         if prev == 1 {
             self.on_idle();
+        } else {
+            self.try_dispatch_idle();
         }
     }
 

@@ -1,4 +1,5 @@
-//! Schema gate for the three `BENCH_*.json` report builders in `sdr-bench`.
+//! Schema gate for the three `BENCH_*.json` report builders in `sdr-bench`,
+//! and for the profile `tools/sigprof/profile.sh` writes.
 //!
 //! CI's Python gates and the committed artifacts read these reports by key,
 //! so each builder's output must (a) parse with the workspace's own JSON
@@ -243,4 +244,56 @@ fn faults_report_keeps_its_schema_and_escapes_violation_details() {
         Some(1.0)
     );
     assert_eq!(configs[8].get("coverage").and_then(Json::as_f64), Some(0.5));
+}
+
+/// `BENCH_profile.json` is written by `tools/sigprof/profile.sh` (one row
+/// per side, folded by `symbolize.py --json`), not by a Rust builder: its
+/// key set is pinned here, and so is what makes its rows comparable — a
+/// parent and a change row of one workload, samples per pass from at least
+/// one pass, and a measured sample rate.
+#[test]
+fn profile_report_keeps_its_schema() {
+    let doc = parse(include_str!("../BENCH_profile.json")).expect("BENCH_profile.json parses");
+    let mut expected = paths("", &["profile", "workload", "rows"]);
+    expected.extend(paths(
+        "rows[].",
+        &[
+            "side",
+            "commit",
+            "host_cores",
+            "workload",
+            "seed",
+            "samples",
+            "passes",
+            "cpu_s",
+            "sample_rate_hz",
+            "modules",
+            "symbols",
+        ],
+    ));
+    for (list, name) in [("modules", "module"), ("symbols", "symbol")] {
+        expected.extend(paths(
+            &format!("rows[].{list}[]."),
+            &[name, "samples_per_pass", "share"],
+        ));
+    }
+    let want: BTreeSet<String> = expected.into_iter().collect();
+    assert_eq!(key_paths(&doc), want, "BENCH_profile.json schema drift");
+
+    let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+    let workload = doc.get("workload").and_then(Json::as_str);
+    let rows = doc.get("rows").and_then(Json::as_arr).expect("rows");
+    let sides: Vec<_> = rows.iter().map(|r| r.get("side")).collect();
+    assert_eq!(
+        sides,
+        [Some(&Json::from("parent")), Some(&Json::from("change"))]
+    );
+    for row in rows {
+        assert_eq!(row.get("workload").and_then(Json::as_str), workload);
+        assert!(num(row, "passes") >= 1.0 && num(row, "sample_rate_hz") > 0.0);
+        let modules = row.get("modules").and_then(Json::as_arr).expect("modules");
+        let shares: f64 = modules.iter().map(|m| num(m, "share")).sum();
+        assert!((0.98..=1.02).contains(&shares), "shares sum to {shares}");
+        assert!(modules.iter().all(|m| num(m, "samples_per_pass") > 0.0));
+    }
 }

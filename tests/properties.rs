@@ -321,14 +321,14 @@ proptest! {
     }
 }
 
-/// The matching engine recycles emptied buckets through two small free lists
-/// (`SPARE_BUCKETS` each). Cycles in which every bucket holds one entry — an
-/// all-to-all's shape — must leave nothing behind, and the lists must stop
-/// at their bound however many buckets empty at once.
+/// The matching engine keeps its postings and unexpected messages in two
+/// node pools with free lists. Cycles in which `WIDTH` entries go live and
+/// empty again — an all-to-all's shape, spread over three sources — must
+/// leave nothing behind and reuse the same `WIDTH` nodes of each pool
+/// however many cycles run.
 #[test]
-fn matching_engine_cycles_leave_no_entry_and_bounded_spares() {
-    use sim_mpi::matching::SPARE_BUCKETS;
-    let width = 2 * SPARE_BUCKETS as u64;
+fn matching_engine_cycles_leave_no_entry_and_reuse_their_nodes() {
+    const WIDTH: u64 = 16;
     let msg = |tag: u64| IncomingMsg {
         src: EndpointId((tag % 3) as usize),
         comm: CommId::WORLD,
@@ -346,8 +346,8 @@ fn matching_engine_cycles_leave_no_entry_and_bounded_spares() {
     };
     let mut engine = MatchingEngine::new();
     for cycle in 0..10_000u64 {
-        let tags = cycle * width..(cycle + 1) * width;
-        // Post, then match: `width` posted buckets appear and empty.
+        let tags = cycle * WIDTH..(cycle + 1) * WIDTH;
+        // Post, then match: `WIDTH` postings go live and empty.
         for tag in tags.clone() {
             assert!(engine.post_recv(post(tag)).is_none());
         }
@@ -355,7 +355,7 @@ fn matching_engine_cycles_leave_no_entry_and_bounded_spares() {
             let (req, _) = engine.incoming(msg(tag)).expect("posted receive matches");
             assert_eq!(req, PmlReqId(tag));
         }
-        // Unexpected, then post: `width` unexpected buckets appear and empty.
+        // Unexpected, then post: `WIDTH` messages go live and empty.
         for tag in tags.clone() {
             assert!(engine.incoming(msg(tag)).is_none());
         }
@@ -366,7 +366,7 @@ fn matching_engine_cycles_leave_no_entry_and_bounded_spares() {
             assert_eq!(delivery.msg.seq, tag);
         }
         assert_eq!((engine.posted_len(), engine.unexpected_len()), (0, 0));
-        assert_eq!(engine.spare_buckets(), (SPARE_BUCKETS, SPARE_BUCKETS));
+        assert_eq!(engine.pool_sizes(), (WIDTH as usize, WIDTH as usize));
     }
 }
 

@@ -5,13 +5,20 @@
  * process_vm_readv, which returns an error instead of faulting when the scan
  * runs off a coroutine stack into its guard page.
  *   gcc -O2 -shared -fPIC -o sigprof.so sigprof.c
- *   SIGPROF_OUT=prof.txt LD_PRELOAD=./sigprof.so PROGRAM ... */
+ *   SIGPROF_OUT=prof.%p.txt LD_PRELOAD=./sigprof.so PROGRAM ...
+ * Every process that preloads the library (a wrapper such as `timeout`, a
+ * driver and the child it re-executes) writes its own file: `%p` in
+ * SIGPROF_OUT becomes the process id, and a process that took no sample
+ * writes nothing, so a wrapper cannot overwrite its child's profile. The
+ * file's first line is `cpu_s SECONDS`, the process's CPU time, from which
+ * the real sample rate follows. */
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <sys/uio.h>
 #include <ucontext.h>
@@ -58,12 +65,30 @@ __attribute__((constructor)) static void start(void) {
     setitimer(ITIMER_PROF, &tick, NULL);
 }
 
+/* SIGPROF_OUT (default sigprof.out) with each `%p` replaced by the pid. */
+static void out_path(char *path, size_t size) {
+    const char *pattern = getenv("SIGPROF_OUT");
+    if (!pattern) pattern = "sigprof.out";
+    size_t n = 0;
+    for (const char *c = pattern; *c && n + 24 < size; c++) {
+        if (c[0] == '%' && c[1] == 'p') n += snprintf(path + n, size - n, "%d", (int)self), c++;
+        else path[n++] = *c;
+    }
+    path[n] = 0;
+}
+
 __attribute__((destructor)) static void stop(void) {
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_PROF, &off, NULL);
-    const char *out = getenv("SIGPROF_OUT");
-    FILE *f = fopen(out ? out : "sigprof.out", "w"), *maps = fopen("/proc/self/maps", "r");
+    if (n_samples == 0) return; /* a wrapper or an idle driver: nothing to say */
+    char path[4096];
+    out_path(path, sizeof path);
+    FILE *f = fopen(path, "w"), *maps = fopen("/proc/self/maps", "r");
     if (!f || !maps) return;
+    struct rusage use;
+    getrusage(RUSAGE_SELF, &use);
+    fprintf(f, "cpu_s %.6f\n", use.ru_utime.tv_sec + use.ru_stime.tv_sec +
+                                   (use.ru_utime.tv_usec + use.ru_stime.tv_usec) / 1e6);
     char line[4352]; /* file mappings first, so PCs can be made file-relative */
     while (fgets(line, sizeof line, maps))
         if (strchr(line, '/')) fprintf(f, "map %s", line);

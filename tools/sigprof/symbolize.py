@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
 """Fold a sigprof.so sample file by symbol and by crate::module.
 
-Usage: symbolize.py SAMPLES [TOP_N]
+Usage: symbolize.py SAMPLES [TOP_N] [--json] [--passes N] [--label KEY=VALUE]...
+
+Text mode prints the two tables. `--json` prints one JSON object instead:
+the sample count, the process's CPU seconds and the sample rate they give,
+and per module and for the TOP_N symbols the samples per pass (all samples
+divided by `--passes`, default 1) and the share of all samples; each
+`--label KEY=VALUE` adds a top-level string field (commit, workload, seed).
 
 A PC inside the main binary is named with `nm -C`, a PC inside a shared
 library (libc `memmove`/`malloc`, libm `sin`) with `nm -D`; either only when
@@ -17,6 +23,7 @@ dependencies.
 
 import bisect
 import collections
+import json
 import os
 import re
 import subprocess
@@ -47,10 +54,23 @@ def module(symbol):
 
 
 def main():
-    bases, pcs = {}, []
-    for line in open(sys.argv[1]):
+    args, flags, labels, passes = [], set(), [], 1
+    argv = iter(sys.argv[1:])
+    for arg in argv:
+        if arg == "--json":
+            flags.add(arg)
+        elif arg == "--passes":
+            passes = int(next(argv))
+        elif arg == "--label":
+            labels.append(next(argv).split("=", 1))
+        else:
+            args.append(arg)
+    bases, pcs, cpu_s = {}, [], None
+    for line in open(args[0]):
         f = line.split()
-        if f[0] == "map":
+        if f[0] == "cpu_s":
+            cpu_s = float(f[1])
+        elif f[0] == "map":
             lo, hi = (int(x, 16) for x in f[1].split("-"))
             bases.setdefault(f[6], lo)  # first mapping of a file = its load base
             if "x" in f[2]:
@@ -86,7 +106,22 @@ def main():
             by_symbol[f"{os.path.basename(path or '?')}:{sym}  <- {calling}"] += 1
             by_module[owner] += 1
             leaf[owner] += 1
-    top, total = int(sys.argv[2]) if len(sys.argv) > 2 else 25, len(samples)
+    top, total = int(args[1]) if len(args) > 1 else 25, len(samples)
+    if "--json" in flags:
+        def rows(counter, key, limit):
+            return [{key: name, "samples_per_pass": round(n / passes, 1), "share": round(n / total, 4)}
+                    for name, n in counter.most_common(limit)]
+        doc = dict(labels)
+        doc.update({
+            "samples": total,
+            "passes": passes,
+            "cpu_s": cpu_s,
+            "sample_rate_hz": round(total / cpu_s, 1) if cpu_s else None,
+            "modules": rows(by_module, "module", None),
+            "symbols": rows(by_symbol, "symbol", top),
+        })
+        print(json.dumps(doc))
+        return
     print(f"{total} samples\n\nby crate::module (library leaves charged to their caller; of which leaf)")
     for key, n in by_module.most_common(top):
         print(f"{100 * n / total:6.2f}%  {n:7d}  {key}  ({leaf[key]} leaf)")
