@@ -10,7 +10,8 @@
 //! single-replica-loss configurations, a 100% prompt-abort rate for the
 //! correlated pair loss, 100% SDC detection, and — for the lossy-transport
 //! distributions — 100% masked survival with exact duplicate accounting
-//! (`dups_suppressed == msgs_duplicated`) and at least one retransmission.
+//! (`dups_suppressed == msgs_duplicated`, both recorded where the fabric
+//! draws a duplicate verdict) and at least one retransmission.
 //! The replica-map rows add degree-3 majority loss (substitution
 //! must mask losing all but one replica of a rank), degree-3 soft errors
 //! (every flip *corrected* by hash majority, `sdc_corrected ==

@@ -75,14 +75,6 @@ pub struct PostedRecv {
     pub tag: TagSel,
 }
 
-/// Result of delivering a message from the unexpected queue (the PML charges
-/// the extra copy it costs).
-#[derive(Debug, Clone)]
-pub struct UnexpectedDelivery {
-    /// The matched message.
-    pub msg: IncomingMsg,
-}
-
 /// The index of `comm` in per-communicator tables: a job has two
 /// communicators, [`CommId::INTERNAL`] (0) and [`CommId::WORLD`] (1).
 pub(crate) fn comm_slot(comm: CommId) -> usize {
@@ -362,10 +354,11 @@ impl MatchingEngine {
 
     /// Post a receive request. If a message in the unexpected queue already
     /// matches it, the earliest such message is removed and returned (the
-    /// request completes immediately, at the cost of an extra copy).
-    pub fn post_recv(&mut self, posting: PostedRecv) -> Option<UnexpectedDelivery> {
+    /// request completes immediately, at the cost of an extra copy the PML
+    /// charges).
+    pub fn post_recv(&mut self, posting: PostedRecv) -> Option<IncomingMsg> {
         if let Some(msg) = self.take_unexpected(posting.src, posting.comm, posting.tag) {
-            return Some(UnexpectedDelivery { msg });
+            return Some(msg);
         }
         let seq = self.posted_seq;
         self.posted_seq += 1;
@@ -424,11 +417,7 @@ impl MatchingEngine {
     /// message is delivered immediately; otherwise the posting moves to its
     /// new list, keeping its original posting-order priority. A failure-path
     /// operation: it scans the lists for `req`.
-    pub fn redirect(
-        &mut self,
-        req: PmlReqId,
-        new_src: Option<EndpointId>,
-    ) -> Option<UnexpectedDelivery> {
+    pub fn redirect(&mut self, req: PmlReqId, new_src: Option<EndpointId>) -> Option<IncomingMsg> {
         let is_req = |p: &Posting| p.recv.req == req;
         let mut found = None;
         'search: for c in 0..2 {
@@ -449,7 +438,7 @@ impl MatchingEngine {
         self.posted_live -= 1;
         recv.src = new_src;
         if let Some(msg) = self.take_unexpected(recv.src, recv.comm, recv.tag) {
-            return Some(UnexpectedDelivery { msg });
+            return Some(msg);
         }
         self.enqueue_posting(seq, recv);
         None
@@ -587,7 +576,7 @@ mod tests {
         assert!(eng.incoming(msg(0, 1, 5, 0)).is_none());
         let delivery = eng.post_recv(posting(1, Some(0), 1, TagSel::Tag(5)));
         let d = delivery.expect("unexpected message should be delivered");
-        assert_eq!(d.msg.seq, 0);
+        assert_eq!(d.seq, 0);
         assert_eq!(eng.unexpected_len(), 0);
         assert_eq!(eng.posted_len(), 0);
     }
@@ -615,8 +604,8 @@ mod tests {
         let d2 = eng
             .post_recv(posting(2, Some(0), 1, TagSel::Tag(5)))
             .unwrap();
-        assert_eq!(d1.msg.seq, 0, "earliest unexpected message first");
-        assert_eq!(d2.msg.seq, 1);
+        assert_eq!(d1.seq, 0, "earliest unexpected message first");
+        assert_eq!(d2.seq, 1);
     }
 
     #[test]
@@ -642,7 +631,7 @@ mod tests {
         let d = eng
             .redirect(PmlReqId(1), Some(EndpointId(9)))
             .expect("delivered");
-        assert_eq!(d.msg.src, EndpointId(9));
+        assert_eq!(d.src, EndpointId(9));
         assert_eq!(eng.posted_len(), 0);
     }
 
@@ -669,7 +658,7 @@ mod tests {
             let d = eng
                 .post_recv(posting(expect, None, 1, TagSel::Any))
                 .expect("delivered");
-            assert_eq!(d.msg.seq, expect, "arrival order across buckets");
+            assert_eq!(d.seq, expect, "arrival order across buckets");
         }
         assert_eq!(eng.unexpected_len(), 0);
     }
@@ -786,7 +775,7 @@ mod tests {
             let d = eng
                 .post_recv(posting(9, Some(0), 1, TagSel::Tag(t)))
                 .unwrap();
-            assert_eq!(d.msg.tag, t);
+            assert_eq!(d.tag, t);
         }
         assert_eq!((eng.posted_len(), eng.unexpected_len()), (0, 0));
         assert_eq!(eng.pool_sizes(), (4, 4), "freed nodes are reused");
@@ -801,7 +790,7 @@ mod tests {
         assert_eq!(eng.purge_unexpected(|m| m.seq % 3 == 0), 2);
         let mut left = Vec::new();
         while let Some(d) = eng.post_recv(posting(1, None, 1, TagSel::Any)) {
-            left.push(d.msg.seq);
+            left.push(d.seq);
         }
         assert_eq!(left, vec![1, 2, 4, 5]);
         assert!(eng.post_recv(posting(2, Some(1), 1, TagSel::Any)).is_none());

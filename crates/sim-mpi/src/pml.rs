@@ -52,10 +52,11 @@ pub enum PmlEvent {
         arrival: SimTime,
     },
     /// The PML's lossy-transport sequence window suppressed a duplicate
-    /// application message (a retransmit whose original eventually arrived,
-    /// or a fabric-injected duplicate that escaped the sweep-time filter).
-    /// The payload never reaches matching — protocols only need this to
-    /// re-emit acknowledgements the sender is evidently still missing.
+    /// application message: a retransmission or re-send whose original also
+    /// arrived (the fault policy's duplicate copies never reach the PML; the
+    /// fabric counts them where it draws the verdict). The payload never
+    /// reaches matching — protocols only need this to re-emit
+    /// acknowledgements the sender is evidently still missing.
     DuplicateSuppressed {
         /// Sending physical process.
         src: EndpointId,
@@ -434,9 +435,9 @@ impl Pml {
             comm,
             tag,
         };
-        if let Some(delivery) = self.engine.post_recv(posting) {
-            self.charge_unexpected_copy(delivery.msg.payload.len());
-            self.complete_recv(req, delivery.msg);
+        if let Some(msg) = self.engine.post_recv(posting) {
+            self.charge_unexpected_copy(msg.payload.len());
+            self.complete_recv(req, msg);
         }
     }
 
@@ -460,9 +461,9 @@ impl Pml {
         if !matches!(self.slot(req), Some(SlotState::Pending)) {
             return;
         }
-        if let Some(delivery) = self.engine.redirect(req, new_src) {
-            self.charge_unexpected_copy(delivery.msg.payload.len());
-            self.complete_recv(req, delivery.msg);
+        if let Some(msg) = self.engine.redirect(req, new_src) {
+            self.charge_unexpected_copy(msg.payload.len());
+            self.complete_recv(req, msg);
         }
     }
 

@@ -409,10 +409,6 @@ impl JobBuilder {
             .collect();
         rt.shutdown();
         processes.sort_by_key(|p| p.endpoint);
-        // Sweep unclaimed duplicate frames (receiver exited before its inbox
-        // was drained) into the suppressed count, so the campaign invariant
-        // `dups_suppressed == msgs_duplicated` is exact in the snapshot below.
-        fabric.reconcile_net_faults();
         let elapsed = processes
             .iter()
             .filter(|p| p.outcome.is_finished())

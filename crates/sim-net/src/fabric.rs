@@ -21,10 +21,9 @@
 //!   virtual arrivals (they pop in physical ingest order). The receiver only
 //!   ever takes the lock to swap the deque out.
 //! * **One sorted batch.** The receiver swaps its mailbox in whole into a
-//!   private deque, drops the policy-injected duplicate copies and
-//!   stable-sorts the batch by arrival: the earliest virtual arrival pops
-//!   first, equal arrivals in ingest order, however the stamps were ordered
-//!   on the way in (see [`crate::model`]). Messages left over from an earlier
+//!   private deque and stable-sorts it by arrival: the earliest virtual
+//!   arrival pops first, equal arrivals in ingest order, however the stamps
+//!   were ordered on the way in (see [`crate::model`]). Messages left over from an earlier
 //!   sweep were ingested before the new batch and sit ahead of it, so the
 //!   stable re-sort keeps the same `(arrival, ingest order)` rule.
 //!
@@ -69,13 +68,13 @@ pub struct EndpointId(pub usize);
 /// numbers, etc. into these words; the fabric never interprets them.
 pub const HEADER_WORDS: usize = 8;
 
-/// A message in flight on the fabric.
+/// A message in flight on the fabric. It carries only what its receiver
+/// reads: the destination is the mailbox it sits in, and the sender's
+/// injection time is folded into `arrival`.
 #[derive(Debug, Clone)]
 pub struct RawMessage {
     /// Sending physical process.
     pub src: EndpointId,
-    /// Destination physical process.
-    pub dst: EndpointId,
     /// Traffic class (see [`crate::stats::class`]); used for statistics and by
     /// upper layers to demultiplex protocol traffic from application traffic.
     pub class: u8,
@@ -83,17 +82,8 @@ pub struct RawMessage {
     pub header: [i64; HEADER_WORDS],
     /// Payload bytes.
     pub payload: Bytes,
-    /// Sender virtual time at which the message was injected.
-    pub injected_at: SimTime,
     /// Virtual time at which the message becomes visible to the receiver.
     pub arrival: SimTime,
-    /// Marks a *policy-injected duplicate copy* (see [`crate::netfault`]).
-    /// The receiver-side sweep discards marked frames before they can reach
-    /// the protocol layer, counting them as `dups_suppressed`; legitimate
-    /// traffic always carries `false`. Keeping the marker on the frame makes
-    /// `dups_suppressed == msgs_duplicated` structurally exact rather than a
-    /// content-matching heuristic.
-    pub dup: bool,
 }
 
 impl RawMessage {
@@ -145,18 +135,15 @@ impl Inbox {
         }
     }
 
-    /// Append `msg` — and after it the policy-injected duplicate copy, when
-    /// there is one. The count is raised before the insert (see the struct
+    /// Append `msg`. The count is raised before the insert (see the struct
     /// docs); the caller issues the scheduler wake *after* this returns,
     /// which is what the no-lost-wake argument in the module docs relies on.
-    fn ingest(&self, msg: RawMessage, dup: Option<RawMessage>) {
-        let frames = 1 + dup.is_some() as u64;
-        self.queued.fetch_add(frames, Ordering::SeqCst);
-        let mut mailbox = self.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
-        mailbox.push_back(msg);
-        if let Some(copy) = dup {
-            mailbox.push_back(copy);
-        }
+    fn ingest(&self, msg: RawMessage) {
+        self.queued.fetch_add(1, Ordering::SeqCst);
+        self.mailbox
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back(msg);
     }
 }
 
@@ -221,18 +208,18 @@ impl Fabric {
     pub fn fail(&self, endpoint: EndpointId, at: SimTime) -> FailureEvent {
         let mut header = [0; HEADER_WORDS];
         header[0] = endpoint.0 as i64;
-        for i in (0..self.n).filter(|&i| i != endpoint.0) {
-            self.ingest(RawMessage {
-                src: endpoint,
-                dst: EndpointId(i),
-                class: class::SYSTEM,
-                header,
-                payload: Bytes::new(),
-                injected_at: at,
-                arrival: at,
-                dup: false,
-            });
-            self.wake(EndpointId(i));
+        for dst in (0..self.n).filter(|&i| i != endpoint.0).map(EndpointId) {
+            self.ingest(
+                dst,
+                RawMessage {
+                    src: endpoint,
+                    class: class::SYSTEM,
+                    header,
+                    payload: Bytes::new(),
+                    arrival: at,
+                },
+            );
+            self.wake(dst);
         }
         FailureEvent { endpoint, at }
     }
@@ -262,19 +249,18 @@ impl Fabric {
         self.net_faults.get()
     }
 
-    /// Ingest a message into its destination inbox. The caller owes the
-    /// destination a wake afterwards ([`Fabric::wake`]), dropped message or
-    /// not: a spurious wake is a harmless re-poll, while skipping it would
-    /// make the no-lost-wake argument depend on the fault plan.
+    /// Ingest a message into `dst`'s inbox. The caller owes the destination
+    /// a wake afterwards ([`Fabric::wake`]), dropped message or not: a
+    /// spurious wake is a harmless re-poll, while skipping it would make the
+    /// no-lost-wake argument depend on the fault plan.
     ///
     /// With a fault policy installed the message may first be dropped,
     /// delayed (arrival pushed, clamped to the link floor) or duplicated. A
-    /// duplicate's marked copy is ingested *after* the original, so it is
-    /// later in ingest order — the pop order then always hands the real
-    /// frame to the receiver first.
-    fn ingest(&self, mut msg: RawMessage) {
-        let dst = msg.dst;
-        let mut dup = None;
+    /// duplicate is counted where it is drawn, as injected and as suppressed
+    /// at once: no copy is built, because none would ever reach the receiver
+    /// (the policy's copies are filtered below the protocol layer), so
+    /// `dups_suppressed == msgs_duplicated` holds in every snapshot.
+    fn ingest(&self, dst: EndpointId, mut msg: RawMessage) {
         if let Some(policy) = self.net_faults.get() {
             let (verdict, arrival) = policy.route(msg.src.0, dst.0, msg.class, msg.arrival);
             msg.arrival = arrival;
@@ -287,41 +273,16 @@ impl Fabric {
                 }
                 FaultVerdict::Duplicate => {
                     self.stats.record_msg_duplicated();
-                    let mut copy = msg.clone();
-                    copy.dup = true;
-                    dup = Some(copy);
+                    self.stats.record_dup_suppressed();
                 }
             }
         }
-        self.inboxes[dst.0].ingest(msg, dup);
+        self.inboxes[dst.0].ingest(msg);
     }
 
     /// Wake `dst`'s scheduler slot after an ingest, and count the outcome.
     fn wake(&self, dst: EndpointId) {
         self.stats.record_wake(self.sched.wake(dst));
-    }
-
-    /// Job-end reconciliation of the fault policy's duplicate accounting:
-    /// any policy-injected duplicate copy still sitting unswept in a
-    /// fabric-owned inbox (its receiver exited or crashed before sweeping
-    /// it) is counted as suppressed here and removed, so the campaign gate
-    /// `dups_suppressed == msgs_duplicated` is exact by construction. The
-    /// job launcher calls this after every process has joined and before it
-    /// snapshots the stats. A no-op without an installed policy.
-    pub fn reconcile_net_faults(&self) {
-        if self.net_faults.get().is_none() {
-            return;
-        }
-        for inbox in &self.inboxes {
-            let mut mailbox = inbox.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
-            let before = mailbox.len();
-            mailbox.retain(|m| !m.dup);
-            let removed = (before - mailbox.len()) as u64;
-            inbox.queued.fetch_sub(removed, Ordering::SeqCst);
-            for _ in 0..removed {
-                self.stats.record_dup_suppressed();
-            }
-        }
     }
 
     /// Take the endpoint for physical process `id`. Panics if taken twice.
@@ -530,19 +491,17 @@ impl Endpoint {
         let wire_time = self.fabric.model.wire_time(payload.len(), intra);
         self.clock.charge_comm(send_overhead);
         let injected_at = self.clock.now().max(not_before);
-        let arrival = injected_at + wire_time;
-        let msg = RawMessage {
-            src: self.id,
+        self.fabric.stats.record_send(cls, payload.len());
+        self.fabric.ingest(
             dst,
-            class: cls,
-            header,
-            payload,
-            injected_at,
-            arrival,
-            dup: false,
-        };
-        self.fabric.stats.record_send(cls, msg.len());
-        self.fabric.ingest(msg);
+            RawMessage {
+                src: self.id,
+                class: cls,
+                header,
+                payload,
+                arrival: injected_at + wire_time,
+            },
+        );
         // One wake per destination per wake window (see `flush`); a repeat
         // is skipped only while the scheduler vouches for the destination.
         let repeat =
@@ -586,12 +545,8 @@ impl Endpoint {
     /// back to the mailbox. Leftovers from an earlier sweep (the PML drains
     /// every sweep; `try_recv`, `has_pending` and a bare `recv_blocking` can
     /// leave some) were ingested before the new messages, so they stay ahead
-    /// of them. Policy-injected duplicate
-    /// copies are discarded right here, before the protocol layer above can
-    /// observe them; each discard counts toward `dups_suppressed` (the
-    /// campaign gate pairs it with `msgs_duplicated`). The stable sort by
-    /// arrival then leaves equal arrivals in ingest order, and costs one
-    /// pass over a batch that is already sorted.
+    /// of them. The stable sort by arrival then leaves equal arrivals in
+    /// ingest order, and costs one pass over a batch that is already sorted.
     fn sweep_inbox(&mut self) -> bool {
         let inbox = &self.fabric.inboxes[self.id.0];
         if inbox.queued.load(Ordering::SeqCst) == 0 {
@@ -612,22 +567,8 @@ impl Endpoint {
         // Decrement *after* the removal so the advisory count never
         // under-reports (see the Inbox docs).
         inbox.queued.fetch_sub(swept as u64, Ordering::SeqCst);
-        let stats = &self.fabric.stats;
-        let mut any_dup = false;
         for msg in self.pending.range(kept..) {
-            if msg.dup {
-                stats.record_dup_suppressed();
-                any_dup = true;
-            } else {
-                stats.record_delivery(msg.class);
-            }
-        }
-        if any_dup {
-            let mut at = 0;
-            self.pending.retain(|msg| {
-                at += 1;
-                at <= kept || !msg.dup
-            });
+            self.fabric.stats.record_delivery(msg.class);
         }
         self.pending
             .make_contiguous()
@@ -814,11 +755,12 @@ mod tests {
             hdr(7),
             Bytes::from_static(b"hello"),
         );
-        assert!(a.now() > before, "send overhead must be charged");
+        let injected_at = a.now();
+        assert!(injected_at > before, "send overhead must be charged");
         let msg = b.recv_blocking().expect("message delivered");
         assert_eq!(msg.header[0], 7);
         assert_eq!(&msg.payload[..], b"hello");
-        assert!(msg.arrival > msg.injected_at);
+        assert!(msg.arrival > injected_at);
         // Application payloads are charged by the MPI layer at delivery time,
         // so the raw endpoint clock is untouched here.
         assert_eq!(b.now(), SimTime::ZERO);
@@ -846,11 +788,12 @@ mod tests {
         let floor = SimTime::from_micros(3_000);
         a.send_with_floor(EndpointId(1), class::ACK, hdr(9), Bytes::new(), floor);
         let msg = b.recv_blocking().expect("delivered");
-        assert!(
-            msg.injected_at >= floor,
-            "injection stamped no earlier than the floor"
+        let wire_time = LogGpModel::fast_test_model().wire_time(0, false);
+        assert_eq!(
+            msg.arrival,
+            floor + wire_time,
+            "injection stamped at the floor, not at the earlier sender clock"
         );
-        assert!(msg.arrival > floor);
         // The sender's own clock is not forced forward by the floor.
         assert!(a.now() < floor);
     }
@@ -954,15 +897,17 @@ mod tests {
         let mut s = fabric.endpoint(EndpointId(0));
         let mut r = fabric.endpoint(EndpointId(1));
         s.send(EndpointId(1), class::APP, hdr(0), Bytes::from(vec![0u8; 1]));
+        let injected_1 = s.now();
         s.send(
             EndpointId(1),
             class::APP,
             hdr(1),
             Bytes::from(vec![0u8; 1 << 20]),
         );
+        let injected_2 = s.now();
         let m1 = r.recv_blocking().unwrap();
         let m2 = r.recv_blocking().unwrap();
-        assert!(m2.arrival - m2.injected_at > m1.arrival - m1.injected_at);
+        assert!(m2.arrival - injected_2 > m1.arrival - injected_1);
     }
 
     #[test]
@@ -1041,6 +986,7 @@ mod tests {
         let mut p2 = fabric.endpoint(EndpointId(2));
         let payload = Bytes::from(vec![0u8; 1024]);
         let mut before = p0.now();
+        let mut injected = Vec::new();
         for dst in 0..3 {
             p0.send(EndpointId(dst), class::APP, hdr(0), payload.clone());
             let intra = dst == 0;
@@ -1050,13 +996,17 @@ mod tests {
                 "send overhead to {dst}"
             );
             before = p0.now();
+            injected.push(before);
         }
-        for (msg, intra) in [
+        for ((msg, intra), injected_at) in [
             (p0.recv_blocking().unwrap(), true),
             (p1.recv_blocking().unwrap(), false),
             (p2.recv_blocking().unwrap(), false),
-        ] {
-            assert_eq!(msg.arrival - msg.injected_at, model.wire_time(1024, intra));
+        ]
+        .into_iter()
+        .zip(injected)
+        {
+            assert_eq!(msg.arrival - injected_at, model.wire_time(1024, intra));
         }
     }
 
@@ -1207,13 +1157,13 @@ mod tests {
             got.push(b.recv_blocking().unwrap().header[0]);
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>(), "exactly-once, in order");
-        assert!(!b.has_pending(), "no duplicate frame may survive the sweep");
+        assert!(!b.has_pending(), "no duplicate frame reaches the receiver");
         let snap = fabric.stats().snapshot();
         assert_eq!(snap.msgs_duplicated(), 10);
         assert_eq!(
             snap.dups_suppressed(),
             snap.msgs_duplicated(),
-            "every injected copy is suppressed at the sweep"
+            "every duplicate verdict is suppressed"
         );
     }
 
@@ -1256,20 +1206,30 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_counts_unswept_duplicate_copies() {
+    fn a_duplicate_verdict_is_counted_where_it_is_drawn() {
         let fabric = Fabric::with_defaults(2, LogGpModel::fast_test_model());
         fabric.install_net_faults(uniform_fault(0, 65_536, 0, 0), 7);
         let mut a = fabric.endpoint(EndpointId(0));
         a.send(EndpointId(1), class::APP, hdr(0), Bytes::new());
-        // The receiver never sweeps; the job-end reconcile must still pair
-        // the injected copy with a suppression (and leave the real frame).
-        fabric.reconcile_net_faults();
+        // The receiver has not swept yet (it may exit or crash before it
+        // does): the verdict is already paired with its suppression.
         let snap = fabric.stats().snapshot();
         assert_eq!(snap.msgs_duplicated(), 1);
         assert_eq!(snap.dups_suppressed(), 1);
         let mut b = fabric.endpoint(EndpointId(1));
-        assert!(b.recv_blocking().is_ok(), "the real frame survives");
-        assert!(!b.has_pending());
+        assert!(b.recv_blocking().is_ok(), "the real frame is delivered");
+        assert!(!b.has_pending(), "and no copy of it");
+        let snap = fabric.stats().snapshot();
+        assert_eq!((snap.msgs_duplicated(), snap.dups_suppressed()), (1, 1));
+    }
+
+    #[test]
+    fn a_frame_is_128_bytes() {
+        // On x86-64 a move of more than 128 bytes compiles to a `memcpy`
+        // call. Every frame is moved into a mailbox, out of the sorted batch
+        // and up to the PML; at 144 bytes those calls were 2.9 % of the
+        // SIGPROF samples of a message-bound run. Keep the frame at 128.
+        assert_eq!(std::mem::size_of::<RawMessage>(), 128);
     }
 
     #[test]

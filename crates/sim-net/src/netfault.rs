@@ -6,10 +6,13 @@
 //! installed on the [`crate::fabric::Fabric`], that at delivery time can
 //! **drop**, **duplicate** or **delay** any application or acknowledgement
 //! message with configured per-link rates. The masking half (retransmission
-//! timers, duplicate suppression) lives in the protocol layer above; the gate
-//! between them is the counter quintet in [`crate::stats::NetStats`]
+//! timers, the wire-sequence window) lives in the protocol layer above; the
+//! gate between them is the counter quintet in [`crate::stats::NetStats`]
 //! (`msgs_dropped`/`msgs_duplicated`/`msgs_delayed` on this side,
-//! `retransmits`/`dups_suppressed` on the masking side).
+//! `retransmits` on the masking side). A duplicate verdict's extra copy is
+//! suppressed below the protocol layer: the fabric counts it into
+//! `dups_suppressed` where the verdict is drawn and never builds it, so
+//! `dups_suppressed == msgs_duplicated` holds by construction.
 //!
 //! # Determinism
 //!
@@ -57,8 +60,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct NetFaultConfig {
     /// Probability a faultable message is silently dropped, per 65 536.
     pub drop_per_64k: u32,
-    /// Probability a faultable message is duplicated (one extra copy with the
-    /// same arrival, ingested right after the original), per 65 536.
+    /// Probability a faultable message is duplicated, per 65 536. The extra
+    /// copy is suppressed below the protocol layer, so only the counters
+    /// see it (`msgs_duplicated`, `dups_suppressed`).
     pub dup_per_64k: u32,
     /// Probability a faultable message is delayed, per 65 536.
     pub delay_per_64k: u32,
@@ -123,7 +127,8 @@ pub enum FaultVerdict {
     Deliver,
     /// Silently drop (the destination is still woken).
     Drop,
-    /// Deliver the original plus one duplicate copy.
+    /// Deliver the original; its duplicate copy is counted and suppressed
+    /// where the verdict is drawn.
     Duplicate,
     /// Deliver with the arrival pushed `delay_ns` later (raising the link's
     /// arrival floor with it).

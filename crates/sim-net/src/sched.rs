@@ -253,6 +253,8 @@ pub struct Scheduler {
     /// permit without touching this counter; only the acquire (cold dispatch)
     /// and release (nothing to hand off to) paths move it.
     running: AtomicUsize,
+    /// The pool size: fixed before the first registration
+    /// ([`Scheduler::set_workers`]), so `running` never exceeds it.
     workers: AtomicUsize,
     peak_running: AtomicUsize,
     /// Serialises quiescence verdicts and last-permit rescues (the cold path).
@@ -367,12 +369,16 @@ impl Scheduler {
         self.workers.load(Ordering::SeqCst)
     }
 
-    /// Resize the worker pool (clamped to [`MIN_WORKERS`]). Takes effect
-    /// immediately: a grown pool dispatches more ready processes on the spot.
+    /// Size the worker pool (clamped to [`MIN_WORKERS`]). The pool is sized
+    /// before the job starts: panics once any slot has been registered, so
+    /// permits in circulation never exceed the pool.
     pub fn set_workers(&self, workers: usize) {
+        assert!(
+            (0..self.capacity()).all(|i| self.load_phase(i) == Phase::Unmanaged),
+            "the worker pool is sized before any slot is registered"
+        );
         self.workers
             .store(workers.max(MIN_WORKERS), Ordering::SeqCst);
-        self.try_dispatch_idle();
     }
 
     /// Highest number of permits simultaneously in circulation so far — the
@@ -513,17 +519,10 @@ impl Scheduler {
     /// a waker may have pushed a slot between the `pop_best` miss and the
     /// release, and its cold dispatch found no free permit then.
     fn depart(&self) {
-        // Honour a shrunken pool: handoff keeps permits in circulation
-        // forever under continuous ready work, so an over-budget permit must
-        // retire here instead of being passed on (ready work then waits for
-        // one of the remaining permits, exactly as `set_workers` promises).
-        let over_budget = self.running.load(Ordering::SeqCst) > self.workers.load(Ordering::SeqCst);
-        if !over_budget {
-            if let Some(target) = self.pop_best() {
-                self.stats.record_handoff();
-                self.dispatch_direct(target);
-                return;
-            }
+        if let Some(target) = self.pop_best() {
+            self.stats.record_handoff();
+            self.dispatch_direct(target);
+            return;
         }
         let prev = self.running.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "permit released while none in circulation");
@@ -535,7 +534,7 @@ impl Scheduler {
     }
 
     /// Grant idle permits to ready slots while the pool has room (the cold
-    /// dispatch path: register, wake-of-parked, pool growth).
+    /// dispatch path: register, wake-of-parked, a release).
     fn try_dispatch_idle(&self) {
         loop {
             let r = self.running.load(Ordering::SeqCst);
@@ -1432,44 +1431,12 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_the_pool_retires_permits_at_the_next_boundary() {
-        // Continuous handoff must not keep a shrunken pool's surplus permits
-        // in circulation forever: after set_workers(1), the next park retires
-        // the over-budget permit instead of handing it to ready work.
-        let s = Arc::new(Scheduler::new(3));
+    #[should_panic(expected = "the worker pool is sized before any slot is registered")]
+    fn sizing_the_pool_after_a_registration_panics() {
+        let s = Scheduler::new(2);
         s.set_workers(2);
-        for i in 0..3 {
-            s.register(ep(i));
-        }
-        // Slots 0 and 1 hold the two permits; slot 2 queues Ready.
-        assert_eq!(s.running(), 2);
+        s.register(ep(0));
         s.set_workers(1);
-        let s2 = Arc::clone(&s);
-        let a = std::thread::spawn(move || {
-            s2.start(ep(0));
-            // Ready work (slot 2) exists, but the pool shrank: this park
-            // must release the permit, not hand it off.
-            let verdict = s2.park(ep(0), SimTime::ZERO);
-            s2.finish(ep(0));
-            verdict
-        });
-        // Wait until slot 0 has parked and its permit retired.
-        while s.running() != 1 {
-            std::thread::yield_now();
-        }
-        // Slot 1 still runs on the one remaining permit; slot 2 stays queued.
-        s.start(ep(1));
-        s.wake(ep(0)); // let the parked carrier exit cleanly later
-        s.finish(ep(1)); // hands the last permit on: slot 2, then slot 0
-        let s3 = Arc::clone(&s);
-        let b = std::thread::spawn(move || {
-            s3.start(ep(2));
-            s3.finish(ep(2));
-        });
-        assert_eq!(a.join().unwrap(), Park::Woken);
-        b.join().unwrap();
-        assert!(s.peak_running() <= 2);
-        assert_eq!(s.running(), 0);
     }
 
     #[test]

@@ -145,8 +145,8 @@ counter_table! {
     sdc_flips_injected: sum,
     /// Messages dropped by the installed [`crate::netfault::NetFaultPolicy`].
     msgs_dropped: sum,
-    /// Duplicate copies injected by the fault policy (one count per extra
-    /// copy, not per original message).
+    /// Duplicate verdicts drawn by the fault policy (one count per extra
+    /// copy the link would have delivered, not per original message).
     msgs_duplicated: sum,
     /// Messages whose arrival the fault policy pushed to a later virtual
     /// time.
@@ -159,9 +159,11 @@ counter_table! {
     /// circulation or the endpoint was unmanaged — counted at the one wait
     /// site, `sdr_core::protocol`. Zero in every `workers: 1` job.
     retx_real_waits: sum,
-    /// Policy-injected duplicate copies suppressed by the receiver-side
-    /// transport dedup before they could reach the protocol layer. The
-    /// fault-campaign gate demands this equals `msgs_duplicated`.
+    /// Policy-injected duplicate copies suppressed below the protocol layer.
+    /// The fabric records one with each duplicate verdict, where the verdict
+    /// is drawn (no copy is built), so the fault-campaign gate's
+    /// `dups_suppressed == msgs_duplicated` holds in every snapshot; a
+    /// mismatch means a path records one counter without the other.
     dups_suppressed: sum,
     /// User-space context switches performed by the coroutine carrier
     /// runtime.
@@ -230,7 +232,7 @@ impl NetStats {
         self.msgs_dropped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one duplicate copy injected by the network fault policy.
+    /// Record one duplicate verdict drawn by the network fault policy.
     pub fn record_msg_duplicated(&self) {
         self.msgs_duplicated.fetch_add(1, Ordering::Relaxed);
     }
@@ -250,8 +252,8 @@ impl NetStats {
         self.retx_real_waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one policy-injected duplicate suppressed by the receiver-side
-    /// transport dedup.
+    /// Record one policy-injected duplicate suppressed below the protocol
+    /// layer (the fabric records it with the duplicate verdict).
     pub fn record_dup_suppressed(&self) {
         self.dups_suppressed.fetch_add(1, Ordering::Relaxed);
     }

@@ -47,9 +47,10 @@
 //! fabric drops/duplicates/delays frames per the sampled
 //! [`sim_net::NetFaultConfig`], and the case must be **masked** — every
 //! process finishes, the results are bit-identical to the record of a
-//! fault-free twin of the same spec, every injected duplicate is suppressed
-//! (`dups_suppressed == msgs_duplicated`), and any drop forces at least one
-//! retransmission. Lossy cases rotate through the five NAS kernels plus the
+//! fault-free twin of the same spec, the duplicate accounting pairs up
+//! (`dups_suppressed == msgs_duplicated`: the fabric records both where it
+//! draws a duplicate verdict, so this is exact at the draw), and any drop
+//! forces at least one retransmission. Lossy cases rotate through the five NAS kernels plus the
 //! collective-heavy app ([`lossy_workload`]), so the masking claim covers
 //! halo exchanges, all-to-all transposes and pipelined sweeps, not just one
 //! traffic shape.

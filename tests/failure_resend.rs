@@ -13,8 +13,9 @@
 //! 3. p¹₀ fails. p⁰₀ is the substitute and re-sends to p¹₁ and p¹₂ every
 //!    entry whose acknowledgement from replica 1 is missing.
 //!
-//! Each re-send charges p⁰₀'s clock, so the injection stamps of the re-sent
-//! frames give the order they were posted in. A handler that re-sent
+//! Each re-send charges p⁰₀'s clock, and every re-sent frame is an 8-byte
+//! inter-node frame with the same wire time, so the arrival stamps of the
+//! re-sent frames give the order they were posted in. A handler that re-sent
 //! destination by destination would post the one rank-1 entry first.
 
 mod common;
@@ -86,16 +87,17 @@ fn substitute_resends_unacked_entries_in_posting_order_across_destinations() {
     let mut resent: Vec<(SimTime, EndpointId, u8)> = Vec::new();
     let mut pml5 = Pml::new(fabric.endpoint(EndpointId(5)));
     for pml in [&mut pml4, &mut pml5] {
+        let dst = pml.endpoint_id();
         while let Some(msg) = pml.endpoint_mut().try_recv() {
             if msg.src == EndpointId(0) && msg.class == class::APP {
-                resent.push((msg.injected_at, msg.dst, msg.payload[0]));
+                resent.push((msg.arrival, dst, msg.payload[0]));
             }
         }
     }
     resent.sort_by_key(|&(at, ..)| at);
     assert!(
         resent.windows(2).all(|w| w[0].0 < w[1].0),
-        "each re-send has its own injection stamp: {resent:?}"
+        "each re-send has its own arrival stamp: {resent:?}"
     );
     let order: Vec<(EndpointId, u8)> = resent.iter().map(|&(_, dst, i)| (dst, i)).collect();
     assert_eq!(

@@ -83,7 +83,7 @@ proptest! {
                 });
                 next_req += 1;
                 if let Some(d) = maybe {
-                    delivered.push(d.msg.seq);
+                    delivered.push(d.seq);
                 }
             } else {
                 let maybe = engine.incoming(IncomingMsg {
@@ -109,7 +109,7 @@ proptest! {
                 comm: CommId::WORLD,
                 tag: TagSel::Any,
             }) {
-                delivered.push(d.msg.seq);
+                delivered.push(d.seq);
             }
             next_req += 1;
         }
@@ -363,7 +363,7 @@ fn matching_engine_cycles_leave_no_entry_and_reuse_their_nodes() {
             let delivery = engine
                 .post_recv(post(tag))
                 .expect("unexpected message matches");
-            assert_eq!(delivery.msg.seq, tag);
+            assert_eq!(delivery.seq, tag);
         }
         assert_eq!((engine.posted_len(), engine.unexpected_len()), (0, 0));
         assert_eq!(engine.pool_sizes(), (WIDTH as usize, WIDTH as usize));
