@@ -33,6 +33,7 @@ use crate::process::Process;
 use crate::protocol::{NativeFactory, ProtocolFactory};
 use crate::types::{MpiError, Rank};
 use sim_net::failure::CrashSignal;
+use sim_net::sched::{default_workers, host_cores};
 use sim_net::stats::StatsSnapshot;
 use sim_net::trace::EventTrace;
 use sim_net::{
@@ -267,8 +268,9 @@ impl JobBuilder {
     }
 
     /// Size of the scheduler's worker pool: how many simulated processes may
-    /// execute concurrently. Defaults to `min(host cores, physical processes)`
-    /// (at least 2) and is clamped to at least [`sim_net::sched::MIN_WORKERS`].
+    /// execute concurrently. Defaults to [`default_workers`]`(physical
+    /// processes, host cores)` — one permit per core, never more than
+    /// processes — and is clamped to at least [`sim_net::sched::MIN_WORKERS`].
     /// `workers(1)` selects *deterministic replay*: with a single run permit,
     /// dispatch is a pure function of the virtual-time-ordered ready queues,
     /// so two identical runs schedule — and trace — identically.
@@ -314,7 +316,7 @@ impl JobBuilder {
         };
         let workers = self
             .workers
-            .unwrap_or_else(|| sim_net::sched::default_workers(physical));
+            .unwrap_or_else(|| default_workers(physical, host_cores()));
         fabric.scheduler().set_workers(workers);
         let app = Arc::new(app);
         let factory = Arc::clone(&self.factory);

@@ -45,7 +45,8 @@
 //! * **Guard discipline.** Stacks come from [`super::stack`]: `mmap`'d with
 //!   a `PROT_NONE` guard below (overflow ⇒ SIGSEGV ⇒ diagnostic + abort via
 //!   [`super::stack::install_overflow_handler`]), or heap-backed with a
-//!   canary that is verified at every suspension and retirement.
+//!   canary that is verified at every suspension. Every stack's canary,
+//!   guarded or not, is verified at retirement.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -232,8 +233,10 @@ struct CoroSlot {
     /// The resume token: saved stack pointer of a suspended coroutine, or 0
     /// while it runs (or before spawn / after retirement).
     ctx: AtomicUsize,
-    /// Canary address of the installed stack (0 = none), readable without
-    /// locking the stack itself for the per-suspension integrity check.
+    /// Canary address the per-suspension integrity check reads, without
+    /// locking the stack itself: the installed stack's for a heap stack, 0
+    /// (nothing to read) for a guarded one or for none. See
+    /// [`suspension_canary`].
     canary: AtomicUsize,
     /// The leased stack, taken back at retirement for recycling.
     stack: Mutex<Option<CoroStack>>,
@@ -347,7 +350,7 @@ impl CoroRuntime {
             slot,
         }));
         let sp = unsafe { arch::prepare(&stk, args as usize) };
-        s.canary.store(stk.canary_addr(), Ordering::Relaxed);
+        s.canary.store(suspension_canary(&stk), Ordering::Relaxed);
         *s.entry.lock().unwrap_or_else(|e| e.into_inner()) = Some(wrapped);
         *s.stack.lock().unwrap_or_else(|e| e.into_inner()) = Some(stk);
         s.ctx.store(sp, Ordering::Release);
@@ -509,6 +512,19 @@ fn spin_take(rt: &CoroRuntime, slot: usize) -> usize {
     }
 }
 
+/// The canary address a slot checks at every suspension of the coroutine on
+/// `stk`: 0 for a guarded stack, whose `PROT_NONE` guard faults on an
+/// overflow before the canary could be read, so the check is one load of
+/// the slot word; the canary's address for a heap stack, which has no
+/// guard. [`finalize_retired`] still checks every stack at retirement.
+fn suspension_canary(stk: &CoroStack) -> usize {
+    if stk.is_guarded() {
+        0
+    } else {
+        stk.canary_addr()
+    }
+}
+
 /// Recycle the stack of a coroutine that retired on this OS thread. Runs in
 /// the first context after the retiree's final switch-away — the worker
 /// loop, a resumed coroutine, or a freshly entered one — which is the
@@ -617,6 +633,27 @@ mod tests {
 
     fn rt(capacity: usize) -> Arc<CoroRuntime> {
         CoroRuntime::new(capacity, 128 * 1024, Arc::new(NetStats::new()))
+    }
+
+    #[test]
+    fn only_a_heap_stack_is_checked_at_every_suspension() {
+        let heap = CoroStack::new_heap(16 * 1024);
+        assert!(!heap.is_guarded());
+        assert_eq!(suspension_canary(&heap), heap.canary_addr());
+        let guarded = CoroStack::new(64 * 1024);
+        assert!(guarded.is_guarded(), "linux should take the mmap path");
+        assert_eq!(suspension_canary(&guarded), 0);
+    }
+
+    #[test]
+    fn a_guarded_stack_slot_records_no_canary() {
+        let rt = rt(1);
+        let h = rt.spawn(0, || 1);
+        assert_eq!(rt.slots[0].canary.load(Ordering::Relaxed), 0);
+        rt.enqueue_resume(0);
+        rt.activate(1);
+        assert_eq!(h.join().unwrap(), 1);
+        rt.shutdown();
     }
 
     #[test]

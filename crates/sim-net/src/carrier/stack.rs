@@ -13,10 +13,11 @@
 //!    the kernel, so thousands of 1 MiB stacks cost virtual address space,
 //!    not resident memory.
 //! 2. **Heap fallback** (anywhere, or if `mmap` fails): a boxed byte slice
-//!    with a canary pattern written at the low end. The canary is checked at
-//!    every suspension point and on stack retirement; a clobbered canary
-//!    also aborts with a diagnostic. This is detection-after-the-fact rather
-//!    than prevention, which is why the guard-page path is preferred.
+//!    with a canary pattern written at the low end. The canary of a heap
+//!    stack is checked at every suspension point; every stack's, guarded or
+//!    not, is checked on retirement. A clobbered canary also aborts with a
+//!    diagnostic. This is detection-after-the-fact rather than prevention,
+//!    which is why the guard-page path is preferred.
 //!
 //! Stacks are never freed while the process lives: the [`StackPool`]
 //! recycles them across coroutines and across jobs (as the worker-thread
@@ -30,7 +31,8 @@ use std::sync::{Mutex, Once, OnceLock};
 
 /// Canary word written (×[`CANARY_WORDS`]) at the low end of every stack.
 ///
-/// Checked lock-free at each suspension point; see [`canary_intact`].
+/// Checked lock-free at each suspension point of a coroutine on an unguarded
+/// (heap) stack, and at every stack's retirement; see [`canary_intact`].
 pub const CANARY: usize = 0xC0DE_57AC_CA11_AB1E_u64 as usize;
 
 /// Number of canary words stamped at the usable base of each stack.
@@ -189,7 +191,7 @@ impl CoroStack {
         Some(s)
     }
 
-    fn new_heap(usable: usize) -> CoroStack {
+    pub(super) fn new_heap(usable: usize) -> CoroStack {
         // Over-allocate so both the canary base and the top can be 16-aligned.
         let len = usable.max(4096) + 32;
         let heap = vec![0u8; len].into_boxed_slice();
@@ -219,6 +221,12 @@ impl CoroStack {
     /// The usable size this stack was requested with (pool bucket key).
     pub fn size_class(&self) -> usize {
         self.size_class
+    }
+
+    /// Whether a `PROT_NONE` guard region lies below the stack, so that an
+    /// overflow faults instead of scribbling on the canary first.
+    pub fn is_guarded(&self) -> bool {
+        self.guard != 0
     }
 
     /// Total bytes this stack holds in virtual memory (guard included).
@@ -455,7 +463,7 @@ mod tests {
     fn mmap_stack_has_guard_and_canary() {
         let s = CoroStack::new(64 * 1024);
         if cfg!(target_os = "linux") {
-            assert!(s.guard != 0, "linux should take the mmap path");
+            assert!(s.is_guarded(), "linux should take the mmap path");
         }
         assert!(s.canary_ok());
         assert_eq!(s.top() % 16, 0);

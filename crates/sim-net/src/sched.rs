@@ -287,13 +287,15 @@ pub fn host_cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
 }
 
-/// `min(host cores, n)` clamped to at least 2 — the default pool size
-/// for an `n`-process job. The default keeps two permits even on one-core
-/// hosts so a blocking request and the peer that satisfies it can always
-/// interleave without waiting out a yield streak; pass an explicit
-/// `workers = 1` (see [`MIN_WORKERS`]) for deterministic replay.
-pub fn default_workers(n: usize) -> usize {
-    host_cores().min(n.max(1)).max(2)
+/// `min(cores, n)`, at least 1 — the default pool size for an `n`-process
+/// job that has `cores` cores to itself: one run permit per core it can
+/// use, never more permits than processes. A standalone job
+/// (`sim_mpi::JobBuilder::run`) passes [`host_cores`]; the job server
+/// (`workloads::serve`) passes each in-flight job's share of them, so
+/// concurrent jobs do not oversubscribe the host. This is the one default
+/// rule; name `workers = 1` (see [`MIN_WORKERS`]) for deterministic replay.
+pub fn default_workers(n: usize, cores: usize) -> usize {
+    cores.min(n).max(1)
 }
 
 impl Scheduler {
@@ -319,7 +321,7 @@ impl Scheduler {
             ready_entries: AtomicUsize::new(0),
             ready_seq: AtomicU64::new(0),
             running: AtomicUsize::new(0),
-            workers: AtomicUsize::new(default_workers(n)),
+            workers: AtomicUsize::new(default_workers(n, host_cores())),
             peak_running: AtomicUsize::new(0),
             verdict_lock: Mutex::new(()),
             stats,
@@ -1075,6 +1077,22 @@ mod tests {
 
     fn ep(i: usize) -> EndpointId {
         EndpointId(i)
+    }
+
+    #[test]
+    fn default_workers_is_one_permit_per_usable_core() {
+        // A one-process job gets one permit, whatever the core count.
+        assert_eq!(default_workers(1, 1), 1);
+        assert_eq!(default_workers(1, 8), 1);
+        // A one-core share gets one permit, whatever the job size.
+        assert_eq!(default_workers(512, 1), 1);
+        // More cores than processes: one permit per process.
+        assert_eq!(default_workers(3, 8), 3);
+        // More processes than cores: one permit per core.
+        assert_eq!(default_workers(8, 2), 2);
+        // Degenerate inputs still yield a runnable pool.
+        assert_eq!(default_workers(0, 4), 1);
+        assert_eq!(default_workers(4, 0), 1);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use super::spec::{CrashFault, JobSpec, LayoutSpec, SpecError, WorkloadKind};
 use crate::campaign::{case_spec, CampaignConfig, FaultDistribution};
 use crate::nas::NasKernel;
 use sim_mpi::{JobReport, ProcessOutcome};
+use sim_net::sched::{default_workers, host_cores};
 use sim_net::{NetFaultConfig, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -356,14 +357,27 @@ impl JobRecord {
     }
 }
 
-/// Compile `spec` and run it to completion on the calling thread; returns
-/// the raw job report and the host seconds the run took. This is the single
-/// execution path: [`run_job`] (and through it the concurrent server, the
-/// isolation tests' solo references, the bench driver and the fault
-/// campaign's crash and lossy cases) goes through it — sharing it is what
-/// makes "bit-identical to the same job run alone" a meaningful comparison.
+/// Compile `spec` and run it to completion on the calling thread, as the
+/// only job on the host; returns the raw job report and the host seconds the
+/// run took. This is the single execution path: [`run_job`] (and through it
+/// the isolation tests' solo references, the bench driver and the fault
+/// campaign's crash and lossy cases) goes through it, and so does the
+/// concurrent server, on each job's share of the cores ([`serve`]) —
+/// sharing it is what makes "bit-identical to the same job run alone" a
+/// meaningful comparison.
 pub fn run_spec(spec: &JobSpec) -> Result<(JobReport<f64>, f64), SpecError> {
-    let builder = spec.compile()?;
+    run_on(spec, host_cores())
+}
+
+/// [`run_spec`] for a job that has `cores` of the host's cores to itself: a
+/// spec that names no `workers` runs with [`default_workers`]`(physical
+/// processes, cores)` run permits; one that names them gets what it asked for.
+fn run_on(spec: &JobSpec, cores: usize) -> Result<(JobReport<f64>, f64), SpecError> {
+    let mut builder = spec.compile()?;
+    if spec.workers.is_none() {
+        let physical = builder.physical_processes();
+        builder = builder.workers(default_workers(physical, cores));
+    }
     let app = spec.app();
     let started = Instant::now();
     let report = builder.run(move |p| (app)(p));
@@ -471,6 +485,11 @@ pub struct ServeSummary {
 /// is streamed in completion order. The sink runs on the calling thread.
 /// Nothing in this loop panics on malformed input — validation happened at
 /// parse time and job-level failures become [`JobStatus`] values.
+///
+/// Cores go to jobs: a job whose spec names no `workers` runs with
+/// [`default_workers`]`(physical processes, max(1, host cores / in
+/// flight))` run permits, its share of the host, so the jobs in flight do
+/// not oversubscribe it; a job that names `workers` gets what it asked for.
 pub fn serve<F: FnMut(ServeEvent)>(
     submissions: Vec<Submission>,
     config: ServeConfig,
@@ -489,25 +508,27 @@ pub fn serve<F: FnMut(ServeEvent)>(
         }
     }
     let jobs = queue.len();
-    let workers = config.max_concurrent.max(1).min(jobs.max(1));
+    let in_flight = config.max_concurrent.max(1).min(jobs.max(1));
+    let share = (host_cores() / in_flight).max(1);
     let queue = Arc::new(Mutex::new(queue));
     let (tx, rx) = mpsc::channel::<Box<JobRecord>>();
-    let mut carriers = Vec::with_capacity(workers);
-    for _ in 0..workers {
+    let mut carriers = Vec::with_capacity(in_flight);
+    for _ in 0..in_flight {
         let queue = Arc::clone(&queue);
         let tx = tx.clone();
         carriers.push(std::thread::spawn(move || loop {
             let next = queue.lock().expect("serve queue lock").pop_front();
             let Some((seq, spec)) = next else { break };
             // The spec was validated (and compiled once) at parse time, so
-            // run_job cannot fail here; keep the loop panic-free anyway.
-            match run_job(&spec, seq) {
-                Ok(record) => {
-                    if tx.send(Box::new(record)).is_err() {
-                        break;
-                    }
-                }
-                Err(_) => break,
+            // run_on cannot fail here; keep the loop panic-free anyway.
+            let Ok((report, latency_s)) = run_on(&spec, share) else {
+                break;
+            };
+            // The record echoes the spec as submitted; its `workers` field
+            // reports the permits the job ran with.
+            let record = JobRecord::from_report(&spec, &report, seq, latency_s);
+            if tx.send(Box::new(record)).is_err() {
+                break;
             }
         }));
     }

@@ -172,7 +172,10 @@ pub struct JobSpec {
     /// runs on coroutine stacks.
     pub carrier_mode: Option<CarrierMode>,
     /// Scheduler worker-pool size override; `Some(1)` makes the job an
-    /// exact-deterministic replay.
+    /// exact-deterministic replay. `None` takes
+    /// [`sim_net::sched::default_workers`]: of all the host's cores when the
+    /// job runs alone, of its share of them (host cores / jobs in flight)
+    /// when [`super::serve`] runs it beside others.
     pub workers: Option<usize>,
     /// Job seed, echoed in the report and used as the default net-fault
     /// policy seed.
