@@ -109,7 +109,7 @@ def main():
     top, total = int(args[1]) if len(args) > 1 else 25, len(samples)
     if "--json" in flags:
         def rows(counter, key, limit):
-            return [{key: name, "samples_per_pass": round(n / passes, 1), "share": round(n / total, 4)}
+            return [{key: name, "samples_per_pass": round(n / passes, 3), "share": round(n / total, 4)}
                     for name, n in counter.most_common(limit)]
         doc = dict(labels)
         doc.update({
