@@ -36,8 +36,9 @@ impl ProtocolFactory for SdrFactory {
         self.map.physical_processes()
     }
 
-    fn build(&self, endpoint: EndpointId, _app_ranks: usize) -> Box<dyn Protocol> {
-        Box::new(SdrProtocol::new(endpoint, Arc::clone(&self.map), self.cfg))
+    fn build(&self, endpoint: EndpointId, _app_ranks: usize, lossy: bool) -> Box<dyn Protocol> {
+        let proto = SdrProtocol::new(endpoint, Arc::clone(&self.map), self.cfg);
+        Box::new(proto.on_transport(lossy))
     }
 
     fn name(&self) -> &str {
@@ -110,10 +111,10 @@ mod tests {
         );
         assert_eq!(f.physical_processes(8), 16);
         assert_eq!(f.name(), "sdr-mpi");
-        let p = f.build(EndpointId(11), 8);
+        let p = f.build(EndpointId(11), 8, false);
         assert_eq!(p.app_rank(), 3);
         assert_eq!(p.replica_id(), 1);
-        let p0 = f.build(EndpointId(3), 8);
+        let p0 = f.build(EndpointId(3), 8, false);
         assert_eq!(p0.replica_id(), 0, "replica 0 reports the job's results");
     }
 
@@ -504,7 +505,7 @@ mod tests {
         let rounds = 8u64;
         let report = replicated_job(2, ReplicationConfig::dual())
             .network(fast())
-            .net_faults(NetFaultConfig::lossy_links(), 0x10551_1105)
+            .net_faults(NetFaultConfig::lossy_links(), 0x1_0551_1105)
             .run(move |p| {
                 let world = p.world();
                 let peer = 1 - p.rank();
@@ -677,7 +678,7 @@ mod tests {
         let t_repl = replicated.elapsed.as_secs_f64();
         let overhead = (t_repl - t_native) / t_native;
         assert!(
-            overhead >= -0.01 && overhead < 0.25,
+            (-0.01..0.25).contains(&overhead),
             "overhead {overhead} out of the expected range (native {t_native}s, replicated {t_repl}s)"
         );
     }

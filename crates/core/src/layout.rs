@@ -166,6 +166,7 @@ impl ReplicaMap {
     }
 
     /// Replication degree of one logical rank (≥ 1).
+    #[inline]
     pub fn degree_of(&self, rank: Rank) -> usize {
         if self.slot[rank] == UNREPLICATED {
             1
@@ -190,6 +191,7 @@ impl ReplicaMap {
     }
 
     /// The physical process playing `rank` in replica slot `replica`.
+    #[inline]
     pub fn endpoint(&self, rank: Rank, replica: usize) -> EndpointId {
         assert!(
             rank < self.ranks && replica < self.degree_of(rank),
@@ -205,6 +207,7 @@ impl ReplicaMap {
     }
 
     /// The (rank, replica) identity of a physical process.
+    #[inline]
     pub fn locate(&self, endpoint: EndpointId) -> (Rank, usize) {
         let e = endpoint.0;
         let Some(&(rank, replica)) = self.located.get(e) else {
@@ -214,6 +217,7 @@ impl ReplicaMap {
     }
 
     /// The logical rank of a physical process.
+    #[inline]
     pub fn rank_of(&self, endpoint: EndpointId) -> Rank {
         self.locate(endpoint).0
     }

@@ -2,13 +2,12 @@
 //! the ack path.
 
 use super::SdrProtocol;
-use sim_mpi::pml::Pml;
-use sim_mpi::MpiError;
+use sim_mpi::{Action, MpiError};
 use sim_net::FailureEvent;
 
 impl SdrProtocol {
     /// Algorithm 1, `upon failure of p^rep_rank`.
-    pub(super) fn handle_failure(&mut self, pml: &mut Pml, ev: FailureEvent) {
+    pub(super) fn handle_failure(&mut self, ev: FailureEvent, out: &mut Vec<Action>) {
         if ev.endpoint.0 >= self.alive.len() || !self.alive[ev.endpoint.0] {
             return; // unknown or already handled
         }
@@ -56,8 +55,14 @@ impl SdrProtocol {
                             continue;
                         }
                         if entry.acks_received & bit == 0 {
-                            let (comm, tag, aux) = (entry.comm, entry.tag, entry.seq as i64);
-                            pml.isend(target, comm, tag, aux, entry.payload.clone());
+                            out.push(Action::Send {
+                                dst: target,
+                                comm: entry.comm,
+                                tag: entry.tag,
+                                aux: entry.seq as i64,
+                                payload: entry.payload.clone(),
+                                log: None,
+                            });
                         }
                         // Delivery is now guaranteed over our own reliable
                         // channel; stop waiting for that ack.
@@ -90,10 +95,16 @@ impl SdrProtocol {
                     entry.acks_expected &= !(1 << failed_rep);
                 }
             }
-            // Redirect pending receives that were expecting the dead process.
-            let pending = pml.pending_recvs_from(ev.endpoint);
-            for pml_req in pending {
-                pml.redirect_recv(pml_req, Some(new_src));
+            // Redirect pending receives that were expecting the dead process,
+            // in posting order: a redirect can match a queued message at once.
+            let mut pending: Vec<_> = (self.recvs.iter_mut().flatten())
+                .filter(|e| !e.delivered && e.posted.0 == Some(ev.endpoint))
+                .map(|e| (e.posted.1, &mut e.posted.0, e.req))
+                .collect();
+            pending.sort_unstable_by_key(|&(at, ..)| at);
+            for (_, src, req) in pending {
+                *src = Some(new_src);
+                out.push(Action::Redirect { req, src: *src });
             }
         }
         self.collect_send_log_garbage();
@@ -106,71 +117,5 @@ impl SdrProtocol {
     /// replicas; a `FIN_ACK` acks many entries at once).
     pub(super) fn collect_send_log_garbage(&mut self) {
         self.sends.remove_where(|e| e.app_freed && e.fully_acked());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::config::ReplicationConfig;
-    use crate::layout::ReplicaMap;
-    use crate::protocol::tests::{pml_for, uniform};
-    use crate::protocol::SdrProtocol;
-    use sim_mpi::{MpiError, Protocol};
-    use sim_net::{EndpointId, SimTime};
-    use std::sync::Arc;
-
-    #[test]
-    fn losing_a_singleton_rank_aborts_promptly_with_degree_one() {
-        let map = Arc::new(ReplicaMap::partial(2, &[0]).unwrap());
-        let mut pml = pml_for(2, 3);
-        let mut proto = SdrProtocol::new(EndpointId(2), map, ReplicationConfig::dual());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            proto.handle_event(
-                &mut pml,
-                sim_mpi::PmlEvent::ProcessFailed(sim_net::FailureEvent {
-                    endpoint: EndpointId(1),
-                    at: SimTime::ZERO,
-                }),
-            );
-        }));
-        let err = result.expect_err("a singleton crash is unsurvivable");
-        let mpi_err = err
-            .downcast_ref::<MpiError>()
-            .expect("panic payload is an MpiError");
-        assert_eq!(*mpi_err, MpiError::RankLost { rank: 1, degree: 1 });
-    }
-
-    #[test]
-    fn losing_every_replica_of_a_rank_aborts_with_clear_error() {
-        let mut pml = pml_for(0, 4);
-        let mut proto = uniform(0, 2, ReplicationConfig::dual());
-        // First failure of rank 1 elects the other replica as substitute.
-        proto.handle_event(
-            &mut pml,
-            sim_mpi::PmlEvent::ProcessFailed(sim_net::FailureEvent {
-                endpoint: EndpointId(1),
-                at: SimTime::ZERO,
-            }),
-        );
-        // Second failure leaves rank 1 with no replica: clear abort.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            proto.handle_event(
-                &mut pml,
-                sim_mpi::PmlEvent::ProcessFailed(sim_net::FailureEvent {
-                    endpoint: EndpointId(3),
-                    at: SimTime::ZERO,
-                }),
-            );
-        }));
-        let err = result.expect_err("losing every replica must abort");
-        let mpi_err = err
-            .downcast_ref::<MpiError>()
-            .expect("panic payload is an MpiError");
-        assert_eq!(
-            *mpi_err,
-            MpiError::RankLost { rank: 1, degree: 2 },
-            "error names the lost rank"
-        );
-        assert!(mpi_err.to_string().contains("rank 1"));
     }
 }

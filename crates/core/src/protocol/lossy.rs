@@ -2,16 +2,15 @@
 //! the transport may drop, duplicate or delay frames — acks widened to the
 //! direct targets and sent at receipt, wire-sequence records, the
 //! retransmission timer, `ACK_PROBE`, the re-ack of duplicates, `FIN_ACK`
-//! and the finalize drain. Each entry point reads [`Pml::lossy_transport`]
-//! itself and leaves a reliable transport's traffic as Algorithm 1 has it,
-//! so the fast path never tests the transport.
+//! and the finalize drain. Each entry point reads the transport fact the
+//! protocol was built with ([`SdrProtocol::on_transport`]) and leaves a
+//! reliable transport's traffic as Algorithm 1 has it, so the fast path
+//! never tests the transport.
 
 use super::{ctl, SdrProtocol, SendEntry};
 use crate::config::AckOn;
 use crate::layout::ReplicaMask;
-use bytes::Bytes;
-use sim_mpi::pml::Pml;
-use sim_mpi::{Protocol, Rank};
+use sim_mpi::{Action, Rank};
 use sim_net::stats::class;
 use sim_net::{EndpointId, SimTime};
 
@@ -44,12 +43,19 @@ const RETX_MAX_ATTEMPTS: u32 = 32;
 const RETX_REAL_BACKOFF_ATTEMPTS: u32 = 8;
 
 impl SdrProtocol {
+    /// The same protocol over a transport that may drop, duplicate or delay
+    /// frames when `lossy` is set: a fact of the fabric, fixed for the run.
+    pub fn on_transport(mut self, lossy: bool) -> Self {
+        self.masks_loss = lossy;
+        self
+    }
+
     /// The replicas of a sender's rank that acknowledge its message, as a
     /// mask: the *other* replicas than the direct sender `direct` (the
     /// crossed-ack topology of Algorithm 1) — and under loss the direct
     /// sender too, which must detect a dropped direct delivery itself.
-    pub(super) fn ack_targets(pml: &Pml, direct: usize) -> ReplicaMask {
-        if pml.lossy_transport() {
+    pub(super) fn ack_targets(&self, direct: usize) -> ReplicaMask {
+        if self.masks_loss {
             ReplicaMask::MAX
         } else {
             !(1 << direct)
@@ -60,29 +66,28 @@ impl SdrProtocol {
     /// the deferred (AppWait) and disabled (Never) ablations would let the
     /// sender's retransmission timer fire on messages that were in fact
     /// delivered.
-    pub(super) fn ack_timing(&self, pml: &Pml) -> AckOn {
-        if pml.lossy_transport() {
+    pub(super) fn ack_timing(&self) -> AckOn {
+        if self.masks_loss {
             AckOn::RecvComplete
         } else {
             self.cfg.ack_on
         }
     }
 
-    /// Record the wire sequence of a direct send, so a retransmission can
-    /// replay it under the same sequence.
-    pub(super) fn note_wire_send(pml: &Pml, entry: &mut SendEntry, sent: (EndpointId, u64)) {
-        if pml.lossy_transport() {
-            entry.wire_sends.push(sent);
-        }
+    /// Under loss, the send log wants the wire sequence of each direct send
+    /// of entry `id` back, so a retransmission can replay it under the same
+    /// sequence.
+    pub(super) fn wire_log(&self, id: u64) -> Option<u64> {
+        self.masks_loss.then_some(id)
     }
 
     /// Under loss, send-log entry `id` waits for *every* live replica of the
     /// destination rank, less those a peer's `FIN_ACK` already covers (the
     /// peer exited after its counterpart sent, and it received, this
     /// sequence), and arms its retransmission timer unless nothing is left
-    /// to wait for.
-    pub(super) fn cover_send(&mut self, pml: &mut Pml, id: u64, entry: &mut SendEntry) {
-        if !pml.lossy_transport() {
+    /// to wait for. The timer counts from the clock after the direct sends.
+    pub(super) fn cover_send(&self, id: u64, entry: &mut SendEntry, out: &mut Vec<Action>) {
+        if !self.masks_loss {
             return;
         }
         for rep in 0..self.map.degree_of(entry.dst_rank) {
@@ -97,21 +102,26 @@ impl SdrProtocol {
             }
         }
         if !entry.fully_acked() {
-            let deadline = pml.now().saturating_add(SimTime::from_nanos(RETX_BASE_NS));
-            Self::arm_retx_timer(pml, id, deadline);
+            out.push(Self::retx_timer(
+                id,
+                SimTime::from_nanos(RETX_BASE_NS),
+                true,
+            ));
         }
     }
 
-    /// Arm (or re-arm) the retransmission timer for send-log entry `id`: a
-    /// self-addressed CONTROL message whose virtual arrival is the timeout
-    /// deadline. A send ingests before it returns, so the timer is queued in
-    /// this process's own inbox immediately — a process with an unacked send can
-    /// therefore never be judged quiescent, which is what keeps deadlock
-    /// detection exact under message loss (DESIGN.md §5.5).
-    fn arm_retx_timer(pml: &mut Pml, id: u64, deadline: SimTime) {
-        let me = pml.endpoint_id();
+    /// The retransmission timer of send-log entry `id`, due at `at` (after
+    /// the clock, `from_clock`). A timer is queued in this process's own
+    /// inbox, so a process with an unacked send can never be judged
+    /// quiescent, which is what keeps deadlock detection exact under message
+    /// loss (DESIGN.md §5.5).
+    fn retx_timer(id: u64, at: SimTime, from_clock: bool) -> Action {
         let header = ctl::header(ctl::RETX_TIMER, id, 0);
-        pml.send_control_at(me, class::CONTROL, header, Bytes::new(), deadline);
+        Action::Timer {
+            header,
+            at,
+            from_clock,
+        }
     }
 
     /// A retransmission timer fired for send-log entry `id` at virtual time
@@ -119,7 +129,7 @@ impl SdrProtocol {
     /// missing one — replay the payload on direct links (same wire sequence,
     /// so the receiver's window dedups it), probe cross replicas reliably —
     /// and re-arm the timer with doubled backoff.
-    pub(super) fn handle_retx_timer(&mut self, pml: &mut Pml, id: u64, now: SimTime) {
+    pub(super) fn handle_retx_timer(&mut self, id: u64, now: SimTime, out: &mut Vec<Action>) {
         let Some(entry) = self.sends.get_mut(id) else {
             return; // already acked and collected: stale timer
         };
@@ -135,49 +145,50 @@ impl SdrProtocol {
         // process earlier in virtual time. Without this, a process whose
         // inbox the timer keeps warm never parks and never yields, starving
         // the very peers whose acknowledgements would cancel the timer while
-        // the attempt counter races to its cap (DESIGN.md §5.5).
-        pml.wait_until(now);
-        // The boundary above yields only within the scheduler's permit pool.
-        // A peer executing concurrently under *another* permit may still be
-        // waiting for physical CPU while this process — whose timer pops
-        // cost nanoseconds of real time each — races through backoff rounds:
-        // give the OS a scheduling point every attempt, and once attempts
-        // pile up, a short real sleep, so acknowledgements already emitted
-        // get physical time to arrive before the attempt cap can be reached.
-        // When ours is the only permit in circulation nobody can run while
-        // we wait, so there is nothing to wait for (DESIGN.md §5.5).
-        if !pml.endpoint().runs_alone() {
-            pml.endpoint().fabric().stats().record_retx_real_wait();
-            std::thread::yield_now();
-            if attempts >= RETX_REAL_BACKOFF_ATTEMPTS {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
+        // the attempt counter races to its cap (DESIGN.md §5.5). Once
+        // attempts pile up, the wait also naps in real time while another
+        // run permit is in circulation.
+        let sleep = attempts >= RETX_REAL_BACKOFF_ATTEMPTS;
+        out.push(Action::WaitUntil { at: now, sleep });
+        if attempts > RETX_MAX_ATTEMPTS {
+            out.push(Action::Abort(format!(
+                "send to rank {} seq {} still unacked after {} retransmission timeouts",
+                entry.dst_rank, entry.seq, RETX_MAX_ATTEMPTS,
+            )));
+            return;
         }
-        assert!(
-            attempts <= RETX_MAX_ATTEMPTS,
-            "send to rank {} seq {} still unacked after {} retransmission timeouts",
-            entry.dst_rank,
-            entry.seq,
-            RETX_MAX_ATTEMPTS,
-        );
         let missing = entry.acks_expected & !entry.acks_received;
         let entry = self.sends.get(id).expect("looked up above");
         let (dst_rank, comm, tag, seq) = (entry.dst_rank, entry.comm, entry.tag, entry.seq);
         for rep in (0..self.map.degree_of(dst_rank)).filter(|rep| missing & (1 << rep) != 0) {
-            let target = self.map.endpoint(dst_rank, rep);
-            if !self.is_alive(target) {
+            let dst = self.map.endpoint(dst_rank, rep);
+            if !self.is_alive(dst) {
                 continue;
             }
-            if let Some(&(_, wire_seq)) = entry.wire_sends.iter().find(|(e, _)| *e == target) {
-                let payload = entry.payload.clone();
-                pml.resend_app(target, comm, tag, seq as i64, wire_seq, payload);
-            } else {
-                let header = ctl::header(ctl::ACK_PROBE, self.my_rank as u64, seq);
-                pml.send_control_at(target, class::CONTROL, header, Bytes::new(), now);
-            }
+            out.push(match entry.wire_sends.iter().find(|(e, _)| *e == dst) {
+                Some(&(_, wire_seq)) => Action::Resend {
+                    dst,
+                    comm,
+                    tag,
+                    aux: seq as i64,
+                    wire_seq,
+                    payload: entry.payload.clone(),
+                },
+                None => Self::control(dst, ctl::ACK_PROBE, self.my_rank as u64, seq, now),
+            });
         }
         let backoff = SimTime::from_nanos(RETX_BASE_NS << (attempts - 1).min(16));
-        Self::arm_retx_timer(pml, id, now.saturating_add(backoff));
+        out.push(Self::retx_timer(id, now.saturating_add(backoff), false));
+    }
+
+    /// A CONTROL-class frame of `kind` with arguments `a` and `b`.
+    fn control(dst: EndpointId, kind: i64, a: u64, b: u64, not_before: SimTime) -> Action {
+        Action::Control {
+            dst,
+            class: class::CONTROL,
+            header: ctl::header(kind, a, b),
+            not_before,
+        }
     }
 
     /// A peer probes whether application sequence `seq` from `sender_rank`
@@ -186,20 +197,18 @@ impl SdrProtocol {
     /// terminates regardless of the fault rates on the ACK class.
     pub(super) fn handle_ack_probe(
         &self,
-        pml: &mut Pml,
         prober: EndpointId,
         sender_rank: Rank,
         seq: u64,
         arrival: SimTime,
+        out: &mut Vec<Action>,
     ) {
         if self.peers[sender_rank].recv_seen.seen(seq) {
-            let header = ctl::header(ctl::ACK, seq, 0);
-            pml.send_control_at(prober, class::CONTROL, header, Bytes::new(), arrival);
+            out.push(Self::control(prober, ctl::ACK, seq, 0, arrival));
         }
         // Not seen yet: our own direct sender's retransmission timer is in
         // charge of getting the payload here; we will ack on delivery.
     }
-
     /// A peer's finalize-time cumulative acknowledgement: `acker` (a replica
     /// of rank `rank_of(acker)`) has received everything this rank ever sent
     /// it below `upto`. Acks every matching live entry and is remembered for
@@ -225,36 +234,44 @@ impl SdrProtocol {
     /// Under loss its sender evidently missed our acknowledgement: re-emit
     /// it. (On a reliable transport a duplicate is a post-failure re-send,
     /// and the substitute expects no ack for it.)
-    pub(super) fn reack_duplicate(&self, pml: &mut Pml, src: EndpointId, seq: u64, at: SimTime) {
-        if pml.lossy_transport() {
+    pub(super) fn reack_duplicate(
+        &self,
+        src: EndpointId,
+        seq: u64,
+        at: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        if self.masks_loss {
             let (src_rank, src_replica) = self.map.locate(src);
-            self.send_acks_for(pml, src_rank, src_replica, seq, at);
+            self.send_acks_for(src_rank, src_replica, seq, at, out);
         }
     }
 
-    /// `MPI_Finalize` under loss, two steps (DESIGN.md §5.5). A reliable
-    /// transport has nothing to settle.
-    pub(super) fn fin_ack_and_drain(&mut self, pml: &mut Pml) {
-        if !pml.lossy_transport() {
+    /// `MPI_Finalize` under loss, two steps (DESIGN.md §5.5); the driver
+    /// gives `Finalize` again after each drain. A reliable transport has
+    /// nothing to settle.
+    pub(super) fn fin_ack_and_drain(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        if !self.masks_loss {
             return;
         }
-        // 1. Emit cumulative acknowledgements on the reliable CONTROL class.
-        //    At finalize this process has received *everything* any peer will
-        //    ever send it (the app completed all its receives, and the wire
-        //    window admits no gaps), so one `upto` per sender rank covers
-        //    every per-message ack a fault may have eaten — senders can
-        //    complete even after we exit.
-        let me = pml.endpoint_id();
-        for src_rank in 0..self.map.ranks() {
-            let upto = self.peers[src_rank].recv_seen.next_expected();
-            if upto == 0 {
-                continue;
-            }
-            for rep in 0..self.map.degree_of(src_rank) {
-                let target = self.map.endpoint(src_rank, rep);
-                if target != me && self.is_alive(target) {
-                    let header = ctl::header(ctl::FIN_ACK, upto, 0);
-                    pml.send_control_at(target, class::CONTROL, header, Bytes::new(), pml.now());
+        // 1. Emit cumulative acknowledgements on the reliable CONTROL class,
+        //    once. At finalize this process has received *everything* any
+        //    peer will ever send it (the app completed all its receives, and
+        //    the wire window admits no gaps), so one `upto` per sender rank
+        //    covers every per-message ack a fault may have eaten — senders
+        //    can complete even after we exit.
+        if !std::mem::replace(&mut self.fin_sent, true) {
+            let me = self.map.endpoint(self.my_rank, self.my_replica);
+            for src_rank in 0..self.map.ranks() {
+                let upto = self.peers[src_rank].recv_seen.next_expected();
+                if upto == 0 {
+                    continue;
+                }
+                for rep in 0..self.map.degree_of(src_rank) {
+                    let target = self.map.endpoint(src_rank, rep);
+                    if target != me && self.is_alive(target) {
+                        out.push(Self::control(target, ctl::FIN_ACK, upto, 0, now));
+                    }
                 }
             }
         }
@@ -262,15 +279,8 @@ impl SdrProtocol {
         //    probe responses, peers' FIN_ACKs) until every entry is fully
         //    acknowledged — exiting earlier would strand a receiver whose
         //    copy of a payload was dropped.
-        while self.sends.iter().any(|e| !e.fully_acked()) {
-            match pml.progress_blocking("SDR-MPI finalize: draining unacked send log", false) {
-                Ok(events) => {
-                    for ev in events {
-                        self.handle_event(pml, ev);
-                    }
-                }
-                Err(err) => std::panic::panic_any(err),
-            }
+        if self.sends.iter().any(|e| !e.fully_acked()) {
+            out.push(Action::Drain("SDR-MPI finalize: draining unacked send log"));
         }
     }
 }

@@ -18,6 +18,10 @@
 //! that divergence ever being observable in the messages they send
 //! (Section 3.1 of the paper).
 //!
+//! The protocol is a state machine: it takes one [`Input`] at a time and
+//! appends the [`Action`]s it implies for `sim_mpi`'s driver to run against
+//! the PML, so its state is a value that can be cloned and compared.
+//!
 //! This file is the fast path: the state, the send fan-out, the choice of
 //! receive source, ack emission and registration, completion and free. Each
 //! slow path has a file: loss masking (DESIGN.md §5.5) and the `upon failure`
@@ -28,8 +32,10 @@
 use crate::config::{AckOn, ReplicationConfig};
 use crate::layout::{ReplicaMap, ReplicaMask};
 use bytes::Bytes;
-use sim_mpi::pml::{Pml, PmlEvent};
-use sim_mpi::{CommId, PmlReqId, ProtoRecvReq, ProtoSendReq, Protocol, Rank, Status, Tag, TagSel};
+use sim_mpi::matching::IncomingMsg;
+use sim_mpi::{
+    Action, CommId, Input, ProtoRecvReq, ProtoSendReq, Protocol, Rank, Request, Tag, TagSel,
+};
 use sim_net::stats::class;
 use sim_net::{EndpointId, SimTime};
 use std::collections::{BTreeSet, VecDeque};
@@ -70,7 +76,7 @@ pub mod ctl {
 /// Tracks which application-level sequence numbers have already been delivered
 /// from one sender rank, so duplicates created by post-failure re-sends can be
 /// dropped.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SeqTracker {
     next_expected: u64,
     /// Delivered sequences above a gap; allocated on the first one (a
@@ -113,7 +119,7 @@ impl SeqTracker {
 
 /// One send-log entry. The fields an acknowledgement reads and writes come
 /// first, in declaration order, so the ack path touches one cache line.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(C)]
 struct SendEntry {
     dst_rank: Rank,
@@ -154,7 +160,7 @@ impl SendEntry {
 /// (the failure handler re-sends by iterating it). A send-request id is the
 /// entry's position in the ring plus `base`, the id of the ring's front; a
 /// removed entry leaves a hole until every entry ahead of it is gone too.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct SendLog {
     base: u64,
     ring: VecDeque<Option<SendEntry>>,
@@ -245,31 +251,29 @@ impl SendLog {
 }
 
 /// Protocol-side state of one posted receive, at its PML slot's index.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct RecvEntry {
-    /// The PML request, current generation included.
-    req: PmlReqId,
+    /// The request, current generation included.
+    req: ProtoRecvReq,
     /// The posted filter, kept to re-arm the receive after a duplicate.
     src_rank: Option<Rank>,
     comm: CommId,
     tag: TagSel,
+    /// The physical source the PML matches the receive against, and when
+    /// it was (re-)posted: a failure redirects the receives of the dead
+    /// source in posting order.
+    posted: (Option<EndpointId>, u64),
     /// A non-duplicate message has completed at the library level.
     delivered: bool,
     /// The [`AckOn::AppWait`] ablation acknowledges the message when the
     /// application takes it.
     ack_deferred: bool,
-    /// Acknowledgement-emission CPU time that was spent while this process's
-    /// clock was still behind the message's arrival. It is re-applied when the
-    /// application completes the receive, so that the reception processing
-    /// (match + ack emission) shows up on the critical path exactly as it does
-    /// in a library without asynchronous progress.
-    post_arrival_cost: SimTime,
 }
 
 /// An acknowledgement that raced ahead of the local send it acknowledges
 /// (replicas may skew): who acked `(dst_rank, seq)` and the latest arrival
 /// among them.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct EarlyAck {
     dst_rank: Rank,
     seq: u64,
@@ -278,7 +282,7 @@ struct EarlyAck {
 }
 
 /// Everything the protocol keeps per application rank, in one cache line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(align(64))]
 struct Peer {
     /// Next application sequence of a send to this rank.
@@ -298,11 +302,16 @@ struct Peer {
     live: ReplicaMask,
 }
 
-/// The per-physical-process SDR-MPI protocol instance.
-#[derive(Debug)]
+/// The per-physical-process SDR-MPI protocol instance. Two instances are
+/// equal when their states are; the shared map compares by pointer first
+/// (`Arc` does, for an `Eq` content).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdrProtocol {
     map: Arc<ReplicaMap>,
     cfg: ReplicationConfig,
+    /// The fabric may drop, duplicate or delay frames: loss masking is on
+    /// (see `SdrProtocol::ack_targets` and the rest of that file).
+    masks_loss: bool,
     my_rank: Rank,
     my_replica: usize,
 
@@ -323,6 +332,8 @@ pub struct SdrProtocol {
     sends: SendLog,
     /// Posted receives, at their PML slot's index.
     recvs: Vec<Option<RecvEntry>>,
+    /// Receives posted so far (each [`RecvEntry::posted`] stamp).
+    posts: u64,
     early_acks: Vec<EarlyAck>,
     /// Cumulative pre-acknowledgements from peers' `FIN_ACK` notices, per
     /// acker endpoint (empty until the first): `upto` means the acker has
@@ -331,6 +342,8 @@ pub struct SdrProtocol {
     /// replica-skew case where a slow replica posts a send after its fast
     /// counterpart's receiver has already finalized.
     fin_acked: Vec<u64>,
+    /// `MPI_Finalize` has emitted this process's `FIN_ACK`s.
+    fin_sent: bool,
 }
 
 impl SdrProtocol {
@@ -338,6 +351,8 @@ impl SdrProtocol {
     /// lays out. The per-rank routing tables come straight from the map's
     /// routing rule ([`ReplicaMap::direct_src`] / [`ReplicaMap::direct_dests`]);
     /// on uniform maps this is the paper's "replica `k` talks to replica `k`".
+    /// The transport is reliable unless [`SdrProtocol::on_transport`] says
+    /// otherwise.
     pub fn new(endpoint: EndpointId, map: Arc<ReplicaMap>, cfg: ReplicationConfig) -> Self {
         assert!(
             map.max_degree() <= ReplicaMask::BITS as usize,
@@ -361,6 +376,7 @@ impl SdrProtocol {
         SdrProtocol {
             map,
             cfg,
+            masks_loss: false,
             my_rank,
             my_replica,
             peers,
@@ -368,18 +384,31 @@ impl SdrProtocol {
             alive: vec![true; physical],
             sends: SendLog::new(),
             recvs: Vec::new(),
+            posts: 0,
             early_acks: Vec::new(),
             fin_acked: Vec::new(),
+            fin_sent: false,
         }
     }
 
+    /// The application sequence of the next send to rank `dst`.
+    pub fn send_seq(&self, dst: Rank) -> u64 {
+        self.peers[dst].send_seq
+    }
+
+    /// The stamp of the next receive posting.
+    fn next_post(&mut self) -> u64 {
+        self.posts += 1;
+        self.posts - 1
+    }
+
     /// The protocol's entry for PML request `req`, if it is current.
-    fn recv_entry(&self, req: PmlReqId) -> Option<&RecvEntry> {
+    fn recv_entry(&self, req: ProtoRecvReq) -> Option<&RecvEntry> {
         let entry = self.recvs.get(req.0 as u32 as usize)?.as_ref()?;
         (entry.req == req).then_some(entry)
     }
 
-    fn recv_entry_mut(&mut self, req: PmlReqId) -> Option<&mut RecvEntry> {
+    fn recv_entry_mut(&mut self, req: ProtoRecvReq) -> Option<&mut RecvEntry> {
         let entry = self.recvs.get_mut(req.0 as u32 as usize)?.as_mut()?;
         (entry.req == req).then_some(entry)
     }
@@ -402,17 +431,20 @@ impl SdrProtocol {
     /// caught up with the arrival yet.
     fn send_acks_for(
         &self,
-        pml: &mut Pml,
         src_rank: Rank,
         src_rep: usize,
         seq: u64,
         arrival: SimTime,
+        out: &mut Vec<Action>,
     ) {
-        let targets = Self::ack_targets(pml, src_rep) & self.peers[src_rank].live;
+        let targets = self.ack_targets(src_rep) & self.peers[src_rank].live;
         for rep in (0..self.map.degree_of(src_rank)).filter(|rep| targets & (1 << rep) != 0) {
-            let target = self.map.endpoint(src_rank, rep);
-            let header = ctl::header(ctl::ACK, seq, 0);
-            pml.send_control_at(target, class::ACK, header, Bytes::new(), arrival);
+            out.push(Action::Control {
+                dst: self.map.endpoint(src_rank, rep),
+                class: class::ACK,
+                header: ctl::header(ctl::ACK, seq, 0),
+                not_before: arrival,
+            });
         }
     }
 
@@ -455,63 +487,64 @@ impl SdrProtocol {
         // Otherwise the send has already completed and been freed; stale ack.
     }
 
-    fn handle_recv_complete(&mut self, pml: &mut Pml, req: PmlReqId) {
+    fn handle_recv_complete(
+        &mut self,
+        now: SimTime,
+        req: ProtoRecvReq,
+        msg: &IncomingMsg,
+        out: &mut Vec<Action>,
+    ) {
         let Some(entry) = self.recv_entry(req) else {
             // Not one of ours (should not happen: every application receive is
             // registered). Ignore defensively.
             return;
         };
         let (posted_src, comm, tag) = (entry.src_rank, entry.comm, entry.tag);
-        let msg = pml.completed_msg(req).expect("a completed receive");
         let (src, seq, arrival) = (msg.src, msg.aux as u64, msg.arrival);
         let (src_rank, src_replica) = self.map.locate(src);
         if !self.peers[src_rank].recv_seen.record(seq) {
             // Duplicate delivery caused by a post-failure re-send: drop the
             // payload and re-arm the receive with the same filter.
             let src_filter = posted_src.map(|r| self.peers[r].physical_src);
-            self.reack_duplicate(pml, src, seq, arrival);
-            pml.repost_recv(req, src_filter, comm, tag);
+            self.reack_duplicate(src, seq, arrival, out);
+            out.push(Action::Repost {
+                req,
+                src: src_filter,
+                comm,
+                tag,
+            });
+            let posted = (src_filter, self.next_post());
+            self.recv_entry_mut(req).expect("looked up above").posted = posted;
             return;
         }
-        let ack_on = self.ack_timing(pml);
-        let mut post_arrival_cost = SimTime::ZERO;
+        let ack_on = self.ack_timing();
         if ack_on == AckOn::RecvComplete {
             // The paper's design: acknowledge on the library-level
             // irecvComplete event (Algorithm 1, lines 15-17).
-            let before = pml.now();
-            self.send_acks_for(pml, src_rank, src_replica, seq, arrival);
+            self.send_acks_for(src_rank, src_replica, seq, arrival, out);
             // If the ack was emitted while this process was still (virtually)
-            // idle before the message's arrival, the charge above is absorbed
-            // when the clock later synchronises to the arrival; remember it so
-            // the receive completion re-applies it on the critical path.
-            if before < arrival {
-                post_arrival_cost = pml.now() - before;
+            // idle before the message's arrival, the charge is absorbed when
+            // the clock later synchronises to the arrival: the receive
+            // completion re-applies it on the critical path.
+            if now < arrival {
+                out.push(Action::DeferCost { req, since: now });
             }
         }
         // AckOn::Never: no acknowledgement at all (baseline configurations).
         let entry = self.recv_entry_mut(req).expect("looked up above");
         entry.delivered = true;
-        entry.post_arrival_cost = post_arrival_cost;
         entry.ack_deferred = ack_on == AckOn::AppWait;
     }
-}
 
-impl Protocol for SdrProtocol {
-    fn app_rank(&self) -> Rank {
-        self.my_rank
-    }
-
-    fn replica_id(&self) -> usize {
-        self.my_replica
-    }
-
+    /// Algorithm 1, `MPI_Isend` (lines 4-9): send directly to every replica
+    /// in `physicalDests`, expect an ack from every other alive replica.
     fn isend(
         &mut self,
-        pml: &mut Pml,
         dst: Rank,
         comm: CommId,
         tag: Tag,
         payload: Bytes,
+        out: &mut Vec<Action>,
     ) -> ProtoSendReq {
         assert!(
             dst < self.map.ranks(),
@@ -521,7 +554,7 @@ impl Protocol for SdrProtocol {
         let seq = peer.send_seq;
         peer.send_seq += 1;
         let (physical_dests, live) = (peer.physical_dests, peer.live);
-
+        let id = self.sends.next_id();
         let mut entry = SendEntry {
             dst_rank: dst,
             comm,
@@ -535,19 +568,22 @@ impl Protocol for SdrProtocol {
             completion_floor: SimTime::ZERO,
             app_freed: false,
         };
-        // Algorithm 1, MPI_Isend (lines 4-9): send directly to every replica in
-        // physicalDests, expect an ack from every other alive replica. The
-        // payload clones share one allocation (`Bytes` is refcounted), so the
-        // replication degree does not multiply copies.
+        // The payload clones share one allocation (`Bytes` is refcounted),
+        // so the replication degree does not multiply copies.
         for rep in 0..self.map.degree_of(dst) {
             let bit = 1 << rep;
             if live & bit == 0 {
                 continue;
             }
             if physical_dests & bit != 0 {
-                let target = self.map.endpoint(dst, rep);
-                let wire_seq = pml.isend(target, comm, tag, seq as i64, payload.clone());
-                Self::note_wire_send(pml, &mut entry, (target, wire_seq));
+                out.push(Action::Send {
+                    dst: self.map.endpoint(dst, rep),
+                    comm,
+                    tag,
+                    aux: seq as i64,
+                    payload: payload.clone(),
+                    log: self.wire_log(id),
+                });
             } else if self.cfg.ack_on != AckOn::Never {
                 entry.acks_expected |= bit;
             }
@@ -562,95 +598,74 @@ impl Protocol for SdrProtocol {
             entry.acks_received |= early.ackers;
             entry.completion_floor = early.floor;
         }
-        let id = self.sends.next_id();
-        self.cover_send(pml, id, &mut entry);
+        self.cover_send(id, &mut entry, out);
         self.sends.push(entry);
         self.peers[dst].last_send = id;
         ProtoSendReq(id)
     }
 
+    /// Algorithm 1, `MPI_Irecv` (lines 10-11): receive from
+    /// `physicalSrc[rank]`; `MPI_ANY_SOURCE` stays an any-source receive —
+    /// send-determinism makes a leader-decided source unnecessary (Section
+    /// 3.1). The entry sits at the index of the request's slot.
     fn irecv(
         &mut self,
-        pml: &mut Pml,
+        req: ProtoRecvReq,
         src: Option<Rank>,
         comm: CommId,
         tag: TagSel,
-    ) -> ProtoRecvReq {
-        // Algorithm 1, MPI_Irecv (lines 10-11): receive from physicalSrc[rank];
-        // MPI_ANY_SOURCE stays an any-source receive — send-determinism makes a
-        // leader-decided source unnecessary (Section 3.1).
+        out: &mut Vec<Action>,
+    ) {
         let phys_src = src.map(|r| {
             assert!(r < self.map.ranks(), "source rank {r} out of range");
             self.peers[r].physical_src
         });
-        // The protocol-level handle *is* the PML request id, and the entry
-        // sits at the index of the request's slot.
-        let pml_req = pml.irecv(phys_src, comm, tag);
-        let at = pml_req.0 as u32 as usize;
+        out.push(Action::Post {
+            req,
+            src: phys_src,
+            comm,
+            tag,
+        });
+        let at = req.0 as u32 as usize;
         if at >= self.recvs.len() {
             self.recvs.resize_with(at + 1, || None);
         }
         self.recvs[at] = Some(RecvEntry {
-            req: pml_req,
+            req,
             src_rank: src,
             comm,
             tag,
+            posted: (phys_src, self.next_post()),
             delivered: false,
             ack_deferred: false,
-            post_arrival_cost: SimTime::ZERO,
         });
-        ProtoRecvReq(pml_req.0)
     }
 
-    fn send_complete(&mut self, _pml: &mut Pml, req: ProtoSendReq) -> bool {
-        // The direct sends were complete when `isend` returned; what can be
-        // outstanding is the acknowledgements (Algorithm 1, `MPI_Wait`).
-        self.sends.get(req.0).is_none_or(SendEntry::fully_acked)
-    }
-
-    fn recv_complete(&mut self, _pml: &mut Pml, req: ProtoRecvReq) -> bool {
-        self.recv_entry(PmlReqId(req.0)).is_none_or(|e| e.delivered)
-    }
-
-    fn take_recv(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> Option<(Status, Bytes)> {
-        let pml_req = PmlReqId(req.0);
-        if !self.recv_entry(pml_req)?.delivered {
-            return None;
+    fn take_recv(&mut self, req: ProtoRecvReq, msg: &IncomingMsg, out: &mut Vec<Action>) {
+        if !self.recv_entry(req).is_some_and(|e| e.delivered) {
+            return;
         }
-        let entry = self.recvs[pml_req.0 as u32 as usize]
+        let entry = self.recvs[req.0 as u32 as usize]
             .take()
             .expect("checked above");
-        let msg = pml.take_recv(pml_req)?;
-        if !entry.post_arrival_cost.is_zero() {
-            pml.endpoint_mut()
-                .clock_mut()
-                .charge_comm(entry.post_arrival_cost);
-        }
-        let (src_rank, src_replica) = self.map.locate(msg.src);
+        let (source, src_replica) = self.map.locate(msg.src);
+        out.push(Action::Deliver { req, source });
         if entry.ack_deferred {
             // AppWait ablation: acknowledge only now that the application has
             // completed the receive.
-            self.send_acks_for(pml, src_rank, src_replica, msg.aux as u64, msg.arrival);
+            self.send_acks_for(source, src_replica, msg.aux as u64, msg.arrival, out);
         }
-        Some((
-            Status {
-                source: src_rank,
-                tag: msg.tag,
-                len: msg.payload.len(),
-            },
-            msg.payload,
-        ))
     }
 
-    fn free_send(&mut self, pml: &mut Pml, req: ProtoSendReq) {
+    fn free_send(&mut self, now: SimTime, req: ProtoSendReq, out: &mut Vec<Action>) {
         let Some(entry) = self.sends.get_mut(req.0) else {
             return;
         };
         // The application-level send completion (return from MPI_Wait)
         // happens no earlier than the last acknowledgement it waited for.
-        pml.endpoint_mut()
-            .clock_mut()
-            .sync_to(entry.completion_floor);
+        if entry.completion_floor > now {
+            out.push(Action::SyncTo(entry.completion_floor));
+        }
         entry.app_freed = true;
         if entry.fully_acked() {
             self.sends.remove(req.0);
@@ -660,38 +675,88 @@ impl Protocol for SdrProtocol {
         // the last acknowledgement arrives.
     }
 
-    fn handle_event(&mut self, pml: &mut Pml, ev: PmlEvent) {
-        match ev {
-            PmlEvent::RecvCompleted { req } => self.handle_recv_complete(pml, req),
-            // Acks travel on the (faultable) ACK class, every other kind —
-            // and an ack re-emitted for a probe — on the reliable CONTROL
-            // class. Other classes belong to the baselines.
-            PmlEvent::Control {
+    /// A control frame: acks travel on the (faultable) ACK class, every
+    /// other kind — and an ack re-emitted for a probe — on the reliable
+    /// CONTROL class. Other classes belong to the baselines.
+    fn handle_control(
+        &mut self,
+        src: EndpointId,
+        header: [i64; 8],
+        arrival: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        let (a, b) = (header[1] as u64, header[2] as u64);
+        match header[0] {
+            ctl::ACK => self.register_ack(src, a, arrival),
+            ctl::RETX_TIMER => self.handle_retx_timer(a, arrival, out),
+            ctl::ACK_PROBE => self.handle_ack_probe(src, a as usize, b, arrival, out),
+            ctl::FIN_ACK => self.handle_fin_ack(src, a, arrival),
+            _ => {}
+        }
+    }
+}
+
+impl Protocol for SdrProtocol {
+    fn app_rank(&self) -> Rank {
+        self.my_rank
+    }
+
+    fn replica_id(&self) -> usize {
+        self.my_replica
+    }
+
+    fn input(
+        &mut self,
+        now: SimTime,
+        input: Input<'_>,
+        out: &mut Vec<Action>,
+    ) -> Option<ProtoSendReq> {
+        match input {
+            Input::Isend {
+                dst,
+                comm,
+                tag,
+                payload,
+            } => return Some(self.isend(dst, comm, tag, payload, out)),
+            Input::Irecv {
+                req,
+                src,
+                comm,
+                tag,
+            } => self.irecv(req, src, comm, tag, out),
+            Input::Completed { req, msg } => self.handle_recv_complete(now, req, msg, out),
+            Input::Control {
                 src,
                 class: cls,
                 header,
                 arrival,
-                ..
             } if cls == class::ACK || cls == class::CONTROL => {
-                let (a, b) = (header[1] as u64, header[2] as u64);
-                match header[0] {
-                    ctl::ACK => self.register_ack(src, a, arrival),
-                    ctl::RETX_TIMER => self.handle_retx_timer(pml, a, arrival),
-                    ctl::ACK_PROBE => self.handle_ack_probe(pml, src, a as usize, b, arrival),
-                    ctl::FIN_ACK => self.handle_fin_ack(src, a, arrival),
-                    _ => {}
+                self.handle_control(src, header, arrival, out)
+            }
+            Input::Control { .. } => {}
+            Input::Duplicate { src, aux, arrival } => {
+                self.reack_duplicate(src, aux as u64, arrival, out)
+            }
+            Input::Failed(ev) => self.handle_failure(ev, out),
+            Input::Take { req, msg } => self.take_recv(req, msg, out),
+            Input::Free(req) => self.free_send(now, req, out),
+            Input::Sent { log, dst, wire_seq } => {
+                if let Some(entry) = self.sends.get_mut(log) {
+                    entry.wire_sends.push((dst, wire_seq));
                 }
             }
-            PmlEvent::Control { .. } => {}
-            PmlEvent::DuplicateSuppressed {
-                src, aux, arrival, ..
-            } => self.reack_duplicate(pml, src, aux as u64, arrival),
-            PmlEvent::ProcessFailed(ev) => self.handle_failure(pml, ev),
+            Input::Finalize => self.fin_ack_and_drain(now, out),
         }
+        None
     }
 
-    fn finalize(&mut self, pml: &mut Pml) {
-        self.fin_ack_and_drain(pml);
+    fn complete(&self, req: Request) -> bool {
+        match req {
+            // The direct sends were out when `isend` returned; what can be
+            // outstanding is the acknowledgements (Algorithm 1, `MPI_Wait`).
+            Request::Send(s) => self.sends.get(s.0).is_none_or(SendEntry::fully_acked),
+            Request::Recv(r) => self.recv_entry(r).is_none_or(|e| e.delivered),
+        }
     }
 
     fn describe_pending(&self) -> String {
@@ -707,204 +772,5 @@ impl Protocol for SdrProtocol {
 
     fn send_log_len(&self) -> usize {
         self.sends.live
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The protocol of endpoint `endpoint` on the uniform map of `ranks`
-    /// ranks at `cfg.degree`.
-    pub(super) fn uniform(endpoint: usize, ranks: usize, cfg: ReplicationConfig) -> SdrProtocol {
-        let map = Arc::new(ReplicaMap::uniform(ranks, cfg.degree));
-        SdrProtocol::new(EndpointId(endpoint), map, cfg)
-    }
-
-    #[test]
-    fn seq_tracker_in_order() {
-        let mut t = SeqTracker::default();
-        for s in 0..10 {
-            assert!(!t.seen(s));
-            assert!(t.record(s));
-            assert!(t.seen(s));
-        }
-        assert_eq!(t.next_expected(), 10);
-    }
-
-    #[test]
-    fn seq_tracker_detects_duplicates() {
-        let mut t = SeqTracker::default();
-        assert!(t.record(0));
-        assert!(!t.record(0), "duplicate must be rejected");
-        assert!(t.record(1));
-        assert!(!t.record(0));
-        assert!(!t.record(1));
-    }
-
-    #[test]
-    fn seq_tracker_out_of_order_then_compacts() {
-        let mut t = SeqTracker::default();
-        assert!(t.record(2));
-        assert!(t.record(0));
-        assert_eq!(t.next_expected(), 1, "2 is held ahead of the gap");
-        assert!(t.record(1));
-        assert_eq!(t.next_expected(), 3, "filling the gap compacts 2");
-        assert!(!t.record(2));
-        assert!(t.record(3));
-    }
-
-    #[test]
-    fn initial_routing_is_own_replica_set() {
-        let proto = uniform(5, 4, ReplicationConfig::dual());
-        // Endpoint 5 with 4 ranks → rank 1, replica 1.
-        assert_eq!(proto.app_rank(), 1);
-        assert_eq!(proto.replica_id(), 1);
-        for rank in 0..4 {
-            assert_eq!(
-                proto.peers[rank].physical_src,
-                EndpointId(4 + rank),
-                "replica 1 receives from replica 1 of every rank"
-            );
-            assert_eq!(
-                proto.peers[rank].physical_dests, 0b10,
-                "and sends to replica 1 of every rank, only"
-            );
-        }
-    }
-
-    #[test]
-    fn partial_map_singleton_routing_is_symmetric() {
-        let map = Arc::new(ReplicaMap::partial(2, &[0]).unwrap());
-        // The singleton (rank 1, endpoint 1) feeds both replicas of rank 0
-        // directly and therefore expects no acknowledgements from them.
-        let singleton =
-            SdrProtocol::new(EndpointId(1), Arc::clone(&map), ReplicationConfig::dual());
-        assert_eq!(singleton.app_rank(), 1);
-        assert_eq!(singleton.peers[0].physical_dests, 0b11);
-        // Replica 1 of rank 0 (endpoint 2) sends nothing to the singleton
-        // directly; replica 0 (endpoint 0) owns the direct copy.
-        let rep1 = SdrProtocol::new(EndpointId(2), Arc::clone(&map), ReplicationConfig::dual());
-        assert_eq!(rep1.peers[1].physical_dests, 0);
-        let rep0 = SdrProtocol::new(EndpointId(0), Arc::clone(&map), ReplicationConfig::dual());
-        assert_eq!(rep0.peers[1].physical_dests, 0b1);
-        assert_eq!(map.endpoint(1, 0), EndpointId(1));
-        // Both replicas of rank 0 receive rank 1's messages from the
-        // singleton itself.
-        assert_eq!(rep0.peers[1].physical_src, EndpointId(1));
-        assert_eq!(rep1.peers[1].physical_src, EndpointId(1));
-    }
-
-    #[test]
-    fn ack_header_roundtrip() {
-        let h = ctl::header(ctl::ACK, 42, 0);
-        assert_eq!(h[0], ctl::ACK);
-        assert_eq!(h[1], 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "degree 65 is not supported")]
-    fn degrees_beyond_the_mask_width_are_rejected() {
-        uniform(0, 1, ReplicationConfig::with_degree(65));
-    }
-
-    pub(super) fn pml_for(endpoint: usize, n: usize) -> Pml {
-        use sim_net::{Fabric, LogGpModel};
-        let f = Fabric::with_defaults(n, LogGpModel::fast_test_model());
-        Pml::new(f.endpoint(EndpointId(endpoint)))
-    }
-
-    #[test]
-    fn ack_driven_gc_prunes_entry_freed_before_last_ack() {
-        // Rank 0 replica 0 (endpoint 0) sends to rank 1; the ack expected
-        // from rank 1's replica 1 (endpoint 3) has not arrived when the
-        // application releases the request. The entry must stay in the send
-        // log (a substitute may still need the payload) and be reclaimed the
-        // moment the ack lands.
-        let mut pml = pml_for(0, 4);
-        let mut proto = uniform(0, 2, ReplicationConfig::dual());
-        let req = proto.isend(&mut pml, 1, CommId::WORLD, 7, Bytes::from_static(b"log me"));
-        assert_eq!(proto.send_log_len(), 1);
-        proto.free_send(&mut pml, req);
-        assert_eq!(
-            proto.send_log_len(),
-            1,
-            "entry retained while an ack is outstanding"
-        );
-        proto.handle_event(
-            &mut pml,
-            sim_mpi::PmlEvent::Control {
-                src: EndpointId(3),
-                class: class::ACK,
-                header: ctl::header(ctl::ACK, 0, 0),
-                payload: Bytes::new(),
-                arrival: SimTime::from_nanos(50),
-            },
-        );
-        assert_eq!(
-            proto.send_log_len(),
-            0,
-            "last ack garbage-collects the entry"
-        );
-    }
-
-    #[test]
-    fn acks_that_outrun_the_send_fold_into_it_as_one_mask_and_floor() {
-        // Degree 3, 2 ranks: endpoint 0 sends rank 1's copy to endpoint 1 and
-        // owes acks from endpoints 3 and 5 (replicas 1 and 2 of rank 1). Both
-        // arrive before the send is posted.
-        let mut pml = pml_for(0, 6);
-        let mut proto = uniform(0, 2, ReplicationConfig::with_degree(3));
-        for (acker, at) in [(3, 80), (5, 50)] {
-            proto.handle_event(
-                &mut pml,
-                sim_mpi::PmlEvent::Control {
-                    src: EndpointId(acker),
-                    class: class::ACK,
-                    header: ctl::header(ctl::ACK, 0, 0),
-                    payload: Bytes::new(),
-                    arrival: SimTime::from_nanos(at),
-                },
-            );
-        }
-        let early = &proto.early_acks[..];
-        assert!(
-            matches!(early, [EarlyAck { dst_rank: 1, seq: 0, ackers: 0b110, floor }]
-                if *floor == SimTime::from_nanos(80)),
-            "{early:?}"
-        );
-        let req = proto.isend(&mut pml, 1, CommId::WORLD, 7, Bytes::from_static(b"x"));
-        assert!(proto.early_acks.is_empty());
-        assert!(
-            proto.send_complete(&mut pml, req),
-            "nothing left to wait for"
-        );
-        proto.free_send(&mut pml, req);
-        assert_eq!(proto.send_log_len(), 0);
-        assert!(
-            pml.now() >= SimTime::from_nanos(80),
-            "completes no earlier than the last ack it needed"
-        );
-    }
-
-    #[test]
-    fn fully_acked_entry_freed_immediately_on_app_free() {
-        let mut pml = pml_for(0, 4);
-        let mut proto = uniform(0, 2, ReplicationConfig::dual());
-        let req = proto.isend(&mut pml, 1, CommId::WORLD, 7, Bytes::from_static(b"x"));
-        proto.handle_event(
-            &mut pml,
-            sim_mpi::PmlEvent::Control {
-                src: EndpointId(3),
-                class: class::ACK,
-                header: ctl::header(ctl::ACK, 0, 0),
-                payload: Bytes::new(),
-                arrival: SimTime::from_nanos(50),
-            },
-        );
-        assert_eq!(proto.send_log_len(), 1, "retained until the app frees it");
-        assert!(proto.send_complete(&mut pml, req));
-        proto.free_send(&mut pml, req);
-        assert_eq!(proto.send_log_len(), 0);
     }
 }

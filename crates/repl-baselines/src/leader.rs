@@ -21,248 +21,190 @@
 //!   latency of anonymous receptions and the probability of unexpected
 //!   messages (Section 3.1 of the paper).
 
-use bytes::Bytes;
 use sdr_core::{ReplicaMap, ReplicationConfig, SdrProtocol};
-use sim_mpi::pml::{Pml, PmlEvent};
 use sim_mpi::{
-    CommId, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory, Rank, Status, Tag, TagSel,
+    Action, CommId, Input, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory, Rank, Request,
+    TagSel,
 };
 use sim_net::stats::class;
 use sim_net::{EndpointId, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Control-message kind for leader decisions (disjoint from the SDR kinds).
 pub const DECISION_KIND: i64 = 100;
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum AnonState {
-    /// Leader: posted through the inner protocol; decision pending until the
-    /// application completes the receive.
-    LeaderPosted { inner: ProtoRecvReq, decided: bool },
-    /// Non-leader: waiting for the leader's decision before posting.
-    AwaitingDecision { comm: CommId, tag: TagSel },
-    /// Non-leader: decision received and the receive posted. `floor` is the
-    /// arrival time of the decision: the reception cannot complete before the
-    /// follower learned which source to receive from.
-    Posted { inner: ProtoRecvReq, floor: SimTime },
+    /// Leader: posted through the core; the decision is announced when the
+    /// application takes it.
+    Leader,
+    /// Follower: waiting for the leader's decision before posting.
+    Awaiting(CommId, TagSel),
+    /// Follower: posted on the leader's decision, which arrived at this
+    /// time: the reception cannot complete before the follower learned which
+    /// source to receive from.
+    Posted(SimTime),
 }
 
 /// The leader-based parallel replication protocol.
 pub struct LeaderParallelProtocol {
-    inner: SdrProtocol,
+    core: SdrProtocol,
     map: Arc<ReplicaMap>,
     /// Sequence number of anonymous receptions (identical across replicas of
     /// a rank because they issue the same sequence of MPI calls).
     anon_seq: u64,
-    /// Outstanding anonymous receptions, keyed by their anonymous sequence.
-    anon: BTreeMap<u64, AnonState>,
-    /// Wrapper request id → anonymous sequence (for anonymous receives) .
-    anon_of_req: HashMap<u64, u64>,
-    /// Next anonymous-receive handle: the top half of the id space, which
-    /// the PML's request ids — the inner protocol's receive handles — never
-    /// use (`sim_mpi::PmlReqId`).
-    next_req: u64,
+    /// Outstanding anonymous receptions: handle, anonymous sequence, state.
+    anon: Vec<(ProtoRecvReq, u64, AnonState)>,
     /// Decisions that arrived before the matching anonymous receive was
     /// posted locally (decided source rank, decision arrival time).
     early_decisions: HashMap<u64, (Rank, SimTime)>,
-    /// Decisions the leader still has to announce (src rank per anon seq).
-    announce_queue: VecDeque<(u64, Rank)>,
 }
 
 impl LeaderParallelProtocol {
     /// Build the protocol for physical process `endpoint` of `map`.
-    pub fn new(endpoint: EndpointId, map: Arc<ReplicaMap>, cfg: ReplicationConfig) -> Self {
+    pub fn new(
+        endpoint: EndpointId,
+        map: Arc<ReplicaMap>,
+        cfg: ReplicationConfig,
+        lossy: bool,
+    ) -> Self {
         LeaderParallelProtocol {
-            inner: SdrProtocol::new(endpoint, Arc::clone(&map), cfg),
+            core: SdrProtocol::new(endpoint, Arc::clone(&map), cfg).on_transport(lossy),
             map,
             anon_seq: 0,
-            anon: BTreeMap::new(),
-            anon_of_req: HashMap::new(),
-            next_req: 1 << 63,
+            anon: Vec::new(),
             early_decisions: HashMap::new(),
-            announce_queue: VecDeque::new(),
-        }
-    }
-
-    fn is_leader(&self) -> bool {
-        self.inner.replica_id() == 0
-    }
-
-    fn announce(&mut self, pml: &mut Pml, anon_seq: u64, src_rank: Rank) {
-        let my_rank = self.inner.app_rank();
-        let mut header = [0i64; 8];
-        header[0] = DECISION_KIND;
-        header[1] = anon_seq as i64;
-        header[2] = src_rank as i64;
-        for rep in 1..self.map.degree_of(my_rank) {
-            let target = self.map.endpoint(my_rank, rep);
-            pml.send_control(target, class::CONTROL, header, Bytes::new());
         }
     }
 }
 
 impl Protocol for LeaderParallelProtocol {
     fn app_rank(&self) -> Rank {
-        self.inner.app_rank()
+        self.core.app_rank()
     }
 
     fn replica_id(&self) -> usize {
-        self.inner.replica_id()
+        self.core.replica_id()
     }
 
-    fn isend(
+    fn input(
         &mut self,
-        pml: &mut Pml,
-        dst: Rank,
-        comm: CommId,
-        tag: Tag,
-        payload: Bytes,
-    ) -> ProtoSendReq {
-        self.inner.isend(pml, dst, comm, tag, payload)
-    }
-
-    fn irecv(
-        &mut self,
-        pml: &mut Pml,
-        src: Option<Rank>,
-        comm: CommId,
-        tag: TagSel,
-    ) -> ProtoRecvReq {
-        match src {
-            Some(_) => self.inner.irecv(pml, src, comm, tag),
-            None => {
-                // Anonymous reception: leader decides, the others follow.
+        now: SimTime,
+        input: Input<'_>,
+        out: &mut Vec<Action>,
+    ) -> Option<ProtoSendReq> {
+        match input {
+            // Anonymous reception: the leader decides, the others follow.
+            Input::Irecv {
+                req,
+                src: None,
+                comm,
+                tag,
+            } => {
                 let seq = self.anon_seq;
                 self.anon_seq += 1;
-                let id = self.next_req;
-                self.next_req += 1;
-                let state = if self.is_leader() {
-                    let inner = self.inner.irecv(pml, None, comm, tag);
-                    AnonState::LeaderPosted {
-                        inner,
-                        decided: false,
-                    }
-                } else if let Some((src_rank, floor)) = self.early_decisions.remove(&seq) {
-                    let inner = self.inner.irecv(pml, Some(src_rank), comm, tag);
-                    AnonState::Posted { inner, floor }
+                let (src, state) = if self.replica_id() == 0 {
+                    (None, AnonState::Leader)
+                } else if let Some((src, floor)) = self.early_decisions.remove(&seq) {
+                    (Some(src), AnonState::Posted(floor))
                 } else {
-                    AnonState::AwaitingDecision { comm, tag }
+                    (None, AnonState::Awaiting(comm, tag))
                 };
-                self.anon.insert(seq, state);
-                self.anon_of_req.insert(id, seq);
-                ProtoRecvReq(id)
-            }
-        }
-    }
-
-    fn send_complete(&mut self, pml: &mut Pml, req: ProtoSendReq) -> bool {
-        self.inner.send_complete(pml, req)
-    }
-
-    fn recv_complete(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> bool {
-        match self.anon_of_req.get(&req.0) {
-            None => self.inner.recv_complete(pml, req),
-            Some(&seq) => match self.anon.get(&seq) {
-                Some(AnonState::LeaderPosted { inner, .. })
-                | Some(AnonState::Posted { inner, .. }) => self.inner.recv_complete(pml, *inner),
-                Some(AnonState::AwaitingDecision { .. }) => false,
-                None => true,
-            },
-        }
-    }
-
-    fn take_recv(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> Option<(Status, Bytes)> {
-        match self.anon_of_req.get(&req.0).copied() {
-            None => self.inner.take_recv(pml, req),
-            Some(seq) => {
-                let (inner_req, floor) = match self.anon.get(&seq) {
-                    Some(AnonState::LeaderPosted { inner, .. }) => (*inner, SimTime::ZERO),
-                    Some(AnonState::Posted { inner, floor }) => (*inner, *floor),
-                    _ => return None,
-                };
-                let result = self.inner.take_recv(pml, inner_req)?;
-                // A follower cannot complete the anonymous reception before it
-                // learned the decided source from the leader.
-                pml.endpoint_mut().clock_mut().sync_to(floor);
-                // Leader announces the decided source the first time the
-                // application observes it.
-                if let Some(AnonState::LeaderPosted { decided, .. }) = self.anon.get_mut(&seq) {
-                    if !*decided {
-                        *decided = true;
-                        let src = result.0.source;
-                        self.announce_queue.push_back((seq, src));
-                    }
+                if !matches!(state, AnonState::Awaiting(..)) {
+                    let irecv = Input::Irecv {
+                        req,
+                        src,
+                        comm,
+                        tag,
+                    };
+                    self.core.input(now, irecv, out);
                 }
-                while let Some((s, src)) = self.announce_queue.pop_front() {
-                    self.announce(pml, s, src);
-                }
-                self.anon.remove(&seq);
-                self.anon_of_req.remove(&req.0);
-                Some(result)
+                self.anon.push((req, seq, state));
+                None
             }
-        }
-    }
-
-    fn free_send(&mut self, pml: &mut Pml, req: ProtoSendReq) {
-        self.inner.free_send(pml, req)
-    }
-
-    fn handle_event(&mut self, pml: &mut Pml, ev: PmlEvent) {
-        if let PmlEvent::Control {
-            class: cls,
-            header,
-            arrival,
-            ..
-        } = &ev
-        {
-            if *cls == class::CONTROL && header[0] == DECISION_KIND {
-                let seq = header[1] as u64;
-                let src_rank = header[2] as usize;
-                let arrival = *arrival;
+            Input::Control {
+                class: cls,
+                header,
+                arrival,
+                ..
+            } if cls == class::CONTROL && header[0] == DECISION_KIND => {
+                let (seq, src) = (header[1] as u64, header[2] as usize);
                 // Post the deferred anonymous receive if it is already known;
                 // otherwise remember the decision for when it gets posted.
-                let mut posted = None;
-                if let Some(AnonState::AwaitingDecision { comm, tag }) = self.anon.get(&seq) {
-                    let (comm, tag) = (*comm, *tag);
-                    let inner = self.inner.irecv(pml, Some(src_rank), comm, tag);
-                    posted = Some(inner);
+                match self.anon.iter_mut().find(|(_, s, _)| *s == seq) {
+                    Some((req, _, state)) => {
+                        if let AnonState::Awaiting(comm, tag) = *state {
+                            *state = AnonState::Posted(arrival);
+                            let (req, src) = (*req, Some(src));
+                            let irecv = Input::Irecv {
+                                req,
+                                src,
+                                comm,
+                                tag,
+                            };
+                            self.core.input(now, irecv, out);
+                        }
+                    }
+                    None => {
+                        self.early_decisions.insert(seq, (src, arrival));
+                    }
                 }
-                if let Some(inner) = posted {
-                    self.anon.insert(
-                        seq,
-                        AnonState::Posted {
-                            inner,
-                            floor: arrival,
-                        },
-                    );
-                } else if !self.anon.contains_key(&seq) {
-                    self.early_decisions.insert(seq, (src_rank, arrival));
-                }
-                return;
+                None
             }
+            Input::Take { req, msg } => {
+                let delivered = out.len();
+                self.core.input(now, Input::Take { req, msg }, out);
+                let anon = self.anon.iter().position(|(r, ..)| *r == req);
+                let at = anon.filter(|_| out.len() > delivered)?;
+                match self.anon.remove(at) {
+                    // The leader announces the decided source to the other
+                    // replicas of its rank.
+                    (_, seq, AnonState::Leader) => {
+                        let my_rank = self.app_rank();
+                        let src = self.map.rank_of(msg.src) as i64;
+                        let header = [DECISION_KIND, seq as i64, src, 0, 0, 0, 0, 0];
+                        for rep in 1..self.map.degree_of(my_rank) {
+                            out.push(Action::Control {
+                                dst: self.map.endpoint(my_rank, rep),
+                                class: class::CONTROL,
+                                header,
+                                not_before: SimTime::ZERO,
+                            });
+                        }
+                    }
+                    (.., AnonState::Posted(floor)) => out.push(Action::SyncTo(floor)),
+                    (.., AnonState::Awaiting(..)) => {
+                        unreachable!("an awaiting receive is incomplete")
+                    }
+                }
+                None
+            }
+            input => self.core.input(now, input, out),
         }
-        self.inner.handle_event(pml, ev);
     }
 
-    fn finalize(&mut self, pml: &mut Pml) {
-        self.inner.finalize(pml);
+    fn complete(&self, req: Request) -> bool {
+        let awaiting = |(r, _, state): &(ProtoRecvReq, u64, AnonState)| {
+            Request::Recv(*r) == req && matches!(state, AnonState::Awaiting(..))
+        };
+        !self.anon.iter().any(awaiting) && self.core.complete(req)
     }
 
     fn describe_pending(&self) -> String {
         let awaiting = self
             .anon
-            .values()
-            .filter(|s| matches!(s, AnonState::AwaitingDecision { .. }))
+            .iter()
+            .filter(|(.., s)| matches!(s, AnonState::Awaiting(..)))
             .count();
         format!(
             "leader-based protocol: {awaiting} anonymous receptions awaiting leader decision; {}",
-            self.inner.describe_pending()
+            self.core.describe_pending()
         )
     }
 
     fn send_log_len(&self) -> usize {
-        self.inner.send_log_len()
+        self.core.send_log_len()
     }
 }
 
@@ -284,9 +226,9 @@ impl ProtocolFactory for LeaderFactory {
         app_ranks * self.cfg.degree
     }
 
-    fn build(&self, endpoint: EndpointId, app_ranks: usize) -> Box<dyn Protocol> {
+    fn build(&self, endpoint: EndpointId, app_ranks: usize, lossy: bool) -> Box<dyn Protocol> {
         let map = Arc::new(ReplicaMap::uniform(app_ranks, self.cfg.degree));
-        Box::new(LeaderParallelProtocol::new(endpoint, map, self.cfg))
+        Box::new(LeaderParallelProtocol::new(endpoint, map, self.cfg, lossy))
     }
 
     fn name(&self) -> &str {
@@ -297,6 +239,7 @@ impl ProtocolFactory for LeaderFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use sim_mpi::{JobBuilder, ANY_SOURCE};
     use sim_net::LogGpModel;
 

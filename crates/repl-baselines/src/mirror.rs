@@ -10,137 +10,117 @@
 //!
 //! Implementation: the primary copy (replica `k` of the sender to replica `k`
 //! of the receiver) goes through the SDR engine configured with
-//! [`sdr_core::AckOn::Never`]; the redundant copies are injected directly at
-//! the PML with the same application-level sequence number. Receivers match
-//! the primary copy; redundant copies of already-delivered sequence numbers
-//! are periodically purged from the unexpected queue.
+//! [`sdr_core::AckOn::Never`]; the redundant copies ride ahead of each of its
+//! application sends, with the same application-level sequence number.
+//! Receivers match the primary copy; redundant copies of already-delivered
+//! sequence numbers are periodically purged from the unexpected queue.
 
-use bytes::Bytes;
 use sdr_core::{AckOn, ReplicaMap, ReplicationConfig, SdrProtocol};
-use sim_mpi::pml::{Pml, PmlEvent};
-use sim_mpi::{
-    CommId, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory, Rank, Status, Tag, TagSel,
-};
-use sim_net::EndpointId;
+use sim_mpi::matching::IncomingMsg;
+use sim_mpi::{Action, Input, ProtoSendReq, Protocol, ProtocolFactory, Rank, Request};
+use sim_net::{EndpointId, SimTime};
 use std::sync::Arc;
 
 /// The mirror replication protocol.
 pub struct MirrorProtocol {
-    inner: SdrProtocol,
+    core: SdrProtocol,
     map: Arc<ReplicaMap>,
-    /// Application-level sequence counter per destination rank (mirrors the
-    /// inner protocol's counter so redundant copies carry the right id).
-    send_seq: Vec<u64>,
-    /// Delivered-sequence high-water mark per source rank, used to purge
-    /// redundant copies from the unexpected queue.
+    /// Messages the application has taken, per source rank: the redundant
+    /// copies below that sequence are stale.
     delivered: Vec<u64>,
     events_since_purge: u32,
 }
 
 impl MirrorProtocol {
     /// Build the mirror protocol for physical process `endpoint` of `map`.
-    pub fn new(endpoint: EndpointId, map: Arc<ReplicaMap>) -> Self {
-        let app_ranks = map.ranks();
+    pub fn new(endpoint: EndpointId, map: Arc<ReplicaMap>, lossy: bool) -> Self {
         let cfg = ReplicationConfig::with_degree(map.max_degree()).ack_on(AckOn::Never);
         MirrorProtocol {
-            inner: SdrProtocol::new(endpoint, Arc::clone(&map), cfg),
+            core: SdrProtocol::new(endpoint, Arc::clone(&map), cfg).on_transport(lossy),
+            delivered: vec![0; map.ranks()],
             map,
-            send_seq: vec![0; app_ranks],
-            delivered: vec![0; app_ranks],
             events_since_purge: 0,
         }
-    }
-
-    fn purge_redundant(&mut self, pml: &mut Pml) {
-        let (map, delivered) = (&self.map, &self.delivered);
-        pml.purge_unexpected(|msg| {
-            let src_rank = map.rank_of(msg.src);
-            (msg.aux as u64) < delivered[src_rank]
-        });
     }
 }
 
 impl Protocol for MirrorProtocol {
     fn app_rank(&self) -> Rank {
-        self.inner.app_rank()
+        self.core.app_rank()
     }
 
     fn replica_id(&self) -> usize {
-        self.inner.replica_id()
+        self.core.replica_id()
     }
 
-    fn isend(
+    fn input(
         &mut self,
-        pml: &mut Pml,
-        dst: Rank,
-        comm: CommId,
-        tag: Tag,
-        payload: Bytes,
-    ) -> ProtoSendReq {
-        let seq = self.send_seq[dst];
-        self.send_seq[dst] += 1;
-        let my_replica = self.inner.replica_id();
-        // Redundant copies to every replica of the destination other than the
-        // primary one handled by the inner protocol.
-        for rep in 0..self.map.degree_of(dst) {
-            if rep == my_replica {
-                continue;
+        now: SimTime,
+        input: Input<'_>,
+        out: &mut Vec<Action>,
+    ) -> Option<ProtoSendReq> {
+        let event = match &input {
+            Input::Isend {
+                dst,
+                comm,
+                tag,
+                payload,
+            } => {
+                // Redundant copies to every replica of the destination other
+                // than the primary one the core sends.
+                let aux = self.core.send_seq(*dst) as i64;
+                for rep in (0..self.map.degree_of(*dst)).filter(|&r| r != self.replica_id()) {
+                    out.push(Action::Send {
+                        dst: self.map.endpoint(*dst, rep),
+                        comm: *comm,
+                        tag: *tag,
+                        aux,
+                        payload: payload.clone(),
+                        log: None,
+                    });
+                }
+                false
             }
-            let target = self.map.endpoint(dst, rep);
-            pml.isend(target, comm, tag, seq as i64, payload.clone());
+            Input::Take { msg, .. } => {
+                let src = self.map.rank_of(msg.src);
+                self.delivered[src] = self.delivered[src].saturating_add(1);
+                false
+            }
+            Input::Finalize => {
+                out.push(Action::Purge);
+                false
+            }
+            Input::Completed { .. }
+            | Input::Control { .. }
+            | Input::Duplicate { .. }
+            | Input::Failed(_) => true,
+            _ => false,
+        };
+        let req = self.core.input(now, input, out);
+        if event {
+            self.events_since_purge += 1;
+            if self.events_since_purge >= 64 {
+                self.events_since_purge = 0;
+                out.push(Action::Purge);
+            }
         }
-        self.inner.isend(pml, dst, comm, tag, payload)
+        req
     }
 
-    fn irecv(
-        &mut self,
-        pml: &mut Pml,
-        src: Option<Rank>,
-        comm: CommId,
-        tag: TagSel,
-    ) -> ProtoRecvReq {
-        self.inner.irecv(pml, src, comm, tag)
+    fn complete(&self, req: Request) -> bool {
+        self.core.complete(req)
     }
 
-    fn send_complete(&mut self, pml: &mut Pml, req: ProtoSendReq) -> bool {
-        self.inner.send_complete(pml, req)
-    }
-
-    fn recv_complete(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> bool {
-        self.inner.recv_complete(pml, req)
-    }
-
-    fn take_recv(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> Option<(Status, Bytes)> {
-        let result = self.inner.take_recv(pml, req)?;
-        let src = result.0.source;
-        self.delivered[src] = self.delivered[src].saturating_add(1);
-        Some(result)
-    }
-
-    fn free_send(&mut self, pml: &mut Pml, req: ProtoSendReq) {
-        self.inner.free_send(pml, req)
-    }
-
-    fn handle_event(&mut self, pml: &mut Pml, ev: PmlEvent) {
-        self.inner.handle_event(pml, ev);
-        self.events_since_purge += 1;
-        if self.events_since_purge >= 64 {
-            self.events_since_purge = 0;
-            self.purge_redundant(pml);
-        }
-    }
-
-    fn finalize(&mut self, pml: &mut Pml) {
-        self.purge_redundant(pml);
-        self.inner.finalize(pml);
+    fn stale(&self, msg: &IncomingMsg) -> bool {
+        (msg.aux as u64) < self.delivered[self.map.rank_of(msg.src)]
     }
 
     fn describe_pending(&self) -> String {
-        format!("mirror protocol: {}", self.inner.describe_pending())
+        format!("mirror protocol: {}", self.core.describe_pending())
     }
 
     fn send_log_len(&self) -> usize {
-        self.inner.send_log_len()
+        self.core.send_log_len()
     }
 }
 
@@ -163,9 +143,9 @@ impl ProtocolFactory for MirrorFactory {
         app_ranks * self.degree
     }
 
-    fn build(&self, endpoint: EndpointId, app_ranks: usize) -> Box<dyn Protocol> {
+    fn build(&self, endpoint: EndpointId, app_ranks: usize, lossy: bool) -> Box<dyn Protocol> {
         let map = Arc::new(ReplicaMap::uniform(app_ranks, self.degree));
-        Box::new(MirrorProtocol::new(endpoint, map))
+        Box::new(MirrorProtocol::new(endpoint, map, lossy))
     }
 
     fn name(&self) -> &str {
@@ -176,6 +156,7 @@ impl ProtocolFactory for MirrorFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use sim_mpi::{JobBuilder, ReduceOp};
     use sim_net::LogGpModel;
 

@@ -15,13 +15,10 @@
 
 use bytes::Bytes;
 use sdr_core::{AckOn, ReplicaMap, ReplicationConfig, SdrProtocol};
-use sim_mpi::pml::{Pml, PmlEvent};
-use sim_mpi::{
-    CommId, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory, Rank, Status, Tag, TagSel,
-};
+use sim_mpi::{Action, Input, ProtoSendReq, Protocol, ProtocolFactory, Rank, Request};
 use sim_net::stats::class;
 use sim_net::trace::digest;
-use sim_net::EndpointId;
+use sim_net::{EndpointId, SimTime};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -101,13 +98,13 @@ impl SdcReport {
 
 /// The redMPI-style protocol.
 pub struct RedMpiProtocol {
-    inner: SdrProtocol,
+    core: SdrProtocol,
     map: Arc<ReplicaMap>,
     degree: usize,
     corruption: Option<CorruptionSpec>,
     report: Arc<SdcReport>,
-    /// Per-destination-rank application sequence (mirrors the inner counter).
-    send_seq: Vec<u64>,
+    /// Blocking waits for hashes at finalize so far (at most 10 000).
+    flush_waits: u32,
     /// Per-source-rank count of delivered messages (defines the seq of the
     /// next delivery).
     recv_count: Vec<u64>,
@@ -127,16 +124,17 @@ impl RedMpiProtocol {
         map: Arc<ReplicaMap>,
         corruption: Option<CorruptionSpec>,
         report: Arc<SdcReport>,
+        lossy: bool,
     ) -> Self {
         let (app_ranks, degree) = (map.ranks(), map.max_degree());
         let cfg = ReplicationConfig::with_degree(degree).ack_on(AckOn::Never);
         RedMpiProtocol {
-            inner: SdrProtocol::new(endpoint, Arc::clone(&map), cfg),
+            core: SdrProtocol::new(endpoint, Arc::clone(&map), cfg).on_transport(lossy),
             map,
             degree,
             corruption,
             report,
-            send_seq: vec![0; app_ranks],
+            flush_waits: 0,
             recv_count: vec![0; app_ranks],
             local_digest: HashMap::new(),
             remote_hash: HashMap::new(),
@@ -175,139 +173,108 @@ impl RedMpiProtocol {
 
 impl Protocol for RedMpiProtocol {
     fn app_rank(&self) -> Rank {
-        self.inner.app_rank()
+        self.core.app_rank()
     }
 
     fn replica_id(&self) -> usize {
-        self.inner.replica_id()
+        self.core.replica_id()
     }
 
-    fn isend(
+    fn input(
         &mut self,
-        pml: &mut Pml,
-        dst: Rank,
-        comm: CommId,
-        tag: Tag,
-        payload: Bytes,
-    ) -> ProtoSendReq {
-        let seq = self.send_seq[dst];
-        self.send_seq[dst] += 1;
-        // Optional fault injection: flip one byte of this replica's copy.
-        let mut effective = payload;
-        if let Some(spec) = self.corruption {
-            if spec.replica == self.inner.replica_id()
-                && spec.src_rank == self.inner.app_rank()
-                && spec.dst_rank == dst
-                && spec.seq == seq
-                && !effective.is_empty()
-            {
-                let mut bytes = effective.to_vec();
-                bytes[0] ^= 0xFF;
-                effective = Bytes::from(bytes);
-            }
-        }
-        // Hash of the (possibly corrupted) copy goes to every *other* replica
-        // of the destination rank so they can cross-check the copy they got
-        // from their own sender replica.
-        let h = digest(&effective);
-        let my_replica = self.inner.replica_id();
-        let mut header = [0i64; 8];
-        header[0] = HASH_KIND;
-        header[1] = self.inner.app_rank() as i64;
-        header[2] = seq as i64;
-        header[3] = h as i64;
-        for rep in 0..self.degree {
-            if rep == my_replica {
-                continue;
-            }
-            let target = self.map.endpoint(dst, rep);
-            pml.send_control(target, class::HASH, header, Bytes::new());
-        }
-        self.inner.isend(pml, dst, comm, tag, effective)
-    }
-
-    fn irecv(
-        &mut self,
-        pml: &mut Pml,
-        src: Option<Rank>,
-        comm: CommId,
-        tag: TagSel,
-    ) -> ProtoRecvReq {
-        self.inner.irecv(pml, src, comm, tag)
-    }
-
-    fn send_complete(&mut self, pml: &mut Pml, req: ProtoSendReq) -> bool {
-        self.inner.send_complete(pml, req)
-    }
-
-    fn recv_complete(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> bool {
-        self.inner.recv_complete(pml, req)
-    }
-
-    fn take_recv(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> Option<(Status, Bytes)> {
-        let (status, payload) = self.inner.take_recv(pml, req)?;
-        let src = status.source;
-        let seq = self.recv_count[src];
-        self.recv_count[src] += 1;
-        self.local_digest.insert((src, seq), digest(&payload));
-        self.compare_if_ready((src, seq));
-        Some((status, payload))
-    }
-
-    fn free_send(&mut self, pml: &mut Pml, req: ProtoSendReq) {
-        self.inner.free_send(pml, req)
-    }
-
-    fn finalize(&mut self, pml: &mut Pml) {
-        // Flush outstanding hash comparisons: every delivered message will be
-        // matched by a hash from the other sender replica (it was sent before
-        // that replica's copy of the application finished), so wait for the
-        // stragglers before tearing the process down.
-        let mut spins = 0;
-        while !self.local_digest.is_empty() && spins < 10_000 {
-            match pml.progress_blocking("redMPI hash flush at finalize", false) {
-                Ok(events) => {
-                    for ev in events {
-                        self.handle_event(pml, ev);
+        now: SimTime,
+        input: Input<'_>,
+        out: &mut Vec<Action>,
+    ) -> Option<ProtoSendReq> {
+        match input {
+            Input::Isend {
+                dst,
+                comm,
+                tag,
+                mut payload,
+            } => {
+                let (seq, me) = (self.core.send_seq(dst), self.replica_id());
+                // Optional fault injection: flip one byte of this replica's copy.
+                if let Some(spec) = self.corruption {
+                    if (spec.replica, spec.src_rank, spec.dst_rank, spec.seq)
+                        == (me, self.app_rank(), dst, seq)
+                        && !payload.is_empty()
+                    {
+                        let mut bytes = payload.to_vec();
+                        bytes[0] ^= 0xFF;
+                        payload = Bytes::from(bytes);
                     }
                 }
-                Err(_) => break,
+                // Hash of the (possibly corrupted) copy goes to every *other*
+                // replica of the destination rank so they can cross-check the
+                // copy they got from their own sender replica.
+                let h = digest(&payload) as i64;
+                let header = [HASH_KIND, self.app_rank() as i64, seq as i64, h, 0, 0, 0, 0];
+                for rep in (0..self.degree).filter(|&rep| rep != me) {
+                    out.push(Action::Control {
+                        dst: self.map.endpoint(dst, rep),
+                        class: class::HASH,
+                        header,
+                        not_before: SimTime::ZERO,
+                    });
+                }
+                let isend = Input::Isend {
+                    dst,
+                    comm,
+                    tag,
+                    payload,
+                };
+                self.core.input(now, isend, out)
             }
-            spins += 1;
+            Input::Take { req, msg } => {
+                let delivered = out.len();
+                self.core.input(now, Input::Take { req, msg }, out);
+                if out.len() > delivered {
+                    let src = self.map.rank_of(msg.src);
+                    let seq = self.recv_count[src];
+                    self.recv_count[src] += 1;
+                    self.local_digest.insert((src, seq), digest(&msg.payload));
+                    self.compare_if_ready((src, seq));
+                }
+                None
+            }
+            Input::Control {
+                class: cls, header, ..
+            } if cls == class::HASH && header[0] == HASH_KIND => {
+                let (src_rank, seq, hash) =
+                    (header[1] as usize, header[2] as u64, header[3] as u64);
+                let remote = self.remote_hash.entry((src_rank, seq)).or_default();
+                remote.push(hash);
+                self.compare_if_ready((src_rank, seq));
+                None
+            }
+            // Flush outstanding hash comparisons first: every delivered
+            // message will be matched by a hash from the other sender replica
+            // (it was sent before that replica's copy of the application
+            // finished), so wait for the stragglers before tearing down.
+            Input::Finalize if !self.local_digest.is_empty() && self.flush_waits < 10_000 => {
+                self.flush_waits += 1;
+                out.push(Action::Drain("redMPI hash flush at finalize"));
+                None
+            }
+            input => self.core.input(now, input, out),
         }
-        self.inner.finalize(pml);
     }
 
-    fn handle_event(&mut self, pml: &mut Pml, ev: PmlEvent) {
-        if let PmlEvent::Control {
-            class: cls, header, ..
-        } = &ev
-        {
-            if *cls == class::HASH && header[0] == HASH_KIND {
-                let src_rank = header[1] as usize;
-                let seq = header[2] as u64;
-                let hash = header[3] as u64;
-                self.remote_hash
-                    .entry((src_rank, seq))
-                    .or_default()
-                    .push(hash);
-                self.compare_if_ready((src_rank, seq));
-                return;
-            }
-        }
-        self.inner.handle_event(pml, ev);
+    fn complete(&self, req: Request) -> bool {
+        self.core.complete(req)
     }
 
     fn describe_pending(&self) -> String {
         format!(
             "redMPI-style protocol: {} hash comparisons pending; {}",
             self.local_digest.len() + self.remote_hash.len(),
-            self.inner.describe_pending()
+            self.core.describe_pending()
         )
     }
 
     fn send_log_len(&self) -> usize {
-        self.inner.send_log_len()
+        self.core.send_log_len()
     }
 }
 
@@ -348,12 +315,13 @@ impl ProtocolFactory for RedMpiFactory {
         app_ranks * self.degree
     }
 
-    fn build(&self, endpoint: EndpointId, app_ranks: usize) -> Box<dyn Protocol> {
+    fn build(&self, endpoint: EndpointId, app_ranks: usize, lossy: bool) -> Box<dyn Protocol> {
         Box::new(RedMpiProtocol::new(
             endpoint,
             Arc::new(ReplicaMap::uniform(app_ranks, self.degree)),
             self.corruption,
             Arc::clone(&self.report),
+            lossy,
         ))
     }
 
@@ -396,7 +364,7 @@ mod tests {
         let job = redmpi_job(2, RedMpiFactory::dual(Arc::clone(&report_handle)));
         let result = job.run(exchange_app);
         assert!(result.all_finished());
-        assert_eq!(result.primary_results()[1], &(0 + 7 + 14 + 21));
+        assert_eq!(result.primary_results()[1], &(0..4).map(|i| i * 7).sum());
         // Each of the 4 messages per replica set is hash-checked by the
         // receiving replica (2 replicas × 4 messages = 8 comparisons).
         assert_eq!(report_handle.comparisons(), 8);

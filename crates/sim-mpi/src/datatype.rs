@@ -41,7 +41,7 @@ fn decode_words<'a, T>(
     from_le: impl Fn([u8; 8]) -> T + 'a,
 ) -> impl ExactSizeIterator<Item = T> + 'a {
     assert!(
-        bytes.len() % 8 == 0,
+        bytes.len().is_multiple_of(8),
         "payload length {} not a multiple of 8",
         bytes.len()
     );

@@ -49,9 +49,10 @@ pub use collectives::ReduceOp;
 pub use comm::CommInfo;
 pub use matching::PmlReqId;
 pub use pml::{Pml, PmlEvent, SdcFlip};
-pub use process::{Comm, Process, Request};
+pub use process::{Comm, Driver, Process, Request};
 pub use protocol::{
-    NativeFactory, NativeProtocol, ProtoRecvReq, ProtoSendReq, Protocol, ProtocolFactory,
+    Action, Input, NativeFactory, NativeProtocol, ProtoRecvReq, ProtoSendReq, Protocol,
+    ProtocolFactory,
 };
 pub use runtime::{JobBuilder, JobReport, ProcessOutcome, ProcessReport};
 pub use types::{CommId, MpiError, MpiResult, Rank, Status, Tag, TagSel, ANY_SOURCE, ANY_TAG};

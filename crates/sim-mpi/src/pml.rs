@@ -3,10 +3,11 @@
 //! The PML owns the process's fabric [`Endpoint`], the matching engine, and
 //! the table of outstanding receive requests (a send is complete the moment
 //! it is handed to the fabric, so it has no request). It exposes exactly the
-//! interception surface that SDR-MPI patches into Open MPI (Section 4.1):
+//! interception surface that SDR-MPI patches into Open MPI (Section 4.1),
+//! which the driver in [`crate::process`] runs a protocol's actions against:
 //!
-//! * `isend` / `irecv` — the `pml_send`/`pml_recv` entry points a protocol can
-//!   wrap with pre/post-treatment;
+//! * `isend` / `reserve_recv` + `post_recv` — the `pml_send`/`pml_recv`
+//!   entry points a protocol wraps with pre/post-treatment;
 //! * [`PmlEvent::RecvCompleted`] — the `pml_recv_complete` callback
 //!   (the paper's `irecvComplete` event) on which SDR-MPI emits its acks. It
 //!   names the request; the message itself stays in the request's slot
@@ -103,6 +104,9 @@ pub struct SdcFlip {
 struct ReqSlot {
     generation: u32,
     state: SlotState,
+    /// Charged on top of the reception when the message is taken
+    /// ([`Pml::charge_on_take`]).
+    on_take: SimTime,
 }
 
 #[derive(Debug)]
@@ -342,18 +346,13 @@ impl Pml {
         Bytes::from(bytes)
     }
 
-    /// Fire-and-forget protocol message (ack, decision, notification, hash).
-    /// Not subject to MPI matching: delivered to the peer's protocol as a
-    /// [`PmlEvent::Control`] event.
-    pub fn send_control(&mut self, dst: EndpointId, cls: u8, header: [i64; 8], payload: Bytes) {
-        self.send_control_at(dst, cls, header, payload, SimTime::ZERO);
-    }
-
-    /// Like [`Pml::send_control`], but the message is stamped as injected no
-    /// earlier than `not_before`. Used when the control message reacts to an
-    /// incoming message (e.g. SDR-MPI's ack on `irecvComplete`): the reaction
-    /// must not appear to precede the message it reacts to, even if the local
-    /// clock has not caught up with that message's arrival yet.
+    /// Fire-and-forget protocol message (ack, decision, timer, hash), stamped
+    /// as injected no earlier than `not_before`. Not subject to MPI matching:
+    /// delivered to the peer's protocol as a [`PmlEvent::Control`] event. The
+    /// floor is for a control message that reacts to an incoming message
+    /// (e.g. SDR-MPI's ack on `irecvComplete`): the reaction must not appear
+    /// to precede the message it reacts to, even if the local clock has not
+    /// caught up with that message's arrival yet.
     pub fn send_control_at(
         &mut self,
         dst: EndpointId,
@@ -371,14 +370,15 @@ impl Pml {
             .send_with_floor(dst, cls, header, payload, not_before);
     }
 
-    /// Post a receive for a message on `comm` with tag filter `tag`, from
-    /// physical process `src` (`None` = `MPI_ANY_SOURCE`).
-    pub fn irecv(&mut self, src: Option<EndpointId>, comm: CommId, tag: TagSel) -> PmlReqId {
+    /// Reserve a receive request: its id is valid from now on, and the
+    /// receive waits, matching nothing, until [`Pml::post_recv`] posts it.
+    pub fn reserve_recv(&mut self) -> PmlReqId {
         let index = match self.free_slot {
             NO_SLOT => {
                 self.slots.push(ReqSlot {
                     generation: 0,
                     state: SlotState::Pending,
+                    on_take: SimTime::ZERO,
                 });
                 self.slots.len() - 1
             }
@@ -393,9 +393,7 @@ impl Pml {
             }
         };
         self.live_requests += 1;
-        let req = self.slots[index].id(index);
-        self.post_recv(req, src, comm, tag);
-        req
+        self.slots[index].id(index)
     }
 
     /// The slot `req` names, if the handle is current.
@@ -428,7 +426,9 @@ impl Pml {
         }
     }
 
-    fn post_recv(&mut self, req: PmlReqId, src: Option<EndpointId>, comm: CommId, tag: TagSel) {
+    /// Post reserved receive `req` for a message on `comm` with tag filter
+    /// `tag`, from physical process `src` (`None` = `MPI_ANY_SOURCE`).
+    pub fn post_recv(&mut self, req: PmlReqId, src: Option<EndpointId>, comm: CommId, tag: TagSel) {
         let posting = PostedRecv {
             req,
             src,
@@ -492,10 +492,14 @@ impl Pml {
         let msg = self.take_message(req)?;
         let index = req.0 as u32;
         let slot = &mut self.slots[index as usize];
+        let on_take = std::mem::take(&mut slot.on_take);
         slot.state = SlotState::Free(self.free_slot);
         slot.generation = (slot.generation + 1) & GENERATION_MASK;
         self.free_slot = index;
         self.live_requests -= 1;
+        if !on_take.is_zero() {
+            self.ep.clock_mut().charge_comm(on_take);
+        }
         Some(msg)
     }
 
@@ -517,15 +521,12 @@ impl Pml {
         Some(msg)
     }
 
-    /// Pending (not yet matched) receive requests whose source filter is
-    /// exactly `src`. Used by failure handling to find the requests that must
-    /// be redirected to a substitute.
-    pub fn pending_recvs_from(&self, src: EndpointId) -> Vec<PmlReqId> {
-        self.engine
-            .posted_requests()
-            .filter(|p| p.src == Some(src))
-            .map(|p| p.req)
-            .collect()
+    /// Charge `cost` when completed receive `req` is taken, after the
+    /// reception itself.
+    pub fn charge_on_take(&mut self, req: PmlReqId, cost: SimTime) {
+        if let Some(slot) = self.slot_mut(req) {
+            slot.on_take = cost;
+        }
     }
 
     /// Number of live receive requests — posted or completed, not yet taken
@@ -672,7 +673,7 @@ impl Pml {
     ///
     /// Crash notifications drained here are returned *ahead* of the drain's
     /// other events (behind events queued before the call, e.g. receives
-    /// that `irecv` completed from the unexpected queue), while
+    /// that `post_recv` completed from the unexpected queue), while
     /// [`Pml::progress_blocking`] returns the ones its own drain finds
     /// *behind* everything else. Protocols react to a failure by re-sending
     /// and redirecting receives, so these positions order those reactions
@@ -778,6 +779,12 @@ mod tests {
         Fabric::with_defaults(n, LogGpModel::fast_test_model())
     }
 
+    fn irecv(pml: &mut Pml, src: Option<EndpointId>, comm: CommId, tag: TagSel) -> PmlReqId {
+        let req = pml.reserve_recv();
+        pml.post_recv(req, src, comm, tag);
+        req
+    }
+
     #[test]
     fn a_send_leaves_no_request_behind() {
         let f = fabric(2);
@@ -806,7 +813,7 @@ mod tests {
             42,
             Bytes::from_static(b"hello"),
         );
-        let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
+        let req = irecv(&mut p1, Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
         assert!(!p1.is_complete(req));
         let events = p1.progress_blocking("test recv", false).unwrap();
         assert!(p1.is_complete(req));
@@ -852,7 +859,7 @@ mod tests {
         assert_eq!(p1.engine.unexpected_len(), 1);
         // Posting the recv delivers it immediately (extra copy) with an event.
         let before = p1.now();
-        let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(3));
+        let req = irecv(&mut p1, Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(3));
         assert!(p1.is_complete(req));
         assert!(p1.now() > before, "unexpected copy must cost time");
         let events = p1.progress();
@@ -880,7 +887,7 @@ mod tests {
         }
         let mut payloads = Vec::new();
         for _ in 0..3 {
-            let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
+            let req = irecv(&mut p1, Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
             while !p1.is_complete(req) {
                 p1.progress_blocking("sdc recv", false).unwrap();
             }
@@ -911,7 +918,7 @@ mod tests {
         let mut p1 = Pml::new(f.endpoint(EndpointId(1)));
         let mut hdr = [0i64; 8];
         hdr[0] = 99;
-        p0.send_control(EndpointId(1), class::ACK, hdr, Bytes::new());
+        p0.send_control_at(EndpointId(1), class::ACK, hdr, Bytes::new(), SimTime::ZERO);
         let events = p1.progress_blocking("ack", false).unwrap();
         match &events[0] {
             PmlEvent::Control {
@@ -934,7 +941,13 @@ mod tests {
     fn control_with_app_class_is_rejected() {
         let f = fabric(2);
         let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
-        p0.send_control(EndpointId(1), class::APP, [0; 8], Bytes::new());
+        p0.send_control_at(
+            EndpointId(1),
+            class::APP,
+            [0; 8],
+            Bytes::new(),
+            SimTime::ZERO,
+        );
     }
 
     #[test]
@@ -984,7 +997,7 @@ mod tests {
             );
         }
         let src = Some(EndpointId(0));
-        let req = p1.irecv(src, CommId::WORLD, TagSel::Tag(1));
+        let req = irecv(&mut p1, src, CommId::WORLD, TagSel::Tag(1));
         while !p1.is_complete(req) {
             p1.progress_blocking("first copy", false).unwrap();
         }
@@ -1007,7 +1020,7 @@ mod tests {
         let mut p1 = Pml::new(f.endpoint(EndpointId(1)));
         let mut p2 = Pml::new(f.endpoint(EndpointId(2)));
         // p0 never sends; recv is redirected to p2 which does send.
-        let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(1));
+        let req = irecv(&mut p1, Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(1));
         p1.redirect_recv(req, Some(EndpointId(2)));
         p2.isend(
             EndpointId(1),
@@ -1034,7 +1047,7 @@ mod tests {
         p0.isend(EndpointId(2), CommId::WORLD, 0, 0, Bytes::new());
         let mut seqs = Vec::new();
         for _ in 0..3 {
-            let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(0));
+            let req = irecv(&mut p1, Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(0));
             while !p1.is_complete(req) {
                 p1.progress_blocking("seq recv", false).unwrap();
             }
@@ -1062,8 +1075,8 @@ mod tests {
         let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
         let mut p1 = Pml::new(f.endpoint(EndpointId(1)));
         assert!(p0.lossy_transport());
-        let r1 = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
-        let r2 = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
+        let r1 = irecv(&mut p1, Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
+        let r2 = irecv(&mut p1, Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(7));
         // Wire seq 1 arrives first (its predecessor was "dropped"): held back.
         p0.resend_app(
             EndpointId(1),
@@ -1146,7 +1159,7 @@ mod tests {
             0,
             Bytes::from_static(b"ok"),
         );
-        let req = p1.irecv(Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(1));
+        let req = irecv(&mut p1, Some(EndpointId(0)), CommId::WORLD, TagSel::Tag(1));
         while !p1.is_complete(req) {
             p1.progress_blocking("cross-comm", false).unwrap();
         }
@@ -1170,7 +1183,7 @@ mod tests {
             move || {
                 f.scheduler().start(EndpointId(0));
                 let mut p0 = Pml::new(f.endpoint(EndpointId(0)));
-                let _req = p0.irecv(Some(EndpointId(1)), CommId::WORLD, TagSel::Tag(0));
+                let _req = irecv(&mut p0, Some(EndpointId(1)), CommId::WORLD, TagSel::Tag(0));
                 let events = p0
                     .progress_blocking("peer message or failure", false)
                     .expect("woken by the failure, not deadlocked");

@@ -1,5 +1,6 @@
 //! The application-facing process handle: MPI-like point-to-point calls and
-//! request completion (wait/test) on the world communicator.
+//! request completion (wait/test) on the world communicator, and the
+//! [`Driver`] that runs a protocol's actions against the PML.
 //!
 //! A [`Process`] combines the [`Pml`] (point-to-point engine), the active
 //! [`Protocol`] (native pass-through or a replication protocol) and its view
@@ -10,10 +11,13 @@
 
 use crate::comm::CommInfo;
 use crate::datatype;
+use crate::matching::PmlReqId;
 use crate::pml::{Pml, PmlEvent};
-use crate::protocol::{ProtoRecvReq, ProtoSendReq, Protocol};
-use crate::types::{MpiError, Rank, Status, Tag, TagSel, ANY_SOURCE, ANY_TAG};
+pub use crate::protocol::Request;
+use crate::protocol::{Action, Input, ProtoRecvReq, ProtoSendReq, Protocol};
+use crate::types::{CommId, MpiError, Rank, Status, Tag, TagSel, ANY_SOURCE, ANY_TAG};
 use bytes::Bytes;
+use sim_net::stats::class;
 use sim_net::trace::{digest, EventKind, EventTrace, TraceEvent};
 use sim_net::SimTime;
 
@@ -27,19 +31,245 @@ impl Comm {
     pub const WORLD: Comm = Comm(0);
 }
 
-/// A non-blocking request handle returned by `isend`/`irecv`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Request {
-    /// A send request.
-    Send(ProtoSendReq),
-    /// A receive request.
-    Recv(ProtoRecvReq),
+/// The one driver of a [`Protocol`]: it hands the protocol each input at the
+/// PML's clock and runs the actions that come back against the PML, in
+/// order, reusing one action buffer. The PML is passed to each call, so a
+/// test can drive a protocol by hand through its own PML.
+pub struct Driver {
+    /// The protocol this driver runs.
+    pub protocol: Box<dyn Protocol>,
+    actions: Vec<Action>,
+}
+
+impl Driver {
+    /// Drive `protocol`.
+    pub fn new(protocol: Box<dyn Protocol>) -> Self {
+        Driver {
+            protocol,
+            actions: Vec::new(),
+        }
+    }
+
+    /// Post an application send of `payload` to rank `dst`.
+    pub fn isend(
+        &mut self,
+        pml: &mut Pml,
+        dst: Rank,
+        comm: CommId,
+        tag: Tag,
+        payload: Bytes,
+    ) -> ProtoSendReq {
+        let input = Input::Isend {
+            dst,
+            comm,
+            tag,
+            payload,
+        };
+        let req = self.protocol.input(pml.now(), input, &mut self.actions);
+        self.run(pml);
+        req.expect("an isend makes a send request")
+    }
+
+    /// Post an application receive from rank `src` (`None`: any source).
+    pub fn irecv(
+        &mut self,
+        pml: &mut Pml,
+        src: Option<Rank>,
+        comm: CommId,
+        tag: TagSel,
+    ) -> ProtoRecvReq {
+        let req = ProtoRecvReq(pml.reserve_recv().0);
+        let input = Input::Irecv {
+            req,
+            src,
+            comm,
+            tag,
+        };
+        self.protocol.input(pml.now(), input, &mut self.actions);
+        self.run(pml);
+        req
+    }
+
+    /// Is `req` complete? A receive must be matched by the PML and accepted
+    /// by the protocol.
+    pub fn complete(&self, pml: &Pml, req: Request) -> bool {
+        let matched = match req {
+            Request::Send(_) => true,
+            Request::Recv(r) => pml.is_complete(PmlReqId(r.0)),
+        };
+        matched && self.protocol.complete(req)
+    }
+
+    /// Take the status and payload of completed receive `req` (`None` if it
+    /// is not complete). The status's `source` is an app-world rank.
+    pub fn take_recv(&mut self, pml: &mut Pml, req: ProtoRecvReq) -> Option<(Status, Bytes)> {
+        let msg = pml.completed_msg(PmlReqId(req.0))?;
+        self.protocol
+            .input(pml.now(), Input::Take { req, msg }, &mut self.actions);
+        self.run(pml).0
+    }
+
+    /// Release completed send request `req`.
+    pub fn free_send(&mut self, pml: &mut Pml, req: ProtoSendReq) {
+        self.protocol
+            .input(pml.now(), Input::Free(req), &mut self.actions);
+        self.run(pml);
+    }
+
+    /// Feed `events` to the protocol in order, then return the emptied
+    /// vector to the PML for its next progress call.
+    pub fn handle(&mut self, pml: &mut Pml, mut events: Vec<PmlEvent>) {
+        for ev in events.drain(..) {
+            let input = match ev {
+                PmlEvent::RecvCompleted { req } => Input::Completed {
+                    req: ProtoRecvReq(req.0),
+                    msg: pml.completed_msg(req).expect("a completed receive"),
+                },
+                PmlEvent::Control {
+                    src,
+                    class,
+                    header,
+                    arrival,
+                    ..
+                } => Input::Control {
+                    src,
+                    class,
+                    header,
+                    arrival,
+                },
+                PmlEvent::DuplicateSuppressed {
+                    src, aux, arrival, ..
+                } => Input::Duplicate { src, aux, arrival },
+                PmlEvent::ProcessFailed(ev) => Input::Failed(ev),
+            };
+            self.protocol.input(pml.now(), input, &mut self.actions);
+            self.run(pml);
+        }
+        pml.recycle_events(events);
+    }
+
+    /// `MPI_Finalize`: give the protocol [`Input::Finalize`] until it stops
+    /// asking to drain.
+    pub fn finalize(&mut self, pml: &mut Pml) {
+        loop {
+            self.protocol
+                .input(pml.now(), Input::Finalize, &mut self.actions);
+            let Some(what) = self.run(pml).1 else {
+                return;
+            };
+            match pml.progress_blocking(what, false) {
+                Ok(events) => self.handle(pml, events),
+                Err(err) => std::panic::panic_any(err),
+            }
+        }
+    }
+
+    /// Run the buffered actions against `pml`, in order. Returns what a
+    /// [`Action::Deliver`] handed over and what a [`Action::Drain`] waits
+    /// for.
+    #[inline]
+    fn run(&mut self, pml: &mut Pml) -> (Option<(Status, Bytes)>, Option<&'static str>) {
+        if self.actions.is_empty() {
+            return (None, None);
+        }
+        self.run_actions(pml)
+    }
+
+    fn run_actions(&mut self, pml: &mut Pml) -> (Option<(Status, Bytes)>, Option<&'static str>) {
+        let (mut delivered, mut drain) = (None, None);
+        let Driver { protocol, actions } = self;
+        for action in actions.drain(..) {
+            match action {
+                Action::Send {
+                    dst,
+                    comm,
+                    tag,
+                    aux,
+                    payload,
+                    log,
+                } => {
+                    let wire_seq = pml.isend(dst, comm, tag, aux, payload);
+                    if let Some(log) = log {
+                        let sent = Input::Sent { log, dst, wire_seq };
+                        protocol.input(pml.now(), sent, &mut Vec::new());
+                    }
+                }
+                Action::Resend {
+                    dst,
+                    comm,
+                    tag,
+                    aux,
+                    wire_seq,
+                    payload,
+                } => pml.resend_app(dst, comm, tag, aux, wire_seq, payload),
+                Action::Control {
+                    dst,
+                    class,
+                    header,
+                    not_before,
+                } => pml.send_control_at(dst, class, header, Bytes::new(), not_before),
+                Action::Timer {
+                    header,
+                    at,
+                    from_clock,
+                } => {
+                    let at = if from_clock {
+                        pml.now().saturating_add(at)
+                    } else {
+                        at
+                    };
+                    let me = pml.endpoint_id();
+                    pml.send_control_at(me, class::CONTROL, header, Bytes::new(), at);
+                }
+                Action::Post {
+                    req,
+                    src,
+                    comm,
+                    tag,
+                } => pml.post_recv(PmlReqId(req.0), src, comm, tag),
+                Action::Repost {
+                    req,
+                    src,
+                    comm,
+                    tag,
+                } => pml.repost_recv(PmlReqId(req.0), src, comm, tag),
+                Action::Redirect { req, src } => pml.redirect_recv(PmlReqId(req.0), src),
+                Action::DeferCost { req, since } => {
+                    pml.charge_on_take(PmlReqId(req.0), pml.now() - since)
+                }
+                Action::Deliver { req, source } => {
+                    let msg = pml.take_recv(PmlReqId(req.0)).expect("a completed receive");
+                    let (tag, len) = (msg.tag, msg.payload.len());
+                    delivered = Some((Status { source, tag, len }, msg.payload));
+                }
+                Action::SyncTo(t) => {
+                    pml.endpoint_mut().clock_mut().sync_to(t);
+                }
+                Action::WaitUntil { at, sleep } => {
+                    pml.wait_until(at);
+                    if !pml.endpoint().runs_alone() {
+                        pml.endpoint().fabric().stats().record_retx_real_wait();
+                        std::thread::yield_now();
+                        if sleep {
+                            std::thread::sleep(std::time::Duration::from_micros(200));
+                        }
+                    }
+                }
+                Action::Purge => {
+                    pml.purge_unexpected(|msg| protocol.stale(msg));
+                }
+                Action::Drain(what) => drain = Some(what),
+                Action::Abort(why) => panic!("{why}"),
+            }
+        }
+        (delivered, drain)
+    }
 }
 
 /// The per-process application handle.
 pub struct Process {
     pml: Pml,
-    protocol: Box<dyn Protocol>,
+    driver: Driver,
     world: CommInfo,
     trace: EventTrace,
 }
@@ -61,7 +291,7 @@ impl Process {
         let world = CommInfo::world(app_ranks, protocol.app_rank());
         Process {
             pml,
-            protocol,
+            driver: Driver::new(protocol),
             world,
             trace,
         }
@@ -102,7 +332,7 @@ impl Process {
 
     /// Access the active protocol (diagnostics).
     pub fn protocol(&self) -> &dyn Protocol {
-        self.protocol.as_ref()
+        self.driver.protocol.as_ref()
     }
 
     // -- the world communicator -----------------------------------------------
@@ -151,10 +381,7 @@ impl Process {
                 at: self.pml.now(),
             });
         }
-        let req = self
-            .protocol
-            .isend(&mut self.pml, dst, comm_id, tag, payload);
-        Request::Send(req)
+        Request::Send(self.driver.isend(&mut self.pml, dst, comm_id, tag, payload))
     }
 
     /// Non-blocking receive of raw bytes from `src` (communicator rank, or
@@ -173,22 +400,12 @@ impl Process {
         } else {
             TagSel::Tag(tag)
         };
-        let req = self.protocol.irecv(&mut self.pml, src, comm_id, tag_sel);
-        Request::Recv(req)
+        Request::Recv(self.driver.irecv(&mut self.pml, src, comm_id, tag_sel))
     }
 
     fn drain_events(&mut self) {
         let events = self.pml.progress();
-        self.handle_events(events);
-    }
-
-    /// Feed `events` to the protocol in order, then return the emptied
-    /// vector to the PML for its next progress call.
-    fn handle_events(&mut self, mut events: Vec<PmlEvent>) {
-        for ev in events.drain(..) {
-            self.protocol.handle_event(&mut self.pml, ev);
-        }
-        self.pml.recycle_events(events);
+        self.driver.handle(&mut self.pml, events);
     }
 
     /// `racy = true` marks waits whose traffic is very likely already in
@@ -199,19 +416,20 @@ impl Process {
         // Formatted only if the wait fails; the protocol cannot change state
         // in between (blocking progress only queues events).
         let desc = std::fmt::from_fn(|f| {
-            write!(f, "{what}; protocol: {}", self.protocol.describe_pending())
+            write!(
+                f,
+                "{what}; protocol: {}",
+                self.driver.protocol.describe_pending()
+            )
         });
         match self.pml.progress_blocking(desc, racy) {
-            Ok(events) => self.handle_events(events),
+            Ok(events) => self.driver.handle(&mut self.pml, events),
             Err(err) => std::panic::panic_any(err),
         }
     }
 
     fn request_complete(&mut self, req: Request) -> bool {
-        match req {
-            Request::Send(s) => self.protocol.send_complete(&mut self.pml, s),
-            Request::Recv(r) => self.protocol.recv_complete(&mut self.pml, r),
-        }
+        self.driver.complete(&self.pml, req)
     }
 
     /// `MPI_Test`: non-blocking completion check (makes progress first).
@@ -238,7 +456,7 @@ impl Process {
         }
         match req {
             Request::Send(s) => {
-                self.protocol.free_send(&mut self.pml, s);
+                self.driver.free_send(&mut self.pml, s);
                 (
                     Status {
                         source: my_rank,
@@ -250,7 +468,7 @@ impl Process {
             }
             Request::Recv(r) => {
                 let (status, payload) = self
-                    .protocol
+                    .driver
                     .take_recv(&mut self.pml, r)
                     .expect("completed receive must yield a payload");
                 if self.trace.is_enabled() {
@@ -321,13 +539,13 @@ impl Process {
     /// Finalize: let the protocol settle its state (e.g. outstanding acks).
     pub fn finalize(&mut self) {
         self.drain_events();
-        self.protocol.finalize(&mut self.pml);
+        self.driver.finalize(&mut self.pml);
     }
 
     /// Split the process back into its parts (used by the runtime to collect
     /// accounting after the application returns).
     pub fn into_parts(self) -> (Pml, Box<dyn Protocol>) {
-        (self.pml, self.protocol)
+        (self.pml, self.driver.protocol)
     }
 
     // -- internals shared with collectives ------------------------------------

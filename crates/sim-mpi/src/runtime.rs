@@ -360,7 +360,8 @@ impl JobBuilder {
                     if !flips.is_empty() {
                         pml.arm_sdc_flips(flips);
                     }
-                    let protocol = factory.build(EndpointId(p), app_ranks);
+                    let lossy = pml.lossy_transport();
+                    let protocol = factory.build(EndpointId(p), app_ranks, lossy);
                     let app_rank = protocol.app_rank();
                     let replica = protocol.replica_id();
                     let mut process = Process::new(pml, protocol, app_ranks, trace);

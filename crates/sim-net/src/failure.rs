@@ -29,9 +29,10 @@ pub struct CrashSignal {
 }
 
 /// When a given physical process should crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CrashSchedule {
     /// Never crash (default).
+    #[default]
     Never,
     /// Crash the first time the process's virtual clock reaches `at`.
     AtTime {
@@ -49,12 +50,6 @@ pub enum CrashSchedule {
         /// 1-based application-send index.
         nth: u64,
     },
-}
-
-impl Default for CrashSchedule {
-    fn default() -> Self {
-        CrashSchedule::Never
-    }
 }
 
 impl CrashSchedule {

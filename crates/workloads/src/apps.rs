@@ -133,7 +133,7 @@ pub fn run_cm1(p: &mut Process, cfg: &AppConfig) -> f64 {
     let rank = p.rank();
     // 2-D process grid.
     let mut px = (size as f64).sqrt() as usize;
-    while px > 1 && size % px != 0 {
+    while px > 1 && !size.is_multiple_of(px) {
         px -= 1;
     }
     let px = px.max(1);

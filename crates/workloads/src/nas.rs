@@ -733,7 +733,7 @@ enum AdiFlavor {
 
 fn process_grid(size: usize) -> (usize, usize) {
     let mut px = (size as f64).sqrt() as usize;
-    while px > 1 && size % px != 0 {
+    while px > 1 && !size.is_multiple_of(px) {
         px -= 1;
     }
     (px.max(1), size / px.max(1))
@@ -946,9 +946,9 @@ mod tests {
     }
 
     /// The parent's `jacobi_smooth` update: a clone of `u` as the old values.
-    fn reference_jacobi(u: &mut Vec<f64>, f: &[f64], left: f64, right: f64) {
+    fn reference_jacobi(u: &mut [f64], f: &[f64], left: f64, right: f64) {
         let n = u.len();
-        let old = u.clone();
+        let old = u.to_vec();
         for i in 0..n {
             let l = if i == 0 { left } else { old[i - 1] };
             let r = if i + 1 == n { right } else { old[i + 1] };

@@ -5,7 +5,7 @@
 #![allow(dead_code)]
 
 use sim_mpi::pml::Pml;
-use sim_mpi::{JobReport, Process, Protocol, Rank};
+use sim_mpi::{Driver, JobReport, Process, Rank};
 use sim_net::{EndpointId, LogGpModel};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -110,16 +110,14 @@ pub fn survivor_results<R: Clone + std::fmt::Debug>(
         .collect()
 }
 
-/// Drive one PML/protocol pair until it reports no further events — the
-/// single-threaded progress loop of the scripted protocol tests.
-pub fn pump<P: Protocol>(pml: &mut Pml, proto: &mut P) {
+/// Drive one PML and its protocol's driver until the PML reports no further
+/// events — the single-threaded progress loop of the scripted protocol tests.
+pub fn pump(pml: &mut Pml, driver: &mut Driver) {
     loop {
         let events = pml.progress();
         if events.is_empty() {
             return;
         }
-        for ev in events {
-            proto.handle_event(pml, ev);
-        }
+        driver.handle(pml, events);
     }
 }

@@ -24,7 +24,7 @@ use bytes::Bytes;
 use common::{fast, pump};
 use sdr_core::{ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::Pml;
-use sim_mpi::{CommId, Protocol, TagSel};
+use sim_mpi::{CommId, Driver, Request, TagSel};
 use sim_net::stats::class;
 use sim_net::{EndpointId, Fabric, SimTime};
 use std::sync::Arc;
@@ -41,7 +41,8 @@ fn substitute_resends_unacked_entries_in_posting_order_across_destinations() {
     let fabric = Fabric::with_defaults(6, fast());
     let node = |e: usize| {
         let pml = Pml::new(fabric.endpoint(EndpointId(e)));
-        (pml, SdrProtocol::new(EndpointId(e), Arc::clone(&map), cfg))
+        let proto = SdrProtocol::new(EndpointId(e), Arc::clone(&map), cfg);
+        (pml, Driver::new(Box::new(proto)))
     };
     let (mut pml0, mut p00) = node(0);
     let (mut pml3, mut p10) = node(3);
@@ -65,7 +66,7 @@ fn substitute_resends_unacked_entries_in_posting_order_across_destinations() {
     pump(&mut pml0, &mut p00);
     let complete: Vec<bool> = sends
         .iter()
-        .map(|&s| p00.send_complete(&mut pml0, s))
+        .map(|&s| p00.complete(&pml0, Request::Send(s)))
         .collect();
     assert_eq!(
         complete,
@@ -78,7 +79,7 @@ fn substitute_resends_unacked_entries_in_posting_order_across_destinations() {
     pump(&mut pml0, &mut p00);
     for &s in &sends {
         assert!(
-            p00.send_complete(&mut pml0, s),
+            p00.complete(&pml0, Request::Send(s)),
             "replica 1's acks are no longer awaited"
         );
     }

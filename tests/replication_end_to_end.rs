@@ -195,7 +195,7 @@ fn crash_during_collective_heavy_run_is_survived() {
     assert_eq!(report.crashed(), vec![EndpointId(5)]);
     // Every primary-replica process finishes with the correct result.
     let expected: f64 = (0..8)
-        .map(|i| (0 + i) + (1 + i) + (2 + i) + (3 + i))
+        .map(|i| (0..4).map(|rank| rank + i).sum::<usize>())
         .sum::<usize>() as f64;
     for proc in report.processes.iter().filter(|p| p.replica == 0) {
         assert!(proc.outcome.is_finished());

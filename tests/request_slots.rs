@@ -10,7 +10,7 @@ use bytes::Bytes;
 use common::{fast, pump};
 use sdr_core::{ReplicaMap, ReplicationConfig, SdrProtocol};
 use sim_mpi::pml::Pml;
-use sim_mpi::{CommId, PmlReqId, Protocol, TagSel};
+use sim_mpi::{CommId, Driver, PmlReqId, Request, TagSel};
 use sim_net::{EndpointId, Fabric};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -23,6 +23,13 @@ fn payload(i: u64) -> Bytes {
 
 fn word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("an eight-byte payload"))
+}
+
+/// Reserve and post a receive.
+fn irecv(pml: &mut Pml, src: Option<EndpointId>, comm: CommId, tag: TagSel) -> PmlReqId {
+    let req = pml.reserve_recv();
+    pml.post_recv(req, src, comm, tag);
+    req
 }
 
 /// Drain `pml`'s inbox until a progress call reports nothing.
@@ -60,7 +67,7 @@ fn a_thousand_outstanding_receives_complete_in_any_order_and_reuse_their_slots()
     let mut first_round: Vec<PmlReqId> = Vec::new();
     for (round, order) in [reverse, shuffled].into_iter().enumerate() {
         let reqs: Vec<PmlReqId> = (0..N)
-            .map(|tag| rx.irecv(src, CommId::WORLD, TagSel::Tag(tag as i64)))
+            .map(|tag| irecv(&mut rx, src, CommId::WORLD, TagSel::Tag(tag as i64)))
             .collect();
         assert_eq!(rx.outstanding_requests(), N as usize);
         for &tag in &order {
@@ -81,7 +88,7 @@ fn a_thousand_outstanding_receives_complete_in_any_order_and_reuse_their_slots()
         let slots = |reqs: &[PmlReqId]| reqs.iter().map(|&r| slot_of(r)).collect::<BTreeSet<_>>();
         assert_eq!(slots(&reqs), slots(&first_round), "freed slots are reused");
         assert!(reqs.iter().all(|r| !first_round.contains(r)));
-        let fresh = rx.irecv(src, CommId::WORLD, TagSel::Tag(7));
+        let fresh = irecv(&mut rx, src, CommId::WORLD, TagSel::Tag(7));
         let stale = *first_round
             .iter()
             .find(|&&r| slot_of(r) == slot_of(fresh))
@@ -168,7 +175,7 @@ fn specific_and_wildcard_receives_match_in_posting_order() {
         match *op {
             Ok((src, tag)) => {
                 let tag = tag.map_or(TagSel::Any, TagSel::Tag);
-                reqs.push(rx.irecv(src.map(EndpointId), CommId::WORLD, tag));
+                reqs.push(irecv(&mut rx, src.map(EndpointId), CommId::WORLD, tag));
             }
             Err((src, tag)) => {
                 // Ingested before the receiver's next call: arrival order is
@@ -201,7 +208,8 @@ fn a_dual_send_log_freed_early_is_collected_from_the_middle() {
     let fabric = Fabric::with_defaults(4, fast());
     let node = |e: usize| {
         let pml = Pml::new(fabric.endpoint(EndpointId(e)));
-        (pml, SdrProtocol::new(EndpointId(e), Arc::clone(&map), cfg))
+        let proto = SdrProtocol::new(EndpointId(e), Arc::clone(&map), cfg);
+        (pml, Driver::new(Box::new(proto)))
     };
     let (mut pml0, mut p00) = node(0);
     let (mut pml2, mut p10) = node(2);
@@ -216,16 +224,24 @@ fn a_dual_send_log_freed_early_is_collected_from_the_middle() {
     for &s in &sends {
         p00.free_send(&mut pml0, s);
     }
-    assert_eq!(p00.send_log_len(), 3, "unacked entries stay in the log");
+    assert_eq!(
+        p00.protocol.send_log_len(),
+        3,
+        "unacked entries stay in the log"
+    );
     // Replica 1 of rank 1 receives the middle message first and acks it.
     let middle = p11.irecv(&mut pml3, Some(0), CommId::WORLD, TagSel::Tag(11));
     pump(&mut pml3, &mut p11);
     assert!(p11.take_recv(&mut pml3, middle).is_some());
     pump(&mut pml0, &mut p00);
-    assert_eq!(p00.send_log_len(), 2, "the middle entry is collected");
+    assert_eq!(
+        p00.protocol.send_log_len(),
+        2,
+        "the middle entry is collected"
+    );
     let complete: Vec<bool> = sends
         .iter()
-        .map(|&s| p00.send_complete(&mut pml0, s))
+        .map(|&s| p00.complete(&pml0, Request::Send(s)))
         .collect();
     assert_eq!(complete, [false, true, false]);
     // The other two acks empty the log.
@@ -235,7 +251,7 @@ fn a_dual_send_log_freed_early_is_collected_from_the_middle() {
         assert!(p11.take_recv(&mut pml3, r).is_some());
     }
     pump(&mut pml0, &mut p00);
-    assert_eq!(p00.send_log_len(), 0);
+    assert_eq!(p00.protocol.send_log_len(), 0);
     // A later send starts a fresh ring and is acked like any other.
     let s = p00.isend(&mut pml0, 1, CommId::WORLD, 13, payload(3));
     p10.isend(&mut pml2, 1, CommId::WORLD, 13, payload(3));
@@ -244,9 +260,9 @@ fn a_dual_send_log_freed_early_is_collected_from_the_middle() {
     pump(&mut pml3, &mut p11);
     assert!(p11.take_recv(&mut pml3, r).is_some());
     pump(&mut pml0, &mut p00);
-    assert!(p00.send_complete(&mut pml0, s));
+    assert!(p00.complete(&pml0, Request::Send(s)));
     p00.free_send(&mut pml0, s);
-    assert_eq!(p00.send_log_len(), 0);
+    assert_eq!(p00.protocol.send_log_len(), 0);
 }
 
 #[test]
@@ -257,11 +273,11 @@ fn repost_recv_re_posts_at_the_tail() {
     let mut tx = Pml::new(fabric.endpoint(EndpointId(0)));
     let mut rx = Pml::new(fabric.endpoint(EndpointId(1)));
     let (src, tag) = (Some(EndpointId(0)), TagSel::Tag(1));
-    let a = rx.irecv(src, CommId::WORLD, tag);
+    let a = irecv(&mut rx, src, CommId::WORLD, tag);
     tx.isend(EndpointId(1), CommId::WORLD, 1, 0, payload(1));
     drain(&mut rx);
     assert!(rx.is_complete(a));
-    let b = rx.irecv(src, CommId::WORLD, tag);
+    let b = irecv(&mut rx, src, CommId::WORLD, tag);
     rx.repost_recv(a, src, CommId::WORLD, tag);
     assert!(!rx.is_complete(a), "the same handle is armed again");
     for i in [2, 3] {

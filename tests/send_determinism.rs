@@ -122,8 +122,8 @@ fn cg_kernel_is_send_deterministic() {
         );
     }
     let app = AppConfig::test_size();
-    let apps: [(&str, fn(&mut Process, &AppConfig) -> f64); 2] =
-        [("HPCCG", run_hpccg), ("CM1", run_cm1)];
+    type App = fn(&mut Process, &AppConfig) -> f64;
+    let apps: [(&str, App); 2] = [("HPCCG", run_hpccg), ("CM1", run_cm1)];
     for (name, run) in apps {
         let divergent = divergent_ranks(4, 3, move |p| run(p, &app));
         assert!(

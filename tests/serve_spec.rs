@@ -99,7 +99,7 @@ fn assemble(
                 dup_per_64k: (seed % 1000) as u32,
                 delay_per_64k: (seed % 3000) as u32,
                 delay_ns: seed % 50_000,
-                ack_only: seed % 2 == 0,
+                ack_only: seed.is_multiple_of(2),
             },
             seed,
         }),
