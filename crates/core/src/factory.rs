@@ -44,6 +44,10 @@ impl ProtocolFactory for SdrFactory {
     fn name(&self) -> &str {
         "sdr-mpi"
     }
+
+    fn locate(&self, endpoint: EndpointId, _app_ranks: usize) -> (Rank, usize) {
+        self.map.locate(endpoint)
+    }
 }
 
 /// A [`JobBuilder`] on one replica map.

@@ -222,18 +222,13 @@ impl ReplicaMap {
         self.locate(endpoint).0
     }
 
-    /// The lowest replica index of `rank` whose endpoint `alive` (indexed by
-    /// endpoint id; missing entries count as dead) marks live, or `None`
-    /// when every replica is dead. This is the one election of the protocol:
-    /// Algorithm 1's `electSubstitute`. Every survivor evaluates it on the
-    /// same liveness view, so it needs no message exchange.
-    pub fn lowest_live_replica(&self, rank: Rank, alive: &[bool]) -> Option<usize> {
-        (0..self.degree_of(rank)).find(|&rep| {
-            alive
-                .get(self.endpoint(rank, rep).0)
-                .copied()
-                .unwrap_or(false)
-        })
+    /// The lowest replica index of `rank` whose bit is set in `live` (bit
+    /// `rep` set while replica `rep` lives), or `None` when every replica is
+    /// dead. This is the one election of the protocol: Algorithm 1's
+    /// `electSubstitute`. Every survivor evaluates it on the same liveness
+    /// view, so it needs no message exchange.
+    pub fn lowest_live_replica(&self, rank: Rank, live: ReplicaMask) -> Option<usize> {
+        (0..self.degree_of(rank)).find(|&rep| live & (1 << rep) != 0)
     }
 
     /// The replica of `src_rank` that replica `my_replica` (of any rank)

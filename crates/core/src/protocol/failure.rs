@@ -8,12 +8,15 @@ use sim_net::FailureEvent;
 impl SdrProtocol {
     /// Algorithm 1, `upon failure of p^rep_rank`.
     pub(super) fn handle_failure(&mut self, ev: FailureEvent, out: &mut Vec<Action>) {
-        if ev.endpoint.0 >= self.alive.len() || !self.alive[ev.endpoint.0] {
+        if ev.endpoint.0 >= self.map.physical_processes() || !self.is_alive(ev.endpoint) {
             return; // unknown or already handled
         }
         self.mark_dead(ev.endpoint);
         let (failed_rank, failed_rep) = self.map.locate(ev.endpoint);
-        let Some(sub) = self.map.lowest_live_replica(failed_rank, &self.alive) else {
+        let Some(sub) = self
+            .map
+            .lowest_live_replica(failed_rank, self.peers[failed_rank].live)
+        else {
             // Every replica of the rank is gone; nothing the protocol can do
             // (the paper would fall back to checkpoint/restart here). Abort
             // this process with a clear error instead of letting the job hang
@@ -36,24 +39,21 @@ impl SdrProtocol {
                     .collect();
                 for &l in &delegated {
                     // Add the failed replica set's destinations to mine
-                    // (only ranks that actually have a replica slot `l`).
+                    // (only ranks with a live replica `l`: a live mask has
+                    // no bit at or above its rank's degree).
                     let bit = 1 << l;
-                    for rank in 0..self.map.ranks() {
-                        if l < self.map.degree_of(rank) && self.is_alive(self.map.endpoint(rank, l))
-                        {
-                            self.peers[rank].physical_dests |= bit;
+                    for peer in &mut self.peers {
+                        if peer.live & bit != 0 {
+                            peer.physical_dests |= bit;
                         }
                     }
                     // Re-send, in log order, every message whose ack from
                     // replica `l` of the destination rank is missing.
                     for entry in self.sends.iter_mut() {
-                        if l >= self.map.degree_of(entry.dst_rank) {
+                        if self.peers[entry.dst_rank].live & bit == 0 {
                             continue;
                         }
                         let target = self.map.endpoint(entry.dst_rank, l);
-                        if !self.alive[target.0] {
-                            continue;
-                        }
                         if entry.acks_received & bit == 0 {
                             out.push(Action::Send {
                                 dst: target,

@@ -222,7 +222,7 @@ impl SdrProtocol {
             }
         }
         if self.fin_acked.is_empty() {
-            self.fin_acked = vec![0; self.alive.len()];
+            self.fin_acked = vec![0; self.map.physical_processes()];
         }
         let slot = &mut self.fin_acked[acker.0];
         *slot = (*slot).max(upto);

@@ -298,7 +298,9 @@ struct Peer {
     physical_src: EndpointId,
     /// Application sequences delivered from the rank.
     recv_seen: SeqTracker,
-    /// The rank's replicas this process believes alive (`alive`, per rank).
+    /// The rank's replicas this process believes alive: Algorithm 1's
+    /// `alive`, per rank, and the liveness view the substitute election
+    /// reads. A bit only ever goes from alive to dead.
     live: ReplicaMask,
 }
 
@@ -322,11 +324,6 @@ pub struct SdrProtocol {
     /// `substitute[rep]`: which replica id of *this* process's rank is in
     /// charge of sending on behalf of replica `rep`.
     substitute: Vec<usize>,
-    /// Liveness of every physical process, as known locally, as the
-    /// substitute election reads it; each peer's `live` mask mirrors its
-    /// rank's entries for the fast path. An entry only ever goes from alive
-    /// to dead.
-    alive: Vec<bool>,
 
     // --- request bookkeeping -----------------------------------------------
     sends: SendLog,
@@ -372,7 +369,6 @@ impl SdrProtocol {
             })
             .collect();
         let my_degree = map.degree_of(my_rank);
-        let physical = map.physical_processes();
         SdrProtocol {
             map,
             cfg,
@@ -381,7 +377,6 @@ impl SdrProtocol {
             my_replica,
             peers,
             substitute: (0..my_degree).collect(),
-            alive: vec![true; physical],
             sends: SendLog::new(),
             recvs: Vec::new(),
             posts: 0,
@@ -414,12 +409,12 @@ impl SdrProtocol {
     }
 
     fn is_alive(&self, e: EndpointId) -> bool {
-        self.alive.get(e.0).copied().unwrap_or(false)
+        let (rank, replica) = self.map.locate(e);
+        self.peers[rank].live & (1 << replica) != 0
     }
 
     /// Record that endpoint `e` failed.
     fn mark_dead(&mut self, e: EndpointId) {
-        self.alive[e.0] = false;
         let (rank, replica) = self.map.locate(e);
         self.peers[rank].live &= !(1 << replica);
     }

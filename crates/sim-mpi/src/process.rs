@@ -259,7 +259,7 @@ impl Driver {
                     pml.purge_unexpected(|msg| protocol.stale(msg));
                 }
                 Action::Drain(what) => drain = Some(what),
-                Action::Abort(why) => panic!("{why}"),
+                Action::Abort(why) => std::panic::panic_any(MpiError::ProtocolAbort(why)),
             }
         }
         (delivered, drain)

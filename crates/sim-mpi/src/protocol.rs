@@ -185,7 +185,8 @@ pub enum Action {
     /// Block for the next events, handle them, and give
     /// [`Input::Finalize`] again; a deadlock's message names the string.
     Drain(&'static str),
-    /// Fail the process with this message, once the actions before it ran.
+    /// Fail the process with [`crate::MpiError::ProtocolAbort`] carrying this
+    /// message, once the actions before it ran.
     Abort(String),
 }
 
@@ -246,6 +247,14 @@ pub trait ProtocolFactory: Send + Sync {
 
     /// Human-readable protocol name (for reports).
     fn name(&self) -> &str;
+
+    /// The application rank and replica physical process `endpoint` plays,
+    /// without building its protocol. The default is the uniform layout,
+    /// `endpoint = replica · app_ranks + rank`, of native jobs and the
+    /// baselines.
+    fn locate(&self, endpoint: EndpointId, app_ranks: usize) -> (Rank, usize) {
+        (endpoint.0 % app_ranks, endpoint.0 / app_ranks)
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@
 //! [`ProcessOutcome::Crashed`] record rather than a test failure; deadlocks —
 //! detected exactly, by the scheduler's quiescence check (run queue empty, no
 //! message in flight, unfinished processes parked) — become
-//! [`ProcessOutcome::Deadlocked`]. The job's *elapsed* virtual time — the
-//! quantity reported in the paper's tables — is the maximum finish time over
-//! the processes that completed the application.
+//! [`ProcessOutcome::Deadlocked`]. A job whose stacks cannot all be mapped
+//! runs nothing: every process is [`ProcessOutcome::Panicked`] with the
+//! message naming the limit ([`CoroRuntime::lease_error`]). The job's
+//! *elapsed* virtual time — the quantity reported in the paper's tables — is
+//! the maximum finish time over the processes that completed the application.
 
 use crate::pml::{Pml, SdcFlip};
 use crate::process::Process;
@@ -397,20 +399,44 @@ impl JobBuilder {
         // which holds because nothing executes until `activate` leases the
         // workers.
         let rt = CoroRuntime::new(physical, DEFAULT_PROC_STACK, Arc::clone(fabric.stats()));
-        let handles: Vec<_> = (0..physical).map(|p| rt.spawn(p, body_for(p))).collect();
-        fabric.scheduler().attach_coro(Arc::clone(&rt));
-        for p in 0..physical {
-            fabric.scheduler().register(EndpointId(p));
-        }
-        let (threads_spawned, threads_reused) = rt.activate(workers);
-        let mut processes: Vec<ProcessReport<R>> = handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("simulated process carrier must not die unexpectedly")
-            })
-            .collect();
-        rt.shutdown();
+        let (mut processes, threads_spawned, threads_reused) = match rt.lease_error() {
+            // The runtime kept no stack, so nothing is registered or run:
+            // every process fails with the name of the limit that stopped it.
+            Some(err) => {
+                let why = err.to_string();
+                let unlaunched = |p: usize| {
+                    let (app_rank, replica) = self.factory.locate(EndpointId(p), app_ranks);
+                    ProcessReport {
+                        endpoint: EndpointId(p),
+                        app_rank,
+                        replica,
+                        outcome: ProcessOutcome::Panicked(why.clone()),
+                        finish_time: SimTime::ZERO,
+                        compute_time: SimTime::ZERO,
+                        comm_time: SimTime::ZERO,
+                        idle_time: SimTime::ZERO,
+                    }
+                };
+                ((0..physical).map(unlaunched).collect(), 0, 0)
+            }
+            None => {
+                let handles: Vec<_> = (0..physical).map(|p| rt.spawn(p, body_for(p))).collect();
+                fabric.scheduler().attach_coro(Arc::clone(&rt));
+                for p in 0..physical {
+                    fabric.scheduler().register(EndpointId(p));
+                }
+                let (spawned, reused) = rt.activate(workers);
+                let processes: Vec<ProcessReport<R>> = handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join()
+                            .expect("simulated process carrier must not die unexpectedly")
+                    })
+                    .collect();
+                rt.shutdown();
+                (processes, spawned, reused)
+            }
+        };
         processes.sort_by_key(|p| p.endpoint);
         let elapsed = processes
             .iter()
@@ -468,7 +494,8 @@ fn classify_panic<R>(payload: Box<dyn std::any::Any + Send>) -> ProcessOutcome<R
 }
 
 /// Silence the default panic printer for the panics we use as control flow
-/// (crash signals, deadlock reports); real panics still print.
+/// (crash signals, deadlock reports, protocol aborts); real panics still
+/// print.
 fn install_quiet_panic_hook() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {

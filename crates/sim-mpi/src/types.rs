@@ -99,6 +99,9 @@ pub enum MpiError {
         /// The job's replication degree.
         degree: usize,
     },
+    /// The replication protocol gave up (a send still unacknowledged after
+    /// its last retransmission timeout); the string says why.
+    ProtocolAbort(String),
 }
 
 impl fmt::Display for MpiError {
@@ -131,6 +134,7 @@ impl fmt::Display for MpiError {
                      (the job cannot continue without checkpoint/restart)"
                 )
             }
+            MpiError::ProtocolAbort(why) => f.write_str(why),
         }
     }
 }

@@ -42,19 +42,22 @@
 //!   cleanup ("switch-out + drop-on-owner") is just the ordinary retirement
 //!   path: the stack is recycled by the next context that runs on the host
 //!   thread, after the dying coroutine has fully switched away.
-//! * **Guard discipline.** Stacks come from [`super::stack`]: `mmap`'d with
+//! * **Guard discipline.** Stacks come from [`super::stack`], `mmap`'d with
 //!   a `PROT_NONE` guard below (overflow ⇒ SIGSEGV ⇒ diagnostic + abort via
-//!   [`super::stack::install_overflow_handler`]), or heap-backed with a
-//!   canary that is verified at every suspension. Every stack's canary,
-//!   guarded or not, is verified at retirement.
+//!   [`super::stack::install_overflow_handler`]); a stack's canary is
+//!   verified once, at retirement. A runtime leases every slot's stack when
+//!   it is built, all or none: if one lease fails, none is kept (the fresh
+//!   ones are unmapped),
+//!   [`CoroRuntime::lease_error`] names the limit, and every spawned handle
+//!   reports that message as its panic payload, so nothing runs.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use super::stack::{self, CoroStack, StackPool, StackSource};
+use super::stack::{self, CoroStack, StackError, StackPool, StackSource};
 use super::{CarrierHandle, CarrierPool, CarrierSource};
 use crate::stats::NetStats;
 
@@ -233,11 +236,6 @@ struct CoroSlot {
     /// The resume token: saved stack pointer of a suspended coroutine, or 0
     /// while it runs (or before spawn / after retirement).
     ctx: AtomicUsize,
-    /// Canary address the per-suspension integrity check reads, without
-    /// locking the stack itself: the installed stack's for a heap stack, 0
-    /// (nothing to read) for a guarded one or for none. See
-    /// [`suspension_canary`].
-    canary: AtomicUsize,
     /// The leased stack, taken back at retirement for recycling.
     stack: Mutex<Option<CoroStack>>,
     /// The process body, taken by the trampoline at first activation.
@@ -259,7 +257,8 @@ struct EntryArgs {
 /// Hosts all process stacks of one job on `workers` OS threads.
 ///
 /// Lifecycle (driven by `sim_mpi::runtime` for every job):
-/// 1. [`CoroRuntime::new`] with the job's process capacity,
+/// 1. [`CoroRuntime::new`] with the job's process capacity (leases every
+///    stack; [`CoroRuntime::lease_error`] says if it could not),
 /// 2. [`CoroRuntime::spawn`] for every slot (installs stack + body; nothing
 ///    executes yet),
 /// 3. [`crate::sched::Scheduler::attach_coro`] + scheduler registration of
@@ -277,12 +276,8 @@ pub struct CoroRuntime {
     injector: Mutex<Injector>,
     injector_cv: Condvar,
     stats: Arc<NetStats>,
-    stack_bytes: usize,
-    /// Bytes of stack this runtime currently has leased from the global
-    /// pool. The per-job stats gauge tracks the peak of *this* figure, not
-    /// the pool's process-wide resident bytes — concurrently running jobs
-    /// (service mode) must not bleed into each other's reported peaks.
-    leased_bytes: AtomicU64,
+    /// Why the slots hold no stacks: a lease failed, so none was kept.
+    lease_error: Option<StackError>,
     workers: Mutex<Vec<CarrierHandle<()>>>,
 }
 
@@ -291,16 +286,36 @@ unsafe impl Send for CoroRuntime {}
 unsafe impl Sync for CoroRuntime {}
 
 impl CoroRuntime {
-    /// Create a runtime for `capacity` process slots whose stacks have
-    /// `stack_bytes` usable bytes. Installs the stack-overflow SIGSEGV
+    /// Create a runtime for `capacity` process slots and lease each a stack
+    /// with `stack_bytes` usable bytes: all of them, or, if one lease fails,
+    /// none (see [`Self::lease_error`]). Installs the stack-overflow SIGSEGV
     /// handler on first use.
     pub fn new(capacity: usize, stack_bytes: usize, stats: Arc<NetStats>) -> Arc<CoroRuntime> {
         stack::install_overflow_handler();
+        let pool = StackPool::global();
+        let mut leases = Vec::with_capacity(capacity);
+        let lease_error =
+            (0..capacity).find_map(|_| pool.get(stack_bytes).map(|l| leases.push(l)).err());
+        if lease_error.is_some() {
+            // Keep nothing. The fresh stacks are unmapped, because the limit
+            // that stopped this runtime may stop the process's next mapping
+            // too; the reused ones go back to the pool.
+            for (stk, source) in leases.drain(..) {
+                if source == StackSource::Reused {
+                    pool.put(stk);
+                }
+            }
+        }
+        let mut leased = 0;
+        for (stk, source) in &leases {
+            leased += stk.footprint() as u64;
+            stats.record_stack_lease(*source == StackSource::Fresh, leased);
+        }
+        let mut stacks = leases.into_iter().map(|(stk, _)| stk);
         let slots = (0..capacity)
             .map(|_| CoroSlot {
                 ctx: AtomicUsize::new(0),
-                canary: AtomicUsize::new(0),
-                stack: Mutex::new(None),
+                stack: Mutex::new(stacks.next()),
                 entry: Mutex::new(None),
             })
             .collect();
@@ -312,16 +327,16 @@ impl CoroRuntime {
             }),
             injector_cv: Condvar::new(),
             stats,
-            stack_bytes,
-            leased_bytes: AtomicU64::new(0),
+            lease_error,
             workers: Mutex::new(Vec::new()),
         })
     }
 
-    /// Install `body` as slot `slot`'s coroutine: lease a stack, write the
-    /// initial switch frame, and park the body for the trampoline. Nothing
-    /// runs until a dispatcher resumes the slot (after [`Self::activate`]).
-    /// The handle reports the body's result or panic payload.
+    /// Install `body` as slot `slot`'s coroutine: write the initial switch
+    /// frame on the slot's stack and park the body for the trampoline.
+    /// Nothing runs until a dispatcher resumes the slot (after
+    /// [`Self::activate`]). The handle reports the body's result or panic
+    /// payload; on a runtime without stacks, the lease error's message.
     pub fn spawn<T, F>(&self, slot: usize, body: F) -> CarrierHandle<T>
     where
         T: Send + 'static,
@@ -334,25 +349,22 @@ impl CoroRuntime {
             "slot {slot} spawned twice"
         );
         let (res_tx, res_rx) = std::sync::mpsc::channel();
+        let held = s.stack.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(stk) = held.as_ref() else {
+            let why = self.lease_error.as_ref().expect("slot spawned twice");
+            let _ = res_tx.send(Err(Box::new(why.to_string()) as Box<_>));
+            return CarrierHandle { result: res_rx };
+        };
         let wrapped: Box<dyn FnOnce() + Send> = Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(body));
             let _ = res_tx.send(result);
         });
-        let (stk, source) = StackPool::global().get(self.stack_bytes);
-        let leased = self
-            .leased_bytes
-            .fetch_add(stk.footprint() as u64, Ordering::Relaxed)
-            + stk.footprint() as u64;
-        self.stats
-            .record_stack_lease(source == StackSource::Fresh, leased);
         let args = Box::into_raw(Box::new(EntryArgs {
             rt: self as *const CoroRuntime,
             slot,
         }));
-        let sp = unsafe { arch::prepare(&stk, args as usize) };
-        s.canary.store(suspension_canary(&stk), Ordering::Relaxed);
+        let sp = unsafe { arch::prepare(stk, args as usize) };
         *s.entry.lock().unwrap_or_else(|e| e.into_inner()) = Some(wrapped);
-        *s.stack.lock().unwrap_or_else(|e| e.into_inner()) = Some(stk);
         s.ctx.store(sp, Ordering::Release);
         CarrierHandle { result: res_rx }
     }
@@ -432,9 +444,6 @@ impl CoroRuntime {
     pub(crate) fn suspend_current(&self) {
         let me = CURRENT.get();
         assert_ne!(me, NONE, "suspend_current called outside a coroutine");
-        if !stack::canary_intact(self.slots[me].canary.load(Ordering::Relaxed)) {
-            stack::canary_violation(me);
-        }
         self.stats.record_stack_switch();
         // A deferred handoff switches straight into its target only if the
         // target's resume token is already there. This coroutine's own token
@@ -478,6 +487,12 @@ impl CoroRuntime {
         }
     }
 
+    /// Why this runtime holds no stacks: a lease failed, so it kept none and
+    /// nothing spawned on it may run. `None` when every slot has its stack.
+    pub fn lease_error(&self) -> Option<&StackError> {
+        self.lease_error.as_ref()
+    }
+
     /// Number of process slots this runtime hosts.
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -512,19 +527,6 @@ fn spin_take(rt: &CoroRuntime, slot: usize) -> usize {
     }
 }
 
-/// The canary address a slot checks at every suspension of the coroutine on
-/// `stk`: 0 for a guarded stack, whose `PROT_NONE` guard faults on an
-/// overflow before the canary could be read, so the check is one load of
-/// the slot word; the canary's address for a heap stack, which has no
-/// guard. [`finalize_retired`] still checks every stack at retirement.
-fn suspension_canary(stk: &CoroStack) -> usize {
-    if stk.is_guarded() {
-        0
-    } else {
-        stk.canary_addr()
-    }
-}
-
 /// Recycle the stack of a coroutine that retired on this OS thread. Runs in
 /// the first context after the retiree's final switch-away — the worker
 /// loop, a resumed coroutine, or a freshly entered one — which is the
@@ -534,7 +536,6 @@ fn finalize_retired(rt: &CoroRuntime) {
     if slot == NONE {
         return;
     }
-    rt.slots[slot].canary.store(0, Ordering::Relaxed);
     let stk = rt.slots[slot]
         .stack
         .lock()
@@ -544,8 +545,6 @@ fn finalize_retired(rt: &CoroRuntime) {
         if !stk.canary_ok() {
             stack::canary_violation(slot);
         }
-        rt.leased_bytes
-            .fetch_sub(stk.footprint() as u64, Ordering::Relaxed);
         StackPool::global().put(stk);
     }
 }
@@ -607,9 +606,6 @@ unsafe extern "C" fn coro_entry(raw: usize) -> ! {
     // is a belt-and-braces guard because unwinding out of an extern "C"
     // frame — and across the asm shim — would be undefined behavior.
     let _ = catch_unwind(AssertUnwindSafe(body));
-    if !stack::canary_intact(rt.slots[slot].canary.load(Ordering::Relaxed)) {
-        stack::canary_violation(slot);
-    }
     RETIRE.set(slot);
     rt.stats.record_stack_switch();
     let mut graveyard = 0usize;
@@ -633,27 +629,6 @@ mod tests {
 
     fn rt(capacity: usize) -> Arc<CoroRuntime> {
         CoroRuntime::new(capacity, 128 * 1024, Arc::new(NetStats::new()))
-    }
-
-    #[test]
-    fn only_a_heap_stack_is_checked_at_every_suspension() {
-        let heap = CoroStack::new_heap(16 * 1024);
-        assert!(!heap.is_guarded());
-        assert_eq!(suspension_canary(&heap), heap.canary_addr());
-        let guarded = CoroStack::new(64 * 1024);
-        assert!(guarded.is_guarded(), "linux should take the mmap path");
-        assert_eq!(suspension_canary(&guarded), 0);
-    }
-
-    #[test]
-    fn a_guarded_stack_slot_records_no_canary() {
-        let rt = rt(1);
-        let h = rt.spawn(0, || 1);
-        assert_eq!(rt.slots[0].canary.load(Ordering::Relaxed), 0);
-        rt.enqueue_resume(0);
-        rt.activate(1);
-        assert_eq!(h.join().unwrap(), 1);
-        rt.shutdown();
     }
 
     #[test]

@@ -74,6 +74,10 @@ pub struct ProcessRecord {
     pub result_bits: Option<u64>,
     /// Final virtual time, nanoseconds.
     pub finish_ns: u64,
+    /// What a panicked process's panic said: a lost rank, a protocol abort,
+    /// a coroutine stack that could not be mapped. `None` for every other
+    /// outcome.
+    pub message: Option<String>,
 }
 
 /// Everything the service reports about one completed job. The
@@ -206,16 +210,16 @@ impl JobRecord {
             .processes
             .iter()
             .map(|p| {
-                let (outcome, result_bits) = match &p.outcome {
-                    ProcessOutcome::Finished(v) => ("finished", Some(v.to_bits())),
-                    ProcessOutcome::Crashed { .. } => ("crashed", None),
+                let (outcome, result_bits, message) = match &p.outcome {
+                    ProcessOutcome::Finished(v) => ("finished", Some(v.to_bits()), None),
+                    ProcessOutcome::Crashed { .. } => ("crashed", None, None),
                     ProcessOutcome::Deadlocked { .. } => {
                         deadlocked = true;
-                        ("deadlocked", None)
+                        ("deadlocked", None, None)
                     }
-                    ProcessOutcome::Panicked(_) => {
+                    ProcessOutcome::Panicked(msg) => {
                         failed = true;
-                        ("panicked", None)
+                        ("panicked", None, Some(msg.clone()))
                     }
                 };
                 ProcessRecord {
@@ -225,6 +229,7 @@ impl JobRecord {
                     outcome,
                     result_bits,
                     finish_ns: p.finish_time.as_nanos(),
+                    message,
                 }
             })
             .collect();
@@ -287,6 +292,7 @@ impl JobRecord {
                 ("finish_ns", p.finish_ns.into()),
             ];
             fields.extend(p.result_bits.map(|bits| ("result_bits", hex(bits))));
+            fields.extend(p.message.as_deref().map(|m| ("message", m.into())));
             Json::obj(fields)
         });
         let mut fields = vec![
